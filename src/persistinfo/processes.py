@@ -12,7 +12,10 @@ eigendata is irrational) give float distributions.  Enumeration-based
 paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
 i.i.d. models bridge the gap with a transition-matrix power instead of
 enumerating it, so the cap there applies only to the two visible
-blocks.
+blocks.  A substitution fixed point has far fewer factors than words:
+a length-n window is refused when n times factor_count_bound(n), a
+bound on the number of length-n factors computed from the rules alone
+(before any factor is enumerated), exceeds WINDOW_STATE_CAP letters.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from .infocore import (
     marginalize_gap,
     shannon_entropy,
 )
-from .substitution import Substitution, factor_frequencies, fixed_point_prefix
+from .substitution import (
+    Substitution,
+    factor_count_bound,
+    factor_frequencies,
+    fixed_point_prefix,
+)
 
 __all__ = [
     "WINDOW_STATE_CAP",
@@ -75,6 +83,14 @@ def _check_cap(s: int, window_length: int) -> None:
         raise WindowCapError(
             f"window of length {window_length} over {s} symbols needs"
             f" {s}**{window_length} states; cap is 2**26")
+
+
+def _check_factor_cap(subst: Substitution, window_length: int) -> None:
+    bound = factor_count_bound(subst, window_length)
+    if window_length * bound > WINDOW_STATE_CAP:
+        raise WindowCapError(
+            f"window of length {window_length} may have up to {bound}"
+            f" factors, {window_length * bound} letters in all; cap is 2**26")
 
 
 @dataclass(frozen=True)
@@ -698,7 +714,8 @@ _PARITY_RULES = ((0, 1), (1, 0))
 @dataclass(frozen=True)
 class SubstitutionProcess:
     """Uniquely ergodic process of a primitive substitution fixed
-    point; block laws are the exact factor frequencies."""
+    point; block laws are the exact factor frequencies.  Windows are
+    capped on the factor-count bound, not on alphabet size ** length."""
 
     substitution: Substitution
 
@@ -713,14 +730,13 @@ class SubstitutionProcess:
     def block_distribution(self, L: int) -> BlockDistribution:
         if L < 1:
             raise ValueError("block length must be >= 1")
-        _check_cap(len(self.alphabet), L)
+        _check_factor_cap(self.substitution, L)
         return factor_frequencies(self.substitution, L).as_distribution(
             self.alphabet)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        _check_cap(len(self.alphabet), 2 * L + g)
         window = self.block_distribution(2 * L + g)
         return marginalize_gap(window, L, g)
 

@@ -14,6 +14,14 @@ where the arithmetic allows it:
   * the factor-complexity function, and the closed-form block-entropy
     increments of the parity (Thue-Morse) fixed point.
 
+Factor frequencies take one of three routes by length: l = 1 reads the
+Perron eigenvector of the letter composition matrix, l = 2 that of the
+substitution induced on pairs (at most s**2 columns), and l >= 3 maps
+the pair frequencies through the shortcut count matrix at the smallest
+power p with every |ζ^p(a)| >= l - 1, which is integer counting only.
+The induced substitution on length-l factors stays available as an
+independent check of the shortcut route.
+
 Frequencies come out as Fractions whenever the Perron root of the
 relevant composition matrix is rational (it is an integer then, since
 the characteristic polynomial is monic with integer coefficients);
@@ -48,6 +56,8 @@ __all__ = [
     "induced_substitution",
     "factor_frequencies",
     "shortcut_matrix",
+    "shortcut_power",
+    "factor_count_bound",
     "complexity_function",
     "thue_morse_block_entropy_increment",
     "forbidden_words_check",
@@ -404,9 +414,14 @@ class FactorTable:
 
 def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     """Exact (when the Perron root is rational) frequencies of the
-    length-l factors, from the Perron eigenvector of the induced
-    composition matrix.  Requires a primitive substitution; frequencies
+    length-l factors.  Requires a primitive substitution; frequencies
     then exist and are positive for every factor.
+
+    l = 1 reads the letter Perron eigenvector and l = 2 the Perron
+    eigenvector of the substitution induced on pairs.  l >= 3 maps the
+    pair frequencies through shortcut_matrix at shortcut_power(subst, l),
+    so no linear system larger than the pair one is solved; the result
+    is exact exactly when the pair table is.
     """
     pf_letters = primitivity(composition_matrix(subst))
     if not pf_letters.primitive:
@@ -415,11 +430,14 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
         factors = factors_of_length(subst, 1)
         freq = {w: pf_letters.eigenvector[w[0]] for w in factors}
         return FactorTable(1, factors, freq, pf_letters.exact)
-    induced = induced_substitution(subst, l)
-    pf = primitivity(composition_matrix(induced))
-    factors = factors_of_length(subst, l)
-    freq = {w: pf.eigenvector[i] for i, w in enumerate(factors)}
-    return FactorTable(l, factors, freq, pf.exact)
+    if l == 2:
+        pf = primitivity(composition_matrix(induced_substitution(subst, 2)))
+        factors = factors_of_length(subst, 2)
+        freq = {w: pf.eigenvector[i] for i, w in enumerate(factors)}
+        return FactorTable(2, factors, freq, pf.exact)
+    sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
+    return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
+                       sc.exact)
 
 
 # ── shortcut from pair frequencies to length-l frequencies ──────────
@@ -441,6 +459,66 @@ class ShortcutData:
     v2: tuple
     v_l: tuple
     power: int
+    exact: bool
+
+
+def _image_lengths(subst: Substitution, power: int) -> list:
+    """|ζ^p(a)| for every letter a: the column sums of M^p, as Python
+    ints (row vector of ones times M, p times)."""
+    M = composition_matrix(subst).M.tolist()
+    s = len(M)
+    lengths = [1] * s
+    for _ in range(power):
+        lengths = [sum(lengths[i] * M[i][j] for i in range(s))
+                   for j in range(s)]
+    return lengths
+
+
+def shortcut_power(subst: Substitution, l: int) -> int:
+    """Smallest power p >= 1 with min_a |ζ^p(a)| >= l - 1, the least p
+    that shortcut_matrix accepts for length l.  The shortest image grows
+    at least once every s powers when every letter's images grow, as
+    Substitution checks unless built with check=False."""
+    p, stalled = 1, 0
+    shortest = min(_image_lengths(subst, 1))
+    while shortest < l - 1:
+        p += 1
+        longer = min(_image_lengths(subst, p))
+        stalled = 0 if longer > shortest else stalled + 1
+        if stalled > len(subst.alphabet):
+            raise ValueError("iterated images of some letter do not grow")
+        shortest = longer
+    return p
+
+
+@lru_cache(maxsize=None)
+def _pair_factors(subst: Substitution) -> frozenset:
+    """Length-2 factors of a primitive substitution's fixed point,
+    without scanning it: the smallest pair set holding the pairs inside
+    every letter image and the pairs of ζ(αβ) for each of its pairs αβ."""
+    found: set = set()
+    todo = [w[i:i + 2] for w in subst.rules for i in range(len(w) - 1)]
+    while todo:
+        pair = todo.pop()
+        if pair not in found:
+            found.add(pair)
+            image = subst.apply(pair)
+            todo.extend(image[i:i + 2] for i in range(len(image) - 1))
+    return frozenset(found)
+
+
+def factor_count_bound(subst: Substitution, n: int) -> int:
+    """Upper bound on the number of length-n factors of a primitive
+    substitution's fixed point, found before enumerating any of them.
+
+    With p = shortcut_power(subst, n), every length-n factor starts
+    inside some ζ^p(α) and ends inside the next image ζ^p(β), where αβ
+    is a factor; so there are at most Σ_{αβ} |ζ^p(α)| of them.
+    """
+    if n < 1:
+        raise ValueError("factor length must be positive")
+    lengths = _image_lengths(subst, shortcut_power(subst, n))
+    return sum(lengths[alpha] for alpha, _ in _pair_factors(subst))
 
 
 def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
@@ -448,9 +526,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         raise ValueError("factor length must be at least 2")
     if power < 1:
         raise ValueError("power must be positive")
-    min_image = min(len(subst.iterate_letter(a, power))
-                    for a in range(len(subst.alphabet)))
-    if min_image < l - 1:
+    if min(_image_lengths(subst, power)) < l - 1:
         raise ValueError(
             f"power {power} is too small: need every ζ^p image at least"
             f" {l - 1} letters long so windows anchored in the first image"
@@ -475,7 +551,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
     total = sum(raw)
     v_l = tuple(x / total for x in raw)
     return ShortcutData(matrix=C, factors_l=factors_l, factors_2=factors_2,
-                        v2=v2, v_l=v_l, power=power)
+                        v2=v2, v_l=v_l, power=power, exact=pair_table.exact)
 
 
 # ── complexity and parity-sequence entropy increments ───────────────

@@ -7,10 +7,15 @@ the command layer was written.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import persistinfo
 from persistinfo.cli import main
 
 LOG2_3 = math.log2(3)
@@ -400,3 +405,18 @@ def test_outputs_are_deterministic(capsys):
     b = run(capsys, "entropy", "--model", "tm", "--Lmax", "8",
             "--format", "csv")
     assert a == b
+
+
+@pytest.mark.parametrize("module", ["persistinfo", "persistinfo.cli"])
+def test_module_entry_point(module):
+    # python -m runs the same main as the console script
+    src = str(Path(persistinfo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "substitution",
+         "--rules", "tm", "--l", "5"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("factors of length 5 (12 total):")

@@ -190,11 +190,11 @@ def test_grid_parity_frozen_anchors():
 
 
 def test_grid_marks_capped_cells_missing():
-    g = gap_mi_grid(SubstitutionProcess(thue_morse()), [2, 3, 4], [2, 30])
+    g = gap_mi_grid(SubstitutionProcess(thue_morse()), [2, 3, 4], [2, 8192])
     for L in (2, 3, 4):
         assert (L, 2) in g.values
-        assert (L, 30) not in g.values
-        assert "cap" in g.missing[(L, 30)]
+        assert (L, 8192) not in g.values
+        assert "cap" in g.missing[(L, 8192)]
 
 
 def test_grid_undersampling_guard():
@@ -239,6 +239,14 @@ def test_verdict_parity_diverges():
     assert report.verdict.kind == "diverging"
     assert report.diagnostics["slope_top_half"] >= 0.05
     assert report.tail_values[9] == pytest.approx(3.043296, abs=1e-6)
+
+
+def test_verdict_parity_diverges_at_long_gaps():
+    g = gap_mi_grid(SubstitutionProcess(thue_morse()), range(1, 9),
+                    (32, 64, 128, 256))
+    assert not g.missing
+    assert len(g.values) == 32
+    assert pmi_verdict(g).verdict.kind == "diverging"
 
 
 def test_verdict_requires_three_by_three():

@@ -441,10 +441,22 @@ def test_substitution_joint_marginals():
     assert j.right_marginal().probs == block_distribution(m, 2).probs
 
 
-def test_substitution_window_cap():
-    m = SubstitutionProcess(thue_morse())
+def test_substitution_window_cap(monkeypatch):
+    import persistinfo.substitution as substitution
+
+    def no_scan(*args):
+        raise AssertionError("factors enumerated before the cap check")
+
+    monkeypatch.setattr(substitution, "factors_of_length", no_scan)
+    for subst in (thue_morse(), fibonacci()):
+        m = SubstitutionProcess(subst)
+        with pytest.raises(WindowCapError):
+            joint_gap_distribution(m, 8, 8192)  # window length 8208
+    # Thue-Morse windows reach 4096, Fibonacci windows 3789
     with pytest.raises(WindowCapError):
-        joint_gap_distribution(m, 8, 16)  # 2**32 window states
+        block_distribution(SubstitutionProcess(thue_morse()), 4097)
+    with pytest.raises(WindowCapError):
+        block_distribution(SubstitutionProcess(fibonacci()), 3790)
     assert WINDOW_STATE_CAP == 1 << 26
 
 

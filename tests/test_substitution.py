@@ -20,6 +20,7 @@ from persistinfo.substitution import (
     Substitution,
     complexity_function,
     composition_matrix,
+    factor_count_bound,
     factor_frequencies,
     factors_of_length,
     fibonacci,
@@ -28,6 +29,7 @@ from persistinfo.substitution import (
     induced_substitution,
     primitivity,
     shortcut_matrix,
+    shortcut_power,
     thue_morse,
     thue_morse_block_entropy_increment,
 )
@@ -235,9 +237,20 @@ def test_frequencies_require_primitive():
         factor_frequencies(swap, 2)
 
 
+def test_non_growing_rules_raise_rather_than_hang():
+    # check=False skips the growth check; the power search must stop
+    still = Substitution(Alphabet(["0"]), [(0,)], check=False)
+    with pytest.raises(ValueError):
+        factor_frequencies(still, 3)
+    with pytest.raises(ValueError):
+        factor_count_bound(still, 3)
+
+
 def test_frequency_refinement_consistency():
+    # exact marginals across the routes (letters, pairs, shortcut) and
+    # across dyadic boundaries, where the shortcut power steps up
     tm = thue_morse()
-    for l in (1, 2, 3, 4):
+    for l in (1, 2, 3, 4, 31, 32, 33, 64, 65):
         coarse = factor_frequencies(tm, l).freq
         fine = factor_frequencies(tm, l + 1).freq
         right: dict = {}
@@ -280,9 +293,8 @@ def test_shortcut_worked_example_l5_p3():
     image = sc.matrix @ np.array([1, 2, 2, 1])
     assert list(image) == [4] * 12
     assert sc.v_l == tuple([F(1, 12)] * 12)
-    assert sc.v_l == tuple(
-        factor_frequencies(tm, 5).freq[w] for w in sc.factors_l
-    )
+    assert sc.v_l == primitivity(
+        composition_matrix(induced_substitution(tm, 5))).eigenvector
 
 
 def test_shortcut_commutation_identity():
@@ -305,15 +317,50 @@ def test_shortcut_rejects_small_p():
         shortcut_matrix(thue_morse(), 9, 2)  # min |zeta^2(a)| = 4 < 8
 
 
-@pytest.mark.parametrize("l", range(2, 9))
+def _induced_oracle(subst, l):
+    """Perron eigenvector of the induced substitution on length-l
+    factors (rows in lex order), the route the shortcut replaces."""
+    return primitivity(composition_matrix(induced_substitution(subst, l))).eigenvector
+
+
+@pytest.mark.parametrize("l", range(2, 13))
 def test_shortcut_equivalence_minimal_p(l):
     tm = thue_morse()
     p = 1
     while min(len(tm.iterate_letter(a, p)) for a in range(2)) < l - 1:
         p += 1
+    assert shortcut_power(tm, l) == p
     sc = shortcut_matrix(tm, l, p)
+    oracle = _induced_oracle(tm, l)
+    assert sc.exact
+    assert sc.v_l == oracle
     table = factor_frequencies(tm, l)
-    assert sc.v_l == tuple(table.freq[w] for w in sc.factors_l)
+    assert table.exact
+    assert tuple(table.freq[w] for w in table.factors) == oracle
+
+
+def test_shortcut_equivalence_fibonacci():
+    fib = fibonacci()
+    for l in range(2, 25):
+        table = factor_frequencies(fib, l)
+        assert not table.exact
+        got = [table.freq[w] for w in table.factors]
+        assert got == pytest.approx(list(_induced_oracle(fib, l)), abs=1e-12)
+        assert sum(got) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_factor_count_bound_covers_factors():
+    for subst in (thue_morse(), fibonacci()):
+        for n in range(1, 41):
+            assert complexity_function(subst, n) <= factor_count_bound(subst, n)
+
+
+def test_factor_count_bound_at_the_window_cap():
+    # n * bound <= 2**26 up to n = 4096 (Thue-Morse) and 3789 (Fibonacci)
+    cap = 1 << 26
+    for subst, n_max in ((thue_morse(), 4096), (fibonacci(), 3789)):
+        assert n_max * factor_count_bound(subst, n_max) <= cap
+        assert (n_max + 1) * factor_count_bound(subst, n_max + 1) > cap
 
 
 # ── complexity function and entropy increments ────────────────────────────────
