@@ -211,9 +211,9 @@ def _load_sequence(path: str) -> EmpiricalSource:
     if "\n" in text:
         raise ValueError("sequence files hold one line of symbols")
     if "," in text:
-        parts = text.split(",")
-        alphabet = Alphabet(sorted(set(parts)))
-        return EmpiricalSource([alphabet.index(p) for p in parts], alphabet)
+        labels, codes = np.unique(np.array(text.split(",")),
+                                  return_inverse=True)
+        return EmpiricalSource(codes, Alphabet(labels.tolist()))
     return EmpiricalSource(text)
 
 
@@ -595,7 +595,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     model = _load_model(cfg.model, "float")
     arr = sample(model, cfg.n, seed=cfg.seed)
     alphabet = model.alphabet
-    labels = [alphabet.symbols[i] for i in arr]
+    labels = map(alphabet.symbols.__getitem__, arr.tolist())
     joiner = "" if all(len(s) == 1 for s in alphabet.symbols) else ","
     _emit(joiner.join(labels) + "\n", cfg.out)
     return 0

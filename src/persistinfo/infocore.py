@@ -21,12 +21,20 @@ Conventions
     the representation is equality of the value.  Distributions whose
     rationals do not factor cheaply fall back to float entropies
     computed from the exact probabilities.
+  * Empirical tables are built in bulk: a sequence is parsed into an
+    index array without a Python call per symbol, every length-L
+    window is packed into one base-s integer code, the codes are
+    counted with ``np.unique``, and only the distinct codes are decoded
+    back into words, as one digit array per chunk of codes.  Joint
+    gap tables (``measures.EmpiricalSource``) judge undersampling on
+    the distinct pair codes, before anything is decoded.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -45,6 +53,7 @@ __all__ = [
     "mutual_information",
     "marginalize_gap",
     "empirical_block_distribution",
+    "decode_window_codes",
 ]
 
 Word = tuple  # tuple[int, ...]; alias documents intent
@@ -55,6 +64,9 @@ SMOOTH_FACTOR_BOUND = 10_000
 
 #: float distributions must sum to 1 within this
 FLOAT_SUM_TOL = 1e-12
+
+#: window codes decoded per digit array; bounds its memory
+DECODE_CHUNK = 1 << 14
 
 
 # ── Alphabet ──────────────────────────────────────────────────────────────────
@@ -301,15 +313,19 @@ def _is_exact_probs(values) -> bool:
 
 
 def _validate_probs(probs, exact: bool) -> None:
-    total = sum(probs.values())
+    values = probs.values()
     if exact:
-        if any(p < 0 for p in probs.values()):
+        if any(p < 0 for p in values):
             raise ValueError("negative probability")
+        total = sum(values)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
     else:
-        if any(p < -FLOAT_SUM_TOL for p in probs.values()):
+        if min(values, default=0.0) < -FLOAT_SUM_TOL:
             raise ValueError("negative probability")
+        # correctly rounded: a naive sum of 10^5+ entries drifts past the
+        # tolerance on its own
+        total = math.fsum(values)
         if abs(total - 1.0) > FLOAT_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -331,13 +347,16 @@ class BlockDistribution:
         self.block_length = int(block_length)
         self.probs = dict(probs)
         s = len(alphabet)
-        for w in self.probs:
-            if len(w) != self.block_length:
-                raise ValueError(
-                    f"word {w} has length {len(w)}, expected {self.block_length}"
-                )
-            if any(not (0 <= a < s) for a in w):
-                raise ValueError(f"word {w} leaves the alphabet")
+        lengths = set(map(len, self.probs))
+        symbols = set(chain.from_iterable(self.probs))
+        if lengths - {self.block_length} or symbols - set(range(s)):
+            # name the first offending word
+            for w in self.probs:
+                if len(w) != self.block_length:
+                    raise ValueError(f"word {w} has length {len(w)}, "
+                                     f"expected {self.block_length}")
+                if any(not (0 <= a < s) for a in w):
+                    raise ValueError(f"word {w} leaves the alphabet")
         self.exact = _is_exact_probs(self.probs.values())
         _validate_probs(self.probs, self.exact)
 
@@ -395,7 +414,8 @@ class JointBlockDistribution:
 
     def prob(self, pair) -> Scalar:
         lw, rw = pair
-        return self.probs.get((tuple(lw), tuple(rw)), Fraction(0))
+        zero = Fraction(0) if self.exact else 0.0
+        return self.probs.get((tuple(lw), tuple(rw)), zero)
 
     def left_marginal(self) -> BlockDistribution:
         out: dict = {}
@@ -504,19 +524,41 @@ def marginalize_gap(window: BlockDistribution, left_length: int,
 
 
 def _coerce_sequence(seq, alphabet: Alphabet | None):
-    """Accept str / int sequence / ndarray; return (int array, alphabet)."""
+    """Accept str / int sequence / ndarray; return (int array, alphabet).
+
+    A string is read one character per symbol; without an alphabet the
+    sorted distinct characters form it.  Symbols outside the alphabet
+    raise ValueError naming the first one and its position.
+    """
     if isinstance(seq, str):
+        points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
+                               dtype=np.uint32)
         if alphabet is None:
-            alphabet = Alphabet(sorted(set(seq)))
-        arr = np.fromiter((alphabet.index(c) for c in seq), dtype=np.int64,
-                          count=len(seq))
-        return arr, alphabet
+            uniq, arr = np.unique(points, return_inverse=True)
+            return (arr.astype(np.int64, copy=False),
+                    Alphabet(map(chr, uniq.tolist())))
+        labels = [(ord(c), i) for i, c in enumerate(alphabet.symbols)
+                  if len(c) == 1]
+        keys = np.array(sorted(labels), dtype=np.int64).reshape(-1, 2)
+        pos = np.searchsorted(keys[:, 0], points)
+        found = pos < len(keys)
+        found[found] = keys[pos[found], 0] == points[found]
+        if not found.all():
+            t = int(np.argmin(found))
+            raise ValueError(f"symbol {seq[t]!r} at position {t} is not in "
+                             f"the alphabet {alphabet.symbols}")
+        return keys[pos, 1], alphabet
     arr = np.asarray(seq, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
     if alphabet is None:
         top = int(arr.max(initial=0))
         alphabet = Alphabet(str(i) for i in range(top + 1))
+    bad = (arr < 0) | (arr >= len(alphabet))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"symbol {int(arr[t])} at position {t} is outside "
+                         f"the alphabet indices 0..{len(alphabet) - 1}")
     return arr, alphabet
 
 
@@ -533,16 +575,21 @@ def window_codes(arr: np.ndarray, L: int, s: int):
     return windows @ powers
 
 
-def decode_window_code(code: int, L: int, s: int) -> Word:
-    w = []
-    for _ in range(L):
-        w.append(code % s)
-        code //= s
-    return tuple(reversed(w))
+def decode_window_codes(codes, L: int, s: int) -> list:
+    """Words of base-s window codes (inverse of :func:`window_codes`),
+    decoded as one (chunk, L) digit array per chunk of codes."""
+    codes = np.asarray(codes, dtype=np.int64)
+    powers = s ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    words: list = []
+    for start in range(0, codes.size, DECODE_CHUNK):
+        chunk = codes[start:start + DECODE_CHUNK, None]
+        words.extend(map(tuple, (chunk // powers % s).tolist()))
+    return words
 
 
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):
-    """Counts of all length-L windows of arr; returns (words, counts).
+    """Counts of all length-L windows of arr; returns (words, counts)
+    with the counts as an int64 array.
 
     Windows are packed into base-s integer codes when they fit in 63
     bits (the normal case); otherwise a plain dictionary pass is used.
@@ -550,14 +597,14 @@ def sliding_window_counts(arr: np.ndarray, L: int, s: int):
     codes = window_codes(arr, L, s)
     if codes is not None:
         uniq, counts = np.unique(codes, return_counts=True)
-        words = [decode_window_code(code, L, s) for code in uniq.tolist()]
-        return words, counts.tolist()
+        return decode_window_codes(uniq, L, s), counts
     n = arr.size
     counts: dict = {}
     for i in range(n - L + 1):
         w = tuple(arr[i:i + L].tolist())
         counts[w] = counts.get(w, 0) + 1
-    return list(counts), list(counts.values())
+    return list(counts), np.fromiter(counts.values(), dtype=np.int64,
+                                     count=len(counts))
 
 
 def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
@@ -573,9 +620,10 @@ def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
         raise ValueError("block length must be >= 1")
     arr, alphabet = _coerce_sequence(seq, alphabet)
     words, counts = sliding_window_counts(arr, L, len(alphabet))
-    total = sum(counts)
+    total = int(counts.sum())
     if exact:
-        probs = {w: Fraction(c, total) for w, c in zip(words, counts)}
+        probs = {w: Fraction(c, total) for w, c in zip(words, counts.tolist())}
     else:
-        probs = {w: c / total for w, c in zip(words, counts)}
+        # int64 / int64 rounds exactly as int / int below 2**53
+        probs = dict(zip(words, (counts / total).tolist()))
     return BlockDistribution(alphabet, L, probs)

@@ -29,7 +29,7 @@ from .infocore import (
     JointBlockDistribution,
     Scalar,
     _coerce_sequence,
-    decode_window_code,
+    decode_window_codes,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
@@ -65,12 +65,6 @@ def _sub(a, b):
     return a - b
 
 
-def _mul_int(a, k: int):
-    if isinstance(a, float):
-        return a * k
-    return a * k
-
-
 def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
@@ -86,9 +80,12 @@ class EmpiricalSource:
     """Plug-in block and joint-block laws of one observed sequence.
 
     Joint estimation at gap g slides a window of length 2L + g and
-    counts the (left block, right block) pairs.  Cells whose distinct
-    pair count exceeds one tenth of the available windows are refused
-    as undersampled.
+    counts the (left block, right block) pairs in bulk: each pair is
+    packed into one integer code from the window codes, the codes are
+    counted with ``np.unique``, and only the distinct codes are decoded
+    into word pairs.  Cells whose distinct pair count exceeds one tenth
+    of the available windows are refused as undersampled; the test runs
+    on the distinct codes, before any decoding.
     """
 
     __slots__ = ("arr", "alphabet", "n")
@@ -124,34 +121,39 @@ class EmpiricalSource:
         if m < 1:
             raise UndersampledError(
                 f"no length-{win} window in a sequence of {self.n} symbols")
-        pairs = self._pair_counts(L, g, m, s)
-        if len(pairs) > m / 10:
-            raise UndersampledError(
-                f"{len(pairs)} distinct block pairs from {m} windows;"
-                " refusing estimate beyond one pair per ten windows")
-        probs = {k: c / m for k, c in pairs.items()}
+        pairs, counts = self._pair_counts(L, g, m, s)
+        # int64 / int64 rounds exactly as int / int below 2**53
+        probs = dict(zip(pairs, (counts / m).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
-    def _pair_counts(self, L: int, g: int, m: int, s: int) -> dict:
+    def _pair_counts(self, L: int, g: int, m: int, s: int):
+        """Distinct (left, right) word pairs of the m windows and their
+        counts as an int64 array; refuses undersampled cells."""
         codes = window_codes(self.arr, L, s)
         if codes is not None and 2 * L * math.log2(max(s, 2)) < 63:
-            left = codes[:m]
-            right = codes[L + g:L + g + m]
-            pair = left * (s ** L) + right
+            span = s ** L
+            pair = codes[:m] * span + codes[L + g:L + g + m]
             uniq, counts = np.unique(pair, return_counts=True)
-            out = {}
-            for code, c in zip(uniq.tolist(), counts.tolist()):
-                lw = decode_window_code(code // (s ** L), L, s)
-                rw = decode_window_code(code % (s ** L), L, s)
-                out[(lw, rw)] = c
-            return out
+            _refuse_undersampled(uniq.size, m)
+            left = decode_window_codes(uniq // span, L, s)
+            right = decode_window_codes(uniq % span, L, s)
+            return list(zip(left, right)), counts
         out: dict = {}
         a = self.arr
         for i in range(m):
             key = (tuple(a[i:i + L].tolist()),
                    tuple(a[i + L + g:i + 2 * L + g].tolist()))
             out[key] = out.get(key, 0) + 1
-        return out
+        _refuse_undersampled(len(out), m)
+        return list(out), np.fromiter(out.values(), dtype=np.int64,
+                                      count=len(out))
+
+
+def _refuse_undersampled(distinct: int, m: int) -> None:
+    if distinct > m / 10:
+        raise UndersampledError(
+            f"{distinct} distinct block pairs from {m} windows;"
+            " refusing estimate beyond one pair per ten windows")
 
 
 def _as_source(source, alphabet: Optional[Alphabet] = None):
@@ -211,15 +213,19 @@ def entropy_curve(source, L_max: int,
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
     src = _as_source(source, alphabet)
-    dists = [src.block_distribution(L) for L in range(1, L_max + 1)]
-    H = [shannon_entropy(d) for d in dists]
+    H = []
+    exact = True
+    for L in range(1, L_max + 1):
+        d = src.block_distribution(L)
+        H.append(shannon_entropy(d))
+        exact = exact and d.exact
+        del d  # free each table before the next, longer one is built
     dH = [H[0]] + [_sub(H[i], H[i - 1]) for i in range(1, L_max)]
     h_hat = dH[-1]
-    E_hat = _sub(H[-1], _mul_int(h_hat, L_max))
+    E_hat = _sub(H[-1], h_hat * L_max)
     h_ratio = H[-1] / L_max
     return EntropyCurve(L_max=L_max, H=tuple(H), dH=tuple(dH), h_hat=h_hat,
-                        h_ratio=h_ratio, E_hat=E_hat,
-                        exact=all(d.exact for d in dists))
+                        h_ratio=h_ratio, E_hat=E_hat, exact=exact)
 
 
 def excess_entropy_finite(source, L: int,
@@ -231,7 +237,7 @@ def excess_entropy_finite(source, L: int,
     src = _as_source(source, alphabet)
     hL = shannon_entropy(src.block_distribution(L))
     h2L = shannon_entropy(src.block_distribution(2 * L))
-    return _sub(_mul_int(hL, 2), h2L)
+    return _sub(hL * 2, h2L)
 
 
 # ── gap-MI grid ─────────────────────────────────────────────────────

@@ -446,21 +446,22 @@ class MarkovProcess:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         s = len(self.alphabet)
         R = self.order
-        cum_rows = [list(np.cumsum([float(x) for x in self.kernel[c]]))
-                    for c in self.contexts]
-        cum_pi = list(np.cumsum([float(x) for x in self.stationary]))
+        # bisecting the cumulative row without its last entry is
+        # min(bisect_right(row, u), s - 1): the clamp comes for free
+        cuts = [np.cumsum([float(x) for x in self.kernel[c]])[:-1].tolist()
+                for c in self.contexts]
+        cum_pi = np.cumsum([float(x) for x in self.stationary]).tolist()
         ci = bisect_right(cum_pi, float(rng.random()))
         ci = min(ci, len(self.contexts) - 1)
-        u = rng.random(n)
-        out = np.empty(n, dtype=np.int64)
-        mod = s ** R if R else 1
-        for t in range(n):
-            a = bisect_right(cum_rows[ci], u[t])
-            a = min(a, s - 1)
-            out[t] = a
-            if R:
-                ci = (ci * s + a) % mod
-        return out
+        u = rng.random(n).tolist()
+        mod = s ** R
+        out = []
+        append = out.append
+        for x in u:
+            a = bisect_right(cuts[ci], x)
+            append(a)
+            ci = (ci * s + a) % mod
+        return np.array(out, dtype=np.int64)
 
     def reversed(self) -> "MarkovProcess":
         """Time reversal: an order-R chain whose kernel is the Bayes

@@ -83,6 +83,16 @@ def test_entropy_sequence_file_comma_alphabet(tmp_path, capsys):
     assert blob["E_hat_bits"] == pytest.approx(1.0, abs=1e-4)
 
 
+def test_comma_sequence_file_labels_and_codes(tmp_path):
+    from persistinfo.cli import _load_sequence
+    labels = ["héllo", "-1", "↑", "+1", "-1", "↑", "héllo", "-1"]
+    p = tmp_path / "seq.txt"
+    p.write_text(",".join(labels) + "\n")
+    src = _load_sequence(str(p))
+    assert src.alphabet.symbols == tuple(sorted(set(labels)))
+    assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
+
+
 def test_entropy_model_file_markov(tmp_path, capsys):
     doc = {"kind": "markov", "order": 1,
            "rows": {"0": ["1/2", "1/2"], "1": ["1", 0]}}

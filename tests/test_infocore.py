@@ -6,9 +6,11 @@ two-phase processes) and are frozen; the implementation must reproduce
 them, not the other way around.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from persistinfo.infocore import (
     BlockDistribution,
     ExactBits,
     JointBlockDistribution,
+    _coerce_sequence,
     empirical_block_distribution,
     log2_of,
     marginalize_gap,
@@ -222,6 +225,79 @@ def test_distribution_rejects_negative():
 def test_distribution_rejects_wrong_length_word():
     with pytest.raises(ValueError):
         BlockDistribution(BITS, 2, {(0,): F(1)})
+
+
+def test_distribution_names_the_offending_word():
+    probs = {(0, 0): F(1, 2), (0, 1): F(1, 4), (0, 2): F(1, 4)}
+    with pytest.raises(ValueError, match=r"word \(0, 2\) leaves the alphabet"):
+        BlockDistribution(BITS, 2, probs)
+    with pytest.raises(ValueError, match=r"word \(1,\) has length 1"):
+        BlockDistribution(BITS, 2, {(0, 0): F(1, 2), (1,): F(1, 2)})
+    with pytest.raises(ValueError, match="wrong block lengths"):
+        JointBlockDistribution(BITS, 1, 0, 1, {((0,), (1, 1)): F(1)})
+
+
+def test_large_uniform_float_table_is_accepted():
+    # 3^12 entries of 1/3^12: a naive running sum drifts to
+    # 0.9999999999917 and used to fail the 1e-12 tolerance
+    words = list(product(range(3), repeat=12))
+    probs = dict.fromkeys(words, 1 / len(words))
+    d = BlockDistribution(Alphabet("abc"), 12, probs)
+    assert d.exact is False
+    assert shannon_entropy(d) == pytest.approx(12 * math.log2(3), abs=1e-9)
+    probs[words[0]] += 1e-11
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        BlockDistribution(Alphabet("abc"), 12, probs)
+
+
+def test_joint_prob_is_float_zero_on_float_tables():
+    j = JointBlockDistribution(BITS, 1, 0, 1, {((0,), (1,)): 0.5,
+                                               ((1,), (0,)): 0.5})
+    zero = j.prob(((0,), (0,)))
+    assert zero == 0 and isinstance(zero, float)
+    e = JointBlockDistribution(BITS, 1, 0, 1, {((0,), (1,)): F(1)})
+    assert isinstance(e.prob(((0,), (0,))), F)
+
+
+# ── sequence parsing ──────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("text", [
+    "0110100110010110", "banana", "naïve café", "αβγαγβ", "a\U0001F600b\U0001F600",
+])
+def test_coerce_string_infers_sorted_alphabet(text):
+    arr, alphabet = _coerce_sequence(text, None)
+    assert alphabet.symbols == tuple(sorted(set(text)))
+    assert arr.dtype == np.int64
+    assert arr.tolist() == [alphabet.index(c) for c in text]
+
+
+@pytest.mark.parametrize("text,labels", [
+    ("0110", "10"), ("ccab", "abcd"), ("ψφψ", "φχψ"), ("x\U0001F600", ["\U0001F600", "x", "zz"]),
+])
+def test_coerce_string_with_given_alphabet(text, labels):
+    alphabet = Alphabet(labels)
+    arr, same = _coerce_sequence(text, alphabet)
+    assert same is alphabet
+    assert arr.tolist() == [alphabet.index(c) for c in text]
+
+
+def test_coerce_rejects_character_outside_alphabet():
+    with pytest.raises(ValueError, match=r"symbol 'x' at position 2"):
+        _coerce_sequence("01x0", BITS)
+    with pytest.raises(ValueError, match=r"symbol 'é' at position 0"):
+        _coerce_sequence("é", Alphabet(["é1", "é2"]))
+
+
+def test_coerce_rejects_integer_symbols_outside_alphabet():
+    with pytest.raises(ValueError, match=r"symbol -1 at position 2"):
+        _coerce_sequence([0, 1, -1, 1, 0, 2], BITS)
+    with pytest.raises(ValueError, match=r"symbol 2 at position 5"):
+        _coerce_sequence(np.array([0, 1, 0, 1, 0, 2]), BITS)
+    with pytest.raises(ValueError, match=r"symbol -3 at position 1"):
+        _coerce_sequence([1, -3, 0], None)
+    with pytest.raises(ValueError, match=r"symbol -1 at position 2"):
+        empirical_block_distribution([0, 1, -1, 1, 0, 2], 1, alphabet=BITS)
 
 
 # ── properties ────────────────────────────────────────────────────────────────

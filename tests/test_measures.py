@@ -10,8 +10,10 @@ import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from persistinfo.infocore import ExactBits
+from persistinfo import measures
+from persistinfo.infocore import Alphabet, ExactBits, empirical_block_distribution
 from persistinfo.measures import (
     EfficiencyReport,
     EmpiricalSource,
@@ -205,6 +207,67 @@ def test_grid_undersampling_guard():
     src = EmpiricalSource(seq)
     with pytest.raises(UndersampledError):
         src.joint_gap_distribution(5, 0)
+
+
+def test_undersampled_cell_is_refused_before_decoding(monkeypatch):
+    seq = sample(IidProcess.from_probs((F(1, 2), F(1, 2))), 2000, seed=1)
+    L, g = 5, 0
+    m = len(seq) - 2 * L - g + 1
+    distinct = len({(tuple(seq[i:i + L]), tuple(seq[i + L + g:i + 2 * L + g]))
+                    for i in range(m)})
+    assert distinct > m / 10
+
+    def no_decoding(*args):
+        raise AssertionError("decoded the pairs of a refused cell")
+
+    monkeypatch.setattr(measures, "decode_window_codes", no_decoding)
+    with pytest.raises(UndersampledError) as err:
+        EmpiricalSource(seq).joint_gap_distribution(L, g)
+    assert str(err.value) == (
+        f"{distinct} distinct block pairs from {m} windows;"
+        " refusing estimate beyond one pair per ten windows")
+
+
+def _naive_counts(words):
+    counts = {}
+    for w in words:
+        counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@st.composite
+def _sequences_and_cells(draw):
+    s = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 6))
+    g = draw(st.integers(0, 8))
+    n = draw(st.integers(2 * L + g, 2000))
+    seq = draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
+    return s, L, g, seq
+
+
+@given(_sequences_and_cells())
+@settings(max_examples=80, deadline=None)
+def test_empirical_tables_match_tuple_slicing(case):
+    s, L, g, seq = case
+    alphabet = Alphabet(str(a) for a in range(s))
+    n = len(seq)
+
+    blocks = _naive_counts(tuple(seq[i:i + L]) for i in range(n - L + 1))
+    d = empirical_block_distribution(seq, L, alphabet)
+    total = n - L + 1
+    assert list(d.probs.items()) == [(w, blocks[w] / total)
+                                     for w in sorted(blocks)]
+
+    m = n - 2 * L - g + 1
+    pairs = _naive_counts((tuple(seq[i:i + L]), tuple(seq[i + L + g:i + 2 * L + g]))
+                          for i in range(m))
+    src = EmpiricalSource(seq, alphabet)
+    if len(pairs) > m / 10:
+        with pytest.raises(UndersampledError, match=f"^{len(pairs)} distinct"):
+            src.joint_gap_distribution(L, g)
+        return
+    j = src.joint_gap_distribution(L, g)
+    assert list(j.probs.items()) == [(k, pairs[k] / m) for k in sorted(pairs)]
 
 
 def test_grid_csv_layout():

@@ -6,6 +6,7 @@ the implementation must reproduce them.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import numpy as np
@@ -267,6 +268,75 @@ def test_markov_sample_empirical_tv():
     tv = sum(abs(float(emp.prob(w)) - float(exact.prob(w)))
              for w in set(emp.support()) | set(exact.support())) / 2
     assert tv <= 5 * math.sqrt(2 ** 4 / 100_000)
+
+
+def reference_markov_sample(model, n, rng):
+    # oracle: one bisect per step on the full cumulative row, clamped
+    s, R = len(model.alphabet), model.order
+    cum_rows = [list(np.cumsum([float(x) for x in model.kernel[c]]))
+                for c in model.contexts]
+    cum_pi = list(np.cumsum([float(x) for x in model.stationary]))
+    ci = min(bisect_right(cum_pi, float(rng.random())), len(model.contexts) - 1)
+    u = rng.random(n)
+    out = np.empty(n, dtype=np.int64)
+    for t in range(n):
+        a = min(bisect_right(cum_rows[ci], u[t]), s - 1)
+        out[t] = a
+        if R:
+            ci = (ci * s + a) % s ** R
+    return out
+
+
+SAMPLER_CHAINS = {
+    "order0": lambda: MarkovProcess.from_rows({"": (0.7, 0.2, 0.1)},
+                                              alphabet=Alphabet("abc")),
+    "order0-thirds": lambda: MarkovProcess.from_rows(
+        {"": (F(1, 3), F(1, 3), F(1, 3))}, alphabet=Alphabet("abc")),
+    "goldenmean": goldenmean,
+    "lopsided": lopsided_chain,
+    "order2-binary": markov_r2_uniform,
+    "order2-ternary": lambda: MarkovProcess.from_rows(
+        {a + b: (F(1, 2), F(1, 3), F(1, 6)) if a + b == "aa"
+         else (F(1, 4), F(1, 4), F(1, 2)) for a in "abc" for b in "abc"},
+        alphabet=Alphabet("abc")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_markov_sample_matches_bisect_reference(name, seed):
+    model = SAMPLER_CHAINS[name]()
+    got = model.sample(3000, np.random.default_rng(seed))
+    want = reference_markov_sample(model, 3000, np.random.default_rng(seed))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+class _FixedDraws:
+    """Generator stand-in returning chosen uniforms, cut points included."""
+
+    def __init__(self, first, draws):
+        self.first, self.draws = first, draws
+
+    def random(self, size=None):
+        return self.first if size is None else np.array(self.draws[:size])
+
+
+def test_markov_sample_matches_reference_at_cut_points():
+    # cumsum(0.7, 0.2, 0.1) ends at 0.9999999999999999: draws above it
+    # take the clamp to the last symbol
+    model = SAMPLER_CHAINS["order0"]()
+    top = math.nextafter(1.0, 0.0)
+    draws = [0.0, 0.7, math.nextafter(0.7, 0.0), 0.9, 0.8999999999999999,
+             0.9999999999999999, top, 0.5]
+    for chain in (model, markov_r2_uniform(), SAMPLER_CHAINS["order2-ternary"]()):
+        for first in (0.0, 0.5, top):
+            got = chain.sample(len(draws), _FixedDraws(first, draws))
+            want = reference_markov_sample(chain, len(draws),
+                                           _FixedDraws(first, draws))
+            assert got.tolist() == want.tolist()
+    assert model.sample(2, _FixedDraws(0.0, [top, 0.9999999999999999])).tolist() \
+        == [2, 2]
 
 
 def test_markov_rejects_bad_rows():
