@@ -604,12 +604,13 @@ def cmd_sample(cfg: RunConfig) -> int:
 # ── parser and entry point ────────────────────────────────────────────────────
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, backend: bool = False) -> None:
     sp.add_argument("--format", choices=("csv", "json", "table"),
                     default="table")
     sp.add_argument("--out", help="write here instead of standard output")
-    sp.add_argument("--backend", choices=("exact", "float"),
-                    default="exact")
+    if backend:
+        sp.add_argument("--backend", choices=("exact", "float"),
+                        default="exact")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -623,7 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "JSON")
     sp.add_argument("--seq", help="one-line symbol sequence file")
     sp.add_argument("--Lmax", dest="L_max", type=int, default=8)
-    _add_common(sp)
+    _add_common(sp, backend=True)
     sp.set_defaults(func=cmd_entropy)
 
     sp = sub.add_parser("pmi", help="gap mutual-information grid and "
@@ -637,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps-g", dest="eps_g", type=float)
     sp.add_argument("--eps-L", dest="eps_L", type=float)
     sp.add_argument("--delta", type=float, default=0.05)
-    _add_common(sp)
+    _add_common(sp, backend=True)
     sp.set_defaults(func=cmd_pmi)
 
     sp = sub.add_parser("table1", help="closed forms vs recomputed "

@@ -18,9 +18,12 @@ Conventions
     a + Σ_p c_p·log₂(p) over odd primes p (:class:`ExactBits`) whenever
     every probability factors over small primes; log₂ of distinct
     primes are linearly independent over ℚ, so structural equality of
-    the representation is equality of the value.  Distributions whose
-    rationals do not factor cheaply fall back to float entropies
-    computed from the exact probabilities.
+    the representation is equality of the value.  The work is per
+    distinct probability, not per entry: a table is grouped by
+    (numerator, denominator), each distinct value is factored once,
+    and its multiplicity weights its prime coefficients.  Distributions
+    whose rationals do not factor cheaply fall back to float entropies
+    computed from the exact probabilities, in table order.
   * Empirical tables are built in bulk: a sequence is parsed into an
     index array without a Python call per symbol, every length-L
     window is packed into one base-s integer code, the codes are
@@ -33,6 +36,7 @@ Conventions
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
@@ -441,16 +445,23 @@ class JointBlockDistribution:
 
 def _entropy_exact(probs) -> Scalar:
     """Σ −p·log₂ p over Fractions; ExactBits when all entries are
-    smooth, float fallback otherwise."""
+    smooth, float fallback otherwise.
+
+    Tables repeat few distinct values, so each distinct p = n/d is
+    factored once: its k entries add k·p·(e_q(d) − e_q(n)) to the
+    coefficient of log₂ q for every prime q of n or d.
+    """
+    counts = Counter((p.numerator, p.denominator) for p in probs if p)
+    coeffs: dict = {}
     try:
-        total = ExactBits(Fraction(0))
-        for p in probs:
-            if p == 0:
-                continue
-            total = total - Fraction(p) * log2_of(p)
-        return total
-    except ValueError:
+        for (n, d), k in counts.items():
+            weight = Fraction(k * n, d)
+            for part, sign in ((n, -1), (d, 1)):
+                for q, e in _factor_smooth(part).items():
+                    coeffs[q] = coeffs.get(q, 0) + sign * e * weight
+    except _NotSmooth:
         return _entropy_float(float(x) for x in probs)
+    return ExactBits(coeffs.pop(2, 0), coeffs)
 
 
 def _entropy_float(probs) -> float:

@@ -36,6 +36,7 @@ from .infocore import (
     BlockDistribution,
     JointBlockDistribution,
     Word,
+    entropy_of_probs,
     marginalize_gap,
     shannon_entropy,
 )
@@ -358,11 +359,8 @@ class MarkovProcess:
             for w, p in layer.items():
                 row = self.kernel[w[-R:] if R else ()]
                 for a, pa in enumerate(row):
-                    if pa == 0:
-                        continue
-                    key = w + (a,)
-                    q = p * pa
-                    new[key] = new.get(key, 0) + q
+                    if pa != 0:
+                        new[w + (a,)] = p * pa
             layer = new
         return layer
 
@@ -410,17 +408,26 @@ class MarkovProcess:
             grown = self._extend({c: self._one()}, L)
             ext[c] = {w[R:]: p for w, p in grown.items()}
 
-        probs: dict = {}
-        for (a, c), p in left.items():
+        # right block conditioned on the context c at the left block's
+        # edge, bridged once per c: sum over c2 of Tg[c][c2]·ext[c2][b]
+        right: dict = {}
+        for c in dict.fromkeys(c for _, c in left):
             ci = self._cindex[c]
+            law: dict = {}
             for cj, c2 in enumerate(self.contexts):
                 bridge = Tg[ci][cj]
                 if bridge == 0:
                     continue
-                pa = p * bridge
                 for b, q in ext[c2].items():
-                    key = (a, b)
-                    probs[key] = probs.get(key, 0) + pa * q
+                    law[b] = law[b] + bridge * q if b in law else bridge * q
+            right[c] = law
+
+        # left words repeat only when L < R, across the contexts they end
+        probs: dict = {}
+        for (a, c), p in left.items():
+            for b, q in right[c].items():
+                key = (a, b)
+                probs[key] = probs[key] + p * q if key in probs else p * q
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
     def closed_forms(self) -> ClosedForms:
@@ -435,13 +442,45 @@ class MarkovProcess:
         HR1 = shannon_entropy(self.block_distribution(R + 1))
         h = HR1 - HR
         E = HR - h * R
-        if float(HR) == 0.0:
+        C_plus = entropy_of_probs(self._causal_state_masses())
+        C_minus = entropy_of_probs(self.reversed()._causal_state_masses())
+        if float(C_plus) == 0.0:
             eff = Fraction(0)
         else:
-            eff = 1.0 - R * float(h) / float(HR)
+            # E / C_P, written as H(R)/C_P − R·h/C_P so that it rounds as
+            # 1 − R·h/H(R) does when no two contexts merge
+            eff = float(HR) / float(C_plus) - R * float(h) / float(C_plus)
         return ClosedForms(entropy_rate=h, excess_entropy=E,
-                           complexity_plus=HR, complexity_minus=HR,
+                           complexity_plus=C_plus, complexity_minus=C_minus,
                            pmi=Fraction(0), efficiency=eff)
+
+    def _causal_state_masses(self) -> list:
+        """Stationary masses of the causal states (order R >= 1).
+
+        A context's future law is fixed by its kernel row and the
+        contexts it moves to, so contexts with equal future laws are
+        found by partition refinement: start from equal rows, then split
+        classes by the classes of the successors on each symbol of
+        nonzero probability, until no class splits.
+        """
+        def numbered(signature):
+            ids: dict = {}
+            return {c: ids.setdefault(signature[c], len(ids))
+                    for c in self.contexts}
+
+        cls = numbered(self.kernel)
+        while True:
+            finer = numbered({
+                c: (cls[c],) + tuple(cls[(c + (a,))[1:]] if pa != 0 else -1
+                                     for a, pa in enumerate(row))
+                for c, row in self.kernel.items()})
+            if max(finer.values()) == max(cls.values()):
+                break
+            cls = finer
+        masses: dict = {}
+        for c, p in zip(self.contexts, self.stationary):
+            masses[cls[c]] = masses.get(cls[c], 0) + p
+        return list(masses.values())
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         s = len(self.alphabet)

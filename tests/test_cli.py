@@ -153,6 +153,18 @@ def test_unknown_command_is_usage_error(capsys):
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("table1",),
+    ("substitution", "--rules", "tm", "--l", "3"),
+    ("ising", "--points", "3"),
+])
+def test_backend_is_rejected_where_it_would_be_ignored(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--backend", "float"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
 # ── pmi ───────────────────────────────────────────────────────────────────────
 
 

@@ -19,7 +19,7 @@ from persistinfo.emachine import (
     machine_excess_entropy,
     reconstruct,
 )
-from persistinfo.infocore import ExactBits
+from persistinfo.infocore import Alphabet, ExactBits
 from persistinfo.processes import (
     IidProcess,
     IsingChainProcess,
@@ -230,6 +230,34 @@ def test_r2_machine_refinement_stable():
     m = reconstruct(markov_r2_uniform(), 3, 2)
     assert len(m.states) == 3
     assert m.complexity == F(3, 2)
+
+
+def ternary_r2() -> MarkovProcess:
+    # context "aa" has its own row; the other eight share one, and the
+    # two ending in "a" lead to "aa", so there are 3 causal states
+    return MarkovProcess.from_rows(
+        {a + b: (F(1, 2), F(1, 3), F(1, 6)) if a + b == "aa"
+         else (F(1, 4), F(1, 4), F(1, 2)) for a in "abc" for b in "abc"},
+        alphabet=Alphabet("abc"))
+
+
+def test_ternary_closed_form_complexity_merges_contexts():
+    cf = closed_forms(ternary_r2())
+    assert cf.complexity_plus == ExactBits(F(-26, 11), {11: F(1)})
+    fwd = reconstruct(ternary_r2(), 4, 4)
+    assert len(fwd.states) == 3
+    assert fwd.complexity == cf.complexity_plus
+
+
+@pytest.mark.parametrize("make", [goldenmean, markov_r2_uniform, ternary_r2])
+def test_closed_form_complexities_match_reconstruction(make):
+    chain = make()
+    cf = closed_forms(chain)
+    assert cf.complexity_plus == reconstruct(chain, 3, 3).complexity
+    assert cf.complexity_minus == reconstruct(reversed_model(chain), 3,
+                                              3).complexity
+    assert cf.efficiency == pytest.approx(
+        float(cf.excess_entropy) / float(cf.complexity_plus), rel=1e-12)
 
 
 # ── float backend: Ising chain ────────────────────────────────────────────────

@@ -21,6 +21,7 @@ from persistinfo.infocore import (
     JointBlockDistribution,
     _coerce_sequence,
     empirical_block_distribution,
+    entropy_of_probs,
     log2_of,
     marginalize_gap,
     mutual_information,
@@ -112,6 +113,61 @@ def test_entropy_float_backend():
 def test_entropy_zero_probability_entries_are_skipped():
     d = BlockDistribution(BITS, 1, {(0,): F(1), (1,): F(0)})
     assert shannon_entropy(d) == ExactBits(F(0))
+
+
+def entropy_per_entry_oracle(probs):
+    """Reference exact entropy: one ExactBits per entry; any entry that
+    does not factor over small primes turns the table to floats."""
+    try:
+        total = ExactBits(F(0))
+        for p in probs:
+            if p == 0:
+                continue
+            total = total - F(p) * log2_of(p)
+        return total
+    except ValueError:
+        return -sum(p * math.log2(p) for p in map(float, probs) if p > 0.0)
+
+
+def assert_same_entropy(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_entropy_matches_oracle_on_product_table():
+    # 3^8 words sharing 45 distinct probabilities
+    row = (F(1, 2), F(1, 3), F(1, 6))
+    d = BlockDistribution(Alphabet("abc"), 8, {
+        w: math.prod(row[a] for a in w) for w in product(range(3), repeat=8)})
+    assert len(set(d.probs.values())) == 45
+    assert_same_entropy(shannon_entropy(d),
+                        entropy_per_entry_oracle(d.probs.values()))
+
+
+def test_entropy_of_rough_table_falls_back_like_oracle():
+    # 100000007 is a prime above SMOOTH_FACTOR_BOUND ** 2
+    big = 100000007
+    probs = [F(1, 3), F(1, 3), F(1, 3 * big), F(big - 1, 3 * big)]
+    want = entropy_per_entry_oracle(probs)
+    assert isinstance(want, float)
+    assert_same_entropy(entropy_of_probs(probs), want)
+
+
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=60),
+       st.lists(st.integers(10 ** 8, 10 ** 10), max_size=2),
+       st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_entropy_matches_per_entry_oracle(small, rough, rnd):
+    # small weights repeat values; rough ones are often not smooth
+    weights = small + rough
+    rnd.shuffle(weights)
+    total = sum(weights)
+    if total == 0:
+        return
+    probs = [F(w, total) for w in weights]
+    assert_same_entropy(entropy_of_probs(probs),
+                        entropy_per_entry_oracle(probs))
 
 
 # ── mutual_information ────────────────────────────────────────────────────────

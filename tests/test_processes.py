@@ -204,7 +204,9 @@ def test_markov_r2_hand_solved_model():
     cf = closed_forms(m)
     assert cf.entropy_rate == ExactBits(F(3, 2), {3: F(-3, 8)})
     assert cf.excess_entropy == ExactBits(F(-1), {3: F(3, 4)})
-    assert cf.complexity_plus == 2
+    # contexts 01 and 11 share their row and successors: one causal
+    # state, so C_P = H(1/4, 1/4, 1/2) = 3/2, below H(2) = 2
+    assert cf.complexity_plus == F(3, 2)
     j = joint_gap_distribution(m, 1, 0)
     assert mutual_information(j) == 0  # pair independence, yet E > 0
 
@@ -234,6 +236,72 @@ def test_markov_joint_matches_transition_power():
             for k in range(2):
                 assert j.prob(((i,), (k,))) == pytest.approx(
                     pi[i] * Tg[i, k], abs=1e-12)
+
+
+def joint_gap_triple_loop_oracle(m, L, g) -> dict:
+    """Reference joint gap law: left word x bridge context x right word,
+    one multiply-add per triple."""
+    R = m.order
+    Tg = m._gap_matrix(g)
+    left: dict = {}
+    if L >= R:
+        for w, p in m.block_distribution(L).probs.items():
+            left[(w, w[L - R:] if R else ())] = p
+    else:
+        for c, p in m._context_distribution().items():
+            key = (c[R - L:], c)
+            left[key] = left.get(key, 0) + p
+    ext = {c: {w[R:]: p for w, p in m._extend({c: m._one()}, L).items()}
+           for c in m.contexts}
+    probs: dict = {}
+    for (a, c), p in left.items():
+        ci = m._cindex[c]
+        for cj, c2 in enumerate(m.contexts):
+            bridge = Tg[ci][cj]
+            if bridge == 0:
+                continue
+            pa = p * bridge
+            for b, q in ext[c2].items():
+                key = (a, b)
+                probs[key] = probs.get(key, 0) + pa * q
+    return probs
+
+
+def ternary_r2() -> MarkovProcess:
+    return MarkovProcess.from_rows(
+        {a + b: (F(1, 2), F(1, 3), F(1, 6)) if a + b == "aa"
+         else (F(1, 4), F(1, 4), F(1, 2)) for a in "abc" for b in "abc"},
+        alphabet=Alphabet("abc"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MarkovProcess(Alphabet("abc"), 0,
+                          {(): (F(1, 2), F(1, 3), F(1, 6))}),
+    goldenmean,
+    markov_r2_uniform,
+    ternary_r2,
+])
+@pytest.mark.parametrize("L,g", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 1)])
+def test_markov_joint_matches_triple_loop_oracle(make, L, g):
+    m = make()
+    got = joint_gap_distribution(m, L, g).probs
+    want = joint_gap_triple_loop_oracle(m, L, g)
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IsingChainProcess(J=1.0, h=0.3, beta=0.7).as_markov(),
+    lambda: MarkovProcess.from_rows({"0": (0.5, 0.5), "1": (1.0, 0.0)}),
+    lopsided_chain,
+])
+@pytest.mark.parametrize("L,g", [(1, 0), (2, 4), (4, 16)])
+def test_float_markov_joint_cells_match_oracle(make, L, g):
+    m = make()
+    got = joint_gap_distribution(m, L, g).probs
+    want = joint_gap_triple_loop_oracle(m, L, g)
+    assert list(got) == list(want)
+    for key, p in want.items():
+        assert abs(got[key] - p) <= 1e-12
 
 
 def test_markov_mi_decays_geometrically():
