@@ -211,9 +211,15 @@ def _load_sequence(path: str) -> EmpiricalSource:
     if "\n" in text:
         raise ValueError("sequence files hold one line of symbols")
     if "," in text:
-        labels, codes = np.unique(np.array(text.split(",")),
-                                  return_inverse=True)
-        return EmpiricalSource(codes, Alphabet(labels.tolist()))
+        parts = text.split(",")
+        if "" in parts:
+            raise ValueError(f"empty symbol at position {parts.index('')} "
+                             f"of the comma-separated sequence in {path}")
+        labels = sorted(set(parts))
+        index = {label: i for i, label in enumerate(labels)}
+        codes = np.fromiter(map(index.__getitem__, parts), dtype=np.int64,
+                            count=len(parts))
+        return EmpiricalSource(codes, Alphabet(labels))
     return EmpiricalSource(text)
 
 

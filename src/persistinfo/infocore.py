@@ -24,13 +24,17 @@ Conventions
     and its multiplicity weights its prime coefficients.  Distributions
     whose rationals do not factor cheaply fall back to float entropies
     computed from the exact probabilities, in table order.
-  * Empirical tables are built in bulk: a sequence is parsed into an
-    index array without a Python call per symbol, every length-L
-    window is packed into one base-s integer code, the codes are
-    counted with ``np.unique``, and only the distinct codes are decoded
-    back into words, as one digit array per chunk of codes.  Joint
-    gap tables (``measures.EmpiricalSource``) judge undersampling on
-    the distinct pair codes, before anything is decoded.
+  * Empirical statistics are integer counts: a sequence is parsed into
+    an index array without a Python call per symbol, and every length-L
+    window is packed into one base-s integer code.  The codes are
+    counted with ``np.bincount`` when their range is no larger than
+    their number, with ``np.unique`` otherwise (``_distinct_counts``).
+    Plug-in entropies are summed by NumPy straight from the counts
+    (``_entropy_of_counts``), so ``measures.EmpiricalSource`` estimates
+    H(L) and the gap MIs without building a word table.  The tables
+    (:func:`empirical_block_distribution`, joint gap tables) remain
+    for callers that need the words; only their distinct codes are
+    decoded, as one digit array per chunk of codes.
 """
 
 from __future__ import annotations
@@ -468,6 +472,15 @@ def _entropy_float(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
 
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N,
+    summed pairwise by NumPy."""
+    counts = counts[counts > 0]
+    p = counts / counts.sum()
+    # 0.0 − x, not −x: a single word gives 0.0, never −0.0
+    return float(0.0 - (p * np.log2(p)).sum())
+
+
 def shannon_entropy(d) -> Scalar:
     """Shannon entropy in bits of a block or joint distribution.
 
@@ -545,8 +558,9 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
                                dtype=np.uint32)
         if alphabet is None:
-            uniq, arr = np.unique(points, return_inverse=True)
-            return (arr.astype(np.int64, copy=False),
+            # the distinct code points, ascending, without sorting points
+            uniq = np.flatnonzero(np.bincount(points))
+            return (np.searchsorted(uniq, points),
                     Alphabet(map(chr, uniq.tolist())))
         labels = [(ord(c), i) for i, c in enumerate(alphabet.symbols)
                   if len(c) == 1]
@@ -573,13 +587,18 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
     return arr, alphabet
 
 
+def _codes_fit(L: int, s: int) -> bool:
+    """Whether base-s codes of length-L words fit in 63 bits."""
+    return L * math.log2(max(s, 2)) < 63
+
+
 def window_codes(arr: np.ndarray, L: int, s: int):
     """Base-s integer code of every length-L window, or None when the
     codes would not fit in 63 bits."""
     if arr.size < L:
         raise ValueError(
             f"sequence of length {arr.size} has no length-{L} windows")
-    if L * math.log2(max(s, 2)) >= 63:
+    if not _codes_fit(L, s):
         return None
     powers = (s ** np.arange(L - 1, -1, -1)).astype(np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(arr, L)
@@ -598,6 +617,20 @@ def decode_window_codes(codes, L: int, s: int) -> list:
     return words
 
 
+def _distinct_counts(codes: np.ndarray, size: int):
+    """Distinct values of codes drawn from range(size), ascending, and
+    their counts as an int64 array.
+
+    A bincount when the range is no larger than the code array, so
+    its buffer never outgrows the input; a sort otherwise.
+    """
+    if size <= codes.size:
+        counts = np.bincount(codes, minlength=size)
+        uniq = np.flatnonzero(counts)
+        return uniq, counts[uniq]
+    return np.unique(codes, return_counts=True)
+
+
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):
     """Counts of all length-L windows of arr; returns (words, counts)
     with the counts as an int64 array.
@@ -607,7 +640,7 @@ def sliding_window_counts(arr: np.ndarray, L: int, s: int):
     """
     codes = window_codes(arr, L, s)
     if codes is not None:
-        uniq, counts = np.unique(codes, return_counts=True)
+        uniq, counts = _distinct_counts(codes, s ** L)
         return decode_window_codes(uniq, L, s), counts
     n = arr.size
     counts: dict = {}

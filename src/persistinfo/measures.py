@@ -28,7 +28,10 @@ from .infocore import (
     BlockDistribution,
     JointBlockDistribution,
     Scalar,
+    _codes_fit,
     _coerce_sequence,
+    _distinct_counts,
+    _entropy_of_counts,
     decode_window_codes,
     empirical_block_distribution,
     mutual_information,
@@ -77,24 +80,33 @@ def _exact_str(x) -> str:
 
 
 class EmpiricalSource:
-    """Plug-in block and joint-block laws of one observed sequence.
+    """Plug-in block and joint-block statistics of one observed sequence.
 
-    Joint estimation at gap g slides a window of length 2L + g and
-    counts the (left block, right block) pairs in bulk: each pair is
-    packed into one integer code from the window codes, the codes are
-    counted with ``np.unique``, and only the distinct codes are decoded
-    into word pairs.  Cells whose distinct pair count exceeds one tenth
-    of the available windows are refused as undersampled; the test runs
-    on the distinct codes, before any decoding.
+    Every length-L window is packed into one base-s integer code.
+    :meth:`block_entropy` and :meth:`gap_mutual_information` work on
+    the integer counts of those codes and build no word table: a gap-g
+    pair of blocks is the code ``left * s**L + right`` of two windows
+    L + g apart, and the MI is H(left) + H(right) − H(pair) over the
+    three count vectors.  The window codes of the last length asked for
+    are kept, and length L + 1 is reached from them in one Horner step,
+    so a walk up in L packs the sequence once.  Where codes would not
+    fit in 63 bits, both fall back to the tables.
+
+    :meth:`block_distribution` and :meth:`joint_gap_distribution` build
+    those tables, decoding only the distinct codes into words.  Cells
+    whose distinct pair count exceeds one tenth of the available
+    windows are refused as undersampled on every path, before anything
+    is decoded.
     """
 
-    __slots__ = ("arr", "alphabet", "n")
+    __slots__ = ("arr", "alphabet", "n", "_memo")
 
     def __init__(self, seq, alphabet: Optional[Alphabet] = None):
         arr, alphabet = _coerce_sequence(seq, alphabet)
         self.arr = arr
         self.alphabet = alphabet
         self.n = int(arr.size)
+        self._memo = (0, None)  # (L, window codes of length L)
 
     @property
     def exact(self) -> bool:
@@ -104,24 +116,74 @@ class EmpiricalSource:
     def empirical(self) -> bool:
         return True
 
-    def block_distribution(self, L: int) -> BlockDistribution:
+    def _check_block(self, L: int) -> None:
         if L < 1:
             raise ValueError("block length must be >= 1")
         if L > self.n:
             raise UndersampledError(
                 f"no length-{L} window in a sequence of {self.n} symbols")
-        return empirical_block_distribution(self.arr, L, self.alphabet)
 
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
+    def _gap_windows(self, L: int, g: int) -> int:
+        """Number of length-(2L + g) windows; refuses when there is none."""
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        s = len(self.alphabet)
         win = 2 * L + g
         m = self.n - win + 1
         if m < 1:
             raise UndersampledError(
                 f"no length-{win} window in a sequence of {self.n} symbols")
-        pairs, counts = self._pair_counts(L, g, m, s)
+        return m
+
+    def _window_codes(self, L: int):
+        """Codes of the length-L windows (None past 63 bits), one Horner
+        step from the kept codes when they are of length L − 1."""
+        memo_L, codes = self._memo
+        if memo_L != L:
+            s = len(self.alphabet)
+            if memo_L == L - 1 and codes is not None and _codes_fit(L, s):
+                codes = codes[:-1] * s + self.arr[L - 1:]
+            else:
+                codes = window_codes(self.arr, L, s)
+            self._memo = (L, codes)
+        return codes
+
+    def block_entropy(self, L: int) -> float:
+        """Plug-in H(L) in bits from the counts of the window codes."""
+        self._check_block(L)
+        codes = self._window_codes(L)
+        if codes is None:
+            return shannon_entropy(self.block_distribution(L))
+        _, counts = _distinct_counts(codes, len(self.alphabet) ** L)
+        return _entropy_of_counts(counts)
+
+    def gap_mutual_information(self, L: int, g: int) -> float:
+        """Plug-in I(left; right) in bits of two length-L blocks g
+        symbols apart, from the counts of the left, right and pair
+        codes; refuses undersampled cells."""
+        m = self._gap_windows(L, g)
+        s = len(self.alphabet)
+        if not _codes_fit(2 * L, s):
+            return mutual_information(self.joint_gap_distribution(L, g))
+        codes = self._window_codes(L)
+        span = s ** L
+        left, right = codes[:m], codes[L + g:L + g + m]
+        uniq, pair_counts = _distinct_counts(left * span + right, span * span)
+        _refuse_undersampled(uniq.size, m)
+        # marginal counts summed over the (at most m / 10) distinct pairs;
+        # float64 holds these integers exactly
+        h_left = _entropy_of_counts(
+            np.bincount(uniq // span, weights=pair_counts))
+        h_right = _entropy_of_counts(
+            np.bincount(uniq % span, weights=pair_counts))
+        return h_left + h_right - _entropy_of_counts(pair_counts)
+
+    def block_distribution(self, L: int) -> BlockDistribution:
+        self._check_block(L)
+        return empirical_block_distribution(self.arr, L, self.alphabet)
+
+    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
+        m = self._gap_windows(L, g)
+        pairs, counts = self._pair_counts(L, g, m, len(self.alphabet))
         # int64 / int64 rounds exactly as int / int below 2**53
         probs = dict(zip(pairs, (counts / m).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
@@ -129,11 +191,11 @@ class EmpiricalSource:
     def _pair_counts(self, L: int, g: int, m: int, s: int):
         """Distinct (left, right) word pairs of the m windows and their
         counts as an int64 array; refuses undersampled cells."""
-        codes = window_codes(self.arr, L, s)
-        if codes is not None and 2 * L * math.log2(max(s, 2)) < 63:
+        if _codes_fit(2 * L, s):
+            codes = window_codes(self.arr, L, s)
             span = s ** L
             pair = codes[:m] * span + codes[L + g:L + g + m]
-            uniq, counts = np.unique(pair, return_counts=True)
+            uniq, counts = _distinct_counts(pair, span * span)
             _refuse_undersampled(uniq.size, m)
             left = decode_window_codes(uniq // span, L, s)
             right = decode_window_codes(uniq % span, L, s)
@@ -161,6 +223,22 @@ def _as_source(source, alphabet: Optional[Alphabet] = None):
             and hasattr(source, "joint_gap_distribution"):
         return source
     return EmpiricalSource(source, alphabet)
+
+
+def _block_entropy(src, L: int):
+    """H(L) of a source and whether it came from an exact table;
+    integer window counts on an observed sequence."""
+    if isinstance(src, EmpiricalSource):
+        return src.block_entropy(L), False
+    d = src.block_distribution(L)
+    return shannon_entropy(d), d.exact
+
+
+def _gap_mi(src, L: int, g: int) -> Scalar:
+    """Block MI at gap g; integer pair counts on an observed sequence."""
+    if isinstance(src, EmpiricalSource):
+        return src.gap_mutual_information(L, g)
+    return mutual_information(src.joint_gap_distribution(L, g))
 
 
 # ── entropy curves ──────────────────────────────────────────────────
@@ -216,10 +294,9 @@ def entropy_curve(source, L_max: int,
     H = []
     exact = True
     for L in range(1, L_max + 1):
-        d = src.block_distribution(L)
-        H.append(shannon_entropy(d))
-        exact = exact and d.exact
-        del d  # free each table before the next, longer one is built
+        h, h_exact = _block_entropy(src, L)
+        H.append(h)
+        exact = exact and h_exact
     dH = [H[0]] + [_sub(H[i], H[i - 1]) for i in range(1, L_max)]
     h_hat = dH[-1]
     E_hat = _sub(H[-1], h_hat * L_max)
@@ -235,8 +312,8 @@ def excess_entropy_finite(source, L: int,
     if L < 1:
         raise ValueError("L must be >= 1")
     src = _as_source(source, alphabet)
-    hL = shannon_entropy(src.block_distribution(L))
-    h2L = shannon_entropy(src.block_distribution(2 * L))
+    hL = _block_entropy(src, L)[0]
+    h2L = _block_entropy(src, 2 * L)[0]
     return _sub(hL * 2, h2L)
 
 
@@ -304,8 +381,7 @@ def gap_mi_grid(source, L_grid: Sequence[int], g_grid: Sequence[int],
     for L in Ls:
         for g in gs:
             try:
-                values[(L, g)] = mutual_information(
-                    src.joint_gap_distribution(L, g))
+                values[(L, g)] = _gap_mi(src, L, g)
             except (WindowCapError, UndersampledError) as e:
                 missing[(L, g)] = str(e)
     cell_exact = all(not isinstance(v, float) for v in values.values())

@@ -93,6 +93,18 @@ def test_comma_sequence_file_labels_and_codes(tmp_path):
     assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
 
 
+@pytest.mark.parametrize("text, position", [
+    ("a,b,,a,b", 2), ("a,b,a,", 3), (",a,b", 0)])
+def test_comma_sequence_file_rejects_empty_symbol(tmp_path, capsys, text,
+                                                  position):
+    p = tmp_path / "seq.txt"
+    p.write_text(text + "\n")
+    code, out, err = run(capsys, "entropy", "--seq", str(p), "--Lmax", "2")
+    assert code == 1
+    assert out == ""
+    assert f"empty symbol at position {position} " in err
+
+
 def test_entropy_model_file_markov(tmp_path, capsys):
     doc = {"kind": "markov", "order": 1,
            "rows": {"0": ["1/2", "1/2"], "1": ["1", 0]}}

@@ -9,11 +9,20 @@ import math
 import types
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from persistinfo import measures
-from persistinfo.infocore import Alphabet, ExactBits, empirical_block_distribution
+from persistinfo.infocore import (
+    Alphabet,
+    ExactBits,
+    _distinct_counts,
+    empirical_block_distribution,
+    mutual_information,
+    shannon_entropy,
+    window_codes,
+)
 from persistinfo.measures import (
     EfficiencyReport,
     EmpiricalSource,
@@ -268,6 +277,137 @@ def test_empirical_tables_match_tuple_slicing(case):
         return
     j = src.joint_gap_distribution(L, g)
     assert list(j.probs.items()) == [(k, pairs[k] / m) for k in sorted(pairs)]
+
+
+def _fsum_entropy(counts) -> float:
+    # correctly rounded sum of the same terms, over integer counts
+    total = sum(counts)
+    return -math.fsum(c / total * math.log2(c / total) for c in counts)
+
+
+@st.composite
+def _count_path_cases(draw):
+    s = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 6))
+    g = draw(st.integers(0, 8))
+    n = draw(st.integers(2 * L + g, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = np.array(draw(st.lists(st.integers(0, 5), min_size=s,
+                                     max_size=s)), dtype=float) + 1e-3
+    # a noisy periodic sequence: low noise keeps large cells sampled
+    period = rng.choice(s, size=draw(st.integers(1, 7)))
+    noise = rng.choice(s, size=n, p=weights / weights.sum())
+    flip = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    seq = np.where(flip, noise, np.resize(period, n))
+    return s, L, g, seq
+
+
+@given(_count_path_cases())
+@settings(max_examples=80, deadline=None)
+def test_count_path_matches_table_oracles(case):
+    s, L, g, seq = case
+    alphabet = Alphabet(str(a) for a in range(s))
+    src = EmpiricalSource(seq, alphabet)
+
+    blocks = _naive_counts(tuple(seq[i:i + L].tolist())
+                           for i in range(seq.size - L + 1))
+    h = src.block_entropy(L)
+    assert type(h) is float
+    assert abs(h - _fsum_entropy(list(blocks.values()))) <= 1e-12
+    assert abs(h - shannon_entropy(src.block_distribution(L))) <= 1e-9
+
+    try:
+        want = mutual_information(src.joint_gap_distribution(L, g))
+    except UndersampledError as e:
+        with pytest.raises(UndersampledError) as err:
+            src.gap_mutual_information(L, g)
+        assert str(err.value) == str(e)
+        return
+    got = src.gap_mutual_information(L, g)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-9
+
+
+def test_window_code_memo_matches_window_codes(monkeypatch):
+    rng = np.random.default_rng(5)
+    arr = rng.integers(0, 3, 200)
+    src = EmpiricalSource(arr, Alphabet("abc"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return window_codes(*args)
+
+    monkeypatch.setattr(measures, "window_codes", counted)
+    for L in range(1, 41):
+        want = window_codes(arr, L, 3)
+        got = src._window_codes(L)
+        if L < 40:
+            assert np.array_equal(got, want)
+        else:
+            # 40 ternary digits need 63.4 bits
+            assert want is None and got is None
+    assert calls == [1, 40]  # one packing; the guard refuses length 40
+
+
+def test_window_code_memo_restarts_off_the_walk():
+    arr = np.random.default_rng(6).integers(0, 4, 300)
+    src = EmpiricalSource(arr, Alphabet("abcd"))
+    for L in (5, 3, 4, 9, 9, 1):
+        assert np.array_equal(src._window_codes(L), window_codes(arr, L, 4))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_distinct_counts_switch_agrees(extra):
+    codes = np.random.default_rng(7).integers(0, 500, 500)
+    uniq, counts = _distinct_counts(codes, codes.size + extra)
+    want_uniq, want_counts = np.unique(codes, return_counts=True)
+    assert uniq.tolist() == want_uniq.tolist()
+    assert counts.tolist() == want_counts.tolist()
+    assert counts.dtype == np.int64
+
+
+def test_count_path_falls_back_past_63_bits():
+    seq = "abc" * 300 + "cab" * 300
+    src = EmpiricalSource(seq)
+    # ternary codes of length 40 do not fit; pair codes of 2 x 20 neither
+    assert src.block_entropy(40) == shannon_entropy(src.block_distribution(40))
+    assert src.gap_mutual_information(20, 3) == mutual_information(
+        src.joint_gap_distribution(20, 3))
+
+
+def test_constant_sequence_has_positive_zero_entropy():
+    src = EmpiricalSource("a" * 50)
+    for h in (src.block_entropy(3), src.gap_mutual_information(2, 1)):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
+
+def test_empirical_measures_build_no_tables(monkeypatch):
+    def no_tables(*args, **kwargs):
+        raise AssertionError("built a word table")
+
+    for name in ("decode_window_codes", "empirical_block_distribution",
+                 "shannon_entropy", "mutual_information"):
+        monkeypatch.setattr(measures, name, no_tables)
+    seq = sample(goldenmean(), 20_000, seed=3)
+    src = EmpiricalSource(seq)
+    curve = entropy_curve(src, 10)
+    assert curve.exact is False
+    assert curve.h_hat == pytest.approx(2 / 3, abs=0.02)
+    grid = gap_mi_grid(src, (1, 2, 3, 8), (0, 4, 8))
+    assert set(grid.missing) == {(8, 0), (8, 4), (8, 8)}
+    assert grid.values[(1, 0)] == pytest.approx(0.2516, abs=0.01)
+
+
+def test_block_entropy_of_a_long_uniform_sequence_is_correctly_summed():
+    arr = np.random.default_rng(11).integers(0, 3, 10 ** 6)
+    L = 12
+    m = arr.size - L + 1
+    codes = sum(arr[i:i + m] * 3 ** (L - 1 - i) for i in range(L))
+    counts = np.bincount(codes)
+    want = _fsum_entropy(counts[counts > 0].tolist())
+    assert abs(EmpiricalSource(arr, Alphabet("abc")).block_entropy(L) - want) \
+        <= 1e-13
 
 
 def test_grid_csv_layout():
