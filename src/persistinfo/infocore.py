@@ -558,8 +558,9 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
                                dtype=np.uint32)
         if alphabet is None:
-            # the distinct code points, ascending, without sorting points
-            uniq = np.flatnonzero(np.bincount(points))
+            # the distinct code points, ascending; sorted only when a
+            # high code point would make a bincount outgrow the string
+            uniq, _ = _distinct_counts(points, int(points.max(initial=0)) + 1)
             return (np.searchsorted(uniq, points),
                     Alphabet(map(chr, uniq.tolist())))
         labels = [(ord(c), i) for i, c in enumerate(alphabet.symbols)
@@ -617,18 +618,22 @@ def decode_window_codes(codes, L: int, s: int) -> list:
     return words
 
 
-def _distinct_counts(codes: np.ndarray, size: int):
+def _distinct_counts(codes: np.ndarray, size: int, weights=None):
     """Distinct values of codes drawn from range(size), ascending, and
-    their counts as an int64 array.
+    their counts as an int64 array; with positive ``weights``, the sum
+    of each value's weights as a float64 array instead.
 
     A bincount when the range is no larger than the code array, so
     its buffer never outgrows the input; a sort otherwise.
     """
     if size <= codes.size:
-        counts = np.bincount(codes, minlength=size)
+        counts = np.bincount(codes, weights, minlength=size)
         uniq = np.flatnonzero(counts)
         return uniq, counts[uniq]
-    return np.unique(codes, return_counts=True)
+    if weights is None:
+        return np.unique(codes, return_counts=True)
+    uniq, inverse = np.unique(codes, return_inverse=True)
+    return uniq, np.bincount(inverse.ravel(), weights)
 
 
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):

@@ -164,17 +164,13 @@ class EmpiricalSource:
         s = len(self.alphabet)
         if not _codes_fit(2 * L, s):
             return mutual_information(self.joint_gap_distribution(L, g))
-        codes = self._window_codes(L)
-        span = s ** L
-        left, right = codes[:m], codes[L + g:L + g + m]
-        uniq, pair_counts = _distinct_counts(left * span + right, span * span)
-        _refuse_undersampled(uniq.size, m)
-        # marginal counts summed over the (at most m / 10) distinct pairs;
-        # float64 holds these integers exactly
+        uniq, pair_counts, span = self._pair_code_counts(L, g, m)
+        # marginal counts are integer sums of the pair counts, exact in
+        # float64, over the (at most m / 10) distinct pairs
         h_left = _entropy_of_counts(
-            np.bincount(uniq // span, weights=pair_counts))
+            _distinct_counts(uniq // span, span, pair_counts)[1])
         h_right = _entropy_of_counts(
-            np.bincount(uniq % span, weights=pair_counts))
+            _distinct_counts(uniq % span, span, pair_counts)[1])
         return h_left + h_right - _entropy_of_counts(pair_counts)
 
     def block_distribution(self, L: int) -> BlockDistribution:
@@ -188,15 +184,22 @@ class EmpiricalSource:
         probs = dict(zip(pairs, (counts / m).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
+    def _pair_code_counts(self, L: int, g: int, m: int):
+        """Distinct pair codes ``left * s**L + right`` of the m gap-g
+        windows, ascending, their int64 counts and s**L; refuses
+        undersampled cells.  Needs codes of length 2L within 63 bits."""
+        codes = self._window_codes(L)
+        span = len(self.alphabet) ** L
+        uniq, counts = _distinct_counts(
+            codes[:m] * span + codes[L + g:L + g + m], span * span)
+        _refuse_undersampled(uniq.size, m)
+        return uniq, counts, span
+
     def _pair_counts(self, L: int, g: int, m: int, s: int):
         """Distinct (left, right) word pairs of the m windows and their
         counts as an int64 array; refuses undersampled cells."""
         if _codes_fit(2 * L, s):
-            codes = window_codes(self.arr, L, s)
-            span = s ** L
-            pair = codes[:m] * span + codes[L + g:L + g + m]
-            uniq, counts = _distinct_counts(pair, span * span)
-            _refuse_undersampled(uniq.size, m)
+            uniq, counts, span = self._pair_code_counts(L, g, m)
             left = decode_window_codes(uniq // span, L, s)
             right = decode_window_codes(uniq % span, L, s)
             return list(zip(left, right)), counts

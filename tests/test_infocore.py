@@ -7,6 +7,7 @@ them, not the other way around.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -336,6 +337,19 @@ def test_coerce_string_with_given_alphabet(text, labels):
     arr, same = _coerce_sequence(text, alphabet)
     assert same is alphabet
     assert arr.tolist() == [alphabet.index(c) for c in text]
+
+
+def test_coerce_string_with_a_high_code_point_stays_small():
+    # a bincount over code points would take 0x110000 int64 slots
+    tracemalloc.start()
+    try:
+        arr, alphabet = _coerce_sequence("a\U0010FFFFa", None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alphabet.symbols == ("a", "\U0010FFFF")
+    assert arr.tolist() == [0, 1, 0]
+    assert peak < 1 << 20
 
 
 def test_coerce_rejects_character_outside_alphabet():

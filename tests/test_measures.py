@@ -6,6 +6,7 @@ before this module existed and are frozen here as regression values.
 """
 
 import math
+import tracemalloc
 import types
 from fractions import Fraction as F
 
@@ -359,12 +360,43 @@ def test_window_code_memo_restarts_off_the_walk():
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_distinct_counts_switch_agrees(extra):
-    codes = np.random.default_rng(7).integers(0, 500, 500)
+    rng = np.random.default_rng(7)
+    codes = rng.integers(0, 500, 500)
     uniq, counts = _distinct_counts(codes, codes.size + extra)
     want_uniq, want_counts = np.unique(codes, return_counts=True)
     assert uniq.tolist() == want_uniq.tolist()
     assert counts.tolist() == want_counts.tolist()
     assert counts.dtype == np.int64
+    weights = rng.integers(1, 1000, 500)
+    uniq, sums = _distinct_counts(codes, codes.size + extra, weights)
+    want = {}
+    for c, w in zip(codes.tolist(), weights.tolist()):
+        want[c] = want.get(c, 0) + w
+    assert uniq.tolist() == sorted(want)
+    assert sums.tolist() == [want[c] for c in sorted(want)]
+
+
+@pytest.mark.parametrize("seq,L", [("ab" * 2000, 28), ("abc" * 2000, 19)])
+def test_gap_mi_of_long_blocks_matches_table(seq, L):
+    # s**L far exceeds the number of windows; the marginals must not
+    # take one slot per possible block
+    src = EmpiricalSource(seq)
+    want = mutual_information(src.joint_gap_distribution(L, 1))
+    assert src.gap_mutual_information(L, 1) == pytest.approx(want, abs=1e-12)
+
+
+def test_gap_mi_buffers_stay_within_the_windows():
+    src = EmpiricalSource("ab" * 2000)
+    src.block_entropy(22)  # pack the window codes outside the trace
+    tracemalloc.start()
+    try:
+        mi = src.gap_mutual_information(22, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mi == pytest.approx(1.0, abs=1e-12)
+    # a few arrays of the ~4000 windows, not a 2**22-slot buffer
+    assert peak < 1 << 20
 
 
 def test_count_path_falls_back_past_63_bits():
