@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .emachine import reconstruct
-from .infocore import Alphabet
+from .infocore import Alphabet, _exact_str, _fmt
 from .measures import (
     EmpiricalSource,
     efficiency,
@@ -64,13 +64,6 @@ __all__ = [
 #: finite cells of the closed-form table must match the recomputed
 #: pipeline within this
 TABLE1_TOL = 1e-6
-
-_fmt = "{:.12g}".format
-
-
-def _exact_str(x) -> str:
-    return "" if isinstance(x, float) else str(x)
-
 
 def _render(x) -> str:
     """Exact value plus float rendering side by side when available."""

@@ -13,6 +13,7 @@ giving the decomposition C_P = E + H(S+|S-).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -22,7 +23,10 @@ from .infocore import (
     BlockDistribution,
     Scalar,
     Word,
-    entropy_of_probs,
+    _add,
+    _entropy_of_weights,
+    _exact_str,
+    _sub,
 )
 from .processes import reversed_model
 
@@ -42,18 +46,6 @@ IDENTITY_TOL = 1e-9
 class NonUnifilarError(ValueError):
     """Histories grouped into one state emit a symbol into different
     states; the partition is not a valid machine at these horizons."""
-
-
-def _add(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return a + b
-
-
-def _sub(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return a - b
 
 
 def _tv(p: dict, q: dict) -> float:
@@ -119,7 +111,6 @@ class EpsilonMachine:
 
     def to_json_dict(self) -> dict:
         dec = self.alphabet.decode
-        exact_str = (lambda x: "" if isinstance(x, float) else str(x))
         return {
             "alphabet": list(self.alphabet.symbols),
             "history_length": self.history_length,
@@ -128,12 +119,12 @@ class EpsilonMachine:
             "exact": self.exact,
             "states": [[dec(h) for h in hs] for hs in self.states],
             "state_probs": [float(p) for p in self.state_probs],
-            "state_probs_exact": [exact_str(p) for p in self.state_probs],
+            "state_probs_exact": [_exact_str(p) for p in self.state_probs],
             "complexity": float(self.complexity),
-            "complexity_exact": exact_str(self.complexity),
+            "complexity_exact": _exact_str(self.complexity),
             "transitions": [
                 {"from": i, "symbol": self.alphabet.symbols[a],
-                 "to": j, "p": float(p), "p_exact": exact_str(p)}
+                 "to": j, "p": float(p), "p_exact": _exact_str(p)}
                 for (i, a), (j, p) in sorted(self.transitions.items())
             ],
         }
@@ -177,30 +168,28 @@ def reconstruct(model, history_length: int, future_length: int,
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     alphabet = win.alphabet
-    zero = Fraction(0) if win.exact else 0.0
+    exact = win.exact
 
-    hist_prob: dict = {}
-    cond: dict = {}
-    for w, p in win.probs.items():
+    # per history: its total weight and the weights of its futures
+    hist: dict = {}
+    futures: dict = {}
+    for w, p in win.weights.items():
         if p == 0:
             continue
-        d, f = w[:R], w[R:]
-        hist_prob[d] = hist_prob.get(d, zero) + p
-        table = cond.setdefault(d, {})
-        table[f] = table.get(f, zero) + p
-    for d, table in cond.items():
-        tot = hist_prob[d]
-        for f in table:
-            table[f] = table[f] / tot
+        d = w[:R]
+        hist[d] = hist.get(d, 0) + p
+        futures.setdefault(d, {})[w[R:]] = p
 
-    histories = sorted(hist_prob)
+    histories = sorted(hist)
     if tol == 0:
         groups: dict = {}
         for d in histories:
-            key = tuple(sorted(cond[d].items()))
-            groups.setdefault(key, []).append(d)
+            groups.setdefault(_future_law_key(futures[d], hist[d], exact),
+                              []).append(d)
         classes = list(groups.values())
     else:
+        cond = {d: {f: p / hist[d] for f, p in futures[d].items()}
+                for d in histories}
         classes, reps = [], []
         for d in histories:
             for k, rep in enumerate(reps):
@@ -213,24 +202,25 @@ def reconstruct(model, history_length: int, future_length: int,
     classes.sort(key=lambda c: c[0])
     states = tuple(tuple(c) for c in classes)
     index = {d: i for i, c in enumerate(classes) for d in c}
-    state_probs = tuple(sum((hist_prob[d] for d in c), zero)
-                        for c in classes)
+    state_weights = [sum(hist[d] for d in c) for c in classes]
 
-    # one-step symbol laws per history, from the future conditionals
-    sym_prob: dict = {}
-    for d, table in cond.items():
-        row = [zero] * len(alphabet)
+    # one-step symbol weights per history on the exact backend, symbol
+    # probabilities on the float one
+    sym: dict = {}
+    for d, table in futures.items():
+        row = [0] * len(alphabet)
+        tot = hist[d]
         for f, p in table.items():
-            row[f[0]] = row[f[0]] + p
-        sym_prob[d] = row
+            row[f[0]] += p if exact else p / tot
+        sym[d] = row
 
     transitions: dict = {}
     for i, cls in enumerate(states):
         for a in range(len(alphabet)):
             targets = set()
-            num = zero
+            num = 0
             for d in cls:
-                pa = sym_prob[d][a]
+                pa = sym[d][a]
                 if pa == 0:
                     continue
                 j = index.get(d[1:] + (a,))
@@ -239,7 +229,7 @@ def reconstruct(model, history_length: int, future_length: int,
                         "successor history has zero probability; "
                         "window law is inconsistent")
                 targets.add(j)
-                num = num + hist_prob[d] * pa
+                num += pa if exact else hist[d] * pa
             if not targets:
                 continue
             if len(targets) > 1:
@@ -248,9 +238,16 @@ def reconstruct(model, history_length: int, future_length: int,
                     f"emits '{alphabet.symbols[a]}' into states "
                     f"{sorted(targets)}; increase history_length or "
                     f"future_length")
-            transitions[(i, a)] = (targets.pop(), num / state_probs[i])
+            mass = state_weights[i]
+            transitions[(i, a)] = (targets.pop(), Fraction(num, mass)
+                                   if exact else num / mass)
 
-    _validate(states, state_probs, transitions, win.exact)
+    if exact:
+        state_probs = tuple(Fraction(w, win.denominator)
+                            for w in state_weights)
+    else:
+        state_probs = tuple(state_weights)
+    _validate(states, state_probs, transitions, exact)
     return EpsilonMachine(
         alphabet=alphabet,
         history_length=R,
@@ -260,9 +257,20 @@ def reconstruct(model, history_length: int, future_length: int,
         states=states,
         state_probs=state_probs,
         transitions=transitions,
-        complexity=entropy_of_probs(state_probs),
+        complexity=_entropy_of_weights(state_weights, win.denominator),
         history_index=index,
     )
+
+
+def _future_law_key(table: dict, total, exact: bool) -> tuple:
+    """A key equal for two histories exactly when their future laws
+    are: on the exact backend the future weights divided by their gcd
+    (proportional weight vectors are the same law), on the float one
+    the conditional probabilities."""
+    if exact:
+        g = math.gcd(*table.values())
+        return tuple(sorted((f, p // g) for f, p in table.items()))
+    return tuple(sorted((f, p / total) for f, p in table.items()))
 
 
 def _validate(states, state_probs, transitions, exact) -> None:
@@ -293,31 +301,30 @@ def _validate(states, state_probs, transitions, exact) -> None:
 
 
 def _state_joint(forward: EpsilonMachine, reverse: EpsilonMachine,
-                 model) -> dict:
+                 model) -> tuple:
     """Joint law of (forward state of the past, reverse state of the
-    future) across one instant, from a window of combined length."""
+    future) across one instant, from a window of combined length, as
+    weights over the window's denominator (None on floats)."""
     Rf, Rr = forward.history_length, reverse.history_length
     win = model.block_distribution(Rf + Rr)
-    zero = Fraction(0) if win.exact else 0.0
     joint: dict = {}
-    for w, p in win.probs.items():
+    for w, p in win.weights.items():
         if p == 0:
             continue
         i = forward.history_index[w[:Rf]]
         j = reverse.history_index[tuple(reversed(w[Rf:]))]
-        joint[(i, j)] = joint.get((i, j), zero) + p
-    return joint
+        joint[(i, j)] = joint.get((i, j), 0) + p
+    return joint, win.denominator
 
 
-def _joint_entropies(joint: dict):
+def _joint_entropies(joint: dict, denominator):
     left: dict = {}
     right: dict = {}
     for (i, j), p in joint.items():
-        left[i] = _add(left.get(i, 0), p)
-        right[j] = _add(right.get(j, 0), p)
-    return (entropy_of_probs(left.values()),
-            entropy_of_probs(right.values()),
-            entropy_of_probs(joint.values()))
+        left[i] = left.get(i, 0) + p
+        right[j] = right.get(j, 0) + p
+    return tuple(_entropy_of_weights(table.values(), denominator)
+                 for table in (left, right, joint))
 
 
 def machine_excess_entropy(m_forward: EpsilonMachine, model) -> Scalar:
@@ -330,7 +337,7 @@ def machine_excess_entropy(m_forward: EpsilonMachine, model) -> Scalar:
     m_rev = reconstruct(reversed_model(model), m_forward.history_length,
                         m_forward.future_length, tol=m_forward.tol)
     h_fwd, h_rev, h_joint = _joint_entropies(
-        _state_joint(m_forward, m_rev, model))
+        *_state_joint(m_forward, m_rev, model))
     return _sub(_add(h_fwd, h_rev), h_joint)
 
 
@@ -343,7 +350,7 @@ def complexity_decomposition(forward: EpsilonMachine,
     the machines do not describe the model they were handed.
     """
     h_fwd, h_rev, h_joint = _joint_entropies(
-        _state_joint(forward, reverse, model))
+        *_state_joint(forward, reverse, model))
     E = _sub(_add(h_fwd, h_rev), h_joint)
     h_fr = _sub(h_joint, h_rev)   # H(S+|S-)
     h_rf = _sub(h_joint, h_fwd)   # H(S-|S+)

@@ -11,19 +11,24 @@ Conventions
   * All entropies are in bits (base-2 logarithms).
   * 0·log 0 = 0 is enforced structurally: zero-probability entries are
     skipped, absent words mean probability zero.
-  * Two probability backends coexist.  Exact distributions carry
-    :class:`fractions.Fraction` values and never round.  Float
-    distributions carry doubles and track no error bounds.
+  * Two probability backends coexist.  An exact table holds integer
+    weights over one denominator D, so a word's probability is w / D;
+    it never rounds, and ``prob()`` returns that value as a
+    :class:`fractions.Fraction`.  Models build the weights directly;
+    a table given as Fractions is converted once, with D the lcm of
+    their denominators.  Marginals and restrictions add integers over
+    the same D.  Float distributions carry doubles and track no error
+    bounds.
   * Exact entropies are represented symbolically as
     a + Σ_p c_p·log₂(p) over odd primes p (:class:`ExactBits`) whenever
     every probability factors over small primes; log₂ of distinct
     primes are linearly independent over ℚ, so structural equality of
     the representation is equality of the value.  The work is per
-    distinct probability, not per entry: a table is grouped by
-    (numerator, denominator), each distinct value is factored once,
-    and its multiplicity weights its prime coefficients.  Distributions
-    whose rationals do not factor cheaply fall back to float entropies
-    computed from the exact probabilities, in table order.
+    distinct weight, not per entry: each distinct w is reduced by
+    gcd(w, D), factored once, and its multiplicity weights its prime
+    coefficients, which are summed as integers.  Distributions whose
+    rationals do not factor cheaply fall back to float entropies of
+    the correctly rounded w / D, in table order.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array without a Python call per symbol, and every length-L
     window is packed into one base-s integer code.  The codes are
@@ -40,7 +45,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, abc
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
@@ -312,6 +317,29 @@ def log2_of(q) -> ExactBits:
 Scalar = Union[ExactBits, Fraction, float]
 
 
+# exact arithmetic where both operands allow it, float otherwise
+def _add(a, b) -> Scalar:
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) + float(b)
+    return a + b
+
+
+def _sub(a, b) -> Scalar:
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a) - float(b)
+    return a - b
+
+
+def _fmt(x) -> str:
+    """Float rendering of a scalar, 12 significant digits."""
+    return f"{float(x):.12g}"
+
+
+def _exact_str(x) -> str:
+    """Exact rendering of a scalar; empty for a float."""
+    return "" if isinstance(x, float) else str(x)
+
+
 # ── Distributions ─────────────────────────────────────────────────────────────
 
 
@@ -320,60 +348,158 @@ def _is_exact_probs(values) -> bool:
                for v in values)
 
 
-def _validate_probs(probs, exact: bool) -> None:
-    values = probs.values()
-    if exact:
-        if any(p < 0 for p in values):
-            raise ValueError("negative probability")
-        total = sum(values)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-    else:
-        if min(values, default=0.0) < -FLOAT_SUM_TOL:
-            raise ValueError("negative probability")
-        # correctly rounded: a naive sum of 10^5+ entries drifts past the
-        # tolerance on its own
-        total = math.fsum(values)
-        if abs(total - 1.0) > FLOAT_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+def _validate_float_probs(values) -> None:
+    if min(values, default=0.0) < -FLOAT_SUM_TOL:
+        raise ValueError("negative probability")
+    # correctly rounded: a naive sum of 10^5+ entries drifts past the
+    # tolerance on its own
+    total = math.fsum(values)
+    if abs(total - 1.0) > FLOAT_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
 
 
-class BlockDistribution:
+def _rational_weights(values) -> tuple:
+    """Rationals as integer weights over the lcm D of their
+    denominators: (list of weights, D)."""
+    fracs = [Fraction(v) for v in values]
+    D = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (D // f.denominator) for f in fracs], D
+
+
+def _table_weights(probs: Mapping, denominator):
+    """Validated (weights, denominator) of a probability table.
+
+    With a denominator, ``probs`` holds nonnegative integer weights that
+    sum to it.  Without one, an all-rational table is converted once to
+    integer weights over the lcm of its denominators, and anything else
+    is a float table, whose denominator is None.
+    """
+    weights = dict(probs)
+    values = weights.values()
+    if denominator is None and _is_exact_probs(values):
+        ints, denominator = _rational_weights(values)
+        weights = dict(zip(weights, ints))
+        values = weights.values()
+    if denominator is None:
+        _validate_float_probs(values)
+        return weights, None
+    if not set(map(type, values)) <= {int}:
+        raise ValueError("exact weights must be integers")
+    if min(values, default=0) < 0:
+        raise ValueError("negative probability")
+    total = sum(values)
+    if total != denominator:
+        raise ValueError(f"probabilities sum to {Fraction(total, denominator)}"
+                         ", not 1")
+    return weights, denominator
+
+
+class _FractionView(abc.Mapping):
+    """Read-only key → Fraction view of integer weights over one
+    denominator.  Each lookup builds its Fraction, so a table that is
+    never read by key pays for none."""
+
+    __slots__ = ("_weights", "_denominator")
+
+    def __init__(self, weights: dict, denominator: int):
+        self._weights = weights
+        self._denominator = denominator
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._weights[key], self._denominator)
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Table:
+    """Shared storage of block and joint tables.
+
+    ``weights`` maps keys to integer weights over ``denominator`` on
+    exact tables, and to float probabilities on float tables, whose
+    ``denominator`` is None.  ``probs`` reads the table as key →
+    probability: Fractions on exact tables.
+    """
+
+    __slots__ = ()
+
+    def _set_weights(self, weights: dict, denominator) -> None:
+        self.weights = weights
+        self.denominator = denominator
+        self.exact = denominator is not None
+
+    @property
+    def probs(self) -> Mapping:
+        if self.denominator is None:
+            return self.weights
+        return _FractionView(self.weights, self.denominator)
+
+    def _prob(self, key):
+        if self.denominator is None:
+            return self.weights.get(key, 0.0)
+        return Fraction(self.weights.get(key, 0), self.denominator)
+
+    def _summed(self, key) -> dict:
+        """Weights added up per ``key(k)``, in first-seen order."""
+        out: dict = {}
+        for k, w in self.weights.items():
+            k = key(k)
+            out[k] = out.get(k, 0) + w
+        return out
+
+
+class BlockDistribution(_Table):
     """Probability table over fixed-length words.
 
     ``probs`` maps index words (tuples) to probabilities; absent words
-    have probability 0.  ``exact`` is inferred from the value types:
-    all-Fraction tables are exact, anything else is float.
+    have probability 0.  Exact tables hold integer ``weights`` over one
+    ``denominator``: pass them with ``denominator``, or pass Fractions,
+    which are converted once.  Any float value makes a float table.
     """
 
-    __slots__ = ("alphabet", "block_length", "probs", "exact")
+    __slots__ = ("alphabet", "block_length", "weights", "denominator",
+                 "exact")
 
-    def __init__(self, alphabet: Alphabet, block_length: int, probs: Mapping):
+    def __init__(self, alphabet: Alphabet, block_length: int, probs: Mapping,
+                 denominator: int | None = None):
         if block_length < 0:
             raise ValueError("block length must be >= 0")
         self.alphabet = alphabet
         self.block_length = int(block_length)
-        self.probs = dict(probs)
+        weights, denominator = _table_weights(probs, denominator)
         s = len(alphabet)
-        lengths = set(map(len, self.probs))
-        symbols = set(chain.from_iterable(self.probs))
+        lengths = set(map(len, weights))
+        symbols = set(chain.from_iterable(weights))
         if lengths - {self.block_length} or symbols - set(range(s)):
             # name the first offending word
-            for w in self.probs:
+            for w in weights:
                 if len(w) != self.block_length:
                     raise ValueError(f"word {w} has length {len(w)}, "
                                      f"expected {self.block_length}")
                 if any(not (0 <= a < s) for a in w):
                     raise ValueError(f"word {w} leaves the alphabet")
-        self.exact = _is_exact_probs(self.probs.values())
-        _validate_probs(self.probs, self.exact)
+        self._set_weights(weights, denominator)
+
+    @classmethod
+    def _trusted(cls, alphabet, block_length, weights, denominator):
+        """A table of weights that are valid by construction."""
+        d = cls.__new__(cls)
+        d.alphabet = alphabet
+        d.block_length = block_length
+        d._set_weights(weights, denominator)
+        return d
 
     def prob(self, word: Word):
-        zero = Fraction(0) if self.exact else 0.0
-        return self.probs.get(tuple(word), zero)
+        return self._prob(tuple(word))
 
     def support(self):
-        return sorted(self.probs)
+        return sorted(self.weights)
 
     def items_sorted(self):
         return sorted(self.probs.items())
@@ -382,89 +508,113 @@ class BlockDistribution:
         """Marginal distribution of word[start:stop]."""
         if not (0 <= start <= stop <= self.block_length):
             raise ValueError("bad restriction bounds")
-        out: dict = {}
-        for w, p in self.probs.items():
-            k = w[start:stop]
-            out[k] = out.get(k, 0) + p
-        return BlockDistribution(self.alphabet, stop - start, out)
+        return BlockDistribution._trusted(
+            self.alphabet, stop - start,
+            self._summed(lambda w: w[start:stop]), self.denominator)
 
     def __repr__(self) -> str:
         return (
             f"BlockDistribution(L={self.block_length}, "
-            f"{len(self.probs)} words, exact={self.exact})"
+            f"{len(self.weights)} words, exact={self.exact})"
         )
 
 
-class JointBlockDistribution:
+class JointBlockDistribution(_Table):
     """Joint law of two blocks separated by ``gap`` unseen symbols.
 
-    Keys are (left word, right word) pairs.  Both marginals are valid
-    :class:`BlockDistribution` objects.
+    Keys are (left word, right word) pairs, stored as in
+    :class:`BlockDistribution`.  Both marginals are valid
+    :class:`BlockDistribution` objects over the same denominator.
     """
 
-    __slots__ = ("alphabet", "left_length", "gap", "right_length", "probs",
-                 "exact")
+    __slots__ = ("alphabet", "left_length", "gap", "right_length", "weights",
+                 "denominator", "exact")
 
     def __init__(self, alphabet: Alphabet, left_length: int, gap: int,
-                 right_length: int, probs: Mapping):
+                 right_length: int, probs: Mapping,
+                 denominator: int | None = None):
         if left_length < 1 or right_length < 1 or gap < 0:
             raise ValueError("need left, right >= 1 and gap >= 0")
         self.alphabet = alphabet
         self.left_length = int(left_length)
         self.gap = int(gap)
         self.right_length = int(right_length)
-        self.probs = dict(probs)
-        for lw, rw in self.probs:
+        weights, denominator = _table_weights(probs, denominator)
+        for lw, rw in weights:
             if len(lw) != self.left_length or len(rw) != self.right_length:
                 raise ValueError(f"pair {(lw, rw)} has wrong block lengths")
-        self.exact = _is_exact_probs(self.probs.values())
-        _validate_probs(self.probs, self.exact)
+        self._set_weights(weights, denominator)
+
+    @classmethod
+    def _trusted(cls, alphabet, left_length, gap, right_length, weights,
+                 denominator):
+        """A table of weights that are valid by construction."""
+        j = cls.__new__(cls)
+        j.alphabet = alphabet
+        j.left_length = left_length
+        j.gap = gap
+        j.right_length = right_length
+        j._set_weights(weights, denominator)
+        return j
 
     def prob(self, pair) -> Scalar:
         lw, rw = pair
-        zero = Fraction(0) if self.exact else 0.0
-        return self.probs.get((tuple(lw), tuple(rw)), zero)
+        return self._prob((tuple(lw), tuple(rw)))
 
     def left_marginal(self) -> BlockDistribution:
-        out: dict = {}
-        for (lw, _), p in self.probs.items():
-            out[lw] = out.get(lw, 0) + p
-        return BlockDistribution(self.alphabet, self.left_length, out)
+        return BlockDistribution._trusted(
+            self.alphabet, self.left_length,
+            self._summed(lambda k: k[0]), self.denominator)
 
     def right_marginal(self) -> BlockDistribution:
-        out: dict = {}
-        for (_, rw), p in self.probs.items():
-            out[rw] = out.get(rw, 0) + p
-        return BlockDistribution(self.alphabet, self.right_length, out)
+        return BlockDistribution._trusted(
+            self.alphabet, self.right_length,
+            self._summed(lambda k: k[1]), self.denominator)
 
     def __repr__(self) -> str:
         return (
             f"JointBlockDistribution(L={self.left_length}, g={self.gap}, "
-            f"L'={self.right_length}, {len(self.probs)} pairs)"
+            f"L'={self.right_length}, {len(self.weights)} pairs)"
         )
 
 
 # ── Entropy and mutual information ────────────────────────────────────────────
 
 
-def _entropy_exact(probs) -> Scalar:
-    """Σ −p·log₂ p over Fractions; ExactBits when all entries are
-    smooth, float fallback otherwise.
+def _entropy_of_weights(weights, denominator) -> Scalar:
+    """Σ −p·log₂ p over p = w / D for a collection of weights w.
 
-    Tables repeat few distinct values, so each distinct p = n/d is
-    factored once: its k entries add k·p·(e_q(d) − e_q(n)) to the
-    coefficient of log₂ q for every prime q of n or d.
+    Integer weights over an integer D give ExactBits when every p
+    factors over small primes, and otherwise the float sum below.
+    Float weights (D None) are probabilities and give a float.
+
+    Tables repeat few distinct weights, so each distinct w is reduced
+    to p = n/d by gcd(w, D) and factored once; its k entries add
+    k·w·(e_q(d) − e_q(n)) / D to the coefficient of log₂ q for every
+    prime q of n or d.  The sums stay integers until that one division.
     """
-    counts = Counter((p.numerator, p.denominator) for p in probs if p)
-    coeffs: dict = {}
+    if denominator is None:
+        return _entropy_float(weights)
+    D = denominator
+    sums: dict = {}
+    den_factors: dict = {}
     try:
-        for (n, d), k in counts.items():
-            weight = Fraction(k * n, d)
-            for part, sign in ((n, -1), (d, 1)):
-                for q, e in _factor_smooth(part).items():
-                    coeffs[q] = coeffs.get(q, 0) + sign * e * weight
+        for w, k in Counter(weights).items():
+            if not w:
+                continue
+            g = math.gcd(w, D)
+            d = D // g
+            kw = k * w
+            for q, e in _factor_smooth(w // g).items():
+                sums[q] = sums.get(q, 0) - e * kw
+            if d not in den_factors:
+                den_factors[d] = _factor_smooth(d)
+            for q, e in den_factors[d].items():
+                sums[q] = sums.get(q, 0) + e * kw
     except _NotSmooth:
-        return _entropy_float(float(x) for x in probs)
+        # int / int is correctly rounded, as float(Fraction(w, D)) is
+        return _entropy_float(w / D for w in weights)
+    coeffs = {q: Fraction(s, D) for q, s in sums.items()}
     return ExactBits(coeffs.pop(2, 0), coeffs)
 
 
@@ -488,10 +638,7 @@ def shannon_entropy(d) -> Scalar:
     factors over small primes; otherwise a float computed from the
     exact rationals.  Float tables always yield floats.
     """
-    values = d.probs.values()
-    if d.exact:
-        return _entropy_exact(values)
-    return _entropy_float(values)
+    return _entropy_of_weights(d.weights.values(), d.denominator)
 
 
 def entropy_of_probs(probs) -> Scalar:
@@ -503,7 +650,7 @@ def entropy_of_probs(probs) -> Scalar:
     values = list(probs)
     if any(isinstance(p, float) for p in values):
         return _entropy_float(float(p) for p in values)
-    return _entropy_exact(values)
+    return _entropy_of_weights(*_rational_weights(values))
 
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
@@ -527,7 +674,9 @@ def marginalize_gap(window: BlockDistribution, left_length: int,
     joint of its first ``left_length`` and last remaining symbols,
     summing out the middle ``gap`` symbols.
 
-    Marginal sums are preserved exactly on the exact backend.
+    Marginal sums are preserved exactly on the exact backend: the
+    joint holds the window's integer weights, added, over the same
+    denominator.
     """
     right_length = window.block_length - left_length - gap
     if left_length < 1 or gap < 0 or right_length < 1:
@@ -535,13 +684,10 @@ def marginalize_gap(window: BlockDistribution, left_length: int,
             f"window of length {window.block_length} cannot split into "
             f"left={left_length}, gap={gap}, right={right_length}"
         )
-    out: dict = {}
-    for w, p in window.probs.items():
-        key = (w[:left_length], w[left_length + gap:])
-        out[key] = out.get(key, 0) + p
-    return JointBlockDistribution(
-        window.alphabet, left_length, gap, right_length, out
-    )
+    return JointBlockDistribution._trusted(
+        window.alphabet, left_length, gap, right_length,
+        window._summed(lambda w: (w[:left_length], w[left_length + gap:])),
+        window.denominator)
 
 
 # ── Empirical estimation ──────────────────────────────────────────────────────
@@ -671,8 +817,8 @@ def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
     words, counts = sliding_window_counts(arr, L, len(alphabet))
     total = int(counts.sum())
     if exact:
-        probs = {w: Fraction(c, total) for w, c in zip(words, counts.tolist())}
-    else:
-        # int64 / int64 rounds exactly as int / int below 2**53
-        probs = dict(zip(words, (counts / total).tolist()))
+        return BlockDistribution(alphabet, L,
+                                 dict(zip(words, counts.tolist())), total)
+    # int64 / int64 rounds exactly as int / int below 2**53
+    probs = dict(zip(words, (counts / total).tolist()))
     return BlockDistribution(alphabet, L, probs)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -32,6 +31,9 @@ from .infocore import (
     _coerce_sequence,
     _distinct_counts,
     _entropy_of_counts,
+    _exact_str,
+    _fmt,
+    _sub,
     decode_window_codes,
     empirical_block_distribution,
     mutual_information,
@@ -59,21 +61,6 @@ __all__ = [
 
 class UndersampledError(ValueError):
     """The sequence is too short to estimate the requested statistic."""
-
-
-# exact arithmetic where both operands allow it, float otherwise
-def _sub(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return a - b
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _exact_str(x) -> str:
-    return "" if isinstance(x, float) else str(x)
 
 
 # ── empirical source adapter ────────────────────────────────────────

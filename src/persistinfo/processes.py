@@ -6,9 +6,14 @@ gap of g unseen symbols, closed-form complexity quantities where the
 model class has them, and a seeded sampler.  Module-level functions
 dispatch to the model methods so callers need not care about the class.
 
-Rational model parameters give exact Fraction distributions end to
-end; float parameters (and the Ising chain, whose transfer-matrix
-eigendata is irrational) give float distributions.  Enumeration-based
+Rational model parameters give exact distributions end to end: each
+table holds integer weights over one denominator D, built from
+integers without a Fraction per word, and ``prob()`` returns w / D as
+a Fraction.  A rational Markov chain keeps its rows, stationary law
+and context matrix scaled to integers, so a length-L word has weight
+over q·d^(L−R) and a gap is bridged by an integer matrix power.  Float
+parameters (and the Ising chain, whose transfer-matrix eigendata is
+irrational) give float distributions.  Enumeration-based
 paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
 i.i.d. models bridge the gap with a transition-matrix power instead of
 enumerating it, so the cap there applies only to the two visible
@@ -21,8 +26,10 @@ bound on the number of length-n factors computed from the rules alone
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -36,6 +43,7 @@ from .infocore import (
     BlockDistribution,
     JointBlockDistribution,
     Word,
+    _rational_weights,
     entropy_of_probs,
     marginalize_gap,
     shannon_entropy,
@@ -69,6 +77,9 @@ __all__ = [
 # Enumerated window states (alphabet size ** window length) above this
 # are refused rather than attempted.
 WINDOW_STATE_CAP = 1 << 26
+
+#: gap matrix powers a Markov chain keeps, one per gap length
+GAP_POWERS_KEPT = 32
 
 
 class WindowCapError(ValueError):
@@ -158,23 +169,23 @@ class PeriodicProcess:
     def block_distribution(self, L: int) -> BlockDistribution:
         if L < 1:
             raise ValueError("block length must be >= 1")
-        probs: dict = {}
-        w = Fraction(1, self.period)
+        # one unit of weight per phase, over the period
+        counts: dict = {}
         for t in range(self.period):
             word = self._window(t, L)
-            probs[word] = probs.get(word, 0) + w
-        return BlockDistribution(self.alphabet, L, probs)
+            counts[word] = counts.get(word, 0) + 1
+        return BlockDistribution(self.alphabet, L, counts, self.period)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        probs: dict = {}
-        w = Fraction(1, self.period)
+        counts: dict = {}
         for t in range(self.period):
             window = self._window(t, 2 * L + g)
             key = (window[:L], window[L + g:])
-            probs[key] = probs.get(key, 0) + w
-        return JointBlockDistribution(self.alphabet, L, g, L, probs)
+            counts[key] = counts.get(key, 0) + 1
+        return JointBlockDistribution(self.alphabet, L, g, L, counts,
+                                      self.period)
 
     def closed_forms(self) -> ClosedForms:
         H = shannon_entropy(self.block_distribution(self.period))
@@ -203,21 +214,21 @@ def _as_weight(x):
     return float(x)
 
 
-def _frac_matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
+def _int_matmul(A, B):
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
-def _frac_matpow(T, g: int):
-    n = len(T)
-    result = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    base = [list(row) for row in T]
+def _int_matpow(M, g: int):
+    n = len(M)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    base = M
     while g:
         if g & 1:
-            result = _frac_matmul(result, base)
-        base = _frac_matmul(base, base)
+            result = _int_matmul(result, base)
         g >>= 1
+        if g:
+            base = _int_matmul(base, base)
     return result
 
 
@@ -248,10 +259,17 @@ class MarkovProcess:
     rational rows); builders that already know it may pass
     ``stationary`` aligned with the lexicographic context order, which
     is then verified rather than re-solved.
+
+    A rational chain is kept as integers: with d the common denominator
+    of its rows and q that of its stationary law, the rows d·P, the
+    context weights q·π and the context matrix d·T.  A length-L word
+    (L >= R) then has weight q·π(c)·Π d·P over q·d^(L−R), and a gap of
+    g symbols is bridged by (d·T)^g, built once per g.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
-                 "contexts", "_cindex", "_T")
+                 "contexts", "_cindex", "_edges", "_T", "_d", "_pi", "_q",
+                 "_powers")
 
     def __init__(self, alphabet: Alphabet, order: int,
                  kernel: Mapping[Word, Sequence],
@@ -289,33 +307,47 @@ class MarkovProcess:
         object.__setattr__(self, "contexts", contexts)
         object.__setattr__(self, "_cindex",
                            {c: i for i, c in enumerate(contexts)})
+        object.__setattr__(self, "_powers", {})
+
+        # the nonzero entries of each row as ((symbol,), weight): d·P
+        # for rational rows, P itself (d = 1) for float rows
+        d = math.lcm(*(x.denominator for row in rows.values()
+                       for x in row)) if exact else 1
+        edges = {c: tuple(((a,), x.numerator * (d // x.denominator)
+                           if exact else x) for a, x in enumerate(row) if x)
+                 for c, row in rows.items()}
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_edges", edges)
 
         m = len(contexts)
-        if exact:
-            T = [[Fraction(0)] * m for _ in range(m)]
-        else:
-            T = np.zeros((m, m))
+        T = [[0] * m for _ in range(m)] if exact else np.zeros((m, m))
         for ci, c in enumerate(contexts):
-            for a, p in enumerate(rows[c]):
-                if p == 0:
-                    continue
-                cj = self._cindex[(c + (a,))[-order:] if order else ()]
-                T[ci][cj] += p
+            for a, w in edges[c]:
+                T[ci][self._cindex[(c + a)[-order:] if order else ()]] += w
         object.__setattr__(self, "_T", T)
 
         if stationary is not None:
             pi = tuple(_as_weight(x) for x in stationary)
             if len(pi) != m:
                 raise ValueError("stationary vector has wrong length")
+            # flow = pi·(d·T), to be compared with d·pi
             flow = [sum(pi[i] * T[i][j] for i in range(m)) for j in range(m)]
-            drift = max(abs(flow[j] - pi[j]) for j in range(m))
+            drift = max(abs(flow[j] - d * pi[j]) for j in range(m))
             if (drift != 0) if exact else (float(drift) > 1e-9):
                 raise ValueError("supplied stationary vector is not stationary")
         elif exact:
-            pi = stationary_from_transitions(T)
+            pi = stationary_from_transitions(
+                [[Fraction(w, d) for w in row] for row in T])
         else:
             pi = tuple(float(x) for x in _float_stationary(T))
         object.__setattr__(self, "stationary", pi)
+        if exact:
+            weights, q = _rational_weights(pi)
+            object.__setattr__(self, "_pi", tuple(weights))
+        else:
+            q = None
+            object.__setattr__(self, "_pi", pi)
+        object.__setattr__(self, "_q", q)
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkovProcess is immutable")
@@ -338,34 +370,45 @@ class MarkovProcess:
 
     # context-chain helpers -------------------------------------------------
 
-    def _one(self):
-        return Fraction(1) if self.exact else 1.0
+    def _denominator(self, steps: int):
+        """Denominator of weights started from the context law and
+        pushed ``steps`` symbols; None on a float chain."""
+        return self._q * self._d ** steps if self.exact else None
 
     def _gap_matrix(self, g: int):
-        if self.exact:
-            return _frac_matpow(self._T, g)
-        return np.linalg.matrix_power(self._T, g)
+        """(d·T)^g, or T^g on a float chain; kept per g, up to
+        GAP_POWERS_KEPT of them."""
+        Tg = self._powers.get(g)
+        if Tg is None:
+            if self.exact:
+                Tg = _int_matpow(self._T, g)
+            else:
+                Tg = np.linalg.matrix_power(self._T, g)
+            if len(self._powers) >= GAP_POWERS_KEPT:
+                del self._powers[next(iter(self._powers))]
+            self._powers[g] = Tg
+        return Tg
 
     def _extend(self, start: Mapping[Word, object], steps: int) -> dict:
-        """Push a dict of weighted words forward ``steps`` symbols.
+        """Push a dict of weighted words forward ``steps`` symbols,
+        multiplying by the row weights (d·P on a rational chain).
 
         Keys must already be at least ``order`` long so the context is
         the word suffix.  Zero-probability branches are never created.
         """
         layer = dict(start)
         R = self.order
+        edges = self._edges
         for _ in range(steps):
             new: dict = {}
-            for w, p in layer.items():
-                row = self.kernel[w[-R:] if R else ()]
-                for a, pa in enumerate(row):
-                    if pa != 0:
-                        new[w + (a,)] = p * pa
+            for word, p in layer.items():
+                for a, w in edges[word[-R:] if R else ()]:
+                    new[word + a] = p * w
             layer = new
         return layer
 
-    def _context_distribution(self) -> dict:
-        return {c: p for c, p in zip(self.contexts, self.stationary) if p != 0}
+    def _context_weights(self) -> dict:
+        return {c: p for c, p in zip(self.contexts, self._pi) if p != 0}
 
     # public surface ---------------------------------------------------------
 
@@ -375,12 +418,12 @@ class MarkovProcess:
         _check_cap(len(self.alphabet), L)
         R = self.order
         if R and L <= R:
-            ctx = BlockDistribution(self.alphabet, R,
-                                    self._context_distribution())
+            ctx = BlockDistribution(self.alphabet, R, self._context_weights(),
+                                    self._denominator(0))
             return ctx.restrict(R - L, R)
-        words = self._extend(self._context_distribution() if R else {(): self._one()},
-                             L - R)
-        return BlockDistribution(self.alphabet, L, words)
+        words = self._extend(self._context_weights(), L - R)
+        return BlockDistribution(self.alphabet, L, words,
+                                 self._denominator(L - R))
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
@@ -389,23 +432,24 @@ class MarkovProcess:
         # blocks are enumerated
         _check_cap(len(self.alphabet), 2 * L)
         R = self.order
-        s = len(self.alphabet)
         Tg = self._gap_matrix(g)
 
         # left block together with the context active at its right edge
         left: dict = {}
         if L >= R:
-            for w, p in self.block_distribution(L).probs.items():
+            block = self.block_distribution(L)
+            for w, p in block.weights.items():
                 left[(w, w[L - R:] if R else ())] = p
+            den = block.denominator
         else:
-            for c, p in self._context_distribution().items():
-                key = (c[R - L:], c)
-                left[key] = left.get(key, 0) + p
+            for c, p in self._context_weights().items():
+                left[(c[R - L:], c)] = p
+            den = self._denominator(0)
 
         # right block conditioned on the context at its left edge
         ext: dict = {}
         for c in self.contexts:
-            grown = self._extend({c: self._one()}, L)
+            grown = self._extend({c: 1}, L)
             ext[c] = {w[R:]: p for w, p in grown.items()}
 
         # right block conditioned on the context c at the left block's
@@ -428,7 +472,9 @@ class MarkovProcess:
             for b, q in right[c].items():
                 key = (a, b)
                 probs[key] = probs[key] + p * q if key in probs else p * q
-        return JointBlockDistribution(self.alphabet, L, g, L, probs)
+        if den is not None:
+            den *= self._d ** (g + L)
+        return JointBlockDistribution(self.alphabet, L, g, L, probs, den)
 
     def closed_forms(self) -> ClosedForms:
         R = self.order
@@ -564,9 +610,11 @@ class IidProcess(MarkovProcess):
         _check_cap(len(self.alphabet), 2 * L)
         block = self.block_distribution(L)
         probs = {(a, b): pa * pb
-                 for a, pa in block.probs.items()
-                 for b, pb in block.probs.items()}
-        return JointBlockDistribution(self.alphabet, L, g, L, probs)
+                 for a, pa in block.weights.items()
+                 for b, pb in block.weights.items()}
+        den = block.denominator
+        return JointBlockDistribution(self.alphabet, L, g, L, probs,
+                                      None if den is None else den * den)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         p = np.array([float(x) for x in self.probs])
@@ -605,9 +653,44 @@ def ising_entropy_rate(J: float, h: float, beta: float) -> float:
     eigenvalue."""
     if not (beta > 0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
-    lam = _ising_lambda1(J, h, beta)
-    nats = math.log(lam) - (beta / lam) * _ising_dlambda1(J, h, beta)
+    try:
+        lam = _ising_lambda1(J, h, beta)
+        nats = math.log(lam) - (beta / lam) * _ising_dlambda1(J, h, beta)
+    except OverflowError:
+        nats = math.nan
+    # exp() raises past its range, while a product past it is inf and
+    # turns the difference into nan
+    if not math.isfinite(nats):
+        raise ValueError(
+            f"the Ising entropy rate overflows a float at beta = {beta:g}"
+            f" (T = {1 / beta:g}) with J = {J:g}, h = {h:g}")
     return nats / math.log(2)
+
+
+def _ising_chain(J: float, h: float, beta: float):
+    """Rows P(s' | s) and stationary law of the chain induced by the
+    transfer matrix, in closed form and free of overflow.
+
+    With a = V(-,-), b = V(-,+), c = V(+,+), the diagonal of the kernel
+    is V(s, s) / lambda_1, so row - is (a, lambda_1 - a) / lambda_1 and
+    row + is (lambda_1 - c, c) / lambda_1.  The three entries are
+    scaled by the largest of them (log-sum-exp), and lambda_1 - a,
+    lambda_1 - c are taken in the form that does not cancel.  Detailed
+    balance gives the stationary law (lambda_1 - c, lambda_1 - a) up to
+    normalization.
+    """
+    logs = (beta * (J - h), -beta * J, beta * (J + h))
+    top = max(logs)
+    a, b, c = (math.exp(t - top) for t in logs)
+    u = (a - c) / 2
+    r = math.hypot(u, b)  # lambda_1 = (a + c) / 2 + r
+    da = r - u if u <= 0 else b * b / (r + u)  # lambda_1 - a
+    dc = r + u if u >= 0 else b * b / (r - u)  # lambda_1 - c
+    rows = ((a / (a + da), da / (a + da)), (dc / (c + dc), c / (c + dc)))
+    # both differences vanish only at h = 0 once b underflows: the two
+    # ground states, each with mass 1/2
+    pi = (dc / (da + dc), da / (da + dc)) if da + dc else (0.5, 0.5)
+    return rows, pi
 
 
 @dataclass(frozen=True)
@@ -618,7 +701,9 @@ class IsingChainProcess:
     The symmetric transfer matrix V(s, s') = exp(beta (J s s' +
     h (s + s')/2)) induces an order-1 Markov chain P(s'|s) =
     V(s, s') r(s') / (lambda_1 r(s)) with stationary law r(s)^2, which
-    carries all block statistics.
+    carries all block statistics.  The chain's rows come in closed
+    form from lambda_1 (see ``_ising_chain``), so they stay finite at
+    any temperature.
     """
 
     J: float
@@ -651,17 +736,15 @@ class IsingChainProcess:
     def dlambda1_dbeta(self) -> float:
         return _ising_dlambda1(self.J, self.h, self.beta)
 
+    @cached_property
+    def _chain(self) -> MarkovProcess:
+        rows, pi = _ising_chain(self.J, self.h, self.beta)
+        return MarkovProcess(self.alphabet, 1, {(0,): rows[0], (1,): rows[1]},
+                             stationary=pi)
+
     def as_markov(self) -> MarkovProcess:
-        V = self.transfer_matrix()
-        vals, vecs = np.linalg.eigh(V)
-        r = vecs[:, -1]
-        if r[0] < 0:
-            r = -r
-        lam = float(vals[-1])
-        kernel = {(i,): tuple(V[i, j] * r[j] / (lam * r[i]) for j in range(2))
-                  for i in range(2)}
-        pi = r ** 2 / (r ** 2).sum()
-        return MarkovProcess(self.alphabet, 1, kernel, stationary=tuple(pi))
+        """The induced order-1 chain, built once per process."""
+        return self._chain
 
     def block_distribution(self, L: int) -> BlockDistribution:
         return self.as_markov().block_distribution(L)

@@ -374,6 +374,15 @@ def test_ising_sweep_zero_field_decreases_from_one_bit(capsys):
     assert all(x < y for x, y in zip(h, h[1:]))
 
 
+def test_ising_sweep_reaches_low_temperature(capsys):
+    # T = 0.02 is beta = 50, where an eigenvector-based kernel divides
+    # by an underflowed entry
+    code, out, err = run(capsys, "ising", "--Tmin", "0.02")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert all(math.isfinite(float(x)) for r in rows for x in r)
+
+
 def test_ising_rejects_nonpositive_temperature(capsys):
     code, _, err = run(capsys, "ising", "--J", "1", "--h", "0",
                        "--Tmin", "0", "--Tmax", "10", "--points", "5")
@@ -454,3 +463,43 @@ def test_module_entry_point(module):
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("factors of length 5 (12 total):")
+
+
+# ── golden outputs ────────────────────────────────────────────────────────────
+
+DATA = Path(__file__).parent / "data"
+
+
+def _same_except_ising_floats(got: str, want: str) -> None:
+    """table1 JSON equal byte for byte, except that the floats of the
+    Ising row, a float model, may move within 1e-12."""
+    got_doc, want_doc = json.loads(got), json.loads(want)
+    for row_got, row_want in zip(got_doc["rows"], want_doc["rows"]):
+        if row_want["model"] != "ising":
+            continue
+        for qty, cell in row_want["cells"].items():
+            for key, value in cell.items():
+                other = row_got["cells"][qty][key]
+                if isinstance(value, float):
+                    assert abs(other - value) <= 1e-12, (qty, key)
+                else:
+                    assert other == value, (qty, key)
+        row_got["cells"] = row_want["cells"]
+    assert json.dumps(got_doc, indent=2) + "\n" == want
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("table1", "--format", "json"), "table1.json"),
+    (("pmi", "--model", "goldenmean", "--format", "json"),
+     "pmi_goldenmean.json"),
+    (("entropy", "--model", "goldenmean", "--Lmax", "12"),
+     "entropy_goldenmean_L12.txt"),
+])
+def test_outputs_match_golden_files(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    want = (DATA / name).read_text()
+    if name == "table1.json" and out != want:
+        _same_except_ising_floats(out, want)
+    else:
+        assert out == want

@@ -7,20 +7,26 @@ the implementation must reproduce them.
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from persistinfo import processes
+from persistinfo.emachine import NonUnifilarError, reconstruct
 from persistinfo.infocore import (
     Alphabet,
     ExactBits,
     empirical_block_distribution,
+    log2_of,
     mutual_information,
     shannon_entropy,
 )
+from persistinfo.measures import gap_mi_grid
 from persistinfo.processes import (
     WINDOW_STATE_CAP,
     ClosedFormUnavailable,
@@ -238,26 +244,64 @@ def test_markov_joint_matches_transition_power():
                     pi[i] * Tg[i, k], abs=1e-12)
 
 
+def fraction_extend_oracle(m, start, steps) -> dict:
+    """Reference word extension: push weighted words forward one symbol
+    at a time, multiplying by the kernel rows themselves (Fractions on
+    a rational chain, floats otherwise)."""
+    layer = dict(start)
+    R = m.order
+    for _ in range(steps):
+        new: dict = {}
+        for w, p in layer.items():
+            for a, pa in enumerate(m.kernel[w[-R:] if R else ()]):
+                if pa != 0:
+                    new[w + (a,)] = p * pa
+        layer = new
+    return layer
+
+
+def context_power_oracle(m, g) -> list:
+    """Reference T^g of the context chain, built from the kernel rows
+    and multiplied out g times."""
+    R = m.order
+    index = {c: i for i, c in enumerate(m.contexts)}
+    n = len(index)
+    zero = 0 * m.kernel[m.contexts[0]][0]
+    T = [[zero] * n for _ in range(n)]
+    for c, row in m.kernel.items():
+        for a, p in enumerate(row):
+            if p != 0:
+                T[index[c]][index[(c + (a,))[-R:] if R else ()]] += p
+    Tg = [[zero + (i == j) for j in range(n)] for i in range(n)]
+    for _ in range(g):
+        Tg = [[sum((Tg[i][k] * T[k][j] for k in range(n)), zero)
+               for j in range(n)] for i in range(n)]
+    return Tg
+
+
 def joint_gap_triple_loop_oracle(m, L, g) -> dict:
     """Reference joint gap law: left word x bridge context x right word,
-    one multiply-add per triple."""
+    one multiply-add per triple, from the kernel and stationary law
+    alone."""
     R = m.order
-    Tg = m._gap_matrix(g)
+    index = {c: i for i, c in enumerate(m.contexts)}
+    Tg = context_power_oracle(m, g)
+    ctx = {c: p for c, p in zip(m.contexts, m.stationary) if p != 0}
     left: dict = {}
     if L >= R:
-        for w, p in m.block_distribution(L).probs.items():
+        for w, p in fraction_extend_oracle(m, ctx, L - R).items():
             left[(w, w[L - R:] if R else ())] = p
     else:
-        for c, p in m._context_distribution().items():
+        for c, p in ctx.items():
             key = (c[R - L:], c)
             left[key] = left.get(key, 0) + p
-    ext = {c: {w[R:]: p for w, p in m._extend({c: m._one()}, L).items()}
+    ext = {c: {w[R:]: p
+               for w, p in fraction_extend_oracle(m, {c: 1}, L).items()}
            for c in m.contexts}
     probs: dict = {}
     for (a, c), p in left.items():
-        ci = m._cindex[c]
         for cj, c2 in enumerate(m.contexts):
-            bridge = Tg[ci][cj]
+            bridge = Tg[index[c]][cj]
             if bridge == 0:
                 continue
             pa = p * bridge
@@ -320,6 +364,131 @@ def test_markov_gap_bypasses_window_cap():
     j = joint_gap_distribution(m, 1, 1000)
     assert j.exact
     assert float(mutual_information(j)) <= 1e-12
+
+
+def test_gap_grid_builds_one_power_per_gap(monkeypatch):
+    built = []
+    power = processes._int_matpow
+
+    def counted(M, g):
+        built.append(g)
+        return power(M, g)
+
+    monkeypatch.setattr(processes, "_int_matpow", counted)
+    grid = gap_mi_grid(ternary_r2(), (2, 3, 4), (8, 16, 32))
+    assert len(grid.values) == 9
+    assert sorted(built) == [8, 16, 32]
+
+
+# ── integer weights against the Fraction oracles ────────────────────
+
+
+def fraction_block_oracle(m, L) -> dict:
+    """Reference block law: the stationary context law pushed forward
+    with Fraction arithmetic, or restricted when L < R."""
+    R = m.order
+    ctx = {c: p for c, p in zip(m.contexts, m.stationary) if p != 0}
+    if L >= R:
+        return fraction_extend_oracle(m, ctx, L - R)
+    out: dict = {}
+    for c, p in ctx.items():
+        out[c[R - L:]] = out.get(c[R - L:], 0) + p
+    return out
+
+
+def fraction_entropy_oracle(probs):
+    """Reference exact entropy: Σ −k·p·log₂ p over the distinct
+    Fractions p and their counts k; any p that does not factor over
+    small primes turns the table to floats, summed in table order."""
+    probs = list(probs)
+    try:
+        total = ExactBits(F(0))
+        for p, k in Counter(F(p) for p in probs if p != 0).items():
+            total = total - k * p * log2_of(p)
+        return total
+    except ValueError:
+        return -sum(p * math.log2(p) for p in map(float, probs) if p > 0.0)
+
+
+def fraction_mi_oracle(joint: dict):
+    left: dict = {}
+    right: dict = {}
+    for (a, b), p in joint.items():
+        left[a] = left.get(a, 0) + p
+        right[b] = right.get(b, 0) + p
+    hs = [fraction_entropy_oracle(t.values()) for t in (left, right, joint)]
+    if any(isinstance(h, float) for h in hs):
+        return float(hs[0]) + float(hs[1]) - float(hs[2])
+    return hs[0] + hs[1] - hs[2]
+
+
+def fraction_states_oracle(m, R, F_len):
+    """Reference causal states: histories grouped by their conditional
+    future laws as Fractions; returns the states and C_P."""
+    hist: dict = {}
+    cond: dict = {}
+    for w, p in fraction_block_oracle(m, R + F_len).items():
+        hist[w[:R]] = hist.get(w[:R], 0) + p
+        cond.setdefault(w[:R], {})[w[R:]] = p
+    groups: dict = {}
+    for d in sorted(hist):
+        law = tuple(sorted((f, p / hist[d]) for f, p in cond[d].items()))
+        groups.setdefault(law, []).append(d)
+    states = sorted(tuple(c) for c in groups.values())
+    masses = [sum(hist[d] for d in c) for c in states]
+    return tuple(states), fraction_entropy_oracle(masses)
+
+
+def assert_same_scalar(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@st.composite
+def rational_chains(draw):
+    s = draw(st.integers(2, 3))
+    order = draw(st.integers(0, 2))
+    kernel = {}
+    for c in product(range(s), repeat=order):
+        den = draw(st.sampled_from((2, 3, 4, 6, 7, 11, 13, 14, 22, 26)))
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=s - 1,
+                                    max_size=s - 1)))
+        parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+        kernel[c] = tuple(F(x, den) for x in parts)
+    try:
+        return MarkovProcess(Alphabet("abc"[:s]), order, kernel)
+    except ValueError:  # no unique stationary law
+        return draw(st.nothing())
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=rational_chains(), L=st.integers(1, 3),
+       g=st.sampled_from((0, 1, 2, 5, 17, 40)))
+def test_integer_laws_match_fraction_oracles(m, L, g):
+    for n in (L, 2 * L):
+        got = block_distribution(m, n)
+        want = fraction_block_oracle(m, n)
+        assert list(got.probs.items()) == list(want.items())
+        assert_same_scalar(shannon_entropy(got),
+                           fraction_entropy_oracle(want.values()))
+    j = joint_gap_distribution(m, L, g)
+    want = joint_gap_triple_loop_oracle(m, L, g)
+    assert list(j.probs.items()) == list(want.items())
+    assert_same_scalar(shannon_entropy(j),
+                       fraction_entropy_oracle(want.values()))
+    mi = mutual_information(j)
+    assert_same_scalar(mi, fraction_mi_oracle(want))
+    event(f"gap MI {'float' if isinstance(mi, float) else 'exact'}")
+    R = max(m.order, 1)
+    try:
+        machine = reconstruct(m, R, R + 1)
+    except NonUnifilarError:
+        event("non-unifilar at these horizons")
+        return
+    states, c_p = fraction_states_oracle(m, R, R + 1)
+    assert machine.states == states
+    assert_same_scalar(machine.complexity, c_p)
 
 
 def test_markov_sample_starts_stationary():
@@ -517,6 +686,59 @@ def test_ising_rejects_nonpositive_beta():
         ising_entropy_rate(J=1.0, h=0.0, beta=0.0)
     with pytest.raises(ValueError):
         IsingChainProcess(J=1.0, h=0.0, beta=-1.0)
+
+
+def eigh_ising_kernel_oracle(m):
+    """Reference kernel and stationary law of the Ising chain from a
+    numerical eigendecomposition of the transfer matrix."""
+    V = m.transfer_matrix()
+    vals, vecs = np.linalg.eigh(V)
+    r = vecs[:, -1]
+    if r[0] < 0:
+        r = -r
+    lam = float(vals[-1])
+    rows = [[V[i, j] * r[j] / (lam * r[i]) for j in range(2)]
+            for i in range(2)]
+    return rows, r ** 2 / (r ** 2).sum()
+
+
+@pytest.mark.parametrize("J", [1.0, 0.5, -1.0])
+@pytest.mark.parametrize("h", [0.0, 0.3, -0.7, 1.5])
+@pytest.mark.parametrize("beta", [0.01, 0.5, 0.7, 2.0, 10.0])
+def test_ising_kernel_matches_eigh_oracle(J, h, beta):
+    m = IsingChainProcess(J=J, h=h, beta=beta)
+    chain = m.as_markov()
+    rows, pi = eigh_ising_kernel_oracle(m)
+    for i in range(2):
+        for j in range(2):
+            assert abs(chain.kernel[(i,)][j] - rows[i][j]) <= 1e-12
+        assert abs(chain.stationary[i] - pi[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3, -0.3])
+@pytest.mark.parametrize("beta", [20.0, 50.0, 100.0, 300.0])
+def test_ising_kernel_is_finite_at_low_temperature(h, beta):
+    chain = IsingChainProcess(J=1.0, h=h, beta=beta).as_markov()
+    for row in chain.kernel.values():
+        assert all(math.isfinite(x) and x >= 0 for x in row)
+        assert abs(sum(row) - 1.0) <= 1e-12
+    assert abs(sum(chain.stationary) - 1.0) <= 1e-12
+    d = block_distribution(IsingChainProcess(J=1.0, h=h, beta=beta), 3)
+    assert abs(math.fsum(d.probs.values()) - 1.0) <= 1e-12
+
+
+def test_ising_chain_is_built_once():
+    m = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
+    assert m.as_markov() is m.as_markov()
+
+
+@pytest.mark.parametrize("h,beta,T", [(0.3, 500.0, "0.002"),
+                                      (0.3, 333.0, "0.003003"),
+                                      (0.0, 2000.0, "0.0005")])
+def test_ising_entropy_rate_overflow_names_the_temperature(h, beta, T):
+    # at h = 0.3, beta = 333 the overflow is silent: an inf product
+    with pytest.raises(ValueError, match=rf"beta = {beta:g} \(T = {T}\)"):
+        ising_entropy_rate(J=1.0, h=h, beta=beta)
 
 
 def test_ising_joint_symmetric_at_zero_field():
