@@ -22,7 +22,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .emachine import reconstruct
-from .infocore import Alphabet, _exact_str, _fmt
+from .infocore import (
+    Alphabet,
+    _concat_pieces,
+    _distinct_counts,
+    _exact_str,
+    _fmt,
+)
 from .measures import (
     EmpiricalSource,
     efficiency,
@@ -204,16 +210,61 @@ def _load_sequence(path: str) -> EmpiricalSource:
     if "\n" in text:
         raise ValueError("sequence files hold one line of symbols")
     if "," in text:
-        parts = text.split(",")
-        if "" in parts:
-            raise ValueError(f"empty symbol at position {parts.index('')} "
-                             f"of the comma-separated sequence in {path}")
-        labels = sorted(set(parts))
-        index = {label: i for i, label in enumerate(labels)}
-        codes = np.fromiter(map(index.__getitem__, parts), dtype=np.int64,
-                            count=len(parts))
+        codes, labels = _comma_codes(text, path)
         return EmpiricalSource(codes, Alphabet(labels))
     return EmpiricalSource(text)
+
+
+def _comma_codes(text: str, path: str):
+    """Codes and sorted labels of a comma-separated line, found from
+    the comma positions in its UTF-8 bytes.
+
+    The tokens of each byte length are rows of a matrix, taken as
+    base-256 integers when they fit in 63 bits; only the distinct
+    tokens are decoded and sorted, in Python's string order.  Equal
+    lengths compare bytewise as their labels do, so each length's ids
+    need remapping only where other lengths interleave.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord(","))
+    starts = np.empty(ends.size + 1, dtype=np.int64)
+    starts[0] = 0
+    np.add(ends, 1, out=starts[1:])
+    lengths = np.append(ends, raw.size)
+    del ends
+    lengths -= starts
+    if not lengths.all():
+        raise ValueError(f"empty symbol at position {int(np.argmin(lengths))}"
+                         f" of the comma-separated sequence in {path}")
+    codes = np.empty(starts.size, dtype=np.int64)
+    groups = []
+    counts = np.bincount(lengths)
+    for width in np.flatnonzero(counts).tolist():
+        where = (slice(None) if counts[width] == starts.size
+                 else np.flatnonzero(lengths == width))
+        rows = np.lib.stride_tricks.sliding_window_view(raw, width)[
+            starts[where]]
+        if width * 8 < 63:
+            keys = np.zeros(len(rows), dtype=np.int64)
+            for column in rows.T:
+                keys <<= 8
+                keys |= column
+            del rows
+            distinct, _ = _distinct_counts(keys, 256 ** width)
+            codes[where] = np.searchsorted(distinct, keys)
+            tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
+        else:
+            distinct, ids = np.unique(rows, axis=0, return_inverse=True)
+            codes[where] = ids.ravel()
+            tokens = [row.tobytes() for row in distinct]
+        groups.append((where, [t.decode() for t in tokens]))
+    labels = sorted(label for _, found in groups for label in found)
+    index = {label: i for i, label in enumerate(labels)}
+    for where, found in groups:
+        remap = np.array([index[x] for x in found])
+        if (remap != np.arange(remap.size)).any():
+            codes[where] = remap[codes[where]]
+    return codes, labels
 
 
 def _source(cfg: RunConfig):
@@ -593,10 +644,12 @@ def cmd_sample(cfg: RunConfig) -> int:
     # sampling is a float operation whatever the analysis backend
     model = _load_model(cfg.model, "float")
     arr = sample(model, cfg.n, seed=cfg.seed)
-    alphabet = model.alphabet
-    labels = map(alphabet.symbols.__getitem__, arr.tolist())
-    joiner = "" if all(len(s) == 1 for s in alphabet.symbols) else ","
-    _emit(joiner.join(labels) + "\n", cfg.out)
+    symbols = model.alphabet.symbols
+    sep = "" if all(len(x) == 1 for x in symbols) else ","
+    pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
+              for x in symbols]
+    text = _concat_pieces(arr, pieces).tobytes().decode()
+    _emit(text.removesuffix(sep) + "\n", cfg.out)
     return 0
 
 

@@ -28,7 +28,10 @@ Conventions
     gcd(w, D), factored once, and its multiplicity weights its prime
     coefficients, which are summed as integers.  Distributions whose
     rationals do not factor cheaply fall back to float entropies of
-    the correctly rounded w / D, in table order.
+    the correctly rounded w / D.
+  * Every float entropy, of a float table, of that fallback or of
+    empirical counts, goes through one NumPy kernel (``_entropy_of_p``):
+    −Σ p·log₂ p summed pairwise in table order, 0.0 for a single word.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array without a Python call per symbol, and every length-L
     window is packed into one base-s integer code.  The codes are
@@ -47,6 +50,7 @@ from __future__ import annotations
 import math
 from collections import Counter, abc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
@@ -142,14 +146,26 @@ BINARY = Alphabet("01")
 # ── Exact symbolic bit values ─────────────────────────────────────────────────
 
 
+@lru_cache(maxsize=None)
+def _primes_below(bound: int) -> tuple:
+    """The primes below ``bound``, by a sieve of Eratosthenes."""
+    sieve = np.ones(max(bound, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
+
+
 def _factor_smooth(n: int, bound: int = SMOOTH_FACTOR_BOUND) -> dict:
-    """Factor n ≥ 1 by trial division; raise if a cofactor above the
-    bound survives (the value is then not smooth enough for symbolic
-    entropy and the caller falls back to float)."""
+    """Factor n ≥ 1 by trial division by the primes below the bound;
+    raise if a cofactor above the bound survives (the value is then
+    not smooth enough for symbolic entropy and the caller falls back
+    to float)."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
-    for p in range(2, bound):
+    for p in _primes_below(bound):
         if p * p > n:
             break
         while n % p == 0:
@@ -618,17 +634,22 @@ def _entropy_of_weights(weights, denominator) -> Scalar:
     return ExactBits(coeffs.pop(2, 0), coeffs)
 
 
+def _entropy_of_p(p: np.ndarray) -> float:
+    """−Σ p·log₂ p over the positive entries of a float array, in
+    bits, summed pairwise by NumPy: the one float entropy kernel."""
+    p = p[p > 0.0]
+    # 0.0 − x, not −x: a single word gives 0.0, never −0.0
+    return float(0.0 - (p * np.log2(p)).sum())
+
+
 def _entropy_float(probs) -> float:
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
+    return _entropy_of_p(np.fromiter(probs, dtype=np.float64))
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
-    """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N,
-    summed pairwise by NumPy."""
+    """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N."""
     counts = counts[counts > 0]
-    p = counts / counts.sum()
-    # 0.0 − x, not −x: a single word gives 0.0, never −0.0
-    return float(0.0 - (p * np.log2(p)).sum())
+    return _entropy_of_p(counts / counts.sum())
 
 
 def shannon_entropy(d) -> Scalar:
@@ -750,6 +771,25 @@ def window_codes(arr: np.ndarray, L: int, s: int):
     powers = (s ** np.arange(L - 1, -1, -1)).astype(np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(arr, L)
     return windows @ powers
+
+
+def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
+    """pieces[codes[0]] + pieces[codes[1]] + ... as one array, built
+    by one gather with no Python call per code.
+
+    Pieces of one common length are rows of a table; otherwise output
+    position t of the piece for code c, which starts at output offset
+    o, reads the concatenated pieces at start(c) + (t − o).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    lengths = np.array([len(piece) for piece in pieces], dtype=np.int64)
+    flat = np.concatenate(pieces)
+    if lengths.min() == lengths.max():
+        return flat.reshape(len(pieces), int(lengths[0]))[codes].ravel()
+    lens = lengths[codes]
+    out_starts = np.cumsum(lens) - lens
+    shift = (np.cumsum(lengths) - lengths)[codes] - out_starts
+    return flat[np.arange(int(lens.sum())) + np.repeat(shift, lens)]
 
 
 def decode_window_codes(codes, L: int, s: int) -> list:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -52,7 +51,7 @@ from .substitution import (
     Substitution,
     factor_count_bound,
     factor_frequencies,
-    fixed_point_prefix,
+    fixed_point_array,
 )
 
 __all__ = [
@@ -249,6 +248,58 @@ def _float_stationary(T: np.ndarray) -> np.ndarray:
         v = nxt
     v = np.clip(v, 0.0, None)
     return v / v.sum()
+
+
+def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
+    """States x_0 = start, x_{t+1} = maps[steps[t], x_t] for t < n − 1.
+
+    Adjacent steps are composed pairwise into one map per pair, level
+    after level; each level keeps each distinct map once, so its table
+    stays small (a mixing chain's maps become constant).  Composing
+    stops at one step, or before a level whose table would outgrow its
+    steps (a chain with many contexts); the steps left are walked one
+    by one.  The state before every pair then gives the state inside
+    it, from the top level back down.
+    """
+    n = steps.size
+    levels = []
+    while steps.size > 1:
+        k, m = maps.shape
+        if steps.size % 2:
+            # a pad step: its map acts only after the last step
+            steps = np.append(steps, 0)
+        pairs = steps[0::2] * k + steps[1::2]
+        if k * k <= pairs.size:
+            # a lookup table over all pair codes, as for a bincount
+            lookup = np.zeros(k * k, dtype=np.int64)
+            lookup[pairs] = 1
+            distinct = np.flatnonzero(lookup)
+            lookup[distinct] = np.arange(distinct.size)
+            ids = lookup[pairs]
+        else:
+            distinct, ids = np.unique(pairs, return_inverse=True)
+        if distinct.size * m > pairs.size:
+            break
+        levels.append((steps, maps))
+        first, second = np.divmod(distinct, k)
+        # many pairs compose to the same map: keep each map once
+        maps, same = np.unique(maps[second[:, None], maps[first]], axis=0,
+                               return_inverse=True)
+        steps = same.ravel()[ids]
+    table = maps.tolist()
+    top = []
+    state = start
+    for step in steps.tolist():
+        top.append(state)
+        state = table[step][state]
+    states = np.array(top, dtype=np.int64)
+    for steps, maps in reversed(levels):
+        states = states[:steps.size // 2]
+        inner = np.empty(steps.size, dtype=np.int64)
+        inner[0::2] = states
+        inner[1::2] = maps[steps[0::2], states]
+        states = inner
+    return states[:n]
 
 
 class MarkovProcess:
@@ -529,24 +580,34 @@ class MarkovProcess:
         return list(masses.values())
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n symbols by inverse CDF, one uniform u per symbol: the symbol
+        is the number of cut points of the current context's row (its
+        cumulative sum without the last entry) at or below u.
+
+        The start context is drawn from the stationary law.  The walk
+        itself is vectorized: u's bin among the union of all rows' cut
+        points fixes the symbol for every context, so each step is a
+        map from context to next context, and ``_walk_maps`` composes
+        those maps instead of stepping through them one by one.
+        """
         s = len(self.alphabet)
-        R = self.order
-        # bisecting the cumulative row without its last entry is
-        # min(bisect_right(row, u), s - 1): the clamp comes for free
-        cuts = [np.cumsum([float(x) for x in self.kernel[c]])[:-1].tolist()
-                for c in self.contexts]
-        cum_pi = np.cumsum([float(x) for x in self.stationary]).tolist()
-        ci = bisect_right(cum_pi, float(rng.random()))
-        ci = min(ci, len(self.contexts) - 1)
-        u = rng.random(n).tolist()
-        mod = s ** R
-        out = []
-        append = out.append
-        for x in u:
-            a = bisect_right(cuts[ci], x)
-            append(a)
-            ci = (ci * s + a) % mod
-        return np.array(out, dtype=np.int64)
+        m = len(self.contexts)
+        cuts = np.array([np.cumsum([float(x) for x in self.kernel[c]])[:-1]
+                         for c in self.contexts]).reshape(m, s - 1)
+        cum_pi = np.cumsum([float(x) for x in self.stationary])
+        start = min(int(np.searchsorted(cum_pi, float(rng.random()),
+                                        side="right")), m - 1)
+        u = rng.random(n)
+        edges = np.unique(cuts)
+        steps = np.searchsorted(edges, u, side="right")
+        # bin b holds the u with exactly b edges at or below them; its
+        # symbol in each row counts that row's cuts at or below edge b−1
+        floor = np.concatenate(([-np.inf], edges))
+        symbols = np.array([np.searchsorted(row, floor, side="right")
+                            for row in cuts]).T
+        maps = (np.arange(m) * s + symbols) % m
+        contexts = _walk_maps(steps, maps, start)
+        return symbols[steps, contexts].astype(np.int64, copy=False)
 
     def reversed(self) -> "MarkovProcess":
         """Time reversal: an order-R chain whose kernel is the Bayes
@@ -880,8 +941,7 @@ class SubstitutionProcess:
     def sample(self, n: int, rng=None) -> np.ndarray:
         """The fixed-point prefix itself (deterministic); its sliding
         statistics converge to the block law by unique ergodicity."""
-        return np.asarray(fixed_point_prefix(self.substitution, n),
-                          dtype=np.int64)
+        return fixed_point_array(self.substitution, n)
 
     def reversed(self):
         raise ClosedFormUnavailable(

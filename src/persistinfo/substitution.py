@@ -39,7 +39,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ._ratlinalg import rational_nullspace
-from .infocore import Alphabet, BlockDistribution, ExactBits, Word
+from .infocore import (
+    Alphabet,
+    BlockDistribution,
+    ExactBits,
+    Word,
+    _concat_pieces,
+)
 
 __all__ = [
     "NonPrimitiveError",
@@ -51,6 +57,7 @@ __all__ = [
     "ShortcutData",
     "composition_matrix",
     "primitivity",
+    "fixed_point_array",
     "fixed_point_prefix",
     "factors_of_length",
     "induced_substitution",
@@ -179,17 +186,28 @@ def fibonacci() -> Substitution:
     return Substitution.from_strings({"0": "01", "1": "0"}, "0")
 
 
-def fixed_point_prefix(subst: Substitution, n: int) -> Word:
-    """First n letters of the one-sided fixed point."""
+def fixed_point_array(subst: Substitution, n: int) -> np.ndarray:
+    """First n letters of the one-sided fixed point as an int64 array.
+
+    Each round applies ζ to the whole prefix at once: the images are
+    gathered by letter (``_concat_pieces``), with no Python call per
+    letter.
+    """
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    w: Word = (subst.start,)
-    while len(w) < n:
-        nxt = subst.apply(w)
-        if len(nxt) == len(w):
+    images = [np.array(r, dtype=np.int64) for r in subst.rules]
+    w = np.array([subst.start], dtype=np.int64)
+    while w.size < n:
+        nxt = _concat_pieces(w, images)
+        if nxt.size == w.size:
             raise ValueError("substitution does not grow from its start letter")
         w = nxt
     return w[:n]
+
+
+def fixed_point_prefix(subst: Substitution, n: int) -> Word:
+    """First n letters of the one-sided fixed point, as a word."""
+    return tuple(fixed_point_array(subst, n).tolist())
 
 
 # ── composition matrix and Perron eigendata ─────────────────────────

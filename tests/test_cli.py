@@ -429,6 +429,65 @@ def test_sample_roundtrip_through_entropy(tmp_path, capsys):
     assert blob["H_bits"][2] == pytest.approx(LOG2_3, abs=1e-2)
 
 
+# Sample files written by an earlier, per-symbol version of the writer
+# and the samplers (n = 4097, seed 101): the vectorized ones must match
+# them byte for byte.
+TERNARY_SPEC = json.dumps({
+    "kind": "markov", "alphabet": ["a", "b", "c"],
+    "rows": {a + b: ["1/2", "1/3", "1/6"] if a + b == "aa"
+             else ["1/4", "1/4", "1/2"] for a in "abc" for b in "abc"}})
+ISING_SPEC = json.dumps({"kind": "ising", "J": 1, "h": 0.3, "beta": 0.7})
+GOLDEN_SAMPLES = {"ternary": TERNARY_SPEC, "goldenmean": "goldenmean",
+                  "ising": ISING_SPEC, "tm": "tm"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_sample_file_matches_golden_bytes(tmp_path, capsys, name):
+    from persistinfo.cli import _load_sequence
+    dest = tmp_path / f"{name}.txt"
+    code, out, err = run(capsys, "sample", "--model", GOLDEN_SAMPLES[name],
+                         "--n", "4097", "--seed", "101", "--out", str(dest))
+    assert code == 0, err
+    want = (DATA / f"sample_{name}_4097_101.txt").read_bytes()
+    assert dest.read_bytes() == want
+    # read back, the labels come out in the order they were written
+    src = _load_sequence(str(dest))
+    text = want.decode().strip()
+    labels = text.split(",") if "," in text else list(text)
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
+
+
+def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
+    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.processes import sample
+    # widths 1 to 10 bytes, "é" two bytes wide, listed out of order
+    symbols = ["2", "10", "1", "é", "longlabel9"]
+    doc = {"kind": "markov", "alphabet": symbols,
+           "rows": {"": ["1/4", "1/4", "1/4", "1/8", "1/8"]}}
+    dest = tmp_path / "seq.txt"
+    code, _, err = run(capsys, "sample", "--model", json.dumps(doc),
+                       "--n", "3000", "--seed", "5", "--out", str(dest))
+    assert code == 0, err
+    written = [symbols[c] for c in
+               sample(_load_model(json.dumps(doc), "float"), 3000,
+                      seed=5).tolist()]
+    assert dest.read_text() == ",".join(written) + "\n"
+    src = _load_sequence(str(dest))
+    # Python's string order: "1" < "10" < "2"
+    assert src.alphabet.symbols == ("1", "10", "2", "longlabel9", "é")
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
+
+
+def test_comma_sequence_file_orders_labels_as_python(tmp_path):
+    from persistinfo.cli import _load_sequence
+    labels = ["2", "10", "1", "1\x00", "10", "abcdefgh", "abcdefg", "2"]
+    p = tmp_path / "seq.txt"
+    p.write_text(",".join(labels) + "\n")
+    src = _load_sequence(str(p))
+    assert src.alphabet.symbols == tuple(sorted(set(labels)))
+    assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "entropy", "--model", "coin",

@@ -19,8 +19,11 @@ from persistinfo.infocore import (
     Alphabet,
     BlockDistribution,
     ExactBits,
+    SMOOTH_FACTOR_BOUND,
     JointBlockDistribution,
     _coerce_sequence,
+    _factor_smooth,
+    _NotSmooth,
     empirical_block_distribution,
     entropy_of_probs,
     log2_of,
@@ -118,7 +121,8 @@ def test_entropy_zero_probability_entries_are_skipped():
 
 def entropy_per_entry_oracle(probs):
     """Reference exact entropy: one ExactBits per entry; any entry that
-    does not factor over small primes turns the table to floats."""
+    does not factor over small primes turns the table to floats,
+    −Σ p·log₂ p summed pairwise by NumPy in table order."""
     try:
         total = ExactBits(F(0))
         for p in probs:
@@ -127,7 +131,9 @@ def entropy_per_entry_oracle(probs):
             total = total - F(p) * log2_of(p)
         return total
     except ValueError:
-        return -sum(p * math.log2(p) for p in map(float, probs) if p > 0.0)
+        p = np.array([float(x) for x in probs])
+        p = p[p > 0.0]
+        return float(0.0 - (p * np.log2(p)).sum())
 
 
 def assert_same_entropy(got, want):
@@ -169,6 +175,66 @@ def test_entropy_matches_per_entry_oracle(small, rough, rnd):
     probs = [F(w, total) for w in weights]
     assert_same_entropy(entropy_of_probs(probs),
                         entropy_per_entry_oracle(probs))
+
+
+def test_float_entropy_of_one_word_is_positive_zero():
+    # −Σ over a point mass would be −0.0, printed as "-0"
+    for h in (entropy_of_probs([1.0, 0.0]),
+              shannon_entropy(BlockDistribution(BITS, 1, {(1,): 1.0}))):
+        assert h == 0.0
+        assert math.copysign(1.0, h) == 1.0
+
+
+def test_table_and_count_routes_give_one_sequence_entropy():
+    from persistinfo.measures import EmpiricalSource
+    from persistinfo.processes import MarkovProcess, sample
+    m = MarkovProcess.from_rows(
+        {a + b: (F(1, 2), F(1, 3), F(1, 6)) if a + b == "aa"
+         else (F(1, 4), F(1, 4), F(1, 2)) for a in "abc" for b in "abc"},
+        alphabet=Alphabet("abc"))
+    src = EmpiricalSource(sample(m, 20_000, seed=101), m.alphabet)
+    for L in range(1, 9):
+        assert shannon_entropy(src.block_distribution(L)) \
+            == src.block_entropy(L)
+
+
+def trial_division_oracle(n, bound=10_000):
+    """The factoring routine before the prime sieve: trial division by
+    every integer below the bound."""
+    out = {}
+    for p in range(2, bound):
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if n >= bound * bound:
+            raise _NotSmooth(n)
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _factor_or_refusal(factor, n):
+    try:
+        return factor(n)
+    except _NotSmooth as exc:
+        return ("not smooth", exc.args)
+
+
+def test_factor_smooth_matches_trial_division_oracle():
+    assert SMOOTH_FACTOR_BOUND == 10_000
+    for n in range(1, 200_001):
+        assert _factor_smooth(n) == trial_division_oracle(n), n
+    # semiprimes around the bound squared: 9973 and 9967 are the
+    # largest primes below the bound, 10007 and 10009 the smallest above
+    primes = (9949, 9967, 9973, 10007, 10009, 10037)
+    cases = [p * q for p in primes for q in primes]
+    cases += [2 * 10007 * 10009, 9973 ** 2 * 10007, 10 ** 8 - 1, 10 ** 8,
+              10 ** 8 + 1, 100000007, 3 * 100000007]
+    for n in cases:
+        assert _factor_or_refusal(_factor_smooth, n) \
+            == _factor_or_refusal(trial_division_oracle, n), n
 
 
 # ── mutual_information ────────────────────────────────────────────────────────

@@ -399,7 +399,8 @@ def fraction_block_oracle(m, L) -> dict:
 def fraction_entropy_oracle(probs):
     """Reference exact entropy: Σ −k·p·log₂ p over the distinct
     Fractions p and their counts k; any p that does not factor over
-    small primes turns the table to floats, summed in table order."""
+    small primes turns the table to floats, summed pairwise by NumPy in
+    table order."""
     probs = list(probs)
     try:
         total = ExactBits(F(0))
@@ -407,7 +408,9 @@ def fraction_entropy_oracle(probs):
             total = total - k * p * log2_of(p)
         return total
     except ValueError:
-        return -sum(p * math.log2(p) for p in map(float, probs) if p > 0.0)
+        p = np.array([float(x) for x in probs])
+        p = p[p > 0.0]
+        return float(0.0 - (p * np.log2(p)).sum())
 
 
 def fraction_mi_oracle(joint: dict):
@@ -507,21 +510,26 @@ def test_markov_sample_empirical_tv():
     assert tv <= 5 * math.sqrt(2 ** 4 / 100_000)
 
 
-def reference_markov_sample(model, n, rng):
-    # oracle: one bisect per step on the full cumulative row, clamped
-    s, R = len(model.alphabet), model.order
-    cum_rows = [list(np.cumsum([float(x) for x in model.kernel[c]]))
-                for c in model.contexts]
-    cum_pi = list(np.cumsum([float(x) for x in model.stationary]))
-    ci = min(bisect_right(cum_pi, float(rng.random())), len(model.contexts) - 1)
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        a = min(bisect_right(cum_rows[ci], u[t]), s - 1)
-        out[t] = a
-        if R:
-            ci = (ci * s + a) % s ** R
-    return out
+def bisect_sample_oracle(model, n, rng):
+    """The sampler as one Python loop: one bisect per step on the
+    current context's cut points (its cumulative row without the last
+    entry), which clamps to the last symbol for free."""
+    s = len(model.alphabet)
+    R = model.order
+    cuts = [np.cumsum([float(x) for x in model.kernel[c]])[:-1].tolist()
+            for c in model.contexts]
+    cum_pi = np.cumsum([float(x) for x in model.stationary]).tolist()
+    ci = bisect_right(cum_pi, float(rng.random()))
+    ci = min(ci, len(model.contexts) - 1)
+    u = rng.random(n).tolist()
+    mod = s ** R
+    out = []
+    append = out.append
+    for x in u:
+        a = bisect_right(cuts[ci], x)
+        append(a)
+        ci = (ci * s + a) % mod
+    return np.array(out, dtype=np.int64)
 
 
 SAMPLER_CHAINS = {
@@ -539,14 +547,62 @@ SAMPLER_CHAINS = {
 }
 
 
+def random_float_chain(s, order, seed):
+    rng = np.random.default_rng(seed)
+    kernel = {}
+    for c in product(range(s), repeat=order):
+        w = rng.random(s)
+        kernel[c] = tuple(w / w.sum())
+    return MarkovProcess(Alphabet("abcdef"[:s]), order, kernel)
+
+
+def test_markov_sample_with_many_contexts_matches_bisect_oracle():
+    # 216 contexts and about a thousand bins: composed maps would
+    # outgrow the steps, so most of the walk goes step by step
+    m = random_float_chain(6, 3, seed=3)
+    for n in (1, 4097, 20_000):
+        got = m.sample(n, np.random.default_rng(n))
+        want = bisect_sample_oracle(m, n, np.random.default_rng(n))
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLER_CHAINS))
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_markov_sample_matches_bisect_reference(name, seed):
     model = SAMPLER_CHAINS[name]()
     got = model.sample(3000, np.random.default_rng(seed))
-    want = reference_markov_sample(model, 3000, np.random.default_rng(seed))
+    want = bisect_sample_oracle(model, 3000, np.random.default_rng(seed))
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+@st.composite
+def float_chains(draw):
+    s = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 2))
+    kernel = {}
+    for c in product(range(s), repeat=order):
+        raw = draw(st.lists(st.sampled_from((0.0, 0.1, 0.25, 1 / 3, 0.7, 1.0)),
+                            min_size=s, max_size=s))
+        if not sum(raw):
+            raw[draw(st.integers(0, s - 1))] = 1.0
+        kernel[c] = tuple(x / sum(raw) for x in raw)
+    try:
+        return MarkovProcess(Alphabet("abc"[:s]), order, kernel)
+    except ValueError:  # no unique stationary law
+        return draw(st.nothing())
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.one_of(rational_chains(), float_chains()),
+       n=st.sampled_from((1, 2, 3, 1023, 1025, 4097)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_markov_sample_matches_bisect_oracle(m, n, seed):
+    got = m.sample(n, np.random.default_rng(seed))
+    want = bisect_sample_oracle(m, n, np.random.default_rng(seed))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    event(f"order {m.order}, {len(m.alphabet)} letters")
 
 
 class _FixedDraws:
@@ -569,8 +625,8 @@ def test_markov_sample_matches_reference_at_cut_points():
     for chain in (model, markov_r2_uniform(), SAMPLER_CHAINS["order2-ternary"]()):
         for first in (0.0, 0.5, top):
             got = chain.sample(len(draws), _FixedDraws(first, draws))
-            want = reference_markov_sample(chain, len(draws),
-                                           _FixedDraws(first, draws))
+            want = bisect_sample_oracle(chain, len(draws),
+                                        _FixedDraws(first, draws))
             assert got.tolist() == want.tolist()
     assert model.sample(2, _FixedDraws(0.0, [top, 0.9999999999999999])).tolist() \
         == [2, 2]
