@@ -25,9 +25,9 @@ from .emachine import reconstruct
 from .infocore import (
     Alphabet,
     _concat_pieces,
-    _distinct_counts,
     _exact_str,
     _fmt,
+    _ranks,
 )
 from .measures import (
     EmpiricalSource,
@@ -250,8 +250,7 @@ def _comma_codes(text: str, path: str):
                 keys <<= 8
                 keys |= column
             del rows
-            distinct, _ = _distinct_counts(keys, 256 ** width)
-            codes[where] = np.searchsorted(distinct, keys)
+            distinct, codes[where] = _ranks(keys, 256 ** width)
             tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
         else:
             distinct, ids = np.unique(rows, axis=0, return_inverse=True)

@@ -727,9 +727,8 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         if alphabet is None:
             # the distinct code points, ascending; sorted only when a
             # high code point would make a bincount outgrow the string
-            uniq, _ = _distinct_counts(points, int(points.max(initial=0)) + 1)
-            return (np.searchsorted(uniq, points),
-                    Alphabet(map(chr, uniq.tolist())))
+            uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
+            return codes, Alphabet(map(chr, uniq.tolist()))
         labels = [(ord(c), i) for i, c in enumerate(alphabet.symbols)
                   if len(c) == 1]
         keys = np.array(sorted(labels), dtype=np.int64).reshape(-1, 2)
@@ -762,15 +761,28 @@ def _codes_fit(L: int, s: int) -> bool:
 
 def window_codes(arr: np.ndarray, L: int, s: int):
     """Base-s integer code of every length-L window, or None when the
-    codes would not fit in 63 bits."""
+    codes would not fit in 63 bits.
+
+    Built by doubling: a length-2k code is the length-k code shifted
+    by k digits plus the length-k code k places on, and a digit is
+    appended wherever L's binary expansion has a one, so length L
+    takes at most 2·log₂ L passes over the array.
+    """
     if arr.size < L:
         raise ValueError(
             f"sequence of length {arr.size} has no length-{L} windows")
     if not _codes_fit(L, s):
         return None
-    powers = (s ** np.arange(L - 1, -1, -1)).astype(np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(arr, L)
-    return windows @ powers
+    codes, k = arr.astype(np.int64), 1
+    for bit in bin(L)[3:]:
+        longer = codes[:-k] * s ** k
+        longer += codes[k:]
+        codes, k = longer, 2 * k
+        if bit == "1":
+            longer = codes[:-1] * s
+            longer += arr[k:]
+            codes, k = longer, k + 1
+    return codes
 
 
 def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
@@ -820,6 +832,18 @@ def _distinct_counts(codes: np.ndarray, size: int, weights=None):
         return np.unique(codes, return_counts=True)
     uniq, inverse = np.unique(codes, return_inverse=True)
     return uniq, np.bincount(inverse.ravel(), weights)
+
+
+def _ranks(codes: np.ndarray, size: int):
+    """Distinct values of codes drawn from range(size), ascending, and
+    the index of each code among them: a lookup table when the range is
+    no larger than the code array, a binary search otherwise."""
+    uniq, _ = _distinct_counts(codes, size)
+    if size > codes.size:
+        return uniq, np.searchsorted(uniq, codes)
+    table = np.empty(size, dtype=np.int64)
+    table[uniq] = np.arange(uniq.size)
+    return uniq, table[codes]
 
 
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):

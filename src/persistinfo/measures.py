@@ -69,15 +69,29 @@ class UndersampledError(ValueError):
 class EmpiricalSource:
     """Plug-in block and joint-block statistics of one observed sequence.
 
-    Every length-L window is packed into one base-s integer code.
-    :meth:`block_entropy` and :meth:`gap_mutual_information` work on
-    the integer counts of those codes and build no word table: a gap-g
-    pair of blocks is the code ``left * s**L + right`` of two windows
-    L + g apart, and the MI is H(left) + H(right) − H(pair) over the
-    three count vectors.  The window codes of the last length asked for
-    are kept, and length L + 1 is reached from them in one Horner step,
-    so a walk up in L packs the sequence once.  Where codes would not
-    fit in 63 bits, both fall back to the tables.
+    Every length-L window is packed into one base-s integer code
+    (:func:`window_codes`).  The measures count the sequence once at
+    the longest *dense* length, where the s**L possible codes number no
+    more than the windows, and reach every shorter length by marginal
+    sums of those integer counts:
+
+    * :meth:`block_entropies` bincounts the longest dense length; the
+      counts one shorter sum out the last symbol and add the one window
+      at the end of the sequence that has no longer extension;
+    * :meth:`gap_mutual_informations` bincounts, per gap g, the
+      s**L × s**L pair codes ``left * s**L + right`` of the longest
+      dense grid length; one shorter sums out the first symbol of the
+      left block and the last of the right, and adds the two windows,
+      one at each end, that the longer blocks do not cover.  The MI is
+      H(left) + H(right) − H(pair) over the row sums, the column sums
+      and the nonzero pairs.
+
+    Both give the same integer counts, in the same ascending code
+    order, as counting each length on its own, so the same floats.
+    Longer lengths and cells are counted one at a time by
+    :meth:`block_entropy` and :meth:`gap_mutual_information`, which
+    also serve the tests as the oracle of the marginal route; where
+    codes would not fit in 63 bits, those fall back to the tables.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
     those tables, decoding only the distinct codes into words.  Cells
@@ -86,14 +100,13 @@ class EmpiricalSource:
     is decoded.
     """
 
-    __slots__ = ("arr", "alphabet", "n", "_memo")
+    __slots__ = ("arr", "alphabet", "n")
 
     def __init__(self, seq, alphabet: Optional[Alphabet] = None):
         arr, alphabet = _coerce_sequence(seq, alphabet)
         self.arr = arr
         self.alphabet = alphabet
         self.n = int(arr.size)
-        self._memo = (0, None)  # (L, window codes of length L)
 
     @property
     def exact(self) -> bool:
@@ -121,37 +134,109 @@ class EmpiricalSource:
                 f"no length-{win} window in a sequence of {self.n} symbols")
         return m
 
-    def _window_codes(self, L: int):
-        """Codes of the length-L windows (None past 63 bits), one Horner
-        step from the kept codes when they are of length L − 1."""
-        memo_L, codes = self._memo
-        if memo_L != L:
-            s = len(self.alphabet)
-            if memo_L == L - 1 and codes is not None and _codes_fit(L, s):
-                codes = codes[:-1] * s + self.arr[L - 1:]
-            else:
-                codes = window_codes(self.arr, L, s)
-            self._memo = (L, codes)
-        return codes
+    def _code(self, start: int, L: int) -> int:
+        """Base-s code of the length-L window at ``start``."""
+        code, s = 0, len(self.alphabet)
+        for a in self.arr[start:start + L].tolist():
+            code = code * s + a
+        return code
+
+    def block_entropies(self, Ls: Sequence[int]) -> list:
+        """Plug-in H(L) in bits for each of the ascending lengths Ls,
+        counted once at the longest dense one (see the class)."""
+        s, n = len(self.alphabet), self.n
+        dense = [L for L in Ls if 1 <= L and s ** L <= n - L + 1]
+        H = {}
+        if dense:
+            top = dense[-1]
+            counts = np.bincount(window_codes(self.arr, top, s),
+                                 minlength=s ** top)
+            for L in range(top, dense[0] - 1, -1):
+                if L in dense:
+                    H[L] = _entropy_of_counts(counts)
+                if L > dense[0]:
+                    counts = _sum_last_digit(counts, s)
+                    counts[self._code(n - L + 1, L - 1)] += 1
+        return [H[L] if L in H else self.block_entropy(L) for L in Ls]
 
     def block_entropy(self, L: int) -> float:
-        """Plug-in H(L) in bits from the counts of the window codes."""
+        """Plug-in H(L) in bits from the counts of the length-L codes."""
         self._check_block(L)
-        codes = self._window_codes(L)
+        s = len(self.alphabet)
+        codes = window_codes(self.arr, L, s)
         if codes is None:
             return shannon_entropy(self.block_distribution(L))
-        _, counts = _distinct_counts(codes, len(self.alphabet) ** L)
-        return _entropy_of_counts(counts)
+        return _entropy_of_counts(_distinct_counts(codes, s ** L)[1])
 
-    def gap_mutual_information(self, L: int, g: int) -> float:
+    def gap_mutual_informations(self, Ls: Sequence[int],
+                                gs: Sequence[int]) -> tuple:
+        """Plug-in MI of every cell of the ascending grids Ls × gs, and
+        the refusal of each cell that has none, as two dicts keyed by
+        (L, g).  Per gap, the pairs are counted once at the longest
+        dense L (see the class); the window codes of that length are
+        packed once for all gaps."""
+        s, n = len(self.alphabet), self.n
+        values: dict = {}
+        missing: dict = {}
+        packed, codes = 0, None  # the length of the codes held
+        for g in gs:
+            dense = [L for L in Ls if s ** (2 * L) <= n - 2 * L - g + 1]
+            if not dense:
+                continue
+            top = dense[-1]
+            if packed != top:
+                packed, codes = top, window_codes(self.arr, top, s)
+            span = s ** top
+            m = n - 2 * top - g + 1
+            pairs = codes[:m] * span
+            pairs += codes[top + g:top + g + m]
+            Q = np.bincount(pairs, minlength=span * span).reshape(span, span)
+            del pairs
+            for L in range(top, dense[0] - 1, -1):
+                if L in dense:
+                    try:
+                        _refuse_undersampled(np.count_nonzero(Q), m)
+                        values[(L, g)] = _pair_mi(Q)
+                    except UndersampledError as e:
+                        missing[(L, g)] = str(e)
+                if L > dense[0]:
+                    span //= s
+                    Q = _sum_last_digit(Q.reshape(s, -1).sum(0), s)
+                    Q = Q.reshape(span, span)
+                    m += 2
+                    for i in (0, m - 1):
+                        Q[self._code(i, L - 1),
+                          self._code(i + L - 1 + g, L - 1)] += 1
+        # the other cells one at a time, L-major so that each length's
+        # codes are packed once
+        for L in Ls:
+            rest = [g for g in gs if (L, g) not in values
+                    and (L, g) not in missing]
+            if not rest:
+                continue
+            if packed != L and _codes_fit(2 * L, s) \
+                    and 2 * L + rest[0] <= n:
+                packed, codes = L, window_codes(self.arr, L, s)
+            for g in rest:
+                try:
+                    values[(L, g)] = self.gap_mutual_information(
+                        L, g, codes if packed == L else None)
+                except UndersampledError as e:
+                    missing[(L, g)] = str(e)
+        return values, missing
+
+    def gap_mutual_information(self, L: int, g: int, codes=None) -> float:
         """Plug-in I(left; right) in bits of two length-L blocks g
-        symbols apart, from the counts of the left, right and pair
-        codes; refuses undersampled cells."""
+        symbols apart, from the counts of the pair codes of this one
+        cell; refuses undersampled cells.  ``codes`` are the length-L
+        window codes when the caller has them."""
         m = self._gap_windows(L, g)
         s = len(self.alphabet)
         if not _codes_fit(2 * L, s):
             return mutual_information(self.joint_gap_distribution(L, g))
-        uniq, pair_counts, span = self._pair_code_counts(L, g, m)
+        if codes is None:
+            codes = window_codes(self.arr, L, s)
+        uniq, pair_counts, span = self._pair_code_counts(codes, L, g, m)
         # marginal counts are integer sums of the pair counts, exact in
         # float64, over the (at most m / 10) distinct pairs
         h_left = _entropy_of_counts(
@@ -171,11 +256,10 @@ class EmpiricalSource:
         probs = dict(zip(pairs, (counts / m).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
-    def _pair_code_counts(self, L: int, g: int, m: int):
+    def _pair_code_counts(self, codes, L: int, g: int, m: int):
         """Distinct pair codes ``left * s**L + right`` of the m gap-g
         windows, ascending, their int64 counts and s**L; refuses
         undersampled cells.  Needs codes of length 2L within 63 bits."""
-        codes = self._window_codes(L)
         span = len(self.alphabet) ** L
         uniq, counts = _distinct_counts(
             codes[:m] * span + codes[L + g:L + g + m], span * span)
@@ -186,7 +270,8 @@ class EmpiricalSource:
         """Distinct (left, right) word pairs of the m windows and their
         counts as an int64 array; refuses undersampled cells."""
         if _codes_fit(2 * L, s):
-            uniq, counts, span = self._pair_code_counts(L, g, m)
+            uniq, counts, span = self._pair_code_counts(
+                window_codes(self.arr, L, s), L, g, m)
             left = decode_window_codes(uniq // span, L, s)
             right = decode_window_codes(uniq % span, L, s)
             return list(zip(left, right)), counts
@@ -199,6 +284,22 @@ class EmpiricalSource:
         _refuse_undersampled(len(out), m)
         return list(out), np.fromiter(out.values(), dtype=np.int64,
                                       count=len(out))
+
+
+def _sum_last_digit(counts: np.ndarray, s: int) -> np.ndarray:
+    """counts.reshape(-1, s).sum(1), as s adds of strided columns,
+    which NumPy does several times faster than the small-axis sum."""
+    digits = counts.reshape(-1, s)
+    out = digits[:, 0].copy()
+    for b in range(1, s):
+        out += digits[:, b]
+    return out
+
+
+def _pair_mi(Q: np.ndarray) -> float:
+    """H(rows) + H(columns) − H(pairs) of a dense matrix of pair counts."""
+    return (_entropy_of_counts(Q.sum(1)) + _entropy_of_counts(Q.sum(0))
+            - _entropy_of_counts(Q.ravel()))
 
 
 def _refuse_undersampled(distinct: int, m: int) -> None:
@@ -215,20 +316,18 @@ def _as_source(source, alphabet: Optional[Alphabet] = None):
     return EmpiricalSource(source, alphabet)
 
 
-def _block_entropy(src, L: int):
-    """H(L) of a source and whether it came from an exact table;
-    integer window counts on an observed sequence."""
+def _block_entropies(src, Ls: Sequence[int]):
+    """H(L) of a source for each length of Ls, and whether all came
+    from exact tables; an observed sequence is counted once."""
     if isinstance(src, EmpiricalSource):
-        return src.block_entropy(L), False
-    d = src.block_distribution(L)
-    return shannon_entropy(d), d.exact
-
-
-def _gap_mi(src, L: int, g: int) -> Scalar:
-    """Block MI at gap g; integer pair counts on an observed sequence."""
-    if isinstance(src, EmpiricalSource):
-        return src.gap_mutual_information(L, g)
-    return mutual_information(src.joint_gap_distribution(L, g))
+        return src.block_entropies(Ls), False
+    H, exact = [], True
+    for L in Ls:
+        d = src.block_distribution(L)
+        H.append(shannon_entropy(d))
+        exact = exact and d.exact
+        del d  # one table alive at a time
+    return H, exact
 
 
 # ── entropy curves ──────────────────────────────────────────────────
@@ -280,13 +379,8 @@ def entropy_curve(source, L_max: int,
     """Block entropy curve of a model or an observed sequence."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    src = _as_source(source, alphabet)
-    H = []
-    exact = True
-    for L in range(1, L_max + 1):
-        h, h_exact = _block_entropy(src, L)
-        H.append(h)
-        exact = exact and h_exact
+    H, exact = _block_entropies(_as_source(source, alphabet),
+                                range(1, L_max + 1))
     dH = [H[0]] + [_sub(H[i], H[i - 1]) for i in range(1, L_max)]
     h_hat = dH[-1]
     E_hat = _sub(H[-1], h_hat * L_max)
@@ -301,9 +395,8 @@ def excess_entropy_finite(source, L: int,
     computed as 2 H(L) - H(2L)."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    src = _as_source(source, alphabet)
-    hL = _block_entropy(src, L)[0]
-    h2L = _block_entropy(src, 2 * L)[0]
+    (hL, h2L), _ = _block_entropies(_as_source(source, alphabet),
+                                    (L, 2 * L))
     return _sub(hL * 2, h2L)
 
 
@@ -366,14 +459,17 @@ def gap_mi_grid(source, L_grid: Sequence[int], g_grid: Sequence[int],
     if Ls[0] < 1 or gs[0] < 0:
         raise ValueError("need L >= 1 and g >= 0 throughout the grid")
     src = _as_source(source, alphabet)
-    values: dict = {}
-    missing: dict = {}
-    for L in Ls:
-        for g in gs:
-            try:
-                values[(L, g)] = _gap_mi(src, L, g)
-            except (WindowCapError, UndersampledError) as e:
-                missing[(L, g)] = str(e)
+    if isinstance(src, EmpiricalSource):
+        values, missing = src.gap_mutual_informations(Ls, gs)
+    else:
+        values, missing = {}, {}
+        for L in Ls:
+            for g in gs:
+                try:
+                    values[(L, g)] = mutual_information(
+                        src.joint_gap_distribution(L, g))
+                except (WindowCapError, UndersampledError) as e:
+                    missing[(L, g)] = str(e)
     cell_exact = all(not isinstance(v, float) for v in values.values())
     return GapMIGrid(L_grid=Ls, g_grid=gs, values=values, missing=missing,
                      exact=bool(values) and cell_exact,

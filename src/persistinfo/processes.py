@@ -707,25 +707,24 @@ def _ising_dlambda1(J: float, h: float, beta: float):
     return da + ddisc / (2 * math.sqrt(disc))
 
 
+def _two_point_entropy(pair) -> float:
+    """Entropy in nats of a law on two points, from its smaller
+    probability p as −p·ln p − (1 − p)·log1p(−p): the larger entry's
+    term survives where 1 − p rounds to 1."""
+    p = min(pair)
+    return -(p * math.log(p) + (1 - p) * math.log1p(-p)) if p > 0 else 0.0
+
+
 def ising_entropy_rate(J: float, h: float, beta: float) -> float:
     """Entropy rate (bits per spin) of the nearest-neighbour Ising
-    chain: [ln lambda_1 - (beta / lambda_1) d(lambda_1)/d(beta)] in
-    nats, from the analytic derivative of the transfer-matrix
-    eigenvalue."""
+    chain: Σ_s π_s H(P(· | s)) over the induced chain's rows and
+    stationary law (see ``_ising_chain``).  No difference of two large
+    numbers is taken and nothing overflows, at any temperature."""
     if not (beta > 0) or not math.isfinite(beta):
         raise ValueError("beta must be positive and finite")
-    try:
-        lam = _ising_lambda1(J, h, beta)
-        nats = math.log(lam) - (beta / lam) * _ising_dlambda1(J, h, beta)
-    except OverflowError:
-        nats = math.nan
-    # exp() raises past its range, while a product past it is inf and
-    # turns the difference into nan
-    if not math.isfinite(nats):
-        raise ValueError(
-            f"the Ising entropy rate overflows a float at beta = {beta:g}"
-            f" (T = {1 / beta:g}) with J = {J:g}, h = {h:g}")
-    return nats / math.log(2)
+    rows, pi = _ising_chain(J, h, beta)
+    return sum(w * _two_point_entropy(row)
+               for w, row in zip(pi, rows)) / math.log(2)
 
 
 def _ising_chain(J: float, h: float, beta: float):
@@ -815,7 +814,9 @@ class IsingChainProcess:
 
     def closed_forms(self) -> ClosedForms:
         h_rate = ising_entropy_rate(self.J, self.h, self.beta)
-        H1 = float(shannon_entropy(self.block_distribution(1)))
+        # H(1) in the rate's form, so that E = H(1) - h does not go
+        # negative where the spin law is a near point mass
+        H1 = _two_point_entropy(self.as_markov().stationary) / math.log(2)
         eff = 1.0 - h_rate / H1 if H1 > 0 else Fraction(0)
         return ClosedForms(entropy_rate=h_rate, excess_entropy=H1 - h_rate,
                            complexity_plus=H1, complexity_minus=H1,

@@ -383,6 +383,19 @@ def test_ising_sweep_reaches_low_temperature(capsys):
     assert all(math.isfinite(float(x)) for r in rows for x in r)
 
 
+@pytest.mark.parametrize("args", [("--Tmin", "1e-3"),
+                                  ("--Tmin", "0.004", "--Tmax", "1000",
+                                   "--h", "0.3")])
+def test_ising_sweep_down_to_a_thousandth(capsys, args):
+    # h_P and E = H(1) - h_P stay finite and nonnegative where the
+    # rate is far below 1e-40
+    code, out, err = run(capsys, "ising", *args)
+    assert code == 0, err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert all(math.isfinite(float(x)) and float(x) >= 0
+               for r in rows for x in r)
+
+
 def test_ising_rejects_nonpositive_temperature(capsys):
     code, _, err = run(capsys, "ising", "--J", "1", "--h", "0",
                        "--Tmin", "0", "--Tmax", "10", "--points", "5")

@@ -19,6 +19,7 @@ from persistinfo.infocore import (
     Alphabet,
     ExactBits,
     _distinct_counts,
+    _ranks,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
@@ -329,33 +330,122 @@ def test_count_path_matches_table_oracles(case):
     assert abs(got - want) <= 1e-9
 
 
-def test_window_code_memo_matches_window_codes(monkeypatch):
-    rng = np.random.default_rng(5)
-    arr = rng.integers(0, 3, 200)
-    src = EmpiricalSource(arr, Alphabet("abc"))
-    calls = []
+def matmul_window_codes(arr, L, s):
+    """Reference window codes: every length-L window times the powers
+    of s, as a matrix product over a strided view."""
+    powers = (s ** np.arange(L - 1, -1, -1)).astype(np.int64)
+    return np.lib.stride_tricks.sliding_window_view(arr, L) @ powers
 
-    def counted(*args):
-        calls.append(args[1])
-        return window_codes(*args)
 
-    monkeypatch.setattr(measures, "window_codes", counted)
-    for L in range(1, 41):
-        want = window_codes(arr, L, 3)
-        got = src._window_codes(L)
-        if L < 40:
-            assert np.array_equal(got, want)
-        else:
-            # 40 ternary digits need 63.4 bits
-            assert want is None and got is None
-    assert calls == [1, 40]  # one packing; the guard refuses length 40
+def test_window_code_memo_matches_window_codes():
+    # window_codes builds length L by doubling; every length agrees
+    # with the matrix product, and 40 ternary digits (63.4 bits) are
+    # refused
+    arr = np.random.default_rng(5).integers(0, 3, 200)
+    for L in range(1, 40):
+        got = window_codes(arr, L, 3)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, matmul_window_codes(arr, L, 3))
+    assert window_codes(arr, 40, 3) is None
 
 
 def test_window_code_memo_restarts_off_the_walk():
     arr = np.random.default_rng(6).integers(0, 4, 300)
-    src = EmpiricalSource(arr, Alphabet("abcd"))
-    for L in (5, 3, 4, 9, 9, 1):
-        assert np.array_equal(src._window_codes(L), window_codes(arr, L, 4))
+    for L in (5, 3, 4, 9, 9, 1, 31, 32, 300):
+        if L <= 31:
+            assert np.array_equal(window_codes(arr, L, 4),
+                                  matmul_window_codes(arr, L, 4))
+        else:
+            assert window_codes(arr, L, 4) is None
+    ones = np.ones(64, dtype=np.int64)
+    assert window_codes(ones, 62, 2).tolist() == [2 ** 62 - 1] * 3
+
+
+def entropy_curve_oracle(src, L_max):
+    """H(1..L_max) of an observed sequence, one pass per length."""
+    return tuple(src.block_entropy(L) for L in range(1, L_max + 1))
+
+
+def gap_mi_grid_oracle(src, Ls, gs):
+    """Values and refusals of the gap grid, one pass per cell."""
+    values, missing = {}, {}
+    for L in Ls:
+        for g in gs:
+            try:
+                values[(L, g)] = src.gap_mutual_information(L, g)
+            except UndersampledError as e:
+                missing[(L, g)] = str(e)
+    return values, missing
+
+
+@st.composite
+def _marginal_route_cases(draw):
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    period = rng.choice(s, size=draw(st.integers(1, 9)))
+    noise = rng.integers(0, s, n)
+    flip = rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    seq = np.where(flip, noise, np.resize(period, n))
+    # L_max near n on short sequences, past the dense lengths on long ones
+    L_max = draw(st.integers(1, min(n + 1, 40)))
+    Ls = draw(st.lists(st.integers(1, 17), min_size=1, max_size=5))
+    gs = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    return s, seq, L_max, sorted(set(Ls)), sorted(set(gs) | {0})
+
+
+@given(_marginal_route_cases())
+@settings(max_examples=150, deadline=None)
+def test_marginal_route_matches_per_length_oracles(case):
+    s, seq, L_max, Ls, gs = case
+    src = EmpiricalSource(seq, Alphabet(str(a) for a in range(s)))
+    try:
+        want = entropy_curve_oracle(src, L_max)
+    except UndersampledError as e:
+        with pytest.raises(UndersampledError) as err:
+            entropy_curve(src, L_max)
+        assert str(err.value) == str(e)
+    else:
+        assert entropy_curve(src, L_max).H == want
+
+    grid = gap_mi_grid(src, Ls, gs)
+    values, missing = gap_mi_grid_oracle(src, Ls, gs)
+    assert grid.values == values
+    assert grid.missing == missing
+    for v in grid.values.values():
+        assert type(v) is float
+
+
+def _count_long_bincounts(monkeypatch, n):
+    calls = []
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        if np.size(x) >= n // 2:
+            calls.append(np.size(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return calls
+
+
+def test_dense_lengths_count_the_sequence_once(monkeypatch):
+    n = 200_000
+    seq = sample(lopsided_chain(), n, seed=4)
+    src = EmpiricalSource(seq)
+    calls = _count_long_bincounts(monkeypatch, n)
+    # 2**16 codes fit in the 199_985 windows of length 16
+    curve = entropy_curve(src, 16)
+    assert len(calls) == 1
+    del calls[:]
+    # 2**(2 * 6) pair codes fit at every gap
+    grid = gap_mi_grid(src, (1, 2, 3, 4, 5, 6), (0, 4, 8, 16, 32))
+    assert len(calls) == 5
+    assert not grid.missing
+    monkeypatch.undo()
+    assert curve.H == entropy_curve_oracle(src, 16)
+    assert (grid.values, grid.missing) == gap_mi_grid_oracle(
+        src, grid.L_grid, grid.g_grid)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -367,6 +457,10 @@ def test_distinct_counts_switch_agrees(extra):
     assert uniq.tolist() == want_uniq.tolist()
     assert counts.tolist() == want_counts.tolist()
     assert counts.dtype == np.int64
+    uniq, ranks = _ranks(codes, codes.size + extra)
+    assert uniq.tolist() == want_uniq.tolist()
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == np.searchsorted(want_uniq, codes).tolist()
     weights = rng.integers(1, 1000, 500)
     uniq, sums = _distinct_counts(codes, codes.size + extra, weights)
     want = {}

@@ -788,13 +788,40 @@ def test_ising_chain_is_built_once():
     assert m.as_markov() is m.as_markov()
 
 
+def zero_field_rate_bits(x: float) -> float:
+    """ln(2 cosh x) - x tanh x in bits, written without overflow:
+    the h = 0 entropy rate at x = beta J."""
+    e = math.exp(-2 * x)
+    return (math.log1p(e) + 2 * x * e / (1 + e)) / math.log(2)
+
+
 @pytest.mark.parametrize("h,beta,T", [(0.3, 500.0, "0.002"),
                                       (0.3, 333.0, "0.003003"),
                                       (0.0, 2000.0, "0.0005")])
 def test_ising_entropy_rate_overflow_names_the_temperature(h, beta, T):
-    # at h = 0.3, beta = 333 the overflow is silent: an inf product
-    with pytest.raises(ValueError, match=rf"beta = {beta:g} \(T = {T}\)"):
-        ising_entropy_rate(J=1.0, h=h, beta=beta)
+    # the transfer-matrix form overflowed here (past 2 beta (|J| + |h|)
+    # ~ 709) and was refused; the rate from the chain's rows is finite
+    assert f"{1 / beta:g}" == T
+    rate = ising_entropy_rate(J=1.0, h=h, beta=beta)
+    assert math.isfinite(rate) and 0 <= rate < 1e-200
+    if h == 0:
+        assert rate == zero_field_rate_bits(beta)
+
+
+def test_ising_entropy_rate_does_not_cancel_at_low_temperature():
+    # the rate from ln lambda_1 - (beta / lambda_1) dlambda_1/dbeta gave
+    # 4.1e-14 here, where the true rate is below 1e-40
+    assert 0 <= ising_entropy_rate(J=1.0, h=0.3, beta=1 / 0.0055) < 1e-40
+    for J, beta in [(1.0, 10.0), (1.0, 30.0), (0.5, 40.0)]:
+        assert ising_entropy_rate(J=J, h=0.0, beta=beta) == pytest.approx(
+            zero_field_rate_bits(beta * J), rel=1e-12)
+    # E = H(1) - h stays within [0, H(1)] where the spin law is a near
+    # point mass and 1 - P(-1) rounds to 1
+    for T in np.geomspace(0.004, 0.35, 15):
+        cf = closed_forms(IsingChainProcess(J=1.0, h=0.3, beta=1 / T))
+        H1 = cf.complexity_plus
+        assert 0 <= cf.entropy_rate <= H1
+        assert 0 <= cf.excess_entropy <= H1
 
 
 def test_ising_joint_symmetric_at_zero_field():
