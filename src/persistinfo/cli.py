@@ -25,6 +25,7 @@ from .emachine import reconstruct
 from .infocore import (
     Alphabet,
     _concat_pieces,
+    _distinct_rows,
     _exact_str,
     _fmt,
     _ranks,
@@ -253,8 +254,7 @@ def _comma_codes(text: str, path: str):
             distinct, codes[where] = _ranks(keys, 256 ** width)
             tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
         else:
-            distinct, ids = np.unique(rows, axis=0, return_inverse=True)
-            codes[where] = ids.ravel()
+            distinct, codes[where], _ = _distinct_rows(rows, 256)
             tokens = [row.tobytes() for row in distinct]
         groups.append((where, [t.decode() for t in tokens]))
     labels = sorted(label for _, found in groups for label in found)

@@ -42,7 +42,9 @@ Conventions
     H(L) and the gap MIs without building a word table.  The tables
     (:func:`empirical_block_distribution`, joint gap tables) remain
     for callers that need the words; only their distinct codes are
-    decoded, as one digit array per chunk of codes.
+    decoded, as one digit array per chunk of codes.  Windows too long
+    for 63-bit codes, and the windows of substitution pair images, are
+    sorted as rows of letters instead (``_distinct_rows``).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Alphabet",
@@ -846,24 +849,31 @@ def _ranks(codes: np.ndarray, size: int):
     return uniq, table[codes]
 
 
+def _distinct_rows(rows: np.ndarray, s: int):
+    """Distinct rows of a 2-D array of letters in range(s), in lex
+    order, each row's index among them, and their counts.  Rows of any
+    length are sorted as byte strings of big-endian letters."""
+    dtype = np.min_scalar_type(s - 1).newbyteorder(">")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    uniq, inverse, counts = np.unique(keys.ravel(), return_inverse=True,
+                                      return_counts=True)
+    return uniq.view(dtype).reshape(uniq.size, -1), inverse, counts
+
+
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):
     """Counts of all length-L windows of arr; returns (words, counts)
     with the counts as an int64 array.
 
     Windows are packed into base-s integer codes when they fit in 63
-    bits (the normal case); otherwise a plain dictionary pass is used.
+    bits (the normal case); otherwise they are sorted as rows.
     """
     codes = window_codes(arr, L, s)
     if codes is not None:
         uniq, counts = _distinct_counts(codes, s ** L)
         return decode_window_codes(uniq, L, s), counts
-    n = arr.size
-    counts: dict = {}
-    for i in range(n - L + 1):
-        w = tuple(arr[i:i + L].tolist())
-        counts[w] = counts.get(w, 0) + 1
-    return list(counts), np.fromiter(counts.values(), dtype=np.int64,
-                                     count=len(counts))
+    rows, _, counts = _distinct_rows(sliding_window_view(arr, L), s)
+    return list(map(tuple, rows.tolist())), counts
 
 
 def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .infocore import (
     Alphabet,
@@ -30,6 +31,7 @@ from .infocore import (
     _codes_fit,
     _coerce_sequence,
     _distinct_counts,
+    _distinct_rows,
     _entropy_of_counts,
     _exact_str,
     _fmt,
@@ -275,15 +277,11 @@ class EmpiricalSource:
             left = decode_window_codes(uniq // span, L, s)
             right = decode_window_codes(uniq % span, L, s)
             return list(zip(left, right)), counts
-        out: dict = {}
-        a = self.arr
-        for i in range(m):
-            key = (tuple(a[i:i + L].tolist()),
-                   tuple(a[i + L + g:i + 2 * L + g].tolist()))
-            out[key] = out.get(key, 0) + 1
-        _refuse_undersampled(len(out), m)
-        return list(out), np.fromiter(out.values(), dtype=np.int64,
-                                      count=len(out))
+        windows = sliding_window_view(self.arr, 2 * L + g)
+        rows, _, counts = _distinct_rows(
+            np.concatenate((windows[:, :L], windows[:, L + g:]), axis=1), s)
+        _refuse_undersampled(len(rows), m)
+        return [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()], counts
 
 
 def _sum_last_digit(counts: np.ndarray, s: int) -> np.ndarray:

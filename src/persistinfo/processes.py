@@ -19,8 +19,8 @@ i.i.d. models bridge the gap with a transition-matrix power instead of
 enumerating it, so the cap there applies only to the two visible
 blocks.  A substitution fixed point has far fewer factors than words:
 a length-n window is refused when n times factor_count_bound(n), a
-bound on the number of length-n factors computed from the rules alone
-(before any factor is enumerated), exceeds WINDOW_STATE_CAP letters.
+bound on the factor count from the rules alone, exceeds the cap; a gap
+law reads only the two blocks of each window, building no length-n word.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ from .infocore import (
     Word,
     _rational_weights,
     entropy_of_probs,
-    marginalize_gap,
     shannon_entropy,
 )
 from .substitution import (
     Substitution,
+    _pair_window_counts,
+    _pair_window_weights,
     factor_count_bound,
     factor_frequencies,
     fixed_point_array,
+    shortcut_power,
 )
 
 __all__ = [
@@ -922,8 +924,16 @@ class SubstitutionProcess:
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        window = self.block_distribution(2 * L + g)
-        return marginalize_gap(window, L, g)
+        n = 2 * L + g
+        _check_factor_cap(self.substitution, n)
+        pairs = factor_frequencies(self.substitution, 2)
+        rows, counts = _pair_window_counts(
+            self.substitution, shortcut_power(self.substitution, n),
+            ((0, L), (L + g, n)))
+        weights, D = _pair_window_weights(counts, pairs)
+        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
+        return JointBlockDistribution._trusted(
+            self.alphabet, L, g, L, dict(zip(keys, weights)), D)
 
     def closed_forms(self) -> ClosedForms:
         """Only the parity (Thue-Morse) fixed point has tabulated

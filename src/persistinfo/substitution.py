@@ -5,22 +5,21 @@ starting letter whose image begins with that letter, so the iterates
 converge to a one-sided fixed point.  This module computes, exactly
 where the arithmetic allows it:
 
-  * fixed-point prefixes and the factor sets of each length,
-  * the composition matrix and its Perron eigendata,
-  * the induced substitution on length-l factors, whose Perron
-    eigenvector gives the factor frequencies,
-  * the shortcut count matrix taking pair frequencies directly to
-    length-l factor frequencies without building the induced system,
+  * fixed-point prefixes, the composition matrix and its Perron
+    eigendata,
+  * factor sets, factor frequencies and gap laws, all from one count:
+    the windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), over the
+    pairs αβ of the fixed point (_pair_window_counts),
   * the factor-complexity function, and the closed-form block-entropy
     increments of the parity (Thue-Morse) fixed point.
 
 Factor frequencies take one of three routes by length: l = 1 reads the
 Perron eigenvector of the letter composition matrix, l = 2 that of the
-substitution induced on pairs (at most s**2 columns), and l >= 3 maps
-the pair frequencies through the shortcut count matrix at the smallest
-power p with every |ζ^p(a)| >= l - 1, which is integer counting only.
-The induced substitution on length-l factors stays available as an
-independent check of the shortcut route.
+pair count matrix at p = 1 (the composition matrix of the substitution
+induced on pairs), and l >= 3 maps the pair frequencies through the
+count matrix of length-l windows (the paper's shortcut matrix) at the
+smallest p with every |ζ^p(a)| >= l - 1.  The induced substitution on
+length-l factors stays only as an independent check of these routes.
 
 Frequencies come out as Fractions whenever the Perron root of the
 relevant composition matrix is rational (it is an integer then, since
@@ -37,6 +36,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._ratlinalg import rational_nullspace
 from .infocore import (
@@ -45,6 +45,8 @@ from .infocore import (
     ExactBits,
     Word,
     _concat_pieces,
+    _distinct_rows,
+    _rational_weights,
 )
 
 __all__ = [
@@ -247,37 +249,17 @@ def _boolmat_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X.astype(np.int64) @ Y.astype(np.int64)) > 0
 
 
-def _boolmat_pow(B: np.ndarray, k: int) -> np.ndarray:
-    result = np.eye(B.shape[0], dtype=bool)
-    base = B
-    while k:
-        if k & 1:
-            result = _boolmat_mul(result, base)
-        base = _boolmat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def _graph_period(B: np.ndarray) -> int:
-    """gcd of cycle lengths of a strongly connected digraph
-    (edge j -> i when B[i, j])."""
-    s = B.shape[0]
-    level = [-1] * s
-    level[0] = 0
-    queue = [0]
-    d = 0
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in np.flatnonzero(B[:, u]):
-                v = int(v)
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-                else:
-                    d = math.gcd(d, level[u] + 1 - level[v])
-        queue = nxt
-    return abs(d) if d else 1
+    """gcd of cycle lengths of a strongly connected digraph (edge j -> i
+    when B[i, j]), 0 if it has none: the gcd of the lengths k <= s of
+    its closed walks, since a closed walk splits into simple cycles and
+    no simple cycle is longer than s."""
+    period, walks = 0, np.eye(B.shape[0], dtype=bool)
+    for k in range(1, B.shape[0] + 1):
+        walks = _boolmat_mul(walks, B)
+        if walks.diagonal().any():
+            period = math.gcd(period, k)
+    return period
 
 
 @dataclass(frozen=True)
@@ -308,18 +290,14 @@ def primitivity(M) -> PerronFrobeniusData:
         raise ValueError("matrix must be square")
     if (A < 0).any():
         raise ValueError("matrix must be nonnegative")
-    s = A.shape[0]
     B = A > 0
     if not _reachability(B).all():
         raise ReducibleMatrixError("composition matrix is reducible")
-    # Wielandt bound: an irreducible matrix is primitive iff this power
-    # is strictly positive
-    primitive = bool(_boolmat_pow(B, (s - 1) ** 2 + 1).all())
-    period = 1 if primitive else _graph_period(B)
-
+    # an irreducible matrix is primitive iff it is aperiodic
+    period = _graph_period(B)
     theta, vec, exact = _perron_eigen(A)
     return PerronFrobeniusData(theta=theta, eigenvector=vec,
-                               primitive=primitive, irreducible=True,
+                               primitive=period == 1, irreducible=True,
                                period=period, exact=exact)
 
 
@@ -363,38 +341,12 @@ def _perron_eigen(A: np.ndarray):
 
 @lru_cache(maxsize=None)
 def factors_of_length(subst: Substitution, l: int) -> tuple:
-    """All length-l factors of the fixed point, in lexicographic order.
-
-    Scans fixed-point prefixes of doubling length until the factor set
-    is both stable under doubling and closed under taking length-l
-    windows of factor images anchored in the first letter's image.
-    For a primitive substitution these two conditions make the scan
-    provably exhaustive.
-    """
+    """All length-l factors of the fixed point, in lexicographic order:
+    the distinct windows of the pair images (see _pair_window_counts)."""
     if l < 1:
         raise ValueError("factor length must be positive")
-    n = max(64, 4 * l)
-    prev: Optional[frozenset] = None
-    while True:
-        prefix = fixed_point_prefix(subst, n)
-        found = frozenset(prefix[i:i + l] for i in range(len(prefix) - l + 1))
-        if prev == found and _factor_set_closed(subst, found, l):
-            return tuple(sorted(found))
-        prev = found
-        n *= 2
-        if n > 1 << 24:
-            raise RuntimeError("factor scan did not stabilize")
-
-
-def _factor_set_closed(subst: Substitution, factors: frozenset, l: int) -> bool:
-    for w in factors:
-        image = subst.apply(w)
-        if len(image) < l:
-            return False
-        for t in range(len(subst.rules[w[0]])):
-            if image[t:t + l] not in factors:
-                return False
-    return True
+    rows, _ = _pair_window_counts(subst, shortcut_power(subst, l), ((0, l),))
+    return tuple(map(tuple, rows.tolist()))
 
 
 def induced_substitution(subst: Substitution, l: int) -> Substitution:
@@ -435,11 +387,12 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     length-l factors.  Requires a primitive substitution; frequencies
     then exist and are positive for every factor.
 
-    l = 1 reads the letter Perron eigenvector and l = 2 the Perron
-    eigenvector of the substitution induced on pairs.  l >= 3 maps the
-    pair frequencies through shortcut_matrix at shortcut_power(subst, l),
-    so no linear system larger than the pair one is solved; the result
-    is exact exactly when the pair table is.
+    l = 1 reads the letter Perron eigenvector.  l = 2 reads the Perron
+    eigenvector of the pair count matrix at power 1, which is the
+    composition matrix of the substitution induced on pairs.  l >= 3
+    maps the pair frequencies through shortcut_matrix at
+    shortcut_power(subst, l), so no linear system larger than the pair
+    one is solved; the result is exact exactly when the pair table is.
     """
     pf_letters = primitivity(composition_matrix(subst))
     if not pf_letters.primitive:
@@ -449,10 +402,12 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
         freq = {w: pf_letters.eigenvector[w[0]] for w in factors}
         return FactorTable(1, factors, freq, pf_letters.exact)
     if l == 2:
-        pf = primitivity(composition_matrix(induced_substitution(subst, 2)))
-        factors = factors_of_length(subst, 2)
-        freq = {w: pf.eigenvector[i] for i, w in enumerate(factors)}
-        return FactorTable(2, factors, freq, pf.exact)
+        # the rows are the pairs themselves, in the column order
+        rows, C = _pair_window_counts(subst, 1, ((0, 2),))
+        pf = primitivity(C)
+        factors = tuple(map(tuple, rows.tolist()))
+        return FactorTable(2, factors, dict(zip(factors, pf.eigenvector)),
+                           pf.exact)
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
     return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
                        sc.exact)
@@ -480,42 +435,35 @@ class ShortcutData:
     exact: bool
 
 
-def _image_lengths(subst: Substitution, power: int) -> list:
-    """|ζ^p(a)| for every letter a: the column sums of M^p, as Python
-    ints (row vector of ones times M, p times)."""
-    M = composition_matrix(subst).M.tolist()
-    s = len(M)
-    lengths = [1] * s
-    for _ in range(power):
-        lengths = [sum(lengths[i] * M[i][j] for i in range(s))
-                   for j in range(s)]
-    return lengths
+def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
+    """shortcut_power(subst, l) and |ζ^p(a)| for every letter a at that
+    power p, the column sums of M^p, as Python ints.  The shortest
+    image grows at least once every s powers when every letter's images
+    grow, as Substitution checks unless built with check=False."""
+    M = composition_matrix(subst).M.astype(object)
+    p, lengths, stalled = 1, M.sum(axis=0), 0
+    while min(lengths) < l - 1:
+        longer = lengths @ M
+        stalled = 0 if min(longer) > min(lengths) else stalled + 1
+        if stalled > len(M):
+            raise ValueError("iterated images of some letter do not grow")
+        p, lengths = p + 1, longer
+    return p, lengths.tolist()
 
 
 def shortcut_power(subst: Substitution, l: int) -> int:
     """Smallest power p >= 1 with min_a |ζ^p(a)| >= l - 1, the least p
-    that shortcut_matrix accepts for length l.  The shortest image grows
-    at least once every s powers when every letter's images grow, as
-    Substitution checks unless built with check=False."""
-    p, stalled = 1, 0
-    shortest = min(_image_lengths(subst, 1))
-    while shortest < l - 1:
-        p += 1
-        longer = min(_image_lengths(subst, p))
-        stalled = 0 if longer > shortest else stalled + 1
-        if stalled > len(subst.alphabet):
-            raise ValueError("iterated images of some letter do not grow")
-        shortest = longer
-    return p
+    that shortcut_matrix accepts for length l."""
+    return _shortcut_lengths(subst, l)[0]
 
 
 @lru_cache(maxsize=None)
 def _pair_factors(subst: Substitution) -> frozenset:
-    """Length-2 factors of a primitive substitution's fixed point,
-    without scanning it: the smallest pair set holding the pairs inside
-    every letter image and the pairs of ζ(αβ) for each of its pairs αβ."""
+    """Length-2 factors of the fixed point, without scanning it: the
+    smallest pair set holding its leading pair and the pairs of ζ(αβ)
+    for each of its pairs αβ, so unreachable letters add none."""
     found: set = set()
-    todo = [w[i:i + 2] for w in subst.rules for i in range(len(w) - 1)]
+    todo = [fixed_point_prefix(subst, 2)]
     while todo:
         pair = todo.pop()
         if pair not in found:
@@ -523,6 +471,49 @@ def _pair_factors(subst: Substitution) -> frozenset:
             image = subst.apply(pair)
             todo.extend(image[i:i + 2] for i in range(len(image) - 1))
     return frozenset(found)
+
+
+def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
+    """The windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), for the
+    pairs αβ of the fixed point in lex order, each read through
+    ``spans`` ((start, stop), ...) as one row of letters: the distinct
+    rows in lex order, and the int64 matrix counting each row (down)
+    per pair (across).  Once every |ζ^p| >= n − 1, the rows of width n
+    are the length-n factors and the matrix is the shortcut matrix."""
+    s, width = len(subst.alphabet), max(stop for _, stop in spans)
+    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
+    for _ in range(power):
+        images = [np.concatenate([images[b] for b in rule])
+                  for rule in subst.rules]
+    if min(map(len, images)) < width - 1:
+        raise ValueError(f"power {power} is too small: need every ζ^p"
+                         f" image at least {width - 1} letters long")
+    pairs = sorted(_pair_factors(subst))
+    rows = []
+    for alpha, beta in pairs:
+        w = sliding_window_view(np.concatenate((images[alpha], images[beta])),
+                                width)[:len(images[alpha])]
+        rows.append(np.concatenate([w[:, a:b] for a, b in spans], axis=1))
+    distinct, inverse, _ = _distinct_rows(np.concatenate(rows), s)
+    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
+    counts = np.bincount(inverse * len(pairs) + owner,
+                         minlength=len(distinct) * len(pairs))
+    counts = counts.reshape(len(distinct), len(pairs))
+    counts.setflags(write=False)
+    return distinct, counts
+
+
+def _pair_window_weights(counts: np.ndarray, pairs: "FactorTable") -> tuple:
+    """Row weights Σ_j counts[i, j]·v2[j] under the pair table: integer
+    weights and their sum when it is exact, else probabilities and None."""
+    v2 = [pairs.freq[w] for w in pairs.factors]
+    if pairs.exact:
+        v2 = _rational_weights(v2)[0]
+    raw = (counts.astype(object) @ np.array(v2, dtype=object)).tolist()
+    total = sum(raw)
+    if pairs.exact:
+        return raw, total
+    return [x / total for x in raw], None
 
 
 def factor_count_bound(subst: Substitution, n: int) -> int:
@@ -535,7 +526,7 @@ def factor_count_bound(subst: Substitution, n: int) -> int:
     """
     if n < 1:
         raise ValueError("factor length must be positive")
-    lengths = _image_lengths(subst, shortcut_power(subst, n))
+    _, lengths = _shortcut_lengths(subst, n)
     return sum(lengths[alpha] for alpha, _ in _pair_factors(subst))
 
 
@@ -544,32 +535,16 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         raise ValueError("factor length must be at least 2")
     if power < 1:
         raise ValueError("power must be positive")
-    if min(_image_lengths(subst, power)) < l - 1:
-        raise ValueError(
-            f"power {power} is too small: need every ζ^p image at least"
-            f" {l - 1} letters long so windows anchored in the first image"
-            " never outrun the pair")
-    factors_l = factors_of_length(subst, l)
-    factors_2 = factors_of_length(subst, 2)
-    index_l = {w: i for i, w in enumerate(factors_l)}
-    images = [subst.iterate_letter(a, power) for a in range(len(subst.alphabet))]
-    C = np.zeros((len(factors_l), len(factors_2)), dtype=np.int64)
-    for j, (alpha, beta) in enumerate(factors_2):
-        w = images[alpha] + images[beta]
-        for t in range(len(images[alpha])):
-            window = w[t:t + l]
-            if len(window) == l:
-                C[index_l[window], j] += 1
-    C.setflags(write=False)
-
+    rows, C = _pair_window_counts(subst, power, ((0, l),))
     pair_table = factor_frequencies(subst, 2)
-    v2 = tuple(pair_table.freq[w] for w in factors_2)
-    raw = [sum(int(C[i, j]) * v2[j] for j in range(len(factors_2)))
-           for i in range(len(factors_l))]
-    total = sum(raw)
-    v_l = tuple(x / total for x in raw)
-    return ShortcutData(matrix=C, factors_l=factors_l, factors_2=factors_2,
-                        v2=v2, v_l=v_l, power=power, exact=pair_table.exact)
+    weights, D = _pair_window_weights(C, pair_table)
+    v_l = tuple(weights) if D is None else tuple(
+        Fraction(w, D) for w in weights)
+    return ShortcutData(
+        matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
+        factors_2=pair_table.factors,
+        v2=tuple(pair_table.freq[w] for w in pair_table.factors),
+        v_l=v_l, power=power, exact=pair_table.exact)
 
 
 # ── complexity and parity-sequence entropy increments ───────────────

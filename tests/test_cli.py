@@ -85,7 +85,9 @@ def test_entropy_sequence_file_comma_alphabet(tmp_path, capsys):
 
 def test_comma_sequence_file_labels_and_codes(tmp_path):
     from persistinfo.cli import _load_sequence
-    labels = ["héllo", "-1", "↑", "+1", "-1", "↑", "héllo", "-1"]
+    # 8 or more bytes do not fit one 63-bit code: sorted as byte rows
+    labels = ["héllo", "-1", "↑", "+1", "-1", "↑", "héllo", "-1",
+              "state_b_9", "state_a_9", "état_long", "state_b_9"]
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
     src = _load_sequence(str(p))

@@ -8,6 +8,7 @@ them, not the other way around.
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -315,6 +316,19 @@ def test_empirical_two_symbol_windows():
     assert d.probs == {(0, 1): pytest.approx(2 / 3), (1, 0): pytest.approx(1 / 3)}
     e = empirical_block_distribution("0101", 2, exact=True)
     assert e.probs == {(0, 1): F(2, 3), (1, 0): F(1, 3)}
+
+
+def test_empirical_windows_past_63_bits_come_counted_in_lex_order():
+    # 8 letters of a 300-letter alphabet overflow 63-bit codes, so the
+    # windows are sorted as rows of two-byte letters; 1 < 256 must hold
+    rng = np.random.default_rng(3)
+    arr = np.concatenate([rng.integers(0, 300, 500),
+                          np.tile([299, 0, 256, 1], 100)])
+    alphabet = Alphabet(str(i) for i in range(300))
+    d = empirical_block_distribution(arr, 8, alphabet=alphabet, exact=True)
+    want = Counter(tuple(arr[i:i + 8].tolist()) for i in range(arr.size - 7))
+    assert list(d.weights) == sorted(want)
+    assert d.weights == dict(want)
 
 
 def test_empirical_degenerate():

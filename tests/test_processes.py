@@ -6,6 +6,7 @@ the implementation must reproduce them.
 """
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction as F
@@ -23,10 +24,11 @@ from persistinfo.infocore import (
     ExactBits,
     empirical_block_distribution,
     log2_of,
+    marginalize_gap,
     mutual_information,
     shannon_entropy,
 )
-from persistinfo.measures import gap_mi_grid
+from persistinfo.measures import gap_mi_grid, pmi_verdict
 from persistinfo.processes import (
     WINDOW_STATE_CAP,
     ClosedFormUnavailable,
@@ -44,7 +46,13 @@ from persistinfo.processes import (
     reversed_model,
     sample,
 )
-from persistinfo.substitution import fibonacci, thue_morse
+from persistinfo.substitution import (
+    composition_matrix,
+    fibonacci,
+    induced_substitution,
+    primitivity,
+    thue_morse,
+)
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 
@@ -882,6 +890,74 @@ def test_substitution_joint_marginals():
     j = joint_gap_distribution(m, 2, 1)
     assert j.left_marginal().probs == block_distribution(m, 2).probs
     assert j.right_marginal().probs == block_distribution(m, 2).probs
+
+
+def _summed_window_law(window_probs, L, g):
+    """Joint law of (w[:L], w[L+g:]) from a window law, summed by hand."""
+    out: dict = {}
+    for w, p in window_probs:
+        key = (w[:L], w[L + g:])
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def _assert_same_law(got, want, exact):
+    assert got.keys() == want.keys()
+    if exact:
+        assert got == want
+    else:
+        assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+def test_substitution_gap_laws_match_marginalized_windows(L):
+    # against the whole length-(2L+g) window law, marginalized
+    for subst, exact in ((thue_morse(), True), (fibonacci(), False)):
+        m = SubstitutionProcess(subst)
+        for g in (0, 1, 2, 7, 31, 64, 255, 256):
+            got = joint_gap_distribution(m, L, g)
+            want = marginalize_gap(block_distribution(m, 2 * L + g), L, g)
+            assert got.exact == want.exact == exact
+            _assert_same_law(dict(got.probs), dict(want.probs), exact)
+
+
+def test_substitution_gap_laws_match_induced_perron_oracle():
+    # window laws from the Perron vector of the substitution induced on
+    # length-n factors, n = 2L + g <= 16
+    for subst, exact in ((thue_morse(), True), (fibonacci(), False)):
+        m = SubstitutionProcess(subst)
+        for n in range(2, 17):
+            induced = induced_substitution(subst, n)
+            v = primitivity(composition_matrix(induced)).eigenvector
+            words = [subst.alphabet.encode(label)
+                     for label in induced.alphabet.symbols]
+            for L in range(1, n // 2 + 1):
+                g = n - 2 * L
+                want = _summed_window_law(zip(words, v), L, g)
+                got = dict(joint_gap_distribution(m, L, g).probs)
+                _assert_same_law(got, want, exact)
+
+
+def test_thue_morse_pmi_diverges_out_to_long_gaps():
+    grid = gap_mi_grid(SubstitutionProcess(thue_morse()), (2, 3, 4),
+                       (1024, 2048, 4088))
+    assert not grid.missing and grid.exact
+    assert pmi_verdict(grid).verdict.kind == "diverging"
+
+
+def test_long_thue_morse_gap_cell_builds_no_long_words():
+    # a whole-window law, every length-2056 factor as a tuple, peaks
+    # near 195 MB here
+    m = SubstitutionProcess(thue_morse())
+    tracemalloc.start()
+    try:
+        j = joint_gap_distribution(m, 4, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert j.left_marginal().probs == block_distribution(m, 4).probs
+    assert j.right_marginal().probs == block_distribution(m, 4).probs
 
 
 def test_substitution_window_cap(monkeypatch):

@@ -388,6 +388,24 @@ def test_complexity_increments_by_ranges():
 def test_constant_substitution_complexity():
     doubler = Substitution.from_strings({"0": "00"}, start="0")
     assert [complexity_function(doubler, n) for n in (1, 3, 7)] == [1, 1, 1]
+    # 1 never occurs in the fixed point 000..., so 11 is no factor
+    split = Substitution.from_strings({"0": "00", "1": "11"}, start="0")
+    assert [complexity_function(split, n) for n in (1, 3, 7)] == [1, 1, 1]
+
+
+ABC_RULES = {"a": "abc", "b": "ac", "c": "b"}
+
+
+@pytest.mark.parametrize("subst", [
+    thue_morse(), fibonacci(), Substitution.from_strings(ABC_RULES, start="a"),
+], ids=["tm", "fib", "abc"])
+def test_factor_sets_match_prefix_rescan(subst):
+    # every factor of length n <= 64 of these three occurs within the
+    # first 7n letters, so a 2^13-letter prefix holds them all
+    prefix = bytes(fixed_point_prefix(subst, 1 << 13))
+    for n in range(1, 65):
+        rescan = sorted({prefix[i:i + n] for i in range(len(prefix) - n + 1)})
+        assert [bytes(w) for w in factors_of_length(subst, n)] == rescan
 
 
 def test_entropy_increment_closed_form():
