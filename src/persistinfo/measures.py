@@ -277,7 +277,8 @@ class EmpiricalSource:
             left = decode_window_codes(uniq // span, L, s)
             right = decode_window_codes(uniq % span, L, s)
             return list(zip(left, right)), counts
-        windows = sliding_window_view(self.arr, 2 * L + g)
+        windows = sliding_window_view(
+            self.arr.astype(np.min_scalar_type(s - 1)), 2 * L + g)
         rows, _, counts = _distinct_rows(
             np.concatenate((windows[:, :L], windows[:, L + g:]), axis=1), s)
         _refuse_undersampled(len(rows), m)

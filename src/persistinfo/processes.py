@@ -926,11 +926,11 @@ class SubstitutionProcess:
             raise ValueError("need L >= 1 and g >= 0")
         n = 2 * L + g
         _check_factor_cap(self.substitution, n)
-        pairs = factor_frequencies(self.substitution, 2)
+        pair_table = factor_frequencies(self.substitution, 2)
         rows, counts = _pair_window_counts(
             self.substitution, shortcut_power(self.substitution, n),
             ((0, L), (L + g, n)))
-        weights, D = _pair_window_weights(counts, pairs)
+        weights, D = _pair_window_weights(counts, pair_table)
         keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
         return JointBlockDistribution._trusted(
             self.alphabet, L, g, L, dict(zip(keys, weights)), D)

@@ -503,15 +503,15 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     return distinct, counts
 
 
-def _pair_window_weights(counts: np.ndarray, pairs: "FactorTable") -> tuple:
+def _pair_window_weights(counts: np.ndarray, pair_table: "FactorTable"):
     """Row weights Σ_j counts[i, j]·v2[j] under the pair table: integer
     weights and their sum when it is exact, else probabilities and None."""
-    v2 = [pairs.freq[w] for w in pairs.factors]
-    if pairs.exact:
+    v2 = [pair_table.freq[w] for w in pair_table.factors]
+    if pair_table.exact:
         v2 = _rational_weights(v2)[0]
     raw = (counts.astype(object) @ np.array(v2, dtype=object)).tolist()
     total = sum(raw)
-    if pairs.exact:
+    if pair_table.exact:
         return raw, total
     return [x / total for x in raw], None
 
