@@ -522,6 +522,13 @@ def _load_substitution(cfg: RunConfig) -> Substitution:
 
 
 def cmd_substitution(cfg: RunConfig) -> int:
+    if cfg.show_shortcut and cfg.p is None:
+        raise ValueError("--p (the substitution power) is required "
+                         "with --show-shortcut")
+    if cfg.show_shortcut and cfg.format == "csv":
+        raise ValueError("--show-shortcut needs --format table or json")
+    if cfg.p is not None and not cfg.show_shortcut:
+        raise ValueError("--p is read only with --show-shortcut")
     sub = _load_substitution(cfg)
     table = factor_frequencies(sub, cfg.l)
     dec = sub.alphabet.decode
@@ -549,15 +556,8 @@ def cmd_substitution(cfg: RunConfig) -> int:
     return 0
 
 
-def _shortcut_data(sub: Substitution, cfg: RunConfig):
-    if cfg.p is None:
-        raise ValueError("--p (the substitution power) is required "
-                         "with --show-shortcut")
-    return shortcut_matrix(sub, cfg.l, cfg.p)
-
-
 def _shortcut_lines(sub: Substitution, cfg: RunConfig) -> list:
-    data = _shortcut_data(sub, cfg)
+    data = shortcut_matrix(sub, cfg.l, cfg.p)
     dec = sub.alphabet.decode
     lines = [f"shortcut count matrix (length-{cfg.l} factors x pairs, "
              f"power {data.power}):"]
@@ -574,7 +574,7 @@ def _shortcut_lines(sub: Substitution, cfg: RunConfig) -> list:
 
 
 def _shortcut_dict(sub: Substitution, cfg: RunConfig) -> dict:
-    data = _shortcut_data(sub, cfg)
+    data = shortcut_matrix(sub, cfg.l, cfg.p)
     dec = sub.alphabet.decode
     return {
         "power": data.power,
@@ -655,9 +655,11 @@ def cmd_sample(cfg: RunConfig) -> int:
 # ── parser and entry point ────────────────────────────────────────────────────
 
 
-def _add_common(sp: argparse.ArgumentParser, backend: bool = False) -> None:
-    sp.add_argument("--format", choices=("csv", "json", "table"),
-                    default="table")
+def _add_common(sp: argparse.ArgumentParser, backend: bool = False,
+                formats=("table", "csv", "json")) -> None:
+    """--format (the first of ``formats`` is the default), --out, and
+    --backend where the command reads it."""
+    sp.add_argument("--format", choices=formats, default=formats[0])
     sp.add_argument("--out", help="write here instead of standard output")
     if backend:
         sp.add_argument("--backend", choices=("exact", "float"),
@@ -694,7 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table1", help="closed forms vs recomputed "
                         "pipeline for the built-in model family")
-    _add_common(sp)
+    _add_common(sp, formats=("table", "json"))
     sp.set_defaults(func=cmd_table1)
 
     sp = sub.add_parser("substitution", help="factor frequencies of a "
@@ -717,7 +719,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Tmin", type=float, default=0.1)
     sp.add_argument("--Tmax", type=float, default=10.0)
     sp.add_argument("--points", type=int, default=40)
-    _add_common(sp)
+    _add_common(sp, formats=("csv", "json"))
     sp.set_defaults(func=cmd_ising)
 
     sp = sub.add_parser("sample", help="emit one sequence line from a "

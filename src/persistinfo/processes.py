@@ -918,22 +918,31 @@ class SubstitutionProcess:
         if L < 1:
             raise ValueError("block length must be >= 1")
         _check_factor_cap(self.substitution, L)
-        return factor_frequencies(self.substitution, L).as_distribution(
-            self.alphabet)
+        if L < 3:
+            return factor_frequencies(self.substitution, L).as_distribution(
+                self.alphabet)
+        rows, weights, D = self._window_weights(L, ((0, L),))
+        return BlockDistribution._trusted(
+            self.alphabet, L, dict(zip(map(tuple, rows), weights)), D)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
         n = 2 * L + g
         _check_factor_cap(self.substitution, n)
-        pair_table = factor_frequencies(self.substitution, 2)
-        rows, counts = _pair_window_counts(
-            self.substitution, shortcut_power(self.substitution, n),
-            ((0, L), (L + g, n)))
-        weights, D = _pair_window_weights(counts, pair_table)
-        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
+        rows, weights, D = self._window_weights(n, ((0, L), (L + g, n)))
+        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows]
         return JointBlockDistribution._trusted(
             self.alphabet, L, g, L, dict(zip(keys, weights)), D)
+
+    def _window_weights(self, n: int, spans) -> tuple:
+        """The length-n windows of the pair images at the shortcut power,
+        read through ``spans``: their distinct rows as lists of letters,
+        with weights over one denominator (None for a float table)."""
+        subst = self.substitution
+        rows, counts = _pair_window_counts(subst, shortcut_power(subst, n),
+                                           spans)
+        return (rows.tolist(), *_pair_window_weights(counts, subst))
 
     def closed_forms(self) -> ClosedForms:
         """Only the parity (Thue-Morse) fixed point has tabulated

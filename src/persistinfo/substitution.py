@@ -25,6 +25,13 @@ Frequencies come out as Fractions whenever the Perron root of the
 relevant composition matrix is rational (it is an integer then, since
 the characteristic polynomial is monic with integer coefficients);
 otherwise floats from power iteration.
+
+What a substitution determines is built once per substitution and
+process (Substitution is immutable and hashable): the letter Perron
+data with its primitivity check and the pair frequencies with their
+integer weights (_perron_data), the pair factors, the factor sets, and
+the shortcut powers with their image lengths.  The images ζ^p(a) are
+kept for the few most recent powers p.
 """
 
 from __future__ import annotations
@@ -382,6 +389,41 @@ class FactorTable:
         return BlockDistribution(alphabet, self.length, self.freq)
 
 
+@dataclass(frozen=True)
+class _PerronData:
+    """The Perron systems of a primitive substitution, solved once.
+
+    ``letters`` is the eigendata of the letter composition matrix.
+    ``pairs`` are the length-2 factors in lex order and ``pair_freq``
+    their frequencies, the Perron vector of the pair count matrix at
+    p = 1 (Fractions when ``pair_exact``, else floats).
+    ``pair_weights`` are those frequencies as integers over one
+    denominator when exact, else the floats themselves.
+    """
+
+    letters: PerronFrobeniusData
+    pairs: tuple
+    pair_freq: tuple
+    pair_exact: bool
+    pair_weights: tuple
+
+
+@lru_cache(maxsize=None)
+def _perron_data(subst: Substitution) -> _PerronData:
+    """Letter and pair Perron data; raises NonPrimitiveError unless the
+    substitution is primitive."""
+    letters = primitivity(composition_matrix(subst))
+    if not letters.primitive:
+        raise NonPrimitiveError("factor frequencies require primitivity")
+    # the rows are the pairs themselves, in the column order
+    rows, C = _pair_window_counts(subst, 1, ((0, 2),))
+    pf = primitivity(C)
+    weights = (_rational_weights(pf.eigenvector)[0] if pf.exact
+               else pf.eigenvector)
+    return _PerronData(letters, tuple(map(tuple, rows.tolist())),
+                       pf.eigenvector, pf.exact, tuple(weights))
+
+
 def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     """Exact (when the Perron root is rational) frequencies of the
     length-l factors.  Requires a primitive substitution; frequencies
@@ -393,21 +435,20 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     maps the pair frequencies through shortcut_matrix at
     shortcut_power(subst, l), so no linear system larger than the pair
     one is solved; the result is exact exactly when the pair table is.
+    Both eigenvectors are solved once per substitution; each call
+    returns a table of its own.
     """
-    pf_letters = primitivity(composition_matrix(subst))
-    if not pf_letters.primitive:
-        raise NonPrimitiveError("factor frequencies require primitivity")
+    if l < 1:
+        raise ValueError("factor length must be positive")
+    data = _perron_data(subst)
     if l == 1:
         factors = factors_of_length(subst, 1)
-        freq = {w: pf_letters.eigenvector[w[0]] for w in factors}
-        return FactorTable(1, factors, freq, pf_letters.exact)
+        freq = {w: data.letters.eigenvector[w[0]] for w in factors}
+        return FactorTable(1, factors, freq, data.letters.exact)
     if l == 2:
-        # the rows are the pairs themselves, in the column order
-        rows, C = _pair_window_counts(subst, 1, ((0, 2),))
-        pf = primitivity(C)
-        factors = tuple(map(tuple, rows.tolist()))
-        return FactorTable(2, factors, dict(zip(factors, pf.eigenvector)),
-                           pf.exact)
+        return FactorTable(2, data.pairs,
+                           dict(zip(data.pairs, data.pair_freq)),
+                           data.pair_exact)
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
     return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
                        sc.exact)
@@ -435,11 +476,13 @@ class ShortcutData:
     exact: bool
 
 
+@lru_cache(maxsize=None)
 def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
     """shortcut_power(subst, l) and |ζ^p(a)| for every letter a at that
-    power p, the column sums of M^p, as Python ints.  The shortest
-    image grows at least once every s powers when every letter's images
-    grow, as Substitution checks unless built with check=False."""
+    power p, the column sums of M^p, as a tuple of Python ints.  The
+    shortest image grows at least once every s powers when every
+    letter's images grow, as Substitution checks unless built with
+    check=False."""
     M = composition_matrix(subst).M.astype(object)
     p, lengths, stalled = 1, M.sum(axis=0), 0
     while min(lengths) < l - 1:
@@ -448,7 +491,7 @@ def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
         if stalled > len(M):
             raise ValueError("iterated images of some letter do not grow")
         p, lengths = p + 1, longer
-    return p, lengths.tolist()
+    return p, tuple(lengths.tolist())
 
 
 def shortcut_power(subst: Substitution, l: int) -> int:
@@ -473,6 +516,24 @@ def _pair_factors(subst: Substitution) -> frozenset:
     return frozenset(found)
 
 
+#: ζ^p images a process keeps, one set per (substitution, power)
+IMAGE_POWERS_KEPT = 8
+
+
+@lru_cache(maxsize=IMAGE_POWERS_KEPT)
+def _images(subst: Substitution, power: int) -> tuple:
+    """ζ^p(a) for every letter a, as read-only arrays of the smallest
+    unsigned dtype that holds the letters."""
+    s = len(subst.alphabet)
+    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
+    for _ in range(power):
+        images = [np.concatenate([images[b] for b in rule])
+                  for rule in subst.rules]
+    for image in images:
+        image.setflags(write=False)
+    return tuple(images)
+
+
 def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     """The windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), for the
     pairs αβ of the fixed point in lex order, each read through
@@ -481,10 +542,7 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     per pair (across).  Once every |ζ^p| >= n − 1, the rows of width n
     are the length-n factors and the matrix is the shortcut matrix."""
     s, width = len(subst.alphabet), max(stop for _, stop in spans)
-    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
-    for _ in range(power):
-        images = [np.concatenate([images[b] for b in rule])
-                  for rule in subst.rules]
+    images = _images(subst, power)
     if min(map(len, images)) < width - 1:
         raise ValueError(f"power {power} is too small: need every ζ^p"
                          f" image at least {width - 1} letters long")
@@ -503,15 +561,15 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     return distinct, counts
 
 
-def _pair_window_weights(counts: np.ndarray, pair_table: "FactorTable"):
-    """Row weights Σ_j counts[i, j]·v2[j] under the pair table: integer
-    weights and their sum when it is exact, else probabilities and None."""
-    v2 = [pair_table.freq[w] for w in pair_table.factors]
-    if pair_table.exact:
-        v2 = _rational_weights(v2)[0]
-    raw = (counts.astype(object) @ np.array(v2, dtype=object)).tolist()
+def _pair_window_weights(counts: np.ndarray, subst: Substitution):
+    """Row weights Σ_j counts[i, j]·v2[j] under the pair table of
+    ``subst``: integer weights and their sum when it is exact, else
+    probabilities and None."""
+    data = _perron_data(subst)
+    raw = (counts.astype(object)
+           @ np.array(data.pair_weights, dtype=object)).tolist()
     total = sum(raw)
-    if pair_table.exact:
+    if data.pair_exact:
         return raw, total
     return [x / total for x in raw], None
 
@@ -536,15 +594,14 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
     if power < 1:
         raise ValueError("power must be positive")
     rows, C = _pair_window_counts(subst, power, ((0, l),))
-    pair_table = factor_frequencies(subst, 2)
-    weights, D = _pair_window_weights(C, pair_table)
+    data = _perron_data(subst)
+    weights, D = _pair_window_weights(C, subst)
     v_l = tuple(weights) if D is None else tuple(
         Fraction(w, D) for w in weights)
     return ShortcutData(
         matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
-        factors_2=pair_table.factors,
-        v2=tuple(pair_table.freq[w] for w in pair_table.factors),
-        v_l=v_l, power=power, exact=pair_table.exact)
+        factors_2=data.pairs, v2=data.pair_freq,
+        v_l=v_l, power=power, exact=data.pair_exact)
 
 
 # ── complexity and parity-sequence entropy increments ───────────────

@@ -179,6 +179,17 @@ def test_backend_is_rejected_where_it_would_be_ignored(capsys, argv):
     assert "--backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("table1", "--format", "csv"),
+    ("ising", "--points", "3", "--format", "table"),
+])
+def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 # ── pmi ───────────────────────────────────────────────────────────────────────
 
 
@@ -323,6 +334,25 @@ def test_substitution_shortcut_requires_power(capsys):
                        "--l", "5", "--show-shortcut")
     assert code == 1
     assert "--p" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--show-shortcut", "--p", "3", "--format", "csv"), "--show-shortcut"),
+    (("--p", "3"), "--p"),
+])
+def test_substitution_shortcut_flags_are_not_ignored(capsys, argv, flag):
+    code, out, err = run(capsys, "substitution", "--rules", "tm",
+                         "--l", "5", *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("l", ["0", "-3"])
+def test_substitution_nonpositive_length_names_the_cause(capsys, l):
+    code, _, err = run(capsys, "substitution", "--rules", "tm", "--l", l)
+    assert code == 1
+    assert "factor length must be positive" in err
 
 
 def test_substitution_power_too_small(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from persistinfo import processes
+from persistinfo import processes, substitution
 from persistinfo.emachine import NonUnifilarError, reconstruct
 from persistinfo.infocore import (
     Alphabet,
@@ -48,6 +48,7 @@ from persistinfo.processes import (
 )
 from persistinfo.substitution import (
     composition_matrix,
+    factor_frequencies,
     fibonacci,
     induced_substitution,
     primitivity,
@@ -936,6 +937,51 @@ def test_substitution_gap_laws_match_induced_perron_oracle():
                 want = _summed_window_law(zip(words, v), L, g)
                 got = dict(joint_gap_distribution(m, L, g).probs)
                 _assert_same_law(got, want, exact)
+
+
+def _clear_substitution_memos():
+    for memo in (substitution._perron_data, substitution._shortcut_lengths,
+                 substitution._images, substitution._pair_factors,
+                 substitution.factors_of_length):
+        memo.cache_clear()
+
+
+def _counted_solves(monkeypatch) -> list:
+    solved = []
+    solve = substitution.rational_nullspace
+
+    def counted(rows):
+        solved.append(len(rows))
+        return solve(rows)
+
+    monkeypatch.setattr(substitution, "rational_nullspace", counted)
+    return solved
+
+
+def test_substitution_perron_systems_are_solved_once(monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    tm = SubstitutionProcess(thue_morse())
+    per_grid = []
+    for L_grid, g_grid in (((1,), (2,)), ((1, 2, 3, 4, 5), (2, 4, 8, 16))):
+        _clear_substitution_memos()
+        solved.clear()
+        gap_mi_grid(tm, L_grid, g_grid)
+        per_grid.append(sorted(solved))
+    # one letter system (2 x 2) and one pair system (4 x 4), whatever
+    # the grid; a solve per cell made 40 for the larger grid
+    assert per_grid[0] == per_grid[1] == [2, 4]
+
+
+def test_fibonacci_pair_table_is_iterated_once(monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    _clear_substitution_memos()
+    first = factor_frequencies(fibonacci(), 2)
+    assert solved
+    solved.clear()
+    second = factor_frequencies(fibonacci(), 2)
+    assert not first.exact
+    assert first == second
+    assert solved == []
 
 
 def test_thue_morse_pmi_diverges_out_to_long_gaps():

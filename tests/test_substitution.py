@@ -209,6 +209,16 @@ def test_frequencies_pairs():
     }
 
 
+def test_pair_table_handed_out_cannot_change_the_next_one():
+    table = factor_frequencies(thue_morse(), 2)
+    table.freq[(0, 0)] = F(1, 2)
+    del table.freq[(1, 1)]
+    again = factor_frequencies(thue_morse(), 2)
+    assert again.freq == {
+        (0, 0): F(1, 6), (0, 1): F(1, 3), (1, 0): F(1, 3), (1, 1): F(1, 6)
+    }
+
+
 def test_frequencies_length_five():
     tm = thue_morse()
     table = factor_frequencies(tm, 5)
