@@ -48,8 +48,7 @@ from .infocore import (
 )
 from .substitution import (
     Substitution,
-    _pair_window_counts,
-    _pair_window_weights,
+    _window_law,
     factor_count_bound,
     factor_frequencies,
     fixed_point_array,
@@ -917,32 +916,28 @@ class SubstitutionProcess:
     def block_distribution(self, L: int) -> BlockDistribution:
         if L < 1:
             raise ValueError("block length must be >= 1")
-        _check_factor_cap(self.substitution, L)
+        subst = self.substitution
+        _check_factor_cap(subst, L)
         if L < 3:
-            return factor_frequencies(self.substitution, L).as_distribution(
-                self.alphabet)
-        rows, weights, D = self._window_weights(L, ((0, L),))
+            # the letter and pair Perron vectors themselves
+            return factor_frequencies(subst, L).as_distribution(self.alphabet)
+        rows, _, weights, D = _window_law(subst, shortcut_power(subst, L),
+                                          ((0, L),))
+        keys = map(tuple, rows.tolist())
         return BlockDistribution._trusted(
-            self.alphabet, L, dict(zip(map(tuple, rows), weights)), D)
+            self.alphabet, L, dict(zip(keys, weights)), D)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
         n = 2 * L + g
-        _check_factor_cap(self.substitution, n)
-        rows, weights, D = self._window_weights(n, ((0, L), (L + g, n)))
-        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows]
+        subst = self.substitution
+        _check_factor_cap(subst, n)
+        rows, _, weights, D = _window_law(subst, shortcut_power(subst, n),
+                                          ((0, L), (L + g, n)))
+        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
         return JointBlockDistribution._trusted(
             self.alphabet, L, g, L, dict(zip(keys, weights)), D)
-
-    def _window_weights(self, n: int, spans) -> tuple:
-        """The length-n windows of the pair images at the shortcut power,
-        read through ``spans``: their distinct rows as lists of letters,
-        with weights over one denominator (None for a float table)."""
-        subst = self.substitution
-        rows, counts = _pair_window_counts(subst, shortcut_power(subst, n),
-                                           spans)
-        return (rows.tolist(), *_pair_window_weights(counts, subst))
 
     def closed_forms(self) -> ClosedForms:
         """Only the parity (Thue-Morse) fixed point has tabulated

@@ -28,10 +28,11 @@ otherwise floats from power iteration.
 
 What a substitution determines is built once per substitution and
 process (Substitution is immutable and hashable): the letter Perron
-data with its primitivity check and the pair frequencies with their
-integer weights (_perron_data), the pair factors, the factor sets, and
-the shortcut powers with their image lengths.  The images ζ^p(a) are
-kept for the few most recent powers p.
+data with its primitivity check (_letter_perron), the pair frequencies
+with their integer weights (_pair_perron), the pair factors, the factor
+sets, and the shortcut powers with their image lengths.  The images
+ζ^p(a) are rebuilt for each count; building them costs less than the
+window pass that reads them.
 """
 
 from __future__ import annotations
@@ -389,39 +390,31 @@ class FactorTable:
         return BlockDistribution(alphabet, self.length, self.freq)
 
 
-@dataclass(frozen=True)
-class _PerronData:
-    """The Perron systems of a primitive substitution, solved once.
-
-    ``letters`` is the eigendata of the letter composition matrix.
-    ``pairs`` are the length-2 factors in lex order and ``pair_freq``
-    their frequencies, the Perron vector of the pair count matrix at
-    p = 1 (Fractions when ``pair_exact``, else floats).
-    ``pair_weights`` are those frequencies as integers over one
-    denominator when exact, else the floats themselves.
-    """
-
-    letters: PerronFrobeniusData
-    pairs: tuple
-    pair_freq: tuple
-    pair_exact: bool
-    pair_weights: tuple
+@lru_cache(maxsize=None)
+def _letter_perron(subst: Substitution) -> PerronFrobeniusData:
+    """Perron data of the letter composition matrix, solved once per
+    substitution; raises NonPrimitiveError unless it is primitive."""
+    pf = primitivity(composition_matrix(subst))
+    if not pf.primitive:
+        raise NonPrimitiveError("factor frequencies require primitivity")
+    return pf
 
 
 @lru_cache(maxsize=None)
-def _perron_data(subst: Substitution) -> _PerronData:
-    """Letter and pair Perron data; raises NonPrimitiveError unless the
-    substitution is primitive."""
-    letters = primitivity(composition_matrix(subst))
-    if not letters.primitive:
-        raise NonPrimitiveError("factor frequencies require primitivity")
+def _pair_perron(subst: Substitution) -> tuple:
+    """The pairs of the fixed point in lex order, the Perron data of
+    their count matrix at p = 1 (the composition matrix of the
+    substitution induced on pairs), and the pair weights that
+    _window_law multiplies counts by: the frequencies as integers over
+    one denominator when exact, else the floats themselves.  Solved
+    once per substitution, after the letter check."""
+    _letter_perron(subst)
     # the rows are the pairs themselves, in the column order
     rows, C = _pair_window_counts(subst, 1, ((0, 2),))
     pf = primitivity(C)
     weights = (_rational_weights(pf.eigenvector)[0] if pf.exact
                else pf.eigenvector)
-    return _PerronData(letters, tuple(map(tuple, rows.tolist())),
-                       pf.eigenvector, pf.exact, tuple(weights))
+    return tuple(map(tuple, rows.tolist())), pf, tuple(weights)
 
 
 def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
@@ -440,15 +433,15 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     """
     if l < 1:
         raise ValueError("factor length must be positive")
-    data = _perron_data(subst)
     if l == 1:
+        letters = _letter_perron(subst)
         factors = factors_of_length(subst, 1)
-        freq = {w: data.letters.eigenvector[w[0]] for w in factors}
-        return FactorTable(1, factors, freq, data.letters.exact)
+        freq = {w: letters.eigenvector[w[0]] for w in factors}
+        return FactorTable(1, factors, freq, letters.exact)
     if l == 2:
-        return FactorTable(2, data.pairs,
-                           dict(zip(data.pairs, data.pair_freq)),
-                           data.pair_exact)
+        pairs, pf, _ = _pair_perron(subst)
+        return FactorTable(2, pairs, dict(zip(pairs, pf.eigenvector)),
+                           pf.exact)
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
     return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
                        sc.exact)
@@ -516,24 +509,6 @@ def _pair_factors(subst: Substitution) -> frozenset:
     return frozenset(found)
 
 
-#: ζ^p images a process keeps, one set per (substitution, power)
-IMAGE_POWERS_KEPT = 8
-
-
-@lru_cache(maxsize=IMAGE_POWERS_KEPT)
-def _images(subst: Substitution, power: int) -> tuple:
-    """ζ^p(a) for every letter a, as read-only arrays of the smallest
-    unsigned dtype that holds the letters."""
-    s = len(subst.alphabet)
-    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
-    for _ in range(power):
-        images = [np.concatenate([images[b] for b in rule])
-                  for rule in subst.rules]
-    for image in images:
-        image.setflags(write=False)
-    return tuple(images)
-
-
 def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     """The windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), for the
     pairs αβ of the fixed point in lex order, each read through
@@ -542,7 +517,10 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     per pair (across).  Once every |ζ^p| >= n − 1, the rows of width n
     are the length-n factors and the matrix is the shortcut matrix."""
     s, width = len(subst.alphabet), max(stop for _, stop in spans)
-    images = _images(subst, power)
+    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
+    for _ in range(power):
+        images = [np.concatenate([images[b] for b in rule])
+                  for rule in subst.rules]
     if min(map(len, images)) < width - 1:
         raise ValueError(f"power {power} is too small: need every ζ^p"
                          f" image at least {width - 1} letters long")
@@ -561,17 +539,19 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     return distinct, counts
 
 
-def _pair_window_weights(counts: np.ndarray, subst: Substitution):
-    """Row weights Σ_j counts[i, j]·v2[j] under the pair table of
-    ``subst``: integer weights and their sum when it is exact, else
-    probabilities and None."""
-    data = _perron_data(subst)
-    raw = (counts.astype(object)
-           @ np.array(data.pair_weights, dtype=object)).tolist()
+def _window_law(subst: Substitution, power: int, spans) -> tuple:
+    """The windows of _pair_window_counts(subst, power, spans) with
+    their law under the pair table: the distinct rows, the count
+    matrix, the row weights Σ_j counts[i, j]·v2[j], and D.  The weights
+    are integers summing to D when the pair table is exact, else
+    probabilities with D = None."""
+    rows, counts = _pair_window_counts(subst, power, spans)
+    _, pf, v2 = _pair_perron(subst)
+    raw = (counts.astype(object) @ np.array(v2, dtype=object)).tolist()
     total = sum(raw)
-    if data.pair_exact:
-        return raw, total
-    return [x / total for x in raw], None
+    if pf.exact:
+        return rows, counts, raw, total
+    return rows, counts, [x / total for x in raw], None
 
 
 def factor_count_bound(subst: Substitution, n: int) -> int:
@@ -593,15 +573,14 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         raise ValueError("factor length must be at least 2")
     if power < 1:
         raise ValueError("power must be positive")
-    rows, C = _pair_window_counts(subst, power, ((0, l),))
-    data = _perron_data(subst)
-    weights, D = _pair_window_weights(C, subst)
+    rows, C, weights, D = _window_law(subst, power, ((0, l),))
+    pairs, pf, _ = _pair_perron(subst)
     v_l = tuple(weights) if D is None else tuple(
         Fraction(w, D) for w in weights)
     return ShortcutData(
         matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
-        factors_2=data.pairs, v2=data.pair_freq,
-        v_l=v_l, power=power, exact=data.pair_exact)
+        factors_2=pairs, v2=pf.eigenvector,
+        v_l=v_l, power=power, exact=pf.exact)
 
 
 # ── complexity and parity-sequence entropy increments ───────────────

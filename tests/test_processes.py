@@ -940,8 +940,8 @@ def test_substitution_gap_laws_match_induced_perron_oracle():
 
 
 def _clear_substitution_memos():
-    for memo in (substitution._perron_data, substitution._shortcut_lengths,
-                 substitution._images, substitution._pair_factors,
+    for memo in (substitution._letter_perron, substitution._pair_perron,
+                 substitution._shortcut_lengths, substitution._pair_factors,
                  substitution.factors_of_length):
         memo.cache_clear()
 
@@ -970,6 +970,14 @@ def test_substitution_perron_systems_are_solved_once(monkeypatch):
     # one letter system (2 x 2) and one pair system (4 x 4), whatever
     # the grid; a solve per cell made 40 for the larger grid
     assert per_grid[0] == per_grid[1] == [2, 4]
+
+
+def test_letter_table_solves_only_the_letter_system(monkeypatch):
+    solved = _counted_solves(monkeypatch)
+    _clear_substitution_memos()
+    factor_frequencies(thue_morse(), 1)
+    SubstitutionProcess(thue_morse()).block_distribution(1)
+    assert solved == [2]
 
 
 def test_fibonacci_pair_table_is_iterated_once(monkeypatch):
