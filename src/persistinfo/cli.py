@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple
@@ -58,7 +57,6 @@ from .substitution import (
 )
 
 __all__ = [
-    "RunConfig",
     "main",
     "cmd_entropy",
     "cmd_pmi",
@@ -79,61 +77,16 @@ def _render(x) -> str:
     return f"{x} ({_fmt(float(x))})"
 
 
-# ── configuration ─────────────────────────────────────────────────────────────
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; grids are validated ascending here."""
-
-    command: str
-    model: Optional[str] = None
-    seq: Optional[str] = None
-    backend: str = "exact"
-    L_max: int = 8
-    L_grid: Optional[str] = None
-    g_grid: Optional[str] = None
-    eps_g: Optional[float] = None
-    eps_L: Optional[float] = None
-    delta: float = 0.05
-    format: str = "table"
-    out: Optional[str] = None
-    seed: int = 0
-    n: int = 1000
-    rules: Optional[str] = None
-    start: Optional[str] = None
-    l: int = 2
-    p: Optional[int] = None
-    show_shortcut: bool = False
-    J: float = 1.0
-    h: float = 0.0
-    Tmin: float = 0.1
-    Tmax: float = 10.0
-    points: int = 40
-
-    def __post_init__(self):
-        if self.backend not in ("exact", "float"):
-            raise ValueError("backend must be 'exact' or 'float'")
-        if self.format not in ("csv", "json", "table"):
-            raise ValueError("format must be csv, json, or table")
-        self.L_grid = _parse_grid(self.L_grid, minimum=1)
-        self.g_grid = _parse_grid(self.g_grid, minimum=0)
-
-
 def _parse_grid(text: Optional[str], minimum: int) -> Optional[Tuple[int, ...]]:
-    if text is None or isinstance(text, tuple):
-        return text
+    """A comma list of integers >= minimum, strictly ascending."""
+    if text is None:
+        return None
     values = tuple(int(part) for part in text.split(","))
     if any(v < minimum for v in values):
         raise ValueError(f"grid entries must be >= {minimum}: {text}")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"grids must be strictly ascending: {text}")
     return values
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 # ── model and sequence loading ────────────────────────────────────────────────
@@ -266,7 +219,7 @@ def _comma_codes(text: str, path: str):
     return codes, labels
 
 
-def _source(cfg: RunConfig):
+def _source(cfg: argparse.Namespace):
     if (cfg.model is None) == (cfg.seq is None):
         raise ValueError("give exactly one of --model or --seq")
     if cfg.seq is not None:
@@ -284,7 +237,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ── entropy ───────────────────────────────────────────────────────────────────
 
 
-def cmd_entropy(cfg: RunConfig) -> int:
+def cmd_entropy(cfg: argparse.Namespace) -> int:
     curve = entropy_curve(_source(cfg), cfg.L_max)
     if cfg.format == "csv":
         text = curve.to_csv()
@@ -309,9 +262,9 @@ def cmd_entropy(cfg: RunConfig) -> int:
 # ── pmi ───────────────────────────────────────────────────────────────────────
 
 
-def cmd_pmi(cfg: RunConfig) -> int:
-    L_grid = cfg.L_grid or (1, 2, 3)
-    g_grid = cfg.g_grid or (16, 24, 32)
+def cmd_pmi(cfg: argparse.Namespace) -> int:
+    L_grid = _parse_grid(cfg.L_grid, minimum=1) or (1, 2, 3)
+    g_grid = _parse_grid(cfg.g_grid, minimum=0) or (16, 24, 32)
     grid = gap_mi_grid(_source(cfg), L_grid, g_grid)
     report = pmi_verdict(grid, eps_g=cfg.eps_g, eps_L=cfg.eps_L,
                          delta=cfg.delta)
@@ -465,7 +418,7 @@ def _table1_rows(ising_J=1.0, ising_h=0.0, ising_beta=0.5):
     return out
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def cmd_table1(cfg: argparse.Namespace) -> int:
     rows = _table1_rows()
     bad = 0
     for _label, cells in rows:
@@ -507,7 +460,7 @@ def cmd_table1(cfg: RunConfig) -> int:
 # ── substitution ─────────────────────────────────────────────────────────────
 
 
-def _load_substitution(cfg: RunConfig) -> Substitution:
+def _load_substitution(cfg: argparse.Namespace) -> Substitution:
     if cfg.rules == "tm":
         return thue_morse()
     if cfg.rules == "fib":
@@ -521,7 +474,7 @@ def _load_substitution(cfg: RunConfig) -> Substitution:
                      "inline JSON object")
 
 
-def cmd_substitution(cfg: RunConfig) -> int:
+def cmd_substitution(cfg: argparse.Namespace) -> int:
     if cfg.show_shortcut and cfg.p is None:
         raise ValueError("--p (the substitution power) is required "
                          "with --show-shortcut")
@@ -556,7 +509,7 @@ def cmd_substitution(cfg: RunConfig) -> int:
     return 0
 
 
-def _shortcut_lines(sub: Substitution, cfg: RunConfig) -> list:
+def _shortcut_lines(sub: Substitution, cfg: argparse.Namespace) -> list:
     data = shortcut_matrix(sub, cfg.l, cfg.p)
     dec = sub.alphabet.decode
     lines = [f"shortcut count matrix (length-{cfg.l} factors x pairs, "
@@ -573,7 +526,7 @@ def _shortcut_lines(sub: Substitution, cfg: RunConfig) -> list:
     return lines
 
 
-def _shortcut_dict(sub: Substitution, cfg: RunConfig) -> dict:
+def _shortcut_dict(sub: Substitution, cfg: argparse.Namespace) -> dict:
     data = shortcut_matrix(sub, cfg.l, cfg.p)
     dec = sub.alphabet.decode
     return {
@@ -588,7 +541,7 @@ def _shortcut_dict(sub: Substitution, cfg: RunConfig) -> dict:
 # ── ising sweep ───────────────────────────────────────────────────────────────
 
 
-def cmd_ising(cfg: RunConfig) -> int:
+def cmd_ising(cfg: argparse.Namespace) -> int:
     if cfg.Tmin <= 0 or cfg.Tmax <= cfg.Tmin:
         raise ValueError("need 0 < Tmin < Tmax")
     if cfg.points < 3:
@@ -635,7 +588,7 @@ def cmd_ising(cfg: RunConfig) -> int:
 # ── sample ────────────────────────────────────────────────────────────────────
 
 
-def cmd_sample(cfg: RunConfig) -> int:
+def cmd_sample(cfg: argparse.Namespace) -> int:
     if cfg.model is None:
         raise ValueError("sample needs --model")
     if cfg.n < 1:
@@ -735,8 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return args.func(cfg)
+        return args.func(args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,10 +23,9 @@ from .infocore import (
     BlockDistribution,
     Scalar,
     Word,
-    _add,
+    _agrees,
     _entropy_of_weights,
     _exact_str,
-    _sub,
 )
 from .processes import reversed_model
 
@@ -38,8 +37,8 @@ __all__ = [
     "complexity_decomposition",
 ]
 
-#: float-backend identities (row sums, stationarity, C_P = E + H(S+|S-))
-#: must hold within this
+#: identities (row sums, stationarity, C_P = E + H(S+|S-)) must hold
+#: within this where a float is involved, and exactly otherwise
 IDENTITY_TOL = 1e-9
 
 
@@ -90,7 +89,6 @@ class EpsilonMachine:
         ``future_length``."""
         if L < 1:
             raise ValueError("block length must be >= 1")
-        zero = Fraction(0) if self.exact else 0.0
         layer = {(i, ()): p
                  for i, p in enumerate(self.state_probs) if p != 0}
         for _ in range(L):
@@ -102,11 +100,11 @@ class EpsilonMachine:
                         continue
                     j, q = edge
                     key = (j, w + (a,))
-                    new[key] = new.get(key, zero) + p * q
+                    new[key] = new.get(key, 0) + p * q
             layer = new
         probs: dict = {}
         for (_j, w), p in layer.items():
-            probs[w] = probs.get(w, zero) + p
+            probs[w] = probs.get(w, 0) + p
         return BlockDistribution(self.alphabet, L, probs)
 
     def to_json_dict(self) -> dict:
@@ -247,7 +245,7 @@ def reconstruct(model, history_length: int, future_length: int,
                             for w in state_weights)
     else:
         state_probs = tuple(state_weights)
-    _validate(states, state_probs, transitions, exact)
+    _validate(states, state_probs, transitions)
     return EpsilonMachine(
         alphabet=alphabet,
         history_length=R,
@@ -273,27 +271,18 @@ def _future_law_key(table: dict, total, exact: bool) -> tuple:
     return tuple(sorted((f, p / total) for f, p in table.items()))
 
 
-def _validate(states, state_probs, transitions, exact) -> None:
+def _validate(states, state_probs, transitions) -> None:
     """Row sums must be 1 and the state law stationary under the edges."""
-    zero = Fraction(0) if exact else 0.0
-    flow = [zero] * len(states)
+    flow = [0] * len(states)
     for i in range(len(states)):
-        row_sum = sum((p for (k, _a), (_j, p) in transitions.items()
-                       if k == i), zero)
-        if exact:
-            ok = row_sum == 1
-        else:
-            ok = abs(row_sum - 1.0) <= IDENTITY_TOL
-        if not ok:
+        row_sum = sum(p for (k, _a), (_j, p) in transitions.items()
+                      if k == i)
+        if not _agrees(row_sum, 1, IDENTITY_TOL):
             raise ArithmeticError(f"state {i} outgoing mass {row_sum}")
     for (i, _a), (j, p) in transitions.items():
         flow[j] = flow[j] + state_probs[i] * p
     for j in range(len(states)):
-        if exact:
-            ok = flow[j] == state_probs[j]
-        else:
-            ok = abs(flow[j] - state_probs[j]) <= IDENTITY_TOL
-        if not ok:
+        if not _agrees(flow[j], state_probs[j], IDENTITY_TOL):
             raise ArithmeticError("state law is not stationary")
 
 
@@ -338,24 +327,25 @@ def machine_excess_entropy(m_forward: EpsilonMachine, model) -> Scalar:
                         m_forward.future_length, tol=m_forward.tol)
     h_fwd, h_rev, h_joint = _joint_entropies(
         *_state_joint(m_forward, m_rev, model))
-    return _sub(_add(h_fwd, h_rev), h_joint)
+    return h_fwd + h_rev - h_joint
 
 
 def complexity_decomposition(forward: EpsilonMachine,
                              reverse: EpsilonMachine, model):
     """Split C_P into (E, H(S+|S-), H(S-|S+)).
 
-    Verifies C_P = E + H(S+|S-) for both reading directions within
-    1e-9 against each machine's own state entropy; a violation means
-    the machines do not describe the model they were handed.
+    Verifies C_P = E + H(S+|S-) for both reading directions against
+    each machine's own state entropy, exactly when both sides are exact
+    and within IDENTITY_TOL otherwise; a violation means the machines
+    do not describe the model they were handed.
     """
     h_fwd, h_rev, h_joint = _joint_entropies(
         *_state_joint(forward, reverse, model))
-    E = _sub(_add(h_fwd, h_rev), h_joint)
-    h_fr = _sub(h_joint, h_rev)   # H(S+|S-)
-    h_rf = _sub(h_joint, h_fwd)   # H(S-|S+)
-    if abs(float(forward.complexity) - float(_add(E, h_fr))) > IDENTITY_TOL:
+    E = h_fwd + h_rev - h_joint
+    h_fr = h_joint - h_rev   # H(S+|S-)
+    h_rf = h_joint - h_fwd   # H(S-|S+)
+    if not _agrees(forward.complexity, E + h_fr, IDENTITY_TOL):
         raise ArithmeticError("C_P != E + H(S+|S-) for the forward machine")
-    if abs(float(reverse.complexity) - float(_add(E, h_rf))) > IDENTITY_TOL:
+    if not _agrees(reverse.complexity, E + h_rf, IDENTITY_TOL):
         raise ArithmeticError("C_P != E + H(S-|S+) for the reverse machine")
     return E, h_fr, h_rf

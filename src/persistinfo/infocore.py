@@ -29,6 +29,11 @@ Conventions
     coefficients, which are summed as integers.  Distributions whose
     rationals do not factor cheaply fall back to float entropies of
     the correctly rounded w / D.
+  * One rule joins the two: an exact value (ExactBits, Fraction)
+    combined with a float gives a float, so sums and differences of
+    entropies need no branch on the backend.  Checks of an identity go
+    through ``_agrees``, which compares exact values by equality and
+    applies a tolerance only when a float is involved.
   * Every float entropy, of a float table, of that fallback or of
     empirical counts, goes through one NumPy kernel (``_entropy_of_p``):
     −Σ p·log₂ p summed pairwise in table order, 0.0 for a single word.
@@ -191,8 +196,9 @@ class ExactBits:
     ``logs`` maps odd primes to rational coefficients (the prime 2 is
     folded into the rational part since log₂2 = 1).  Zero coefficients
     are dropped, so ``==`` is value equality.  Supports +, −, scaling
-    by rationals, division by rationals, and float conversion.
-    Immutable and hashable.
+    by rationals, division by rationals, and float conversion; + and −
+    with a float give a float, as with a Fraction.  Immutable and
+    hashable.
     """
 
     __slots__ = ("rational", "logs")
@@ -220,6 +226,8 @@ class ExactBits:
         return ExactBits(self.rational + sign * other.rational, coeffs)
 
     def __add__(self, other):
+        if isinstance(other, float):
+            return float(self) + other
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
@@ -228,12 +236,16 @@ class ExactBits:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, float):
+            return float(self) - other
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
         return self._combine(other, -1)
 
     def __rsub__(self, other):
+        if isinstance(other, float):
+            return other - float(self)
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
@@ -336,17 +348,12 @@ def log2_of(q) -> ExactBits:
 Scalar = Union[ExactBits, Fraction, float]
 
 
-# exact arithmetic where both operands allow it, float otherwise
-def _add(a, b) -> Scalar:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return a + b
-
-
-def _sub(a, b) -> Scalar:
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) - float(b)
-    return a - b
+def _agrees(x, y, tol: float) -> bool:
+    """Whether two scalars agree: ``x == y`` when both are exact,
+    ``|x − y| <= tol`` when either is a float."""
+    if isinstance(x, float) or isinstance(y, float):
+        return abs(x - y) <= tol
+    return x == y
 
 
 def _fmt(x) -> str:
@@ -686,9 +693,6 @@ def mutual_information(j: JointBlockDistribution) -> Scalar:
     h_left = shannon_entropy(j.left_marginal())
     h_right = shannon_entropy(j.right_marginal())
     h_joint = shannon_entropy(j)
-    if isinstance(h_joint, float) or isinstance(h_left, float) \
-            or isinstance(h_right, float):
-        return float(h_left) + float(h_right) - float(h_joint)
     return h_left + h_right - h_joint
 
 

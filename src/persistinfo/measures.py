@@ -35,7 +35,6 @@ from .infocore import (
     _entropy_of_counts,
     _exact_str,
     _fmt,
-    _sub,
     decode_window_codes,
     empirical_block_distribution,
     mutual_information,
@@ -380,9 +379,9 @@ def entropy_curve(source, L_max: int,
         raise ValueError("L_max must be >= 1")
     H, exact = _block_entropies(_as_source(source, alphabet),
                                 range(1, L_max + 1))
-    dH = [H[0]] + [_sub(H[i], H[i - 1]) for i in range(1, L_max)]
+    dH = [H[0]] + [H[i] - H[i - 1] for i in range(1, L_max)]
     h_hat = dH[-1]
-    E_hat = _sub(H[-1], h_hat * L_max)
+    E_hat = H[-1] - h_hat * L_max
     h_ratio = H[-1] / L_max
     return EntropyCurve(L_max=L_max, H=tuple(H), dH=tuple(dH), h_hat=h_hat,
                         h_ratio=h_ratio, E_hat=E_hat, exact=exact)
@@ -396,7 +395,7 @@ def excess_entropy_finite(source, L: int,
         raise ValueError("L must be >= 1")
     (hL, h2L), _ = _block_entropies(_as_source(source, alphabet),
                                     (L, 2 * L))
-    return _sub(hL * 2, h2L)
+    return hL * 2 - h2L
 
 
 # ── gap-MI grid ─────────────────────────────────────────────────────

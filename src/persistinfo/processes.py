@@ -42,6 +42,7 @@ from .infocore import (
     BlockDistribution,
     JointBlockDistribution,
     Word,
+    _agrees,
     _rational_weights,
     entropy_of_probs,
     shannon_entropy,
@@ -348,8 +349,7 @@ class MarkovProcess:
             rows = {c: tuple(float(x) for x in row) for c, row in rows.items()}
         for c, row in rows.items():
             total = sum(row)
-            ok = (total == 1) if exact else abs(total - 1.0) <= 1e-9
-            if not ok:
+            if not _agrees(total, 1, 1e-9):
                 raise ValueError(f"row for context {c} sums to {total}, not 1")
 
         object.__setattr__(self, "alphabet", alphabet)
@@ -382,10 +382,12 @@ class MarkovProcess:
             pi = tuple(_as_weight(x) for x in stationary)
             if len(pi) != m:
                 raise ValueError("stationary vector has wrong length")
+            if exact and not all(isinstance(x, Fraction) for x in pi):
+                raise ValueError("stationary vector of a chain with rational "
+                                 "rows must be rational, not float")
             # flow = pi·(d·T), to be compared with d·pi
             flow = [sum(pi[i] * T[i][j] for i in range(m)) for j in range(m)]
-            drift = max(abs(flow[j] - d * pi[j]) for j in range(m))
-            if (drift != 0) if exact else (float(drift) > 1e-9):
+            if not all(_agrees(flow[j], d * pi[j], 1e-9) for j in range(m)):
                 raise ValueError("supplied stationary vector is not stationary")
         elif exact:
             pi = stationary_from_transitions(

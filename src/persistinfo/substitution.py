@@ -98,17 +98,17 @@ class Substitution:
     """Letter-to-word map with a designated fixed-point seed.
 
     rules[a] is the image word of letter a (a tuple of letter indices).
-    Construction validates, unless check=False, that every letter's
-    iterated image grows without bound and that the seed letter's image
-    starts with the seed, which together guarantee a one-sided fixed
-    point.  check=False is for systems produced by constructions that
-    guarantee this already (the induced substitutions below).
+    Construction checks that the seed letter's image starts with the
+    seed and that every letter's iterated images grow without bound,
+    which together guarantee a one-sided fixed point.  A rule set that
+    fails the growth check is rejected with a letter whose images stay
+    one letter long forever.
     """
 
     __slots__ = ("alphabet", "rules", "start")
 
     def __init__(self, alphabet: Alphabet, rules: Sequence[Word],
-                 start: int = 0, check: bool = True):
+                 start: int = 0):
         s = len(alphabet)
         rules = tuple(tuple(r) for r in rules)
         if len(rules) != s:
@@ -123,8 +123,7 @@ class Substitution:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "start", start)
-        if check:
-            self._check_admissible()
+        self._check_admissible()
 
     def __setattr__(self, name, value):
         raise AttributeError("Substitution is immutable")
@@ -133,30 +132,31 @@ class Substitution:
         if self.rules[self.start][0] != self.start:
             raise ValueError(
                 "image of the start letter must begin with the start letter")
-        M = composition_matrix(self).M
-        s = len(self.alphabet)
-        reach = _reachability(M > 0)
+        # Every letter's images grow iff following one-letter images from
+        # each letter reaches a longer image within s steps.  A chain
+        # that reaches none cycles at length 1 forever; if every chain
+        # reaches one, |ζ^s(b)| >= 2 for every letter b, so the
+        # shortest image at least doubles every s powers.
+        s = len(self.rules)
         for a in range(s):
-            # |iterates of a| -> infinity iff the composition matrix
-            # restricted to the letters reachable from a has spectral
-            # radius above 1
-            idx = np.flatnonzero(reach[:, a])
-            sub = M[np.ix_(idx, idx)].astype(float)
-            radius = max(abs(np.linalg.eigvals(sub)))
-            if radius <= 1 + 1e-9:
+            b = a
+            for _ in range(s):
+                if len(self.rules[b]) > 1:
+                    break
+                b = self.rules[b][0]
+            else:
                 raise ValueError(
                     f"iterated images of letter {self.alphabet.decode((a,))!r}"
-                    " do not grow")
+                    " do not grow: they stay one letter long")
 
     @classmethod
     def from_strings(cls, rules: Mapping[str, str], start: str,
-                     alphabet: Optional[Alphabet] = None,
-                     check: bool = True) -> "Substitution":
+                     alphabet: Optional[Alphabet] = None) -> "Substitution":
         """Build from single-character symbols, e.g. {"0": "01", "1": "10"}."""
         if alphabet is None:
             alphabet = Alphabet(sorted(rules))
         table = [alphabet.encode(rules[sym]) for sym in alphabet.symbols]
-        return cls(alphabet, table, alphabet.encode(start)[0], check=check)
+        return cls(alphabet, table, alphabet.encode(start)[0])
 
     def apply(self, word: Sequence[int]) -> Word:
         out: list[int] = []
@@ -208,10 +208,7 @@ def fixed_point_array(subst: Substitution, n: int) -> np.ndarray:
     images = [np.array(r, dtype=np.int64) for r in subst.rules]
     w = np.array([subst.start], dtype=np.int64)
     while w.size < n:
-        nxt = _concat_pieces(w, images)
-        if nxt.size == w.size:
-            raise ValueError("substitution does not grow from its start letter")
-        w = nxt
+        w = _concat_pieces(w, images)
     return w[:n]
 
 
@@ -374,7 +371,7 @@ def induced_substitution(subst: Substitution, l: int) -> Substitution:
         k = len(subst.rules[w[0]])
         rules.append(tuple(index[image[t:t + l]] for t in range(k)))
     start = index[fixed_point_prefix(subst, l)]
-    return Substitution(Alphabet(labels), rules, start, check=False)
+    return Substitution(Alphabet(labels), rules, start)
 
 
 @dataclass(frozen=True)
@@ -473,17 +470,12 @@ class ShortcutData:
 def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
     """shortcut_power(subst, l) and |ζ^p(a)| for every letter a at that
     power p, the column sums of M^p, as a tuple of Python ints.  The
-    shortest image grows at least once every s powers when every
-    letter's images grow, as Substitution checks unless built with
-    check=False."""
+    shortest image doubles at least once every s powers, as Substitution
+    checks at construction."""
     M = composition_matrix(subst).M.astype(object)
-    p, lengths, stalled = 1, M.sum(axis=0), 0
+    p, lengths = 1, M.sum(axis=0)
     while min(lengths) < l - 1:
-        longer = lengths @ M
-        stalled = 0 if min(longer) > min(lengths) else stalled + 1
-        if stalled > len(M):
-            raise ValueError("iterated images of some letter do not grow")
-        p, lengths = p + 1, longer
+        p, lengths = p + 1, lengths @ M
     return p, tuple(lengths.tolist())
 
 

@@ -6,6 +6,7 @@ conditional future laws, then entropies over the joint state law)
 before the module was written.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
@@ -168,6 +169,32 @@ def test_goldenmean_decomposition():
     # C_P = E + H(S+|S-): (log2(3) - 2/3) - (log2(3) - 4/3) = 2/3
     assert h_fr == F(2, 3)
     assert h_rf == F(2, 3)  # chain is reversible
+
+
+def test_exact_decomposition_is_checked_by_equality():
+    # exact machines must satisfy C_P = E + H(S+|S-) exactly: a shift
+    # far below any float tolerance is still caught
+    gm = goldenmean()
+    fwd = reconstruct(gm, 1, 2)
+    rev = reconstruct(reversed_model(gm), 1, 2)
+    shifted = dataclasses.replace(
+        fwd, complexity=fwd.complexity + F(1, 10 ** 12))
+    with pytest.raises(ArithmeticError, match="forward"):
+        complexity_decomposition(shifted, rev, gm)
+    shifted = dataclasses.replace(
+        rev, complexity=rev.complexity + F(1, 10 ** 12))
+    with pytest.raises(ArithmeticError, match="reverse"):
+        complexity_decomposition(fwd, shifted, gm)
+
+
+def test_float_decomposition_is_checked_within_tolerance():
+    # on floats the same shift lies inside IDENTITY_TOL
+    gm = MarkovProcess.from_rows({"0": (0.5, 0.5), "1": (1.0, 0.0)})
+    fwd = reconstruct(gm, 1, 2)
+    rev = reconstruct(reversed_model(gm), 1, 2)
+    shifted = dataclasses.replace(fwd, complexity=fwd.complexity + 1e-12)
+    E, h_fr, _ = complexity_decomposition(shifted, rev, gm)
+    assert E + h_fr == pytest.approx(fwd.complexity, abs=1e-12)
 
 
 def test_goldenmean_machine_blocks_match_model():

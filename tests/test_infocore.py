@@ -71,6 +71,20 @@ def test_exactbits_arithmetic_and_equality():
     assert ExactBits(F(0), {3: F(1)}) != 1
 
 
+def test_exactbits_with_a_float_gives_that_float():
+    # an exact value meets a float as a Fraction does: the result is the
+    # float computed from float(x), bit for bit, from either side
+    x = ExactBits(F(1, 3), {3: F(1)})
+    for got, want in ((x + 0.25, float(x) + 0.25),
+                      (0.25 + x, 0.25 + float(x)),
+                      (x - 0.25, float(x) - 0.25),
+                      (0.25 - x, 0.25 - float(x))):
+        assert type(got) is float
+        assert got.hex() == want.hex()
+    # exact operands stay exact
+    assert x - F(1, 3) == log2_of(3)
+
+
 def test_exactbits_float_and_log3_pair():
     v = ExactBits(F(1, 3), {3: F(1)})
     assert float(v) == pytest.approx(1.9182958340544896, abs=1e-15)

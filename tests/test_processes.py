@@ -201,6 +201,18 @@ def test_goldenmean_stationary_and_blocks():
     assert d2.probs == {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)}
 
 
+def test_rational_chain_rejects_float_stationary_vector():
+    # floats would become weights over 2^54 and fail later, in
+    # block_distribution, with a probability-sum message
+    rows = {(0,): (F(1, 2), F(1, 2)), (1,): (F(1), F(0))}
+    with pytest.raises(ValueError, match="stationary"):
+        MarkovProcess(Alphabet("01"), 1, rows, stationary=[2 / 3, 1 / 3])
+    m = MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(2, 3), F(1, 3)])
+    assert block_distribution(m, 1).probs == {(0,): F(2, 3), (1,): F(1, 3)}
+    with pytest.raises(ValueError, match="not stationary"):
+        MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(1, 2), F(1, 2)])
+
+
 def test_goldenmean_closed_forms_exact():
     cf = closed_forms(goldenmean())
     assert cf.entropy_rate == F(2, 3)

@@ -112,9 +112,64 @@ def test_fibonacci_prefix():
 
 
 def test_rejects_nongrowing_rules():
-    # image of 1 never grows: |zeta^n(1)| = 1 for all n
-    with pytest.raises(ValueError):
+    # image of 1 never grows: |zeta^n(1)| = 1 for all n, while
+    # |zeta^n(0)| = n + 1 does; the message names 1, the real cause
+    with pytest.raises(ValueError, match="'1'"):
         Substitution.from_strings({"0": "01", "1": "1"}, start="0")
+
+
+def _grows_by_spectral_radius(rules) -> bool:
+    """Reference growth rule: |zeta^n(a)| -> infinity iff the
+    composition matrix restricted to the letters reachable from a has
+    spectral radius above 1."""
+    s = len(rules)
+    M = np.zeros((s, s))
+    for j, image in enumerate(rules):
+        for a in image:
+            M[a, j] += 1
+    reach = (M > 0) | np.eye(s, dtype=bool)
+    for _ in range(s):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    for a in range(s):
+        idx = np.flatnonzero(reach[:, a])
+        sub = M[np.ix_(idx, idx)]
+        if max(abs(np.linalg.eigvals(sub))) <= 1 + 1e-9:
+            return False
+    return True
+
+
+@st.composite
+def _rule_sets(draw):
+    s = draw(st.integers(1, 5))
+    rules = [draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=3))
+             for _ in range(s)]
+    # the start letter's image must begin with it; letter 0 is the start
+    rules[0][0] = 0
+    return [tuple(r) for r in rules]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_sets())
+def test_growth_check_matches_spectral_radius_rule(rules):
+    alphabet = Alphabet(str(a) for a in range(len(rules)))
+    try:
+        subst = Substitution(alphabet, rules)
+    except ValueError as exc:
+        assert not _grows_by_spectral_radius(rules)
+        # the named letter's images stay one letter long
+        letter = alphabet.index(str(exc).split("'")[1])
+        b = letter
+        for _ in range(len(rules) + 1):
+            assert len(rules[b]) == 1
+            b = rules[b][0]
+    else:
+        assert _grows_by_spectral_radius(rules)
+        # |zeta^n(a)| for every letter a, up to n = 3s: the shortest
+        # image has doubled at least three times
+        lengths = [1] * len(rules)
+        for _ in range(3 * len(rules)):
+            lengths = [sum(lengths[b] for b in r) for r in subst.rules]
+        assert min(lengths) >= 8
 
 
 def test_rejects_wrong_start():
@@ -248,12 +303,10 @@ def test_frequencies_require_primitive():
 
 
 def test_non_growing_rules_raise_rather_than_hang():
-    # check=False skips the growth check; the power search must stop
-    still = Substitution(Alphabet(["0"]), [(0,)], check=False)
-    with pytest.raises(ValueError):
-        factor_frequencies(still, 3)
-    with pytest.raises(ValueError):
-        factor_count_bound(still, 3)
+    # a rule set that never grows is refused at construction, so no
+    # power search or fixed-point build can be handed one
+    with pytest.raises(ValueError, match="'0'"):
+        Substitution(Alphabet(["0"]), [(0,)])
 
 
 def test_frequency_refinement_consistency():
