@@ -77,6 +77,13 @@ def _render(x) -> str:
     return f"{x} ({_fmt(float(x))})"
 
 
+def _table_row(cells, widths) -> str:
+    """Cells left-justified to their column widths, with at least one
+    space between a cell and the next however long it is."""
+    head = "".join((c + " ").ljust(w) for c, w in zip(cells[:-1], widths))
+    return head + cells[-1].ljust(widths[-1])
+
+
 def _parse_grid(text: Optional[str], minimum: int) -> Optional[Tuple[int, ...]]:
     """A comma list of integers >= minimum, strictly ascending."""
     if text is None:
@@ -246,12 +253,12 @@ def cmd_entropy(cfg: argparse.Namespace) -> int:
     else:
         widths = (4, 24, 16, 24, 16)
         header = ("L", "H_exact", "H_bits", "dH_exact", "dH_bits")
-        lines = ["".join(name.ljust(w) for name, w in zip(header, widths))]
+        lines = [_table_row(header, widths)]
         for L in range(1, cfg.L_max + 1):
             H, dH = curve.H[L - 1], curve.dH[L - 1]
             cells = (str(L), _exact_str(H), _fmt(float(H)),
                      _exact_str(dH), _fmt(float(dH)))
-            lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
+            lines.append(_table_row(cells, widths))
         lines.append(f"h_hat = {_render(curve.h_hat)}")
         lines.append(f"E_hat = {_render(curve.E_hat)}")
         text = "\n".join(lines) + "\n"
@@ -435,7 +442,7 @@ def cmd_table1(cfg: argparse.Namespace) -> int:
     else:
         widths = (12, 6, 18, 18, 12)
         header = ("model", "qty", "closed", "computed", "|diff|")
-        lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
+        lines = [_table_row(header, widths)]
         for label, cells in rows:
             for qty, cell in cells.items():
                 vals = (label, qty,
@@ -448,8 +455,7 @@ def cmd_table1(cfg: argparse.Namespace) -> int:
                         _fmt(cell["diff"])
                         if isinstance(cell["diff"], float)
                         else cell["diff"])
-                lines.append("".join(v.ljust(w)
-                                     for v, w in zip(vals, widths)))
+                lines.append(_table_row(vals, widths))
         lines.append(f"finite-cell tolerance {TABLE1_TOL:g}; "
                      f"violations: {bad}")
         text = "\n".join(lines) + "\n"

@@ -179,11 +179,10 @@ def reconstruct(model, history_length: int, future_length: int,
         futures.setdefault(d, {})[w[R:]] = p
 
     histories = sorted(hist)
-    if tol == 0:
+    if exact and tol == 0:
         groups: dict = {}
         for d in histories:
-            groups.setdefault(_future_law_key(futures[d], hist[d], exact),
-                              []).append(d)
+            groups.setdefault(_future_law_key(futures[d]), []).append(d)
         classes = list(groups.values())
     else:
         cond = {d: {f: p / hist[d] for f, p in futures[d].items()}
@@ -260,15 +259,12 @@ def reconstruct(model, history_length: int, future_length: int,
     )
 
 
-def _future_law_key(table: dict, total, exact: bool) -> tuple:
+def _future_law_key(table: dict) -> tuple:
     """A key equal for two histories exactly when their future laws
-    are: on the exact backend the future weights divided by their gcd
-    (proportional weight vectors are the same law), on the float one
-    the conditional probabilities."""
-    if exact:
-        g = math.gcd(*table.values())
-        return tuple(sorted((f, p // g) for f, p in table.items()))
-    return tuple(sorted((f, p / total) for f, p in table.items()))
+    are: the integer future weights divided by their gcd (proportional
+    weight vectors are the same law)."""
+    g = math.gcd(*table.values())
+    return tuple(sorted((f, p // g) for f, p in table.items()))
 
 
 def _validate(states, state_probs, transitions) -> None:

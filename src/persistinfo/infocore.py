@@ -93,6 +93,14 @@ FLOAT_SUM_TOL = 1e-12
 #: window codes decoded per digit array; bounds its memory
 DECODE_CHUNK = 1 << 14
 
+# Enumerated window states (alphabet size ** window length, or letters
+# of substitution windows) above this are refused rather than attempted.
+WINDOW_STATE_CAP = 1 << 26
+
+
+class WindowCapError(ValueError):
+    """Requested window needs more enumerated states than the cap."""
+
 
 # ── Alphabet ──────────────────────────────────────────────────────────────────
 
@@ -287,10 +295,6 @@ class ExactBits:
         )
 
     # views ───────────────────────────────────────────────────────────
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.logs
 
     def as_log3_pair(self) -> tuple:
         """Return (a, b) with value a + b·log₂3; error if any other
@@ -526,9 +530,6 @@ class BlockDistribution(_Table):
 
     def support(self):
         return sorted(self.weights)
-
-    def items_sorted(self):
-        return sorted(self.probs.items())
 
     def restrict(self, start: int, stop: int) -> "BlockDistribution":
         """Marginal distribution of word[start:stop]."""
@@ -844,10 +845,10 @@ def _distinct_counts(codes: np.ndarray, size: int, weights=None):
 def _ranks(codes: np.ndarray, size: int):
     """Distinct values of codes drawn from range(size), ascending, and
     the index of each code among them: a lookup table when the range is
-    no larger than the code array, a binary search otherwise."""
-    uniq, _ = _distinct_counts(codes, size)
+    no larger than the code array, a sort otherwise."""
     if size > codes.size:
-        return uniq, np.searchsorted(uniq, codes)
+        return np.unique(codes, return_inverse=True)
+    uniq = np.flatnonzero(np.bincount(codes, minlength=size))
     table = np.empty(size, dtype=np.int64)
     table[uniq] = np.arange(uniq.size)
     return uniq, table[codes]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,6 +28,7 @@ from .infocore import (
     BlockDistribution,
     JointBlockDistribution,
     Scalar,
+    WindowCapError,
     _codes_fit,
     _coerce_sequence,
     _distinct_counts,
@@ -41,7 +42,6 @@ from .infocore import (
     shannon_entropy,
     window_codes,
 )
-from .processes import WindowCapError
 
 __all__ = [
     "UndersampledError",
@@ -108,14 +108,6 @@ class EmpiricalSource:
         self.arr = arr
         self.alphabet = alphabet
         self.n = int(arr.size)
-
-    @property
-    def exact(self) -> bool:
-        return False
-
-    @property
-    def empirical(self) -> bool:
-        return True
 
     def _check_block(self, L: int) -> None:
         if L < 1:
@@ -307,25 +299,25 @@ def _refuse_undersampled(distinct: int, m: int) -> None:
             " refusing estimate beyond one pair per ten windows")
 
 
-def _as_source(source, alphabet: Optional[Alphabet] = None):
+def _as_source(source):
     if hasattr(source, "block_distribution") \
             and hasattr(source, "joint_gap_distribution"):
         return source
-    return EmpiricalSource(source, alphabet)
+    return EmpiricalSource(source)
 
 
-def _block_entropies(src, Ls: Sequence[int]):
-    """H(L) of a source for each length of Ls, and whether all came
-    from exact tables; an observed sequence is counted once."""
+def _block_entropies(src, Ls: Sequence[int]) -> list:
+    """H(L) of a source for each length of Ls; an observed sequence is
+    counted once, a model builds one table at a time."""
     if isinstance(src, EmpiricalSource):
-        return src.block_entropies(Ls), False
-    H, exact = [], True
-    for L in Ls:
-        d = src.block_distribution(L)
-        H.append(shannon_entropy(d))
-        exact = exact and d.exact
-        del d  # one table alive at a time
-    return H, exact
+        return src.block_entropies(Ls)
+    return [shannon_entropy(src.block_distribution(L)) for L in Ls]
+
+
+def _all_exact(values) -> bool:
+    """Whether there are values and none of them is a float: the one
+    rule for the ``exact`` flag of a curve or a grid."""
+    return bool(values) and not any(isinstance(v, float) for v in values)
 
 
 # ── entropy curves ──────────────────────────────────────────────────
@@ -340,6 +332,10 @@ class EntropyCurve:
     the ratio and is exact from L_max = R + 1 on for an order-R chain;
     h_ratio = H(L_max)/L_max is exposed alongside.  E_hat is the
     excess-entropy estimate H(L_max) - L_max * h_hat.
+
+    ``exact`` follows the rule of :class:`GapMIGrid`: no H(L) is a
+    float.  An exact table whose probabilities are not smooth gives a
+    float entropy, and then the curve is not exact.
     """
 
     L_max: int
@@ -372,29 +368,25 @@ class EntropyCurve:
         }
 
 
-def entropy_curve(source, L_max: int,
-                  alphabet: Optional[Alphabet] = None) -> EntropyCurve:
+def entropy_curve(source, L_max: int) -> EntropyCurve:
     """Block entropy curve of a model or an observed sequence."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    H, exact = _block_entropies(_as_source(source, alphabet),
-                                range(1, L_max + 1))
+    H = _block_entropies(_as_source(source), range(1, L_max + 1))
     dH = [H[0]] + [H[i] - H[i - 1] for i in range(1, L_max)]
     h_hat = dH[-1]
     E_hat = H[-1] - h_hat * L_max
     h_ratio = H[-1] / L_max
     return EntropyCurve(L_max=L_max, H=tuple(H), dH=tuple(dH), h_hat=h_hat,
-                        h_ratio=h_ratio, E_hat=E_hat, exact=exact)
+                        h_ratio=h_ratio, E_hat=E_hat, exact=_all_exact(H))
 
 
-def excess_entropy_finite(source, L: int,
-                          alphabet: Optional[Alphabet] = None) -> Scalar:
+def excess_entropy_finite(source, L: int) -> Scalar:
     """Mutual information between two adjacent length-L blocks,
     computed as 2 H(L) - H(2L)."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    (hL, h2L), _ = _block_entropies(_as_source(source, alphabet),
-                                    (L, 2 * L))
+    hL, h2L = _block_entropies(_as_source(source), (L, 2 * L))
     return hL * 2 - h2L
 
 
@@ -408,6 +400,8 @@ class GapMIGrid:
 
     Cells that cannot be computed (window cap, undersampling) are
     absent from ``values`` and carry a reason string in ``missing``.
+    ``exact`` is true when there are values and none is a float;
+    ``empirical`` when they were estimated from an observed sequence.
     """
 
     L_grid: tuple
@@ -445,8 +439,8 @@ class GapMIGrid:
         }
 
 
-def gap_mi_grid(source, L_grid: Sequence[int], g_grid: Sequence[int],
-                alphabet: Optional[Alphabet] = None) -> GapMIGrid:
+def gap_mi_grid(source, L_grid: Sequence[int],
+                g_grid: Sequence[int]) -> GapMIGrid:
     """Evaluate the block MI at every (L, g) on the grid; cells that
     exceed the window cap or the undersampling guard are marked
     missing rather than failing the grid."""
@@ -456,7 +450,7 @@ def gap_mi_grid(source, L_grid: Sequence[int], g_grid: Sequence[int],
         raise ValueError("grids must be nonempty")
     if Ls[0] < 1 or gs[0] < 0:
         raise ValueError("need L >= 1 and g >= 0 throughout the grid")
-    src = _as_source(source, alphabet)
+    src = _as_source(source)
     if isinstance(src, EmpiricalSource):
         values, missing = src.gap_mutual_informations(Ls, gs)
     else:
@@ -468,10 +462,9 @@ def gap_mi_grid(source, L_grid: Sequence[int], g_grid: Sequence[int],
                         src.joint_gap_distribution(L, g))
                 except (WindowCapError, UndersampledError) as e:
                     missing[(L, g)] = str(e)
-    cell_exact = all(not isinstance(v, float) for v in values.values())
     return GapMIGrid(L_grid=Ls, g_grid=gs, values=values, missing=missing,
-                     exact=bool(values) and cell_exact,
-                     empirical=bool(getattr(src, "empirical", False)))
+                     exact=_all_exact(values.values()),
+                     empirical=isinstance(src, EmpiricalSource))
 
 
 # ── PMI verdict ─────────────────────────────────────────────────────

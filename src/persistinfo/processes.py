@@ -18,9 +18,12 @@ paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
 i.i.d. models bridge the gap with a transition-matrix power instead of
 enumerating it, so the cap there applies only to the two visible
 blocks.  A substitution fixed point has far fewer factors than words:
-a length-n window is refused when n times factor_count_bound(n), a
-bound on the factor count from the rules alone, exceeds the cap; a gap
-law reads only the two blocks of each window, building no length-n word.
+its laws read the length-n windows of the pair images ζ^p(α)ζ^p(β),
+and the window count (factor_count_bound(n) at the shortest power p)
+times n, found from the image lengths before any image is built, is
+held to the same cap; a gap law reads only the two blocks of each
+window, building no length-n word.  WINDOW_STATE_CAP and
+WindowCapError live in ``infocore`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -38,19 +41,24 @@ import numpy as np
 
 from ._ratlinalg import stationary_from_transitions
 from .infocore import (
+    WINDOW_STATE_CAP,
     Alphabet,
     BlockDistribution,
     JointBlockDistribution,
+    WindowCapError,
     Word,
     _agrees,
+    _distinct_rows,
+    _ranks,
     _rational_weights,
     entropy_of_probs,
+    log2_of,
     shannon_entropy,
 )
 from .substitution import (
     Substitution,
+    _graph_period,
     _window_law,
-    factor_count_bound,
     factor_frequencies,
     fixed_point_array,
     shortcut_power,
@@ -75,16 +83,8 @@ __all__ = [
     "ising_entropy_rate",
 ]
 
-# Enumerated window states (alphabet size ** window length) above this
-# are refused rather than attempted.
-WINDOW_STATE_CAP = 1 << 26
-
 #: gap matrix powers a Markov chain keeps, one per gap length
 GAP_POWERS_KEPT = 32
-
-
-class WindowCapError(ValueError):
-    """Requested window needs more enumerated states than the cap."""
 
 
 class ClosedFormUnavailable(ValueError):
@@ -96,14 +96,6 @@ def _check_cap(s: int, window_length: int) -> None:
         raise WindowCapError(
             f"window of length {window_length} over {s} symbols needs"
             f" {s}**{window_length} states; cap is 2**26")
-
-
-def _check_factor_cap(subst: Substitution, window_length: int) -> None:
-    bound = factor_count_bound(subst, window_length)
-    if window_length * bound > WINDOW_STATE_CAP:
-        raise WindowCapError(
-            f"window of length {window_length} may have up to {bound}"
-            f" factors, {window_length * bound} letters in all; cap is 2**26")
 
 
 @dataclass(frozen=True)
@@ -182,8 +174,7 @@ class PeriodicProcess:
             raise ValueError("need L >= 1 and g >= 0")
         counts: dict = {}
         for t in range(self.period):
-            window = self._window(t, 2 * L + g)
-            key = (window[:L], window[L + g:])
+            key = (self._window(t, L), self._window(t + L + g, L))
             counts[key] = counts.get(key, 0) + 1
         return JointBlockDistribution(self.alphabet, L, g, L, counts,
                                       self.period)
@@ -270,24 +261,14 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
         if steps.size % 2:
             # a pad step: its map acts only after the last step
             steps = np.append(steps, 0)
-        pairs = steps[0::2] * k + steps[1::2]
-        if k * k <= pairs.size:
-            # a lookup table over all pair codes, as for a bincount
-            lookup = np.zeros(k * k, dtype=np.int64)
-            lookup[pairs] = 1
-            distinct = np.flatnonzero(lookup)
-            lookup[distinct] = np.arange(distinct.size)
-            ids = lookup[pairs]
-        else:
-            distinct, ids = np.unique(pairs, return_inverse=True)
-        if distinct.size * m > pairs.size:
+        distinct, ids = _ranks(steps[0::2] * k + steps[1::2], k * k)
+        if distinct.size * m > ids.size:
             break
         levels.append((steps, maps))
         first, second = np.divmod(distinct, k)
         # many pairs compose to the same map: keep each map once
-        maps, same = np.unique(maps[second[:, None], maps[first]], axis=0,
-                               return_inverse=True)
-        steps = same.ravel()[ids]
+        maps, same, _ = _distinct_rows(maps[second[:, None], maps[first]], m)
+        steps = same[ids]
     table = maps.tolist()
     top = []
     state = start
@@ -550,9 +531,15 @@ class MarkovProcess:
             # E / C_P, written as H(R)/C_P − R·h/C_P so that it rounds as
             # 1 − R·h/H(R) does when no two contexts merge
             eff = float(HR) / float(C_plus) - R * float(h) / float(C_plus)
+        # the phase among the d cyclic classes of the contexts with
+        # stationary mass persists across any gap
+        live = [self._cindex[c] for c in self._context_weights()]
+        d = _graph_period(np.array([[self._T[i][j] != 0 for j in live]
+                                    for i in live]))
         return ClosedForms(entropy_rate=h, excess_entropy=E,
                            complexity_plus=C_plus, complexity_minus=C_minus,
-                           pmi=Fraction(0), efficiency=eff)
+                           pmi=log2_of(d) if d > 1 else Fraction(0),
+                           efficiency=eff)
 
     def _causal_state_masses(self) -> list:
         """Stationary masses of the causal states (order R >= 1).
@@ -691,25 +678,6 @@ class IidProcess(MarkovProcess):
 # ── one-dimensional Ising chain ─────────────────────────────────────
 
 
-def _ising_lambda1(J: float, h: float, beta: float):
-    a = math.exp(beta * J) * math.cosh(beta * h)
-    disc = math.exp(2 * beta * J) * math.sinh(beta * h) ** 2 \
-        + math.exp(-2 * beta * J)
-    return a + math.sqrt(disc)
-
-
-def _ising_dlambda1(J: float, h: float, beta: float):
-    a = math.exp(beta * J) * math.cosh(beta * h)
-    da = J * a + h * math.exp(beta * J) * math.sinh(beta * h)
-    disc = math.exp(2 * beta * J) * math.sinh(beta * h) ** 2 \
-        + math.exp(-2 * beta * J)
-    ddisc = (2 * J * math.exp(2 * beta * J) * math.sinh(beta * h) ** 2
-             + 2 * h * math.exp(2 * beta * J) * math.sinh(beta * h)
-             * math.cosh(beta * h)
-             - 2 * J * math.exp(-2 * beta * J))
-    return da + ddisc / (2 * math.sqrt(disc))
-
-
 def _two_point_entropy(pair) -> float:
     """Entropy in nats of a law on two points, from its smaller
     probability p as −p·ln p − (1 − p)·log1p(−p): the larger entry's
@@ -790,14 +758,6 @@ class IsingChainProcess:
         spins = (-1.0, 1.0)
         return np.array([[math.exp(b * (J * s * t + h * (s + t) / 2))
                           for t in spins] for s in spins])
-
-    @property
-    def lambda1(self) -> float:
-        return _ising_lambda1(self.J, self.h, self.beta)
-
-    @property
-    def dlambda1_dbeta(self) -> float:
-        return _ising_dlambda1(self.J, self.h, self.beta)
 
     @cached_property
     def _chain(self) -> MarkovProcess:
@@ -903,7 +863,8 @@ _PARITY_RULES = ((0, 1), (1, 0))
 class SubstitutionProcess:
     """Uniquely ergodic process of a primitive substitution fixed
     point; block laws are the exact factor frequencies.  Windows are
-    capped on the factor-count bound, not on alphabet size ** length."""
+    capped on the letters of the pair-image windows they are read from
+    (substitution._pair_window_counts), not on alphabet size ** length."""
 
     substitution: Substitution
 
@@ -919,7 +880,6 @@ class SubstitutionProcess:
         if L < 1:
             raise ValueError("block length must be >= 1")
         subst = self.substitution
-        _check_factor_cap(subst, L)
         if L < 3:
             # the letter and pair Perron vectors themselves
             return factor_frequencies(subst, L).as_distribution(self.alphabet)
@@ -934,7 +894,6 @@ class SubstitutionProcess:
             raise ValueError("need L >= 1 and g >= 0")
         n = 2 * L + g
         subst = self.substitution
-        _check_factor_cap(subst, n)
         rows, _, weights, D = _window_law(subst, shortcut_power(subst, n),
                                           ((0, L), (L + g, n)))
         keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]

@@ -48,9 +48,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._ratlinalg import rational_nullspace
 from .infocore import (
+    WINDOW_STATE_CAP,
     Alphabet,
     BlockDistribution,
     ExactBits,
+    WindowCapError,
     Word,
     _concat_pieces,
     _distinct_rows,
@@ -507,16 +509,33 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     ``spans`` ((start, stop), ...) as one row of letters: the distinct
     rows in lex order, and the int64 matrix counting each row (down)
     per pair (across).  Once every |ζ^p| >= n − 1, the rows of width n
-    are the length-n factors and the matrix is the shortcut matrix."""
+    are the length-n factors and the matrix is the shortcut matrix.
+
+    The image lengths |ζ^p(a)| come first, as integers: a power too
+    small for the width, and more than WINDOW_STATE_CAP letters of
+    windows (width times Σ_αβ |ζ^p(α)|), are refused before any image
+    is built.  Image lengths never shrink with p, so once every image
+    outgrows both the cap and the width the refusal is certain, and
+    the message quotes the count at that power."""
     s, width = len(subst.alphabet), max(stop for _, stop in spans)
+    pairs = sorted(_pair_factors(subst))
+    lengths = [1] * s
+    for _ in range(power):
+        lengths = [sum(lengths[b] for b in rule) for rule in subst.rules]
+        if min(lengths) > max(WINDOW_STATE_CAP, width):
+            break  # refused below, and at every higher power
+    if min(lengths) < width - 1:
+        raise ValueError(f"power {power} is too small: need every ζ^p"
+                         f" image at least {width - 1} letters long")
+    bound = sum(lengths[alpha] for alpha, _ in pairs)
+    if width * bound > WINDOW_STATE_CAP:
+        raise WindowCapError(
+            f"window of length {width} may have up to {bound}"
+            f" factors, {width * bound} letters in all; cap is 2**26")
     images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
     for _ in range(power):
         images = [np.concatenate([images[b] for b in rule])
                   for rule in subst.rules]
-    if min(map(len, images)) < width - 1:
-        raise ValueError(f"power {power} is too small: need every ζ^p"
-                         f" image at least {width - 1} letters long")
-    pairs = sorted(_pair_factors(subst))
     rows = []
     for alpha, beta in pairs:
         w = sliding_window_view(np.concatenate((images[alpha], images[beta])),

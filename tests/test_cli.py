@@ -58,6 +58,15 @@ def test_entropy_table_shows_exact_and_summary(capsys):
     assert "2/3" in out  # exact increments rendered as rationals
 
 
+def test_entropy_table_separates_overflowing_cells(capsys):
+    model = ('{"kind":"markov","rows":{"0":["1/10007","10006/10007"],'
+             '"1":["1/2","1/2"]}}')
+    code, out, _ = run(capsys, "entropy", "--model", model, "--Lmax", "3")
+    assert code == 0
+    # the exact H(1) outgrows its column; its float follows after a space
+    assert "*log2(10007) 0.918318040611  " in out.splitlines()[1]
+
+
 def test_entropy_sequence_file(tmp_path, capsys):
     p = tmp_path / "seq.txt"
     p.write_text("01" * 400 + "\n")
@@ -359,6 +368,17 @@ def test_substitution_power_too_small(capsys):
     code, _, err = run(capsys, "substitution", "--rules", "tm",
                        "--l", "5", "--show-shortcut", "--p", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--l", "4097"),
+    ("--l", "5", "--show-shortcut", "--p", "40"),
+])
+def test_substitution_refuses_windows_past_the_cap(capsys, argv):
+    code, out, err = run(capsys, "substitution", "--rules", "tm", *argv)
+    assert code == 1
+    assert out == ""
+    assert "cap is 2**26" in err
 
 
 # ── ising ─────────────────────────────────────────────────────────────────────

@@ -221,6 +221,16 @@ def test_r2_machine_merges_equivalent_contexts():
     assert m.complexity == F(3, 2)
 
 
+def test_float_machine_at_zero_radius_merges_equal_laws():
+    # float rows with radius 0: the total-variation route merges only
+    # identical future laws, in the order of the exact key route
+    rows = {"00": (0.75, 0.25), "01": (0.5, 0.5), "10": (0.25, 0.75),
+            "11": (0.5, 0.5)}
+    m = reconstruct(MarkovProcess.from_rows(rows), 2, 2, tol=0)
+    assert m.states == reconstruct(markov_r2_uniform(), 2, 2).states
+    assert m.state_probs == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
+
+
 def test_r2_machine_transitions():
     m = reconstruct(markov_r2_uniform(), 2, 2)
     assert m.transitions == {

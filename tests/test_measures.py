@@ -128,6 +128,18 @@ def test_entropy_curve_from_plain_sequence():
     assert float(c.E_hat) == pytest.approx(1.0, abs=0.02)
 
 
+def test_entropy_curve_exact_flag_follows_the_values():
+    # exact tables over a large prime, whose entropies fall back to float
+    m = MarkovProcess.from_rows({"0": (F(1, 1000000007),
+                                       F(1000000006, 1000000007)),
+                                 "1": (F(1, 2), F(1, 2))})
+    c = entropy_curve(m, 3)
+    assert any(isinstance(h, float) for h in c.H)
+    assert c.exact is False
+    assert c.to_json_dict()["exact"] is False
+    assert gap_mi_grid(m, (1, 2), (4, 8)).exact is False
+
+
 def test_entropy_curve_csv_shape():
     c = entropy_curve(IidProcess.from_probs((F(1, 2), F(1, 2))), 3)
     lines = c.to_csv().strip().splitlines()

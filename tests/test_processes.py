@@ -135,6 +135,19 @@ def test_periodic_closed_form_period5():
     assert float(cf.pmi) == pytest.approx(math.log2(5))
 
 
+def test_periodic_long_gap_reads_only_the_two_blocks():
+    m = PeriodicProcess.from_string("00111")
+    tracemalloc.start()
+    try:
+        j = joint_gap_distribution(m, 5, 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the gap is a multiple of the period
+    assert j.probs == joint_gap_distribution(m, 5, 0).probs
+
+
 def test_periodic_sample_is_cyclic_window():
     m = PeriodicProcess.from_string("01")
     seen = set()
@@ -211,6 +224,22 @@ def test_rational_chain_rejects_float_stationary_vector():
     assert block_distribution(m, 1).probs == {(0,): F(2, 3), (1,): F(1, 3)}
     with pytest.raises(ValueError, match="not stationary"):
         MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(1, 2), F(1, 2)])
+
+
+@pytest.mark.parametrize("rows, period", [
+    ({"0": (0, 0, F(1, 2), F(1, 2)), "1": (0, 0, F(1, 4), F(3, 4)),
+      "2": (F(1, 3), F(2, 3), 0, 0), "3": (F(1, 5), F(4, 5), 0, 0)}, 2),
+    # context 00 is transient; 01 -> 11 -> 10 -> 01 has period 3
+    ({"00": (F(1, 2), F(1, 2)), "01": (0, 1), "11": (1, 0),
+      "10": (0, 1)}, 3),
+])
+def test_periodic_chain_closed_pmi_is_log_of_its_period(rows, period):
+    m = MarkovProcess.from_rows(rows)
+    cf = closed_forms(m)
+    assert cf.pmi == log2_of(period)
+    v = pmi_verdict(gap_mi_grid(m, (1, 2, 3), (16, 24, 32))).verdict
+    assert v.kind == "converged"
+    assert v.value == pytest.approx(float(cf.pmi), abs=1e-9)
 
 
 def test_goldenmean_closed_forms_exact():
@@ -711,19 +740,6 @@ def test_ising_entropy_rate_zero_field_formula():
         expected = (math.log(2 * math.cosh(bj)) - bj * math.tanh(bj)) / math.log(2)
         assert ising_entropy_rate(J=J, h=0.0, beta=beta) == pytest.approx(
             expected, abs=1e-12)
-
-
-def test_ising_eigenvalue_derivative_against_finite_difference():
-    def lam1(J, h, beta):
-        return (math.exp(beta * J) * math.cosh(beta * h)
-                + math.sqrt(math.exp(2 * beta * J) * math.sinh(beta * h) ** 2
-                            + math.exp(-2 * beta * J)))
-
-    for J, h, beta in [(1, 0, 0.5), (1, 0.3, 0.7), (0.5, -0.2, 1.3), (2, 1, 0.2)]:
-        eps = 1e-6
-        fd = (lam1(J, h, beta + eps) - lam1(J, h, beta - eps)) / (2 * eps)
-        m = IsingChainProcess(J=J, h=h, beta=beta)
-        assert m.dlambda1_dbeta == pytest.approx(fd, rel=1e-6)
 
 
 def test_ising_rate_matches_conditional_entropy_of_induced_chain():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from persistinfo.infocore import Alphabet, ExactBits, shannon_entropy
+from persistinfo.processes import WindowCapError
 from persistinfo.substitution import (
     NonPrimitiveError,
     ReducibleMatrixError,
@@ -424,6 +425,21 @@ def test_factor_count_bound_at_the_window_cap():
     for subst, n_max in ((thue_morse(), 4096), (fibonacci(), 3789)):
         assert n_max * factor_count_bound(subst, n_max) <= cap
         assert (n_max + 1) * factor_count_bound(subst, n_max + 1) > cap
+
+
+def test_factor_tables_refuse_windows_past_the_cap():
+    tm = thue_morse()
+    bound = factor_count_bound(tm, 4097)
+    with pytest.raises(WindowCapError) as e:
+        factors_of_length(tm, 4097)
+    assert str(e.value) == (f"window of length 4097 may have up to {bound}"
+                            f" factors, {4097 * bound} letters in all;"
+                            " cap is 2**26")
+    with pytest.raises(WindowCapError):
+        factor_frequencies(fibonacci(), 3790)
+    # images of 2**40 letters are refused before any is built
+    with pytest.raises(WindowCapError):
+        shortcut_matrix(tm, 5, 40)
 
 
 # ── complexity function and entropy increments ────────────────────────────────
