@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import processes
 from .emachine import reconstruct
 from .infocore import (
     Alphabet,
@@ -170,59 +171,75 @@ def _load_sequence(path: str) -> EmpiricalSource:
         raise ValueError(f"sequence file is empty: {path}")
     if "\n" in text:
         raise ValueError("sequence files hold one line of symbols")
-    if "," in text:
-        codes, labels = _comma_codes(text, path)
-        return EmpiricalSource(codes, Alphabet(labels))
-    return EmpiricalSource(text)
+    if "," not in text:
+        return EmpiricalSource(text)
+    raw = text.encode()
+    del text
+    codes, labels = _comma_codes(raw, path)
+    return EmpiricalSource(codes, Alphabet(labels))
 
 
-def _comma_codes(text: str, path: str):
-    """Codes and sorted labels of a comma-separated line, found from
-    the comma positions in its UTF-8 bytes.
+def _comma_codes(raw: bytes, path: str):
+    """Codes and sorted labels of a comma-separated line, given as its
+    UTF-8 bytes.
 
-    The tokens of each byte length are rows of a matrix, taken as
-    base-256 integers when they fit in 63 bits; only the distinct
-    tokens are decoded and sorted, in Python's string order.  Equal
-    lengths compare bytewise as their labels do, so each length's ids
-    need remapping only where other lengths interleave.
+    The line is read in blocks of about ``_BLOCK`` bytes, each ending
+    just before a comma; a comma is never part of a multi-byte UTF-8
+    character, so no label is split.  In a block, the tokens of each
+    byte length are keyed by gathering their bytes: as base-256
+    integers when they fit in 63 bits, as rows sorted bytewise
+    otherwise.  Only each block's distinct tokens are decoded, and a
+    label seen for the first time takes the next id; the ids are
+    renumbered once at the end, in Python's string order.
     """
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord(","))
-    starts = np.empty(ends.size + 1, dtype=np.int64)
-    starts[0] = 0
-    np.add(ends, 1, out=starts[1:])
-    lengths = np.append(ends, raw.size)
-    del ends
-    lengths -= starts
-    if not lengths.all():
-        raise ValueError(f"empty symbol at position {int(np.argmin(lengths))}"
-                         f" of the comma-separated sequence in {path}")
-    codes = np.empty(starts.size, dtype=np.int64)
-    groups = []
-    counts = np.bincount(lengths)
-    for width in np.flatnonzero(counts).tolist():
-        where = (slice(None) if counts[width] == starts.size
-                 else np.flatnonzero(lengths == width))
-        rows = np.lib.stride_tricks.sliding_window_view(raw, width)[
-            starts[where]]
-        if width * 8 < 63:
-            keys = np.zeros(len(rows), dtype=np.int64)
-            for column in rows.T:
-                keys <<= 8
-                keys |= column
-            del rows
-            distinct, codes[where] = _ranks(keys, 256 ** width)
-            tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
-        else:
-            distinct, codes[where], _ = _distinct_rows(rows, 256)
-            tokens = [row.tobytes() for row in distinct]
-        groups.append((where, [t.decode() for t in tokens]))
-    labels = sorted(label for _, found in groups for label in found)
-    index = {label: i for i, label in enumerate(labels)}
-    for where, found in groups:
-        remap = np.array([index[x] for x in found])
-        if (remap != np.arange(remap.size)).any():
-            codes[where] = remap[codes[where]]
+    size = processes._BLOCK
+    data = np.frombuffer(raw, dtype=np.uint8)
+    codes = np.empty(raw.count(b",") + 1, dtype=np.int64)
+    ids: dict = {}
+    lo = done = 0
+    while True:
+        hi = raw.find(b",", lo + size)
+        if hi < 0:
+            hi = len(raw)
+        block = data[lo:hi]
+        ends = np.flatnonzero(block == ord(","))
+        starts = np.zeros(ends.size + 1, dtype=np.int64)
+        np.add(ends, 1, out=starts[1:])
+        lengths = np.append(ends, block.size) - starts
+        if not lengths.all():
+            raise ValueError(f"empty symbol at position "
+                             f"{done + int(np.argmin(lengths))} of the "
+                             f"comma-separated sequence in {path}")
+        part = codes[done:done + starts.size]
+        counts = np.bincount(lengths)
+        for width in np.flatnonzero(counts).tolist():
+            where = (slice(None) if counts[width] == starts.size
+                     else np.flatnonzero(lengths == width))
+            first = starts[where]
+            if width * 8 < 63:
+                keys = np.zeros(first.size, dtype=np.int64)
+                for j in range(width):
+                    keys <<= 8
+                    keys |= block[first + j]
+                distinct, local = _ranks(keys, 256 ** width)
+                tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
+            else:
+                rows = block[first[:, None] + np.arange(width)]
+                distinct, local, _ = _distinct_rows(rows, 256)
+                tokens = [row.tobytes() for row in distinct]
+            found = [ids.setdefault(t.decode(), len(ids)) for t in tokens]
+            part[where] = np.array(found)[local]
+        done += starts.size
+        if hi == len(raw):
+            break
+        lo = hi + 1
+    labels = sorted(ids)
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[[ids[label] for label in labels]] = np.arange(len(labels))
+    if (rank != np.arange(rank.size)).any():
+        for lo in range(0, codes.size, size):
+            chunk = codes[lo:lo + size]
+            chunk[:] = rank[chunk]
     return codes, labels
 
 
@@ -280,11 +297,13 @@ def cmd_pmi(cfg: argparse.Namespace) -> int:
     elif cfg.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
-        lines = ["L    g    E_bits"]
+        widths = (5, 5, 0)
+        lines = [_table_row(("L", "g", "E_bits"), widths)]
         for (L, g), v in sorted(grid.values.items()):
-            lines.append(f"{L:<5}{g:<5}{_fmt(float(v))}")
+            lines.append(_table_row((str(L), str(g), _fmt(float(v))), widths))
         for (L, g), reason in sorted(grid.missing.items()):
-            lines.append(f"{L:<5}{g:<5}missing: {reason}")
+            lines.append(_table_row((str(L), str(g), f"missing: {reason}"),
+                                    widths))
         v = report.verdict
         if v.kind == "converged":
             lines.append(f"verdict: converged  PMI = {_fmt(v.value)}"
@@ -606,8 +625,19 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
     sep = "" if all(len(x) == 1 for x in symbols) else ","
     pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
               for x in symbols]
-    text = _concat_pieces(arr, pieces).tobytes().decode()
-    _emit(text.removesuffix(sep) + "\n", cfg.out)
+    size = processes._BLOCK
+    f = open(cfg.out, "w") if cfg.out else sys.stdout
+    try:
+        # the sampler's blocks of symbols, the last one ending in a
+        # newline instead of a separator
+        for lo in range(0, arr.size, size):
+            text = _concat_pieces(arr[lo:lo + size], pieces).tobytes().decode()
+            if lo + size >= arr.size:
+                text = text.removesuffix(sep) + "\n"
+            f.write(text)
+    finally:
+        if f is not sys.stdout:
+            f.close()
     return 0
 
 

@@ -86,6 +86,11 @@ __all__ = [
 #: gap matrix powers a Markov chain keeps, one per gap length
 GAP_POWERS_KEPT = 32
 
+#: symbols a long sequence is sampled and written in at a time, and
+#: bytes a comma-separated one is read in (``MarkovProcess.sample``, and
+#: the writer and comma loader of ``cli``); outputs do not depend on it
+_BLOCK = 1 << 16
+
 
 class ClosedFormUnavailable(ValueError):
     """The model class has no exact expression for the request."""
@@ -243,7 +248,8 @@ def _float_stationary(T: np.ndarray) -> np.ndarray:
     return v / v.sum()
 
 
-def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
+def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
+               start: int) -> np.ndarray:
     """States x_0 = start, x_{t+1} = maps[steps[t], x_t] for t < n − 1.
 
     Adjacent steps are composed pairwise into one map per pair, level
@@ -252,7 +258,10 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
     stops at one step, or before a level whose table would outgrow its
     steps (a chain with many contexts); the steps left are walked one
     by one.  The state before every pair then gives the state inside
-    it, from the top level back down.
+    it, from the top level back down, each level read from its
+    flattened table with one ``take``.  ``rows`` is ``maps.tolist()``,
+    walked when nothing is composed; the sampler builds it once and
+    calls this once per block, so every level is at most a block long.
     """
     n = steps.size
     levels = []
@@ -269,7 +278,7 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
         # many pairs compose to the same map: keep each map once
         maps, same, _ = _distinct_rows(maps[second[:, None], maps[first]], m)
         steps = same[ids]
-    table = maps.tolist()
+    table = maps.tolist() if levels else rows
     top = []
     state = start
     for step in steps.tolist():
@@ -280,7 +289,7 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, start: int) -> np.ndarray:
         states = states[:steps.size // 2]
         inner = np.empty(steps.size, dtype=np.int64)
         inner[0::2] = states
-        inner[1::2] = maps[steps[0::2], states]
+        inner[1::2] = maps.ravel().take(steps[0::2] * maps.shape[1] + states)
         states = inner
     return states[:n]
 
@@ -579,6 +588,13 @@ class MarkovProcess:
         points fixes the symbol for every context, so each step is a
         map from context to next context, and ``_walk_maps`` composes
         those maps instead of stepping through them one by one.
+
+        The uniforms are drawn and walked ``_BLOCK`` at a time, each
+        block from the context the previous one ended in, into one
+        output array; a Generator gives the same doubles in blocks as
+        in one call, so the sample does not depend on the block size.
+        A block's symbols are one ``take`` from the flattened bin ×
+        context table.
         """
         s = len(self.alphabet)
         m = len(self.contexts)
@@ -587,17 +603,25 @@ class MarkovProcess:
         cum_pi = np.cumsum([float(x) for x in self.stationary])
         start = min(int(np.searchsorted(cum_pi, float(rng.random()),
                                         side="right")), m - 1)
-        u = rng.random(n)
         edges = np.unique(cuts)
-        steps = np.searchsorted(edges, u, side="right")
         # bin b holds the u with exactly b edges at or below them; its
         # symbol in each row counts that row's cuts at or below edge b−1
         floor = np.concatenate(([-np.inf], edges))
         symbols = np.array([np.searchsorted(row, floor, side="right")
                             for row in cuts]).T
         maps = (np.arange(m) * s + symbols) % m
-        contexts = _walk_maps(steps, maps, start)
-        return symbols[steps, contexts].astype(np.int64, copy=False)
+        flat_symbols, flat_maps, rows = (symbols.ravel(), maps.ravel(),
+                                         maps.tolist())
+        out = np.empty(n, dtype=np.int64)
+        context = start
+        for lo in range(0, n, _BLOCK):
+            u = rng.random(min(_BLOCK, n - lo))
+            steps = np.searchsorted(edges, u, side="right")
+            at = steps * m
+            at += _walk_maps(steps, maps, rows, context)
+            flat_symbols.take(at, out=out[lo:lo + at.size])
+            context = int(flat_maps[at[-1]])
+        return out
 
     def reversed(self) -> "MarkovProcess":
         """Time reversal: an order-R chain whose kernel is the Bayes

@@ -242,6 +242,18 @@ def test_pmi_csv_grid(capsys):
     assert len(lines) == 10
 
 
+def test_pmi_table_separates_long_gaps(capsys):
+    code, out, _ = run(capsys, "pmi", "--model",
+                       '{"kind":"periodic","cycle":"00111"}',
+                       "--L-grid", "5,6,7",
+                       "--g-grid", "1000000,2000000,4000000")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "L    g    E_bits"
+    # the gap outgrows its column; the value follows after a space
+    assert "6    4000000 2.32192809489" in lines
+
+
 def test_pmi_rejects_descending_grid(capsys):
     code, _, err = run(capsys, "pmi", "--model", "coin",
                        "--L-grid", "3,2,1", "--g-grid", "0,2,4")
@@ -551,6 +563,80 @@ def test_comma_sequence_file_orders_labels_as_python(tmp_path):
     src = _load_sequence(str(p))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
     assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
+
+
+@pytest.mark.parametrize("text, block, position", [
+    (",a,b", 2, 0),
+    ("a,b,", 2, 2),
+    ("ab,c,,d", 4, 2),        # the cut falls on the first comma of ",,"
+    ("a,bb,c,dd,,e", 9, 4),   # ...and here after four labels
+])
+def test_comma_blocks_name_the_global_empty_position(tmp_path, monkeypatch,
+                                                     text, block, position):
+    from persistinfo import processes
+    from persistinfo.cli import _load_sequence
+    monkeypatch.setattr(processes, "_BLOCK", block)
+    p = tmp_path / "seq.txt"
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError, match=f"empty symbol at position "
+                                         f"{position} "):
+        _load_sequence(str(p))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 11])
+def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
+    from persistinfo import processes
+    from persistinfo.cli import _load_sequence
+    labels = ["é", "10", "longlabel9", "2", "é", "1", "10", "longlabel9",
+              "é", "2", "longlabel8", "1", "é", "10", "2"] * 3
+    monkeypatch.setattr(processes, "_BLOCK", block)
+    p = tmp_path / "seq.txt"
+    p.write_text(",".join(labels) + "\n")
+    src = _load_sequence(str(p))
+    assert src.alphabet.symbols == (
+        "1", "10", "2", "longlabel8", "longlabel9", "é")
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_sample_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch,
+                                            block):
+    from persistinfo import processes
+    monkeypatch.setattr(processes, "_BLOCK", block)
+    for name in ("ising", "tm"):
+        want = (DATA / f"sample_{name}_4097_101.txt").read_bytes()
+        dest = tmp_path / f"{name}.txt"
+        argv = ("sample", "--model", GOLDEN_SAMPLES[name], "--n", "4097",
+                "--seed", "101")
+        code, _, err = run(capsys, *argv, "--out", str(dest))
+        assert code == 0, err
+        assert dest.read_bytes() == want
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode() == want
+
+
+def test_comma_loader_memory_stays_in_blocks(tmp_path):
+    import tracemalloc
+
+    import numpy as np
+
+    from persistinfo.cli import _load_sequence
+    n = 10 ** 6
+    signs = np.array([b"+1,", b"-1,"])[np.random.default_rng(0).integers(
+        2, size=n)]
+    p = tmp_path / "seq.txt"
+    p.write_bytes(signs.tobytes()[:-1] + b"\n")
+    del signs
+    tracemalloc.start()
+    try:
+        src = _load_sequence(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert src.n == n
+    # the 8 MB of codes, the 3 MB line, and blocks of scratch
+    assert peak < 20 << 20
 
 
 def test_output_file(tmp_path, capsys):

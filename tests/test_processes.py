@@ -610,7 +610,8 @@ def test_markov_sample_with_many_contexts_matches_bisect_oracle():
     # 216 contexts and about a thousand bins: composed maps would
     # outgrow the steps, so most of the walk goes step by step
     m = random_float_chain(6, 3, seed=3)
-    for n in (1, 4097, 20_000):
+    B = processes._BLOCK
+    for n in (1, 4097, 20_000, B - 1, B, B + 1, 3 * B + 5):
         got = m.sample(n, np.random.default_rng(n))
         want = bisect_sample_oracle(m, n, np.random.default_rng(n))
         assert np.array_equal(got, want)
@@ -648,6 +649,10 @@ def float_chains(draw):
        n=st.sampled_from((1, 2, 3, 1023, 1025, 4097)),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_markov_sample_matches_bisect_oracle(m, n, seed):
+    _assert_sample_matches_bisect_oracle(m, n, seed)
+
+
+def _assert_sample_matches_bisect_oracle(m, n, seed):
     got = m.sample(n, np.random.default_rng(seed))
     want = bisect_sample_oracle(m, n, np.random.default_rng(seed))
     assert got.dtype == np.int64
@@ -655,29 +660,71 @@ def test_markov_sample_matches_bisect_oracle(m, n, seed):
     event(f"order {m.order}, {len(m.alphabet)} letters")
 
 
+@settings(max_examples=80, deadline=None)
+@given(m=st.one_of(rational_chains(), float_chains()),
+       n=st.sampled_from((1, 2, 3, 1023, 1025, 4097)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_markov_sample_in_blocks_of_7_matches_bisect_oracle(m, n, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(processes, "_BLOCK", 7)
+        _assert_sample_matches_bisect_oracle(m, n, seed)
+
+
+@pytest.mark.parametrize("name", ["goldenmean", "order2-ternary"])
+def test_markov_sample_across_block_boundaries(name):
+    model = SAMPLER_CHAINS[name]()
+    B = processes._BLOCK
+    for n in (B - 1, B, B + 1, 3 * B + 5):
+        got = model.sample(n, np.random.default_rng(n))
+        want = bisect_sample_oracle(model, n, np.random.default_rng(n))
+        assert np.array_equal(got, want)
+
+
+def test_markov_sample_memory_stays_in_blocks():
+    m = goldenmean()
+    tracemalloc.start()
+    try:
+        seq = sample(m, 10 ** 6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.size == 10 ** 6
+    # the 8 MB output and one block of scratch
+    assert peak < 16 << 20
+
+
 class _FixedDraws:
-    """Generator stand-in returning chosen uniforms, cut points included."""
+    """Generator stand-in returning chosen uniforms, cut points
+    included, each one once, in order."""
 
     def __init__(self, first, draws):
-        self.first, self.draws = first, draws
+        self.first, self.draws = first, list(draws)
 
     def random(self, size=None):
-        return self.first if size is None else np.array(self.draws[:size])
+        if size is None:
+            return self.first
+        taken, self.draws = self.draws[:size], self.draws[size:]
+        assert len(taken) == size, "more uniforms asked for than given"
+        return np.array(taken)
 
 
-def test_markov_sample_matches_reference_at_cut_points():
+def test_markov_sample_matches_reference_at_cut_points(monkeypatch):
     # cumsum(0.7, 0.2, 0.1) ends at 0.9999999999999999: draws above it
     # take the clamp to the last symbol
     model = SAMPLER_CHAINS["order0"]()
     top = math.nextafter(1.0, 0.0)
     draws = [0.0, 0.7, math.nextafter(0.7, 0.0), 0.9, 0.8999999999999999,
-             0.9999999999999999, top, 0.5]
-    for chain in (model, markov_r2_uniform(), SAMPLER_CHAINS["order2-ternary"]()):
-        for first in (0.0, 0.5, top):
-            got = chain.sample(len(draws), _FixedDraws(first, draws))
-            want = bisect_sample_oracle(chain, len(draws),
-                                        _FixedDraws(first, draws))
-            assert got.tolist() == want.tolist()
+             0.9999999999999999, top, 0.5, 0.25, 1 / 3]
+    # in one block, and in blocks of 3 (the last one a single step)
+    for block in (processes._BLOCK, 3):
+        monkeypatch.setattr(processes, "_BLOCK", block)
+        for chain in (model, markov_r2_uniform(),
+                      SAMPLER_CHAINS["order2-ternary"]()):
+            for first in (0.0, 0.5, top):
+                got = chain.sample(len(draws), _FixedDraws(first, draws))
+                want = bisect_sample_oracle(chain, len(draws),
+                                            _FixedDraws(first, draws))
+                assert got.tolist() == want.tolist()
     assert model.sample(2, _FixedDraws(0.0, [top, 0.9999999999999999])).tolist() \
         == [2, 2]
 
