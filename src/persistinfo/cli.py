@@ -247,8 +247,11 @@ def _source(cfg: argparse.Namespace):
     if (cfg.model is None) == (cfg.seq is None):
         raise ValueError("give exactly one of --model or --seq")
     if cfg.seq is not None:
+        if cfg.backend is not None:
+            raise ValueError("--backend applies to --model only; a --seq "
+                             "sequence is counted as it is")
         return _load_sequence(cfg.seq)
-    return _load_model(cfg.model, cfg.backend)
+    return _load_model(cfg.model, cfg.backend or "exact")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -289,12 +292,19 @@ def cmd_entropy(cfg: argparse.Namespace) -> int:
 def cmd_pmi(cfg: argparse.Namespace) -> int:
     L_grid = _parse_grid(cfg.L_grid, minimum=1) or (1, 2, 3)
     g_grid = _parse_grid(cfg.g_grid, minimum=0) or (16, 24, 32)
+    # the verdict's tolerances, given only to override its defaults
+    tuning = {k: getattr(cfg, k) for k in ("eps_g", "eps_L", "delta")
+              if getattr(cfg, k) is not None}
+    if cfg.format == "csv" and tuning:
+        flags = ", ".join("--" + k.replace("_", "-") for k in tuning)
+        raise ValueError(f"--format csv prints no PMI verdict, so it takes "
+                         f"no {flags}")
     grid = gap_mi_grid(_source(cfg), L_grid, g_grid)
-    report = pmi_verdict(grid, eps_g=cfg.eps_g, eps_L=cfg.eps_L,
-                         delta=cfg.delta)
     if cfg.format == "csv":
-        text = grid.to_csv()
-    elif cfg.format == "json":
+        _emit(grid.to_csv(), cfg.out)
+        return 0
+    report = pmi_verdict(grid, **tuning)
+    if cfg.format == "json":
         text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     else:
         widths = (5, 5, 0)
@@ -404,7 +414,7 @@ def _computed_thue_morse(model: SubstitutionProcess) -> dict:
     }
 
 
-def _table1_rows(ising_J=1.0, ising_h=0.0, ising_beta=0.5):
+def _table1_rows():
     one = Fraction(1)
     rows = [
         ("period-2", PeriodicProcess.from_string("01"), _computed_periodic),
@@ -427,7 +437,7 @@ def _table1_rows(ising_J=1.0, ising_h=0.0, ising_beta=0.5):
          lambda m: _computed_small_memory(m, 0)),
         ("thue-morse", SubstitutionProcess(thue_morse()),
          _computed_thue_morse),
-        ("ising", IsingChainProcess(J=ising_J, h=ising_h, beta=ising_beta),
+        ("ising", IsingChainProcess(J=1.0, h=0.0, beta=0.5),
          lambda m: _computed_small_memory(m, 1)),
     ]
     out = []
@@ -614,8 +624,6 @@ def cmd_ising(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sample(cfg: argparse.Namespace) -> int:
-    if cfg.model is None:
-        raise ValueError("sample needs --model")
     if cfg.n < 1:
         raise ValueError("need n >= 1")
     # sampling is a float operation whatever the analysis backend
@@ -652,7 +660,8 @@ def _add_common(sp: argparse.ArgumentParser, backend: bool = False,
     sp.add_argument("--out", help="write here instead of standard output")
     if backend:
         sp.add_argument("--backend", choices=("exact", "float"),
-                        default="exact")
+                        help="exact (the default) or float; read only "
+                        "with --model")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -679,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma list, e.g. 16,24,32")
     sp.add_argument("--eps-g", dest="eps_g", type=float)
     sp.add_argument("--eps-L", dest="eps_L", type=float)
-    sp.add_argument("--delta", type=float, default=0.05)
+    sp.add_argument("--delta", type=float)
     _add_common(sp, backend=True)
     sp.set_defaults(func=cmd_pmi)
 

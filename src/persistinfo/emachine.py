@@ -201,14 +201,13 @@ def reconstruct(model, history_length: int, future_length: int,
     index = {d: i for i, c in enumerate(classes) for d in c}
     state_weights = [sum(hist[d] for d in c) for c in classes]
 
-    # one-step symbol weights per history on the exact backend, symbol
-    # probabilities on the float one
+    # one-step symbol weights per history, divided by the state mass
+    # once per transition
     sym: dict = {}
     for d, table in futures.items():
         row = [0] * len(alphabet)
-        tot = hist[d]
         for f, p in table.items():
-            row[f[0]] += p if exact else p / tot
+            row[f[0]] += p
         sym[d] = row
 
     transitions: dict = {}
@@ -226,7 +225,7 @@ def reconstruct(model, history_length: int, future_length: int,
                         "successor history has zero probability; "
                         "window law is inconsistent")
                 targets.add(j)
-                num += pa if exact else hist[d] * pa
+                num += pa
             if not targets:
                 continue
             if len(targets) > 1:

@@ -11,10 +11,12 @@ table holds integer weights over one denominator D, built from
 integers without a Fraction per word, and ``prob()`` returns w / D as
 a Fraction.  A rational Markov chain keeps its rows, stationary law
 and context matrix scaled to integers, so a length-L word has weight
-over q·d^(L−R) and a gap is bridged by an integer matrix power.  Float
-parameters (and the Ising chain, whose transfer-matrix eigendata is
-irrational) give float distributions.  Enumeration-based
-paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
+over q·d^(L−R).  The context matrix is one NumPy array on every chain
+(Python ints d·T in an object array on a rational one, float64 on a
+float one), and a gap is bridged by its ``np.linalg.matrix_power``.
+Float parameters (and the Ising chain, whose transfer-matrix eigendata
+is irrational) give float distributions.  Enumeration-based paths
+refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
 i.i.d. models bridge the gap with a transition-matrix power instead of
 enumerating it, so the cap there applies only to the two visible
 blocks.  A substitution fixed point has far fewer factors than words:
@@ -29,7 +31,6 @@ WindowCapError live in ``infocore`` and are re-exported here.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -156,10 +157,6 @@ class PeriodicProcess:
     def period(self) -> int:
         return len(self.cycle)
 
-    @property
-    def exact(self) -> bool:
-        return True
-
     def _window(self, phase: int, n: int) -> Word:
         p = self.period
         return tuple(self.cycle[(phase + i) % p] for i in range(n))
@@ -209,24 +206,6 @@ def _as_weight(x):
     if isinstance(x, Rational):
         return Fraction(x)
     return float(x)
-
-
-def _int_matmul(A, B):
-    cols = list(zip(*B))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
-
-
-def _int_matpow(M, g: int):
-    n = len(M)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = M
-    while g:
-        if g & 1:
-            result = _int_matmul(result, base)
-        g >>= 1
-        if g:
-            base = _int_matmul(base, base)
-    return result
 
 
 def _float_stationary(T: np.ndarray) -> np.ndarray:
@@ -306,8 +285,11 @@ class MarkovProcess:
     A rational chain is kept as integers: with d the common denominator
     of its rows and q that of its stationary law, the rows d·P, the
     context weights q·π and the context matrix d·T.  A length-L word
-    (L >= R) then has weight q·π(c)·Π d·P over q·d^(L−R), and a gap of
-    g symbols is bridged by (d·T)^g, built once per g.
+    (L >= R) then has weight q·π(c)·Π d·P over q·d^(L−R).  The context
+    matrix is one NumPy array, of Python ints d·T (dtype object) on a
+    rational chain and of floats T on a float one, and a gap of g
+    symbols is bridged by its ``np.linalg.matrix_power``, built once
+    per g.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
@@ -362,10 +344,12 @@ class MarkovProcess:
         object.__setattr__(self, "_edges", edges)
 
         m = len(contexts)
-        T = [[0] * m for _ in range(m)] if exact else np.zeros((m, m))
+        # Python ints in an object array on a rational chain: (d·T)^g
+        # outgrows int64
+        T = np.zeros((m, m), dtype=object if exact else float)
         for ci, c in enumerate(contexts):
             for a, w in edges[c]:
-                T[ci][self._cindex[(c + a)[-order:] if order else ()]] += w
+                T[ci, self._cindex[(c + a)[-order:] if order else ()]] += w
         object.__setattr__(self, "_T", T)
 
         if stationary is not None:
@@ -376,7 +360,7 @@ class MarkovProcess:
                 raise ValueError("stationary vector of a chain with rational "
                                  "rows must be rational, not float")
             # flow = pi·(d·T), to be compared with d·pi
-            flow = [sum(pi[i] * T[i][j] for i in range(m)) for j in range(m)]
+            flow = [sum(pi[i] * T[i, j] for i in range(m)) for j in range(m)]
             if not all(_agrees(flow[j], d * pi[j], 1e-9) for j in range(m)):
                 raise ValueError("supplied stationary vector is not stationary")
         elif exact:
@@ -424,10 +408,7 @@ class MarkovProcess:
         GAP_POWERS_KEPT of them."""
         Tg = self._powers.get(g)
         if Tg is None:
-            if self.exact:
-                Tg = _int_matpow(self._T, g)
-            else:
-                Tg = np.linalg.matrix_power(self._T, g)
+            Tg = np.linalg.matrix_power(self._T, g)
             if len(self._powers) >= GAP_POWERS_KEPT:
                 del self._powers[next(iter(self._powers))]
             self._powers[g] = Tg
@@ -503,7 +484,7 @@ class MarkovProcess:
             ci = self._cindex[c]
             law: dict = {}
             for cj, c2 in enumerate(self.contexts):
-                bridge = Tg[ci][cj]
+                bridge = Tg[ci, cj]
                 if bridge == 0:
                     continue
                 for b, q in ext[c2].items():
@@ -543,8 +524,7 @@ class MarkovProcess:
         # the phase among the d cyclic classes of the contexts with
         # stationary mass persists across any gap
         live = [self._cindex[c] for c in self._context_weights()]
-        d = _graph_period(np.array([[self._T[i][j] != 0 for j in live]
-                                    for i in live]))
+        d = _graph_period(self._T[np.ix_(live, live)] != 0)
         return ClosedForms(entropy_rate=h, excess_entropy=E,
                            complexity_plus=C_plus, complexity_minus=C_minus,
                            pmi=log2_of(d) if d > 1 else Fraction(0),
@@ -773,10 +753,6 @@ class IsingChainProcess:
     def alphabet(self) -> Alphabet:
         return Alphabet(("-1", "+1"))
 
-    @property
-    def exact(self) -> bool:
-        return False
-
     def transfer_matrix(self) -> np.ndarray:
         b, J, h = self.beta, self.J, self.h
         spins = (-1.0, 1.0)
@@ -845,10 +821,6 @@ class LogisticSymbolizer:
     def alphabet(self) -> Alphabet:
         return Alphabet("01")
 
-    @property
-    def exact(self) -> bool:
-        return False
-
     def block_distribution(self, L: int) -> BlockDistribution:
         raise ClosedFormUnavailable(
             "logistic symbol sequences have no exact block law; sample"
@@ -895,10 +867,6 @@ class SubstitutionProcess:
     @property
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
-
-    @property
-    def exact(self) -> bool:
-        return True
 
     def block_distribution(self, L: int) -> BlockDistribution:
         if L < 1:

@@ -189,6 +189,21 @@ def test_backend_is_rejected_where_it_would_be_ignored(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("entropy", "--Lmax", "3"),
+    ("pmi", "--L-grid", "1,2,3", "--g-grid", "0,1,2"),
+])
+def test_backend_is_rejected_with_a_sequence(tmp_path, capsys, argv):
+    p = tmp_path / "seq.txt"
+    p.write_text("0110100110010110" * 8 + "\n")
+    assert run(capsys, *argv, "--seq", str(p))[0] == 0
+    for backend in ("exact", "float"):
+        code, out, err = run(capsys, *argv, "--seq", str(p),
+                             "--backend", backend)
+        assert code == 1 and out == ""
+        assert "--backend" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("table1", "--format", "csv"),
     ("ising", "--points", "3", "--format", "table"),
 ])
@@ -232,14 +247,29 @@ def test_pmi_tm_diverges(capsys):
 
 
 def test_pmi_csv_grid(capsys):
-    code, out, _ = run(capsys, "pmi", "--model",
-                       '{"kind": "periodic", "cycle": "01"}',
-                       "--L-grid", "1,2,3", "--g-grid", "0,2,4",
-                       "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "L,g,E_bits"
-    assert len(lines) == 10
+    # CSV prints the grid alone, so it takes grids too small for a verdict
+    for L_grid, g_grid, n_lines in (("1,2,3", "0,2,4", 10), ("1,2", "1,2", 5)):
+        code, out, _ = run(capsys, "pmi", "--model",
+                           '{"kind": "periodic", "cycle": "01"}',
+                           "--L-grid", L_grid, "--g-grid", g_grid,
+                           "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "L,g,E_bits"
+        assert len(lines) == n_lines
+
+
+@pytest.mark.parametrize("flags", [
+    ("--delta", "0.1"),
+    ("--eps-g", "1e-3", "--eps-L", "1e-3"),
+])
+def test_pmi_csv_rejects_verdict_flags(capsys, flags):
+    code, out, err = run(capsys, "pmi", "--model", "goldenmean",
+                         "--L-grid", "1,2,3", "--g-grid", "1,2,4",
+                         "--format", "csv", *flags)
+    assert code == 1 and out == ""
+    for flag in flags[::2]:
+        assert flag in err
 
 
 def test_pmi_table_separates_long_gaps(capsys):

@@ -375,7 +375,9 @@ def ternary_r2() -> MarkovProcess:
     markov_r2_uniform,
     ternary_r2,
 ])
-@pytest.mark.parametrize("L,g", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 1)])
+# (2, 20): ternary_r2's (d·T)^20 has entries near 4e20, past int64
+@pytest.mark.parametrize("L,g", [(1, 0), (1, 3), (2, 0), (2, 5), (3, 1),
+                                 (2, 20)])
 def test_markov_joint_matches_triple_loop_oracle(make, L, g):
     m = make()
     got = joint_gap_distribution(m, L, g).probs
@@ -418,13 +420,13 @@ def test_markov_gap_bypasses_window_cap():
 
 def test_gap_grid_builds_one_power_per_gap(monkeypatch):
     built = []
-    power = processes._int_matpow
+    power = np.linalg.matrix_power
 
     def counted(M, g):
         built.append(g)
         return power(M, g)
 
-    monkeypatch.setattr(processes, "_int_matpow", counted)
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
     grid = gap_mi_grid(ternary_r2(), (2, 3, 4), (8, 16, 32))
     assert len(grid.values) == 9
     assert sorted(built) == [8, 16, 32]
