@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import processes
+from . import measures, processes
 from .emachine import reconstruct
 from .infocore import (
     Alphabet,
@@ -225,7 +225,7 @@ def _comma_codes(raw: bytes, path: str):
                 tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
             else:
                 rows = block[first[:, None] + np.arange(width)]
-                distinct, local, _ = _distinct_rows(rows, 256)
+                distinct, local = _distinct_rows(rows, 256)
                 tokens = [row.tobytes() for row in distinct]
             found = [ids.setdefault(t.decode(), len(ids)) for t in tokens]
             part[where] = np.array(found)[local]
@@ -295,7 +295,9 @@ def cmd_pmi(cfg: argparse.Namespace) -> int:
     # the verdict's tolerances, given only to override its defaults
     tuning = {k: getattr(cfg, k) for k in ("eps_g", "eps_L", "delta")
               if getattr(cfg, k) is not None}
-    if cfg.format == "csv" and tuning:
+    if cfg.format != "csv":
+        measures._check_verdict_grid(L_grid, g_grid)
+    elif tuning:
         flags = ", ".join("--" + k.replace("_", "-") for k in tuning)
         raise ValueError(f"--format csv prints no PMI verdict, so it takes "
                          f"no {flags}")
@@ -496,15 +498,17 @@ def cmd_table1(cfg: argparse.Namespace) -> int:
 
 
 def _load_substitution(cfg: argparse.Namespace) -> Substitution:
-    if cfg.rules == "tm":
-        return thue_morse()
-    if cfg.rules == "fib":
-        return fibonacci()
-    if cfg.rules and cfg.rules.lstrip().startswith("{"):
+    if cfg.rules.lstrip().startswith("{"):
         if not cfg.start:
             raise ValueError("inline rules need --start")
         return Substitution.from_strings(json.loads(cfg.rules),
                                          start=cfg.start)
+    if cfg.start is not None:
+        raise ValueError("--start is read only with inline JSON rules")
+    if cfg.rules == "tm":
+        return thue_morse()
+    if cfg.rules == "fib":
+        return fibonacci()
     raise ValueError(f"unknown rules {cfg.rules!r}; use tm, fib, or an "
                      "inline JSON object")
 

@@ -47,9 +47,10 @@ Conventions
     H(L) and the gap MIs without building a word table.  The tables
     (:func:`empirical_block_distribution`, joint gap tables) remain
     for callers that need the words; only their distinct codes are
-    decoded, as one digit array per chunk of codes.  Windows too long
-    for 63-bit codes, and the windows of substitution pair images, are
-    sorted as rows of letters instead (``_distinct_rows``).
+    decoded, as one digit array per chunk of codes.  Past 63 bits a
+    window's code is its rank among the distinct windows instead, from
+    one sort of the windows as rows of letters (``_distinct_rows``,
+    which sorts the windows of substitution pair images too).
 """
 
 from __future__ import annotations
@@ -99,7 +100,11 @@ WINDOW_STATE_CAP = 1 << 26
 
 
 class WindowCapError(ValueError):
-    """Requested window needs more enumerated states than the cap."""
+    """A window needs more enumerated states than the cap it names."""
+
+    def __init__(self, detail: str):
+        super().__init__(
+            f"{detail}; cap is 2**{WINDOW_STATE_CAP.bit_length() - 1}")
 
 
 # ── Alphabet ──────────────────────────────────────────────────────────────────
@@ -856,29 +861,42 @@ def _ranks(codes: np.ndarray, size: int):
 
 def _distinct_rows(rows: np.ndarray, s: int):
     """Distinct rows of a 2-D array of letters in range(s), in lex
-    order, each row's index among them, and their counts.  Rows of any
-    length are sorted as byte strings of big-endian letters."""
+    order, and each row's index among them.  Rows of any length are
+    sorted as byte strings of big-endian letters."""
     dtype = np.min_scalar_type(s - 1).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=dtype)
     keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
-    uniq, inverse, counts = np.unique(keys.ravel(), return_inverse=True,
-                                      return_counts=True)
-    return uniq.view(dtype).reshape(uniq.size, -1), inverse, counts
+    uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+    return uniq.view(dtype).reshape(uniq.size, -1), inverse
+
+
+def _ordered_codes(arr: np.ndarray, L: int, s: int, width: int):
+    """Codes of the length-L windows of arr that sort as their words:
+    (int64 codes, their range, a decoder from distinct codes to words).
+
+    Base-s digits (:func:`window_codes`) when codes of ``width`` digits
+    fit in 63 bits: width L for blocks, 2L for pair codes.  Otherwise a
+    window's rank among the K distinct windows, from one sort of them
+    (:func:`_distinct_rows`); ranks keep lex order, so their counts and
+    floats come out as from digits.  Pair codes of ranks reach K·K, and
+    K is at most the number of windows, so they fit in int64 while
+    there are fewer than 3·10^9 windows.
+    """
+    if arr.size < L or _codes_fit(width, s):
+        # window_codes refuses a sequence shorter than L
+        return (window_codes(arr, L, s), s ** L,
+                lambda uniq: decode_window_codes(uniq, L, s))
+    rows, ranks = _distinct_rows(sliding_window_view(arr, L), s)
+    return (ranks.astype(np.int64, copy=False), len(rows),
+            lambda uniq: list(map(tuple, rows[uniq].tolist())))
 
 
 def sliding_window_counts(arr: np.ndarray, L: int, s: int):
     """Counts of all length-L windows of arr; returns (words, counts)
-    with the counts as an int64 array.
-
-    Windows are packed into base-s integer codes when they fit in 63
-    bits (the normal case); otherwise they are sorted as rows.
-    """
-    codes = window_codes(arr, L, s)
-    if codes is not None:
-        uniq, counts = _distinct_counts(codes, s ** L)
-        return decode_window_codes(uniq, L, s), counts
-    rows, _, counts = _distinct_rows(sliding_window_view(arr, L), s)
-    return list(map(tuple, rows.tolist())), counts
+    with the words in lex order and the counts as an int64 array."""
+    codes, size, decode = _ordered_codes(arr, L, s, L)
+    uniq, counts = _distinct_counts(codes, size)
+    return decode(uniq), counts
 
 
 def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,

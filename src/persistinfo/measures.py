@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .infocore import (
     Alphabet,
@@ -29,14 +28,12 @@ from .infocore import (
     JointBlockDistribution,
     Scalar,
     WindowCapError,
-    _codes_fit,
     _coerce_sequence,
     _distinct_counts,
-    _distinct_rows,
     _entropy_of_counts,
     _exact_str,
     _fmt,
-    decode_window_codes,
+    _ordered_codes,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
@@ -91,8 +88,9 @@ class EmpiricalSource:
     order, as counting each length on its own, so the same floats.
     Longer lengths and cells are counted one at a time by
     :meth:`block_entropy` and :meth:`gap_mutual_information`, which
-    also serve the tests as the oracle of the marginal route; where
-    codes would not fit in 63 bits, those fall back to the tables.
+    also serve the tests as the oracle of the marginal route.  Past 63
+    bits both count ranks of the windows instead (``_ordered_codes``);
+    no length builds a word table.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
     those tables, decoding only the distinct codes into words.  Cells
@@ -155,11 +153,8 @@ class EmpiricalSource:
     def block_entropy(self, L: int) -> float:
         """Plug-in H(L) in bits from the counts of the length-L codes."""
         self._check_block(L)
-        s = len(self.alphabet)
-        codes = window_codes(self.arr, L, s)
-        if codes is None:
-            return shannon_entropy(self.block_distribution(L))
-        return _entropy_of_counts(_distinct_counts(codes, s ** L)[1])
+        codes, size, _ = _ordered_codes(self.arr, L, len(self.alphabet), L)
+        return _entropy_of_counts(_distinct_counts(codes, size)[1])
 
     def gap_mutual_informations(self, Ls: Sequence[int],
                                 gs: Sequence[int]) -> tuple:
@@ -171,20 +166,20 @@ class EmpiricalSource:
         s, n = len(self.alphabet), self.n
         values: dict = {}
         missing: dict = {}
-        packed, codes = 0, None  # the length of the codes held
+        packed, keys = 0, None  # the length of the codes held
         for g in gs:
             dense = [L for L in Ls if s ** (2 * L) <= n - 2 * L - g + 1]
             if not dense:
                 continue
             top = dense[-1]
             if packed != top:
-                packed, codes = top, window_codes(self.arr, top, s)
-            span = s ** top
+                packed, keys = top, _ordered_codes(self.arr, top, s, 2 * top)
+            codes, span, _ = keys
             m = n - 2 * top - g + 1
             pairs = codes[:m] * span
             pairs += codes[top + g:top + g + m]
             Q = np.bincount(pairs, minlength=span * span).reshape(span, span)
-            del pairs
+            del pairs, codes
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
                     try:
@@ -205,31 +200,22 @@ class EmpiricalSource:
         for L in Ls:
             rest = [g for g in gs if (L, g) not in values
                     and (L, g) not in missing]
-            if not rest:
-                continue
-            if packed != L and _codes_fit(2 * L, s) \
-                    and 2 * L + rest[0] <= n:
-                packed, codes = L, window_codes(self.arr, L, s)
+            if rest and packed != L and 2 * L + rest[0] <= n:
+                packed, keys = L, _ordered_codes(self.arr, L, s, 2 * L)
             for g in rest:
                 try:
                     values[(L, g)] = self.gap_mutual_information(
-                        L, g, codes if packed == L else None)
+                        L, g, keys if packed == L else None)
                 except UndersampledError as e:
                     missing[(L, g)] = str(e)
         return values, missing
 
-    def gap_mutual_information(self, L: int, g: int, codes=None) -> float:
+    def gap_mutual_information(self, L: int, g: int, keys=None) -> float:
         """Plug-in I(left; right) in bits of two length-L blocks g
         symbols apart, from the counts of the pair codes of this one
-        cell; refuses undersampled cells.  ``codes`` are the length-L
-        window codes when the caller has them."""
-        m = self._gap_windows(L, g)
-        s = len(self.alphabet)
-        if not _codes_fit(2 * L, s):
-            return mutual_information(self.joint_gap_distribution(L, g))
-        if codes is None:
-            codes = window_codes(self.arr, L, s)
-        uniq, pair_counts, span = self._pair_code_counts(codes, L, g, m)
+        cell; refuses undersampled cells.  ``keys`` are the length-L
+        window codes of ``_ordered_codes`` when the caller has them."""
+        uniq, pair_counts, span, _ = self._pair_code_counts(L, g, keys)
         # marginal counts are integer sums of the pair counts, exact in
         # float64, over the (at most m / 10) distinct pairs
         h_left = _entropy_of_counts(
@@ -243,37 +229,23 @@ class EmpiricalSource:
         return empirical_block_distribution(self.arr, L, self.alphabet)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        m = self._gap_windows(L, g)
-        pairs, counts = self._pair_counts(L, g, m, len(self.alphabet))
+        uniq, counts, span, decode = self._pair_code_counts(L, g)
+        pairs = zip(decode(uniq // span), decode(uniq % span))
         # int64 / int64 rounds exactly as int / int below 2**53
-        probs = dict(zip(pairs, (counts / m).tolist()))
+        probs = dict(zip(pairs, (counts / counts.sum()).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
-    def _pair_code_counts(self, codes, L: int, g: int, m: int):
-        """Distinct pair codes ``left * s**L + right`` of the m gap-g
-        windows, ascending, their int64 counts and s**L; refuses
-        undersampled cells.  Needs codes of length 2L within 63 bits."""
-        span = len(self.alphabet) ** L
+    def _pair_code_counts(self, L: int, g: int, keys=None):
+        """Distinct pair codes ``left * K + right`` of the gap-g windows,
+        ascending, their int64 counts, the range K of the length-L codes
+        and their decoder; refuses cells with no window or too few."""
+        m = self._gap_windows(L, g)
+        codes, span, decode = keys or _ordered_codes(
+            self.arr, L, len(self.alphabet), 2 * L)
         uniq, counts = _distinct_counts(
             codes[:m] * span + codes[L + g:L + g + m], span * span)
         _refuse_undersampled(uniq.size, m)
-        return uniq, counts, span
-
-    def _pair_counts(self, L: int, g: int, m: int, s: int):
-        """Distinct (left, right) word pairs of the m windows and their
-        counts as an int64 array; refuses undersampled cells."""
-        if _codes_fit(2 * L, s):
-            uniq, counts, span = self._pair_code_counts(
-                window_codes(self.arr, L, s), L, g, m)
-            left = decode_window_codes(uniq // span, L, s)
-            right = decode_window_codes(uniq % span, L, s)
-            return list(zip(left, right)), counts
-        windows = sliding_window_view(
-            self.arr.astype(np.min_scalar_type(s - 1)), 2 * L + g)
-        rows, _, counts = _distinct_rows(
-            np.concatenate((windows[:, :L], windows[:, L + g:]), axis=1), s)
-        _refuse_undersampled(len(rows), m)
-        return [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()], counts
+        return uniq, counts, span, decode
 
 
 def _sum_last_digit(counts: np.ndarray, s: int) -> np.ndarray:
@@ -495,6 +467,12 @@ class PmiReport:
         }
 
 
+def _check_verdict_grid(L_grid: Sequence[int], g_grid: Sequence[int]) -> None:
+    """Refuse grids too small for a verdict, before anything is counted."""
+    if len(set(L_grid)) < 3 or len(set(g_grid)) < 3:
+        raise ValueError("need at least 3 distinct L and 3 distinct g values")
+
+
 def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
                 eps_L: Optional[float] = None,
                 delta: float = 0.05) -> PmiReport:
@@ -511,8 +489,7 @@ def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
     Default tolerances are 1e-6 for model grids and 1e-3 for grids
     estimated from a sequence.
     """
-    if len(grid.L_grid) < 3 or len(grid.g_grid) < 3:
-        raise ValueError("need at least 3 distinct L and 3 distinct g values")
+    _check_verdict_grid(grid.L_grid, grid.g_grid)
     noise = 1e-3 if grid.empirical else 1e-6
     eps_g = noise if eps_g is None else eps_g
     eps_L = noise if eps_L is None else eps_L

@@ -101,7 +101,7 @@ def _check_cap(s: int, window_length: int) -> None:
     if s ** window_length > WINDOW_STATE_CAP:
         raise WindowCapError(
             f"window of length {window_length} over {s} symbols needs"
-            f" {s}**{window_length} states; cap is 2**26")
+            f" {s}**{window_length} states")
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
         levels.append((steps, maps))
         first, second = np.divmod(distinct, k)
         # many pairs compose to the same map: keep each map once
-        maps, same, _ = _distinct_rows(maps[second[:, None], maps[first]], m)
+        maps, same = _distinct_rows(maps[second[:, None], maps[first]], m)
         steps = same[ids]
     table = maps.tolist() if levels else rows
     top = []

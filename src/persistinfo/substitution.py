@@ -531,7 +531,7 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     if width * bound > WINDOW_STATE_CAP:
         raise WindowCapError(
             f"window of length {width} may have up to {bound}"
-            f" factors, {width * bound} letters in all; cap is 2**26")
+            f" factors, {width * bound} letters in all")
     images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
     for _ in range(power):
         images = [np.concatenate([images[b] for b in rule])
@@ -541,7 +541,7 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
         w = sliding_window_view(np.concatenate((images[alpha], images[beta])),
                                 width)[:len(images[alpha])]
         rows.append(np.concatenate([w[:, a:b] for a, b in spans], axis=1))
-    distinct, inverse, _ = _distinct_rows(np.concatenate(rows), s)
+    distinct, inverse = _distinct_rows(np.concatenate(rows), s)
     owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
     counts = np.bincount(inverse * len(pairs) + owner,
                          minlength=len(distinct) * len(pairs))

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import persistinfo
+from persistinfo import cli
 from persistinfo.cli import main
 
 LOG2_3 = math.log2(3)
@@ -291,6 +292,18 @@ def test_pmi_rejects_descending_grid(capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_pmi_refuses_a_small_grid_before_loading(capsys, monkeypatch, fmt):
+    def no_source(cfg):
+        raise AssertionError("loaded the source of a refused grid")
+
+    monkeypatch.setattr(cli, "_source", no_source)
+    code, out, err = run(capsys, "pmi", "--seq", "gm.txt", "--L-grid", "6,8",
+                         "--g-grid", "8,16,32,64", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: need at least 3 distinct L and 3 distinct g values\n"
+
+
 def test_pmi_rejects_nonpositive_L(capsys):
     code, _, err = run(capsys, "pmi", "--model", "coin",
                        "--L-grid", "0,1,2", "--g-grid", "0,2,4")
@@ -397,6 +410,14 @@ def test_substitution_shortcut_flags_are_not_ignored(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("rules", ["tm", "fib"])
+def test_substitution_start_needs_inline_rules(capsys, rules):
+    code, out, err = run(capsys, "substitution", "--rules", rules,
+                         "--start", "1", "--l", "2")
+    assert (code, out) == (1, "")
+    assert "--start" in err
 
 
 @pytest.mark.parametrize("l", ["0", "-3"])

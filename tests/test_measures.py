@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persistinfo import measures
+from persistinfo import infocore, measures
 from persistinfo.infocore import (
     Alphabet,
     ExactBits,
@@ -243,7 +243,7 @@ def test_undersampled_cell_is_refused_before_decoding(monkeypatch):
     def no_decoding(*args):
         raise AssertionError("decoded the pairs of a refused cell")
 
-    monkeypatch.setattr(measures, "decode_window_codes", no_decoding)
+    monkeypatch.setattr(infocore, "decode_window_codes", no_decoding)
     with pytest.raises(UndersampledError) as err:
         EmpiricalSource(seq).joint_gap_distribution(L, g)
     assert str(err.value) == (
@@ -510,8 +510,14 @@ def test_count_path_falls_back_past_63_bits():
     src = EmpiricalSource(seq)
     # ternary codes of length 40 do not fit; pair codes of 2 x 20 neither
     assert src.block_entropy(40) == shannon_entropy(src.block_distribution(40))
-    assert src.gap_mutual_information(20, 3) == mutual_information(
-        src.joint_gap_distribution(20, 3))
+    L, g = 20, 3
+    m = len(seq) - 2 * L - g + 1
+    left = [seq[i:i + L] for i in range(m)]
+    right = [seq[i + L + g:i + 2 * L + g] for i in range(m)]
+    want = (_fsum_entropy(list(_naive_counts(left).values()))
+            + _fsum_entropy(list(_naive_counts(right).values()))
+            - _fsum_entropy(list(_naive_counts(zip(left, right)).values())))
+    assert abs(src.gap_mutual_information(L, g) - want) <= 1e-12
 
 
 def test_constant_sequence_has_positive_zero_entropy():
@@ -524,8 +530,9 @@ def test_empirical_measures_build_no_tables(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("built a word table")
 
-    for name in ("decode_window_codes", "empirical_block_distribution",
-                 "shannon_entropy", "mutual_information"):
+    monkeypatch.setattr(infocore, "decode_window_codes", no_tables)
+    for name in ("empirical_block_distribution", "shannon_entropy",
+                 "mutual_information"):
         monkeypatch.setattr(measures, name, no_tables)
     seq = sample(goldenmean(), 20_000, seed=3)
     src = EmpiricalSource(seq)
@@ -535,6 +542,64 @@ def test_empirical_measures_build_no_tables(monkeypatch):
     grid = gap_mi_grid(src, (1, 2, 3, 8), (0, 4, 8))
     assert set(grid.missing) == {(8, 0), (8, 4), (8, 8)}
     assert grid.values[(1, 0)] == pytest.approx(0.2516, abs=0.01)
+    # binary codes pass 63 bits at L = 63, and pair codes at L = 32
+    tm = EmpiricalSource(sample(SubstitutionProcess(thue_morse()), 20_000,
+                                seed=3))
+    curve = entropy_curve(tm, 66)
+    assert curve.h_hat == pytest.approx(0.0208, abs=0.001)
+    assert all(d > 0 for d in curve.dH)
+    grid = gap_mi_grid(tm, (32, 40), (0, 8, 16))
+    assert not grid.missing
+    assert all(grid.values[(40, g)] > grid.values[(32, g)] + 0.3
+               for g in (0, 8, 16))
+
+
+def _with_rank_codes(estimate):
+    """estimate() with every window code a rank among the distinct
+    windows, as past 63 bits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infocore, "_codes_fit", lambda width, s: False)
+        return _refusal_or_value(estimate)
+
+
+def _refusal_or_value(estimate):
+    try:
+        return estimate()
+    except UndersampledError as e:
+        return ("refused", str(e))
+
+
+@given(_count_path_cases())
+@settings(max_examples=80, deadline=None)
+def test_rank_codes_match_digit_codes(case):
+    s, L, g, seq = case
+    src = EmpiricalSource(seq, Alphabet(str(a) for a in range(s)))
+    estimates = (
+        lambda: src.block_entropy(L),
+        lambda: src.gap_mutual_information(L, g),
+        lambda: list(src.block_distribution(L).probs.items()),
+        lambda: list(src.joint_gap_distribution(L, g).probs.items()),
+    )
+    for estimate in estimates:
+        assert _with_rank_codes(estimate) == _refusal_or_value(estimate)
+
+
+def test_rank_codes_sort_the_windows_once_per_length(monkeypatch):
+    src = EmpiricalSource(sample(SubstitutionProcess(thue_morse()), 20_000,
+                                 seed=3))
+    calls = []
+
+    def counted(rows, s):
+        calls.append(rows.shape)
+        return sort_rows(rows, s)
+
+    sort_rows = infocore._distinct_rows
+    monkeypatch.setattr(infocore, "_distinct_rows", counted)
+    grid = gap_mi_grid(src, (32, 40), (0, 8, 16))
+    assert [shape[1] for shape in calls] == [32, 40]
+    monkeypatch.undo()
+    assert (grid.values, grid.missing) == gap_mi_grid_oracle(
+        src, grid.L_grid, grid.g_grid)
 
 
 def test_block_entropy_of_a_long_uniform_sequence_is_correctly_summed():
