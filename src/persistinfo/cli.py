@@ -251,7 +251,12 @@ def _source(cfg: argparse.Namespace):
             raise ValueError("--backend applies to --model only; a --seq "
                              "sequence is counted as it is")
         return _load_sequence(cfg.seq)
-    return _load_model(cfg.model, cfg.backend or "exact")
+    model = _load_model(cfg.model, cfg.backend or "exact")
+    if cfg.backend == "float" and isinstance(
+            model, (PeriodicProcess, SubstitutionProcess)):
+        raise ValueError("--backend float does not apply to periodic and "
+                         "substitution models, whose laws are exact")
+    return model
 
 
 def _emit(text: str, out: Optional[str]) -> None:

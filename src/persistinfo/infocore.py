@@ -39,7 +39,9 @@ Conventions
     −Σ p·log₂ p summed pairwise in table order, 0.0 for a single word.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array without a Python call per symbol, and every length-L
-    window is packed into one base-s integer code.  The codes are
+    window is packed into one integer code by doubling: base-s digits,
+    ranked among their distinct values, which keeps their order, before
+    they would pass 63 bits (:func:`window_codes`).  The codes are
     counted with ``np.bincount`` when their range is no larger than
     their number, with ``np.unique`` otherwise (``_distinct_counts``).
     Plug-in entropies are summed by NumPy straight from the counts
@@ -47,10 +49,8 @@ Conventions
     H(L) and the gap MIs without building a word table.  The tables
     (:func:`empirical_block_distribution`, joint gap tables) remain
     for callers that need the words; only their distinct codes are
-    decoded, as one digit array per chunk of codes.  Past 63 bits a
-    window's code is its rank among the distinct windows instead, from
-    one sort of the windows as rows of letters (``_distinct_rows``,
-    which sorts the windows of substitution pair images too).
+    decoded: digit codes as one digit array per chunk of codes, ranked
+    codes by reading each off a window where it occurs.
 """
 
 from __future__ import annotations
@@ -767,35 +767,55 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
     return arr, alphabet
 
 
-def _codes_fit(L: int, s: int) -> bool:
-    """Whether base-s codes of length-L words fit in 63 bits."""
-    return L * math.log2(max(s, 2)) < 63
+def _passes_63_bits(size: int, factor: int) -> bool:
+    """Whether codes of range ``size`` times ``factor`` pass 63 bits;
+    :func:`window_codes` ranks its codes before such a step."""
+    return size * factor >= 1 << 63
 
 
-def window_codes(arr: np.ndarray, L: int, s: int):
-    """Base-s integer code of every length-L window, or None when the
-    codes would not fit in 63 bits.
+def window_codes(arr: np.ndarray, L: int, s: int, width: int | None = None):
+    """Codes of the length-L windows of arr that sort as their words:
+    (int64 codes, their range, a decoder from distinct codes to words).
 
-    Built by doubling: a length-2k code is the length-k code shifted
-    by k digits plus the length-k code k places on, and a digit is
-    appended wherever L's binary expansion has a one, so length L
-    takes at most 2·log₂ L passes over the array.
+    Built by doubling: a length-2k code is the length-k code times its
+    range plus the length-k code k places on, and a digit is appended
+    wherever L's binary expansion has a one.  The codes are base-s
+    digits until a step would pass 63 bits; the codes are then ranked
+    among their distinct values, one integer sort that keeps their
+    order (Karp, Miller and Rosenberg), and the ranks double on.  Pair
+    codes of ``width`` 2L rank once more if they would pass 63 bits.
+    Ranks number at most the windows, so all fits below 3·10^9 windows.
     """
     if arr.size < L:
         raise ValueError(
             f"sequence of length {arr.size} has no length-{L} windows")
-    if not _codes_fit(L, s):
-        return None
-    codes, k = arr.astype(np.int64), 1
-    for bit in bin(L)[3:]:
-        longer = codes[:-k] * s ** k
-        longer += codes[k:]
-        codes, k = longer, 2 * k
-        if bit == "1":
-            longer = codes[:-1] * s
-            longer += arr[k:]
-            codes, k = longer, k + 1
-    return codes
+    steps = [step for bit in bin(L)[3:]
+             for step in ("double", "append")[:1 + int(bit)]]
+    codes, size, ranked = arr.astype(np.int64), s, False
+    for step in steps + ["pair"] * ((width or L) > L):
+        if _passes_63_bits(size, s if step == "append" else size):
+            uniq, codes = _ranks(codes, size)
+            size, ranked = uniq.size, True
+        if step == "pair":
+            break
+        k = arr.size - codes.size + 1  # the length of the windows coded
+        factor, tail = (s, arr[k:]) if step == "append" else (size, codes[k:])
+        longer = codes[:tail.size] * factor
+        longer += tail
+        codes, size = longer, size * factor
+    if not ranked:
+        return codes, size, lambda uniq: decode_window_codes(uniq, L, s)
+
+    def decode(uniq):
+        # each distinct code read off a window where it occurs
+        distinct, first = np.unique(codes, return_index=True)
+        starts = first[np.searchsorted(distinct, uniq)]
+        windows, words = sliding_window_view(arr, L), []
+        for start in range(0, starts.size, DECODE_CHUNK):
+            rows = windows[starts[start:start + DECODE_CHUNK]]
+            words.extend(map(tuple, rows.tolist()))
+        return words
+    return codes, size, decode
 
 
 def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
@@ -870,35 +890,6 @@ def _distinct_rows(rows: np.ndarray, s: int):
     return uniq.view(dtype).reshape(uniq.size, -1), inverse
 
 
-def _ordered_codes(arr: np.ndarray, L: int, s: int, width: int):
-    """Codes of the length-L windows of arr that sort as their words:
-    (int64 codes, their range, a decoder from distinct codes to words).
-
-    Base-s digits (:func:`window_codes`) when codes of ``width`` digits
-    fit in 63 bits: width L for blocks, 2L for pair codes.  Otherwise a
-    window's rank among the K distinct windows, from one sort of them
-    (:func:`_distinct_rows`); ranks keep lex order, so their counts and
-    floats come out as from digits.  Pair codes of ranks reach K·K, and
-    K is at most the number of windows, so they fit in int64 while
-    there are fewer than 3·10^9 windows.
-    """
-    if arr.size < L or _codes_fit(width, s):
-        # window_codes refuses a sequence shorter than L
-        return (window_codes(arr, L, s), s ** L,
-                lambda uniq: decode_window_codes(uniq, L, s))
-    rows, ranks = _distinct_rows(sliding_window_view(arr, L), s)
-    return (ranks.astype(np.int64, copy=False), len(rows),
-            lambda uniq: list(map(tuple, rows[uniq].tolist())))
-
-
-def sliding_window_counts(arr: np.ndarray, L: int, s: int):
-    """Counts of all length-L windows of arr; returns (words, counts)
-    with the words in lex order and the counts as an int64 array."""
-    codes, size, decode = _ordered_codes(arr, L, s, L)
-    uniq, counts = _distinct_counts(codes, size)
-    return decode(uniq), counts
-
-
 def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
                                  exact: bool = False) -> BlockDistribution:
     """Plug-in estimator: sliding-window counts over all n−L+1 positions.
@@ -911,7 +902,9 @@ def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
     if L < 1:
         raise ValueError("block length must be >= 1")
     arr, alphabet = _coerce_sequence(seq, alphabet)
-    words, counts = sliding_window_counts(arr, L, len(alphabet))
+    codes, size, decode = window_codes(arr, L, len(alphabet))
+    uniq, counts = _distinct_counts(codes, size)
+    words = decode(uniq)
     total = int(counts.sum())
     if exact:
         return BlockDistribution(alphabet, L,

@@ -33,7 +33,6 @@ from .infocore import (
     _entropy_of_counts,
     _exact_str,
     _fmt,
-    _ordered_codes,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
@@ -89,7 +88,7 @@ class EmpiricalSource:
     Longer lengths and cells are counted one at a time by
     :meth:`block_entropy` and :meth:`gap_mutual_information`, which
     also serve the tests as the oracle of the marginal route.  Past 63
-    bits both count ranks of the windows instead (``_ordered_codes``);
+    bits the codes are ranks, which keep their order (:func:`window_codes`);
     no length builds a word table.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
@@ -140,7 +139,7 @@ class EmpiricalSource:
         H = {}
         if dense:
             top = dense[-1]
-            counts = np.bincount(window_codes(self.arr, top, s),
+            counts = np.bincount(window_codes(self.arr, top, s)[0],
                                  minlength=s ** top)
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
@@ -153,7 +152,7 @@ class EmpiricalSource:
     def block_entropy(self, L: int) -> float:
         """Plug-in H(L) in bits from the counts of the length-L codes."""
         self._check_block(L)
-        codes, size, _ = _ordered_codes(self.arr, L, len(self.alphabet), L)
+        codes, size, _ = window_codes(self.arr, L, len(self.alphabet))
         return _entropy_of_counts(_distinct_counts(codes, size)[1])
 
     def gap_mutual_informations(self, Ls: Sequence[int],
@@ -173,7 +172,7 @@ class EmpiricalSource:
                 continue
             top = dense[-1]
             if packed != top:
-                packed, keys = top, _ordered_codes(self.arr, top, s, 2 * top)
+                packed, keys = top, window_codes(self.arr, top, s, 2 * top)
             codes, span, _ = keys
             m = n - 2 * top - g + 1
             pairs = codes[:m] * span
@@ -201,7 +200,7 @@ class EmpiricalSource:
             rest = [g for g in gs if (L, g) not in values
                     and (L, g) not in missing]
             if rest and packed != L and 2 * L + rest[0] <= n:
-                packed, keys = L, _ordered_codes(self.arr, L, s, 2 * L)
+                packed, keys = L, window_codes(self.arr, L, s, 2 * L)
             for g in rest:
                 try:
                     values[(L, g)] = self.gap_mutual_information(
@@ -214,7 +213,7 @@ class EmpiricalSource:
         """Plug-in I(left; right) in bits of two length-L blocks g
         symbols apart, from the counts of the pair codes of this one
         cell; refuses undersampled cells.  ``keys`` are the length-L
-        window codes of ``_ordered_codes`` when the caller has them."""
+        window codes of :func:`window_codes` when the caller has them."""
         uniq, pair_counts, span, _ = self._pair_code_counts(L, g, keys)
         # marginal counts are integer sums of the pair counts, exact in
         # float64, over the (at most m / 10) distinct pairs
@@ -240,7 +239,7 @@ class EmpiricalSource:
         ascending, their int64 counts, the range K of the length-L codes
         and their decoder; refuses cells with no window or too few."""
         m = self._gap_windows(L, g)
-        codes, span, decode = keys or _ordered_codes(
+        codes, span, decode = keys or window_codes(
             self.arr, L, len(self.alphabet), 2 * L)
         uniq, counts = _distinct_counts(
             codes[:m] * span + codes[L + g:L + g + m], span * span)

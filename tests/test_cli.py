@@ -204,6 +204,21 @@ def test_backend_is_rejected_with_a_sequence(tmp_path, capsys, argv):
         assert "--backend" in err
 
 
+@pytest.mark.parametrize("model", ["tm", "fib",
+                                   '{"kind":"periodic","cycle":"011"}'])
+@pytest.mark.parametrize("argv", [
+    ("entropy", "--Lmax", "3"),
+    ("pmi", "--L-grid", "1,2,3", "--g-grid", "1,2,4"),
+])
+def test_float_backend_is_rejected_with_an_exact_only_model(capsys, argv,
+                                                            model):
+    assert run(capsys, *argv, "--model", model, "--backend", "exact")[0] == 0
+    code, out, err = run(capsys, *argv, "--model", model,
+                         "--backend", "float")
+    assert code == 1 and out == ""
+    assert "--backend" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("table1", "--format", "csv"),
     ("ising", "--points", "3", "--format", "table"),
@@ -755,6 +770,12 @@ def _same_except_ising_floats(got: str, want: str) -> None:
      "pmi_goldenmean.json"),
     (("entropy", "--model", "goldenmean", "--Lmax", "12"),
      "entropy_goldenmean_L12.txt"),
+    # binary codes pass 63 bits at L = 63, and pair codes at L = 32
+    (("entropy", "--seq", str(DATA / "sample_tm_4097_101.txt"),
+      "--Lmax", "70", "--format", "json"), "entropy_seq_tm_L70.json"),
+    (("pmi", "--seq", str(DATA / "sample_tm_4097_101.txt"),
+      "--L-grid", "31,32,33", "--g-grid", "0,4,8", "--format", "json"),
+     "pmi_seq_tm_L31_33.json"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

@@ -349,28 +349,41 @@ def matmul_window_codes(arr, L, s):
     return np.lib.stride_tricks.sliding_window_view(arr, L) @ powers
 
 
+def _codes_sort_as_the_words(arr, L, s):
+    """Whether the window codes past 63 bits sort and tie exactly as
+    the length-L words, with their range below 2**63."""
+    codes, size, _ = window_codes(arr, L, s)
+    windows = np.lib.stride_tricks.sliding_window_view(arr, L)
+    words = list(map(tuple, windows.tolist()))
+    rank = {w: i for i, w in enumerate(sorted(set(words)))}
+    return (size < 2 ** 63 and 0 <= codes.min() and codes.max() < size
+            and np.array_equal(np.unique(codes, return_inverse=True)[1],
+                               [rank[w] for w in words]))
+
+
 def test_window_code_memo_matches_window_codes():
     # window_codes builds length L by doubling; every length agrees
-    # with the matrix product, and 40 ternary digits (63.4 bits) are
-    # refused
+    # with the matrix product, and from 40 ternary digits (63.4 bits)
+    # on the codes are ranks that sort as the words
     arr = np.random.default_rng(5).integers(0, 3, 200)
     for L in range(1, 40):
-        got = window_codes(arr, L, 3)
+        got, size, _ = window_codes(arr, L, 3)
         assert got.dtype == np.int64
         assert np.array_equal(got, matmul_window_codes(arr, L, 3))
-    assert window_codes(arr, 40, 3) is None
+    for L in (40, 41, 64, 127):
+        assert _codes_sort_as_the_words(arr, L, 3)
 
 
 def test_window_code_memo_restarts_off_the_walk():
     arr = np.random.default_rng(6).integers(0, 4, 300)
     for L in (5, 3, 4, 9, 9, 1, 31, 32, 300):
         if L <= 31:
-            assert np.array_equal(window_codes(arr, L, 4),
+            assert np.array_equal(window_codes(arr, L, 4)[0],
                                   matmul_window_codes(arr, L, 4))
         else:
-            assert window_codes(arr, L, 4) is None
+            assert _codes_sort_as_the_words(arr, L, 4)
     ones = np.ones(64, dtype=np.int64)
-    assert window_codes(ones, 62, 2).tolist() == [2 ** 62 - 1] * 3
+    assert window_codes(ones, 62, 2)[0].tolist() == [2 ** 62 - 1] * 3
 
 
 def entropy_curve_oracle(src, L_max):
@@ -555,10 +568,10 @@ def test_empirical_measures_build_no_tables(monkeypatch):
 
 
 def _with_rank_codes(estimate):
-    """estimate() with every window code a rank among the distinct
-    windows, as past 63 bits."""
+    """estimate() with the window codes ranked before every step of
+    the doubling, as past 63 bits."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(infocore, "_codes_fit", lambda width, s: False)
+        mp.setattr(infocore, "_passes_63_bits", lambda size, factor: True)
         return _refusal_or_value(estimate)
 
 
@@ -587,16 +600,25 @@ def test_rank_codes_match_digit_codes(case):
 def test_rank_codes_sort_the_windows_once_per_length(monkeypatch):
     src = EmpiricalSource(sample(SubstitutionProcess(thue_morse()), 20_000,
                                  seed=3))
-    calls = []
+    row_sorts, reranks = [], []
 
-    def counted(rows, s):
-        calls.append(rows.shape)
+    def counted_rows(rows, s):
+        row_sorts.append(rows.shape)
         return sort_rows(rows, s)
 
-    sort_rows = infocore._distinct_rows
-    monkeypatch.setattr(infocore, "_distinct_rows", counted)
+    def counted_reranks(size, factor):
+        if passes(size, factor):
+            reranks.append((size, factor))
+            return True
+        return False
+
+    sort_rows, passes = infocore._distinct_rows, infocore._passes_63_bits
+    monkeypatch.setattr(infocore, "_distinct_rows", counted_rows)
+    monkeypatch.setattr(infocore, "_passes_63_bits", counted_reranks)
     grid = gap_mi_grid(src, (32, 40), (0, 8, 16))
-    assert [shape[1] for shape in calls] == [32, 40]
+    # no row sort; one integer sort per L, of its pair-width codes
+    assert row_sorts == []
+    assert reranks == [(2 ** 32, 2 ** 32), (2 ** 40, 2 ** 40)]
     monkeypatch.undo()
     assert (grid.values, grid.missing) == gap_mi_grid_oracle(
         src, grid.L_grid, grid.g_grid)
