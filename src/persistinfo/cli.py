@@ -28,7 +28,6 @@ from .infocore import (
     _distinct_rows,
     _exact_str,
     _fmt,
-    _ranks,
 )
 from .measures import (
     EmpiricalSource,
@@ -187,15 +186,19 @@ def _comma_codes(raw: bytes, path: str):
     just before a comma; a comma is never part of a multi-byte UTF-8
     character, so no label is split.  In a block, the tokens of each
     byte length are keyed by gathering their bytes: as base-256
-    integers when they fit in 63 bits, as rows sorted bytewise
-    otherwise.  Only each block's distinct tokens are decoded, and a
-    label seen for the first time takes the next id; the ids are
-    renumbered once at the end, in Python's string order.
+    integers when they fit in 63 bits, looked up in the sorted keys of
+    that length seen so far, to which only the keys not seen before are
+    added; as rows sorted bytewise otherwise.  A label seen for the
+    first time takes the next id, and the ids are renumbered once at
+    the end, in Python's string order.  The codes are held in the
+    narrowest unsigned type of the labels' number, widened as new
+    labels come.
     """
     size = processes._BLOCK
     data = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.empty(raw.count(b",") + 1, dtype=np.int64)
+    codes = np.empty(raw.count(b",") + 1, dtype=np.uint8)
     ids: dict = {}
+    seen: dict = {}  # byte length -> (sorted keys, their ids)
     lo = done = 0
     while True:
         hi = raw.find(b",", lo + size)
@@ -210,7 +213,6 @@ def _comma_codes(raw: bytes, path: str):
             raise ValueError(f"empty symbol at position "
                              f"{done + int(np.argmin(lengths))} of the "
                              f"comma-separated sequence in {path}")
-        part = codes[done:done + starts.size]
         counts = np.bincount(lengths)
         for width in np.flatnonzero(counts).tolist():
             where = (slice(None) if counts[width] == starts.size
@@ -221,14 +223,30 @@ def _comma_codes(raw: bytes, path: str):
                 for j in range(width):
                     keys <<= 8
                     keys |= block[first + j]
-                distinct, local = _ranks(keys, 256 ** width)
-                tokens = [k.to_bytes(width, "big") for k in distinct.tolist()]
+                known, known_ids = seen.get(width, (keys[:0], keys[:0]))
+                pos = np.searchsorted(known, keys)
+                hit = pos < known.size
+                hit[hit] = known[pos[hit]] == keys[hit]
+                if not hit.all():
+                    new = np.unique(keys[~hit])
+                    new_ids = [ids.setdefault(k.to_bytes(width, "big")
+                                              .decode(), len(ids))
+                               for k in new.tolist()]
+                    at = np.searchsorted(known, new)
+                    known = np.insert(known, at, new)
+                    known_ids = np.insert(known_ids, at, new_ids)
+                    seen[width] = known, known_ids
+                    pos = np.searchsorted(known, keys)
+                found = known_ids[pos]
             else:
                 rows = block[first[:, None] + np.arange(width)]
                 distinct, local = _distinct_rows(rows, 256)
-                tokens = [row.tobytes() for row in distinct]
-            found = [ids.setdefault(t.decode(), len(ids)) for t in tokens]
-            part[where] = np.array(found)[local]
+                found = np.array([ids.setdefault(row.tobytes().decode(),
+                                                 len(ids))
+                                  for row in distinct])[local]
+            if len(ids) - 1 > np.iinfo(codes.dtype).max:
+                codes = codes.astype(np.min_scalar_type(len(ids) - 1))
+            codes[done:done + starts.size][where] = found
         done += starts.size
         if hi == len(raw):
             break

@@ -38,12 +38,15 @@ Conventions
     empirical counts, goes through one NumPy kernel (``_entropy_of_p``):
     −Σ p·log₂ p summed pairwise in table order, 0.0 for a single word.
   * Empirical statistics are integer counts: a sequence is parsed into
-    an index array without a Python call per symbol, and every length-L
-    window is packed into one integer code by doubling: base-s digits,
-    ranked among their distinct values, which keeps their order, before
-    they would pass 63 bits (:func:`window_codes`).  The codes are
-    counted with ``np.bincount`` when their range is no larger than
-    their number, with ``np.unique`` otherwise (``_distinct_counts``).
+    an index array of the narrowest unsigned type, one byte per symbol
+    up to 256 symbols, without a Python call per symbol, and every
+    length-L window is packed into one integer code by doubling in
+    place: base-s digits, ranked among their distinct values, which
+    keeps their order, before they would pass 63 bits
+    (:func:`window_codes`).  The codes are counted block by block over
+    their range when it is no larger than their number
+    (``_code_counts``), with ``np.unique`` otherwise
+    (``_distinct_counts``).
     Plug-in entropies are summed by NumPy straight from the counts
     (``_entropy_of_counts``), so ``measures.EmpiricalSource`` estimates
     H(L) and the gap MIs without building a word table.  The tables
@@ -93,6 +96,12 @@ FLOAT_SUM_TOL = 1e-12
 
 #: window codes decoded per digit array; bounds its memory
 DECODE_CHUNK = 1 << 14
+
+#: symbols a long sequence is sampled and written in at a time, bytes a
+#: comma-separated one is read in, and windows coded and counted in at a
+#: time (``processes.MarkovProcess.sample``, the writer and comma loader
+#: of ``cli``, :func:`window_codes`); outputs do not depend on it
+_BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters
 # of substitution windows) above this are refused rather than attempted.
@@ -653,9 +662,13 @@ def _entropy_of_weights(weights, denominator) -> Scalar:
 def _entropy_of_p(p: np.ndarray) -> float:
     """−Σ p·log₂ p over the positive entries of a float array, in
     bits, summed pairwise by NumPy: the one float entropy kernel."""
-    p = p[p > 0.0]
+    positive = p > 0.0
+    if not positive.all():
+        p = p[positive]
+    terms = np.log2(p)
+    terms *= p  # in place: one array of terms, not two
     # 0.0 − x, not −x: a single word gives 0.0, never −0.0
-    return float(0.0 - (p * np.log2(p)).sum())
+    return float(0.0 - terms.sum())
 
 
 def _entropy_float(probs) -> float:
@@ -664,8 +677,7 @@ def _entropy_float(probs) -> float:
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
     """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N."""
-    counts = counts[counts > 0]
-    return _entropy_of_p(counts / counts.sum())
+    return _entropy_of_p(counts[counts > 0] / counts.sum())
 
 
 def shannon_entropy(d) -> Scalar:
@@ -727,35 +739,58 @@ def marginalize_gap(window: BlockDistribution, left_length: int,
 # ── Empirical estimation ──────────────────────────────────────────────────────
 
 
-def _coerce_sequence(seq, alphabet: Alphabet | None):
-    """Accept str / int sequence / ndarray; return (int array, alphabet).
+def _code_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned type of codes drawn from range(size), up
+    to 32 bits, and int64 past that: no code array is ever uint64,
+    which NumPy mixes with int64 as float64."""
+    return (np.min_scalar_type(size - 1) if size <= 1 << 32
+            else np.dtype(np.int64))
 
-    A string is read one character per symbol; without an alphabet the
-    sorted distinct characters form it.  Symbols outside the alphabet
-    raise ValueError naming the first one and its position.
+
+def _coerce_sequence(seq, alphabet: Alphabet | None):
+    """Accept str / int sequence / ndarray; return (index array, alphabet).
+
+    The indices are held in the narrowest unsigned type of the alphabet
+    (``_code_dtype``): one byte per symbol up to 256 symbols.  A string
+    is read one character per symbol, an ASCII one at one byte per
+    character; without an alphabet the sorted distinct characters form
+    it.  Symbols outside the alphabet, and values that are not
+    integers, raise ValueError naming the first one and its position.
     """
     if isinstance(seq, str):
-        points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
-                               dtype=np.uint32)
+        if seq.isascii():
+            points = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
+        else:
+            points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
+                                   dtype=np.uint32)
+        # the distinct code points, ascending; sorted only when a high
+        # code point would make a lookup table outgrow the string
+        uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
+        chars = list(map(chr, uniq.tolist()))
         if alphabet is None:
-            # the distinct code points, ascending; sorted only when a
-            # high code point would make a bincount outgrow the string
-            uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
-            return codes, Alphabet(map(chr, uniq.tolist()))
-        labels = [(ord(c), i) for i, c in enumerate(alphabet.symbols)
-                  if len(c) == 1]
-        keys = np.array(sorted(labels), dtype=np.int64).reshape(-1, 2)
-        pos = np.searchsorted(keys[:, 0], points)
-        found = pos < len(keys)
-        found[found] = keys[pos[found], 0] == points[found]
-        if not found.all():
-            t = int(np.argmin(found))
+            return codes, Alphabet(chars)
+        index = {c: i for i, c in enumerate(alphabet.symbols)}
+        known = np.array([c in index for c in chars], dtype=bool)
+        if not known.all():
+            t = int(np.argmin(known[codes]))
             raise ValueError(f"symbol {seq[t]!r} at position {t} is not in "
                              f"the alphabet {alphabet.symbols}")
-        return keys[pos, 1], alphabet
-    arr = np.asarray(seq, dtype=np.int64)
+        table = np.array([index[c] for c in chars],
+                         dtype=_code_dtype(len(alphabet)))
+        return table[codes], alphabet
+    arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
+    if arr.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            ints = arr.astype(np.int64)
+        if arr.dtype.kind in "fO":
+            off = ints != arr
+            if off.any():
+                t = int(np.argmax(off))
+                raise ValueError(f"symbol {arr[t:t + 1].tolist()[0]!r} at "
+                                 f"position {t} is not an integer index")
+        arr = ints
     if alphabet is None:
         top = int(arr.max(initial=0))
         alphabet = Alphabet(str(i) for i in range(top + 1))
@@ -764,7 +799,7 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         t = int(np.argmax(bad))
         raise ValueError(f"symbol {int(arr[t])} at position {t} is outside "
                          f"the alphabet indices 0..{len(alphabet) - 1}")
-    return arr, alphabet
+    return arr.astype(_code_dtype(len(alphabet)), copy=False), alphabet
 
 
 def _passes_63_bits(size: int, factor: int) -> bool:
@@ -773,36 +808,70 @@ def _passes_63_bits(size: int, factor: int) -> bool:
     return size * factor >= 1 << 63
 
 
+def _doubling_steps(L: int) -> list:
+    """The steps that take length-1 codes to length L: for each binary
+    digit of L after the leading one, a "double", then an "append"
+    where the digit is one."""
+    return [step for bit in bin(L)[3:]
+            for step in ("double", "append")[:1 + int(bit)]]
+
+
+def _grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
+                steps: Sequence[str]):
+    """Apply ``steps`` to the codes, in range(size), of the length-k
+    windows of arr, in the codes array itself: "double" gives the codes
+    of length 2k, "append" those of length k + 1, and "pair" only ranks
+    the codes if their range squared would pass 63 bits.
+
+    A step writes one ascending block of windows at a time, computed in
+    int64; a block reads only codes at or past its own start, which no
+    earlier block has overwritten.  Before a step whose range would
+    pass 63 bits, the codes are replaced by their ranks among their
+    distinct values (:func:`_ranks`).  ``codes`` must hold every
+    range the steps reach.  Returns (codes, size, whether ranked).
+    """
+    ranked = False
+    for step in steps:
+        if _passes_63_bits(size, s if step == "append" else size):
+            uniq, ranks = _ranks(codes, size)
+            codes[:] = ranks
+            size, ranked = uniq.size, True
+        if step == "pair":
+            continue
+        k = arr.size - codes.size + 1  # the length of the windows coded
+        factor, tail = (s, arr[k:]) if step == "append" else (size, codes[k:])
+        for lo in range(0, tail.size, _BLOCK):
+            hi = min(lo + _BLOCK, tail.size)
+            block = codes[lo:hi].astype(np.int64)
+            block *= factor
+            block += tail[lo:hi]
+            codes[lo:hi] = block
+        codes, size = codes[:tail.size], size * factor
+    return codes, size, ranked
+
+
 def window_codes(arr: np.ndarray, L: int, s: int, width: int | None = None):
     """Codes of the length-L windows of arr that sort as their words:
-    (int64 codes, their range, a decoder from distinct codes to words).
+    (codes, their range, a decoder from distinct codes to words).
 
-    Built by doubling: a length-2k code is the length-k code times its
-    range plus the length-k code k places on, and a digit is appended
-    wherever L's binary expansion has a one.  The codes are base-s
-    digits until a step would pass 63 bits; the codes are then ranked
-    among their distinct values, one integer sort that keeps their
-    order (Karp, Miller and Rosenberg), and the ranks double on.  Pair
-    codes of ``width`` 2L rank once more if they would pass 63 bits.
-    Ranks number at most the windows, so all fits below 3·10^9 windows.
+    The codes are held in the narrowest unsigned type of the s**L
+    words (``_code_dtype``), int64 past 32 bits, and built by doubling
+    in that one array (:func:`_grow_codes`): a length-2k code is the
+    length-k code times its range plus the length-k code k places on,
+    and a digit is appended wherever L's binary expansion has a one.
+    The codes are base-s digits until a step would pass 63 bits; the
+    codes are then ranked among their distinct values, one integer
+    sort that keeps their order (Karp, Miller and Rosenberg), and the
+    ranks double on.  Pair codes of ``width`` 2L rank once more if
+    they would pass 63 bits.  Ranks number at most the windows, so all
+    fits below 3·10^9 windows.
     """
     if arr.size < L:
         raise ValueError(
             f"sequence of length {arr.size} has no length-{L} windows")
-    steps = [step for bit in bin(L)[3:]
-             for step in ("double", "append")[:1 + int(bit)]]
-    codes, size, ranked = arr.astype(np.int64), s, False
-    for step in steps + ["pair"] * ((width or L) > L):
-        if _passes_63_bits(size, s if step == "append" else size):
-            uniq, codes = _ranks(codes, size)
-            size, ranked = uniq.size, True
-        if step == "pair":
-            break
-        k = arr.size - codes.size + 1  # the length of the windows coded
-        factor, tail = (s, arr[k:]) if step == "append" else (size, codes[k:])
-        longer = codes[:tail.size] * factor
-        longer += tail
-        codes, size = longer, size * factor
+    codes, size, ranked = _grow_codes(
+        arr, s, arr.astype(_code_dtype(s ** L)), s,
+        _doubling_steps(L) + ["pair"] * ((width or L) > L))
     if not ranked:
         return codes, size, lambda uniq: decode_window_codes(uniq, L, s)
 
@@ -849,16 +918,41 @@ def decode_window_codes(codes, L: int, s: int) -> list:
     return words
 
 
+def _code_counts(codes: np.ndarray, size: int, pair=None) -> np.ndarray:
+    """Counts of codes drawn from range(size), as an int64 array of
+    that length.  With ``pair = (span, shift)`` the codes counted are
+    the pair codes codes[i]·span + codes[i + shift], for i below
+    codes.size − shift, each computed in int64.
+
+    Counted ``_BLOCK`` codes at a time with ``np.add.at``, which makes
+    no intp copy of narrow codes, as ``np.bincount`` does, and no
+    array of the whole range per block.
+    """
+    span, shift = pair or (0, 0)
+    m = codes.size - shift
+    counts = np.zeros(size, dtype=np.int64)
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        block = codes[lo:hi]
+        if pair:
+            block = block.astype(np.int64) * span
+            block += codes[lo + shift:hi + shift]
+        np.add.at(counts, block, 1)
+    return counts
+
+
 def _distinct_counts(codes: np.ndarray, size: int, weights=None):
     """Distinct values of codes drawn from range(size), ascending, and
     their counts as an int64 array; with positive ``weights``, the sum
     of each value's weights as a float64 array instead.
 
-    A bincount when the range is no larger than the code array, so
-    its buffer never outgrows the input; a sort otherwise.
+    Counted over the whole range (``_code_counts``, or a bincount of
+    the weights) when it is no larger than the code array, so that
+    buffer never outgrows the input; a sort otherwise.
     """
     if size <= codes.size:
-        counts = np.bincount(codes, weights, minlength=size)
+        counts = (_code_counts(codes, size) if weights is None
+                  else np.bincount(codes, weights, minlength=size))
         uniq = np.flatnonzero(counts)
         return uniq, counts[uniq]
     if weights is None:
@@ -869,12 +963,14 @@ def _distinct_counts(codes: np.ndarray, size: int, weights=None):
 
 def _ranks(codes: np.ndarray, size: int):
     """Distinct values of codes drawn from range(size), ascending, and
-    the index of each code among them: a lookup table when the range is
-    no larger than the code array, a sort otherwise."""
+    the index of each code among them, in the narrowest unsigned type
+    of their number (``_code_dtype``): a lookup table when the range
+    is no larger than the code array, a sort otherwise."""
     if size > codes.size:
-        return np.unique(codes, return_inverse=True)
-    uniq = np.flatnonzero(np.bincount(codes, minlength=size))
-    table = np.empty(size, dtype=np.int64)
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        return uniq, inverse.ravel().astype(_code_dtype(uniq.size))
+    uniq = np.flatnonzero(_code_counts(codes, size))
+    table = np.empty(size, dtype=_code_dtype(uniq.size))
     table[uniq] = np.arange(uniq.size)
     return uniq, table[codes]
 

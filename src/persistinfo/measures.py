@@ -28,11 +28,15 @@ from .infocore import (
     JointBlockDistribution,
     Scalar,
     WindowCapError,
+    _code_counts,
+    _code_dtype,
     _coerce_sequence,
     _distinct_counts,
+    _doubling_steps,
     _entropy_of_counts,
     _exact_str,
     _fmt,
+    _grow_codes,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
@@ -66,30 +70,34 @@ class UndersampledError(ValueError):
 class EmpiricalSource:
     """Plug-in block and joint-block statistics of one observed sequence.
 
-    Every length-L window is packed into one base-s integer code
-    (:func:`window_codes`).  The measures count the sequence once at
-    the longest *dense* length, where the s**L possible codes number no
-    more than the windows, and reach every shorter length by marginal
-    sums of those integer counts:
+    ``arr`` holds the symbols' alphabet indices in the narrowest
+    unsigned type of the alphabet: one byte per symbol up to 256
+    symbols.  Every length-L window is packed into one base-s integer
+    code (:func:`window_codes`), held in the narrowest unsigned type of
+    its range.  The measures count the sequence once at the longest
+    *dense* length, where the s**L possible codes number no more than
+    the windows, and reach every shorter length by marginal sums of
+    those integer counts:
 
-    * :meth:`block_entropies` bincounts the longest dense length; the
+    * :meth:`block_entropies` counts the longest dense length; the
       counts one shorter sum out the last symbol and add the one window
       at the end of the sequence that has no longer extension;
-    * :meth:`gap_mutual_informations` bincounts, per gap g, the
+    * :meth:`gap_mutual_informations` counts, per gap g, the
       s**L × s**L pair codes ``left * s**L + right`` of the longest
-      dense grid length; one shorter sums out the first symbol of the
-      left block and the last of the right, and adds the two windows,
-      one at each end, that the longer blocks do not cover.  The MI is
-      H(left) + H(right) − H(pair) over the row sums, the column sums
-      and the nonzero pairs.
+      dense grid length, one block of int64 pair codes at a time; one
+      shorter sums out the first symbol of the left block and the last
+      of the right, and adds the two windows, one at each end, that the
+      longer blocks do not cover.  The MI is H(left) + H(right) −
+      H(pair) over the row sums, the column sums and the nonzero pairs.
 
     Both give the same integer counts, in the same ascending code
     order, as counting each length on its own, so the same floats.
-    Longer lengths and cells are counted one at a time by
-    :meth:`block_entropy` and :meth:`gap_mutual_information`, which
-    also serve the tests as the oracle of the marginal route.  Past 63
-    bits the codes are ranks, which keep their order (:func:`window_codes`);
-    no length builds a word table.
+    :meth:`block_entropies` grows the codes of each longer length in
+    place from those of the length before.  Other cells are counted
+    one at a time by :meth:`gap_mutual_information`, which, with
+    :meth:`block_entropy`, also serves the tests as the oracle of the
+    marginal route.  Past 63 bits the codes are ranks, which keep
+    their order (:func:`window_codes`); no length builds a word table.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
     those tables, decoding only the distinct codes into words.  Cells
@@ -133,21 +141,37 @@ class EmpiricalSource:
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
         """Plug-in H(L) in bits for each of the ascending lengths Ls,
-        counted once at the longest dense one (see the class)."""
+        counted once at the longest dense one (see the class).  The
+        codes of each longer length are grown in place from those of
+        the length before, by appending symbols, unless coding it from
+        length 1 takes fewer steps."""
         s, n = len(self.alphabet), self.n
         dense = [L for L in Ls if 1 <= L and s ** L <= n - L + 1]
         H = {}
         if dense:
             top = dense[-1]
-            counts = np.bincount(window_codes(self.arr, top, s)[0],
-                                 minlength=s ** top)
+            counts = _code_counts(window_codes(self.arr, top, s)[0], s ** top)
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
                     H[L] = _entropy_of_counts(counts)
                 if L > dense[0]:
                     counts = _sum_last_digit(counts, s)
                     counts[self._code(n - L + 1, L - 1)] += 1
-        return [H[L] if L in H else self.block_entropy(L) for L in Ls]
+        longer = [L for L in Ls if L not in H]
+        for L in longer:
+            self._check_block(L)
+        if longer:
+            held = self.arr.astype(_code_dtype(s ** longer[-1]))
+            codes, size, k = held, s, 1  # the codes of length k
+            for L in longer:
+                steps = ["append"] * (L - k)
+                if len(steps) > len(_doubling_steps(L)):
+                    held[:] = self.arr
+                    codes, size, steps = held, s, _doubling_steps(L)
+                codes, size, _ = _grow_codes(self.arr, s, codes, size, steps)
+                k = L
+                H[L] = _entropy_of_counts(_distinct_counts(codes, size)[1])
+        return [H[L] for L in Ls]
 
     def block_entropy(self, L: int) -> float:
         """Plug-in H(L) in bits from the counts of the length-L codes."""
@@ -175,10 +199,8 @@ class EmpiricalSource:
                 packed, keys = top, window_codes(self.arr, top, s, 2 * top)
             codes, span, _ = keys
             m = n - 2 * top - g + 1
-            pairs = codes[:m] * span
-            pairs += codes[top + g:top + g + m]
-            Q = np.bincount(pairs, minlength=span * span).reshape(span, span)
-            del pairs, codes
+            Q = _code_counts(codes, span * span, (span, top + g))
+            Q = Q.reshape(span, span)
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
                     try:
@@ -241,8 +263,10 @@ class EmpiricalSource:
         m = self._gap_windows(L, g)
         codes, span, decode = keys or window_codes(
             self.arr, L, len(self.alphabet), 2 * L)
-        uniq, counts = _distinct_counts(
-            codes[:m] * span + codes[L + g:L + g + m], span * span)
+        pairs = codes[:m].astype(np.int64)
+        pairs *= span
+        pairs += codes[L + g:L + g + m]
+        uniq, counts = _distinct_counts(pairs, span * span)
         _refuse_undersampled(uniq.size, m)
         return uniq, counts, span, decode
 

@@ -48,6 +48,7 @@ from .infocore import (
     JointBlockDistribution,
     WindowCapError,
     Word,
+    _BLOCK,
     _agrees,
     _distinct_rows,
     _ranks,
@@ -86,11 +87,6 @@ __all__ = [
 
 #: gap matrix powers a Markov chain keeps, one per gap length
 GAP_POWERS_KEPT = 32
-
-#: symbols a long sequence is sampled and written in at a time, and
-#: bytes a comma-separated one is read in (``MarkovProcess.sample``, and
-#: the writer and comma loader of ``cli``); outputs do not depend on it
-_BLOCK = 1 << 16
 
 
 class ClosedFormUnavailable(ValueError):

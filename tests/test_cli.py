@@ -664,6 +664,30 @@ def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
 
 
+@pytest.mark.parametrize("block", [4, 64, 1 << 16])
+def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
+    import numpy as np
+
+    from persistinfo import processes
+    from persistinfo.cli import _load_sequence
+    # 300 labels of one to four bytes, the first 200 before any other,
+    # so that later blocks add keys to those seen and widen the codes
+    rng = np.random.default_rng(8)
+    names = [str(i) for i in range(299)] + ["é"]
+    order = np.concatenate([rng.permutation(200),
+                            rng.integers(0, 300, 2000)])
+    labels = [names[i] for i in order.tolist()]
+    monkeypatch.setattr(processes, "_BLOCK", block)
+    p = tmp_path / "seq.txt"
+    p.write_text(",".join(labels) + "\n")
+    src = _load_sequence(str(p))
+    assert src.alphabet.symbols == tuple(sorted(set(labels)))
+    assert src.arr.dtype == np.uint16
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
+    p.write_text(",".join(labels[:200]) + "\n")
+    assert _load_sequence(str(p)).arr.dtype == np.uint8
+
+
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_sample_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch,
                                             block):
@@ -701,7 +725,7 @@ def test_comma_loader_memory_stays_in_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert src.n == n
-    # the 8 MB of codes, the 3 MB line, and blocks of scratch
+    # the 1 MB of uint8 codes, the 3 MB line, and blocks of scratch
     assert peak < 20 << 20
 
 

@@ -419,7 +419,7 @@ def test_joint_prob_is_float_zero_on_float_tables():
 def test_coerce_string_infers_sorted_alphabet(text):
     arr, alphabet = _coerce_sequence(text, None)
     assert alphabet.symbols == tuple(sorted(set(text)))
-    assert arr.dtype == np.int64
+    assert arr.dtype == np.uint8
     assert arr.tolist() == [alphabet.index(c) for c in text]
 
 
@@ -462,6 +462,38 @@ def test_coerce_rejects_integer_symbols_outside_alphabet():
         _coerce_sequence([1, -3, 0], None)
     with pytest.raises(ValueError, match=r"symbol -1 at position 2"):
         empirical_block_distribution([0, 1, -1, 1, 0, 2], 1, alphabet=BITS)
+
+
+def test_coerce_rejects_values_that_are_not_integers():
+    with pytest.raises(ValueError, match=r"symbol 0\.5 at position 0 is not "
+                                         r"an integer"):
+        _coerce_sequence(np.array([0.5, 1.7, 1.2, 0.9]), None)
+    with pytest.raises(ValueError, match=r"symbol 1\.25 at position 2"):
+        _coerce_sequence([0, 1.0, 1.25, 1], BITS)
+    with pytest.raises(ValueError, match=r"symbol nan at position 1"):
+        _coerce_sequence([1.0, float("nan")], None)
+    with pytest.raises(ValueError, match=r"symbol Fraction\(1, 2\) at "
+                                         r"position 1"):
+        _coerce_sequence([Fraction(1), Fraction(1, 2)], None)
+    # integral values of any type are indices
+    arr, alphabet = _coerce_sequence(np.array([0.0, 2.0, 1.0]), None)
+    assert arr.tolist() == [0, 2, 1] and arr.dtype == np.uint8
+    assert alphabet.symbols == ("0", "1", "2")
+    assert _coerce_sequence([Fraction(1), 0], BITS)[0].tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("s, dtype", [
+    (1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16),
+    (65536, np.uint16), (65537, np.uint32),
+])
+def test_coerce_holds_the_narrowest_unsigned_type(s, dtype):
+    seq = np.arange(s, dtype=np.int64)[::-1]
+    arr, alphabet = _coerce_sequence(seq, None)
+    assert arr.dtype == dtype and len(alphabet) == s
+    assert arr.tolist() == seq.tolist()
+    text = "".join(map(chr, range(0x100, 0x100 + s)))
+    arr, _ = _coerce_sequence(text, None)
+    assert arr.dtype == dtype and arr.tolist() == list(range(s))
 
 
 # ── properties ────────────────────────────────────────────────────────────────

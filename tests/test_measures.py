@@ -368,7 +368,9 @@ def test_window_code_memo_matches_window_codes():
     arr = np.random.default_rng(5).integers(0, 3, 200)
     for L in range(1, 40):
         got, size, _ = window_codes(arr, L, 3)
-        assert got.dtype == np.int64
+        # the narrowest unsigned type of 3**L codes, int64 past 32 bits
+        assert got.dtype == (np.uint8 if L <= 5 else np.uint16 if L <= 10
+                             else np.uint32 if L <= 20 else np.int64)
         assert np.array_equal(got, matmul_window_codes(arr, L, 3))
     for L in (40, 41, 64, 127):
         assert _codes_sort_as_the_words(arr, L, 3)
@@ -441,16 +443,22 @@ def test_marginal_route_matches_per_length_oracles(case):
         assert type(v) is float
 
 
-def _count_long_bincounts(monkeypatch, n):
+def _count_long_counts(monkeypatch, n):
+    """Record every counting pass, a bincount or a block-by-block
+    ``_code_counts``, over n // 2 codes or more."""
     calls = []
-    bincount = np.bincount
 
-    def counted(x, *args, **kwargs):
-        if np.size(x) >= n // 2:
-            calls.append(np.size(x))
-        return bincount(x, *args, **kwargs)
+    def counting(count):
+        def counted(x, *args, **kwargs):
+            if np.size(x) >= n // 2:
+                calls.append(np.size(x))
+            return count(x, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np, "bincount", counted)
+    monkeypatch.setattr(np, "bincount", counting(np.bincount))
+    code_counts = counting(infocore._code_counts)
+    for module in (infocore, measures):
+        monkeypatch.setattr(module, "_code_counts", code_counts)
     return calls
 
 
@@ -458,7 +466,7 @@ def test_dense_lengths_count_the_sequence_once(monkeypatch):
     n = 200_000
     seq = sample(lopsided_chain(), n, seed=4)
     src = EmpiricalSource(seq)
-    calls = _count_long_bincounts(monkeypatch, n)
+    calls = _count_long_counts(monkeypatch, n)
     # 2**16 codes fit in the 199_985 windows of length 16
     curve = entropy_curve(src, 16)
     assert len(calls) == 1
@@ -484,7 +492,7 @@ def test_distinct_counts_switch_agrees(extra):
     assert counts.dtype == np.int64
     uniq, ranks = _ranks(codes, codes.size + extra)
     assert uniq.tolist() == want_uniq.tolist()
-    assert ranks.dtype == np.int64
+    assert ranks.dtype == np.uint16
     assert ranks.tolist() == np.searchsorted(want_uniq, codes).tolist()
     weights = rng.integers(1, 1000, 500)
     uniq, sums = _distinct_counts(codes, codes.size + extra, weights)
@@ -622,6 +630,109 @@ def test_rank_codes_sort_the_windows_once_per_length(monkeypatch):
     monkeypatch.undo()
     assert (grid.values, grid.missing) == gap_mi_grid_oracle(
         src, grid.L_grid, grid.g_grid)
+
+
+def _first_ranked_length(s):
+    """The shortest window length whose s**L digit codes pass 63 bits."""
+    L = 1
+    while s ** L < 2 ** 63:
+        L += 1
+    return L
+
+
+@st.composite
+def _narrow_cases(draw):
+    # 256 symbols are the most a uint8 array holds
+    s = draw(st.sampled_from([2, 3, 255, 256, 257]))
+    edge = _first_ranked_length(s)
+    L = draw(st.sampled_from([1, 2, edge - 1, edge, edge + 1]))
+    g = draw(st.integers(0, 4))
+    n = draw(st.integers(2 * L + g + 1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a noisy periodic sequence, so that some cells are sampled, that
+    # holds the top symbol somewhere
+    period = rng.integers(0, s, size=draw(st.integers(1, 7)))
+    flip = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    seq = np.where(flip, rng.integers(0, s, size=n), np.resize(period, n))
+    seq[draw(st.integers(0, n - 1))] = s - 1
+    return s, L, g, seq
+
+
+@given(_narrow_cases())
+@settings(max_examples=60, deadline=None)
+def test_narrow_sequences_count_as_their_int64_copies(case):
+    s, L, g, seq = case
+    alphabet = Alphabet(str(a) for a in range(s))
+    src = EmpiricalSource(seq, alphabet)
+    assert src.arr.dtype == (np.uint8 if s <= 256 else np.uint16)
+    wide = EmpiricalSource(seq, alphabet)
+    wide.arr = src.arr.astype(np.int64)
+    codes, size, _ = window_codes(src.arr, L, s, 2 * L)
+    wide_codes, wide_size, _ = window_codes(wide.arr, L, s, 2 * L)
+    assert size == wide_size and np.array_equal(codes, wide_codes)
+    Ls = list(range(1, L + 1))
+    assert src.block_entropies(Ls) == wide.block_entropies(Ls)
+    assert src.block_entropy(L) == wide.block_entropy(L)
+    grid = (sorted({1, L // 2 + 1, L}), sorted({0, g, g + 1}))
+    assert (src.gap_mutual_informations(*grid)
+            == wide.gap_mutual_informations(*grid))
+    assert (_refusal_or_value(lambda: src.gap_mutual_information(L, g))
+            == _refusal_or_value(lambda: wide.gap_mutual_information(L, g)))
+
+
+def test_longer_lengths_grow_from_the_length_before(monkeypatch):
+    src = EmpiricalSource(sample(SubstitutionProcess(thue_morse()), 20_000,
+                                 seed=3))
+    # 1, 2 and 3 are counted at the dense top, 3; the others grow by
+    # appends, past the 63-bit re-rank between 62 and 63, or are coded
+    # afresh where that takes fewer steps (30, 61, 90, 200)
+    Ls = [1, 2, 3, 15, 16, 17, 30, 61, 62, 63, 64, 65, 66, 90, 200]
+    coded = []
+
+    def counted(arr, L, s, width=None):
+        coded.append(L)
+        return codes_of(arr, L, s, width)
+
+    codes_of = measures.window_codes
+    monkeypatch.setattr(measures, "window_codes", counted)
+    got = src.block_entropies(Ls)
+    assert coded == [3]
+    monkeypatch.undo()
+    assert got == [src.block_entropy(L) for L in Ls]
+
+
+def _ternary_chain_sample():
+    rows = {a + b: ((F(1, 2), F(1, 3), F(1, 6)) if a + b == "aa"
+                    else (F(1, 4), F(1, 4), F(1, 2)))
+            for a in "abc" for b in "abc"}
+    chain = MarkovProcess.from_rows(rows, alphabet=Alphabet("abc"))
+    return sample(chain, 10 ** 6, seed=1), chain.alphabet
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sequence_statistics_hold_narrow_arrays():
+    # 10**6 ternary symbols: the uint8 symbols, uint32 length-12 codes
+    # and the 3**12 int64 counts, not int64 copies of each
+    seq, alphabet = _ternary_chain_sample()
+    H, peak = _traced_peak(
+        lambda: EmpiricalSource(seq, alphabet).block_entropies(range(1, 13)))
+    assert len(H) == 12
+    assert peak < 12 * 10 ** 6
+    # the uint16 length-6 codes and the dense pair counts, counted one
+    # block of pair codes at a time
+    (values, missing), peak = _traced_peak(
+        lambda: EmpiricalSource(seq, alphabet).gap_mutual_informations(
+            range(1, 7), (4, 8, 16, 32)))
+    assert len(values) + len(missing) == 24
+    assert peak < 15 * 10 ** 6
 
 
 def test_block_entropy_of_a_long_uniform_sequence_is_correctly_summed():
