@@ -24,6 +24,7 @@ from . import measures, processes
 from .emachine import reconstruct
 from .infocore import (
     Alphabet,
+    _char_codes,
     _concat_pieces,
     _distinct_rows,
     _exact_str,
@@ -165,22 +166,56 @@ def _load_model(spec: str, backend: str):
 
 
 def _load_sequence(path: str) -> EmpiricalSource:
-    text = Path(path).read_text().strip()
-    if not text:
+    """The one line of a UTF-8 sequence file as a source.
+
+    The file is read once, as bytes, and its surrounding whitespace is
+    skipped by offsets (``_line_bounds``), so the line is held once.
+    A comma line is parsed from those bytes (``_comma_codes``), and a
+    line of ASCII characters is coded one byte per symbol; only a line
+    with a non-ASCII character is decoded, to a string.
+    """
+    raw = Path(path).read_bytes()
+    lo, hi = _line_bounds(raw)
+    if lo == hi:
         raise ValueError(f"sequence file is empty: {path}")
-    if "\n" in text:
+    if raw.find(b"\n", lo, hi) >= 0 or raw.find(b"\r", lo, hi) >= 0:
         raise ValueError("sequence files hold one line of symbols")
-    if "," not in text:
-        return EmpiricalSource(text)
-    raw = text.encode()
-    del text
-    codes, labels = _comma_codes(raw, path)
-    return EmpiricalSource(codes, Alphabet(labels))
+    if raw.find(b",", lo, hi) >= 0:
+        codes, labels = _comma_codes(raw, lo, hi, path)
+        return EmpiricalSource(codes, Alphabet(labels))
+    points = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
+    if points.max() < 0x80:
+        return EmpiricalSource(*_char_codes(points, None))
+    text = str(memoryview(raw)[lo:hi], "utf-8")
+    del points, raw  # the line is held once, as the string
+    return EmpiricalSource(text)
 
 
-def _comma_codes(raw: bytes, path: str):
-    """Codes and sorted labels of a comma-separated line, given as its
-    UTF-8 bytes.
+def _line_bounds(raw: bytes) -> Tuple[int, int]:
+    """Offsets of the first character of raw's UTF-8 text that is not
+    whitespace and past the last one, whitespace as ``str.strip`` reads
+    it; only the characters at the two ends are decoded."""
+    lo, hi = 0, len(raw)
+    while lo < hi:
+        lead = raw[lo]
+        width = 1 + (lead >= 0xC0) + (lead >= 0xE0) + (lead >= 0xF0)
+        if not raw[lo:lo + width].decode(errors="replace").isspace():
+            break
+        lo += width
+    while lo < hi:
+        # back over at most three continuation bytes to a lead byte
+        start = hi - 1
+        while start > max(lo, hi - 4) and raw[start] & 0xC0 == 0x80:
+            start -= 1
+        if not raw[start:hi].decode(errors="replace").isspace():
+            break
+        hi = start
+    return lo, hi
+
+
+def _comma_codes(raw: bytes, lo: int, end: int, path: str):
+    """Codes and sorted labels of a comma-separated line, given as the
+    UTF-8 bytes raw[lo:end].
 
     The line is read in blocks of about ``_BLOCK`` bytes, each ending
     just before a comma; a comma is never part of a multi-byte UTF-8
@@ -196,14 +231,14 @@ def _comma_codes(raw: bytes, path: str):
     """
     size = processes._BLOCK
     data = np.frombuffer(raw, dtype=np.uint8)
-    codes = np.empty(raw.count(b",") + 1, dtype=np.uint8)
+    codes = np.empty(raw.count(b",", lo, end) + 1, dtype=np.uint8)
     ids: dict = {}
     seen: dict = {}  # byte length -> (sorted keys, their ids)
-    lo = done = 0
+    done = 0
     while True:
-        hi = raw.find(b",", lo + size)
+        hi = raw.find(b",", lo + size, end)
         if hi < 0:
-            hi = len(raw)
+            hi = end
         block = data[lo:hi]
         ends = np.flatnonzero(block == ord(","))
         starts = np.zeros(ends.size + 1, dtype=np.int64)
@@ -248,7 +283,7 @@ def _comma_codes(raw: bytes, path: str):
                 codes = codes.astype(np.min_scalar_type(len(ids) - 1))
             codes[done:done + starts.size][where] = found
         done += starts.size
-        if hi == len(raw):
+        if hi == end:
             break
         lo = hi + 1
     labels = sorted(ids)

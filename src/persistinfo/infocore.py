@@ -763,21 +763,7 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         else:
             points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
                                    dtype=np.uint32)
-        # the distinct code points, ascending; sorted only when a high
-        # code point would make a lookup table outgrow the string
-        uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
-        chars = list(map(chr, uniq.tolist()))
-        if alphabet is None:
-            return codes, Alphabet(chars)
-        index = {c: i for i, c in enumerate(alphabet.symbols)}
-        known = np.array([c in index for c in chars], dtype=bool)
-        if not known.all():
-            t = int(np.argmin(known[codes]))
-            raise ValueError(f"symbol {seq[t]!r} at position {t} is not in "
-                             f"the alphabet {alphabet.symbols}")
-        table = np.array([index[c] for c in chars],
-                         dtype=_code_dtype(len(alphabet)))
-        return table[codes], alphabet
+        return _char_codes(points, alphabet)
     arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional")
@@ -794,12 +780,33 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
     if alphabet is None:
         top = int(arr.max(initial=0))
         alphabet = Alphabet(str(i) for i in range(top + 1))
-    bad = (arr < 0) | (arr >= len(alphabet))
-    if bad.any():
-        t = int(np.argmax(bad))
+    # two reductions and no whole-array masks, unless a symbol is bad
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= len(alphabet)):
+        t = int(np.argmax((arr < 0) | (arr >= len(alphabet))))
         raise ValueError(f"symbol {int(arr[t])} at position {t} is outside "
                          f"the alphabet indices 0..{len(alphabet) - 1}")
     return arr.astype(_code_dtype(len(alphabet)), copy=False), alphabet
+
+
+def _char_codes(points: np.ndarray, alphabet: Alphabet | None):
+    """(index array, alphabet) of a line of characters given as their
+    code points, one per character (the string branch of
+    :func:`_coerce_sequence`)."""
+    # the distinct code points, ascending; sorted only when a high code
+    # point would make a lookup table outgrow the line
+    uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
+    chars = list(map(chr, uniq.tolist()))
+    if alphabet is None:
+        return codes, Alphabet(chars)
+    index = {c: i for i, c in enumerate(alphabet.symbols)}
+    known = np.array([c in index for c in chars], dtype=bool)
+    if not known.all():
+        t = int(np.argmin(known[codes]))
+        raise ValueError(f"symbol {chr(points[t])!r} at position {t} is not "
+                         f"in the alphabet {alphabet.symbols}")
+    table = np.array([index[c] for c in chars],
+                     dtype=_code_dtype(len(alphabet)))
+    return table[codes], alphabet
 
 
 def _passes_63_bits(size: int, factor: int) -> bool:
@@ -893,17 +900,23 @@ def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
 
     Pieces of one common length are rows of a table; otherwise output
     position t of the piece for code c, which starts at output offset
-    o, reads the concatenated pieces at start(c) + (t − o).
+    o, reads the concatenated pieces at start(c) + (t − o).  The codes
+    index as given, in whatever integer type they are held; callers
+    pass a block of codes at a time, since the index arrays of unequal
+    pieces are int64 per output letter.
     """
-    codes = np.asarray(codes, dtype=np.int64)
     lengths = np.array([len(piece) for piece in pieces], dtype=np.int64)
     flat = np.concatenate(pieces)
     if lengths.min() == lengths.max():
         return flat.reshape(len(pieces), int(lengths[0]))[codes].ravel()
     lens = lengths[codes]
-    out_starts = np.cumsum(lens) - lens
-    shift = (np.cumsum(lengths) - lengths)[codes] - out_starts
-    return flat[np.arange(int(lens.sum())) + np.repeat(shift, lens)]
+    # start(c) − o per code, then per output position
+    shift = (np.cumsum(lengths) - lengths)[codes]
+    shift -= np.cumsum(lens)
+    shift += lens
+    index = np.repeat(shift, lens)
+    index += np.arange(index.size)
+    return flat[index]
 
 
 def decode_window_codes(codes, L: int, s: int) -> list:

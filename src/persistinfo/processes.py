@@ -50,6 +50,7 @@ from .infocore import (
     Word,
     _BLOCK,
     _agrees,
+    _code_dtype,
     _distinct_rows,
     _ranks,
     _rational_weights,
@@ -185,9 +186,12 @@ class PeriodicProcess:
                            pmi=H, efficiency=e)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The cycle from a uniformly drawn phase on, tiled in the
+        narrowest unsigned type of the alphabet (``_code_dtype``)."""
         phase = int(rng.integers(self.period))
-        idx = (phase + np.arange(n)) % self.period
-        return np.asarray(self.cycle, dtype=np.int64)[idx]
+        rotated = np.array(self.cycle[phase:] + self.cycle[:phase],
+                           dtype=_code_dtype(len(self.alphabet)))
+        return np.tile(rotated, -(-n // self.period))[:n]
 
     def reversed(self) -> "PeriodicProcess":
         return PeriodicProcess(self.alphabet, self.cycle[::-1])
@@ -567,12 +571,17 @@ class MarkovProcess:
 
         The uniforms are drawn and walked ``_BLOCK`` at a time, each
         block from the context the previous one ended in, into one
-        output array; a Generator gives the same doubles in blocks as
-        in one call, so the sample does not depend on the block size.
-        A block's symbols are one ``take`` from the flattened bin ×
-        context table.
+        output array in the narrowest unsigned type of the alphabet
+        (``_code_dtype``): one byte per symbol up to 256 symbols.  A
+        Generator gives the same doubles in blocks as in one call, so
+        the sample does not depend on the block size.  A block's
+        symbols are one ``take`` from the flattened bin × context
+        table, held in the output's type; only the walk of a block is
+        computed in int64.  An order-0 chain (``IidProcess`` too) walks
+        its single context the same way.
         """
         s = len(self.alphabet)
+        dtype = _code_dtype(s)
         m = len(self.contexts)
         cuts = np.array([np.cumsum([float(x) for x in self.kernel[c]])[:-1]
                          for c in self.contexts]).reshape(m, s - 1)
@@ -586,13 +595,13 @@ class MarkovProcess:
         symbols = np.array([np.searchsorted(row, floor, side="right")
                             for row in cuts]).T
         maps = (np.arange(m) * s + symbols) % m
-        flat_symbols, flat_maps, rows = (symbols.ravel(), maps.ravel(),
-                                         maps.tolist())
-        out = np.empty(n, dtype=np.int64)
+        flat_symbols, flat_maps, rows = (symbols.ravel().astype(dtype),
+                                         maps.ravel(), maps.tolist())
+        out = np.empty(n, dtype=dtype)
         context = start
         for lo in range(0, n, _BLOCK):
-            u = rng.random(min(_BLOCK, n - lo))
-            steps = np.searchsorted(edges, u, side="right")
+            steps = np.searchsorted(edges, rng.random(min(_BLOCK, n - lo)),
+                                    side="right")
             at = steps * m
             at += _walk_maps(steps, maps, rows, context)
             flat_symbols.take(at, out=out[lo:lo + at.size])
@@ -667,9 +676,10 @@ class IidProcess(MarkovProcess):
         return JointBlockDistribution(self.alphabet, L, g, L, probs,
                                       None if den is None else den * den)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        p = np.array([float(x) for x in self.probs])
-        return rng.choice(len(p), size=n, p=p / p.sum()).astype(np.int64)
+    # the order-0 chain's own walk, bound here by name as well, since
+    # per-class method wrappers (perfbench/tracer.py) look it up in
+    # this class
+    sample = MarkovProcess.sample
 
     def reversed(self) -> "IidProcess":
         return self
@@ -835,7 +845,7 @@ class LogisticSymbolizer:
         r = self.r
         for _ in range(self.burnin):
             x = r * x * (1 - x)
-        out = np.empty(n, dtype=np.int64)
+        out = np.empty(n, dtype=_code_dtype(len(self.alphabet)))
         for t in range(n):
             out[t] = 0 if x <= 0.5 else 1
             x = r * x * (1 - x)

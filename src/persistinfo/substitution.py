@@ -54,6 +54,8 @@ from .infocore import (
     ExactBits,
     WindowCapError,
     Word,
+    _BLOCK,
+    _code_dtype,
     _concat_pieces,
     _distinct_rows,
     _rational_weights,
@@ -199,18 +201,37 @@ def fibonacci() -> Substitution:
 
 
 def fixed_point_array(subst: Substitution, n: int) -> np.ndarray:
-    """First n letters of the one-sided fixed point as an int64 array.
+    """First n letters of the one-sided fixed point, in the narrowest
+    unsigned type of its alphabet (``_code_dtype``).
 
-    Each round applies ζ to the whole prefix at once: the images are
-    gathered by letter (``_concat_pieces``), with no Python call per
-    letter.
+    Each round writes ζ of the prefix so far into one new array of
+    the image's length, read off the letter counts that the
+    composition matrix carries from round to round, or of n letters in
+    the last round.  The prefix is read ``_BLOCK`` letters at a time,
+    their images gathered by letter (``_concat_pieces``) with no Python
+    call per letter, and the last round stops once n letters are
+    written.
     """
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    images = [np.array(r, dtype=np.int64) for r in subst.rules]
-    w = np.array([subst.start], dtype=np.int64)
+    dtype = _code_dtype(len(subst.alphabet))
+    images = [np.array(r, dtype=dtype) for r in subst.rules]
+    M = composition_matrix(subst).M
+    counts = np.zeros(len(images), dtype=np.int64)
+    counts[subst.start] = 1
+    w = np.array([subst.start], dtype=dtype)
     while w.size < n:
-        w = _concat_pieces(w, images)
+        counts = M @ counts
+        image = np.empty(min(int(counts.sum()), n), dtype=dtype)
+        at = 0
+        for lo in range(0, w.size, _BLOCK):
+            piece = _concat_pieces(w[lo:lo + _BLOCK], images)
+            piece = piece[:image.size - at]
+            image[at:at + piece.size] = piece
+            at += piece.size
+            if at == image.size:
+                break
+        w = image
     return w[:n]
 
 

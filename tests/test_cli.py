@@ -729,6 +729,41 @@ def test_comma_loader_memory_stays_in_blocks(tmp_path):
     assert peak < 20 << 20
 
 
+@pytest.mark.parametrize("line", [
+    "0110", "naïve", "a,bb,a", "é,-1,é", "\u3000x y\u3000", "↑,\xa0,↑"])
+@pytest.mark.parametrize("pad", [
+    ("", "\n"), ("\r\n", "\r\n"), (" \t\x1c", "\x0c \n"),
+    ("\xa0\u2003", "\u3000\x85\n")])
+def test_sequence_file_is_stripped_as_python_strips_text(tmp_path, line,
+                                                         pad):
+    from persistinfo.cli import _load_sequence
+    from persistinfo.measures import EmpiricalSource
+    p = tmp_path / "seq.txt"
+    p.write_bytes((pad[0] + line + pad[1]).encode())
+    src = _load_sequence(str(p))
+    text = (pad[0] + line + pad[1]).strip()
+    want = (EmpiricalSource(text) if "," not in text else None)
+    labels = text.split(",") if "," in text else list(text)
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
+    if want is not None:
+        assert src.alphabet.symbols == want.alphabet.symbols
+        assert src.arr.tolist() == want.arr.tolist()
+        assert src.arr.dtype == want.arr.dtype
+
+
+@pytest.mark.parametrize("body, message", [
+    (b" \n\t\r\n", "sequence file is empty"),
+    (b"01\r10\n", "one line of symbols"),
+    (b"a,b\nb,a\n", "one line of symbols"),
+])
+def test_sequence_file_refuses_empty_and_multiline(tmp_path, body, message):
+    from persistinfo.cli import _load_sequence
+    p = tmp_path / "seq.txt"
+    p.write_bytes(body)
+    with pytest.raises(ValueError, match=message):
+        _load_sequence(str(p))
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "curve.csv"
     code, out, _ = run(capsys, "entropy", "--model", "coin",

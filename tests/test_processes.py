@@ -22,6 +22,7 @@ from persistinfo.emachine import NonUnifilarError, reconstruct
 from persistinfo.infocore import (
     Alphabet,
     ExactBits,
+    _code_dtype,
     empirical_block_distribution,
     log2_of,
     marginalize_gap,
@@ -47,9 +48,11 @@ from persistinfo.processes import (
     sample,
 )
 from persistinfo.substitution import (
+    Substitution,
     composition_matrix,
     factor_frequencies,
     fibonacci,
+    fixed_point_array,
     induced_substitution,
     primitivity,
     thue_morse,
@@ -625,7 +628,7 @@ def test_markov_sample_matches_bisect_reference(name, seed):
     model = SAMPLER_CHAINS[name]()
     got = model.sample(3000, np.random.default_rng(seed))
     want = bisect_sample_oracle(model, 3000, np.random.default_rng(seed))
-    assert got.dtype == np.int64
+    assert got.dtype == _code_dtype(len(model.alphabet))
     assert np.array_equal(got, want)
 
 
@@ -657,7 +660,7 @@ def test_markov_sample_matches_bisect_oracle(m, n, seed):
 def _assert_sample_matches_bisect_oracle(m, n, seed):
     got = m.sample(n, np.random.default_rng(seed))
     want = bisect_sample_oracle(m, n, np.random.default_rng(seed))
-    assert got.dtype == np.int64
+    assert got.dtype == _code_dtype(len(m.alphabet))
     assert np.array_equal(got, want)
     event(f"order {m.order}, {len(m.alphabet)} letters")
 
@@ -693,6 +696,115 @@ def test_markov_sample_memory_stays_in_blocks():
     assert seq.size == 10 ** 6
     # the 8 MB output and one block of scratch
     assert peak < 16 << 20
+
+
+def fixed_point_int64(subst, n):
+    """The fixed-point prefix by the int64 iteration, one image per
+    letter in Python."""
+    w = [subst.start]
+    while len(w) < n:
+        w = [b for a in w for b in subst.rules[a]]
+    return np.array(w[:n], dtype=np.int64)
+
+
+def periodic_int64(model, n, rng):
+    phase = int(rng.integers(model.period))
+    return np.array(model.cycle, dtype=np.int64)[
+        (phase + np.arange(n)) % model.period]
+
+
+def logistic_int64(model, n):
+    x, r = model.x0, model.r
+    for _ in range(model.burnin):
+        x = r * x * (1 - x)
+    out = []
+    for _ in range(n):
+        out.append(0 if x <= 0.5 else 1)
+        x = r * x * (1 - x)
+    return np.array(out, dtype=np.int64)
+
+
+def _letters_300_chain():
+    rng = np.random.default_rng(300)
+    alphabet = Alphabet(f"s{i}" for i in range(300))
+    kernel = {}
+    for c in range(300):
+        w = rng.random(300)
+        kernel[(c,)] = tuple(w / w.sum())
+    return MarkovProcess(alphabet, 1, kernel)
+
+
+def _letters_300_substitution():
+    # a -> a (a + 1): primitive, every image begins with its letter
+    return Substitution(Alphabet(f"s{i}" for i in range(300)),
+                        [(a, (a + 1) % 300) for a in range(300)])
+
+
+# name -> (model, int64 reference of (model, n, rng))
+NARROW_SAMPLERS = {
+    "rational": (goldenmean, bisect_sample_oracle),
+    "float": (lopsided_chain, bisect_sample_oracle),
+    "order2": (lambda: SAMPLER_CHAINS["order2-ternary"](),
+               bisect_sample_oracle),
+    "order2-float": (lambda: random_float_chain(3, 2, seed=5),
+                     bisect_sample_oracle),
+    "ising": (lambda: IsingChainProcess(J=1.0, h=0.3, beta=0.7),
+              lambda m, n, rng: bisect_sample_oracle(m.as_markov(), n, rng)),
+    "iid": (lambda: IidProcess.from_probs((0.5, 0.3, 0.2)),
+            bisect_sample_oracle),
+    "periodic": (lambda: PeriodicProcess.from_string("0011101"),
+                 periodic_int64),
+    "logistic": (lambda: LogisticSymbolizer(r=3.9, x0=0.4),
+                 lambda m, n, rng: logistic_int64(m, n)),
+    "tm": (lambda: SubstitutionProcess(thue_morse()),
+           lambda m, n, rng: fixed_point_int64(m.substitution, n)),
+    "fib": (lambda: SubstitutionProcess(fibonacci()),
+            lambda m, n, rng: fixed_point_int64(m.substitution, n)),
+    "chain-300": (_letters_300_chain, bisect_sample_oracle),
+    "substitution-300": (
+        lambda: SubstitutionProcess(_letters_300_substitution()),
+        lambda m, n, rng: fixed_point_int64(m.substitution, n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_SAMPLERS))
+def test_every_sampler_holds_the_narrowest_type(name):
+    build, reference = NARROW_SAMPLERS[name]
+    model = build()
+    n = 2 * processes._BLOCK + 3
+    got = model.sample(n, np.random.default_rng(5))
+    want = reference(model, n, np.random.default_rng(5))
+    assert got.dtype == _code_dtype(len(model.alphabet))
+    assert got.dtype == (np.uint16 if len(model.alphabet) > 256
+                         else np.uint8)
+    assert want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("subst", [thue_morse, fibonacci],
+                         ids=["tm", "fib"])
+def test_fixed_point_array_in_blocks_of_7_matches_int64_iteration(subst,
+                                                                  monkeypatch):
+    monkeypatch.setattr(substitution, "_BLOCK", 7)
+    for n in (0, 1, 2, 6, 7, 8, 13, 14, 15, 1000):
+        got = fixed_point_array(subst(), n)
+        assert got.size == n
+        assert np.array_equal(got, fixed_point_int64(subst(), n))
+
+
+@pytest.mark.parametrize("name", ["rational", "tm", "fib", "periodic"])
+def test_sample_memory_holds_one_narrow_sequence(name):
+    # the 1 MB uint8 output, one block of scratch, and for a fixed
+    # point the round before the last; an int64 sequence alone is 7.6 MiB
+    model = NARROW_SAMPLERS[name][0]()
+    tracemalloc.start()
+    try:
+        seq = sample(model, 10 ** 6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.size == 10 ** 6
+    assert peak < 6 << 20
 
 
 class _FixedDraws:
