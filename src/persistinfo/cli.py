@@ -120,33 +120,40 @@ def _registry_model(name: str, exact: bool):
     return None
 
 
+def _field(doc: dict, key: str):
+    """doc[key], or a ValueError naming the model kind and the key."""
+    if key not in doc:
+        raise ValueError(f"{doc.get('kind')} model needs a {key!r} field")
+    return doc[key]
+
+
 def _build_model(doc: dict, exact: bool):
     kind = doc.get("kind")
     if kind == "periodic":
-        return PeriodicProcess.from_string(doc["cycle"])
+        return PeriodicProcess.from_string(_field(doc, "cycle"))
     if kind == "markov":
         rows = {ctx: [_number(v, exact) for v in row]
-                for ctx, row in doc["rows"].items()}
+                for ctx, row in _field(doc, "rows").items()}
         alphabet = Alphabet(doc["alphabet"]) if "alphabet" in doc else None
         return MarkovProcess.from_rows(rows, alphabet=alphabet)
     if kind == "iid":
-        probs = [_number(v, exact) for v in doc["probs"]]
+        probs = [_number(v, exact) for v in _field(doc, "probs")]
         alphabet = Alphabet(doc["alphabet"]) if "alphabet" in doc else None
         return IidProcess.from_probs(probs, alphabet=alphabet)
     if kind == "ising":
         if exact:
             raise ValueError("the Ising chain has no rational structure; "
                              "use --backend float")
-        return IsingChainProcess(J=float(doc["J"]), h=float(doc["h"]),
-                                 beta=float(doc["beta"]))
+        J, h, beta = (float(_field(doc, k)) for k in ("J", "h", "beta"))
+        return IsingChainProcess(J=J, h=h, beta=beta)
     if kind == "substitution":
         return SubstitutionProcess(Substitution.from_strings(
-            doc["rules"], start=doc["start"]))
+            _field(doc, "rules"), start=_field(doc, "start")))
     if kind == "logistic":
         if exact:
             raise ValueError("the logistic map has no rational structure; "
                              "use --backend float")
-        return LogisticSymbolizer(r=float(doc["r"]),
+        return LogisticSymbolizer(r=float(_field(doc, "r")),
                                   x0=float(doc.get("x0", 0.4)),
                                   burnin=int(doc.get("burnin", 1000)))
     raise ValueError(f"unknown model kind {kind!r}")
@@ -690,6 +697,11 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
         raise ValueError("need n >= 1")
     # sampling is a float operation whatever the analysis backend
     model = _load_model(cfg.model, "float")
+    for x in model.alphabet.symbols:  # as the loader splits and strips
+        if {",", "\n", "\r"} & set(x) or x != x.strip():
+            raise ValueError(
+                f"label {x!r} cannot be written to a sequence file: labels"
+                " hold no comma or line break and no surrounding whitespace")
     arr = sample(model, cfg.n, seed=cfg.seed)
     symbols = model.alphabet.symbols
     sep = "" if all(len(x) == 1 for x in symbols) else ","

@@ -158,7 +158,11 @@ class Alphabet:
         Strings are read per character; any other iterable is read per
         element (for multi-character labels).
         """
-        return tuple(self._index[c] for c in text)
+        try:
+            return tuple(self._index[c] for c in text)
+        except KeyError as e:
+            raise ValueError(f"label {e.args[0]!r} is not in the alphabet"
+                             f" {list(self.symbols)}") from None
 
     def decode(self, word: Sequence[int]) -> str:
         """Render a word as text; comma-joined if labels are not all

@@ -62,7 +62,6 @@ from .substitution import (
     Substitution,
     _graph_period,
     _window_law,
-    factor_frequencies,
     fixed_point_array,
     shortcut_power,
 )
@@ -459,17 +458,12 @@ class MarkovProcess:
         R = self.order
         Tg = self._gap_matrix(g)
 
-        # left block together with the context active at its right edge
-        left: dict = {}
-        if L >= R:
-            block = self.block_distribution(L)
-            for w, p in block.weights.items():
-                left[(w, w[L - R:] if R else ())] = p
-            den = block.denominator
-        else:
-            for c, p in self._context_weights().items():
-                left[(c[R - L:], c)] = p
-            den = self._denominator(0)
+        # left block together with the context active at its right edge,
+        # both read off the table of blocks of length K = max(L, R)
+        K = max(L, R)
+        block = self.block_distribution(K)
+        left = {(w[K - L:], w[K - R:]): p for w, p in block.weights.items()}
+        den = block.denominator
 
         # right block conditioned on the context at its left edge
         ext: dict = {}
@@ -648,8 +642,11 @@ class MarkovProcess:
 
 
 class IidProcess(MarkovProcess):
-    """Independent symbols with a fixed marginal; order-0 Markov chain
-    with the product-law shortcuts made explicit."""
+    """Independent symbols with a fixed marginal: an order-0 Markov
+    chain, whose walk and reversal it inherits.  Its gap law is the
+    product of two block laws: a float chain's T is summed in float (ten
+    0.1s give 0.9999999999999999), so T^g loses mass as g grows, while
+    the product keeps full mass at every g."""
 
     __slots__ = ("probs",)
 
@@ -680,9 +677,6 @@ class IidProcess(MarkovProcess):
     # per-class method wrappers (perfbench/tracer.py) look it up in
     # this class
     sample = MarkovProcess.sample
-
-    def reversed(self) -> "IidProcess":
-        return self
 
 
 # ── one-dimensional Ising chain ─────────────────────────────────────
@@ -878,9 +872,6 @@ class SubstitutionProcess:
         if L < 1:
             raise ValueError("block length must be >= 1")
         subst = self.substitution
-        if L < 3:
-            # the letter and pair Perron vectors themselves
-            return factor_frequencies(subst, L).as_distribution(self.alphabet)
         rows, _, weights, D = _window_law(subst, shortcut_power(subst, L),
                                           ((0, L),))
         keys = map(tuple, rows.tolist())

@@ -13,26 +13,27 @@ where the arithmetic allows it:
   * the factor-complexity function, and the closed-form block-entropy
     increments of the parity (Thue-Morse) fixed point.
 
-Factor frequencies take one of three routes by length: l = 1 reads the
-Perron eigenvector of the letter composition matrix, l = 2 that of the
-pair count matrix at p = 1 (the composition matrix of the substitution
-induced on pairs), and l >= 3 maps the pair frequencies through the
-count matrix of length-l windows (the paper's shortcut matrix) at the
-smallest p with every |ζ^p(a)| >= l - 1.  The induced substitution on
-length-l factors stays only as an independent check of these routes.
+Factor frequencies of every length l >= 1 map the pair frequencies
+(the Perron eigenvector of the pair count matrix at p = 1, which is
+the composition matrix of the substitution induced on pairs) through
+the count matrix of length-l windows (the paper's shortcut matrix) at
+the smallest p with every |ζ^p(a)| >= l - 1; at l = 2 that count is
+the pair matrix itself.  The induced substitution on length-l factors
+stays only as an independent check of this route.
 
 Frequencies come out as Fractions whenever the Perron root of the
-relevant composition matrix is rational (it is an integer then, since
+pair composition matrix is rational (it is an integer then, since
 the characteristic polynomial is monic with integer coefficients);
 otherwise floats from power iteration.
 
 What a substitution determines is built once per substitution and
-process (Substitution is immutable and hashable): the letter Perron
-data with its primitivity check (_letter_perron), the pair frequencies
-with their integer weights (_pair_perron), the pair factors, the factor
-sets, and the shortcut powers with their image lengths.  The images
-ζ^p(a) are rebuilt for each count; building them costs less than the
-window pass that reads them.
+process (Substitution is immutable and hashable): the primitivity
+check of the letter composition matrix (_letter_perron), the pair
+frequencies with their integer weights (_pair_perron, the one Perron
+system solved), the pair factors, the factor sets, and the shortcut
+powers with their image lengths.  The images ζ^p(a) are rebuilt for
+each count; building them costs less than the window pass that reads
+them.
 """
 
 from __future__ import annotations
@@ -411,13 +412,14 @@ class FactorTable:
 
 
 @lru_cache(maxsize=None)
-def _letter_perron(subst: Substitution) -> PerronFrobeniusData:
-    """Perron data of the letter composition matrix, solved once per
-    substitution; raises NonPrimitiveError unless it is primitive."""
-    pf = primitivity(composition_matrix(subst))
-    if not pf.primitive:
+def _letter_perron(subst: Substitution) -> None:
+    """Primitivity check of the letter composition matrix, once per
+    substitution, as in primitivity but with no eigenvector solved."""
+    B = composition_matrix(subst).M > 0
+    if not _reachability(B).all():
+        raise ReducibleMatrixError("composition matrix is reducible")
+    if _graph_period(B) != 1:
         raise NonPrimitiveError("factor frequencies require primitivity")
-    return pf
 
 
 @lru_cache(maxsize=None)
@@ -426,8 +428,8 @@ def _pair_perron(subst: Substitution) -> tuple:
     their count matrix at p = 1 (the composition matrix of the
     substitution induced on pairs), and the pair weights that
     _window_law multiplies counts by: the frequencies as integers over
-    one denominator when exact, else the floats themselves.  Solved
-    once per substitution, after the letter check."""
+    one denominator when exact, else the floats themselves.  The one
+    Perron system of a substitution, solved after the letter check."""
     _letter_perron(subst)
     # the rows are the pairs themselves, in the column order
     rows, C = _pair_window_counts(subst, 1, ((0, 2),))
@@ -442,26 +444,12 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     length-l factors.  Requires a primitive substitution; frequencies
     then exist and are positive for every factor.
 
-    l = 1 reads the letter Perron eigenvector.  l = 2 reads the Perron
-    eigenvector of the pair count matrix at power 1, which is the
-    composition matrix of the substitution induced on pairs.  l >= 3
-    maps the pair frequencies through shortcut_matrix at
-    shortcut_power(subst, l), so no linear system larger than the pair
-    one is solved; the result is exact exactly when the pair table is.
-    Both eigenvectors are solved once per substitution; each call
-    returns a table of its own.
+    Every length l >= 1 maps the pair frequencies through
+    shortcut_matrix at shortcut_power(subst, l), so no linear system
+    other than the pair one is solved; the result is exact exactly when
+    the pair table is.  The pair eigenvector is solved once per
+    substitution; each call returns a table of its own.
     """
-    if l < 1:
-        raise ValueError("factor length must be positive")
-    if l == 1:
-        letters = _letter_perron(subst)
-        factors = factors_of_length(subst, 1)
-        freq = {w: letters.eigenvector[w[0]] for w in factors}
-        return FactorTable(1, factors, freq, letters.exact)
-    if l == 2:
-        pairs, pf, _ = _pair_perron(subst)
-        return FactorTable(2, pairs, dict(zip(pairs, pf.eigenvector)),
-                           pf.exact)
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
     return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
                        sc.exact)
@@ -601,8 +589,10 @@ def factor_count_bound(subst: Substitution, n: int) -> int:
 
 
 def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
-    if l < 2:
-        raise ValueError("factor length must be at least 2")
+    """ShortcutData at any l >= 1: at l = 1 the count tallies the
+    letters of each ζ^p(α), which gives the letter table at every p."""
+    if l < 1:
+        raise ValueError("factor length must be positive")
     if power < 1:
         raise ValueError("power must be positive")
     rows, C, weights, D = _window_law(subst, power, ((0, l),))

@@ -172,6 +172,24 @@ def test_entropy_unknown_kind(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "markov"}, "markov model needs a 'rows' field"),
+    ({"kind": "periodic"}, "periodic model needs a 'cycle' field"),
+    ({"kind": "substitution", "rules": {"0": "01", "1": "10"}},
+     "substitution model needs a 'start' field"),
+    ({"kind": "substitution", "rules": {"0": "01", "1": "10"}, "start": "2"},
+     "label '2' is not in the alphabet ['0', '1']"),
+    ({"kind": "markov", "alphabet": "ab",
+      "rows": {"0": ["1/2", "1/2"], "b": ["1/2", "1/2"]}},
+     "label '0' is not in the alphabet ['a', 'b']"),
+])
+def test_model_document_errors_name_the_cause(capsys, doc, message):
+    code, out, err = run(capsys, "entropy", "--model", json.dumps(doc),
+                         "--Lmax", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -621,6 +639,40 @@ def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
 
 
+@pytest.mark.parametrize("label", [",", "a,b", "a\nb", "a\rb", " a", "a\t",
+                                   " "])
+def test_sample_refuses_labels_a_sequence_file_cannot_hold(tmp_path, capsys,
+                                                           label):
+    # a comma splits the line, a line break ends it, and its ends are
+    # stripped on load
+    doc = {"kind": "iid", "alphabet": [label, "b"], "probs": ["1/2", "1/2"]}
+    dest = tmp_path / "seq.txt"
+    code, out, err = run(capsys, "sample", "--model", json.dumps(doc),
+                         "--n", "30", "--seed", "1", "--out", str(dest))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: label {label!r} cannot be written")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    ISING_SPEC,
+    json.dumps({"kind": "iid", "alphabet": [f"s{i}" for i in range(300)],
+                "probs": ["1/300"] * 300}),
+])
+def test_sample_still_writes_signed_and_wide_alphabets(tmp_path, capsys, doc):
+    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.processes import sample
+    dest = tmp_path / "seq.txt"
+    code, _, err = run(capsys, "sample", "--model", doc, "--n", "5000",
+                       "--seed", "2", "--out", str(dest))
+    assert code == 0, err
+    model = _load_model(doc, "float")
+    written = [model.alphabet.symbols[c]
+               for c in sample(model, 5000, seed=2).tolist()]
+    src = _load_sequence(str(dest))
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
+
+
 def test_comma_sequence_file_orders_labels_as_python(tmp_path):
     from persistinfo.cli import _load_sequence
     labels = ["2", "10", "1", "1\x00", "10", "abcdefgh", "abcdefg", "2"]
@@ -835,6 +887,9 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     (("pmi", "--seq", str(DATA / "sample_tm_4097_101.txt"),
       "--L-grid", "31,32,33", "--g-grid", "0,4,8", "--format", "json"),
      "pmi_seq_tm_L31_33.json"),
+    # read through the pair-window count, within an ulp of the closed forms
+    (("substitution", "--rules", "fib", "--l", "2", "--format", "json"),
+     "substitution_fib_l2.json"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

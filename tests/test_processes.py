@@ -1156,17 +1156,20 @@ def test_substitution_perron_systems_are_solved_once(monkeypatch):
         solved.clear()
         gap_mi_grid(tm, L_grid, g_grid)
         per_grid.append(sorted(solved))
-    # one letter system (2 x 2) and one pair system (4 x 4), whatever
-    # the grid; a solve per cell made 40 for the larger grid
-    assert per_grid[0] == per_grid[1] == [2, 4]
+    # one pair system (4 x 4), whatever the grid; the letter check
+    # solves nothing, and a solve per cell made 40 for the larger grid
+    assert per_grid[0] == per_grid[1] == [4]
 
 
-def test_letter_table_solves_only_the_letter_system(monkeypatch):
+def test_factor_tables_solve_one_perron_system(monkeypatch):
+    # the letter and pair tables are read through the pair-window count
+    # like every longer one, so all of them share the pair system
     solved = _counted_solves(monkeypatch)
     _clear_substitution_memos()
-    factor_frequencies(thue_morse(), 1)
+    for l in (1, 2, 5):
+        factor_frequencies(thue_morse(), l)
     SubstitutionProcess(thue_morse()).block_distribution(1)
-    assert solved == [2]
+    assert solved == [4]
 
 
 def test_fibonacci_pair_table_is_iterated_once(monkeypatch):

@@ -7,6 +7,8 @@ bit-parity definition of the Thue-Morse sequence, block-entropy
 increments from the exact frequency tables.
 """
 
+import decimal
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -311,8 +313,8 @@ def test_non_growing_rules_raise_rather_than_hang():
 
 
 def test_frequency_refinement_consistency():
-    # exact marginals across the routes (letters, pairs, shortcut) and
-    # across dyadic boundaries, where the shortcut power steps up
+    # exact marginals from length 1 up, across dyadic boundaries, where
+    # the shortcut power steps up
     tm = thue_morse()
     for l in (1, 2, 3, 4, 31, 32, 33, 64, 65):
         coarse = factor_frequencies(tm, l).freq
@@ -324,6 +326,24 @@ def test_frequency_refinement_consistency():
             left[w[1:]] = left.get(w[1:], F(0)) + p
         assert right == coarse
         assert left == coarse
+
+
+def test_fibonacci_short_tables_are_within_an_ulp():
+    # closed forms in sqrt(5): P(0) = (sqrt5 - 1)/2, P(1) = P(01) = P(10)
+    # = (3 - sqrt5)/2 and P(00) = sqrt5 - 2, to 60 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        r5 = decimal.Decimal(5).sqrt()
+        want = {"0": (r5 - 1) / 2, "1": (3 - r5) / 2, "00": r5 - 2,
+                "01": (3 - r5) / 2, "10": (3 - r5) / 2}
+        fib = fibonacci()
+        for l in (1, 2):
+            table = factor_frequencies(fib, l)
+            assert {fib.alphabet.decode(w) for w in table.factors} == {
+                k for k in want if len(k) == l}
+            for w, p in table.freq.items():
+                err = abs(decimal.Decimal(p) - want[fib.alphabet.decode(w)])
+                assert err <= decimal.Decimal(math.ulp(p))
 
 
 def test_frequencies_match_long_prefix_counts():
@@ -374,6 +394,17 @@ def test_shortcut_on_pairs_is_matrix_power():
     M2 = composition_matrix(induced_substitution(tm, 2)).M
     sc = shortcut_matrix(tm, 2, 3)
     assert np.array_equal(sc.matrix, np.linalg.matrix_power(M2, 3))
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_shortcut_at_length_1_gives_the_letter_table(p):
+    # the length-1 windows of ζ^p(α) tally its letters
+    tm = shortcut_matrix(thue_morse(), 1, p)
+    assert tm.factors_l == ((0,), (1,))
+    assert tm.v_l == (F(1, 2), F(1, 2)) and tm.exact
+    fib = shortcut_matrix(fibonacci(), 1, p)
+    assert not fib.exact
+    assert sum(fib.v_l) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shortcut_rejects_small_p():
