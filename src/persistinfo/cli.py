@@ -702,9 +702,14 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
             raise ValueError(
                 f"label {x!r} cannot be written to a sequence file: labels"
                 " hold no comma or line break and no surrounding whitespace")
-    arr = sample(model, cfg.n, seed=cfg.seed)
     symbols = model.alphabet.symbols
     sep = "" if all(len(x) == 1 for x in symbols) else ","
+    if sep and cfg.n == 1:
+        raise ValueError(
+            "--n 1 over multi-character labels writes one label with no"
+            " comma, which a sequence file reads back one character per"
+            " symbol; use --n 2 or more")
+    arr = sample(model, cfg.n, seed=cfg.seed)
     pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
               for x in symbols]
     size = processes._BLOCK

@@ -9,15 +9,19 @@ dispatch to the model methods so callers need not care about the class.
 Rational model parameters give exact distributions end to end: each
 table holds integer weights over one denominator D, built from
 integers without a Fraction per word, and ``prob()`` returns w / D as
-a Fraction.  A rational Markov chain keeps its rows, stationary law
-and context matrix scaled to integers, so a length-L word has weight
-over q·d^(L−R).  The context matrix is one NumPy array on every chain
-(Python ints d·T in an object array on a rational one, float64 on a
-float one), and a gap is bridged by its ``np.linalg.matrix_power``.
-Float parameters (and the Ising chain, whose transfer-matrix eigendata
-is irrational) give float distributions.  Enumeration-based paths
-refuse window sizes beyond WINDOW_STATE_CAP states; Markov and
-i.i.d. models bridge the gap with a transition-matrix power instead of
+a Fraction.  The i.i.d. source (order 0) and the Ising chain (order
+1) are Markov chains: ``MarkovProcess`` subclasses with no law or
+sampler of their own.  A rational Markov chain keeps its rows,
+stationary law and context matrix scaled to integers, so a length-L
+word has weight over q·d^(L−R).  The context matrix is one NumPy
+array on every chain (Python ints d·T in an object array on a
+rational one, float64 on a float one), and a gap is bridged by its
+``np.linalg.matrix_power``, each row divided by its sum on a float
+chain; an order-0 chain forgets its past at once and is bridged by
+the identity.  Float parameters (and the Ising chain, whose
+transfer-matrix eigendata is irrational) give float distributions.
+Enumeration-based paths refuse window sizes beyond WINDOW_STATE_CAP
+states; Markov chains bridge the gap with a matrix power instead of
 enumerating it, so the cap there applies only to the two visible
 blocks.  A substitution fixed point has far fewer factors than words:
 its laws read the length-n windows of the pair images ζ^p(α)ζ^p(β),
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -403,11 +406,17 @@ class MarkovProcess:
         return self._q * self._d ** steps if self.exact else None
 
     def _gap_matrix(self, g: int):
-        """(d·T)^g, or T^g on a float chain; kept per g, up to
-        GAP_POWERS_KEPT of them."""
+        """(d·T)^g, or T^g on a float chain with each row divided by its
+        sum; kept per g, up to GAP_POWERS_KEPT of them.
+
+        A float T is summed in float (ten 0.1s give 0.9999999999999999),
+        so its powers lose mass as g grows; the row sums put it back."""
         Tg = self._powers.get(g)
         if Tg is None:
             Tg = np.linalg.matrix_power(self._T, g)
+            if not self.exact:
+                # not in place: the first power is _T itself
+                Tg = Tg / Tg.sum(axis=1, keepdims=True)
             if len(self._powers) >= GAP_POWERS_KEPT:
                 del self._powers[next(iter(self._powers))]
             self._powers[g] = Tg
@@ -456,7 +465,10 @@ class MarkovProcess:
         # blocks are enumerated
         _check_cap(len(self.alphabet), 2 * L)
         R = self.order
-        Tg = self._gap_matrix(g)
+        # an order-0 chain forgets its past at once: its gap is bridged
+        # by the identity, and its weights never carry d^g
+        gap = g if R else 0
+        Tg = self._gap_matrix(gap)
 
         # left block together with the context active at its right edge,
         # both read off the table of blocks of length K = max(L, R)
@@ -492,7 +504,7 @@ class MarkovProcess:
                 key = (a, b)
                 probs[key] = probs[key] + p * q if key in probs else p * q
         if den is not None:
-            den *= self._d ** (g + L)
+            den *= self._d ** (gap + L)
         return JointBlockDistribution(self.alphabet, L, g, L, probs, den)
 
     def closed_forms(self) -> ClosedForms:
@@ -643,16 +655,10 @@ class MarkovProcess:
 
 class IidProcess(MarkovProcess):
     """Independent symbols with a fixed marginal: an order-0 Markov
-    chain, whose walk and reversal it inherits.  Its gap law is the
-    product of two block laws: a float chain's T is summed in float (ten
-    0.1s give 0.9999999999999999), so T^g loses mass as g grows, while
-    the product keeps full mass at every g."""
-
-    __slots__ = ("probs",)
+    chain, whose laws, walk and reversal it inherits."""
 
     def __init__(self, alphabet: Alphabet, probs: Sequence):
         super().__init__(alphabet, 0, {(): probs})
-        object.__setattr__(self, "probs", self.kernel[()])
 
     @classmethod
     def from_probs(cls, probs: Sequence,
@@ -661,21 +667,10 @@ class IidProcess(MarkovProcess):
             alphabet = Alphabet(str(i) for i in range(len(probs)))
         return cls(alphabet, probs)
 
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        if L < 1 or g < 0:
-            raise ValueError("need L >= 1 and g >= 0")
-        _check_cap(len(self.alphabet), 2 * L)
-        block = self.block_distribution(L)
-        probs = {(a, b): pa * pb
-                 for a, pa in block.weights.items()
-                 for b, pb in block.weights.items()}
-        den = block.denominator
-        return JointBlockDistribution(self.alphabet, L, g, L, probs,
-                                      None if den is None else den * den)
-
-    # the order-0 chain's own walk, bound here by name as well, since
-    # per-class method wrappers (perfbench/tracer.py) look it up in
+    # the chain's own methods, bound here by name as well, since
+    # per-class method wrappers (perfbench/tracer.py) look them up in
     # this class
+    joint_gap_distribution = MarkovProcess.joint_gap_distribution
     sample = MarkovProcess.sample
 
 
@@ -728,30 +723,30 @@ def _ising_chain(J: float, h: float, beta: float):
     return rows, pi
 
 
-@dataclass(frozen=True)
-class IsingChainProcess:
+class IsingChainProcess(MarkovProcess):
     """Spin chain with energy -J s s' - h s per bond/site, presented as
     a binary symbol process (spin -1 is symbol 0, spin +1 is symbol 1).
 
     The symmetric transfer matrix V(s, s') = exp(beta (J s s' +
     h (s + s')/2)) induces an order-1 Markov chain P(s'|s) =
     V(s, s') r(s') / (lambda_1 r(s)) with stationary law r(s)^2, which
-    carries all block statistics.  The chain's rows come in closed
-    form from lambda_1 (see ``_ising_chain``), so they stay finite at
-    any temperature.
+    carries all block statistics: the process is that chain, whose
+    laws and walk it inherits.  The chain's rows come in closed form
+    from lambda_1 (see ``_ising_chain``), so they stay finite at any
+    temperature.
     """
 
-    J: float
-    h: float
-    beta: float
+    __slots__ = ("J", "h", "beta")
 
-    def __post_init__(self):
-        if not (self.beta > 0) or not math.isfinite(self.beta):
+    def __init__(self, J: float, h: float, beta: float):
+        if not (beta > 0) or not math.isfinite(beta):
             raise ValueError("beta must be positive and finite")
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(("-1", "+1"))
+        rows, pi = _ising_chain(J, h, beta)
+        super().__init__(Alphabet(("-1", "+1")), 1,
+                         {(0,): rows[0], (1,): rows[1]}, stationary=pi)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "beta", beta)
 
     def transfer_matrix(self) -> np.ndarray:
         b, J, h = self.beta, self.J, self.h
@@ -759,34 +754,19 @@ class IsingChainProcess:
         return np.array([[math.exp(b * (J * s * t + h * (s + t) / 2))
                           for t in spins] for s in spins])
 
-    @cached_property
-    def _chain(self) -> MarkovProcess:
-        rows, pi = _ising_chain(self.J, self.h, self.beta)
-        return MarkovProcess(self.alphabet, 1, {(0,): rows[0], (1,): rows[1]},
-                             stationary=pi)
-
     def as_markov(self) -> MarkovProcess:
-        """The induced order-1 chain, built once per process."""
-        return self._chain
-
-    def block_distribution(self, L: int) -> BlockDistribution:
-        return self.as_markov().block_distribution(L)
-
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        return self.as_markov().joint_gap_distribution(L, g)
+        """The induced order-1 chain: the process itself."""
+        return self
 
     def closed_forms(self) -> ClosedForms:
         h_rate = ising_entropy_rate(self.J, self.h, self.beta)
         # H(1) in the rate's form, so that E = H(1) - h does not go
         # negative where the spin law is a near point mass
-        H1 = _two_point_entropy(self.as_markov().stationary) / math.log(2)
+        H1 = _two_point_entropy(self.stationary) / math.log(2)
         eff = 1.0 - h_rate / H1 if H1 > 0 else Fraction(0)
         return ClosedForms(entropy_rate=h_rate, excess_entropy=H1 - h_rate,
                            complexity_plus=H1, complexity_minus=H1,
                            pmi=Fraction(0), efficiency=eff)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.as_markov().sample(n, rng)
 
     def reversed(self) -> "IsingChainProcess":
         # V is symmetric, so the chain satisfies detailed balance

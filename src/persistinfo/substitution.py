@@ -157,11 +157,15 @@ class Substitution:
     @classmethod
     def from_strings(cls, rules: Mapping[str, str], start: str,
                      alphabet: Optional[Alphabet] = None) -> "Substitution":
-        """Build from single-character symbols, e.g. {"0": "01", "1": "10"}."""
+        """Build from single-character symbols, e.g. {"0": "01", "1": "10"};
+        ``start`` is one of them."""
         if alphabet is None:
             alphabet = Alphabet(sorted(rules))
         table = [alphabet.encode(rules[sym]) for sym in alphabet.symbols]
-        return cls(alphabet, table, alphabet.encode(start)[0])
+        letter = alphabet.encode(start) if isinstance(start, str) else ()
+        if len(letter) != 1:
+            raise ValueError(f"start {start!r} is not one letter")
+        return cls(alphabet, table, letter[0])
 
     def apply(self, word: Sequence[int]) -> Word:
         out: list[int] = []

@@ -182,6 +182,12 @@ def test_entropy_unknown_kind(capsys):
     ({"kind": "markov", "alphabet": "ab",
       "rows": {"0": ["1/2", "1/2"], "b": ["1/2", "1/2"]}},
      "label '0' is not in the alphabet ['a', 'b']"),
+    ({"kind": "substitution", "rules": {"0": "01", "1": "10"}, "start": ""},
+     "start '' is not one letter"),
+    ({"kind": "substitution", "rules": {"0": "01", "1": "10"}, "start": "10"},
+     "start '10' is not one letter"),
+    ({"kind": "substitution", "rules": {"0": "01", "1": "10"}, "start": 0},
+     "start 0 is not one letter"),
 ])
 def test_model_document_errors_name_the_cause(capsys, doc, message):
     code, out, err = run(capsys, "entropy", "--model", json.dumps(doc),
@@ -453,6 +459,13 @@ def test_substitution_start_needs_inline_rules(capsys, rules):
     assert "--start" in err
 
 
+def test_substitution_start_is_one_letter(capsys):
+    code, out, err = run(capsys, "substitution", "--rules",
+                         '{"0":"01","1":"10"}', "--start", "10", "--l", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: start '10' is not one letter\n"
+
+
 @pytest.mark.parametrize("l", ["0", "-3"])
 def test_substitution_nonpositive_length_names_the_cause(capsys, l):
     code, _, err = run(capsys, "substitution", "--rules", "tm", "--l", l)
@@ -669,6 +682,33 @@ def test_sample_still_writes_signed_and_wide_alphabets(tmp_path, capsys, doc):
     model = _load_model(doc, "float")
     written = [model.alphabet.symbols[c]
                for c in sample(model, 5000, seed=2).tolist()]
+    src = _load_sequence(str(dest))
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
+
+
+@pytest.mark.parametrize("doc", [
+    ISING_SPEC,
+    json.dumps({"kind": "iid", "alphabet": ["ab", "c"],
+                "probs": ["1/2", "1/2"]}),
+])
+def test_sample_of_multi_character_labels_needs_two_symbols(tmp_path, capsys,
+                                                            doc):
+    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.processes import sample
+    # one label has no comma to join, so "ab" or "-1" would read back
+    # as two symbols
+    dest = tmp_path / "seq.txt"
+    code, out, err = run(capsys, "sample", "--model", doc, "--n", "1",
+                         "--seed", "3", "--out", str(dest))
+    assert code == 1 and out == ""
+    assert err.startswith("error: --n 1 over multi-character labels")
+    assert not dest.exists()
+    code, _, err = run(capsys, "sample", "--model", doc, "--n", "2",
+                       "--seed", "3", "--out", str(dest))
+    assert code == 0, err
+    model = _load_model(doc, "float")
+    written = [model.alphabet.symbols[c]
+               for c in sample(model, 2, seed=3).tolist()]
     src = _load_sequence(str(dest))
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
 

@@ -9,6 +9,7 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
 
@@ -182,6 +183,31 @@ def test_iid_joint_factorizes_and_mi_is_zero():
         for (a, b), p in j.probs.items():
             assert p == left.prob(a) * right.prob(b)
         assert mutual_information(j) == 0  # exact, not approximate
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IidProcess.from_probs((F(3, 10), F(7, 10))),
+    lambda: MarkovProcess(Alphabet("abc"), 0,
+                          {(): (F(1, 2), F(1, 3), F(1, 6))}),
+])
+def test_exact_iid_joint_does_not_carry_the_gap(make):
+    # an order-0 chain forgets its past at once: its gap is bridged by
+    # the identity, so no weight carries d^g
+    m = make()
+    near, far = (joint_gap_distribution(m, 2, g) for g in (0, 10**6))
+    assert far.denominator == near.denominator
+    assert far.weights == near.weights
+
+
+def test_iid_process_holds_no_law_code():
+    own = {k for k, v in vars(IidProcess).items()
+           if callable(v) or isinstance(v, classmethod)}
+    assert own == {"__init__", "from_probs", "joint_gap_distribution",
+                   "sample"}
+    # bound by name for per-class method wrappers, not overridden
+    assert (vars(IidProcess)["joint_gap_distribution"]
+            is MarkovProcess.joint_gap_distribution)
+    assert vars(IidProcess)["sample"] is MarkovProcess.sample
 
 
 def test_iid_closed_forms_biased():
@@ -433,6 +459,56 @@ def test_gap_grid_builds_one_power_per_gap(monkeypatch):
     grid = gap_mi_grid(ternary_r2(), (2, 3, 4), (8, 16, 32))
     assert len(grid.values) == 9
     assert sorted(built) == [8, 16, 32]
+
+
+def decimal_mi(j) -> Decimal:
+    """I(left; right) of an exact joint table to 50 digits."""
+    D = j.denominator
+    left: Counter = Counter()
+    right: Counter = Counter()
+    for (a, b), w in j.weights.items():
+        left[a] += w
+        right[b] += w
+    with localcontext() as ctx:
+        ctx.prec = 50
+        nats = sum(Decimal(w) / D * (Decimal(w * D) / (left[a] * right[b])).ln()
+                   for (a, b), w in j.weights.items() if w)
+        return nats / Decimal(2).ln()
+
+
+@pytest.mark.parametrize("make", [
+    # table1's markov-r2 row
+    lambda: MarkovProcess.from_rows({
+        "00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
+        "10": (F(3, 5), F(2, 5)), "11": (F(1, 4), F(3, 4))}),
+    ternary_r2,
+    lambda: MarkovProcess.from_rows({"0": (F(9, 10), F(1, 10)),
+                                     "1": (F(3, 10), F(7, 10))}),
+    goldenmean,
+])
+def test_float_gap_mi_is_within_float_noise_of_exact(make):
+    # a float T^g whose rows are not divided by their sums drifts from
+    # the exact law: 3.06e-14 bits on the r2 chain
+    exact = make()
+    twin = MarkovProcess(exact.alphabet, exact.order,
+                         {c: tuple(map(float, row))
+                          for c, row in exact.kernel.items()})
+    for L in (1, 2, 3):
+        for g in (1, 4, 16, 64, 256, 1024):
+            want = decimal_mi(joint_gap_distribution(exact, L, g))
+            got = mutual_information(joint_gap_distribution(twin, L, g))
+            assert abs(Decimal(got) - want) <= Decimal("4e-15"), (L, g)
+
+
+@pytest.mark.parametrize("rows, g", [
+    ({"0": (0.3, 0.7), "1": (0.6, 0.4)}, 10**6),
+    # every row ten 0.1s, which sum to 0.9999999999999999 in float
+    ({str(i): (0.1,) * 10 for i in range(10)}, 10**5),
+])
+def test_float_chain_keeps_mass_at_long_gaps(rows, g):
+    j = joint_gap_distribution(MarkovProcess.from_rows(rows), 1, g)
+    assert abs(math.fsum(j.probs.values()) - 1) <= 1e-12
+    assert abs(mutual_information(j)) <= 1e-15
 
 
 # ── integer weights against the Fraction oracles ────────────────────
@@ -984,6 +1060,24 @@ def test_ising_kernel_is_finite_at_low_temperature(h, beta):
 def test_ising_chain_is_built_once():
     m = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
     assert m.as_markov() is m.as_markov()
+
+
+def test_ising_process_is_its_own_chain():
+    m = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
+    assert isinstance(m, MarkovProcess) and m.as_markov() is m
+    rows, pi = processes._ising_chain(1.0, 0.3, 0.7)
+    chain = MarkovProcess(Alphabet(("-1", "+1")), 1,
+                          {(0,): rows[0], (1,): rows[1]}, stationary=pi)
+    assert m.alphabet.symbols == chain.alphabet.symbols
+    for L in range(1, 7):
+        assert block_distribution(m, L).probs == \
+            block_distribution(chain, L).probs
+    for L, g in [(1, 0), (2, 4), (3, 64), (4, 1000)]:
+        assert joint_gap_distribution(m, L, g).probs == \
+            joint_gap_distribution(chain, L, g).probs
+    for seed in (1, 2, 3):
+        assert np.array_equal(sample(m, 5000, seed=seed),
+                              sample(chain, 5000, seed=seed))
 
 
 def zero_field_rate_bits(x: float) -> float:
