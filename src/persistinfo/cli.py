@@ -20,10 +20,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import measures, processes
+from . import measures
 from .emachine import reconstruct
 from .infocore import (
     Alphabet,
+    _BLOCK,
     _char_codes,
     _concat_pieces,
     _distinct_rows,
@@ -120,42 +121,65 @@ def _registry_model(name: str, exact: bool):
     return None
 
 
-def _field(doc: dict, key: str):
-    """doc[key], or a ValueError naming the model kind and the key."""
-    if key not in doc:
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               bool: "a boolean", int: "a number", float: "a number",
+               type(None): "null"}
+_OBJECT, _ARRAY = ("an object",), ("an array",)
+_NUM, _LABELS = ("a number", "a string"), ("a string", "an array")
+
+
+def _field(doc: dict, key: str, types=(), default=KeyError, entries=()):
+    """doc[key] (``default``, if given, when absent).  A ValueError names
+    the model kind and the key when it is missing, or when its JSON type
+    is not in ``types`` or an entry's not in ``entries`` (empty: any)."""
+    if key not in doc and default is KeyError:
         raise ValueError(f"{doc.get('kind')} model needs a {key!r} field")
-    return doc[key]
+    value = doc.get(key, default)
+    checks = [(repr(key), value, types)] if key in doc else []
+    if entries and isinstance(value, dict):
+        checks += [(f"{key!r} entry {k!r}", v, entries)
+                   for k, v in value.items()]
+    for where, v, want in checks:
+        got = _JSON_TYPES[type(v)]
+        if want and got not in want:
+            raise ValueError(f"{doc.get('kind')} model field {where} must be "
+                             f"{' or '.join(want)}, not {got}")
+    return value
 
 
 def _build_model(doc: dict, exact: bool):
     kind = doc.get("kind")
     if kind == "periodic":
-        return PeriodicProcess.from_string(_field(doc, "cycle"))
+        return PeriodicProcess.from_string(_field(doc, "cycle", _LABELS))
+    if kind in ("markov", "iid"):
+        labels = _field(doc, "alphabet", _LABELS, None)
+        alphabet = None if labels is None else Alphabet(labels)
     if kind == "markov":
+        rows = _field(doc, "rows", _OBJECT, entries=_ARRAY)
         rows = {ctx: [_number(v, exact) for v in row]
-                for ctx, row in _field(doc, "rows").items()}
-        alphabet = Alphabet(doc["alphabet"]) if "alphabet" in doc else None
+                for ctx, row in rows.items()}
         return MarkovProcess.from_rows(rows, alphabet=alphabet)
     if kind == "iid":
-        probs = [_number(v, exact) for v in _field(doc, "probs")]
-        alphabet = Alphabet(doc["alphabet"]) if "alphabet" in doc else None
+        probs = [_number(v, exact) for v in _field(doc, "probs", _ARRAY)]
         return IidProcess.from_probs(probs, alphabet=alphabet)
     if kind == "ising":
         if exact:
             raise ValueError("the Ising chain has no rational structure; "
                              "use --backend float")
-        J, h, beta = (float(_field(doc, k)) for k in ("J", "h", "beta"))
+        J, h, beta = (float(_field(doc, k, _NUM)) for k in ("J", "h", "beta"))
         return IsingChainProcess(J=J, h=h, beta=beta)
     if kind == "substitution":
         return SubstitutionProcess(Substitution.from_strings(
-            _field(doc, "rules"), start=_field(doc, "start")))
+            _field(doc, "rules", _OBJECT, entries=_LABELS),
+            start=_field(doc, "start")))
     if kind == "logistic":
         if exact:
             raise ValueError("the logistic map has no rational structure; "
                              "use --backend float")
-        return LogisticSymbolizer(r=float(_field(doc, "r")),
-                                  x0=float(doc.get("x0", 0.4)),
-                                  burnin=int(doc.get("burnin", 1000)))
+        return LogisticSymbolizer(
+            r=float(_field(doc, "r", _NUM)),
+            x0=float(_field(doc, "x0", _NUM, 0.4)),
+            burnin=int(_field(doc, "burnin", _NUM, 1000)))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -164,12 +188,16 @@ def _load_model(spec: str, backend: str):
     built = _registry_model(spec, exact)
     if built is not None:
         return built
-    if spec.lstrip().startswith("{"):
-        return _build_model(json.loads(spec), exact)
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"model file not found: {spec}")
-    return _build_model(json.loads(path.read_text()), exact)
+    if not spec.lstrip().startswith(("{", "[")):
+        path = Path(spec)
+        if not path.exists():
+            raise ValueError(f"model file not found: {spec}")
+        spec = path.read_text()
+    doc = json.loads(spec)
+    if not isinstance(doc, dict):
+        raise ValueError("a model document is a JSON object, not "
+                         f"{_JSON_TYPES[type(doc)]}")
+    return _build_model(doc, exact)
 
 
 def _load_sequence(path: str) -> EmpiricalSource:
@@ -236,7 +264,7 @@ def _comma_codes(raw: bytes, lo: int, end: int, path: str):
     narrowest unsigned type of the labels' number, widened as new
     labels come.
     """
-    size = processes._BLOCK
+    size = _BLOCK
     data = np.frombuffer(raw, dtype=np.uint8)
     codes = np.empty(raw.count(b",", lo, end) + 1, dtype=np.uint8)
     ids: dict = {}
@@ -566,8 +594,9 @@ def _load_substitution(cfg: argparse.Namespace) -> Substitution:
     if cfg.rules.lstrip().startswith("{"):
         if not cfg.start:
             raise ValueError("inline rules need --start")
-        return Substitution.from_strings(json.loads(cfg.rules),
-                                         start=cfg.start)
+        doc = {"kind": "substitution", "rules": json.loads(cfg.rules)}
+        return Substitution.from_strings(
+            _field(doc, "rules", _OBJECT, entries=_LABELS), start=cfg.start)
     if cfg.start is not None:
         raise ValueError("--start is read only with inline JSON rules")
     if cfg.rules == "tm":
@@ -712,7 +741,7 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
     arr = sample(model, cfg.n, seed=cfg.seed)
     pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
               for x in symbols]
-    size = processes._BLOCK
+    size = _BLOCK
     f = open(cfg.out, "w") if cfg.out else sys.stdout
     try:
         # the sampler's blocks of symbols, the last one ending in a

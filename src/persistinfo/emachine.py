@@ -77,12 +77,6 @@ class EpsilonMachine:
     complexity: Scalar
     history_index: Dict = field(repr=False)
 
-    def state_of(self, history) -> int:
-        """State index of a history given as a word or label string."""
-        if isinstance(history, str):
-            history = self.alphabet.encode(history)
-        return self.history_index[tuple(history)]
-
     def block_distribution(self, L: int) -> BlockDistribution:
         """Law of length-L output blocks started from the stationary
         state mixture.  Matches the source process for L up to
@@ -126,22 +120,6 @@ class EpsilonMachine:
                 for (i, a), (j, p) in sorted(self.transitions.items())
             ],
         }
-
-    def to_table(self) -> str:
-        """Human-readable transition table, one state block per state."""
-        lines = []
-        for i, hs in enumerate(self.states):
-            names = " ".join(self.alphabet.decode(h) for h in hs)
-            lines.append(f"state {i}  P = {self.state_probs[i]}"
-                         f"  histories: {names}")
-            for a in range(len(self.alphabet)):
-                edge = self.transitions.get((i, a))
-                if edge is None:
-                    continue
-                j, p = edge
-                lines.append(f"  {self.alphabet.symbols[a]} -> state {j}"
-                             f"  p = {p}")
-        return "\n".join(lines)
 
 
 # ── reconstruction ────────────────────────────────────────────────────────────

@@ -173,10 +173,6 @@ class Alphabet:
         return ",".join(labels)
 
 
-#: the workhorse binary alphabet
-BINARY = Alphabet("01")
-
-
 # ── Exact symbolic bit values ─────────────────────────────────────────────────
 
 
@@ -313,15 +309,6 @@ class ExactBits:
         )
 
     # views ───────────────────────────────────────────────────────────
-
-    def as_log3_pair(self) -> tuple:
-        """Return (a, b) with value a + b·log₂3; error if any other
-        prime carries a nonzero coefficient."""
-        extra = [p for p, _ in self.logs if p != 3]
-        if extra:
-            raise ValueError(f"value involves log2 of primes {extra}")
-        b = dict(self.logs).get(3, Fraction(0))
-        return (self.rational, b)
 
     def __repr__(self) -> str:
         return f"ExactBits({self!s})"
@@ -545,9 +532,6 @@ class BlockDistribution(_Table):
 
     def prob(self, word: Word):
         return self._prob(tuple(word))
-
-    def support(self):
-        return sorted(self.weights)
 
     def restrict(self, start: int, stop: int) -> "BlockDistribution":
         """Marginal distribution of word[start:stop]."""

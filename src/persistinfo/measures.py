@@ -4,8 +4,8 @@ This layer turns block and joint-block laws (exact model laws or
 plug-in estimates from a sequence) into the derived quantities: block
 entropy curves with entropy-rate and excess-entropy estimates, the
 grid of block mutual informations at growing time gaps, a convergence
-verdict for the persistent mutual information, prediction efficiency,
-and a geometric-decay diagnostic for Markov tails.
+verdict for the persistent mutual information, and prediction
+efficiency.
 
 The gap grid takes the double limit in the iterated order: inner in
 the gap g, outer in the block length L.  A verdict of "converged"
@@ -16,7 +16,6 @@ material rate; anything else is "inconclusive".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,7 +55,6 @@ __all__ = [
     "gap_mi_grid",
     "pmi_verdict",
     "efficiency",
-    "geometric_decay_rate",
 ]
 
 
@@ -599,15 +597,3 @@ def efficiency(E, machine) -> EfficiencyReport:
     return EfficiencyReport(excess_entropy=E_f, complexity_plus=C,
                             e_plus=e_plus, consistent=consistent)
 
-
-def geometric_decay_rate(points: Sequence) -> float:
-    """Least-squares geometric rate of a positive decaying series:
-    fits log v against g and returns exp(slope).  For an order-1 chain
-    the MI tail decays at the squared second eigenvalue."""
-    pts = [(float(g), float(v)) for g, v in points if float(v) > 0]
-    if len(pts) < 2 or len({g for g, _ in pts}) < 2:
-        raise ValueError("need at least two positive points to fit a rate")
-    gs = [g for g, _ in pts]
-    logs = [math.log(v) for _, v in pts]
-    slope = float(np.polyfit(gs, logs, 1)[0])
-    return math.exp(slope)

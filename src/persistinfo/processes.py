@@ -748,12 +748,6 @@ class IsingChainProcess(MarkovProcess):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "beta", beta)
 
-    def transfer_matrix(self) -> np.ndarray:
-        b, J, h = self.beta, self.J, self.h
-        spins = (-1.0, 1.0)
-        return np.array([[math.exp(b * (J * s * t + h * (s + t) / 2))
-                          for t in spins] for s in spins])
-
     def as_markov(self) -> MarkovProcess:
         """The induced order-1 chain: the process itself."""
         return self

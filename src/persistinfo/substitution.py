@@ -10,8 +10,8 @@ where the arithmetic allows it:
   * factor sets, factor frequencies and gap laws, all from one count:
     the windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), over the
     pairs αβ of the fixed point (_pair_window_counts),
-  * the factor-complexity function, and the closed-form block-entropy
-    increments of the parity (Thue-Morse) fixed point.
+  * the closed-form block-entropy increments of the parity (Thue-Morse)
+    fixed point.
 
 Factor frequencies of every length l >= 1 map the pair frequencies
 (the Perron eigenvector of the pair count matrix at p = 1, which is
@@ -51,7 +51,6 @@ from ._ratlinalg import rational_nullspace
 from .infocore import (
     WINDOW_STATE_CAP,
     Alphabet,
-    BlockDistribution,
     ExactBits,
     WindowCapError,
     Word,
@@ -66,7 +65,6 @@ __all__ = [
     "NonPrimitiveError",
     "ReducibleMatrixError",
     "Substitution",
-    "CompositionMatrix",
     "PerronFrobeniusData",
     "FactorTable",
     "ShortcutData",
@@ -80,7 +78,6 @@ __all__ = [
     "shortcut_matrix",
     "shortcut_power",
     "factor_count_bound",
-    "complexity_function",
     "thue_morse_block_entropy_increment",
     "forbidden_words_check",
     "thue_morse",
@@ -173,12 +170,6 @@ class Substitution:
             out.extend(self.rules[a])
         return tuple(out)
 
-    def iterate_letter(self, letter: int, power: int) -> Word:
-        w: Word = (letter,)
-        for _ in range(power):
-            w = self.apply(w)
-        return w
-
     def __eq__(self, other):
         if not isinstance(other, Substitution):
             return NotImplemented
@@ -221,7 +212,7 @@ def fixed_point_array(subst: Substitution, n: int) -> np.ndarray:
         raise ValueError("prefix length must be nonnegative")
     dtype = _code_dtype(len(subst.alphabet))
     images = [np.array(r, dtype=dtype) for r in subst.rules]
-    M = composition_matrix(subst).M
+    M = composition_matrix(subst)
     counts = np.zeros(len(images), dtype=np.int64)
     counts[subst.start] = 1
     w = np.array([subst.start], dtype=dtype)
@@ -248,25 +239,20 @@ def fixed_point_prefix(subst: Substitution, n: int) -> Word:
 # ── composition matrix and Perron eigendata ─────────────────────────
 
 
-@dataclass(frozen=True)
-class CompositionMatrix:
-    """M[i, j] = number of occurrences of letter i in the image of letter j.
+def composition_matrix(subst: Substitution) -> np.ndarray:
+    """Read-only int64 M with M[i, j] = number of occurrences of letter i
+    in the image of letter j.
 
     Column sums are the image lengths; left-multiplication maps the
     letter-count vector of a word to that of its image.
     """
-
-    M: np.ndarray
-
-
-def composition_matrix(subst: Substitution) -> CompositionMatrix:
     s = len(subst.alphabet)
     M = np.zeros((s, s), dtype=np.int64)
     for j, image in enumerate(subst.rules):
         for a in image:
             M[a, j] += 1
     M.setflags(write=False)
-    return CompositionMatrix(M)
+    return M
 
 
 def _reachability(B: np.ndarray) -> np.ndarray:
@@ -308,7 +294,6 @@ class PerronFrobeniusData:
     theta: object
     eigenvector: tuple
     primitive: bool
-    irreducible: bool
     period: int
     exact: bool
 
@@ -316,8 +301,6 @@ class PerronFrobeniusData:
 def primitivity(M) -> PerronFrobeniusData:
     """Eigendata of a composition matrix; raises ReducibleMatrixError
     unless the matrix is irreducible."""
-    if isinstance(M, CompositionMatrix):
-        M = M.M
     A = np.asarray(M, dtype=np.int64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
@@ -330,8 +313,8 @@ def primitivity(M) -> PerronFrobeniusData:
     period = _graph_period(B)
     theta, vec, exact = _perron_eigen(A)
     return PerronFrobeniusData(theta=theta, eigenvector=vec,
-                               primitive=period == 1, irreducible=True,
-                               period=period, exact=exact)
+                               primitive=period == 1, period=period,
+                               exact=exact)
 
 
 def _perron_eigen(A: np.ndarray):
@@ -406,20 +389,16 @@ def induced_substitution(subst: Substitution, l: int) -> Substitution:
 class FactorTable:
     """Frequencies of the length-l factors of a fixed point."""
 
-    length: int
     factors: tuple
     freq: dict
     exact: bool
-
-    def as_distribution(self, alphabet: Alphabet) -> BlockDistribution:
-        return BlockDistribution(alphabet, self.length, self.freq)
 
 
 @lru_cache(maxsize=None)
 def _letter_perron(subst: Substitution) -> None:
     """Primitivity check of the letter composition matrix, once per
     substitution, as in primitivity but with no eigenvector solved."""
-    B = composition_matrix(subst).M > 0
+    B = composition_matrix(subst) > 0
     if not _reachability(B).all():
         raise ReducibleMatrixError("composition matrix is reducible")
     if _graph_period(B) != 1:
@@ -455,7 +434,7 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     substitution; each call returns a table of its own.
     """
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
-    return FactorTable(l, sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
+    return FactorTable(sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
                        sc.exact)
 
 
@@ -487,7 +466,7 @@ def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
     power p, the column sums of M^p, as a tuple of Python ints.  The
     shortest image doubles at least once every s powers, as Substitution
     checks at construction."""
-    M = composition_matrix(subst).M.astype(object)
+    M = composition_matrix(subst).astype(object)
     p, lengths = 1, M.sum(axis=0)
     while min(lengths) < l - 1:
         p, lengths = p + 1, lengths @ M
@@ -609,12 +588,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         v_l=v_l, power=power, exact=pf.exact)
 
 
-# ── complexity and parity-sequence entropy increments ───────────────
-
-
-def complexity_function(subst: Substitution, n: int) -> int:
-    """Number of distinct length-n factors of the fixed point."""
-    return len(factors_of_length(subst, n))
+# ── parity-sequence entropy increments ──────────────────────────────
 
 
 def thue_morse_block_entropy_increment(n: int) -> ExactBits:

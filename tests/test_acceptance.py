@@ -20,14 +20,13 @@ from persistinfo.emachine import (
     reconstruct,
 )
 from persistinfo.infocore import (
-    BINARY,
+    BlockDistribution,
     empirical_block_distribution,
     shannon_entropy,
 )
 from persistinfo.measures import (
     EmpiricalSource,
     gap_mi_grid,
-    geometric_decay_rate,
     pmi_verdict,
 )
 from persistinfo.processes import (
@@ -41,8 +40,8 @@ from persistinfo.processes import (
 )
 from persistinfo.substitution import (
     composition_matrix,
-    complexity_function,
     factor_frequencies,
+    factors_of_length,
     fixed_point_prefix,
     forbidden_words_check,
     induced_substitution,
@@ -50,6 +49,8 @@ from persistinfo.substitution import (
     thue_morse,
     thue_morse_block_entropy_increment,
 )
+
+from oracles import geometric_decay_rate
 
 
 def goldenmean() -> MarkovProcess:
@@ -109,12 +110,6 @@ def _tv(d1, d2) -> float:
                          float(d2.probs.get(w, 0))) for w in keys)
 
 
-def _as_log3_pair(x):
-    if isinstance(x, F):
-        return (x, F(0))
-    return x.as_log3_pair()
-
-
 # ── criterion 1 ───────────────────────────────────────────────────────────────
 
 
@@ -151,8 +146,8 @@ def test_criterion_02_shortcut_worked_example():
     image = data.matrix @ np.array([1, 2, 2, 1], dtype=np.int64)
     assert list(image) == [4] * 12
     assert set(data.v_l) == {F(1, 12)}
-    M2 = composition_matrix(induced_substitution(tm, 2)).M
-    M5 = composition_matrix(induced_substitution(tm, 5)).M
+    M2 = composition_matrix(induced_substitution(tm, 2))
+    M5 = composition_matrix(induced_substitution(tm, 5))
     left = data.matrix @ M2
     right = M5 @ data.matrix
     assert np.array_equal(left, right)
@@ -170,12 +165,13 @@ def test_criterion_03_entropy_increments_and_complexity():
     n in {4, 7, 13}; complexity increments follow the 4/2 ranges."""
     tm = thue_morse()
     H = {n: shannon_entropy(
-             factor_frequencies(tm, n).as_distribution(BINARY))
+             BlockDistribution(tm.alphabet, n,
+                               factor_frequencies(tm, n).freq))
          for n in range(1, 18)}
     for n in range(2, 18):
         diff = H[n] - H[n - 1]
         closed = thue_morse_block_entropy_increment(n)
-        assert _as_log3_pair(diff) == _as_log3_pair(closed), n
+        assert diff == closed, n
 
     # branch conditions evaluated at n instead of n - 1 disagree with
     # the true increments exactly where the plateaus shift
@@ -186,9 +182,9 @@ def test_criterion_03_entropy_increments_and_complexity():
 
     for n in (4, 7, 13):
         true_value = H[n] - H[n - 1]
-        assert _as_log3_pair(true_value) != _as_log3_pair(misindexed(n)), n
+        assert true_value != misindexed(n), n
 
-    p = {n: complexity_function(tm, n) for n in range(3, 18)}
+    p = {n: len(factors_of_length(tm, n)) for n in range(3, 18)}
     for n in range(3, 17):
         k = (n - 1).bit_length() - 1
         want = 4 if n <= 3 * (1 << (k - 1)) else 2

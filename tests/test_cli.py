@@ -188,12 +188,30 @@ def test_entropy_unknown_kind(capsys):
      "start '10' is not one letter"),
     ({"kind": "substitution", "rules": {"0": "01", "1": "10"}, "start": 0},
      "start 0 is not one letter"),
+    ({"kind": "periodic", "cycle": 5},
+     "periodic model field 'cycle' must be a string or an array, not a"
+     " number"),
+    ({"kind": "substitution", "rules": {"0": 1, "1": "10"}, "start": "0"},
+     "substitution model field 'rules' entry '0' must be a string or an"
+     " array, not a number"),
+    ({"kind": "iid", "alphabet": 5, "probs": ["1/2", "1/2"]},
+     "iid model field 'alphabet' must be a string or an array, not a"
+     " number"),
+    ({"kind": "markov", "rows": [1]},
+     "markov model field 'rows' must be an object, not an array"),
+    ({"kind": "markov", "rows": {"0": [0.5, 0.5], "1": 0.5}},
+     "markov model field 'rows' entry '1' must be an array, not a number"),
+    ([1, 2], "a model document is a JSON object, not an array"),
 ])
-def test_model_document_errors_name_the_cause(capsys, doc, message):
-    code, out, err = run(capsys, "entropy", "--model", json.dumps(doc),
-                         "--Lmax", "3")
-    assert code == 1 and out == ""
-    assert err == f"error: {message}\n"
+def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
+    # inline, and from a file
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for spec in (json.dumps(doc), str(path)):
+        code, out, err = run(capsys, "entropy", "--model", spec,
+                             "--Lmax", "3")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -466,6 +484,14 @@ def test_substitution_start_is_one_letter(capsys):
     assert err == "error: start '10' is not one letter\n"
 
 
+def test_inline_rules_of_the_wrong_json_type_name_the_entry(capsys):
+    code, out, err = run(capsys, "substitution", "--rules",
+                         '{"0":1,"1":"10"}', "--start", "0", "--l", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: substitution model field 'rules' entry '0' must"
+                   " be a string or an array, not a number\n")
+
+
 @pytest.mark.parametrize("l", ["0", "-3"])
 def test_substitution_nonpositive_length_names_the_cause(capsys, l):
     code, _, err = run(capsys, "substitution", "--rules", "tm", "--l", l)
@@ -731,9 +757,9 @@ def test_comma_sequence_file_orders_labels_as_python(tmp_path):
 ])
 def test_comma_blocks_name_the_global_empty_position(tmp_path, monkeypatch,
                                                      text, block, position):
-    from persistinfo import processes
+    from persistinfo import cli
     from persistinfo.cli import _load_sequence
-    monkeypatch.setattr(processes, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(text + "\n")
     with pytest.raises(ValueError, match=f"empty symbol at position "
@@ -743,11 +769,11 @@ def test_comma_blocks_name_the_global_empty_position(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 11])
 def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
-    from persistinfo import processes
+    from persistinfo import cli
     from persistinfo.cli import _load_sequence
     labels = ["é", "10", "longlabel9", "2", "é", "1", "10", "longlabel9",
               "é", "2", "longlabel8", "1", "é", "10", "2"] * 3
-    monkeypatch.setattr(processes, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
     src = _load_sequence(str(p))
@@ -760,7 +786,7 @@ def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
 def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
     import numpy as np
 
-    from persistinfo import processes
+    from persistinfo import cli
     from persistinfo.cli import _load_sequence
     # 300 labels of one to four bytes, the first 200 before any other,
     # so that later blocks add keys to those seen and widen the codes
@@ -769,7 +795,7 @@ def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
     order = np.concatenate([rng.permutation(200),
                             rng.integers(0, 300, 2000)])
     labels = [names[i] for i in order.tolist()]
-    monkeypatch.setattr(processes, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
     src = _load_sequence(str(p))
@@ -783,8 +809,10 @@ def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_sample_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch,
                                             block):
-    from persistinfo import processes
+    from persistinfo import cli, processes
+    # the sampler's blocks and the writer's
     monkeypatch.setattr(processes, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     for name in ("ising", "tm"):
         want = (DATA / f"sample_{name}_4097_101.txt").read_bytes()
         dest = tmp_path / f"{name}.txt"
@@ -930,6 +958,9 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     # read through the pair-window count, within an ulp of the closed forms
     (("substitution", "--rules", "fib", "--l", "2", "--format", "json"),
      "substitution_fib_l2.json"),
+    # composition matrix and Perron data of the shortcut
+    (("substitution", "--rules", "tm", "--l", "5", "--show-shortcut",
+      "--p", "3", "--format", "json"), "substitution_tm_l5_shortcut_p3.json"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

@@ -333,16 +333,7 @@ def test_state_probs_are_stationary():
     assert tuple(flow) == m.state_probs
 
 
-def test_state_of_lookup():
-    m = reconstruct(markov_r2_uniform(), 2, 2)
-    assert m.state_of((0, 1)) == m.state_of((1, 1)) == 1
-    assert m.state_of("00") == 0
-    assert m.state_of("10") == 2
-    with pytest.raises(KeyError):
-        m.state_of((9, 9))
-
-
-def test_json_round_trip_and_table():
+def test_json_round_trip():
     m = reconstruct(goldenmean(), 1, 2)
     d = m.to_json_dict()
     blob = json.loads(json.dumps(d))
@@ -353,10 +344,6 @@ def test_json_round_trip_and_table():
     assert blob["state_probs_exact"] == ["2/3", "1/3"]
     assert blob["complexity"] == pytest.approx(math.log2(3) - 2 / 3)
     assert len(blob["transitions"]) == 3
-    txt = m.to_table()
-    assert "1/2" in txt
-    for needle in ("state", "0", "1"):
-        assert needle in txt
 
 
 def test_reconstruct_argument_validation():

@@ -88,10 +88,11 @@ def test_exactbits_with_a_float_gives_that_float():
 def test_exactbits_float_and_log3_pair():
     v = ExactBits(F(1, 3), {3: F(1)})
     assert float(v) == pytest.approx(1.9182958340544896, abs=1e-15)
-    assert v.as_log3_pair() == (F(1, 3), F(1))
-    with pytest.raises(ValueError):
-        ExactBits(F(0), {5: F(1)}).as_log3_pair()
-    assert ExactBits(F(7, 2)).as_log3_pair() == (F(7, 2), F(0))
+    # the value a + b·log₂3 is held as a and the (prime, b) pairs
+    assert (v.rational, v.logs) == (F(1, 3), ((3, F(1)),))
+    assert ExactBits(F(0), {5: F(1)}).logs == ((5, F(1)),)
+    w = ExactBits(F(7, 2))
+    assert (w.rational, w.logs) == (F(7, 2), ())
 
 
 # ── shannon_entropy ───────────────────────────────────────────────────────────
@@ -118,7 +119,7 @@ def test_entropy_thue_morse_pair_table():
     )
     h = shannon_entropy(d)
     assert h == ExactBits(F(1, 3), {3: F(1)})
-    assert h.as_log3_pair() == (F(1, 3), F(1))
+    assert (h.rational, h.logs) == (F(1, 3), ((3, F(1)),))
     assert float(h) == pytest.approx(1.918295834054490, abs=1e-12)
 
 

@@ -36,7 +36,6 @@ from persistinfo.measures import (
     entropy_curve,
     excess_entropy_finite,
     gap_mi_grid,
-    geometric_decay_rate,
     pmi_verdict,
 )
 from persistinfo.processes import (
@@ -47,6 +46,8 @@ from persistinfo.processes import (
     sample,
 )
 from persistinfo.substitution import thue_morse
+
+from oracles import geometric_decay_rate
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 

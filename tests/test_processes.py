@@ -637,7 +637,7 @@ def test_markov_sample_empirical_tv():
     emp = empirical_block_distribution(seq, 4, m.alphabet)
     exact = block_distribution(m, 4)
     tv = sum(abs(float(emp.prob(w)) - float(exact.prob(w)))
-             for w in set(emp.support()) | set(exact.support())) / 2
+             for w in set(emp.probs) | set(exact.probs)) / 2
     assert tv <= 5 * math.sqrt(2 ** 4 / 100_000)
 
 
@@ -1020,8 +1020,11 @@ def test_ising_rejects_nonpositive_beta():
 
 def eigh_ising_kernel_oracle(m):
     """Reference kernel and stationary law of the Ising chain from a
-    numerical eigendecomposition of the transfer matrix."""
-    V = m.transfer_matrix()
+    numerical eigendecomposition of the transfer matrix
+    V(s, s') = exp(beta (J s s' + h (s + s')/2))."""
+    spins = (-1.0, 1.0)
+    V = np.array([[math.exp(m.beta * (m.J * s * t + m.h * (s + t) / 2))
+                   for t in spins] for s in spins])
     vals, vecs = np.linalg.eigh(V)
     r = vecs[:, -1]
     if r[0] < 0:

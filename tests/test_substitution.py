@@ -15,13 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persistinfo.infocore import Alphabet, ExactBits, shannon_entropy
+from persistinfo.infocore import (
+    Alphabet,
+    BlockDistribution,
+    ExactBits,
+    shannon_entropy,
+)
 from persistinfo.processes import WindowCapError
 from persistinfo.substitution import (
     NonPrimitiveError,
     ReducibleMatrixError,
     Substitution,
-    complexity_function,
     composition_matrix,
     factor_count_bound,
     factor_frequencies,
@@ -184,31 +188,32 @@ def test_rejects_wrong_start():
 
 
 def test_composition_matrices():
-    assert np.array_equal(composition_matrix(thue_morse()).M,
+    assert np.array_equal(composition_matrix(thue_morse()),
                           [[1, 1], [1, 1]])
-    assert np.array_equal(composition_matrix(fibonacci()).M,
+    assert np.array_equal(composition_matrix(fibonacci()),
                           [[1, 1], [1, 0]])
     doubler = Substitution.from_strings({"0": "00"}, start="0")
-    assert np.array_equal(composition_matrix(doubler).M, [[2]])
+    assert np.array_equal(composition_matrix(doubler), [[2]])
+    assert not composition_matrix(doubler).flags.writeable
 
 
 def test_pf_thue_morse_exact():
-    pf = primitivity(composition_matrix(thue_morse()).M)
-    assert pf.primitive and pf.irreducible and pf.period == 1
+    pf = primitivity(composition_matrix(thue_morse()))
+    assert pf.primitive and pf.period == 1
     assert pf.exact and pf.theta == F(2)
     assert pf.eigenvector == (F(1, 2), F(1, 2))
 
 
 def test_pf_swap_matrix_periodic():
     pf = primitivity([[0, 1], [1, 0]])
-    assert pf.irreducible and not pf.primitive
+    assert not pf.primitive
     assert pf.period == 2
     assert pf.theta == F(1)
     assert pf.eigenvector == (F(1, 2), F(1, 2))
 
 
 def test_pf_fibonacci_float():
-    pf = primitivity(composition_matrix(fibonacci()).M)
+    pf = primitivity(composition_matrix(fibonacci()))
     assert pf.primitive and not pf.exact
     assert pf.theta == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-12)
 
@@ -236,7 +241,7 @@ def test_induced_thue_morse_pairs():
         "10": ("10", "00"),
         "11": ("10", "01"),
     }
-    M2 = composition_matrix(z2).M
+    M2 = composition_matrix(z2)
     assert np.array_equal(
         M2,
         [[0, 0, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 0, 0]],
@@ -250,7 +255,7 @@ def test_induced_column_sums_equal_first_letter_image_length():
     tm = thue_morse()
     for l in (2, 3, 4):
         zl = induced_substitution(tm, l)
-        M = composition_matrix(zl).M
+        M = composition_matrix(zl)
         factors = factors_of_length(tm, l)
         for j, w in enumerate(factors):
             assert M[:, j].sum() == len(tm.rules[w[0]])
@@ -384,14 +389,14 @@ def test_shortcut_worked_example_l5_p3():
 def test_shortcut_commutation_identity():
     tm = thue_morse()
     sc = shortcut_matrix(tm, 5, 3)
-    M2 = composition_matrix(induced_substitution(tm, 2)).M
-    M5 = composition_matrix(induced_substitution(tm, 5)).M
+    M2 = composition_matrix(induced_substitution(tm, 2))
+    M5 = composition_matrix(induced_substitution(tm, 5))
     assert np.array_equal(sc.matrix @ M2, M5 @ sc.matrix)
 
 
 def test_shortcut_on_pairs_is_matrix_power():
     tm = thue_morse()
-    M2 = composition_matrix(induced_substitution(tm, 2)).M
+    M2 = composition_matrix(induced_substitution(tm, 2))
     sc = shortcut_matrix(tm, 2, 3)
     assert np.array_equal(sc.matrix, np.linalg.matrix_power(M2, 3))
 
@@ -412,6 +417,14 @@ def test_shortcut_rejects_small_p():
         shortcut_matrix(thue_morse(), 9, 2)  # min |zeta^2(a)| = 4 < 8
 
 
+def _image(subst, letter, power):
+    """ζ^power(letter), the rules applied power times."""
+    w = (letter,)
+    for _ in range(power):
+        w = subst.apply(w)
+    return w
+
+
 def _induced_oracle(subst, l):
     """Perron eigenvector of the induced substitution on length-l
     factors (rows in lex order), the route the shortcut replaces."""
@@ -422,7 +435,7 @@ def _induced_oracle(subst, l):
 def test_shortcut_equivalence_minimal_p(l):
     tm = thue_morse()
     p = 1
-    while min(len(tm.iterate_letter(a, p)) for a in range(2)) < l - 1:
+    while min(len(_image(tm, a, p)) for a in range(2)) < l - 1:
         p += 1
     assert shortcut_power(tm, l) == p
     sc = shortcut_matrix(tm, l, p)
@@ -447,7 +460,8 @@ def test_shortcut_equivalence_fibonacci():
 def test_factor_count_bound_covers_factors():
     for subst in (thue_morse(), fibonacci()):
         for n in range(1, 41):
-            assert complexity_function(subst, n) <= factor_count_bound(subst, n)
+            assert (len(factors_of_length(subst, n))
+                    <= factor_count_bound(subst, n))
 
 
 def test_factor_count_bound_at_the_window_cap():
@@ -478,7 +492,7 @@ def test_factor_tables_refuse_windows_past_the_cap():
 
 def test_complexity_against_frozen_table_and_rescan():
     tm = thue_morse()
-    computed = [complexity_function(tm, n) for n in range(1, 18)]
+    computed = [len(factors_of_length(tm, n)) for n in range(1, 18)]
     assert computed == TM_COMPLEXITY
     # independent scan of a bit-parity prefix
     ref = tm_reference(1 << 15)
@@ -497,10 +511,10 @@ def test_complexity_increments_by_ranges():
 
 def test_constant_substitution_complexity():
     doubler = Substitution.from_strings({"0": "00"}, start="0")
-    assert [complexity_function(doubler, n) for n in (1, 3, 7)] == [1, 1, 1]
+    assert [len(factors_of_length(doubler, n)) for n in (1, 3, 7)] == [1, 1, 1]
     # 1 never occurs in the fixed point 000..., so 11 is no factor
     split = Substitution.from_strings({"0": "00", "1": "11"}, start="0")
-    assert [complexity_function(split, n) for n in (1, 3, 7)] == [1, 1, 1]
+    assert [len(factors_of_length(split, n)) for n in (1, 3, 7)] == [1, 1, 1]
 
 
 ABC_RULES = {"a": "abc", "b": "ac", "c": "b"}
@@ -527,11 +541,10 @@ def test_entropy_increment_closed_form():
 
 def test_entropy_increment_agrees_with_factor_tables():
     tm = thue_morse()
-    prev = shannon_entropy(factor_frequencies(tm, 1).as_distribution(tm.alphabet))
+    H = {n: shannon_entropy(BlockDistribution(
+        tm.alphabet, n, factor_frequencies(tm, n).freq)) for n in range(1, 18)}
     for n in range(2, 18):
-        h = shannon_entropy(factor_frequencies(tm, n).as_distribution(tm.alphabet))
-        assert h - prev == thue_morse_block_entropy_increment(n)
-        prev = h
+        assert H[n] - H[n - 1] == thue_morse_block_entropy_increment(n)
 
 
 # ── forbidden words ───────────────────────────────────────────────────────────
@@ -555,7 +568,7 @@ def test_letter_counts_transform_linearly(bits):
     # occurrence counts obey L(zeta(B)) = M @ L(B)
     for subst in (thue_morse(), fibonacci()):
         w = tuple(bits)
-        M = composition_matrix(subst).M
+        M = composition_matrix(subst)
         counts = np.array([w.count(a) for a in range(2)])
         image = subst.apply(w)
         image_counts = np.array([image.count(a) for a in range(2)])
@@ -565,14 +578,15 @@ def test_letter_counts_transform_linearly(bits):
 @pytest.mark.parametrize("l", range(2, 7))
 def test_induced_matrix_keeps_leading_eigenvalue(l):
     tm, fib = thue_morse(), fibonacci()
-    assert primitivity(composition_matrix(induced_substitution(tm, l)).M).theta == F(2)
-    got = primitivity(composition_matrix(induced_substitution(fib, l)).M).theta
+    tm_l = composition_matrix(induced_substitution(tm, l))
+    assert primitivity(tm_l).theta == F(2)
+    got = primitivity(composition_matrix(induced_substitution(fib, l))).theta
     assert got == pytest.approx((1 + 5 ** 0.5) / 2, abs=1e-12)
 
 
 def test_growth_ratio_approaches_leading_eigenvalue():
     tm, fib = thue_morse(), fibonacci()
     for subst, theta in ((tm, 2.0), (fib, (1 + 5 ** 0.5) / 2)):
-        a = len(subst.iterate_letter(0, 20))
-        b = len(subst.iterate_letter(0, 21))
+        a = len(_image(subst, 0, 20))
+        b = len(_image(subst, 0, 21))
         assert b / a == pytest.approx(theta, abs=1e-6)
