@@ -130,8 +130,9 @@ _NUM, _LABELS = ("a number", "a string"), ("a string", "an array")
 
 def _field(doc: dict, key: str, types=(), default=KeyError, entries=()):
     """doc[key] (``default``, if given, when absent).  A ValueError names
-    the model kind and the key when it is missing, or when its JSON type
-    is not in ``types`` or an entry's not in ``entries`` (empty: any)."""
+    the model kind and the key when it is missing, when its JSON type
+    is not in ``types`` or an entry's not in ``entries`` (empty: any),
+    or when it, or a number in its array, is NaN or infinite."""
     if key not in doc and default is KeyError:
         raise ValueError(f"{doc.get('kind')} model needs a {key!r} field")
     value = doc.get(key, default)
@@ -144,6 +145,10 @@ def _field(doc: dict, key: str, types=(), default=KeyError, entries=()):
         if want and got not in want:
             raise ValueError(f"{doc.get('kind')} model field {where} must be "
                              f"{' or '.join(want)}, not {got}")
+        for x in v if isinstance(v, list) else [v]:
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{doc.get('kind')} model field {where} "
+                                 f"must be finite, not {x}")
     return value
 
 
@@ -163,23 +168,27 @@ def _build_model(doc: dict, exact: bool):
         probs = [_number(v, exact) for v in _field(doc, "probs", _ARRAY)]
         return IidProcess.from_probs(probs, alphabet=alphabet)
     if kind == "ising":
+        J, h, beta = (float(_field(doc, k, _NUM)) for k in ("J", "h", "beta"))
         if exact:
             raise ValueError("the Ising chain has no rational structure; "
                              "use --backend float")
-        J, h, beta = (float(_field(doc, k, _NUM)) for k in ("J", "h", "beta"))
         return IsingChainProcess(J=J, h=h, beta=beta)
     if kind == "substitution":
         return SubstitutionProcess(Substitution.from_strings(
             _field(doc, "rules", _OBJECT, entries=_LABELS),
             start=_field(doc, "start")))
     if kind == "logistic":
+        r = float(_field(doc, "r", _NUM))
+        x0 = float(_field(doc, "x0", _NUM, 0.4))
+        given = _field(doc, "burnin", _NUM, 1000)
+        burnin = Fraction(str(given))
+        if burnin.denominator != 1 or burnin < 0:
+            raise ValueError("logistic model field 'burnin' must be a whole "
+                             f"number >= 0, not {given}")
         if exact:
             raise ValueError("the logistic map has no rational structure; "
                              "use --backend float")
-        return LogisticSymbolizer(
-            r=float(_field(doc, "r", _NUM)),
-            x0=float(_field(doc, "x0", _NUM, 0.4)),
-            burnin=int(_field(doc, "burnin", _NUM, 1000)))
+        return LogisticSymbolizer(r=r, x0=x0, burnin=int(burnin))
     raise ValueError(f"unknown model kind {kind!r}")
 
 

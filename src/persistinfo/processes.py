@@ -35,7 +35,7 @@ WindowCapError live in ``infocore`` and are re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -59,11 +59,11 @@ from .infocore import (
     _rational_weights,
     entropy_of_probs,
     log2_of,
-    shannon_entropy,
 )
 from .substitution import (
     Substitution,
     _graph_period,
+    _reachability,
     _window_law,
     fixed_point_array,
     shortcut_power,
@@ -181,7 +181,8 @@ class PeriodicProcess:
                                       self.period)
 
     def closed_forms(self) -> ClosedForms:
-        H = shannon_entropy(self.block_distribution(self.period))
+        # p equally likely phases, each its own length-p block
+        H = log2_of(self.period)
         e = Fraction(1) if self.period > 1 else Fraction(0)
         return ClosedForms(entropy_rate=Fraction(0), excess_entropy=H,
                            complexity_plus=H, complexity_minus=H,
@@ -211,22 +212,30 @@ def _as_weight(x):
 
 
 def _float_stationary(T: np.ndarray) -> np.ndarray:
+    """Stationary law of a float stochastic matrix: the eigenvector of
+    T^t for the eigenvalue nearest 1, refused unless the zero pattern
+    of T has one closed class, as the rational solve refuses it."""
+    reach = _reachability((T != 0).T)  # reach[i, j]: i is reached from j
+    # one closed class exactly when some state is reached from every one
+    if not reach.all(axis=1).any():
+        raise ValueError("stationary distribution is not unique")
     vals, vecs = np.linalg.eig(T.T)
-    k = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, k])
-    v = v / v.sum()
-    if (v < -1e-10).any() or np.abs(T.T @ v - v).max() > 1e-10:
-        # power iteration fallback for defective eigen output
-        v = np.full(len(T), 1.0 / len(T))
-        for _ in range(100_000):
-            nxt = v @ T
-            nxt /= nxt.sum()
-            if np.abs(nxt - v).max() <= 1e-14:
-                break
-            v = nxt
-        v = nxt
-    v = np.clip(v, 0.0, None)
+    v = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+    v = np.clip(v / v.sum(), 0.0, None)
     return v / v.sum()
+
+
+def _entropy_nats(probs) -> float:
+    """Entropy in nats of a float law.  The largest entry's term is
+    written −(1 − r)·log1p(−r), r the sum of the others, so that it
+    survives where that entry rounds to 1; the terms are summed once,
+    by ``fsum``."""
+    *rest, _ = sorted(probs)
+    r = math.fsum(rest)
+    if r <= 0:
+        return 0.0
+    return -math.fsum([*(p * math.log(p) for p in rest if p > 0),
+                       (1 - r) * math.log1p(-r)])
 
 
 def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
@@ -508,19 +517,23 @@ class MarkovProcess:
         return JointBlockDistribution(self.alphabet, L, g, L, probs, den)
 
     def closed_forms(self) -> ClosedForms:
+        """h = Σ_c π(c)·H(P(·|c)), E = H(π) − R·h and C± (the entropies
+        of the causal-state masses of the chain and of its reversal),
+        read from the rows and π, never from a block table."""
         R = self.order
-        H1 = shannon_entropy(self.block_distribution(1))
-        if R == 0:
-            return ClosedForms(entropy_rate=H1, excess_entropy=Fraction(0),
-                               complexity_plus=Fraction(0),
-                               complexity_minus=Fraction(0),
-                               pmi=Fraction(0), efficiency=Fraction(0))
-        HR = shannon_entropy(self.block_distribution(R))
-        HR1 = shannon_entropy(self.block_distribution(R + 1))
-        h = HR1 - HR
-        E = HR - h * R
-        C_plus = entropy_of_probs(self._causal_state_masses())
-        C_minus = entropy_of_probs(self.reversed()._causal_state_masses())
+        rows = [(p, self.kernel[c])
+                for c, p in zip(self.contexts, self.stationary) if p]
+        if self.exact:
+            bits = entropy_of_probs
+            h = sum(p * entropy_of_probs(row) for p, row in rows)
+        else:
+            def bits(probs):
+                return _entropy_nats(probs) / math.log(2)
+            h = sum(p * _entropy_nats(row) for p, row in rows) / math.log(2)
+        HR = bits(self.stationary)
+        E = HR - R * h
+        C_plus = bits(self._causal_state_masses())
+        C_minus = bits(self.reversed()._causal_state_masses())
         if float(C_plus) == 0.0:
             eff = Fraction(0)
         else:
@@ -537,7 +550,7 @@ class MarkovProcess:
                            efficiency=eff)
 
     def _causal_state_masses(self) -> list:
-        """Stationary masses of the causal states (order R >= 1).
+        """Stationary masses of the causal states.
 
         A context's future law is fixed by its kernel row and the
         contexts it moves to, so contexts with equal future laws are
@@ -616,33 +629,27 @@ class MarkovProcess:
 
     def reversed(self) -> "MarkovProcess":
         """Time reversal: an order-R chain whose kernel is the Bayes
-        inversion P(a | d) = P(a, reversed(d)) / P(reversed(d)).
+        inversion P(a | d) = π(c)·P(b | c) / π(reversed(d)), where the
+        forward word a·reversed(d) is the context c followed by b; read
+        from the rows and π, not from a block table.
 
         Contexts never visited forward get a uniform placeholder row;
         the reversed stationary law puts no mass there, and it is
         passed through explicitly because the placeholder rows would
         otherwise make the stationary solve ambiguous.
         """
-        R = self.order
-        if R == 0:
-            return self
-        s = len(self.alphabet)
-        blocks_R = self.block_distribution(R)
-        blocks_R1 = self.block_distribution(R + 1)
+        R, s = self.order, len(self.alphabet)
+        pi = dict(zip(self.contexts, self.stationary))
         uniform = tuple(
             Fraction(1, s) if self.exact else 1.0 / s for _ in range(s))
         kernel: dict = {}
-        pi_rev = []
-        for d in product(range(s), repeat=R):
-            fwd = tuple(reversed(d))
-            pd = blocks_R.prob(fwd)
-            pi_rev.append(pd)
-            if pd == 0:
-                kernel[d] = uniform
-            else:
-                kernel[d] = tuple(blocks_R1.prob((a,) + fwd) / pd
-                                  for a in range(s))
-        return MarkovProcess(self.alphabet, R, kernel, stationary=pi_rev)
+        for d in self.contexts:
+            fwd = d[::-1]
+            kernel[d] = uniform if pi[fwd] == 0 else tuple(
+                pi[w[:R]] * self.kernel[w[:R]][w[R]] / pi[fwd]
+                for w in [(a,) + fwd for a in range(s)])
+        return MarkovProcess(self.alphabet, R, kernel,
+                             stationary=[pi[d[::-1]] for d in self.contexts])
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "
@@ -677,24 +684,11 @@ class IidProcess(MarkovProcess):
 # ── one-dimensional Ising chain ─────────────────────────────────────
 
 
-def _two_point_entropy(pair) -> float:
-    """Entropy in nats of a law on two points, from its smaller
-    probability p as −p·ln p − (1 − p)·log1p(−p): the larger entry's
-    term survives where 1 − p rounds to 1."""
-    p = min(pair)
-    return -(p * math.log(p) + (1 - p) * math.log1p(-p)) if p > 0 else 0.0
-
-
 def ising_entropy_rate(J: float, h: float, beta: float) -> float:
     """Entropy rate (bits per spin) of the nearest-neighbour Ising
-    chain: Σ_s π_s H(P(· | s)) over the induced chain's rows and
-    stationary law (see ``_ising_chain``).  No difference of two large
-    numbers is taken and nothing overflows, at any temperature."""
-    if not (beta > 0) or not math.isfinite(beta):
-        raise ValueError("beta must be positive and finite")
-    rows, pi = _ising_chain(J, h, beta)
-    return sum(w * _two_point_entropy(row)
-               for w, row in zip(pi, rows)) / math.log(2)
+    chain: the closed form Σ_s π_s H(P(· | s)) of ``IsingChainProcess``,
+    which takes no difference of large numbers and never overflows."""
+    return IsingChainProcess(J, h, beta).closed_forms().entropy_rate
 
 
 def _ising_chain(J: float, h: float, beta: float):
@@ -712,6 +706,9 @@ def _ising_chain(J: float, h: float, beta: float):
     logs = (beta * (J - h), -beta * J, beta * (J + h))
     top = max(logs)
     a, b, c = (math.exp(t - top) for t in logs)
+    if J == 0:  # one site law for both rows, so that they are equal
+        site = (a / (a + c), c / (a + c))
+        return (site, site), site
     u = (a - c) / 2
     r = math.hypot(u, b)  # lambda_1 = (a + c) / 2 + r
     da = r - u if u <= 0 else b * b / (r + u)  # lambda_1 - a
@@ -731,16 +728,17 @@ class IsingChainProcess(MarkovProcess):
     h (s + s')/2)) induces an order-1 Markov chain P(s'|s) =
     V(s, s') r(s') / (lambda_1 r(s)) with stationary law r(s)^2, which
     carries all block statistics: the process is that chain, whose
-    laws and walk it inherits.  The chain's rows come in closed form
-    from lambda_1 (see ``_ising_chain``), so they stay finite at any
-    temperature.
+    laws, walk and closed forms it inherits (PMI pinned to 0).  The
+    chain's rows come in closed form from lambda_1 (see
+    ``_ising_chain``), so they stay finite at any temperature; at J = 0
+    they are one site law, so C± = 0.
     """
 
     __slots__ = ("J", "h", "beta")
 
     def __init__(self, J: float, h: float, beta: float):
-        if not (beta > 0) or not math.isfinite(beta):
-            raise ValueError("beta must be positive and finite")
+        if not (beta > 0 and all(map(math.isfinite, (J, h, beta)))):
+            raise ValueError("J, h and beta must be finite, beta positive")
         rows, pi = _ising_chain(J, h, beta)
         super().__init__(Alphabet(("-1", "+1")), 1,
                          {(0,): rows[0], (1,): rows[1]}, stationary=pi)
@@ -753,14 +751,9 @@ class IsingChainProcess(MarkovProcess):
         return self
 
     def closed_forms(self) -> ClosedForms:
-        h_rate = ising_entropy_rate(self.J, self.h, self.beta)
-        # H(1) in the rate's form, so that E = H(1) - h does not go
-        # negative where the spin law is a near point mass
-        H1 = _two_point_entropy(self.stationary) / math.log(2)
-        eff = 1.0 - h_rate / H1 if H1 > 0 else Fraction(0)
-        return ClosedForms(entropy_rate=h_rate, excess_entropy=H1 - h_rate,
-                           complexity_plus=H1, complexity_minus=H1,
-                           pmi=Fraction(0), efficiency=eff)
+        # V > 0, so the chain is aperiodic even where its float rows
+        # round to a permutation
+        return replace(super().closed_forms(), pmi=Fraction(0))
 
     def reversed(self) -> "IsingChainProcess":
         # V is symmetric, so the chain satisfies detailed balance

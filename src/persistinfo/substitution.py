@@ -257,15 +257,12 @@ def composition_matrix(subst: Substitution) -> np.ndarray:
 
 def _reachability(B: np.ndarray) -> np.ndarray:
     """Transitive closure of the digraph with edge j -> i when B[i, j]."""
-    s = B.shape[0]
-    R = B | np.eye(s, dtype=bool)
-    for _ in range(max(1, s.bit_length())):
-        R = R | _boolmat_mul(R, R)
-    return R
-
-
-def _boolmat_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return (X.astype(np.int64) @ Y.astype(np.int64)) > 0
+    R = B | np.eye(B.shape[0], dtype=bool)
+    while True:  # each step doubles the path length covered
+        longer = R | (R @ R)
+        if (longer == R).all():
+            return R
+        R = longer
 
 
 def _graph_period(B: np.ndarray) -> int:
@@ -275,7 +272,7 @@ def _graph_period(B: np.ndarray) -> int:
     no simple cycle is longer than s."""
     period, walks = 0, np.eye(B.shape[0], dtype=bool)
     for k in range(1, B.shape[0] + 1):
-        walks = _boolmat_mul(walks, B)
+        walks = walks @ B
         if walks.diagonal().any():
             period = math.gcd(period, k)
     return period

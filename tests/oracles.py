@@ -1,9 +1,14 @@
 """Reference computations that only the tests read."""
 
 import math
+from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
+
+from persistinfo.infocore import entropy_of_probs, shannon_entropy
+from persistinfo.processes import ClosedForms, MarkovProcess, _ising_chain
 
 
 def geometric_decay_rate(points: Sequence) -> float:
@@ -17,3 +22,62 @@ def geometric_decay_rate(points: Sequence) -> float:
     logs = [math.log(v) for _, v in pts]
     slope = float(np.polyfit(gs, logs, 1)[0])
     return math.exp(slope)
+
+
+# ── closed forms of a Markov chain read from its block tables ─────────
+
+
+def block_table_reversed(m):
+    """Time reversal of an order-R chain from its block tables: the
+    kernel P(a | d) = P(a·reversed(d)) / P(reversed(d)), with a uniform
+    placeholder row where P(reversed(d)) = 0."""
+    R, s = m.order, len(m.alphabet)
+    if R == 0:
+        return m
+    blocks_R = m.block_distribution(R)
+    blocks_R1 = m.block_distribution(R + 1)
+    uniform = tuple(Fraction(1, s) if m.exact else 1.0 / s for _ in range(s))
+    kernel, pi_rev = {}, []
+    for d in product(range(s), repeat=R):
+        fwd = tuple(reversed(d))
+        pd = blocks_R.prob(fwd)
+        pi_rev.append(pd)
+        kernel[d] = uniform if pd == 0 else tuple(
+            blocks_R1.prob((a,) + fwd) / pd for a in range(s))
+    return MarkovProcess(m.alphabet, R, kernel, stationary=pi_rev)
+
+
+def block_table_closed_forms(m) -> dict:
+    """h = H(R+1) − H(R) and E = H(R) − R·h from the chain's block
+    tables, and C± from the causal-state masses of the chain and of
+    its block-table reversal."""
+    R = m.order
+    HR = shannon_entropy(m.block_distribution(R)) if R else Fraction(0)
+    h = shannon_entropy(m.block_distribution(R + 1)) - HR
+    return {"entropy_rate": h, "excess_entropy": HR - h * R,
+            "complexity_plus": entropy_of_probs(m._causal_state_masses()),
+            "complexity_minus": entropy_of_probs(
+                block_table_reversed(m)._causal_state_masses())}
+
+
+# ── closed forms of the Ising chain from two-point entropies ──────────
+
+
+def two_point_entropy(pair) -> float:
+    """Entropy in nats of a law on two points, from its smaller
+    probability p as −p·ln p − (1 − p)·log1p(−p)."""
+    p = min(pair)
+    return -(p * math.log(p) + (1 - p) * math.log1p(-p)) if p > 0 else 0.0
+
+
+def two_point_ising_closed_forms(J: float, h: float, beta: float):
+    """h = Σ_s π_s H(P(· | s)), H(1) and C± = H(1) of the Ising chain,
+    each a two-point entropy of its rows or stationary law."""
+    rows, pi = _ising_chain(J, h, beta)
+    rate = sum(w * two_point_entropy(row)
+               for w, row in zip(pi, rows)) / math.log(2)
+    H1 = two_point_entropy(pi) / math.log(2)
+    return ClosedForms(entropy_rate=rate, excess_entropy=H1 - rate,
+                       complexity_plus=H1, complexity_minus=H1,
+                       pmi=Fraction(0),
+                       efficiency=1.0 - rate / H1 if H1 > 0 else Fraction(0))

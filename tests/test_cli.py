@@ -202,6 +202,14 @@ def test_entropy_unknown_kind(capsys):
     ({"kind": "markov", "rows": {"0": [0.5, 0.5], "1": 0.5}},
      "markov model field 'rows' entry '1' must be an array, not a number"),
     ([1, 2], "a model document is a JSON object, not an array"),
+    ({"kind": "ising", "J": math.nan, "h": 0, "beta": 1},
+     "ising model field 'J' must be finite, not nan"),
+    ({"kind": "ising", "J": 1, "h": math.inf, "beta": 1},
+     "ising model field 'h' must be finite, not inf"),
+    ({"kind": "markov", "rows": {"0": [math.nan, 1], "1": [0.5, 0.5]}},
+     "markov model field 'rows' entry '0' must be finite, not nan"),
+    ({"kind": "logistic", "r": 3.5, "burnin": 1.5},
+     "logistic model field 'burnin' must be a whole number >= 0, not 1.5"),
 ])
 def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
     # inline, and from a file
@@ -212,6 +220,30 @@ def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
                              "--Lmax", "3")
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+def test_burnin_reads_numeric_strings(capsys):
+    outs = [run(capsys, "sample", "--model",
+                json.dumps({"kind": "logistic", "r": 3.7, "burnin": b}),
+                "--n", "40")
+            for b in ("1e3", 1000, 1000.0)]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("backend", [(), ("--backend", "float")])
+def test_chain_with_two_closed_classes_is_refused(capsys, backend):
+    code, out, err = run(capsys, "entropy", "--model",
+                         '{"kind":"markov","rows":{"0":[1,0],"1":[0,1]}}',
+                         "--Lmax", "3", *backend)
+    assert code == 1 and out == ""
+    assert err == "error: stationary distribution is not unique\n"
+
+
+def test_ising_without_coupling_has_no_statistical_complexity(capsys):
+    code, out, _ = run(capsys, "ising", "--J", "0", "--h", "0.3", "--Tmin",
+                       "1", "--Tmax", "2", "--points", "3")
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["0"] * 3
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -926,20 +958,26 @@ DATA = Path(__file__).parent / "data"
 
 
 def _same_except_ising_floats(got: str, want: str) -> None:
-    """table1 JSON equal byte for byte, except that the floats of the
-    Ising row, a float model, may move within 1e-12."""
+    """JSON equal byte for byte, except that the floats of the Ising
+    chain, a float model, may move within 1e-12: those of table1's
+    Ising row, and every row of an ising sweep."""
     got_doc, want_doc = json.loads(got), json.loads(want)
     for row_got, row_want in zip(got_doc["rows"], want_doc["rows"]):
-        if row_want["model"] != "ising":
+        if "cells" not in row_want:
+            cells = [("", row_got, row_want)]
+        elif row_want["model"] == "ising":
+            cells = [(qty, row_got["cells"][qty], cell)
+                     for qty, cell in row_want["cells"].items()]
+        else:
             continue
-        for qty, cell in row_want["cells"].items():
-            for key, value in cell.items():
-                other = row_got["cells"][qty][key]
+        for qty, cell_got, cell_want in cells:
+            for key, value in cell_want.items():
+                other = cell_got[key]
                 if isinstance(value, float):
                     assert abs(other - value) <= 1e-12, (qty, key)
                 else:
                     assert other == value, (qty, key)
-        row_got["cells"] = row_want["cells"]
+            cell_got.update(cell_want)
     assert json.dumps(got_doc, indent=2) + "\n" == want
 
 
@@ -961,12 +999,14 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     # composition matrix and Perron data of the shortcut
     (("substitution", "--rules", "tm", "--l", "5", "--show-shortcut",
       "--p", "3", "--format", "json"), "substitution_tm_l5_shortcut_p3.json"),
+    (("ising", "--J", "1", "--h", "0.3", "--Tmin", "0.1", "--Tmax", "24",
+      "--points", "25", "--format", "json"), "ising_J1_h0.3.json"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     want = (DATA / name).read_text()
-    if name == "table1.json" and out != want:
+    if name in ("table1.json", "ising_J1_h0.3.json") and out != want:
         _same_except_ising_floats(out, want)
     else:
         assert out == want

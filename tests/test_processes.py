@@ -59,6 +59,12 @@ from persistinfo.substitution import (
     thue_morse,
 )
 
+from oracles import (
+    block_table_closed_forms,
+    block_table_reversed,
+    two_point_ising_closed_forms,
+)
+
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 
 
@@ -625,6 +631,23 @@ def test_integer_laws_match_fraction_oracles(m, L, g):
     assert_same_scalar(machine.complexity, c_p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=rational_chains())
+def test_closed_forms_and_reversal_match_block_table_oracle(m):
+    cf = closed_forms(m)
+    for name, want in block_table_closed_forms(m).items():
+        got = getattr(cf, name)
+        if isinstance(want, float):
+            # π too rough for symbolic log2: the tables' entropies are
+            # float, while the rows' may stay exact
+            event("block-table oracle in float")
+            assert abs(float(got) - want) <= 1e-12, name
+        else:
+            assert got == want, name
+    rev, want = reversed_model(m), block_table_reversed(m)
+    assert rev.kernel == want.kernel and rev.stationary == want.stationary
+
+
 def test_markov_sample_starts_stationary():
     m = goldenmean()
     first = [int(sample(m, 1, seed=s)[0]) for s in range(2000)]
@@ -926,6 +949,60 @@ def test_markov_rejects_bad_rows():
         MarkovProcess.from_rows({"0": (F(1, 2), F(1, 2))})  # missing context
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("rows", [
+    {"0": (1, 0), "1": (0, 1)},
+    # states 0 and 2 absorb, 1 is transient
+    {"0": (1, 0, 0), "1": (F(1, 2), 0, F(1, 2)), "2": (0, 0, 1)},
+])
+def test_chain_with_two_closed_classes_is_refused(rows, exact):
+    kind = F if exact else float
+    with pytest.raises(ValueError,
+                       match="^stationary distribution is not unique$"):
+        MarkovProcess.from_rows({c: tuple(map(kind, row))
+                                 for c, row in rows.items()})
+
+
+def test_chain_with_one_closed_class_and_a_transient_state():
+    rows = {"0": (F(1, 2), F(1, 2), 0), "1": (F(1, 4), F(3, 4), 0),
+            "2": (F(1, 3), F(1, 3), F(1, 3))}
+    exact = MarkovProcess.from_rows(rows)
+    assert exact.stationary == (F(1, 3), F(2, 3), 0)
+    flt = MarkovProcess.from_rows({c: tuple(map(float, row))
+                                   for c, row in rows.items()})
+    assert all(abs(x - y) <= 1e-12
+               for x, y in zip(flt.stationary, exact.stationary))
+
+
+def table1_r2() -> MarkovProcess:
+    return MarkovProcess.from_rows(
+        {"00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
+         "10": (F(3, 5), F(2, 5)), "11": (F(1, 4), F(3, 4))})
+
+
+def test_closed_forms_and_reversal_build_no_block_table(monkeypatch):
+    chains = [goldenmean(), table1_r2(), ternary_r2(),
+              IidProcess.from_probs((F(3, 10), F(7, 10)))]
+    want = [block_table_closed_forms(m) for m in chains]
+    ising = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
+    cycle = PeriodicProcess.from_string("00111")
+
+    def refuse(*args):
+        raise AssertionError("a block table was built")
+
+    monkeypatch.setattr(MarkovProcess, "_extend", refuse)
+    monkeypatch.setattr(MarkovProcess, "block_distribution", refuse)
+    monkeypatch.setattr(PeriodicProcess, "block_distribution", refuse)
+    for m, w in zip(chains, want):
+        cf = closed_forms(m)
+        assert {k: getattr(cf, k) for k in w} == w
+        reversed_model(m)
+    assert closed_forms(ising) == two_point_ising_closed_forms(1.0, 0.3, 0.7)
+    reversed_model(ising)
+    assert closed_forms(cycle).excess_entropy == log2_of(5)
+    assert reversed_model(cycle).cycle == (1, 1, 1, 0, 0)
+
+
 def test_markov_order_zero_is_iid():
     m = MarkovProcess.from_rows({"": (F(1, 4), F(3, 4))})
     assert m.order == 0
@@ -1117,6 +1194,34 @@ def test_ising_entropy_rate_does_not_cancel_at_low_temperature():
         H1 = cf.complexity_plus
         assert 0 <= cf.entropy_rate <= H1
         assert 0 <= cf.excess_entropy <= H1
+
+
+def test_ising_closed_forms_equal_two_point_oracle():
+    # beta·|J| reaches 4000, where the rows round to a permutation or
+    # to the identity
+    for J, h, beta in product((1.0, -1.0, 0.5, -2.0), (0.0, 0.3, -0.7, 1.5),
+                              (0.01, 0.5, 2.0, 10.0, 100.0, 400.0, 800.0,
+                               2000.0)):
+        assert closed_forms(IsingChainProcess(J=J, h=h, beta=beta)) == \
+            two_point_ising_closed_forms(J, h, beta), (J, h, beta)
+
+
+@pytest.mark.parametrize("h", [0.0, 0.3, -0.7, 1.5])
+@pytest.mark.parametrize("beta", [0.01, 2 ** -0.5, 1.0, 10.0, 100.0])
+def test_ising_chain_without_coupling_is_iid(h, beta):
+    cf = closed_forms(IsingChainProcess(J=0.0, h=h, beta=beta))
+    assert cf.complexity_plus == cf.complexity_minus == 0
+    assert cf.efficiency == 0
+    site = (1 / (1 + math.exp(2 * beta * h)), 1 / (1 + math.exp(-2 * beta * h)))
+    iid = closed_forms(IidProcess.from_probs(site))
+    assert abs(cf.entropy_rate - iid.entropy_rate) <= 1e-15
+
+
+@pytest.mark.parametrize("J,h", [(math.nan, 0.0), (1.0, math.inf),
+                                 (-math.inf, 0.3)])
+def test_ising_refuses_a_coupling_that_is_not_finite(J, h):
+    with pytest.raises(ValueError, match="finite"):
+        IsingChainProcess(J=J, h=h, beta=1.0)
 
 
 def test_ising_joint_symmetric_at_zero_field():
