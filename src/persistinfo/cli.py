@@ -1,11 +1,11 @@
 """Command-line front end: model loading, measure computation,
 closed-form table reproduction, CSV/JSON emission.
 
-Models come from a small built-in registry (tm, fib, coin, goldenmean),
-from a JSON file, or from an inline JSON string; observed sequences
-come from one-line text files.  All output is deterministic for a
-fixed invocation, and every command exits nonzero when a violated
-invariant is detected downstream.
+Models come from a small built-in registry of model documents (tm,
+fib, coin, goldenmean), from a JSON file, or from an inline JSON
+string; observed sequences come from one-line text files.  All output
+is deterministic for a fixed invocation, and every command exits
+nonzero when a violated invariant is detected downstream.
 """
 
 from __future__ import annotations
@@ -52,9 +52,7 @@ from .processes import (
 from .substitution import (
     Substitution,
     factor_frequencies,
-    fibonacci,
     shortcut_matrix,
-    thue_morse,
     thue_morse_block_entropy_increment,
 )
 
@@ -101,25 +99,16 @@ def _parse_grid(text: Optional[str], minimum: int) -> Optional[Tuple[int, ...]]:
 # ── model and sequence loading ────────────────────────────────────────────────
 
 
-def _number(v, exact: bool):
-    x = Fraction(str(v))
-    return x if exact else float(x)
-
-
-def _registry_model(name: str, exact: bool):
-    if name == "tm":
-        return SubstitutionProcess(thue_morse())
-    if name == "fib":
-        return SubstitutionProcess(fibonacci())
-    if name == "coin":
-        return IidProcess.from_probs(
-            [_number("1/2", exact), _number("1/2", exact)])
-    if name == "goldenmean":
-        return MarkovProcess.from_rows(
-            {"0": (_number("1/2", exact), _number("1/2", exact)),
-             "1": (_number(1, exact), _number(0, exact))})
-    return None
-
+#: the built-in models, each a model document that --model reads by name
+_REGISTRY = {
+    "tm": {"kind": "substitution", "rules": {"0": "01", "1": "10"},
+           "start": "0"},
+    "fib": {"kind": "substitution", "rules": {"0": "01", "1": "0"},
+            "start": "0"},
+    "coin": {"kind": "iid", "probs": ["1/2", "1/2"]},
+    "goldenmean": {"kind": "markov", "rows": {"0": ["1/2", "1/2"],
+                                              "1": [1, 0]}},
+}
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
                bool: "a boolean", int: "a number", float: "a number",
@@ -128,31 +117,67 @@ _OBJECT, _ARRAY = ("an object",), ("an array",)
 _NUM, _LABELS = ("a number", "a string"), ("a string", "an array")
 
 
+def _typed(doc: dict, where: str, v, types) -> None:
+    """Refuses v, naming the model kind and ``where`` (the field, and
+    the entry if any), when its JSON type is not in ``types`` (empty:
+    any) or when it, or a number in its array, is NaN or infinite."""
+    got = _JSON_TYPES[type(v)]
+    if types and got not in types:
+        raise ValueError(f"{doc.get('kind')} model field {where} must be "
+                         f"{' or '.join(types)}, not {got}")
+    for x in v if isinstance(v, list) else [v]:
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"{doc.get('kind')} model field {where} "
+                             f"must be finite, not {x}")
+
+
 def _field(doc: dict, key: str, types=(), default=KeyError, entries=()):
-    """doc[key] (``default``, if given, when absent).  A ValueError names
-    the model kind and the key when it is missing, when its JSON type
-    is not in ``types`` or an entry's not in ``entries`` (empty: any),
-    or when it, or a number in its array, is NaN or infinite."""
+    """doc[key] (``default``, if given, when absent), refused with the
+    kind and the key when missing, and by ``_typed`` when it is not of
+    ``types`` or an entry not of ``entries``.  Numbers: ``_number``."""
     if key not in doc and default is KeyError:
         raise ValueError(f"{doc.get('kind')} model needs a {key!r} field")
     value = doc.get(key, default)
-    checks = [(repr(key), value, types)] if key in doc else []
+    if key in doc:
+        _typed(doc, repr(key), value, types)
     if entries and isinstance(value, dict):
-        checks += [(f"{key!r} entry {k!r}", v, entries)
-                   for k, v in value.items()]
-    for where, v, want in checks:
-        got = _JSON_TYPES[type(v)]
-        if want and got not in want:
-            raise ValueError(f"{doc.get('kind')} model field {where} must be "
-                             f"{' or '.join(want)}, not {got}")
-        for x in v if isinstance(v, list) else [v]:
-            if isinstance(x, float) and not math.isfinite(x):
-                raise ValueError(f"{doc.get('kind')} model field {where} "
-                                 f"must be finite, not {x}")
+        for k, v in value.items():
+            _typed(doc, f"{key!r} entry {k!r}", v, entries)
     return value
 
 
+def _number(doc: dict, key: str, exact: bool, types=_NUM, default=KeyError):
+    """The numbers of doc[key] (``default`` when absent): one for a
+    scalar (``types`` _NUM), a list for an array (_ARRAY), a dict of
+    lists for an object of arrays (_OBJECT).  Each, a JSON number or a
+    numeric string ("1/2", "1e3"), is a Fraction on the exact backend
+    and a float otherwise.  Refused, naming kind, field and entry: a
+    value of another JSON type or not finite (``_typed``), and a string
+    that is not a number or lies beyond float range."""
+    value = _field(doc, key, types, default, entries=_ARRAY)
+
+    def read(where, v):
+        _typed(doc, where, v, _NUM)
+        try:
+            x = Fraction(str(v))
+            float(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"{doc.get('kind')} model field {where} "
+                             f"must be a number, not {v!r}") from None
+        return x if exact else float(x)
+
+    if isinstance(value, dict):
+        return {k: [read(f"{key!r} entry {k!r}", v) for v in row]
+                for k, row in value.items()}
+    if isinstance(value, list):
+        return [read(repr(key), v) for v in value]
+    return read(repr(key), value)
+
+
 def _build_model(doc: dict, exact: bool):
+    """The model of a document (a registry name's too): every number
+    read by ``_number``, as a Fraction on the exact backend and a float
+    otherwise, and every other field by ``_field``."""
     kind = doc.get("kind")
     if kind == "periodic":
         return PeriodicProcess.from_string(_field(doc, "cycle", _LABELS))
@@ -160,15 +185,13 @@ def _build_model(doc: dict, exact: bool):
         labels = _field(doc, "alphabet", _LABELS, None)
         alphabet = None if labels is None else Alphabet(labels)
     if kind == "markov":
-        rows = _field(doc, "rows", _OBJECT, entries=_ARRAY)
-        rows = {ctx: [_number(v, exact) for v in row]
-                for ctx, row in rows.items()}
-        return MarkovProcess.from_rows(rows, alphabet=alphabet)
+        return MarkovProcess.from_rows(_number(doc, "rows", exact, _OBJECT),
+                                       alphabet=alphabet)
     if kind == "iid":
-        probs = [_number(v, exact) for v in _field(doc, "probs", _ARRAY)]
-        return IidProcess.from_probs(probs, alphabet=alphabet)
+        return IidProcess.from_probs(_number(doc, "probs", exact, _ARRAY),
+                                     alphabet=alphabet)
     if kind == "ising":
-        J, h, beta = (float(_field(doc, k, _NUM)) for k in ("J", "h", "beta"))
+        J, h, beta = (_number(doc, k, exact) for k in ("J", "h", "beta"))
         if exact:
             raise ValueError("the Ising chain has no rational structure; "
                              "use --backend float")
@@ -178,13 +201,13 @@ def _build_model(doc: dict, exact: bool):
             _field(doc, "rules", _OBJECT, entries=_LABELS),
             start=_field(doc, "start")))
     if kind == "logistic":
-        r = float(_field(doc, "r", _NUM))
-        x0 = float(_field(doc, "x0", _NUM, 0.4))
-        given = _field(doc, "burnin", _NUM, 1000)
-        burnin = Fraction(str(given))
+        r = _number(doc, "r", exact)
+        x0 = _number(doc, "x0", exact, default=0.4)
+        # a count, read exactly on either backend
+        burnin = _number(doc, "burnin", True, default=1000)
         if burnin.denominator != 1 or burnin < 0:
             raise ValueError("logistic model field 'burnin' must be a whole "
-                             f"number >= 0, not {given}")
+                             f"number >= 0, not {doc['burnin']}")
         if exact:
             raise ValueError("the logistic map has no rational structure; "
                              "use --backend float")
@@ -193,20 +216,18 @@ def _build_model(doc: dict, exact: bool):
 
 
 def _load_model(spec: str, backend: str):
-    exact = backend == "exact"
-    built = _registry_model(spec, exact)
-    if built is not None:
-        return built
-    if not spec.lstrip().startswith(("{", "[")):
-        path = Path(spec)
-        if not path.exists():
-            raise ValueError(f"model file not found: {spec}")
-        spec = path.read_text()
-    doc = json.loads(spec)
+    doc = _REGISTRY.get(spec)
+    if doc is None:
+        if not spec.lstrip().startswith(("{", "[")):
+            path = Path(spec)
+            if not path.exists():
+                raise ValueError(f"model file not found: {spec}")
+            spec = path.read_text()
+        doc = json.loads(spec)
     if not isinstance(doc, dict):
         raise ValueError("a model document is a JSON object, not "
                          f"{_JSON_TYPES[type(doc)]}")
-    return _build_model(doc, exact)
+    return _build_model(doc, backend == "exact")
 
 
 def _load_sequence(path: str) -> EmpiricalSource:
@@ -374,13 +395,7 @@ def cmd_entropy(cfg: argparse.Namespace) -> int:
         text = json.dumps(curve.to_json_dict(), indent=2) + "\n"
     else:
         widths = (4, 24, 16, 24, 16)
-        header = ("L", "H_exact", "H_bits", "dH_exact", "dH_bits")
-        lines = [_table_row(header, widths)]
-        for L in range(1, cfg.L_max + 1):
-            H, dH = curve.H[L - 1], curve.dH[L - 1]
-            cells = (str(L), _exact_str(H), _fmt(float(H)),
-                     _exact_str(dH), _fmt(float(dH)))
-            lines.append(_table_row(cells, widths))
+        lines = [_table_row(row, widths) for row in curve.to_rows()]
         lines.append(f"h_hat = {_render(curve.h_hat)}")
         lines.append(f"E_hat = {_render(curve.E_hat)}")
         text = "\n".join(lines) + "\n"
@@ -460,8 +475,9 @@ def _pmi_cell(model, L_grid, g_grid):
 
 
 def _computed_small_memory(model, order: int) -> dict:
-    """Pipeline values for models whose memory is a known small order:
-    curve increments, the 2H(L) - H(2L) surrogate, reconstruction."""
+    """Pipeline values for models whose memory is a known small order
+    (a period-p cycle's is p - 1): curve increments, the 2H(L) - H(2L)
+    surrogate, reconstruction and the gap grid."""
     R = max(order, 1)
     curve = entropy_curve(model, R + 4)
     E = excess_entropy_finite(model, R + 2)
@@ -472,20 +488,6 @@ def _computed_small_memory(model, order: int) -> dict:
         "E": E,
         "C_P": machine.complexity,
         "PMI": _pmi_cell(model, (R, R + 1, R + 2), gaps),
-        "e": efficiency(E, machine).e_plus,
-    }
-
-
-def _computed_periodic(model: PeriodicProcess) -> dict:
-    p = model.period
-    curve = entropy_curve(model, p + 2)
-    E = excess_entropy_finite(model, p)
-    machine = reconstruct(model, p, p)
-    return {
-        "h_P": curve.dH[-1],
-        "E": E,
-        "C_P": machine.complexity,
-        "PMI": _pmi_cell(model, (p, p + 1, p + 2), (p, 2 * p, 3 * p)),
         "e": efficiency(E, machine).e_plus,
     }
 
@@ -519,35 +521,29 @@ def _computed_thue_morse(model: SubstitutionProcess) -> dict:
 
 
 def _table1_rows():
-    one = Fraction(1)
+    """Each row's closed forms against its pipeline values, cell by cell.
+    A row is (label, model, order): a finite-memory model is recomputed
+    at its memory order by ``_computed_small_memory``, and Thue-Morse
+    (order None) by ``_computed_thue_morse``."""
     rows = [
-        ("period-2", PeriodicProcess.from_string("01"), _computed_periodic),
-        ("period-3", PeriodicProcess.from_string("011"), _computed_periodic),
-        ("period-5", PeriodicProcess.from_string("00111"),
-         _computed_periodic),
-        ("goldenmean", MarkovProcess.from_rows(
-            {"0": (one / 2, one / 2), "1": (one, one * 0)}),
-         lambda m: _computed_small_memory(m, 1)),
-        ("markov-r2", MarkovProcess.from_rows(
-            {"00": (Fraction(4, 5), Fraction(1, 5)),
-             "01": (Fraction(3, 10), Fraction(7, 10)),
-             "10": (Fraction(3, 5), Fraction(2, 5)),
-             "11": (Fraction(1, 4), Fraction(3, 4))}),
-         lambda m: _computed_small_memory(m, 2)),
-        ("iid-fair", IidProcess.from_probs([one / 2, one / 2]),
-         lambda m: _computed_small_memory(m, 0)),
-        ("iid-biased", IidProcess.from_probs(
-            [Fraction(3, 10), Fraction(7, 10)]),
-         lambda m: _computed_small_memory(m, 0)),
-        ("thue-morse", SubstitutionProcess(thue_morse()),
-         _computed_thue_morse),
-        ("ising", IsingChainProcess(J=1.0, h=0.0, beta=0.5),
-         lambda m: _computed_small_memory(m, 1)),
+        ("period-2", PeriodicProcess.from_string("01"), 1),
+        ("period-3", PeriodicProcess.from_string("011"), 2),
+        ("period-5", PeriodicProcess.from_string("00111"), 4),
+        ("goldenmean", _load_model("goldenmean", "exact"), 1),
+        ("markov-r2", _build_model({"kind": "markov", "rows": {
+            "00": ["4/5", "1/5"], "01": ["3/10", "7/10"],
+            "10": ["3/5", "2/5"], "11": ["1/4", "3/4"]}}, True), 2),
+        ("iid-fair", _load_model("coin", "exact"), 0),
+        ("iid-biased", _build_model(
+            {"kind": "iid", "probs": ["3/10", "7/10"]}, True), 0),
+        ("thue-morse", _load_model("tm", "exact"), None),
+        ("ising", IsingChainProcess(J=1.0, h=0.0, beta=0.5), 1),
     ]
     out = []
-    for label, model, compute in rows:
+    for label, model, order in rows:
         cf = closed_forms(model)
-        c = compute(model)
+        c = (_computed_thue_morse(model) if order is None
+             else _computed_small_memory(model, order))
         out.append((label, {
             "h_P": _cell(cf.entropy_rate, c["h_P"]),
             "E": _cell(cf.excess_entropy, c["E"]),
@@ -578,17 +574,9 @@ def cmd_table1(cfg: argparse.Namespace) -> int:
         lines = [_table_row(header, widths)]
         for label, cells in rows:
             for qty, cell in cells.items():
-                vals = (label, qty,
-                        _fmt(cell["closed"])
-                        if isinstance(cell["closed"], float)
-                        else cell["closed"],
-                        _fmt(cell["computed"])
-                        if isinstance(cell["computed"], float)
-                        else cell["computed"],
-                        _fmt(cell["diff"])
-                        if isinstance(cell["diff"], float)
-                        else cell["diff"])
-                lines.append(_table_row(vals, widths))
+                vals = [_fmt(v) if isinstance(v, float) else v
+                        for v in cell.values()]
+                lines.append(_table_row((label, qty, *vals), widths))
         lines.append(f"finite-cell tolerance {TABLE1_TOL:g}; "
                      f"violations: {bad}")
         text = "\n".join(lines) + "\n"
@@ -603,17 +591,16 @@ def _load_substitution(cfg: argparse.Namespace) -> Substitution:
     if cfg.rules.lstrip().startswith("{"):
         if not cfg.start:
             raise ValueError("inline rules need --start")
-        doc = {"kind": "substitution", "rules": json.loads(cfg.rules)}
-        return Substitution.from_strings(
-            _field(doc, "rules", _OBJECT, entries=_LABELS), start=cfg.start)
-    if cfg.start is not None:
+        doc = {"kind": "substitution", "rules": json.loads(cfg.rules),
+               "start": cfg.start}
+    elif cfg.start is not None:
         raise ValueError("--start is read only with inline JSON rules")
-    if cfg.rules == "tm":
-        return thue_morse()
-    if cfg.rules == "fib":
-        return fibonacci()
-    raise ValueError(f"unknown rules {cfg.rules!r}; use tm, fib, or an "
-                     "inline JSON object")
+    elif cfg.rules in ("tm", "fib"):
+        doc = _REGISTRY[cfg.rules]
+    else:
+        raise ValueError(f"unknown rules {cfg.rules!r}; use tm, fib, or an "
+                         "inline JSON object")
+    return _build_model(doc, True).substitution
 
 
 def cmd_substitution(cfg: argparse.Namespace) -> int:

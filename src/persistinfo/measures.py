@@ -339,15 +339,15 @@ class EntropyCurve:
     E_hat: Scalar
     exact: bool
 
-    def to_rows(self):
-        return [(L + 1, self.H[L], self.dH[L]) for L in range(self.L_max)]
+    def to_rows(self) -> list:
+        """The header and, for each L, the cells of H(L) and dH(L):
+        exact (empty for a float) and in bits."""
+        return [("L", "H_exact", "H_bits", "dH_exact", "dH_bits")] + [
+            (str(L + 1), _exact_str(H), _fmt(H), _exact_str(dH), _fmt(dH))
+            for L, (H, dH) in enumerate(zip(self.H, self.dH))]
 
     def to_csv(self) -> str:
-        lines = ["L,H_exact,H_bits,dH_exact,dH_bits"]
-        for L, Hv, dHv in self.to_rows():
-            lines.append(f"{L},{_exact_str(Hv)},{_fmt(Hv)},"
-                         f"{_exact_str(dHv)},{_fmt(dHv)}")
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(row) + "\n" for row in self.to_rows())
 
     def to_json_dict(self) -> dict:
         return {

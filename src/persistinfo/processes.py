@@ -533,7 +533,8 @@ class MarkovProcess:
         HR = bits(self.stationary)
         E = HR - R * h
         C_plus = bits(self._causal_state_masses())
-        C_minus = bits(self.reversed()._causal_state_masses())
+        back = self.reversed()  # the Ising chain is its own reversal
+        C_minus = C_plus if back is self else bits(back._causal_state_masses())
         if float(C_plus) == 0.0:
             eff = Fraction(0)
         else:

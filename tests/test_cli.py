@@ -5,6 +5,7 @@ golden strings were fixed from the hand-derived model values before
 the command layer was written.
 """
 
+import argparse
 import json
 import math
 import os
@@ -18,6 +19,8 @@ import pytest
 import persistinfo
 from persistinfo import cli
 from persistinfo.cli import main
+from persistinfo.processes import IidProcess, MarkovProcess
+from persistinfo.substitution import fibonacci, thue_morse
 
 LOG2_3 = math.log2(3)
 
@@ -210,6 +213,30 @@ def test_entropy_unknown_kind(capsys):
      "markov model field 'rows' entry '0' must be finite, not nan"),
     ({"kind": "logistic", "r": 3.5, "burnin": 1.5},
      "logistic model field 'burnin' must be a whole number >= 0, not 1.5"),
+    ({"kind": "markov", "rows": {"0": ["nan", 1], "1": [0.5, 0.5]}},
+     "markov model field 'rows' entry '0' must be a number, not 'nan'"),
+    ({"kind": "markov", "rows": {"0": [True, 1], "1": [0.5, 0.5]}},
+     "markov model field 'rows' entry '0' must be a number or a string,"
+     " not a boolean"),
+    ({"kind": "markov", "rows": {"0": [[1], 0], "1": [0.5, 0.5]}},
+     "markov model field 'rows' entry '0' must be a number or a string,"
+     " not an array"),
+    ({"kind": "iid", "probs": ["1/2", "x"]},
+     "iid model field 'probs' must be a number, not 'x'"),
+    ({"kind": "iid", "probs": [None, 1]},
+     "iid model field 'probs' must be a number or a string, not null"),
+    ({"kind": "iid", "probs": ["1/0", "1"]},
+     "iid model field 'probs' must be a number, not '1/0'"),
+    ({"kind": "ising", "J": "abc", "h": 0, "beta": 1},
+     "ising model field 'J' must be a number, not 'abc'"),
+    ({"kind": "ising", "J": "nan", "h": 0, "beta": 1},
+     "ising model field 'J' must be a number, not 'nan'"),
+    ({"kind": "ising", "J": "1e400", "h": 0, "beta": 1},
+     "ising model field 'J' must be a number, not '1e400'"),
+    ({"kind": "logistic", "r": 3.5, "burnin": "x"},
+     "logistic model field 'burnin' must be a number, not 'x'"),
+    ({"kind": "logistic", "r": 3.5},
+     "the logistic map has no rational structure; use --backend float"),
 ])
 def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
     # inline, and from a file
@@ -220,6 +247,46 @@ def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
                              "--Lmax", "3")
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, fractions, decimals", [
+    (("entropy", "--backend", "float", "--Lmax", "4"),
+     {"kind": "ising", "J": "1", "h": "3/10", "beta": "7/10"},
+     {"kind": "ising", "J": 1, "h": 0.3, "beta": 0.7}),
+    (("pmi", "--backend", "float", "--L-grid", "1,2,3", "--g-grid", "0,1,2"),
+     {"kind": "ising", "J": "-1/2", "h": "0", "beta": "3/2"},
+     {"kind": "ising", "J": -0.5, "h": 0, "beta": 1.5}),
+    (("sample", "--n", "64"),
+     {"kind": "logistic", "r": "7/2", "x0": "2/5", "burnin": "100"},
+     {"kind": "logistic", "r": 3.5, "x0": 0.4, "burnin": 100}),
+])
+def test_ising_and_logistic_fields_read_fraction_strings(capsys, argv,
+                                                          fractions,
+                                                          decimals):
+    outs = [run(capsys, *argv, "--model", json.dumps(doc))
+            for doc in (fractions, decimals)]
+    assert outs[0][0] == 0 and outs[0][2] == ""
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_registry_names_build_the_built_in_models(backend):
+    num = F if backend == "exact" else float
+    half, one, zero = num(F(1, 2)), num(1), num(0)
+    chains = {"coin": IidProcess.from_probs([half, half]),
+              "goldenmean": MarkovProcess.from_rows(
+                  {"0": (half, half), "1": (one, zero)})}
+    for name, want in chains.items():
+        got = cli._load_model(name, backend)
+        assert type(got) is type(want)
+        assert (got.alphabet, got.order) == (want.alphabet, want.order)
+        assert got.kernel == want.kernel
+        assert list(got.stationary) == list(want.stationary)
+        assert {type(x) for row in got.kernel.values() for x in row} == {num}
+    for name, want in (("tm", thue_morse()), ("fib", fibonacci())):
+        assert cli._load_model(name, backend).substitution == want
+        rules = argparse.Namespace(rules=name, start=None)
+        assert cli._load_substitution(rules) == want
 
 
 def test_burnin_reads_numeric_strings(capsys):
@@ -302,6 +369,21 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("entropy", "--Lmax", "2"), "give exactly one of --model or --seq"),
+    (("entropy", "--model", "tm", "--seq", "x", "--Lmax", "2"),
+     "give exactly one of --model or --seq"),
+    (("substitution", "--rules", '{"0":"01","1":"10"}', "--l", "2"),
+     "inline rules need --start"),
+    (("substitution", "--rules", "fibo", "--l", "2"),
+     "unknown rules 'fibo'; use tm, fib, or an inline JSON object"),
+    (("ising", "--points", "2"), "need at least 3 temperature points"),
+    (("sample", "--model", "tm", "--n", "0"), "need n >= 1"),
+])
+def test_command_refusals_name_the_cause(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # ── pmi ───────────────────────────────────────────────────────────────────────
@@ -613,6 +695,17 @@ def test_ising_sweep_down_to_a_thousandth(capsys, args):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert all(math.isfinite(float(x)) and float(x) >= 0
                for r in rows for x in r)
+
+
+def test_ising_names_a_high_temperature_excess_entropy(capsys):
+    # a strong coupling keeps E near 1 bit even at the T = 100 probe:
+    # the rows are printed, and the run fails naming the probe
+    code, out, err = run(capsys, "ising", "--J", "1000", "--Tmin", "1",
+                         "--Tmax", "2", "--points", "3")
+    assert code == 1
+    assert len(out.splitlines()) == 4
+    assert err == ("error: E(100) = 0.999999937554 exceeds 1e-3 at high"
+                   " temperature\n")
 
 
 def test_ising_rejects_nonpositive_temperature(capsys):

@@ -1003,6 +1003,28 @@ def test_closed_forms_and_reversal_build_no_block_table(monkeypatch):
     assert reversed_model(cycle).cycle == (1, 1, 1, 0, 0)
 
 
+@pytest.mark.parametrize("chain, calls", [
+    (IsingChainProcess(J=1.0, h=0.3, beta=0.7), 1),
+    (IsingChainProcess(J=-1.0, h=0.0, beta=2.0), 1),
+    (table1_r2(), 2),
+    (MarkovProcess.from_rows({"0": (F(1, 2), F(1, 2)), "1": (F(1), F(0))}), 2),
+])
+def test_a_chain_that_is_its_own_reversal_is_partitioned_once(
+        monkeypatch, chain, calls):
+    seen = []
+    partition = MarkovProcess._causal_state_masses
+
+    def count(self):
+        seen.append(self)
+        return partition(self)
+
+    monkeypatch.setattr(MarkovProcess, "_causal_state_masses", count)
+    cf = closed_forms(chain)
+    assert len(seen) == calls
+    if calls == 1:
+        assert cf.complexity_minus == cf.complexity_plus
+
+
 def test_markov_order_zero_is_iid():
     m = MarkovProcess.from_rows({"": (F(1, 4), F(3, 4))})
     assert m.order == 0
