@@ -24,7 +24,7 @@ from .infocore import (
     Scalar,
     Word,
     _agrees,
-    _entropy_of_weights,
+    _entropy_of_table,
     _exact_str,
 )
 from .processes import reversed_model
@@ -231,7 +231,7 @@ def reconstruct(model, history_length: int, future_length: int,
         states=states,
         state_probs=state_probs,
         transitions=transitions,
-        complexity=_entropy_of_weights(state_weights, win.denominator),
+        complexity=_entropy_of_table(state_weights, win.denominator),
         history_index=index,
     )
 
@@ -285,7 +285,7 @@ def _joint_entropies(joint: dict, denominator):
     for (i, j), p in joint.items():
         left[i] = left.get(i, 0) + p
         right[j] = right.get(j, 0) + p
-    return tuple(_entropy_of_weights(table.values(), denominator)
+    return tuple(_entropy_of_table(table.values(), denominator)
                  for table in (left, right, joint))
 
 

@@ -28,7 +28,8 @@ Conventions
     gcd(w, D), factored once, and its multiplicity weights its prime
     coefficients, which are summed as integers.  Distributions whose
     rationals do not factor cheaply fall back to float entropies of
-    the correctly rounded w / D.
+    the correctly rounded w / D, and their mutual information to a sum
+    of nonnegative terms.
   * One rule joins the two: an exact value (ExactBits, Fraction)
     combined with a float gives a float, so sums and differences of
     entropies need no branch on the backend.  Checks of an identity go
@@ -36,7 +37,9 @@ Conventions
     applies a tolerance only when a float is involved.
   * Every float entropy, of a float table, of that fallback or of
     empirical counts, goes through one NumPy kernel (``_entropy_of_p``):
-    −Σ p·log₂ p summed pairwise in table order, 0.0 for a single word.
+    −Σ p·log₂ p summed pairwise in table order (each term times its
+    multiplicity where a table is given as weight counts), 0.0 for a
+    single word.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array of the narrowest unsigned type, one byte per symbol
     up to 256 symbols, without a Python call per symbol, and every
@@ -610,51 +613,65 @@ class JointBlockDistribution(_Table):
 # ── Entropy and mutual information ────────────────────────────────────────────
 
 
-def _entropy_of_weights(weights, denominator) -> Scalar:
-    """Σ −p·log₂ p over p = w / D for a collection of weights w.
+def _entropy_of_weights(counts: Mapping, denominator) -> Scalar:
+    """Σ −k·p·log₂ p over p = w / D, for a mapping of weights w to
+    their multiplicities k.  Integer weights over an integer D give
+    ExactBits, or raise ``_NotSmooth`` when some p does not factor over
+    small primes; float weights (D None) are probabilities.
 
-    Integer weights over an integer D give ExactBits when every p
-    factors over small primes, and otherwise the float sum below.
-    Float weights (D None) are probabilities and give a float.
-
-    Tables repeat few distinct weights, so each distinct w is reduced
-    to p = n/d by gcd(w, D) and factored once; its k entries add
-    k·w·(e_q(d) − e_q(n)) / D to the coefficient of log₂ q for every
-    prime q of n or d.  The sums stay integers until that one division.
+    Each distinct w is reduced to p = n/d by gcd(w, D) and factored
+    once; its k entries add k·w·(e_q(d) − e_q(n)) / D to the
+    coefficient of log₂ q for every prime q of n or d.  The sums stay
+    integers until that one division.
     """
     if denominator is None:
-        return _entropy_float(weights)
+        size = len(counts)
+        return _entropy_of_p(np.fromiter(counts, np.float64, size),
+                             np.fromiter(counts.values(), np.float64, size))
     D = denominator
     sums: dict = {}
     den_factors: dict = {}
-    try:
-        for w, k in Counter(weights).items():
-            if not w:
-                continue
-            g = math.gcd(w, D)
-            d = D // g
-            kw = k * w
-            for q, e in _factor_smooth(w // g).items():
-                sums[q] = sums.get(q, 0) - e * kw
-            if d not in den_factors:
-                den_factors[d] = _factor_smooth(d)
-            for q, e in den_factors[d].items():
-                sums[q] = sums.get(q, 0) + e * kw
-    except _NotSmooth:
-        # int / int is correctly rounded, as float(Fraction(w, D)) is
-        return _entropy_float(w / D for w in weights)
+    for w, k in counts.items():
+        if not w:
+            continue
+        g = math.gcd(w, D)
+        d = D // g
+        kw = k * w
+        for q, e in _factor_smooth(w // g).items():
+            sums[q] = sums.get(q, 0) - e * kw
+        if d not in den_factors:
+            den_factors[d] = _factor_smooth(d)
+        for q, e in den_factors[d].items():
+            sums[q] = sums.get(q, 0) + e * kw
     coeffs = {q: Fraction(s, D) for q, s in sums.items()}
     return ExactBits(coeffs.pop(2, 0), coeffs)
 
 
-def _entropy_of_p(p: np.ndarray) -> float:
-    """−Σ p·log₂ p over the positive entries of a float array, in
-    bits, summed pairwise by NumPy: the one float entropy kernel."""
+def _entropy_of_table(weights, denominator) -> Scalar:
+    """Entropy of a table's weights: ``_entropy_of_weights`` of their
+    counts, or, where that is not smooth or the table is float, the
+    float sum of its entries in table order."""
+    if denominator is not None:
+        try:
+            return _entropy_of_weights(Counter(weights), denominator)
+        except _NotSmooth:
+            # int / int is correctly rounded, as float(Fraction(w, D)) is
+            weights = [w / denominator for w in weights]
+    return _entropy_float(weights)
+
+
+def _entropy_of_p(p: np.ndarray, k: np.ndarray | None = None) -> float:
+    """−Σ k·p·log₂ p over the positive entries of a float array, each
+    with multiplicity k (1 if not given), in bits, summed pairwise by
+    NumPy: the one float entropy kernel."""
     positive = p > 0.0
     if not positive.all():
         p = p[positive]
+        k = None if k is None else k[positive]
     terms = np.log2(p)
     terms *= p  # in place: one array of terms, not two
+    if k is not None:
+        terms *= k
     # 0.0 − x, not −x: a single word gives 0.0, never −0.0
     return float(0.0 - terms.sum())
 
@@ -675,7 +692,7 @@ def shannon_entropy(d) -> Scalar:
     factors over small primes; otherwise a float computed from the
     exact rationals.  Float tables always yield floats.
     """
-    return _entropy_of_weights(d.weights.values(), d.denominator)
+    return _entropy_of_table(d.weights.values(), d.denominator)
 
 
 def entropy_of_probs(probs) -> Scalar:
@@ -687,19 +704,54 @@ def entropy_of_probs(probs) -> Scalar:
     values = list(probs)
     if any(isinstance(p, float) for p in values):
         return _entropy_float(float(p) for p in values)
-    return _entropy_of_weights(*_rational_weights(values))
+    return _entropy_of_table(*_rational_weights(values))
 
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
     """I(left; right) = H(left) + H(right) − H(joint), in bits.
 
     Nonnegative (exactly on the exact backend, within ~1e-12 in float)
-    and symmetric under swapping the two blocks.
+    and symmetric under swapping the two blocks.  Where an exact
+    table's entropies fall back to float, whose difference cancels, it
+    is ``_mi_of_deviations``.
     """
-    h_left = shannon_entropy(j.left_marginal())
-    h_right = shannon_entropy(j.right_marginal())
-    h_joint = shannon_entropy(j)
+    left, right = j.left_marginal(), j.right_marginal()
+    h_left, h_right, h_joint = map(shannon_entropy, (left, right, j))
+    if j.exact and any(isinstance(h, float)
+                       for h in (h_left, h_right, h_joint)):
+        return _mi_of_deviations(j.weights, left.weights, right.weights,
+                                 j.denominator)
     return h_left + h_right - h_joint
+
+
+def _phi(x: float) -> float:
+    """(1 + x)·ln(1 + x) − x >= 0 for x >= −1; a series where |x| < 1/8,
+    where the two terms cancel."""
+    if abs(x) >= 0.125:
+        return (1 + x) * math.log1p(x) - x
+    # Σ_{n>=2} (−x)^n / (n(n − 1)), alternating and shrinking
+    total, term, n = 0.0, x * x, 2
+    while abs(term) > 1e-17 * total:
+        total += term / (n * (n - 1))
+        term *= -x
+        n += 1
+    return total
+
+
+def _mi_of_deviations(joint: dict, left: dict, right: dict, D: int) -> float:
+    """I = Σ p(a)p(b)·φ(x_ab) / ln 2 over the pairs of the marginals'
+    supports, x_ab = p(ab) / (p(a)p(b)) − 1 exact until rounded once:
+    a sum of nonnegative terms.  The pairs the joint never takes have
+    φ(−1) = 1 and add 1 − Σ p(a)p(b) over those it takes."""
+    D2 = D * D
+    terms, taken = [], 0
+    for (a, b), w in joint.items():
+        if w:
+            ab = left[a] * right[b]
+            taken += ab
+            terms.append(ab / D2 * _phi((w * D - ab) / ab))
+    terms.append((D2 - taken) / D2)
+    return math.fsum(terms) / math.log(2)
 
 
 def marginalize_gap(window: BlockDistribution, left_length: int,

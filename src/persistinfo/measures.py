@@ -41,6 +41,7 @@ from .infocore import (
     shannon_entropy,
     window_codes,
 )
+from .processes import MarkovProcess
 
 __all__ = [
     "UndersampledError",
@@ -300,9 +301,10 @@ def _as_source(source):
 
 
 def _block_entropies(src, Ls: Sequence[int]) -> list:
-    """H(L) of a source for each length of Ls; an observed sequence is
-    counted once, a model builds one table at a time."""
-    if isinstance(src, EmpiricalSource):
+    """H(L) of a source for each length of Ls: an observed sequence is
+    counted once, a Markov chain grows one layer of (edge context,
+    weight) classes, and any other model builds one table per length."""
+    if isinstance(src, (EmpiricalSource, MarkovProcess)):
         return src.block_entropies(Ls)
     return [shannon_entropy(src.block_distribution(L)) for L in Ls]
 
@@ -447,12 +449,14 @@ def gap_mi_grid(source, L_grid: Sequence[int],
     if isinstance(src, EmpiricalSource):
         values, missing = src.gap_mutual_informations(Ls, gs)
     else:
+        cell = (src.gap_mutual_information if isinstance(src, MarkovProcess)
+                else lambda L, g: mutual_information(
+                    src.joint_gap_distribution(L, g)))
         values, missing = {}, {}
         for L in Ls:
             for g in gs:
                 try:
-                    values[(L, g)] = mutual_information(
-                        src.joint_gap_distribution(L, g))
+                    values[(L, g)] = cell(L, g)
                 except (WindowCapError, UndersampledError) as e:
                     missing[(L, g)] = str(e)
     return GapMIGrid(L_grid=Ls, g_grid=gs, values=values, missing=missing,

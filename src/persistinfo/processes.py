@@ -23,7 +23,8 @@ transfer-matrix eigendata is irrational) give float distributions.
 Enumeration-based paths refuse window sizes beyond WINDOW_STATE_CAP
 states; Markov chains bridge the gap with a matrix power instead of
 enumerating it, so the cap there applies only to the two visible
-blocks.  A substitution fixed point has far fewer factors than words:
+blocks (s^R·s^L states for a gap cell read from the left block's edge
+context).  A substitution fixed point has far fewer factors than words:
 its laws read the length-n windows of the pair images ζ^p(α)ζ^p(β),
 and the window count (factor_count_bound(n) at the shortest power p)
 times n, found from the image lengths before any image is built, is
@@ -49,16 +50,21 @@ from .infocore import (
     Alphabet,
     BlockDistribution,
     JointBlockDistribution,
+    Scalar,
     WindowCapError,
     Word,
     _BLOCK,
+    _NotSmooth,
     _agrees,
     _code_dtype,
     _distinct_rows,
+    _entropy_of_weights,
     _ranks,
     _rational_weights,
     entropy_of_probs,
     log2_of,
+    mutual_information,
+    shannon_entropy,
 )
 from .substitution import (
     Substitution,
@@ -146,11 +152,14 @@ class PeriodicProcess:
             raise ValueError(f"cycle of length {p} has a smaller period")
 
     @classmethod
-    def from_string(cls, cycle: str,
+    def from_string(cls, cycle: str | Sequence,
                     alphabet: Optional[Alphabet] = None) -> "PeriodicProcess":
+        """A cycle of characters, or of labels, each read as ``Alphabet``
+        reads its labels: by ``str``."""
+        labels = [str(a) for a in cycle]
         if alphabet is None:
-            alphabet = Alphabet(sorted(set(cycle)))
-        return cls(alphabet, alphabet.encode(cycle))
+            alphabet = Alphabet(sorted(set(labels)))
+        return cls(alphabet, alphabet.encode(labels))
 
     @property
     def period(self) -> int:
@@ -301,11 +310,17 @@ class MarkovProcess:
     rational chain and of floats T on a float one, and a gap of g
     symbols is bridged by its ``np.linalg.matrix_power``, built once
     per g.
+
+    The measures read :meth:`block_entropies` and
+    :meth:`gap_mutual_information`, which build no word table; their
+    oracles, which do, are ``block_distribution`` and
+    ``joint_gap_distribution``.  Both routes enumerate the law and read
+    no closed form, so they stay a check on the closed forms.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
-                 "contexts", "_cindex", "_edges", "_T", "_d", "_pi", "_q",
-                 "_powers")
+                 "contexts", "_cindex", "_edges", "_moves", "_T", "_d", "_pi",
+                 "_q", "_powers")
 
     def __init__(self, alphabet: Alphabet, order: int,
                  kernel: Mapping[Word, Sequence],
@@ -354,13 +369,19 @@ class MarkovProcess:
         object.__setattr__(self, "_d", d)
         object.__setattr__(self, "_edges", edges)
 
+        # per context index, the (next context index, weight) of each edge
+        moves = tuple(
+            tuple((self._cindex[(c + a)[-order:] if order else ()], w)
+                  for a, w in edges[c]) for c in contexts)
+        object.__setattr__(self, "_moves", moves)
+
         m = len(contexts)
         # Python ints in an object array on a rational chain: (d·T)^g
         # outgrows int64
         T = np.zeros((m, m), dtype=object if exact else float)
-        for ci, c in enumerate(contexts):
-            for a, w in edges[c]:
-                T[ci, self._cindex[(c + a)[-order:] if order else ()]] += w
+        for ci, row in enumerate(moves):
+            for cj, w in row:
+                T[ci, cj] += w
         object.__setattr__(self, "_T", T)
 
         if stationary is not None:
@@ -467,35 +488,50 @@ class MarkovProcess:
         return BlockDistribution(self.alphabet, L, words,
                                  self._denominator(L - R))
 
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        if L < 1 or g < 0:
-            raise ValueError("need L >= 1 and g >= 0")
-        # the gap is bridged by a matrix power, so only the two visible
-        # blocks are enumerated
-        _check_cap(len(self.alphabet), 2 * L)
+    def block_entropies(self, Ls: Sequence[int]) -> list:
+        """H(L) in bits for each length of Ls.  Words of length L >= R
+        continue by their edge context alone, so one layer of classes
+        (edge context, weight) → number of words grows from the context
+        weights at length R; each H(L) reads the weights' counts.  L < R,
+        and an exact H(L) that is not smooth, read the block table."""
+        if min(Ls) < 1:
+            raise ValueError("block length must be >= 1")
+        _check_cap(len(self.alphabet), max(Ls))
         R = self.order
-        # an order-0 chain forgets its past at once: its gap is bridged
-        # by the identity, and its weights never carry d^g
-        gap = g if R else 0
-        Tg = self._gap_matrix(gap)
+        H = {L: shannon_entropy(self.block_distribution(L))
+             for L in Ls if L < R}
+        layer = {(ci, w): 1 for ci, w in enumerate(self._pi) if w}
+        for L in range(R, max(Ls) + 1):
+            if L > R:
+                grown: dict = {}
+                for (ci, w), k in layer.items():
+                    for cj, e in self._moves[ci]:
+                        key = (cj, w * e)
+                        grown[key] = grown.get(key, 0) + k
+                layer = grown
+            if L not in Ls:
+                continue
+            counts: dict = {}
+            for (_, w), k in layer.items():
+                counts[w] = counts.get(w, 0) + k
+            try:
+                H[L] = _entropy_of_weights(counts, self._denominator(L - R))
+            except _NotSmooth:
+                H[L] = shannon_entropy(self.block_distribution(L))
+        return [H[L] for L in Ls]
 
-        # left block together with the context active at its right edge,
-        # both read off the table of blocks of length K = max(L, R)
-        K = max(L, R)
-        block = self.block_distribution(K)
-        left = {(w[K - L:], w[K - R:]): p for w, p in block.weights.items()}
-        den = block.denominator
-
-        # right block conditioned on the context at its left edge
+    def _right_laws(self, L: int, g: int, contexts) -> dict:
+        """Per context c, the weights Σ_c2 T^g[c, c2]·ext_c2(b) of the
+        length-L block b read g symbols after a left block ending in c,
+        ext_c2 the weights of the words after c2: over d^(g+L), or d^L at
+        order 0, which forgets its past and is bridged by the identity."""
+        R = self.order
+        Tg = self._gap_matrix(g if R else 0)
         ext: dict = {}
-        for c in self.contexts:
-            grown = self._extend({c: 1}, L)
-            ext[c] = {w[R:]: p for w, p in grown.items()}
-
-        # right block conditioned on the context c at the left block's
-        # edge, bridged once per c: sum over c2 of Tg[c][c2]·ext[c2][b]
+        for w, p in self._extend({c: 1 for c in self.contexts}, L).items():
+            ext.setdefault(w[:R], {})[w[R:]] = p
         right: dict = {}
-        for c in dict.fromkeys(c for _, c in left):
+        for c in contexts:
             ci = self._cindex[c]
             law: dict = {}
             for cj, c2 in enumerate(self.contexts):
@@ -505,16 +541,55 @@ class MarkovProcess:
                 for b, q in ext[c2].items():
                     law[b] = law[b] + bridge * q if b in law else bridge * q
             right[c] = law
+        return right
 
-        # left words repeat only when L < R, across the contexts they end
-        probs: dict = {}
-        for (a, c), p in left.items():
-            for b, q in right[c].items():
-                key = (a, b)
-                probs[key] = probs[key] + p * q if key in probs else p * q
+    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
+        """The joint law of every (left, right) pair: the oracle of
+        ``gap_mutual_information``."""
+        if L < 1 or g < 0:
+            raise ValueError("need L >= 1 and g >= 0")
+        # the gap is bridged by a matrix power, so only the two visible
+        # blocks are enumerated
+        _check_cap(len(self.alphabet), 2 * L)
+        R = self.order
+        # left block together with the context active at its right edge,
+        # both read off the table of blocks of length K = max(L, R)
+        K = max(L, R)
+        block = self.block_distribution(K)
+        left = {(w[K - L:], w[K - R:]): p for w, p in block.weights.items()}
+        right = self._right_laws(L, g, dict.fromkeys(c for _, c in left))
+        if L >= R:  # each left word once, with its own edge context
+            probs = {(a, b): p * q for (a, c), p in left.items()
+                     for b, q in right[c].items()}
+        else:  # left words repeat across the contexts they end
+            probs = {}
+            for (a, c), p in left.items():
+                for b, q in right[c].items():
+                    key = (a, b)
+                    probs[key] = probs[key] + p * q if key in probs else p * q
+        den = block.denominator
         if den is not None:
-            den *= self._d ** (gap + L)
+            den *= self._d ** ((g if R else 0) + L)
         return JointBlockDistribution(self.alphabet, L, g, L, probs, den)
+
+    def gap_mutual_information(self, L: int, g: int) -> Scalar:
+        """I(A; B) in bits of two length-L blocks g symbols apart.  For
+        L >= R >= 1, A reaches B only through its edge context C, so this
+        is I(C; B), from s^R·s^L cells (capped as such) in place of the
+        s^(2L) of ``joint_gap_distribution``, which order 0 and L < R
+        read.  B keeps its length and the gap is still bridged by T^g."""
+        R = self.order
+        if not R or L < R:
+            return mutual_information(self.joint_gap_distribution(L, g))
+        if g < 0:
+            raise ValueError("need L >= 1 and g >= 0")
+        _check_cap(len(self.alphabet), R + L)
+        ctx = self._context_weights()
+        right = self._right_laws(L, g, ctx)
+        pairs = {(c, b): p * q for c, p in ctx.items()
+                 for b, q in right[c].items()}
+        return mutual_information(JointBlockDistribution._trusted(
+            self.alphabet, R, g, L, pairs, self._denominator(g + L)))
 
     def closed_forms(self) -> ClosedForms:
         """h = Σ_c π(c)·H(P(·|c)), E = H(π) − R·h and C± (the entropies

@@ -143,6 +143,17 @@ def test_entropy_inline_periodic_model(capsys):
     assert blob["E_hat_bits"] == 1.0
 
 
+@pytest.mark.parametrize("cycle, text", [(["a", 1], "a1"),
+                                         ([0, 1, 1], "011")])
+def test_periodic_cycle_entries_are_read_as_labels(capsys, cycle, text):
+    # each entry is a label, read by str as an iid alphabet's entries are
+    got, want = (run(capsys, "entropy", "--model",
+                     json.dumps({"kind": "periodic", "cycle": c}),
+                     "--Lmax", "3") for c in (cycle, text))
+    assert got[0] == 0
+    assert got == want
+
+
 def test_entropy_float_backend(capsys):
     code, out, _ = run(capsys, "entropy", "--model", "goldenmean",
                        "--Lmax", "5", "--backend", "float",

@@ -467,8 +467,8 @@ def test_gap_grid_builds_one_power_per_gap(monkeypatch):
     assert sorted(built) == [8, 16, 32]
 
 
-def decimal_mi(j) -> Decimal:
-    """I(left; right) of an exact joint table to 50 digits."""
+def decimal_mi(j, prec: int = 50) -> Decimal:
+    """I(left; right) of an exact joint table to ``prec`` digits."""
     D = j.denominator
     left: Counter = Counter()
     right: Counter = Counter()
@@ -476,10 +476,28 @@ def decimal_mi(j) -> Decimal:
         left[a] += w
         right[b] += w
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = prec
         nats = sum(Decimal(w) / D * (Decimal(w * D) / (left[a] * right[b])).ln()
                    for (a, b), w in j.weights.items() if w)
         return nats / Decimal(2).ln()
+
+
+def decimal_mi_oracle(j) -> Decimal:
+    """I(left; right) of an exact joint table in 60-digit ``Decimal``,
+    the digits doubled while the value lies within 10^45 of the working
+    precision's noise (the terms, each near 1, cancel to it)."""
+    prec = 60
+    while True:
+        want = decimal_mi(j, prec)
+        if want == 0 or want > Decimal(10) ** (45 - prec):
+            return want
+        prec *= 2
+
+
+def assert_near_decimal(got, want: Decimal, rel: float = 1e-12):
+    """A float within ``rel`` of a Decimal, relative to the Decimal."""
+    assert isinstance(got, float)
+    assert abs(Decimal(got) - want) <= Decimal(rel) * want, (got, want)
 
 
 @pytest.mark.parametrize("make", [
@@ -558,7 +576,7 @@ def fraction_mi_oracle(joint: dict):
         right[b] = right.get(b, 0) + p
     hs = [fraction_entropy_oracle(t.values()) for t in (left, right, joint)]
     if any(isinstance(h, float) for h in hs):
-        return float(hs[0]) + float(hs[1]) - float(hs[2])
+        return None  # read from a Decimal oracle instead
     return hs[0] + hs[1] - hs[2]
 
 
@@ -618,7 +636,12 @@ def test_integer_laws_match_fraction_oracles(m, L, g):
     assert_same_scalar(shannon_entropy(j),
                        fraction_entropy_oracle(want.values()))
     mi = mutual_information(j)
-    assert_same_scalar(mi, fraction_mi_oracle(want))
+    exact_mi = fraction_mi_oracle(want)
+    if exact_mi is None:
+        # the entropies fell back to float; their difference would cancel
+        assert_near_decimal(mi, decimal_mi_oracle(j))
+    else:
+        assert_same_scalar(mi, exact_mi)
     event(f"gap MI {'float' if isinstance(mi, float) else 'exact'}")
     R = max(m.order, 1)
     try:
@@ -646,6 +669,95 @@ def test_closed_forms_and_reversal_match_block_table_oracle(m):
             assert got == want, name
     rev, want = reversed_model(m), block_table_reversed(m)
     assert rev.kernel == want.kernel and rev.stationary == want.stationary
+
+
+# ── class and edge-context routes against the table oracles ─────────
+
+
+def decimal_bits(x) -> Decimal:
+    """An ExactBits value in 200-digit ``Decimal``."""
+    with localcontext() as ctx:
+        ctx.prec = 200
+        frac = lambda f: Decimal(f.numerator) / Decimal(f.denominator)
+        return frac(x.rational) + sum(
+            frac(c) * Decimal(p).ln() for p, c in x.logs) / Decimal(2).ln()
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=rational_chains(), g=st.sampled_from((0, 1, 3, 8, 40)))
+def test_class_and_context_routes_match_the_table_oracles(m, g):
+    Ls = range(1, 9)
+    for got, L in zip(m.block_entropies(Ls), Ls):
+        assert_same_scalar(got, shannon_entropy(block_distribution(m, L)))
+    s = len(m.alphabet)
+    for L in (L for L in Ls if s ** (2 * L) <= 2 ** 16):
+        j = joint_gap_distribution(m, L, g)
+        got, want = m.gap_mutual_information(L, g), mutual_information(j)
+        if isinstance(got, float) or isinstance(want, float):
+            event("gap MI float")
+            got, want = (v if isinstance(v, float) else float(decimal_bits(v))
+                         for v in (got, want))
+            assert abs(got - want) <= 1e-12 * want
+        else:
+            assert_same_scalar(got, want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IsingChainProcess(J=1.0, h=0.3, beta=0.7),
+    lopsided_chain,
+    lambda: MarkovProcess(Alphabet("abc"), 2, {
+        c: tuple(map(float, row)) for c, row in ternary_r2().kernel.items()}),
+    lambda: IidProcess.from_probs((0.2, 0.3, 0.5)),
+])
+def test_float_chain_routes_are_within_1e_12_of_the_oracles(make):
+    m = make()
+    Ls = range(1, 9)
+    for got, L in zip(m.block_entropies(Ls), Ls):
+        assert abs(got - shannon_entropy(block_distribution(m, L))) <= 1e-12
+    for L, g in ((1, 0), (2, 3), (3, 16), (4, 1)):
+        want = mutual_information(joint_gap_distribution(m, L, g))
+        assert abs(m.gap_mutual_information(L, g) - want) <= 1e-12
+
+
+def test_ternary_gap_cells_do_not_depend_on_the_block_length():
+    # an order-2 chain: past L = 2 a longer left block adds nothing
+    m = ternary_r2()
+    want = m.gap_mutual_information(2, 8)
+    assert isinstance(want, ExactBits)
+    assert want == mutual_information(joint_gap_distribution(m, 2, 8))
+    for L in range(3, 9):
+        assert m.gap_mutual_information(L, 8) == want
+
+
+def traced_peak_mib(f) -> float:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_routes_build_no_word_table():
+    # the pair table of ternary (6, 8) peaked at 88 MiB, and the block
+    # tables of golden-mean H(1..24) at 52 MiB
+    assert traced_peak_mib(
+        lambda: ternary_r2().gap_mutual_information(6, 8)) < 16
+    assert traced_peak_mib(
+        lambda: goldenmean().block_entropies(range(1, 25))) < 4
+
+
+def test_gap_cell_cap_counts_the_edge_context_and_the_right_block():
+    m = MarkovProcess.from_rows({"0": (F(1, 2), F(1, 2)),
+                                 "1": (F(1, 3), F(2, 3))})
+    # 2^(1 + 14) cells are within the cap, where 2^(2·14) pairs are
+    # not; an order-1 chain's cells do not depend on L
+    with pytest.raises(WindowCapError):
+        joint_gap_distribution(m, 14, 3)
+    with pytest.raises(WindowCapError):
+        m.gap_mutual_information(26, 3)
+    assert m.gap_mutual_information(14, 3) \
+        == mutual_information(joint_gap_distribution(m, 1, 3))
 
 
 def test_markov_sample_starts_stationary():
