@@ -138,11 +138,11 @@ def reconstruct(model, history_length: int, future_length: int,
     R, F = history_length, future_length
     if R < 1 or F < 1:
         raise ValueError("need history_length >= 1 and future_length >= 1")
+    if tol is not None and tol < 0:
+        raise ValueError("tol must be nonnegative")
     win = model.block_distribution(R + F)
     if tol is None:
         tol = 0.0 if win.exact else 1e-12
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     alphabet = win.alphabet
     exact = win.exact
 

@@ -664,6 +664,8 @@ def _entropy_of_p(p: np.ndarray, k: np.ndarray | None = None) -> float:
     """−Σ k·p·log₂ p over the positive entries of a float array, each
     with multiplicity k (1 if not given), in bits, summed pairwise by
     NumPy: the one float entropy kernel."""
+    if p.size == 1 and k is None:  # one word, whatever its rounded mass
+        return 0.0
     positive = p > 0.0
     if not positive.all():
         p = p[positive]

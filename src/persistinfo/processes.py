@@ -17,20 +17,19 @@ word has weight over q·d^(L−R).  The context matrix is one NumPy
 array on every chain (Python ints d·T in an object array on a
 rational one, float64 on a float one), and a gap is bridged by its
 ``np.linalg.matrix_power``, each row divided by its sum on a float
-chain; an order-0 chain forgets its past at once and is bridged by
-the identity.  Float parameters (and the Ising chain, whose
-transfer-matrix eigendata is irrational) give float distributions.
-Enumeration-based paths refuse window sizes beyond WINDOW_STATE_CAP
-states; Markov chains bridge the gap with a matrix power instead of
-enumerating it, so the cap there applies only to the two visible
-blocks (s^R·s^L states for a gap cell read from the left block's edge
-context).  A substitution fixed point has far fewer factors than words:
-its laws read the length-n windows of the pair images ζ^p(α)ζ^p(β),
-and the window count (factor_count_bound(n) at the shortest power p)
-times n, found from the image lengths before any image is built, is
-held to the same cap; a gap law reads only the two blocks of each
-window, building no length-n word.  WINDOW_STATE_CAP and
-WindowCapError live in ``infocore`` and are re-exported here.
+chain.  Float parameters (and the Ising chain, whose transfer-matrix
+eigendata is irrational) give float distributions.  Enumeration-based
+paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov chains
+bridge the gap with a matrix power instead of enumerating it, so the
+cap there applies only to the two visible blocks (s^R·s^max(L, R)
+states for a gap cell read from the left block's edge context).  A
+substitution fixed point has far fewer factors than words: its laws
+read the length-n windows of the pair images ζ^p(α)ζ^p(β), and the
+window count (factor_count_bound(n) at the shortest power p) times n,
+found from the image lengths before any image is built, is held to
+the same cap; a gap law reads only the two blocks of each window,
+building no length-n word.  WINDOW_STATE_CAP and WindowCapError live
+in ``infocore`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -307,9 +306,10 @@ class MarkovProcess:
     context weights q·π and the context matrix d·T.  A length-L word
     (L >= R) then has weight q·π(c)·Π d·P over q·d^(L−R).  The context
     matrix is one NumPy array, of Python ints d·T (dtype object) on a
-    rational chain and of floats T on a float one, and a gap of g
-    symbols is bridged by its ``np.linalg.matrix_power``, built once
-    per g.
+    rational chain and of floats T on a float one, and a gap cell
+    bridges the g + R symbols past the left block by one
+    ``np.linalg.matrix_power``, built once per gap, for every order
+    and every L.
 
     The measures read :meth:`block_entropies` and
     :meth:`gap_mutual_information`, which build no word table; their
@@ -437,7 +437,8 @@ class MarkovProcess:
 
     def _gap_matrix(self, g: int):
         """(d·T)^g, or T^g on a float chain with each row divided by its
-        sum; kept per g, up to GAP_POWERS_KEPT of them.
+        sum; kept per g, up to GAP_POWERS_KEPT of them, the oldest
+        dropped first.
 
         A float T is summed in float (ten 0.1s give 0.9999999999999999),
         so its powers lose mass as g grows; the row sums put it back."""
@@ -493,16 +494,20 @@ class MarkovProcess:
         continue by their edge context alone, so one layer of classes
         (edge context, weight) → number of words grows from the context
         weights at length R; each H(L) reads the weights' counts.  L < R,
-        and an exact H(L) that is not smooth, read the block table."""
+        and an exact H(L) that is not smooth, read the block table; a layer
+        is refused before it could outgrow WINDOW_STATE_CAP classes."""
         if min(Ls) < 1:
             raise ValueError("block length must be >= 1")
-        _check_cap(len(self.alphabet), max(Ls))
-        R = self.order
+        R, s = self.order, len(self.alphabet)
         H = {L: shannon_entropy(self.block_distribution(L))
              for L in Ls if L < R}
         layer = {(ci, w): 1 for ci, w in enumerate(self._pi) if w}
         for L in range(R, max(Ls) + 1):
             if L > R:
+                if len(layer) * s > WINDOW_STATE_CAP:
+                    raise WindowCapError(
+                        f"block entropy at length {L} grows {len(layer)}"
+                        f" (edge context, weight) classes over {s} symbols")
                 grown: dict = {}
                 for (ci, w), k in layer.items():
                     for cj, e in self._moves[ci]:
@@ -520,76 +525,64 @@ class MarkovProcess:
                 H[L] = shannon_entropy(self.block_distribution(L))
         return [H[L] for L in Ls]
 
-    def _right_laws(self, L: int, g: int, contexts) -> dict:
-        """Per context c, the weights Σ_c2 T^g[c, c2]·ext_c2(b) of the
-        length-L block b read g symbols after a left block ending in c,
-        ext_c2 the weights of the words after c2: over d^(g+L), or d^L at
-        order 0, which forgets its past and is bridged by the identity."""
-        R = self.order
-        Tg = self._gap_matrix(g if R else 0)
-        ext: dict = {}
-        for w, p in self._extend({c: 1 for c in self.contexts}, L).items():
-            ext.setdefault(w[:R], {})[w[R:]] = p
-        right: dict = {}
-        for c in contexts:
-            ci = self._cindex[c]
-            law: dict = {}
-            for cj, c2 in enumerate(self.contexts):
-                bridge = Tg[ci, cj]
-                if bridge == 0:
-                    continue
-                for b, q in ext[c2].items():
-                    law[b] = law[b] + bridge * q if b in law else bridge * q
-            right[c] = law
-        return right
-
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        """The joint law of every (left, right) pair: the oracle of
-        ``gap_mutual_information``."""
+        """The joint law of every (left, right) pair, one multiply-add per
+        left word × bridge context × right word: the oracle of
+        ``gap_mutual_information``, read by the tests alone."""
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
         # the gap is bridged by a matrix power, so only the two visible
         # blocks are enumerated
         _check_cap(len(self.alphabet), 2 * L)
         R = self.order
-        # left block together with the context active at its right edge,
-        # both read off the table of blocks of length K = max(L, R)
+        # an order-0 chain forgets its past at once: the identity bridges it
+        gap = g if R else 0
+        bridges = self._gap_matrix(gap).tolist()
+        right = [(self._cindex[w[:R]], w[R:], q) for w, q in
+                 self._extend(dict.fromkeys(self.contexts, 1), L).items()]
+        # the left block and the context at its right edge, both read off
+        # the table of blocks of length K = max(L, R)
         K = max(L, R)
         block = self.block_distribution(K)
-        left = {(w[K - L:], w[K - R:]): p for w, p in block.weights.items()}
-        right = self._right_laws(L, g, dict.fromkeys(c for _, c in left))
-        if L >= R:  # each left word once, with its own edge context
-            probs = {(a, b): p * q for (a, c), p in left.items()
-                     for b, q in right[c].items()}
-        else:  # left words repeat across the contexts they end
-            probs = {}
-            for (a, c), p in left.items():
-                for b, q in right[c].items():
+        probs: dict = {}
+        for w, p in block.weights.items():
+            a = w[K - L:]
+            row = [p * x for x in bridges[self._cindex[w[K - R:]]]]
+            for cj, b, q in right:
+                if row[cj]:
                     key = (a, b)
-                    probs[key] = probs[key] + p * q if key in probs else p * q
+                    probs[key] = probs.get(key, 0) + row[cj] * q
         den = block.denominator
         if den is not None:
-            den *= self._d ** ((g if R else 0) + L)
+            den *= self._d ** (gap + L)
         return JointBlockDistribution(self.alphabet, L, g, L, probs, den)
 
     def gap_mutual_information(self, L: int, g: int) -> Scalar:
-        """I(A; B) in bits of two length-L blocks g symbols apart.  For
-        L >= R >= 1, A reaches B only through its edge context C, so this
-        is I(C; B), from s^R·s^L cells (capped as such) in place of the
-        s^(2L) of ``joint_gap_distribution``, which order 0 and L < R
-        read.  B keeps its length and the gap is still bridged by T^g."""
-        R = self.order
-        if not R or L < R:
-            return mutual_information(self.joint_gap_distribution(L, g))
-        if g < 0:
+        """I(A; B) in bits of two length-L blocks g symbols apart.  A
+        reaches B only through its last min(L, R) symbols, the tail
+        c[max(R − L, 0):] of its edge context c, weighted q·π(c); B is
+        the first L symbols of a word entered at each context that
+        (d·T)^(g+R) bridges c to.  That is s^R·s^max(L, R) cells, capped
+        as such, where ``joint_gap_distribution`` has s^(2L) pairs; an
+        order-0 cell has one left key, so it is exactly 0."""
+        if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        _check_cap(len(self.alphabet), R + L)
-        ctx = self._context_weights()
-        right = self._right_laws(L, g, ctx)
-        pairs = {(c, b): p * q for c, p in ctx.items()
-                 for b, q in right[c].items()}
+        R = self.order
+        _check_cap(len(self.alphabet), R + max(L, R))
+        bridges = self._gap_matrix(g + R).tolist()
+        right = [(self._cindex[w[:R]], w[:L], q) for w, q in self._extend(
+            dict.fromkeys(self.contexts, 1), max(L - R, 0)).items()]
+        cells: dict = {}
+        for c, p in self._context_weights().items():
+            a = c[max(R - L, 0):]
+            row = [p * x for x in bridges[self._cindex[c]]]
+            for cj, b, q in right:
+                if row[cj]:
+                    key = (a, b)
+                    cells[key] = cells.get(key, 0) + row[cj] * q
         return mutual_information(JointBlockDistribution._trusted(
-            self.alphabet, R, g, L, pairs, self._denominator(g + L)))
+            self.alphabet, min(L, R), g, L, cells,
+            self._denominator(g + max(L, R))))
 
     def closed_forms(self) -> ClosedForms:
         """h = Σ_c π(c)·H(P(·|c)), E = H(π) − R·h and C± (the entropies

@@ -354,6 +354,9 @@ def test_reconstruct_argument_validation():
         reconstruct(gm, 1, 0)
     with pytest.raises(ValueError):
         reconstruct(gm, 1, 2, tol=-1e-3)
+    # refused before the 2**28-word window is built
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        reconstruct(gm, 14, 14, tol=-1e-3)
 
 
 def test_machine_is_immutable():

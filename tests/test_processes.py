@@ -464,7 +464,8 @@ def test_gap_grid_builds_one_power_per_gap(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_power", counted)
     grid = gap_mi_grid(ternary_r2(), (2, 3, 4), (8, 16, 32))
     assert len(grid.values) == 9
-    assert sorted(built) == [8, 16, 32]
+    # each cell bridges the gap and the R = 2 symbols that follow it
+    assert sorted(built) == [10, 18, 34]
 
 
 def decimal_mi(j, prec: int = 50) -> Decimal:
@@ -758,6 +759,65 @@ def test_gap_cell_cap_counts_the_edge_context_and_the_right_block():
         m.gap_mutual_information(26, 3)
     assert m.gap_mutual_information(14, 3) \
         == mutual_information(joint_gap_distribution(m, 1, 3))
+
+
+def test_chain_gap_cells_build_no_oracle_table(monkeypatch):
+    # every order and every L < R or L >= R on the one bridge route
+    chains = [(IidProcess.from_probs((F(1, 2), F(1, 2))), (1, 2, 3)),
+              (IidProcess.from_probs((0.2, 0.3, 0.5)), (1, 2, 3)),
+              (goldenmean(), (1, 2, 3)),
+              (table1_r2(), (1, 2, 3, 4)),
+              (ternary_r2(), (1, 2, 3)),
+              (IsingChainProcess(J=1.0, h=0.3, beta=0.7), (1, 2, 3))]
+    gs = (0, 1, 5, 40)
+    want = [{(L, g): mutual_information(joint_gap_distribution(m, L, g))
+             for L in Ls for g in gs} for m, Ls in chains]
+
+    def refuse(*args):
+        raise AssertionError("an oracle table was built")
+
+    for cls in (MarkovProcess, IidProcess):
+        monkeypatch.setattr(cls, "joint_gap_distribution", refuse)
+    monkeypatch.setattr(MarkovProcess, "block_distribution", refuse)
+    for (m, Ls), cells in zip(chains, want):
+        for (L, g), w in cells.items():
+            got = m.gap_mutual_information(L, g)
+            if isinstance(got, float) or isinstance(w, float):
+                assert abs(got - float(w)) <= 1e-12, (m, L, g)
+            else:
+                assert got == w, (m, L, g)
+
+
+def test_float_iid_gap_cells_are_exactly_zero():
+    m = IidProcess.from_probs((0.1,) * 10)
+    assert {m.gap_mutual_information(L, g)
+            for L in (1, 2, 3) for g in (0, 4, 1000)} == {0.0}
+
+
+def test_gap_powers_past_the_kept_count_are_dropped():
+    m = ternary_r2()
+    gs = range(40)
+    grid = gap_mi_grid(m, (2, 3), gs)
+    assert len(m._powers) == processes.GAP_POWERS_KEPT
+    for (L, g), v in grid.values.items():
+        assert v == ternary_r2().gap_mutual_information(L, g)
+
+
+@pytest.mark.parametrize("L", [27, 40, 100])
+def test_golden_mean_block_entropy_past_the_word_cap(L):
+    # 2**L words, but a handful of (edge context, weight) classes
+    m = goldenmean()
+    cf = closed_forms(m)
+    assert m.block_entropies([L]) == [cf.excess_entropy + L * cf.entropy_rate]
+
+
+def test_block_entropy_classes_are_capped(monkeypatch):
+    monkeypatch.setattr(processes, "WINDOW_STATE_CAP", 64)
+    # golden-mean classes grow by one per length: 33 of them at length
+    # 33 could become 66
+    assert len(goldenmean().block_entropies(range(1, 34))) == 33
+    with pytest.raises(WindowCapError, match="grows 33 .* classes"):
+        goldenmean().block_entropies([34])
 
 
 def test_markov_sample_starts_stationary():
