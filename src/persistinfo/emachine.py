@@ -9,6 +9,13 @@ unifilar presentation.  The state entropy is the statistical
 complexity C_P, and the mutual information between forward states and
 the states of the time-reversed process is the excess entropy E,
 giving the decomposition C_P = E + H(S+|S-).
+
+A ``MarkovProcess`` of order k <= R is read by edge context, since a
+length-R history has the future law of its last k symbols: histories
+from the length-R block table, one length-F future table per edge
+context, and the joint state law from the blocks of length 2k.  Any
+other model, and a chain at R < k, is read from its length-(R+F) word
+window, which on a chain serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .infocore import (
     _entropy_of_table,
     _exact_str,
 )
-from .processes import reversed_model
+from .processes import MarkovProcess, _check_cap, reversed_model
 
 __all__ = [
     "EpsilonMachine",
@@ -140,53 +147,42 @@ def reconstruct(model, history_length: int, future_length: int,
         raise ValueError("need history_length >= 1 and future_length >= 1")
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
-    win = model.block_distribution(R + F)
+    if isinstance(model, MarkovProcess) and R >= model.order:
+        blocks, hist, k, futures, sym, scale = _chain_laws(model, R, F)
+    else:
+        blocks, hist, k, futures, sym, scale = _window_laws(model, R, F)
+    exact = blocks.exact
     if tol is None:
-        tol = 0.0 if win.exact else 1e-12
-    alphabet = win.alphabet
-    exact = win.exact
+        tol = 0.0 if exact else 1e-12
+    alphabet = blocks.alphabet
 
-    # per history: its total weight and the weights of its futures
-    hist: dict = {}
-    futures: dict = {}
-    for w, p in win.weights.items():
-        if p == 0:
-            continue
-        d = w[:R]
-        hist[d] = hist.get(d, 0) + p
-        futures.setdefault(d, {})[w[R:]] = p
-
+    # a history's future law is that of its last k symbols
     histories = sorted(hist)
     if exact and tol == 0:
+        keys = {c: _future_law_key(table) for c, table in futures.items()}
         groups: dict = {}
         for d in histories:
-            groups.setdefault(_future_law_key(futures[d]), []).append(d)
+            groups.setdefault(keys[d[R - k:]], []).append(d)
         classes = list(groups.values())
     else:
-        cond = {d: {f: p / hist[d] for f, p in futures[d].items()}
-                for d in histories}
+        cond = {}
+        for c, table in futures.items():
+            total = sum(table.values())
+            cond[c] = {f: p / total for f, p in table.items()}
         classes, reps = [], []
         for d in histories:
-            for k, rep in enumerate(reps):
-                if _tv(cond[d], rep) <= tol:
-                    classes[k].append(d)
+            law = cond[d[R - k:]]
+            for i, rep in enumerate(reps):
+                if _tv(law, rep) <= tol:
+                    classes[i].append(d)
                     break
             else:
                 classes.append([d])
-                reps.append(cond[d])
+                reps.append(law)
     classes.sort(key=lambda c: c[0])
     states = tuple(tuple(c) for c in classes)
     index = {d: i for i, c in enumerate(classes) for d in c}
     state_weights = [sum(hist[d] for d in c) for c in classes]
-
-    # one-step symbol weights per history, divided by the state mass
-    # once per transition
-    sym: dict = {}
-    for d, table in futures.items():
-        row = [0] * len(alphabet)
-        for f, p in table.items():
-            row[f[0]] += p
-        sym[d] = row
 
     transitions: dict = {}
     for i, cls in enumerate(states):
@@ -212,12 +208,12 @@ def reconstruct(model, history_length: int, future_length: int,
                     f"emits '{alphabet.symbols[a]}' into states "
                     f"{sorted(targets)}; increase history_length or "
                     f"future_length")
-            mass = state_weights[i]
+            mass = state_weights[i] * scale
             transitions[(i, a)] = (targets.pop(), Fraction(num, mass)
                                    if exact else num / mass)
 
     if exact:
-        state_probs = tuple(Fraction(w, win.denominator)
+        state_probs = tuple(Fraction(w, blocks.denominator)
                             for w in state_weights)
     else:
         state_probs = tuple(state_weights)
@@ -227,13 +223,54 @@ def reconstruct(model, history_length: int, future_length: int,
         history_length=R,
         future_length=F,
         tol=float(tol),
-        exact=win.exact,
+        exact=exact,
         states=states,
         state_probs=state_probs,
         transitions=transitions,
-        complexity=_entropy_of_table(state_weights, win.denominator),
+        complexity=_entropy_of_table(state_weights, blocks.denominator),
         history_index=index,
     )
+
+
+def _window_laws(model, R: int, F: int) -> tuple:
+    """What ``reconstruct`` reads, off the length-(R+F) window: the
+    table that fixes the denominator of the history weights, the
+    weights of the length-R histories, the k whose last k history
+    symbols key a future table (here all R), those future tables, each
+    history's weights of its next symbol, and the factor (here 1)
+    that puts a history weight over the denominator of those."""
+    win = model.block_distribution(R + F)
+    hist: dict = {}
+    futures: dict = {}
+    sym: dict = {}
+    for w, p in win.weights.items():
+        if p == 0:
+            continue
+        d = w[:R]
+        hist[d] = hist.get(d, 0) + p
+        futures.setdefault(d, {})[w[R:]] = p
+        sym.setdefault(d, [0] * len(win.alphabet))[w[R]] += p
+    return win, hist, R, futures, sym, 1
+
+
+def _chain_laws(model, R: int, F: int) -> tuple:
+    """The same for a chain of order k <= R, whose length-R history has
+    the future law of its edge context: the length-R block table, one
+    future table per edge context, and each history's weight times the
+    row weights d·P of its context, which carry the row denominator d
+    beyond the block's."""
+    k = model.order
+    _check_cap(len(model.alphabet), F)
+    blocks = model.block_distribution(R)
+    hist = {d: p for d, p in blocks.weights.items() if p != 0}
+    futures, rows = {}, {}
+    for c in {d[R - k:] for d in hist}:
+        futures[c] = {w[k:]: p for w, p in model._extend({c: 1}, F).items()}
+        rows[c] = [0] * len(model.alphabet)
+        for (a,), w in model._edges[c]:
+            rows[c][a] = w
+    sym = {d: [p * w for w in rows[d[R - k:]]] for d, p in hist.items()}
+    return blocks, hist, k, futures, sym, model._d
 
 
 def _future_law_key(table: dict) -> tuple:
@@ -265,18 +302,43 @@ def _validate(states, state_probs, transitions) -> None:
 def _state_joint(forward: EpsilonMachine, reverse: EpsilonMachine,
                  model) -> tuple:
     """Joint law of (forward state of the past, reverse state of the
-    future) across one instant, from a window of combined length, as
-    weights over the window's denominator (None on floats)."""
+    future) across one instant, as weights over their denominator (None
+    on floats).  On a chain of order k at most both history lengths,
+    the forward state is read from the edge context c before the
+    instant and the reverse state from the reversed k symbols e after
+    it, weighted by the law of the block c·e; otherwise from the window
+    of length Rf + Rr."""
     Rf, Rr = forward.history_length, reverse.history_length
-    win = model.block_distribution(Rf + Rr)
+    if isinstance(model, MarkovProcess) and min(Rf, Rr) >= model.order:
+        k = model.order
+        fwd, rev = _context_states(forward, k), _context_states(reverse, k)
+        table = model._extend(model._context_weights(), k)
+        denominator = model._denominator(k)
+    else:
+        k, fwd, rev = Rf, forward.history_index, reverse.history_index
+        win = model.block_distribution(Rf + Rr)
+        table, denominator = win.weights, win.denominator
     joint: dict = {}
-    for w, p in win.weights.items():
+    for w, p in table.items():
         if p == 0:
             continue
-        i = forward.history_index[w[:Rf]]
-        j = reverse.history_index[tuple(reversed(w[Rf:]))]
-        joint[(i, j)] = joint.get((i, j), 0) + p
-    return joint, win.denominator
+        key = (fwd[w[:k]], rev[tuple(reversed(w[k:]))])
+        joint[key] = joint.get(key, 0) + p
+    return joint, denominator
+
+
+def _context_states(machine: EpsilonMachine, k: int) -> dict:
+    """The state of each edge context, the last k symbols of the
+    machine's histories; refuses a context split across two states."""
+    states: dict = {}
+    for h, i in machine.history_index.items():
+        c = h[len(h) - k:]
+        if states.setdefault(c, i) != i:
+            raise ValueError(
+                f"edge context '{machine.alphabet.decode(c)}' lies in "
+                f"states {states[c]} and {i}; the machine does not "
+                f"describe this order-{k} chain")
+    return states
 
 
 def _joint_entropies(joint: dict, denominator):

@@ -48,6 +48,7 @@ from .infocore import (
     WINDOW_STATE_CAP,
     Alphabet,
     BlockDistribution,
+    ExactBits,
     JointBlockDistribution,
     Scalar,
     WindowCapError,
@@ -391,8 +392,11 @@ class MarkovProcess:
             if exact and not all(isinstance(x, Fraction) for x in pi):
                 raise ValueError("stationary vector of a chain with rational "
                                  "rows must be rational, not float")
-            # flow = pi·(d·T), to be compared with d·pi
-            flow = [sum(pi[i] * T[i, j] for i in range(m)) for j in range(m)]
+            # flow = pi·(d·T) over the moves, to be compared with d·pi
+            flow = [0] * m
+            for ci, row in enumerate(moves):
+                for cj, w in row:
+                    flow[cj] += pi[ci] * w
             if not all(_agrees(flow[j], d * pi[j], 1e-9) for j in range(m)):
                 raise ValueError("supplied stationary vector is not stationary")
         elif exact:
@@ -564,11 +568,13 @@ class MarkovProcess:
         the first L symbols of a word entered at each context that
         (d·T)^(g+R) bridges c to.  That is s^R·s^max(L, R) cells, capped
         as such, where ``joint_gap_distribution`` has s^(2L) pairs; an
-        order-0 cell has one left key, so it is exactly 0."""
+        order-0 cell would have one left key, so it is 0 with no bridge."""
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
         R = self.order
         _check_cap(len(self.alphabet), R + max(L, R))
+        if R == 0:
+            return ExactBits(0) if self.exact else 0.0
         bridges = self._gap_matrix(g + R).tolist()
         right = [(self._cindex[w[:R]], w[:L], q) for w, q in self._extend(
             dict.fromkeys(self.contexts, 1), max(L - R, 0)).items()]

@@ -24,6 +24,23 @@ def geometric_decay_rate(points: Sequence) -> float:
     return math.exp(slope)
 
 
+class WindowOracle:
+    """A model seen through its block tables alone, so that
+    ``emachine`` reads its causal states and state joint from word
+    windows of length R + F and Rf + Rr, as on a process of no known
+    order."""
+
+    def __init__(self, model):
+        self._model = model
+
+    @property
+    def alphabet(self):
+        return self._model.alphabet
+
+    def block_distribution(self, L: int):
+        return self._model.block_distribution(L)
+
+
 # ── closed forms of a Markov chain read from its block tables ─────────
 
 

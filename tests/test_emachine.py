@@ -12,6 +12,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from oracles import WindowOracle
 
 from persistinfo.emachine import (
     EpsilonMachine,
@@ -363,3 +366,127 @@ def test_machine_is_immutable():
     m = reconstruct(goldenmean(), 1, 2)
     with pytest.raises((AttributeError, TypeError)):
         m.complexity = 0
+
+
+# ── chains read by edge context, against the window oracle ───────────────────
+
+
+@st.composite
+def chain_horizons(draw):
+    """A random rational chain of order <= 2 over <= 3 symbols, row
+    weights 1-9, with R from its order to order + 2 and F from 1 to 3."""
+    s = draw(st.integers(2, 3))
+    order = draw(st.integers(0, 2))
+    kernel = {}
+    for i in range(s ** order):
+        c = tuple(i // s ** k % s for k in reversed(range(order)))
+        w = draw(st.lists(st.integers(1, 9), min_size=s, max_size=s))
+        kernel[c] = tuple(F(x, sum(w)) for x in w)
+    m = MarkovProcess(Alphabet("abc"[:s]), order, kernel)
+    R = draw(st.integers(max(order, 1), order + 2))
+    return m, R, draw(st.integers(1, 3))
+
+
+def machine_or_refusal(model, R, F_len):
+    try:
+        return reconstruct(model, R, F_len)
+    except NonUnifilarError:
+        return None
+
+
+def assert_same_machine(got, want, exact=True):
+    assert got.states == want.states
+    assert got.history_index == want.history_index
+    assert got.exact == want.exact and got.tol == want.tol
+    assert got.transitions.keys() == want.transitions.keys()
+    if exact:
+        assert got.state_probs == want.state_probs
+        assert got.transitions == want.transitions
+        assert got.complexity == want.complexity
+        return
+    assert got.state_probs == pytest.approx(want.state_probs, abs=1e-12)
+    for key, (j, p) in want.transitions.items():
+        assert got.transitions[key][0] == j
+        assert got.transitions[key][1] == pytest.approx(p, abs=1e-12)
+    assert got.complexity == pytest.approx(want.complexity, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=chain_horizons())
+def test_chain_machines_match_window_oracle(case):
+    m, R, F_len = case
+    asked = []
+    block_distribution = MarkovProcess.block_distribution
+
+    def counted(self, L):
+        asked.append(L)
+        return block_distribution(self, L)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MarkovProcess, "block_distribution", counted)
+        got = machine_or_refusal(m, R, F_len)
+    # the chain route builds no word table longer than the history
+    assert asked and max(asked) <= R
+    want = machine_or_refusal(WindowOracle(m), R, F_len)
+    assert (got is None) == (want is None)
+    if got is None:
+        event("non-unifilar on both routes")
+        return
+    assert_same_machine(got, want)
+    back = reversed_model(m)
+    rev = machine_or_refusal(back, R, F_len)
+    rev_want = machine_or_refusal(WindowOracle(back), R, F_len)
+    assert (rev is None) == (rev_want is None)
+    if rev is None:
+        event("reverse non-unifilar on both routes")
+        return
+    assert_same_machine(rev, rev_want)
+    assert complexity_decomposition(got, rev, m) == complexity_decomposition(
+        want, rev_want, WindowOracle(m))
+
+    floats = MarkovProcess(m.alphabet, m.order, {
+        c: tuple(float(x) for x in row) for c, row in m.kernel.items()})
+    got = machine_or_refusal(floats, R, F_len)
+    want = machine_or_refusal(WindowOracle(floats), R, F_len)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert_same_machine(got, want, exact=False)
+
+
+def test_ising_chain_machine_matches_window_oracle():
+    chain = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
+    back = reversed_model(chain)
+    for R, F_len in ((1, 1), (1, 3), (2, 2), (3, 1)):
+        fwd, rev = reconstruct(chain, R, F_len), reconstruct(back, R, F_len)
+        fwd_want = reconstruct(WindowOracle(chain), R, F_len)
+        rev_want = reconstruct(WindowOracle(back), R, F_len)
+        assert_same_machine(fwd, fwd_want, exact=False)
+        assert_same_machine(rev, rev_want, exact=False)
+        got = complexity_decomposition(fwd, rev, chain)
+        want = complexity_decomposition(fwd_want, rev_want,
+                                        WindowOracle(chain))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_r2_machines_at_horizon_10_match_closed_forms():
+    # 2**20-word windows on the window route; 2**10 histories and four
+    # future tables of 2**10 words here
+    chain = MarkovProcess.from_rows({
+        "00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
+        "10": (F(3, 5), F(2, 5)), "11": (F(1, 4), F(3, 4))})
+    fwd = reconstruct(chain, 10, 10)
+    rev = reconstruct(reversed_model(chain), 10, 10)
+    cf = closed_forms(chain)
+    assert fwd.complexity == cf.complexity_plus
+    assert rev.complexity == cf.complexity_minus
+    E, _h_fr, _h_rf = complexity_decomposition(fwd, rev, chain)
+    assert E == cf.excess_entropy
+
+
+def test_state_joint_refuses_a_context_split_across_states():
+    # the order-2 machine splits the last symbol '0' between {00}, {10}
+    r2 = reconstruct(markov_r2_uniform(), 2, 2)
+    gm = goldenmean()
+    rev = reconstruct(reversed_model(gm), 2, 2)
+    with pytest.raises(ValueError, match="edge context '0' lies in states"):
+        complexity_decomposition(r2, rev, gm)

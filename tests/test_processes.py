@@ -261,6 +261,23 @@ def test_rational_chain_rejects_float_stationary_vector():
         MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(1, 2), F(1, 2)])
 
 
+def test_order2_chain_rejects_wrong_stationary_vector():
+    m = table1_r2()
+    kernel = {c: m.kernel[c] for c in m.contexts}
+    assert MarkovProcess(m.alphabet, 2, kernel,
+                         stationary=m.stationary).stationary == m.stationary
+    # each context's mass moved to its neighbour: still a law, not stationary
+    shifted = m.stationary[1:] + m.stationary[:1]
+    with pytest.raises(ValueError, match="supplied stationary vector is not "
+                                         "stationary"):
+        MarkovProcess(m.alphabet, 2, kernel, stationary=shifted)
+    floats = MarkovProcess(m.alphabet, 2, {c: tuple(float(x) for x in row)
+                                           for c, row in kernel.items()})
+    with pytest.raises(ValueError, match="not stationary"):
+        MarkovProcess(m.alphabet, 2, floats.kernel,
+                      stationary=[float(x) for x in shifted])
+
+
 @pytest.mark.parametrize("rows, period", [
     ({"0": (0, 0, F(1, 2), F(1, 2)), "1": (0, 0, F(1, 4), F(3, 4)),
       "2": (F(1, 3), F(2, 3), 0, 0), "3": (F(1, 5), F(4, 5), 0, 0)}, 2),
@@ -792,6 +809,16 @@ def test_float_iid_gap_cells_are_exactly_zero():
     m = IidProcess.from_probs((0.1,) * 10)
     assert {m.gap_mutual_information(L, g)
             for L in (1, 2, 3) for g in (0, 4, 1000)} == {0.0}
+
+
+def test_order0_gap_cells_build_no_bridge():
+    for m, zero in ((IidProcess.from_probs((F(1, 2), F(1, 3), F(1, 6))),
+                     ExactBits(0)),
+                    (IidProcess.from_probs((0.2, 0.3, 0.5)), 0.0)):
+        for L, g in ((1, 1000), (3, 10 ** 6)):
+            got = m.gap_mutual_information(L, g)
+            assert type(got) is type(zero) and got == zero
+        assert m._powers == {}
 
 
 def test_gap_powers_past_the_kept_count_are_dropped():
