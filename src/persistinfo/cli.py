@@ -208,9 +208,6 @@ def _build_model(doc: dict, exact: bool):
         if burnin.denominator != 1 or burnin < 0:
             raise ValueError("logistic model field 'burnin' must be a whole "
                              f"number >= 0, not {doc['burnin']}")
-        if exact:
-            raise ValueError("the logistic map has no rational structure; "
-                             "use --backend float")
         return LogisticSymbolizer(r=r, x0=x0, burnin=int(burnin))
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -370,6 +367,9 @@ def _source(cfg: argparse.Namespace):
                              "sequence is counted as it is")
         return _load_sequence(cfg.seq)
     model = _load_model(cfg.model, cfg.backend or "exact")
+    if isinstance(model, LogisticSymbolizer):
+        raise ValueError("the logistic map has no exact law; write a sample "
+                         "with 'persistinfo sample' and read it with --seq")
     if cfg.backend == "float" and isinstance(
             model, (PeriodicProcess, SubstitutionProcess)):
         raise ValueError("--backend float does not apply to periodic and "

@@ -808,7 +808,8 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
         return _char_codes(points, alphabet)
     arr = np.asarray(seq)
     if arr.ndim != 1:
-        raise ValueError("sequence must be one-dimensional")
+        raise ValueError("sequence must be one-dimensional, not a "
+                         f"{arr.ndim}-dimensional {type(seq).__name__}")
     if arr.dtype.kind not in "biu":
         with np.errstate(invalid="ignore"):
             ints = arr.astype(np.int64)

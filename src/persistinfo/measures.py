@@ -1,11 +1,12 @@
 """Complexity measures over block statistics.
 
-This layer turns block and joint-block laws (exact model laws or
-plug-in estimates from a sequence) into the derived quantities: block
-entropy curves with entropy-rate and excess-entropy estimates, the
-grid of block mutual informations at growing time gaps, a convergence
-verdict for the persistent mutual information, and prediction
-efficiency.
+This layer turns block entropies and gap informations into the derived
+quantities: block entropy curves with entropy-rate and excess-entropy
+estimates, the grid of block mutual informations at growing time gaps,
+a convergence verdict for the persistent mutual information, and
+prediction efficiency.  A source answers ``block_entropies(Ls)`` and
+``gap_mutual_information(L, g)``: a model of ``processes`` or an
+:class:`EmpiricalSource`; anything else is read as a sequence.
 
 The gap grid takes the double limit in the iterated order: inner in
 the gap g, outer in the block length L.  A verdict of "converged"
@@ -37,11 +38,8 @@ from .infocore import (
     _fmt,
     _grow_codes,
     empirical_block_distribution,
-    mutual_information,
-    shannon_entropy,
     window_codes,
 )
-from .processes import MarkovProcess
 
 __all__ = [
     "UndersampledError",
@@ -294,19 +292,9 @@ def _refuse_undersampled(distinct: int, m: int) -> None:
 
 
 def _as_source(source):
-    if hasattr(source, "block_distribution") \
-            and hasattr(source, "joint_gap_distribution"):
+    if hasattr(source, "gap_mutual_information"):
         return source
     return EmpiricalSource(source)
-
-
-def _block_entropies(src, Ls: Sequence[int]) -> list:
-    """H(L) of a source for each length of Ls: an observed sequence is
-    counted once, a Markov chain grows one layer of (edge context,
-    weight) classes, and any other model builds one table per length."""
-    if isinstance(src, (EmpiricalSource, MarkovProcess)):
-        return src.block_entropies(Ls)
-    return [shannon_entropy(src.block_distribution(L)) for L in Ls]
 
 
 def _all_exact(values) -> bool:
@@ -367,7 +355,7 @@ def entropy_curve(source, L_max: int) -> EntropyCurve:
     """Block entropy curve of a model or an observed sequence."""
     if L_max < 1:
         raise ValueError("L_max must be >= 1")
-    H = _block_entropies(_as_source(source), range(1, L_max + 1))
+    H = _as_source(source).block_entropies(range(1, L_max + 1))
     dH = [H[0]] + [H[i] - H[i - 1] for i in range(1, L_max)]
     h_hat = dH[-1]
     E_hat = H[-1] - h_hat * L_max
@@ -381,7 +369,7 @@ def excess_entropy_finite(source, L: int) -> Scalar:
     computed as 2 H(L) - H(2L)."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    hL, h2L = _block_entropies(_as_source(source), (L, 2 * L))
+    hL, h2L = _as_source(source).block_entropies((L, 2 * L))
     return hL * 2 - h2L
 
 
@@ -449,14 +437,11 @@ def gap_mi_grid(source, L_grid: Sequence[int],
     if isinstance(src, EmpiricalSource):
         values, missing = src.gap_mutual_informations(Ls, gs)
     else:
-        cell = (src.gap_mutual_information if isinstance(src, MarkovProcess)
-                else lambda L, g: mutual_information(
-                    src.joint_gap_distribution(L, g)))
         values, missing = {}, {}
         for L in Ls:
             for g in gs:
                 try:
-                    values[(L, g)] = cell(L, g)
+                    values[(L, g)] = src.gap_mutual_information(L, g)
                 except (WindowCapError, UndersampledError) as e:
                     missing[(L, g)] = str(e)
     return GapMIGrid(L_grid=Ls, g_grid=gs, values=values, missing=missing,

@@ -1,10 +1,13 @@
 """Stationary symbolic process models with exact block statistics.
 
-Every model exposes the same small surface: the stationary law of
-length-L blocks, the joint law of two length-L blocks separated by a
-gap of g unseen symbols, closed-form complexity quantities where the
-model class has them, and a seeded sampler.  Module-level functions
-dispatch to the model methods so callers need not care about the class.
+Every exact model answers the two questions of the measures,
+``block_entropies(Ls)`` and ``gap_mutual_information(L, g)`` (two
+length-L blocks g unseen symbols apart): a Markov chain from its rows
+and stationary law, with no word table; a periodic cycle and a
+substitution fixed point from their own ``block_distribution`` and
+``joint_gap_distribution`` (``_TableLaws``).  Models add closed forms
+where their class has them and a seeded sampler; the logistic map is
+sample-only.  Module-level functions call the method of their name.
 
 Rational model parameters give exact distributions end to end: each
 table holds integer weights over one denominator D, built from
@@ -58,6 +61,7 @@ from .infocore import (
     _agrees,
     _code_dtype,
     _distinct_rows,
+    _entropy_of_p,
     _entropy_of_weights,
     _ranks,
     _rational_weights,
@@ -131,8 +135,18 @@ class ClosedForms:
 # ── periodic ────────────────────────────────────────────────────────
 
 
+class _TableLaws:
+    """H(L) and I(L, g) read from the model's own word tables."""
+
+    def block_entropies(self, Ls: Sequence[int]) -> list:
+        return [shannon_entropy(self.block_distribution(L)) for L in Ls]
+
+    def gap_mutual_information(self, L: int, g: int) -> Scalar:
+        return mutual_information(self.joint_gap_distribution(L, g))
+
+
 @dataclass(frozen=True)
-class PeriodicProcess:
+class PeriodicProcess(_TableLaws):
     """Uniformly random phase on a fixed cycle whose rotations are all
     distinct (so the stated period is the true one)."""
 
@@ -497,9 +511,10 @@ class MarkovProcess:
         """H(L) in bits for each length of Ls.  Words of length L >= R
         continue by their edge context alone, so one layer of classes
         (edge context, weight) → number of words grows from the context
-        weights at length R; each H(L) reads the weights' counts.  L < R,
-        and an exact H(L) that is not smooth, read the block table; a layer
-        is refused before it could outgrow WINDOW_STATE_CAP classes."""
+        weights at length R; each H(L) reads the weights' counts, in
+        float where an exact H(L) is not smooth.  L < R reads the block
+        table; a layer is refused before it could outgrow WINDOW_STATE_CAP
+        classes."""
         if min(Ls) < 1:
             raise ValueError("block length must be >= 1")
         R, s = self.order, len(self.alphabet)
@@ -523,10 +538,15 @@ class MarkovProcess:
             counts: dict = {}
             for (_, w), k in layer.items():
                 counts[w] = counts.get(w, 0) + k
+            D = self._denominator(L - R)
             try:
-                H[L] = _entropy_of_weights(counts, self._denominator(L - R))
+                H[L] = _entropy_of_weights(counts, D)
             except _NotSmooth:
-                H[L] = shannon_entropy(self.block_distribution(L))
+                # int / int rounds correctly; arrays keep the multiplicity
+                # of two weights that round to one float
+                H[L] = _entropy_of_p(
+                    np.array([w / D for w in counts], dtype=np.float64),
+                    np.array(list(counts.values()), dtype=np.float64))
         return [H[L] for L in Ls]
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
@@ -844,7 +864,7 @@ class LogisticSymbolizer:
     x <= 1/2, else 1, after a deterministic burn-in.
 
     Purely deterministic given (r, x0); the sampler ignores its seed.
-    No exact distributions are available.
+    Sample-only: it has no exact law.
     """
 
     r: float
@@ -863,19 +883,6 @@ class LogisticSymbolizer:
     def alphabet(self) -> Alphabet:
         return Alphabet("01")
 
-    def block_distribution(self, L: int) -> BlockDistribution:
-        raise ClosedFormUnavailable(
-            "logistic symbol sequences have no exact block law; sample"
-            " and use the empirical estimators")
-
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        raise ClosedFormUnavailable(
-            "logistic symbol sequences have no exact joint law")
-
-    def closed_forms(self) -> ClosedForms:
-        raise ClosedFormUnavailable(
-            "no closed-form complexity quantities for the logistic map")
-
     def sample(self, n: int, rng=None) -> np.ndarray:
         x = self.x0
         r = self.r
@@ -887,9 +894,6 @@ class LogisticSymbolizer:
             x = r * x * (1 - x)
         return out
 
-    def reversed(self):
-        raise ClosedFormUnavailable("logistic symbolization is not reversible")
-
 
 # ── substitution fixed points ───────────────────────────────────────
 
@@ -898,7 +902,7 @@ _PARITY_RULES = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
-class SubstitutionProcess:
+class SubstitutionProcess(_TableLaws):
     """Uniquely ergodic process of a primitive substitution fixed
     point; block laws are the exact factor frequencies.  Windows are
     capped on the letters of the pair-image windows they are read from

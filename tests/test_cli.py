@@ -247,7 +247,8 @@ def test_entropy_unknown_kind(capsys):
     ({"kind": "logistic", "r": 3.5, "burnin": "x"},
      "logistic model field 'burnin' must be a number, not 'x'"),
     ({"kind": "logistic", "r": 3.5},
-     "the logistic map has no rational structure; use --backend float"),
+     "the logistic map has no exact law; write a sample with"
+     " 'persistinfo sample' and read it with --seq"),
 ])
 def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
     # inline, and from a file
@@ -306,6 +307,19 @@ def test_burnin_reads_numeric_strings(capsys):
                 "--n", "40")
             for b in ("1e3", 1000, 1000.0)]
     assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("backend", [(), ("--backend", "float")])
+@pytest.mark.parametrize("command", [("entropy", "--Lmax", "3"), ("pmi",)])
+def test_logistic_model_is_refused_on_both_backends(capsys, backend,
+                                                    command):
+    code, out, err = run(capsys, *command, "--model",
+                         '{"kind": "logistic", "r": 3.9, "x0": 0.4}',
+                         *backend)
+    assert code == 1 and out == ""
+    assert err == ("error: the logistic map has no exact law; write a"
+                   " sample with 'persistinfo sample' and read it with"
+                   " --seq\n")
 
 
 @pytest.mark.parametrize("backend", [(), ("--backend", "float")])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persistinfo import infocore, measures
+from persistinfo import infocore, measures, processes
 from persistinfo.infocore import (
     Alphabet,
     ExactBits,
@@ -40,12 +40,14 @@ from persistinfo.measures import (
 )
 from persistinfo.processes import (
     IidProcess,
+    LogisticSymbolizer,
     MarkovProcess,
     PeriodicProcess,
     SubstitutionProcess,
+    WindowCapError,
     sample,
 )
-from persistinfo.substitution import thue_morse
+from persistinfo.substitution import fibonacci, thue_morse
 
 from oracles import geometric_decay_rate
 
@@ -216,11 +218,63 @@ def test_grid_parity_frozen_anchors():
 
 
 def test_grid_marks_capped_cells_missing():
-    g = gap_mi_grid(SubstitutionProcess(thue_morse()), [2, 3, 4], [2, 8192])
+    tm = SubstitutionProcess(thue_morse())
+    g = gap_mi_grid(tm, [2, 3, 4], [2, 8192])
     for L in (2, 3, 4):
         assert (L, 2) in g.values
         assert (L, 8192) not in g.values
         assert "cap" in g.missing[(L, 8192)]
+        # the model's own refusal, as it raised it
+        with pytest.raises(WindowCapError) as refused:
+            tm.gap_mutual_information(L, 8192)
+        assert g.missing[(L, 8192)] == str(refused.value)
+
+
+class _SurfaceOnly:
+    """A model with the two questions of the surface and nothing else:
+    the golden mean's answers, read from its chain."""
+
+    def __init__(self):
+        self.chain = goldenmean()
+        self.alphabet = self.chain.alphabet
+
+    def block_entropies(self, Ls):
+        return self.chain.block_entropies(Ls)
+
+    def gap_mutual_information(self, L, g):
+        return self.chain.gap_mutual_information(L, g)
+
+
+def test_any_model_with_the_two_methods_is_a_source():
+    m, chain = _SurfaceOnly(), goldenmean()
+    assert entropy_curve(m, 6) == entropy_curve(chain, 6)
+    assert excess_entropy_finite(m, 3) == excess_entropy_finite(chain, 3)
+    grid = gap_mi_grid(m, (1, 2, 3), (0, 4, 8))
+    assert grid == gap_mi_grid(chain, (1, 2, 3), (0, 4, 8))
+    assert grid.exact and not grid.empirical
+
+
+def test_sample_only_model_is_refused_as_a_sequence_naming_its_class():
+    with pytest.raises(ValueError, match="0-dimensional LogisticSymbolizer"):
+        entropy_curve(LogisticSymbolizer(r=3.9, x0=0.4), 3)
+
+
+@pytest.mark.parametrize("model", [
+    PeriodicProcess.from_string("00111"),
+    SubstitutionProcess(thue_morse()),
+    SubstitutionProcess(fibonacci()),
+])
+def test_table_models_answer_from_their_own_tables(model):
+    Ls, gs = (1, 2, 3, 5), (0, 1, 7, 64)
+    assert model.block_entropies(Ls) == [
+        shannon_entropy(model.block_distribution(L)) for L in Ls]
+    grid = gap_mi_grid(model, Ls, gs)
+    assert not grid.missing
+    assert grid.values == {
+        (L, g): mutual_information(model.joint_gap_distribution(L, g))
+        for L in Ls for g in gs}
+    assert entropy_curve(model, 5).H == tuple(model.block_entropies(
+        range(1, 6)))
 
 
 def test_grid_undersampling_guard():
@@ -553,9 +607,11 @@ def test_empirical_measures_build_no_tables(monkeypatch):
         raise AssertionError("built a word table")
 
     monkeypatch.setattr(infocore, "decode_window_codes", no_tables)
-    for name in ("empirical_block_distribution", "shannon_entropy",
-                 "mutual_information"):
-        monkeypatch.setattr(measures, name, no_tables)
+    monkeypatch.setattr(measures, "empirical_block_distribution", no_tables)
+    # the table entropies are bound where the models read them
+    for module in (infocore, processes):
+        for name in ("shannon_entropy", "mutual_information"):
+            monkeypatch.setattr(module, name, no_tables)
     seq = sample(goldenmean(), 20_000, seed=3)
     src = EmpiricalSource(seq)
     curve = entropy_curve(src, 10)
