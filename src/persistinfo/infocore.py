@@ -190,22 +190,22 @@ def _primes_below(bound: int) -> tuple:
     return tuple(np.flatnonzero(sieve).tolist())
 
 
-def _factor_smooth(n: int, bound: int = SMOOTH_FACTOR_BOUND) -> dict:
-    """Factor n ≥ 1 by trial division by the primes below the bound;
-    raise if a cofactor above the bound survives (the value is then
-    not smooth enough for symbolic entropy and the caller falls back
-    to float)."""
+def _factor_smooth(n: int) -> dict:
+    """Factor n ≥ 1 by trial division by the primes below
+    SMOOTH_FACTOR_BOUND; raise if a cofactor above that bound survives
+    (the value is then not smooth enough for symbolic entropy and the
+    caller falls back to float)."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
-    for p in _primes_below(bound):
+    for p in _primes_below(SMOOTH_FACTOR_BOUND):
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n >= bound * bound:
+        if n >= SMOOTH_FACTOR_BOUND ** 2:
             raise _NotSmooth(n)
         out[n] = out.get(n, 0) + 1
     return out

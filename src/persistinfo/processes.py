@@ -3,9 +3,10 @@
 Every exact model answers the two questions of the measures,
 ``block_entropies(Ls)`` and ``gap_mutual_information(L, g)`` (two
 length-L blocks g unseen symbols apart): a Markov chain from its rows
-and stationary law, with no word table; a periodic cycle and a
-substitution fixed point from their own ``block_distribution`` and
-``joint_gap_distribution`` (``_TableLaws``).  Models add closed forms
+and stationary law, with no word table; a periodic cycle from its own
+``block_distribution`` and ``joint_gap_distribution`` (``_TableLaws``),
+and a substitution fixed point the first from its window weights, the
+second from its own joint tables.  Models add closed forms
 where their class has them and a seeded sampler; the logistic map is
 sample-only.  Module-level functions call the method of their name.
 
@@ -62,6 +63,7 @@ from .infocore import (
     _code_dtype,
     _distinct_rows,
     _entropy_of_p,
+    _entropy_of_table,
     _entropy_of_weights,
     _ranks,
     _rational_weights,
@@ -72,8 +74,7 @@ from .infocore import (
 )
 from .substitution import (
     Substitution,
-    _graph_period,
-    _reachability,
+    _levels,
     _window_law,
     fixed_point_array,
     shortcut_power,
@@ -236,15 +237,17 @@ def _as_weight(x):
 
 def _float_stationary(T: np.ndarray) -> np.ndarray:
     """Stationary law of a float stochastic matrix: the eigenvector of
-    T^t for the eigenvalue nearest 1, refused unless the zero pattern
-    of T has one closed class, as the rational solve refuses it."""
-    reach = _reachability((T != 0).T)  # reach[i, j]: i is reached from j
-    # one closed class exactly when some state is reached from every one
-    if not reach.all(axis=1).any():
-        raise ValueError("stationary distribution is not unique")
+    T^t for the eigenvalue nearest 1, 0 off its closed class, refused
+    unless the zero pattern of T has one, as the rational solve is."""
     vals, vecs = np.linalg.eig(T.T)
     v = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
-    v = np.clip(v / v.sum(), 0.0, None)
+    # one closed class exactly when a backward walk from the heaviest
+    # state k reaches every state; a forward walk from k is that class
+    k = int(np.argmax(np.abs(v)))
+    if len(_levels([np.flatnonzero(c).tolist() for c in T.T], k)[0]) < len(T):
+        raise ValueError("stationary distribution is not unique")
+    closed = list(_levels([np.flatnonzero(r).tolist() for r in T], k)[0])
+    v = np.clip(v / v.sum(), 0.0, None) * np.isin(np.arange(len(T)), closed)
     return v / v.sum()
 
 
@@ -635,10 +638,10 @@ class MarkovProcess:
             # E / C_P, written as H(R)/C_P − R·h/C_P so that it rounds as
             # 1 − R·h/H(R) does when no two contexts merge
             eff = float(HR) / float(C_plus) - R * float(h) / float(C_plus)
-        # the phase among the d cyclic classes of the contexts with
-        # stationary mass persists across any gap
-        live = [self._cindex[c] for c in self._context_weights()]
-        d = _graph_period(self._T[np.ix_(live, live)] != 0)
+        # the phase among the d cyclic classes of the closed class, walked
+        # from its heaviest context, persists across any gap
+        start = max(range(len(self.contexts)), key=self._pi.__getitem__)
+        d = _levels([[cj for cj, _ in row] for row in self._moves], start)[1]
         return ClosedForms(entropy_rate=h, excess_entropy=E,
                            complexity_plus=C_plus, complexity_minus=C_minus,
                            pmi=log2_of(d) if d > 1 else Fraction(0),
@@ -913,6 +916,14 @@ class SubstitutionProcess(_TableLaws):
     @property
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
+
+    def block_entropies(self, Ls: Sequence[int]) -> list:
+        """H(L) of the window weights of ``_window_law``, no word built."""
+        if any(L < 1 for L in Ls):
+            raise ValueError("block length must be >= 1")
+        subst = self.substitution
+        return [_entropy_of_table(*_window_law(
+            subst, shortcut_power(subst, L), ((0, L),))[2:]) for L in Ls]
 
     def block_distribution(self, L: int) -> BlockDistribution:
         if L < 1:

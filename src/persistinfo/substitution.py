@@ -28,7 +28,8 @@ otherwise floats from power iteration.
 
 What a substitution determines is built once per substitution and
 process (Substitution is immutable and hashable): the primitivity
-check of the letter composition matrix (_letter_perron), the pair
+check of the letter composition matrix (_letter_perron, a forward and
+a backward breadth-first walk over its nonzero entries), the pair
 frequencies with their integer weights (_pair_perron, the one Perron
 system solved), the pair factors, the factor sets, and the shortcut
 powers with their image lengths.  The images ζ^p(a) are rebuilt for
@@ -255,26 +256,31 @@ def composition_matrix(subst: Substitution) -> np.ndarray:
     return M
 
 
-def _reachability(B: np.ndarray) -> np.ndarray:
-    """Transitive closure of the digraph with edge j -> i when B[i, j]."""
-    R = B | np.eye(B.shape[0], dtype=bool)
-    while True:  # each step doubles the path length covered
-        longer = R | (R @ R)
-        if (longer == R).all():
-            return R
-        R = longer
+def _levels(succ, start: int) -> tuple:
+    """Breadth-first levels of the nodes reached from ``start`` over the
+    successor lists ``succ``, and the gcd over the edges u -> v among
+    them of level(u) + 1 − level(v): the period of the reached nodes
+    when they are strongly connected, 0 when they carry no cycle
+    (Denardo, Math. Oper. Res. 2, 1977)."""
+    level, queue, period = {start: 0}, [start], 0
+    for u in queue:  # the queue grows while it is read
+        for v in succ[u]:
+            if v in level:
+                period = math.gcd(period, level[u] + 1 - level[v])
+            else:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level, period
 
 
-def _graph_period(B: np.ndarray) -> int:
-    """gcd of cycle lengths of a strongly connected digraph (edge j -> i
-    when B[i, j]), 0 if it has none: the gcd of the lengths k <= s of
-    its closed walks, since a closed walk splits into simple cycles and
-    no simple cycle is longer than s."""
-    period, walks = 0, np.eye(B.shape[0], dtype=bool)
-    for k in range(1, B.shape[0] + 1):
-        walks = walks @ B
-        if walks.diagonal().any():
-            period = math.gcd(period, k)
+def _irreducible_period(B: np.ndarray) -> int:
+    """Period of the digraph with edge i -> j when B[i, j]; raises
+    ReducibleMatrixError unless a forward and a backward walk from
+    node 0 both reach every node."""
+    forward, period = _levels([np.flatnonzero(r).tolist() for r in B], 0)
+    backward, _ = _levels([np.flatnonzero(c).tolist() for c in B.T], 0)
+    if len(forward) < len(B) or len(backward) < len(B):
+        raise ReducibleMatrixError("composition matrix is reducible")
     return period
 
 
@@ -299,15 +305,12 @@ def primitivity(M) -> PerronFrobeniusData:
     """Eigendata of a composition matrix; raises ReducibleMatrixError
     unless the matrix is irreducible."""
     A = np.asarray(M, dtype=np.int64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError("matrix must be square and nonempty")
     if (A < 0).any():
         raise ValueError("matrix must be nonnegative")
-    B = A > 0
-    if not _reachability(B).all():
-        raise ReducibleMatrixError("composition matrix is reducible")
     # an irreducible matrix is primitive iff it is aperiodic
-    period = _graph_period(B)
+    period = _irreducible_period(A > 0)
     theta, vec, exact = _perron_eigen(A)
     return PerronFrobeniusData(theta=theta, eigenvector=vec,
                                primitive=period == 1, period=period,
@@ -395,10 +398,7 @@ class FactorTable:
 def _letter_perron(subst: Substitution) -> None:
     """Primitivity check of the letter composition matrix, once per
     substitution, as in primitivity but with no eigenvector solved."""
-    B = composition_matrix(subst) > 0
-    if not _reachability(B).all():
-        raise ReducibleMatrixError("composition matrix is reducible")
-    if _graph_period(B) != 1:
+    if _irreducible_period(composition_matrix(subst) > 0) != 1:
         raise NonPrimitiveError("factor frequencies require primitivity")
 
 

@@ -98,3 +98,40 @@ def two_point_ising_closed_forms(J: float, h: float, beta: float):
                        complexity_plus=H1, complexity_minus=H1,
                        pmi=Fraction(0),
                        efficiency=1.0 - rate / H1 if H1 > 0 else Fraction(0))
+
+
+# ── reachability and period by boolean matrix products ───────────────
+
+
+def reachability(B: np.ndarray) -> np.ndarray:
+    """Transitive closure of the digraph with edge j -> i when B[i, j]."""
+    R = B | np.eye(B.shape[0], dtype=bool)
+    while True:  # each step doubles the path length covered
+        longer = R | (R @ R)
+        if (longer == R).all():
+            return R
+        R = longer
+
+
+def graph_period(B: np.ndarray) -> int:
+    """gcd of cycle lengths of a strongly connected digraph (edge j -> i
+    when B[i, j]), 0 if it has none: the gcd of the lengths k <= s of
+    its closed walks, since a closed walk splits into simple cycles and
+    no simple cycle is longer than s."""
+    period, walks = 0, np.eye(B.shape[0], dtype=bool)
+    for k in range(1, B.shape[0] + 1):
+        walks = walks @ B
+        if walks.diagonal().any():
+            period = math.gcd(period, k)
+    return period
+
+
+def closed_classes(T: np.ndarray) -> list:
+    """The closed classes of the zero pattern of a square matrix (move
+    i -> j when T[i, j] != 0), each a frozenset of states: a state is
+    in one when every state it reaches reaches it back."""
+    reach = reachability((T != 0).T)  # reach[i, j]: i is reached from j
+    closed = {frozenset(np.flatnonzero(reach[:, j]).tolist())
+              for j in range(len(T))
+              if (reach[:, j] <= reach[j, :]).all()}
+    return sorted(closed, key=min)

@@ -1763,3 +1763,18 @@ def test_random_binary_chain_mi_monotone_in_gap(a, b):
             for g in range(5)]
     for x, y in zip(vals, vals[1:]):
         assert y <= x + 1e-12
+
+
+@pytest.mark.parametrize("subst", [thue_morse, fibonacci], ids=["tm", "fib"])
+def test_substitution_block_entropies_build_no_word_table(subst, monkeypatch):
+    m = SubstitutionProcess(subst())
+    Ls = (1, 2, 3, 5, 64)
+    want = [shannon_entropy(m.block_distribution(L)) for L in Ls]
+
+    def no_table(self, L):
+        raise AssertionError("block_entropies built a word table")
+
+    monkeypatch.setattr(SubstitutionProcess, "block_distribution", no_table)
+    assert m.block_entropies(Ls) == want
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        m.block_entropies([2, 0])
