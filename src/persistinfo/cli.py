@@ -30,6 +30,7 @@ from .infocore import (
     _distinct_rows,
     _exact_str,
     _fmt,
+    _ranks,
 )
 from .measures import (
     EmpiricalSource,
@@ -279,6 +280,32 @@ def _comma_codes(raw: bytes, lo: int, end: int, path: str):
     """Codes and sorted labels of a comma-separated line, given as the
     UTF-8 bytes raw[lo:end].
 
+    When every label has the width w ≤ 2 bytes of the first (its
+    commas sit at w, 2w + 1, ...: their count fixes the line length,
+    and the stride-(w + 1) column from w holds only commas), each
+    label is one uint16 key built from the w strided columns, and the
+    keys are ranked (``_ranks``) in one pass: big-endian UTF-8 bytes
+    sort in Python's string order.  Any other line goes through
+    ``_comma_block_codes``, which gives the same codes and labels.
+    """
+    line = np.frombuffer(raw, dtype=np.uint8, count=end - lo, offset=lo)
+    w = raw.find(b",", lo, end) - lo
+    commas = raw.count(b",", lo, end)
+    if (0 < w <= 2 and (commas + 1) * (w + 1) - 1 == line.size
+            and (line[w::w + 1] == ord(",")).all()):
+        keys = line[0::w + 1].astype(np.uint16)
+        if w == 2:
+            keys <<= 8
+            keys |= line[1::3]
+        uniq, codes = _ranks(keys, 1 << 8 * w)
+        return codes, [key.to_bytes(w, "big").decode()
+                       for key in uniq.tolist()]
+    return _comma_block_codes(raw, lo, end, path)
+
+
+def _comma_block_codes(raw: bytes, lo: int, end: int, path: str):
+    """``_comma_codes`` of a line of labels of any widths.
+
     The line is read in blocks of about ``_BLOCK`` bytes, each ending
     just before a comma; a comma is never part of a multi-byte UTF-8
     character, so no label is split.  In a block, the tokens of each
@@ -325,7 +352,10 @@ def _comma_codes(raw: bytes, lo: int, end: int, path: str):
                 hit = pos < known.size
                 hit[hit] = known[pos[hit]] == keys[hit]
                 if not hit.all():
-                    new = np.unique(keys[~hit])
+                    # the distinct new keys, by a sort: a bare
+                    # np.unique imports numpy.ma
+                    new = np.sort(keys[~hit])
+                    new = new[np.diff(new, prepend=-1) > 0]
                     new_ids = [ids.setdefault(k.to_bytes(width, "big")
                                               .decode(), len(ids))
                                for k in new.tolist()]

@@ -100,10 +100,13 @@ FLOAT_SUM_TOL = 1e-12
 #: window codes decoded per digit array; bounds its memory
 DECODE_CHUNK = 1 << 14
 
-#: symbols a long sequence is sampled and written in at a time, bytes a
-#: comma-separated one is read in, and windows coded and counted in at a
-#: time (``processes.MarkovProcess.sample``, the writer and comma loader
-#: of ``cli``, :func:`window_codes`); outputs do not depend on it
+#: symbols a long sequence is sampled and written in at a time (each
+#: sampled block read k steps per lookup of the k-step table), bytes a
+#: comma-separated line of mixed label widths is read in (one of
+#: uniform widths is read in one strided pass), and windows coded and
+#: counted in at a time (``processes.MarkovProcess.sample``, the writer
+#: and the block route of the comma loader of ``cli``,
+#: :func:`window_codes`); outputs do not depend on it
 _BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters

@@ -264,6 +264,24 @@ def _entropy_nats(probs) -> float:
                        (1 - r) * math.log1p(-r)])
 
 
+#: edges up to which the sampler bins its uniforms by one comparison per
+#: edge; ``searchsorted`` bins them past it
+_COMPARED_EDGES = 16
+
+#: entries (chunk codes × contexts) of the sampler's k-step table
+_STEP_TABLE = 1 << 12
+
+
+def _chunk_steps(nb: int, m: int) -> int:
+    """Steps the sampler reads per table lookup, given nb bins and m
+    contexts: the largest k ≤ 16 with nb^k·m entries within
+    ``_STEP_TABLE``, and 1 when one step's table is already past it."""
+    k = 1
+    while k < 16 and nb ** (k + 1) * m <= _STEP_TABLE:
+        k += 1
+    return k
+
+
 def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
                start: int) -> np.ndarray:
     """States x_0 = start, x_{t+1} = maps[steps[t], x_t] for t < n − 1.
@@ -682,20 +700,31 @@ class MarkovProcess:
 
         The start context is drawn from the stationary law.  The walk
         itself is vectorized: u's bin among the union of all rows' cut
-        points fixes the symbol for every context, so each step is a
-        map from context to next context, and ``_walk_maps`` composes
-        those maps instead of stepping through them one by one.
+        points (the number of those edges at or below u, by one
+        comparison per edge, or ``searchsorted`` past
+        ``_COMPARED_EDGES`` edges) fixes the symbol for every context,
+        so each step is a map from context to next context.  Runs of k
+        bins are read as one base-nb chunk code (nb bins), looked up
+        in a k-step table built once per call: for each code and
+        context, the k symbols written and the context reached.  k is
+        the largest with nb^k·m ≤ ``_STEP_TABLE`` (m contexts), at
+        most 16; a chain with many contexts gets k = 1, the one-step
+        table itself.  Equal k-step maps are kept once, and
+        ``_walk_maps`` composes the chunks' maps instead of stepping
+        through them one by one.
 
         The uniforms are drawn and walked ``_BLOCK`` at a time, each
-        block from the context the previous one ended in, into one
+        block from the context the previous one ended in, which is
+        replayed step by step over the block's last chunk (padded with
+        bin 0 when it is partial).  Each block is written into one
         output array in the narrowest unsigned type of the alphabet
         (``_code_dtype``): one byte per symbol up to 256 symbols.  A
         Generator gives the same doubles in blocks as in one call, so
         the sample does not depend on the block size.  A block's
-        symbols are one ``take`` from the flattened bin × context
-        table, held in the output's type; only the walk of a block is
-        computed in int64.  An order-0 chain (``IidProcess`` too) walks
-        its single context the same way.
+        symbols are one ``take`` of k-symbol rows from the table, held
+        in the output's type; only the chunk codes and the walk of a
+        block are computed in int64.  An order-0 chain (``IidProcess`` too) walks its single
+        context the same way.
         """
         s = len(self.alphabet)
         dtype = _code_dtype(s)
@@ -705,24 +734,60 @@ class MarkovProcess:
         cum_pi = np.cumsum([float(x) for x in self.stationary])
         start = min(int(np.searchsorted(cum_pi, float(rng.random()),
                                         side="right")), m - 1)
-        edges = np.unique(cuts)
+        # the distinct cut points, ascending, without np.unique's
+        # masked-array check (it imports numpy.ma)
+        edges = np.sort(cuts, axis=None)
+        edges = edges[np.diff(edges, prepend=-np.inf) > 0]
+        nb = edges.size + 1
         # bin b holds the u with exactly b edges at or below them; its
         # symbol in each row counts that row's cuts at or below edge b−1
         floor = np.concatenate(([-np.inf], edges))
         symbols = np.array([np.searchsorted(row, floor, side="right")
                             for row in cuts]).T
         maps = (np.arange(m) * s + symbols) % m
-        flat_symbols, flat_maps, rows = (symbols.ravel().astype(dtype),
-                                         maps.ravel(), maps.tolist())
+        rows = maps.tolist()
+        k = _chunk_steps(nb, m)
+        if k == 1:
+            ids, step_maps, step_rows = None, maps, rows
+            written = symbols.reshape(-1, 1).astype(dtype)
+        else:
+            # digit j of code q (most significant first) is the bin of
+            # step j of its chunk
+            q = np.arange(nb ** k)[:, None]
+            state = np.tile(np.arange(m), (q.size, 1))
+            written = np.empty((q.size, m, k), dtype=dtype)
+            for j in range(k):
+                b = q // nb ** (k - 1 - j) % nb
+                written[:, :, j] = symbols[b, state]
+                state = maps[b, state]
+            written = written.reshape(-1, k)
+            step_maps, ids = _distinct_rows(state, m)
+            step_maps = step_maps.astype(np.int64)
+            step_rows = step_maps.tolist()
+        bin_type = _code_dtype(nb)
         out = np.empty(n, dtype=dtype)
         context = start
         for lo in range(0, n, _BLOCK):
-            steps = np.searchsorted(edges, rng.random(min(_BLOCK, n - lo)),
-                                    side="right")
-            at = steps * m
-            at += _walk_maps(steps, maps, rows, context)
-            flat_symbols.take(at, out=out[lo:lo + at.size])
-            context = int(flat_maps[at[-1]])
+            u = rng.random(min(_BLOCK, n - lo))
+            bins = np.zeros(-(-u.size // k) * k, dtype=bin_type)
+            if edges.size > _COMPARED_EDGES:
+                bins[:u.size] = np.searchsorted(edges, u, side="right")
+            else:
+                for e in edges.tolist():
+                    bins[:u.size] += u >= e
+            chunks = bins.reshape(-1, k)
+            codes = chunks[:, 0].astype(np.int64)
+            for j in range(1, k):
+                codes *= nb
+                codes += chunks[:, j]
+            states = _walk_maps(codes if ids is None else ids[codes],
+                                step_maps, step_rows, context)
+            codes *= m
+            codes += states
+            out[lo:lo + u.size] = written.take(codes, axis=0).ravel()[:u.size]
+            context = int(states[-1])
+            for b in bins[bins.size - k:u.size].tolist():
+                context = rows[b][context]
         return out
 
     def reversed(self) -> "MarkovProcess":

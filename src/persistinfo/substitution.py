@@ -63,7 +63,6 @@ from .infocore import (
 )
 
 __all__ = [
-    "NonPrimitiveError",
     "ReducibleMatrixError",
     "Substitution",
     "PerronFrobeniusData",
@@ -88,10 +87,6 @@ __all__ = [
 
 class ReducibleMatrixError(ValueError):
     """Composition matrix is not irreducible."""
-
-
-class NonPrimitiveError(ValueError):
-    """Operation requires a primitive substitution."""
 
 
 # ── substitution rules ──────────────────────────────────────────────
@@ -397,9 +392,10 @@ class FactorTable:
 @lru_cache(maxsize=None)
 def _letter_perron(subst: Substitution) -> None:
     """Primitivity check of the letter composition matrix, once per
-    substitution, as in primitivity but with no eigenvector solved."""
-    if _irreducible_period(composition_matrix(subst) > 0) != 1:
-        raise NonPrimitiveError("factor frequencies require primitivity")
+    substitution, as in primitivity but with no eigenvector solved.
+    Irreducible is enough: the start letter's image begins with it,
+    a loop, so an irreducible letter matrix has period 1."""
+    _irreducible_period(composition_matrix(subst) > 0)
 
 
 @lru_cache(maxsize=None)

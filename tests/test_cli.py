@@ -15,6 +15,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import persistinfo
 from persistinfo import cli
@@ -974,6 +975,111 @@ def test_sample_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch,
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         assert out.encode() == want
+
+
+_ASCII_LETTER = st.characters(min_codepoint=0x21, max_codepoint=0x7E,
+                              blacklist_characters=",")
+# two bytes: two ASCII characters, or one 2-byte UTF-8 character
+_TWO_BYTE_LABEL = st.one_of(
+    st.text(_ASCII_LETTER, min_size=2, max_size=2),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF))
+
+
+@st.composite
+def uniform_comma_lines(draw):
+    width = draw(st.sampled_from((1, 2)))
+    labels = draw(st.lists(_ASCII_LETTER if width == 1 else _TWO_BYTE_LABEL,
+                           min_size=1, max_size=300, unique=True))
+    tokens = draw(st.lists(st.sampled_from(labels), min_size=2,
+                           max_size=1000))
+    return ",".join(tokens).encode()
+
+
+def _refuse_block_route(*args):
+    raise AssertionError("a uniform-width line took the block route")
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=uniform_comma_lines(), block=st.sampled_from((3, 1 << 16)))
+def test_strided_comma_route_matches_the_block_oracle(raw, block):
+    import numpy as np
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", block)
+        want = cli._comma_block_codes(raw, 0, len(raw), "seq.txt")
+        patch.setattr(cli, "_comma_block_codes", _refuse_block_route)
+        got = cli._comma_codes(raw, 0, len(raw), "seq.txt")
+    assert got[1] == want[1]
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(got[0], want[0])
+
+
+def test_comma_line_with_surrounding_whitespace_takes_the_strided_route(
+        tmp_path, monkeypatch):
+    from persistinfo.cli import _load_sequence
+    p = tmp_path / "seq.txt"
+    p.write_text(" \t+1,-1,-1,+1,é \n\n")
+    monkeypatch.setattr(cli, "_comma_block_codes", _refuse_block_route)
+    src = _load_sequence(str(p))
+    assert src.alphabet.symbols == ("+1", "-1", "é")
+    assert src.arr.tolist() == [0, 1, 1, 0, 2]
+
+
+@pytest.mark.parametrize("text, symbols, codes", [
+    # the last label alone is wider
+    ("+1,-1,+10", ("+1", "+10", "-1"), [0, 2, 1]),
+    # as many commas as a width-2 line of this length, but not in its
+    # stride
+    ("ab,cde,f", ("ab", "cde", "f"), [0, 1, 2])])
+def test_comma_line_of_mixed_widths_takes_the_block_route(
+        tmp_path, monkeypatch, text, symbols, codes):
+    from persistinfo.cli import _load_sequence
+    p = tmp_path / "seq.txt"
+    p.write_text(text + "\n")
+    calls = []
+    block_route = cli._comma_block_codes
+    monkeypatch.setattr(cli, "_comma_block_codes",
+                        lambda *a: calls.append(a) or block_route(*a))
+    src = _load_sequence(str(p))
+    assert len(calls) == 1
+    assert src.alphabet.symbols == symbols
+    assert src.arr.tolist() == codes
+
+
+@pytest.mark.parametrize("text, position", [
+    ("a,b,,c", 2), ("+1,-1,,+1", 2), ("ab,cd,ef,", 3), (",+1,-1", 0),
+    ("a,b,c,,", 3),
+    # the length and comma count of a uniform line, commas off its stride
+    ("a,bc,,d", 2), ("ab,cdef,,gh", 2)])
+def test_uniform_looking_comma_line_names_its_empty_symbol(tmp_path, text,
+                                                           position):
+    from persistinfo.cli import _load_sequence
+    p = tmp_path / "seq.txt"
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError) as info:
+        _load_sequence(str(p))
+    assert str(info.value) == (f"empty symbol at position {position} of the "
+                               f"comma-separated sequence in {p}")
+
+
+def test_sample_and_comma_entropy_import_no_masked_arrays(tmp_path):
+    # a bare np.unique checks for masked arrays, importing numpy.ma
+    src = str(Path(persistinfo.__file__).resolve().parent.parent)
+    seq = tmp_path / "seq.txt"
+    seq.write_text(",".join(["+1", "-1", "-1", "+1"] * 5000) + "\n")
+    script = (
+        "import sys\n"
+        "from persistinfo.cli import main\n"
+        f"assert main(['sample', '--model', 'goldenmean', '--n', '70000',"
+        f" '--out', {str(tmp_path / 'golden.txt')!r}]) == 0\n"
+        f"assert main(['entropy', '--seq', {str(seq)!r}, '--Lmax', '4',"
+        f" '--out', {str(tmp_path / 'H.txt')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_comma_loader_memory_stays_in_blocks(tmp_path):

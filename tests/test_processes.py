@@ -12,6 +12,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1029,6 +1030,72 @@ def test_markov_sample_across_block_boundaries(name):
         got = model.sample(n, np.random.default_rng(n))
         want = bisect_sample_oracle(model, n, np.random.default_rng(n))
         assert np.array_equal(got, want)
+
+
+def _chunk_steps(model):
+    """The sampler's k on a chain: nb bins cut by the distinct cut
+    points of all its rows, m contexts."""
+    cuts = {x for c in model.contexts for x in np.cumsum(
+        [float(p) for p in model.kernel[c]])[:-1].tolist()}
+    return processes._chunk_steps(len(cuts) + 1, len(model.contexts))
+
+
+# name -> (chain, its k)
+CHUNKED_CHAINS = {
+    # one row ends in a cut at exactly 1.0, a bin no uniform reaches
+    "goldenmean": (goldenmean, 6),
+    "r2": (lambda: MarkovProcess.from_rows({
+        "00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
+        "10": (F(3, 5), F(2, 5)), "11": (F(1, 4), F(3, 4))}), 4),
+    "ternary": (SAMPLER_CHAINS["order2-ternary"], 4),
+    "ising": (lambda: IsingChainProcess(J=1.0, h=0.3, beta=0.7), 6),
+    "one-letter": (lambda: MarkovProcess(Alphabet("a"), 1, {(0,): (F(1),)}),
+                   16),
+    "order0": (SAMPLER_CHAINS["order0"], 7),
+    # 216 contexts: the one-step table is already past the bound
+    "216-contexts": (lambda: random_float_chain(6, 3, seed=3), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_CHAINS))
+def test_markov_sample_at_chunk_and_block_edges_matches_bisect_oracle(name):
+    build, k = CHUNKED_CHAINS[name]
+    model = build()
+    chain = model.as_markov() if name == "ising" else model
+    assert _chunk_steps(chain) == k
+    B = processes._BLOCK
+    for n in sorted({1, k - 1, k, k + 1, B - 1, B, B + 1} - {0}):
+        got = model.sample(n, np.random.default_rng(n))
+        want = bisect_sample_oracle(chain, n, np.random.default_rng(n))
+        assert got.dtype == _code_dtype(len(model.alphabet))
+        assert np.array_equal(got, want), n
+
+
+def test_markov_sample_at_seed_1_matches_pinned_hashes(tmp_path):
+    # sha256 of the 10^6-symbol files of the benchmark's four sampled
+    # models, written by the one-uniform-per-step sampler before it
+    # read k steps per table lookup
+    import hashlib
+    import json
+
+    from persistinfo.cli import main
+    rows = {a + b: ["1/2", "1/3", "1/6"] if a + b == "aa"
+            else ["1/4", "1/4", "1/2"] for a in "abc" for b in "abc"}
+    specs = {"ternary": json.dumps({"kind": "markov", "rows": rows,
+                                    "alphabet": ["a", "b", "c"]}),
+             "goldenmean": "goldenmean", "tm": "tm",
+             "ising": json.dumps({"kind": "ising", "J": 1, "h": 0.3,
+                                  "beta": 0.7})}
+    pins = dict(line.split()[::-1] for line in (
+        Path(__file__).parent / "data" / "sample_1000000_1.sha256"
+    ).read_text().splitlines())
+    assert len(pins) == 4
+    for name, spec in specs.items():
+        dest = tmp_path / f"sample_{name}_1000000_1.txt"
+        assert main(["sample", "--model", spec, "--n", "1000000",
+                     "--seed", "1", "--out", str(dest)]) == 0
+        digest = hashlib.sha256(dest.read_bytes()).hexdigest()
+        assert digest == pins[dest.name], name
 
 
 def test_markov_sample_memory_stays_in_blocks():

@@ -23,7 +23,6 @@ from persistinfo.infocore import (
 )
 from persistinfo.processes import WindowCapError
 from persistinfo.substitution import (
-    NonPrimitiveError,
     ReducibleMatrixError,
     Substitution,
     composition_matrix,
@@ -306,7 +305,7 @@ def test_frequency_class_structure():
 def test_frequencies_require_primitive():
     swap = Substitution.from_strings({"0": "01", "1": "11"}, start="0")
     # reducible: 0 never reappears; frequencies undefined
-    with pytest.raises((NonPrimitiveError, ReducibleMatrixError)):
+    with pytest.raises(ReducibleMatrixError):
         factor_frequencies(swap, 2)
 
 
