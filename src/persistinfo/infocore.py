@@ -103,10 +103,12 @@ DECODE_CHUNK = 1 << 14
 #: symbols a long sequence is sampled and written in at a time (each
 #: sampled block read k steps per lookup of the k-step table), bytes a
 #: comma-separated line of mixed label widths is read in (one of
-#: uniform widths is read in one strided pass), and windows coded and
-#: counted in at a time (``processes.MarkovProcess.sample``, the writer
-#: and the block route of the comma loader of ``cli``,
-#: :func:`window_codes`); outputs do not depend on it
+#: uniform widths is read in one strided pass), windows coded and
+#: counted in at a time, and codes gathered through a lookup table in
+#: at a time, so that the intp copy ``take`` makes of a narrow index is
+#: one block long (``processes.MarkovProcess.sample``, the writer and
+#: the block route of the comma loader of ``cli``, :func:`window_codes`,
+#: :func:`_ranks`); outputs do not depend on it
 _BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters
@@ -877,11 +879,13 @@ def _grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
     the codes if their range squared would pass 63 bits.
 
     A step writes one ascending block of windows at a time, computed in
-    int64; a block reads only codes at or past its own start, which no
-    earlier block has overwritten.  Before a step whose range would
-    pass 63 bits, the codes are replaced by their ranks among their
-    distinct values (:func:`_ranks`).  ``codes`` must hold every
-    range the steps reach.  Returns (codes, size, whether ranked).
+    the codes' own type: ``codes`` must hold every range the steps
+    reach, so block·factor + tail never leaves it, even where ``arr``
+    is held in a wider type.  A block reads only codes at or past its
+    own start, which no earlier block has overwritten.  Before a step
+    whose range would pass 63 bits, the codes are replaced by their
+    ranks among their distinct values (:func:`_ranks`).  Returns
+    (codes, size, whether ranked).
     """
     ranked = False
     for step in steps:
@@ -895,9 +899,8 @@ def _grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
         factor, tail = (s, arr[k:]) if step == "append" else (size, codes[k:])
         for lo in range(0, tail.size, _BLOCK):
             hi = min(lo + _BLOCK, tail.size)
-            block = codes[lo:hi].astype(np.int64)
-            block *= factor
-            block += tail[lo:hi]
+            block = codes[lo:hi] * factor
+            np.add(block, tail[lo:hi], out=block, casting="unsafe")
             codes[lo:hi] = block
         codes, size = codes[:tail.size], size * factor
     return codes, size, ranked
@@ -909,9 +912,10 @@ def window_codes(arr: np.ndarray, L: int, s: int, width: int | None = None):
 
     The codes are held in the narrowest unsigned type of the s**L
     words (``_code_dtype``), int64 past 32 bits, and built by doubling
-    in that one array (:func:`_grow_codes`): a length-2k code is the
-    length-k code times its range plus the length-k code k places on,
-    and a digit is appended wherever L's binary expansion has a one.
+    in that one array and in that type (:func:`_grow_codes`): a
+    length-2k code is the length-k code times its range plus the
+    length-k code k places on, and a digit is appended wherever L's
+    binary expansion has a one.
     The codes are base-s digits until a step would pass 63 bits; the
     codes are then ranked among their distinct values, one integer
     sort that keeps their order (Karp, Miller and Rosenberg), and the
@@ -944,17 +948,19 @@ def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
     """pieces[codes[0]] + pieces[codes[1]] + ... as one array, built
     by one gather with no Python call per code.
 
-    Pieces of one common length are rows of a table; otherwise output
-    position t of the piece for code c, which starts at output offset
-    o, reads the concatenated pieces at start(c) + (t − o).  The codes
-    index as given, in whatever integer type they are held; callers
-    pass a block of codes at a time, since the index arrays of unequal
-    pieces are int64 per output letter.
+    Pieces of one common length are rows of a table, gathered by one
+    ``take``; otherwise output position t of the piece for code c,
+    which starts at output offset o, reads the concatenated pieces at
+    start(c) + (t − o).  The codes may be held in any integer type;
+    callers pass a block of codes at a time, since ``take`` copies
+    them to intp and the index arrays of unequal pieces are int64 per
+    output letter.
     """
     lengths = np.array([len(piece) for piece in pieces], dtype=np.int64)
     flat = np.concatenate(pieces)
     if lengths.min() == lengths.max():
-        return flat.reshape(len(pieces), int(lengths[0]))[codes].ravel()
+        rows = flat.reshape(len(pieces), int(lengths[0]))
+        return rows.take(codes, axis=0).ravel()
     lens = lengths[codes]
     # start(c) − o per code, then per output position
     shift = (np.cumsum(lengths) - lengths)[codes]
@@ -977,25 +983,36 @@ def decode_window_codes(codes, L: int, s: int) -> list:
     return words
 
 
+def _pair_codes(codes: np.ndarray, span: int, shift: int, lo: int,
+                hi: int) -> np.ndarray:
+    """Pair codes codes[i]·span + codes[i + shift] of the codes, in
+    range(span), for lo ≤ i < hi: computed in the narrowest unsigned
+    type of their range span² (``_code_dtype``), int64 past 32 bits,
+    which holds every pair code, whatever type the codes are in."""
+    pairs = codes[lo:hi].astype(_code_dtype(span * span))
+    pairs *= span
+    np.add(pairs, codes[lo + shift:hi + shift], out=pairs, casting="unsafe")
+    return pairs
+
+
 def _code_counts(codes: np.ndarray, size: int, pair=None) -> np.ndarray:
     """Counts of codes drawn from range(size), as an int64 array of
-    that length.  With ``pair = (span, shift)`` the codes counted are
-    the pair codes codes[i]·span + codes[i + shift], for i below
-    codes.size − shift, each computed in int64.
+    that length.  With ``pair = (span, shift)`` and size span², the
+    codes counted are the pair codes codes[i]·span + codes[i + shift],
+    for i below codes.size − shift (:func:`_pair_codes`).
 
-    Counted ``_BLOCK`` codes at a time with ``np.add.at``, which makes
-    no intp copy of narrow codes, as ``np.bincount`` does, and no
-    array of the whole range per block.
+    Counted ``_BLOCK`` codes at a time with ``np.add.at``, which takes
+    the narrow codes as its index as they are, with no intp copy of
+    them, as ``np.bincount`` makes, and no array of the whole range
+    per block.
     """
     span, shift = pair or (0, 0)
     m = codes.size - shift
     counts = np.zeros(size, dtype=np.int64)
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        block = codes[lo:hi]
-        if pair:
-            block = block.astype(np.int64) * span
-            block += codes[lo + shift:hi + shift]
+        block = _pair_codes(codes, span, shift, lo, hi) if pair \
+            else codes[lo:hi]
         np.add.at(counts, block, 1)
     return counts
 
@@ -1024,14 +1041,19 @@ def _ranks(codes: np.ndarray, size: int):
     """Distinct values of codes drawn from range(size), ascending, and
     the index of each code among them, in the narrowest unsigned type
     of their number (``_code_dtype``): a lookup table when the range
-    is no larger than the code array, a sort otherwise."""
+    is no larger than the code array, a sort otherwise.  The table is
+    read by one ``take`` per ``_BLOCK`` codes into the output, so the
+    intp copy that ``take`` makes of a narrow index is one block long."""
     if size > codes.size:
         uniq, inverse = np.unique(codes, return_inverse=True)
         return uniq, inverse.ravel().astype(_code_dtype(uniq.size))
     uniq = np.flatnonzero(_code_counts(codes, size))
     table = np.empty(size, dtype=_code_dtype(uniq.size))
     table[uniq] = np.arange(uniq.size)
-    return uniq, table[codes]
+    out = np.empty(codes.size, dtype=table.dtype)
+    for lo in range(0, codes.size, _BLOCK):
+        table.take(codes[lo:lo + _BLOCK], out=out[lo:lo + _BLOCK])
+    return uniq, out
 
 
 def _distinct_rows(rows: np.ndarray, s: int):

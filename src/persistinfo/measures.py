@@ -37,6 +37,7 @@ from .infocore import (
     _exact_str,
     _fmt,
     _grow_codes,
+    _pair_codes,
     empirical_block_distribution,
     window_codes,
 )
@@ -81,7 +82,8 @@ class EmpiricalSource:
       at the end of the sequence that has no longer extension;
     * :meth:`gap_mutual_informations` counts, per gap g, the
       s**L × s**L pair codes ``left * s**L + right`` of the longest
-      dense grid length, one block of int64 pair codes at a time; one
+      dense grid length, one block of pair codes at a time, in the
+      narrowest unsigned type of their range; one
       shorter sums out the first symbol of the left block and the last
       of the right, and adds the two windows, one at each end, that the
       longer blocks do not cover.  The MI is H(left) + H(right) −
@@ -260,9 +262,7 @@ class EmpiricalSource:
         m = self._gap_windows(L, g)
         codes, span, decode = keys or window_codes(
             self.arr, L, len(self.alphabet), 2 * L)
-        pairs = codes[:m].astype(np.int64)
-        pairs *= span
-        pairs += codes[L + g:L + g + m]
+        pairs = _pair_codes(codes, span, L + g, 0, m)
         uniq, counts = _distinct_counts(pairs, span * span)
         _refuse_undersampled(uniq.size, m)
         return uniq, counts, span, decode

@@ -39,6 +39,7 @@ in ``infocore`` and are re-exported here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -236,19 +237,40 @@ def _as_weight(x):
 
 
 def _float_stationary(T: np.ndarray) -> np.ndarray:
-    """Stationary law of a float stochastic matrix: the eigenvector of
-    T^t for the eigenvalue nearest 1, 0 off its closed class, refused
-    unless the zero pattern of T has one, as the rational solve is."""
-    vals, vecs = np.linalg.eig(T.T)
-    v = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
-    # one closed class exactly when a backward walk from the heaviest
-    # state k reaches every state; a forward walk from k is that class
-    k = int(np.argmax(np.abs(v)))
-    if len(_levels([np.flatnonzero(c).tolist() for c in T.T], k)[0]) < len(T):
+    """Stationary law of a float stochastic matrix, refused unless the
+    zero pattern of T has one closed class, as the rational solve is:
+    one linear solve of π·T = π with Σπ = 1 on that class, 0 off it.
+
+    A walk steps from a state k to one that k reaches and that does
+    not reach k, which reaches fewer states, until none is left: k is
+    then in a closed class, the states it reaches.  The class is the
+    only one exactly when a backward walk from k reaches every state.
+    """
+    succ = [np.flatnonzero(r).tolist() for r in T]
+    pred = [np.flatnonzero(c).tolist() for c in T.T]
+    k = 0
+    while True:
+        ahead, behind = _levels(succ, k)[0], _levels(pred, k)[0]
+        j = next((j for j in ahead if j not in behind), None)
+        if j is None:
+            break
+        k = j
+    if len(behind) < len(T):
         raise ValueError("stationary distribution is not unique")
-    closed = list(_levels([np.flatnonzero(r).tolist() for r in T], k)[0])
-    v = np.clip(v / v.sum(), 0.0, None) * np.isin(np.arange(len(T)), closed)
-    return v / v.sum()
+    closed = sorted(ahead)
+    # (T − I)^t on the class has rank one less than its size and rows
+    # that sum to zero: the last is replaced by Σπ = 1
+    TC = T[np.ix_(closed, closed)]
+    A = TC.T - np.eye(len(closed))
+    A[-1] = 1.0
+    b = np.zeros(len(closed))
+    b[-1] = 1.0
+    # the solve's error sits on the last state; one step of the chain
+    # spreads it over the class
+    v = np.clip(np.linalg.solve(A, b), 0.0, None) @ TC
+    pi = np.zeros(len(T))
+    pi[closed] = v / v.sum()
+    return pi
 
 
 def _entropy_nats(probs) -> float:
@@ -723,8 +745,14 @@ class MarkovProcess:
         the sample does not depend on the block size.  A block's
         symbols are one ``take`` of k-symbol rows from the table, held
         in the output's type; only the chunk codes and the walk of a
-        block are computed in int64.  An order-0 chain (``IidProcess`` too) walks its single
-        context the same way.
+        block are computed in int64.  An order-0 chain (``IidProcess``
+        too) walks its single context the same way.
+
+        A walk of n steps reads at most n entries of the one-step table,
+        so when the table has more (nb·m > n, a chain with many
+        distinct cut points) it is not built: each symbol is stepped
+        from its context's own cut row by one bisect, one ``_BLOCK`` of
+        uniforms at a time, and the memory is that of the m rows.
         """
         s = len(self.alphabet)
         dtype = _code_dtype(s)
@@ -739,6 +767,19 @@ class MarkovProcess:
         edges = np.sort(cuts, axis=None)
         edges = edges[np.diff(edges, prepend=-np.inf) > 0]
         nb = edges.size + 1
+        out = np.empty(n, dtype=dtype)
+        if nb * m > n:
+            rows = cuts.tolist()
+            context = start
+            for lo in range(0, n, _BLOCK):
+                u = rng.random(min(_BLOCK, n - lo))
+                block = []
+                for x in u.tolist():
+                    a = bisect_right(rows[context], x)
+                    block.append(a)
+                    context = (context * s + a) % m
+                out[lo:lo + u.size] = block
+            return out
         # bin b holds the u with exactly b edges at or below them; its
         # symbol in each row counts that row's cuts at or below edge b−1
         floor = np.concatenate(([-np.inf], edges))
@@ -765,7 +806,6 @@ class MarkovProcess:
             step_maps = step_maps.astype(np.int64)
             step_rows = step_maps.tolist()
         bin_type = _code_dtype(nb)
-        out = np.empty(n, dtype=dtype)
         context = start
         for lo in range(0, n, _BLOCK):
             u = rng.random(min(_BLOCK, n - lo))
@@ -1055,11 +1095,14 @@ def closed_forms(model) -> ClosedForms:
 
 def sample(model, n: int, seed: int = 0) -> np.ndarray:
     """Length-n symbol sample, stationary at fixed seed where the model
-    class allows a stationary start."""
+    class allows a stationary start.  Substitution fixed points and the
+    logistic map are deterministic: their seed is not read, and no
+    generator is built for them, so ``numpy.random`` is not imported."""
     if n < 1:
         raise ValueError("sample length must be >= 1")
-    rng = np.random.default_rng(seed)
-    return model.sample(n, rng)
+    if isinstance(model, (SubstitutionProcess, LogisticSymbolizer)):
+        return model.sample(n)
+    return model.sample(n, np.random.default_rng(seed))
 
 
 def reversed_model(model):

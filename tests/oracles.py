@@ -7,8 +7,15 @@ from typing import Sequence
 
 import numpy as np
 
-from persistinfo.infocore import entropy_of_probs, shannon_entropy
+from persistinfo.infocore import (
+    _BLOCK,
+    _passes_63_bits,
+    _ranks,
+    entropy_of_probs,
+    shannon_entropy,
+)
 from persistinfo.processes import ClosedForms, MarkovProcess, _ising_chain
+from persistinfo.substitution import _levels
 
 
 def geometric_decay_rate(points: Sequence) -> float:
@@ -135,3 +142,47 @@ def closed_classes(T: np.ndarray) -> list:
               for j in range(len(T))
               if (reach[:, j] <= reach[j, :]).all()}
     return sorted(closed, key=min)
+
+
+def eig_float_stationary(T: np.ndarray) -> np.ndarray:
+    """Stationary law of a float stochastic matrix by the whole
+    eigendecomposition of T^t: the eigenvector for the eigenvalue
+    nearest 1, 0 off its closed class, refused unless the zero pattern
+    of T has one."""
+    vals, vecs = np.linalg.eig(T.T)
+    v = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+    # one closed class exactly when a backward walk from the heaviest
+    # state k reaches every state; a forward walk from k is that class
+    k = int(np.argmax(np.abs(v)))
+    if len(_levels([np.flatnonzero(c).tolist() for c in T.T], k)[0]) < len(T):
+        raise ValueError("stationary distribution is not unique")
+    closed = list(_levels([np.flatnonzero(r).tolist() for r in T], k)[0])
+    v = np.clip(v / v.sum(), 0.0, None) * np.isin(np.arange(len(T)), closed)
+    return v / v.sum()
+
+
+# ── window codes grown in int64 ───────────────────────────────────────
+
+
+def int64_grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
+                     steps) -> tuple:
+    """``infocore._grow_codes`` with every block widened to int64,
+    multiplied, added to and narrowed back into the codes."""
+    ranked = False
+    for step in steps:
+        if _passes_63_bits(size, s if step == "append" else size):
+            uniq, ranks = _ranks(codes, size)
+            codes[:] = ranks
+            size, ranked = uniq.size, True
+        if step == "pair":
+            continue
+        k = arr.size - codes.size + 1
+        factor, tail = (s, arr[k:]) if step == "append" else (size, codes[k:])
+        for lo in range(0, tail.size, _BLOCK):
+            hi = min(lo + _BLOCK, tail.size)
+            block = codes[lo:hi].astype(np.int64)
+            block *= factor
+            block += tail[lo:hi]
+            codes[lo:hi] = block
+        codes, size = codes[:tail.size], size * factor
+    return codes, size, ranked

@@ -808,6 +808,30 @@ def test_sample_file_matches_golden_bytes(tmp_path, capsys, name):
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
 
 
+@pytest.mark.parametrize("name", ["ternary", "goldenmean", "ising"])
+def test_estimates_on_10_6_symbol_samples_match_golden_files(tmp_path, capsys,
+                                                             name):
+    # the files, estimates and refusals at seed 101, written before the
+    # window codes were grown in the codes' own type
+    import hashlib
+    seq = tmp_path / f"sample_{name}_1000000_101.txt"
+    code, _, err = run(capsys, "sample", "--model", GOLDEN_SAMPLES[name],
+                       "--n", "1000000", "--seed", "101", "--out", str(seq))
+    assert code == 0, err
+    pins = dict(line.split()[::-1] for line in (
+        DATA / "sample_1000000_101.sha256").read_text().splitlines())
+    assert hashlib.sha256(seq.read_bytes()).hexdigest() == pins[seq.name]
+    L_max = "12" if name == "ternary" else "16"
+    for argv, golden in (
+            (("entropy", "--seq", str(seq), "--Lmax", L_max),
+             f"entropy_seq_{name}_1000000_101.json"),
+            (("pmi", "--seq", str(seq), "--L-grid", "1,2,3,4,5,6",
+              "--g-grid", "4,8,16,32"), f"pmi_seq_{name}_1000000_101.json")):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        assert out == (DATA / golden).read_text(), golden
+
+
 def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
     from persistinfo.cli import _load_model, _load_sequence
     from persistinfo.processes import sample
@@ -1074,6 +1098,25 @@ def test_sample_and_comma_entropy_import_no_masked_arrays(tmp_path):
         f"assert main(['entropy', '--seq', {str(seq)!r}, '--Lmax', '4',"
         f" '--out', {str(tmp_path / 'H.txt')!r}]) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("model", ["tm", "fib",
+                                   '{"kind": "logistic", "r": 3.9}'])
+def test_deterministic_samples_build_no_generator(tmp_path, model):
+    # a generator imports numpy.random; these samplers never read one
+    src = str(Path(persistinfo.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from persistinfo.cli import main\n"
+        f"assert main(['sample', '--model', {model!r}, '--n', '70000',"
+        f" '--seed', '3', '--out', {str(tmp_path / 'seq.txt')!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)

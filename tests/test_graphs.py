@@ -1,7 +1,8 @@
 """Graph questions answered by breadth-first walks: irreducibility and
 period of a composition matrix, uniqueness of a float chain's
 stationary law, and the period that a chain's PMI reads, each checked
-against the boolean-matrix oracles in ``oracles``."""
+against the boolean-matrix oracles in ``oracles``; and the float
+stationary law, checked against the eigendecomposition oracle."""
 
 import math
 from fractions import Fraction
@@ -19,7 +20,12 @@ from persistinfo.substitution import (
     primitivity,
 )
 
-from oracles import closed_classes, graph_period, reachability
+from oracles import (
+    closed_classes,
+    eig_float_stationary,
+    graph_period,
+    reachability,
+)
 
 
 @st.composite
@@ -132,3 +138,43 @@ def test_float_chain_with_transient_contexts_has_no_mass_on_them():
     chain = MarkovProcess(Alphabet([str(i) for i in range(6)]), 1, rows)
     cf = chain.closed_forms()
     assert cf.pmi == log2_of(2) and cf.entropy_rate == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_rows())
+def test_float_stationary_matches_the_eig_oracle(T):
+    try:
+        want = eig_float_stationary(T)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e)):
+            _float_stationary(T)
+        return
+    got = _float_stationary(T)
+    assert np.flatnonzero(got).tolist() == np.flatnonzero(want).tolist()
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 60, 243])
+@pytest.mark.parametrize("density", [0.05, 1.0])
+def test_float_stationary_of_random_chains_matches_the_eig_oracle(m, density):
+    rng = np.random.default_rng(m)
+    W = rng.random((m, m)) * (rng.random((m, m)) < density)
+    # a cycle through every state: one closed class
+    W[np.arange(m), (np.arange(m) + 1) % m] += rng.random(m) + 0.1
+    T = W / W.sum(axis=1, keepdims=True)
+    got, want = _float_stationary(T), eig_float_stationary(T)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.allclose(got @ T, got, rtol=0, atol=1e-15)
+
+
+def test_float_chain_of_period_2_has_its_pmi_below_its_excess_entropy():
+    # the eigenvector gave π = (0.5, 0.49999999999999994) on the class,
+    # so E = H(π) rounded one ulp below the exact PMI of 1 bit
+    T = np.zeros((6, 6))
+    T[0, 1] = T[0, 5] = 0.5
+    T[1, 0] = T[2, 3] = T[3, 2] = T[4, 0] = T[5, 2] = 1.0
+    rows = {(c,): tuple(T[c].tolist()) for c in range(6)}
+    chain = MarkovProcess(Alphabet([str(i) for i in range(6)]), 1, rows)
+    assert chain.stationary == (0.0, 0.0, 0.5, 0.5, 0.0, 0.0)
+    cf = chain.closed_forms()
+    assert cf.pmi == log2_of(2) and cf.excess_entropy == 1.0

@@ -16,9 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 from persistinfo import infocore, measures, processes
 from persistinfo.infocore import (
+    _BLOCK,
     Alphabet,
     ExactBits,
+    _code_counts,
+    _code_dtype,
+    _concat_pieces,
     _distinct_counts,
+    _doubling_steps,
+    _grow_codes,
+    _pair_codes,
     _ranks,
     empirical_block_distribution,
     mutual_information,
@@ -49,7 +56,7 @@ from persistinfo.processes import (
 )
 from persistinfo.substitution import fibonacci, thue_morse
 
-from oracles import geometric_decay_rate
+from oracles import geometric_decay_rate, int64_grow_codes
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 
@@ -441,6 +448,103 @@ def test_window_code_memo_restarts_off_the_walk():
             assert _codes_sort_as_the_words(arr, L, 4)
     ones = np.ones(64, dtype=np.int64)
     assert window_codes(ones, 62, 2)[0].tolist() == [2 ** 62 - 1] * 3
+
+
+# (s, L): s**L exactly 2**8, 2**16 and 2**32, past 63 bits (ranked),
+# and one letter
+NARROW_CODE_CASES = [(2, 8), (4, 4), (16, 2), (2, 16), (4, 8), (256, 2),
+                     (2, 32), (16, 8), (65536, 2), (3, 40), (2, 64), (2, 70),
+                     (1, 5), (1, 64)]
+
+
+def _narrow_code_sequence(s, L):
+    """Random letters of range(s) across two blocks, with one window of
+    L letters s − 1, whose code is the largest of its range."""
+    arr = np.random.default_rng(s * 1000 + L).integers(
+        0, s, _BLOCK + 3 * L + 5)
+    arr[_BLOCK - 2:_BLOCK - 2 + L] = s - 1
+    return arr
+
+
+@pytest.mark.parametrize("s, L", NARROW_CODE_CASES)
+@pytest.mark.parametrize("held", ["narrow", "int64"])
+def test_grow_codes_in_the_codes_type_match_the_int64_oracle(s, L, held):
+    # arr held in the alphabet's own type, or wider than the codes
+    arr = _narrow_code_sequence(s, L)
+    arr = arr.astype(_code_dtype(s) if held == "narrow" else np.int64)
+    dtype = _code_dtype(s ** L)
+    for steps in (_doubling_steps(L), _doubling_steps(L) + ["pair"],
+                  ["append"] * (L - 1)):
+        got = _grow_codes(arr, s, arr.astype(dtype), s, steps)
+        want = int64_grow_codes(arr, s, arr.astype(dtype), s, steps)
+        assert got[0].dtype == dtype
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        if not got[2]:
+            assert got[1] == s ** L
+            assert int(got[0].max()) == s ** L - 1
+
+
+@pytest.mark.parametrize("span, held", [
+    (1 << 8, np.uint8), (1 << 8, np.int64),
+    (1 << 16, np.uint16), (1 << 16, np.int64)])
+def test_pair_codes_hold_span_squared_at_the_type_edges(span, held):
+    # span² = 2**16 and 2**32: the pair codes fill uint16 and uint32
+    rng = np.random.default_rng(span)
+    n, shift = _BLOCK + 7, 5
+    codes = rng.integers(0, span, n).astype(held)
+    codes[:shift + 1] = span - 1
+    want = codes[:n - shift].astype(np.int64) * span + codes[shift:]
+    got = _pair_codes(codes, span, shift, 0, n - shift)
+    assert got.dtype == (np.uint16 if span == 1 << 8 else np.uint32)
+    assert np.array_equal(got, want)
+    assert int(got[0]) == span * span - 1
+    lo, hi = _BLOCK - 3, _BLOCK + 2
+    assert np.array_equal(_pair_codes(codes, span, shift, lo, hi),
+                          want[lo:hi])
+    if span == 1 << 8:
+        counts = _code_counts(codes, span * span, (span, shift))
+        assert np.array_equal(counts,
+                              np.bincount(want, minlength=span * span))
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_ranks_and_concat_pieces_at_block_edges(n, dtype):
+    rng = np.random.default_rng(n)
+    size = int(np.iinfo(dtype).max) + 1 if dtype == np.uint8 else 3000
+    codes = rng.integers(0, size, n).astype(dtype)
+    uniq, ranks = _ranks(codes, size)
+    want = np.unique(codes)
+    assert np.array_equal(uniq, want)
+    assert ranks.dtype == _code_dtype(want.size)
+    assert np.array_equal(ranks, np.searchsorted(want, codes))
+    # pieces of one length are rows of a table; of unequal lengths,
+    # spans of the concatenated pieces
+    small = codes % 7
+    equal = [np.full(3, c, dtype=np.uint8) + np.arange(3, dtype=np.uint8)
+             for c in range(7)]
+    unequal = [np.arange(c + 1, dtype=np.uint8) for c in range(7)]
+    for pieces in (equal, unequal):
+        got = _concat_pieces(small, pieces)
+        assert np.array_equal(got, np.concatenate(
+            [pieces[c] for c in small.tolist()]))
+
+
+def test_ranks_of_narrow_codes_make_no_whole_array_index():
+    # an intp index of 10**6 codes is 8 MB; a block's is 512 KiB
+    codes = np.random.default_rng(8).integers(0, 200, 10 ** 6,
+                                              dtype=np.uint8)
+    _ranks(codes[:10], 256)  # warm up
+    tracemalloc.start()
+    try:
+        uniq, ranks = _ranks(codes, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranks.dtype == np.uint8 and uniq.size == 200
+    # the 1 MB output and one block of scratch
+    assert peak < 2 << 20
 
 
 def entropy_curve_oracle(src, L_max):

@@ -513,11 +513,22 @@ def decimal_entropy(d, prec: int = 60) -> Decimal:
 def decimal_mi_oracle(j) -> Decimal:
     """I(left; right) of an exact joint table in 60-digit ``Decimal``,
     the digits doubled while the value lies within 10^45 of the working
-    precision's noise (the terms, each near 1, cancel to it)."""
+    precision's noise (the terms, each near 1, cancel to it, or to 0).
+    It is 0 exactly where the joint is the product of its marginals,
+    and positive otherwise."""
+    D = j.denominator
+    left: Counter = Counter()
+    right: Counter = Counter()
+    for (a, b), w in j.weights.items():
+        left[a] += w
+        right[b] += w
+    if all(j.weights.get((a, b), 0) * D == left[a] * right[b]
+           for a in left for b in right):
+        return Decimal(0)
     prec = 60
     while True:
         want = decimal_mi(j, prec)
-        if want == 0 or want > Decimal(10) ** (45 - prec):
+        if want > Decimal(10) ** (45 - prec):
             return want
         prec *= 2
 
@@ -1192,6 +1203,67 @@ def test_every_sampler_holds_the_narrowest_type(name):
                          else np.uint8)
     assert want.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+def _one_step_entries(model):
+    """Entries of the sampler's one-step table: (distinct cut points of
+    all rows + 1) bins × contexts."""
+    cuts = {x for c in model.contexts for x in np.cumsum(
+        [float(p) for p in model.kernel[c]])[:-1].tolist()}
+    return (len(cuts) + 1) * len(model.contexts)
+
+
+def _walks_counted(monkeypatch):
+    """Count the sampler's calls of ``_walk_maps``, the table route."""
+    calls = []
+    walk = processes._walk_maps
+
+    def counted(*args):
+        calls.append(1)
+        return walk(*args)
+    monkeypatch.setattr(processes, "_walk_maps", counted)
+    return calls
+
+
+def test_chain_with_many_cuts_steps_each_symbol_as_the_bisect_oracle(
+        monkeypatch):
+    # 300 letters: about 9·10^4 bins × 300 contexts, a table of about
+    # 2.7·10^7 entries, which the walk of these n steps cannot use
+    model = _letters_300_chain()
+    assert _one_step_entries(model) > 2 * processes._BLOCK + 3
+    calls = _walks_counted(monkeypatch)
+    B = processes._BLOCK
+    for n in (1, 1000, B - 1, B, B + 1):
+        got = model.sample(n, np.random.default_rng(n))
+        want = bisect_sample_oracle(model, n, np.random.default_rng(n))
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, want), n
+    assert not calls
+    model.sample(10, np.random.default_rng(0))  # warm up
+    tracemalloc.start()
+    try:
+        model.sample(1000, np.random.default_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the m cut rows, as an array and as lists, and one block of
+    # uniforms; the one-step table alone is about 1 GB
+    assert peak < 8 << 20
+
+
+def test_chain_steps_each_symbol_only_below_its_table_size(monkeypatch):
+    # 216 contexts and about a thousand bins: n steps use the table
+    # from n = nb·m on
+    model = random_float_chain(6, 3, seed=3)
+    entries = _one_step_entries(model)
+    calls = _walks_counted(monkeypatch)
+    for n, walked in ((entries - 1, False), (entries, True),
+                      (entries + 1, True)):
+        del calls[:]
+        got = model.sample(n, np.random.default_rng(n))
+        want = bisect_sample_oracle(model, n, np.random.default_rng(n))
+        assert np.array_equal(got, want), n
+        assert bool(calls) == walked, n
 
 
 @pytest.mark.parametrize("subst", [thue_morse, fibonacci],
