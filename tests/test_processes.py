@@ -1043,12 +1043,17 @@ def test_markov_sample_across_block_boundaries(name):
         assert np.array_equal(got, want)
 
 
-def _chunk_steps(model):
-    """The sampler's k on a chain: nb bins cut by the distinct cut
-    points of all its rows, m contexts."""
+def _bins(model):
+    """The sampler's bins on a chain: those cut by the distinct cut
+    points of all its rows."""
     cuts = {x for c in model.contexts for x in np.cumsum(
         [float(p) for p in model.kernel[c]])[:-1].tolist()}
-    return processes._chunk_steps(len(cuts) + 1, len(model.contexts))
+    return len(cuts) + 1
+
+
+def _chunk_steps(model):
+    """The sampler's k on a chain of nb bins and m contexts."""
+    return processes._chunk_steps(_bins(model), len(model.contexts))
 
 
 # name -> (chain, its k)
@@ -1206,11 +1211,8 @@ def test_every_sampler_holds_the_narrowest_type(name):
 
 
 def _one_step_entries(model):
-    """Entries of the sampler's one-step table: (distinct cut points of
-    all rows + 1) bins × contexts."""
-    cuts = {x for c in model.contexts for x in np.cumsum(
-        [float(p) for p in model.kernel[c]])[:-1].tolist()}
-    return (len(cuts) + 1) * len(model.contexts)
+    """Entries of the sampler's one-step table: bins × contexts."""
+    return _bins(model) * len(model.contexts)
 
 
 def _walks_counted(monkeypatch):
