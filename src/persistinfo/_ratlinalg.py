@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["rational_nullspace", "stationary_from_transitions"]
+__all__ = ["rational_nullspace"]
 
 
 def rational_nullspace(A: Sequence[Sequence]) -> list:
@@ -50,24 +50,3 @@ def rational_nullspace(A: Sequence[Sequence]) -> list:
         basis.append(tuple(v))
     return basis
 
-
-def stationary_from_transitions(T: Sequence[Sequence]) -> tuple:
-    """Stationary row vector of a rational stochastic matrix T
-    (rows sum to 1): solves pi T = pi, sum(pi) = 1, exactly.
-
-    Requires a one-dimensional fixed space (unique stationary law);
-    raises ValueError otherwise.
-    """
-    n = len(T)
-    A = [[Fraction(T[i][j]) - (1 if i == j else 0) for i in range(n)]
-         for j in range(n)]  # (T^t - I) pi = 0
-    basis = rational_nullspace(A)
-    candidates = [v for v in basis if sum(v) != 0]
-    if len(basis) != 1 or not candidates:
-        raise ValueError("stationary distribution is not unique")
-    v = candidates[0]
-    total = sum(v)
-    pi = tuple(x / total for x in v)
-    if any(x < 0 for x in pi):
-        raise ValueError("stationary solve produced negative entries")
-    return pi

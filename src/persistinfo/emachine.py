@@ -10,12 +10,15 @@ complexity C_P, and the mutual information between forward states and
 the states of the time-reversed process is the excess entropy E,
 giving the decomposition C_P = E + H(S+|S-).
 
-A ``MarkovProcess`` of order k <= R is read by edge context, since a
-length-R history has the future law of its last k symbols: histories
-from the length-R block table, one length-F future table per edge
-context, and the joint state law from the blocks of length 2k.  Any
-other model, and a chain at R < k, is read from its length-(R+F) word
-window, which on a chain serves the tests as an oracle.
+Every model is read through its block tables alone, and through its
+``order`` where it has one.  A history's future law is that of its
+last k symbols, k the order of a chain of order at most R and R
+otherwise: the future laws are the length-(k+F) table grouped by its
+first k symbols, and the histories and their next symbols are the
+length-(R+1) table, or the length-(R+F) table again when k = R.  The
+joint state law is the table of length 2·max(order, 1) on such a
+chain, of length Rf + Rr otherwise.  The window caps are those of the
+tables read.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .infocore import (
     _entropy_of_table,
     _exact_str,
 )
-from .processes import MarkovProcess, _check_cap, reversed_model
+from .processes import reversed_model
 
 __all__ = [
     "EpsilonMachine",
@@ -147,10 +150,7 @@ def reconstruct(model, history_length: int, future_length: int,
         raise ValueError("need history_length >= 1 and future_length >= 1")
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
-    if isinstance(model, MarkovProcess) and R >= model.order:
-        blocks, hist, k, futures, sym, scale = _chain_laws(model, R, F)
-    else:
-        blocks, hist, k, futures, sym, scale = _window_laws(model, R, F)
+    blocks, hist, k, futures, sym = _laws(model, R, F)
     exact = blocks.exact
     if tol is None:
         tol = 0.0 if exact else 1e-12
@@ -208,7 +208,7 @@ def reconstruct(model, history_length: int, future_length: int,
                     f"emits '{alphabet.symbols[a]}' into states "
                     f"{sorted(targets)}; increase history_length or "
                     f"future_length")
-            mass = state_weights[i] * scale
+            mass = state_weights[i]
             transitions[(i, a)] = (targets.pop(), Fraction(num, mass)
                                    if exact else num / mass)
 
@@ -232,45 +232,36 @@ def reconstruct(model, history_length: int, future_length: int,
     )
 
 
-def _window_laws(model, R: int, F: int) -> tuple:
-    """What ``reconstruct`` reads, off the length-(R+F) window: the
-    table that fixes the denominator of the history weights, the
-    weights of the length-R histories, the k whose last k history
-    symbols key a future table (here all R), those future tables, each
-    history's weights of its next symbol, and the factor (here 1)
-    that puts a history weight over the denominator of those."""
-    win = model.block_distribution(R + F)
-    hist: dict = {}
+def _laws(model, R: int, F: int) -> tuple:
+    """What ``reconstruct`` reads: the length-(R+1) table, the weight
+    of each length-R history and of each of its next symbols, both off
+    that table and over its denominator; the
+    k whose last k history symbols key a future table (the order of a
+    chain of order at most R, else R); and those future tables, the
+    length-(k+F) table grouped by its first k symbols.  When k = R the
+    length-(R+F) table serves for both."""
+    k = min(getattr(model, "order", R), R)
+    win = model.block_distribution(k + F)
+    blocks = win if k == R else model.block_distribution(R + 1)
+    # words of one prefix mostly come in a run: look its row up once
     futures: dict = {}
-    sym: dict = {}
+    c = None
     for w, p in win.weights.items():
-        if p == 0:
-            continue
-        d = w[:R]
-        hist[d] = hist.get(d, 0) + p
-        futures.setdefault(d, {})[w[R:]] = p
-        sym.setdefault(d, [0] * len(win.alphabet))[w[R]] += p
-    return win, hist, R, futures, sym, 1
-
-
-def _chain_laws(model, R: int, F: int) -> tuple:
-    """The same for a chain of order k <= R, whose length-R history has
-    the future law of its edge context: the length-R block table, one
-    future table per edge context, and each history's weight times the
-    row weights d·P of its context, which carry the row denominator d
-    beyond the block's."""
-    k = model.order
-    _check_cap(len(model.alphabet), F)
-    blocks = model.block_distribution(R)
-    hist = {d: p for d, p in blocks.weights.items() if p != 0}
-    futures, rows = {}, {}
-    for c in {d[R - k:] for d in hist}:
-        futures[c] = {w[k:]: p for w, p in model._extend({c: 1}, F).items()}
-        rows[c] = [0] * len(model.alphabet)
-        for (a,), w in model._edges[c]:
-            rows[c][a] = w
-    sym = {d: [p * w for w in rows[d[R - k:]]] for d, p in hist.items()}
-    return blocks, hist, k, futures, sym, model._d
+        if p != 0:
+            if w[:k] != c:
+                c = w[:k]
+                table = futures.setdefault(c, {})
+            table[w[k:]] = p
+    sym: dict = {}
+    d = None
+    for w, p in blocks.weights.items():
+        if p != 0:
+            if w[:R] != d:
+                d = w[:R]
+                row = sym.setdefault(d, [0] * len(blocks.alphabet))
+            row[w[R]] += p
+    hist = {d: sum(row) for d, row in sym.items()}
+    return blocks, hist, k, futures, sym
 
 
 def _future_law_key(table: dict) -> tuple:
@@ -303,28 +294,24 @@ def _state_joint(forward: EpsilonMachine, reverse: EpsilonMachine,
                  model) -> tuple:
     """Joint law of (forward state of the past, reverse state of the
     future) across one instant, as weights over their denominator (None
-    on floats).  On a chain of order k at most both history lengths,
-    the forward state is read from the edge context c before the
-    instant and the reverse state from the reversed k symbols e after
-    it, weighted by the law of the block c·e; otherwise from the window
-    of length Rf + Rr."""
-    Rf, Rr = forward.history_length, reverse.history_length
-    if isinstance(model, MarkovProcess) and min(Rf, Rr) >= model.order:
-        k = model.order
-        fwd, rev = _context_states(forward, k), _context_states(reverse, k)
-        table = model._extend(model._context_weights(), k)
-        denominator = model._denominator(k)
-    else:
-        k, fwd, rev = Rf, forward.history_index, reverse.history_index
-        win = model.block_distribution(Rf + Rr)
-        table, denominator = win.weights, win.denominator
+    on floats), off the table of length kf + kr: the forward state is
+    that of its first kf symbols, the reverse state that of its last kr
+    read backwards.  kf and kr are the two history lengths, except on a
+    chain of order at most both, whose states are read from its edge
+    contexts: kf = kr = max(order, 1)."""
+    kf, kr = forward.history_length, reverse.history_length
+    order = getattr(model, "order", None)
+    if order is not None and order <= min(kf, kr):
+        kf = kr = max(order, 1)
+    fwd, rev = _context_states(forward, kf), _context_states(reverse, kr)
+    win = model.block_distribution(kf + kr)
     joint: dict = {}
-    for w, p in table.items():
+    for w, p in win.weights.items():
         if p == 0:
             continue
-        key = (fwd[w[:k]], rev[tuple(reversed(w[k:]))])
+        key = (fwd[w[:kf]], rev[tuple(reversed(w[kf:]))])
         joint[key] = joint.get(key, 0) + p
-    return joint, denominator
+    return joint, win.denominator
 
 
 def _context_states(machine: EpsilonMachine, k: int) -> dict:

@@ -437,9 +437,10 @@ def gap_mi_grid(source, L_grid: Sequence[int],
     if isinstance(src, EmpiricalSource):
         values, missing = src.gap_mutual_informations(Ls, gs)
     else:
+        # gap by gap: a chain keeps only the bridge of its last gap
         values, missing = {}, {}
-        for L in Ls:
-            for g in gs:
+        for g in gs:
+            for L in Ls:
                 try:
                     values[(L, g)] = src.gap_mutual_information(L, g)
                 except (WindowCapError, UndersampledError) as e:

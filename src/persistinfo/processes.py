@@ -48,7 +48,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._ratlinalg import stationary_from_transitions
+from ._ratlinalg import rational_nullspace
 from .infocore import (
     WINDOW_STATE_CAP,
     Alphabet,
@@ -99,10 +99,6 @@ __all__ = [
     "reversed_model",
     "ising_entropy_rate",
 ]
-
-#: gap matrix powers a Markov chain keeps, one per gap length
-GAP_POWERS_KEPT = 32
-
 
 class ClosedFormUnavailable(ValueError):
     """The model class has no exact expression for the request."""
@@ -236,18 +232,20 @@ def _as_weight(x):
     return float(x)
 
 
-def _float_stationary(T: np.ndarray) -> np.ndarray:
-    """Stationary law of a float stochastic matrix, refused unless the
-    zero pattern of T has one closed class, as the rational solve is:
-    one linear solve of π·T = π with Σπ = 1 on that class, 0 off it.
+def _stationary(T: np.ndarray, d) -> tuple:
+    """Stationary law of the context matrix T, rows summing to d (d·T
+    of Python ints on a rational chain, float T with d = 1 on a float
+    one), refused unless the zero pattern of T has one closed class:
+    the law on that class, 0 off it.
 
     A walk steps from a state k to one that k reaches and that does
     not reach k, which reaches fewer states, until none is left: k is
     then in a closed class, the states it reaches.  The class is the
     only one exactly when a backward walk from k reaches every state.
     """
-    succ = [np.flatnonzero(r).tolist() for r in T]
-    pred = [np.flatnonzero(c).tolist() for c in T.T]
+    B = T != 0
+    succ = [np.flatnonzero(r).tolist() for r in B]
+    pred = [np.flatnonzero(c).tolist() for c in B.T]
     k = 0
     while True:
         ahead, behind = _levels(succ, k)[0], _levels(pred, k)[0]
@@ -258,19 +256,31 @@ def _float_stationary(T: np.ndarray) -> np.ndarray:
     if len(behind) < len(T):
         raise ValueError("stationary distribution is not unique")
     closed = sorted(ahead)
-    # (T − I)^t on the class has rank one less than its size and rows
-    # that sum to zero: the last is replaced by Σπ = 1
     TC = T[np.ix_(closed, closed)]
-    A = TC.T - np.eye(len(closed))
-    A[-1] = 1.0
-    b = np.zeros(len(closed))
-    b[-1] = 1.0
-    # the solve's error sits on the last state; one step of the chain
-    # spreads it over the class
-    v = np.clip(np.linalg.solve(A, b), 0.0, None) @ TC
-    pi = np.zeros(len(T))
-    pi[closed] = v / v.sum()
-    return pi
+    if T.dtype == object:
+        # the class is irreducible: (d·T − d·I)^t on it has a nullspace
+        # of one vector, of one sign
+        rows, n = TC.tolist(), len(closed)
+        (v,) = rational_nullspace([[rows[j][i] - (d if i == j else 0)
+                                    for j in range(n)] for i in range(n)])
+        total = sum(v)
+        v = [x / total for x in v]
+        pi = [Fraction(0)] * len(T)
+    else:
+        # (T − I)^t on the class has rank one less than its size and
+        # rows that sum to zero: the last is replaced by Σπ = 1
+        A = TC.T - np.eye(len(closed))
+        A[-1] = 1.0
+        b = np.zeros(len(closed))
+        b[-1] = 1.0
+        # the solve's error sits on the last state; one step of the
+        # chain spreads it over the class
+        v = np.clip(np.linalg.solve(A, b), 0.0, None) @ TC
+        v = (v / v.sum()).tolist()
+        pi = [0.0] * len(T)
+    for i, x in zip(closed, v):
+        pi[i] = x
+    return tuple(pi)
 
 
 def _entropy_nats(probs) -> float:
@@ -354,10 +364,11 @@ class MarkovProcess:
     """Order-R Markov chain given by one probability row per length-R
     context; order 0 degenerates to an i.i.d. source.
 
-    The stationary law is solved on the context chain (exactly for
-    rational rows); builders that already know it may pass
-    ``stationary`` aligned with the lexicographic context order, which
-    is then verified rather than re-solved.
+    The stationary law is solved on the closed class of the context
+    chain (``_stationary``, exactly for rational rows); builders that
+    already know it may pass ``stationary`` aligned with the
+    lexicographic context order, which is then verified rather than
+    re-solved.
 
     A rational chain is kept as integers: with d the common denominator
     of its rows and q that of its stationary law, the rows d·P, the
@@ -374,6 +385,9 @@ class MarkovProcess:
     oracles, which do, are ``block_distribution`` and
     ``joint_gap_distribution``.  Both routes enumerate the law and read
     no closed form, so they stay a check on the closed forms.
+    ``block_distribution`` and ``order`` are also all that ``emachine``
+    reads of a chain; its tables are valid by construction (every row
+    d·P sums to d), so they are not checked again.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
@@ -449,6 +463,10 @@ class MarkovProcess:
             if exact and not all(isinstance(x, Fraction) for x in pi):
                 raise ValueError("stationary vector of a chain with rational "
                                  "rows must be rational, not float")
+            # the block tables are built from π unchecked: it must be a law
+            if not _agrees(sum(pi), 1, 1e-9):
+                raise ValueError(f"supplied stationary vector sums to "
+                                 f"{sum(pi)}, not 1")
             # flow = pi·(d·T) over the moves, to be compared with d·pi
             flow = [0] * m
             for ci, row in enumerate(moves):
@@ -456,11 +474,8 @@ class MarkovProcess:
                     flow[cj] += pi[ci] * w
             if not all(_agrees(flow[j], d * pi[j], 1e-9) for j in range(m)):
                 raise ValueError("supplied stationary vector is not stationary")
-        elif exact:
-            pi = stationary_from_transitions(
-                [[Fraction(w, d) for w in row] for row in T])
         else:
-            pi = tuple(float(x) for x in _float_stationary(T))
+            pi = _stationary(T, d)
         object.__setattr__(self, "stationary", pi)
         if exact:
             weights, q = _rational_weights(pi)
@@ -498,8 +513,9 @@ class MarkovProcess:
 
     def _gap_matrix(self, g: int):
         """(d·T)^g, or T^g on a float chain with each row divided by its
-        sum; kept per g, up to GAP_POWERS_KEPT of them, the oldest
-        dropped first.
+        sum; the last power built is kept, so the cells of one gap
+        (``measures.gap_mi_grid`` visits a grid gap by gap) build it
+        once.
 
         A float T is summed in float (ten 0.1s give 0.9999999999999999),
         so its powers lose mass as g grows; the row sums put it back."""
@@ -509,8 +525,7 @@ class MarkovProcess:
             if not self.exact:
                 # not in place: the first power is _T itself
                 Tg = Tg / Tg.sum(axis=1, keepdims=True)
-            if len(self._powers) >= GAP_POWERS_KEPT:
-                del self._powers[next(iter(self._powers))]
+            self._powers.clear()
             self._powers[g] = Tg
         return Tg
 
@@ -546,9 +561,10 @@ class MarkovProcess:
             ctx = BlockDistribution(self.alphabet, R, self._context_weights(),
                                     self._denominator(0))
             return ctx.restrict(R - L, R)
+        # every row d·P sums to d: the words' weights sum to q·d^(L−R)
         words = self._extend(self._context_weights(), L - R)
-        return BlockDistribution(self.alphabet, L, words,
-                                 self._denominator(L - R))
+        return BlockDistribution._trusted(self.alphabet, L, words,
+                                          self._denominator(L - R))
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
         """H(L) in bits for each length of Ls.  Words of length L >= R

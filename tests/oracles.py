@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
     _BLOCK,
     _passes_63_bits,
@@ -142,6 +143,25 @@ def closed_classes(T: np.ndarray) -> list:
               for j in range(len(T))
               if (reach[:, j] <= reach[j, :]).all()}
     return sorted(closed, key=min)
+
+
+def stationary_from_transitions(T: Sequence[Sequence]) -> tuple:
+    """Stationary row vector of a rational stochastic matrix T (rows
+    sum to 1) by one Gauss–Jordan over every state: solves π·T = π,
+    Σπ = 1, exactly, refused unless the fixed space is one-dimensional."""
+    n = len(T)
+    A = [[Fraction(T[i][j]) - (1 if i == j else 0) for i in range(n)]
+         for j in range(n)]  # (T^t - I) π = 0
+    basis = rational_nullspace(A)
+    candidates = [v for v in basis if sum(v) != 0]
+    if len(basis) != 1 or not candidates:
+        raise ValueError("stationary distribution is not unique")
+    v = candidates[0]
+    total = sum(v)
+    pi = tuple(x / total for x in v)
+    if any(x < 0 for x in pi):
+        raise ValueError("stationary solve produced negative entries")
+    return pi
 
 
 def eig_float_stationary(T: np.ndarray) -> np.ndarray:

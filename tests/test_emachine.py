@@ -9,6 +9,7 @@ before the module was written.
 import dataclasses
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from persistinfo.emachine import (
     machine_excess_entropy,
     reconstruct,
 )
-from persistinfo.infocore import Alphabet, ExactBits
+from persistinfo.infocore import Alphabet, ExactBits, WindowCapError
 from persistinfo.processes import (
     IidProcess,
     IsingChainProcess,
@@ -425,8 +426,9 @@ def test_chain_machines_match_window_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MarkovProcess, "block_distribution", counted)
         got = machine_or_refusal(m, R, F_len)
-    # the chain route builds no word table longer than the history
-    assert asked and max(asked) <= R
+    # the chain reads no table longer than the next-symbol table and
+    # the future tables of its edge contexts
+    assert asked and max(asked) <= max(R + 1, m.order + F_len)
     want = machine_or_refusal(WindowOracle(m), R, F_len)
     assert (got is None) == (want is None)
     if got is None:
@@ -490,3 +492,63 @@ def test_state_joint_refuses_a_context_split_across_states():
     rev = reconstruct(reversed_model(gm), 2, 2)
     with pytest.raises(ValueError, match="edge context '0' lies in states"):
         complexity_decomposition(r2, rev, gm)
+
+
+class ChainTables:
+    """A chain seen through its alphabet, its order and its block
+    tables alone, recording the lengths of the tables asked for."""
+
+    def __init__(self, chain):
+        self._chain = chain
+        self.alphabet = chain.alphabet
+        self.order = chain.order
+        self.asked = set()
+
+    def block_distribution(self, L: int):
+        self.asked.add(L)
+        return self._chain.block_distribution(L)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chain_horizons())
+def test_machines_read_a_chain_through_its_order_and_block_tables(case):
+    m, R, F_len = case
+    k = m.order
+    event(f"order {k}, R = order + {R - k}")
+    # the next-symbol table of length R + 1 and the future tables of
+    # length k + F, one table when k = R
+    tables = {R + 1, k + F_len} if k < R else {k + F_len}
+    machines = []
+    for model in (m, reversed_model(m)):
+        proxy = ChainTables(model)
+        got = machine_or_refusal(proxy, R, F_len)
+        assert proxy.asked == tables
+        want = machine_or_refusal(model, R, F_len)
+        assert (got is None) == (want is None)
+        if got is None:
+            event("non-unifilar")
+            return
+        assert_same_machine(got, want)
+        machines.append((got, want))
+    (fwd, fwd_want), (rev, rev_want) = machines
+    proxy = ChainTables(m)
+    assert complexity_decomposition(fwd, rev, proxy) == \
+        complexity_decomposition(fwd_want, rev_want, m)
+    assert proxy.asked == {2 * max(k, 1)}
+
+
+def test_float_chain_rows_off_by_1e10_give_tables_and_machines():
+    # rows are accepted within 1e-9 of 1; the tables built from them
+    # are valid by construction and are not checked again at 1e-12
+    m = MarkovProcess.from_rows({"0": (0.3, 0.7000000001), "1": (0.5, 0.5)})
+    assert len(m.block_distribution(5).weights) == 32
+    machine = reconstruct(m, 1, 3)
+    assert len(machine.states) == 2 and not machine.exact
+
+
+def test_machine_future_tables_keep_the_window_cap():
+    # the length-27 future table of the golden mean is refused
+    with pytest.raises(WindowCapError, match=re.escape(
+            "window of length 27 over 2 symbols needs 2**27 states; "
+            "cap is 2**26")):
+        reconstruct(goldenmean(), 1, 26)

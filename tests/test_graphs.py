@@ -1,18 +1,21 @@
 """Graph questions answered by breadth-first walks: irreducibility and
 period of a composition matrix, uniqueness of a float chain's
 stationary law, and the period that a chain's PMI reads, each checked
-against the boolean-matrix oracles in ``oracles``; and the float
-stationary law, checked against the eigendecomposition oracle."""
+against the boolean-matrix oracles in ``oracles``; and the stationary
+law, checked against the eigendecomposition oracle on floats and the
+Gauss–Jordan oracle on rationals."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from persistinfo.infocore import Alphabet, log2_of
-from persistinfo.processes import MarkovProcess, _float_stationary
+from persistinfo.processes import MarkovProcess, _stationary
 from persistinfo.substitution import (
     ReducibleMatrixError,
     _irreducible_period,
@@ -25,7 +28,12 @@ from oracles import (
     eig_float_stationary,
     graph_period,
     reachability,
+    stationary_from_transitions,
 )
+
+
+def float_stationary(T: np.ndarray) -> np.ndarray:
+    return np.array(_stationary(T, 1))
 
 
 @st.composite
@@ -105,9 +113,9 @@ def test_float_stationary_refuses_exactly_several_closed_classes(T):
         event("refused")
         with pytest.raises(ValueError,
                            match="stationary distribution is not unique"):
-            _float_stationary(T)
+            float_stationary(T)
     else:
-        pi = _float_stationary(T)
+        pi = float_stationary(T)
         assert np.allclose(pi @ T, pi, atol=1e-9)
         assert math.isclose(pi.sum(), 1.0)
 
@@ -133,7 +141,7 @@ def test_float_chain_with_transient_contexts_has_no_mass_on_them():
     T = np.zeros((6, 6))
     T[0, 1] = T[0, 5] = 0.5
     T[1, 0] = T[2, 3] = T[3, 2] = T[4, 0] = T[5, 2] = 1.0
-    assert np.flatnonzero(_float_stationary(T)).tolist() == [2, 3]
+    assert np.flatnonzero(float_stationary(T)).tolist() == [2, 3]
     rows = {(c,): tuple(T[c].tolist()) for c in range(6)}
     chain = MarkovProcess(Alphabet([str(i) for i in range(6)]), 1, rows)
     cf = chain.closed_forms()
@@ -147,9 +155,9 @@ def test_float_stationary_matches_the_eig_oracle(T):
         want = eig_float_stationary(T)
     except ValueError as e:
         with pytest.raises(ValueError, match=str(e)):
-            _float_stationary(T)
+            float_stationary(T)
         return
-    got = _float_stationary(T)
+    got = float_stationary(T)
     assert np.flatnonzero(got).tolist() == np.flatnonzero(want).tolist()
     assert np.abs(got - want).max() <= 1e-12
 
@@ -162,7 +170,7 @@ def test_float_stationary_of_random_chains_matches_the_eig_oracle(m, density):
     # a cycle through every state: one closed class
     W[np.arange(m), (np.arange(m) + 1) % m] += rng.random(m) + 0.1
     T = W / W.sum(axis=1, keepdims=True)
-    got, want = _float_stationary(T), eig_float_stationary(T)
+    got, want = float_stationary(T), eig_float_stationary(T)
     assert np.abs(got - want).max() <= 1e-12
     assert np.allclose(got @ T, got, rtol=0, atol=1e-15)
 
@@ -178,3 +186,45 @@ def test_float_chain_of_period_2_has_its_pmi_below_its_excess_entropy():
     assert chain.stationary == (0.0, 0.0, 0.5, 0.5, 0.0, 0.0)
     cf = chain.closed_forms()
     assert cf.pmi == log2_of(2) and cf.excess_entropy == 1.0
+
+
+@st.composite
+def sparse_rational_chains(draw):
+    """Rational chains of up to 27 contexts (binary up to order 4,
+    ternary up to order 3) whose rows have weights 0, 1 or 3, each 0
+    with probability 1/2 and the first 1 where all are 0: many have
+    transient contexts or several closed classes."""
+    s = draw(st.integers(2, 3))
+    order = draw(st.integers(0, 4 if s == 2 else 3))
+    weights = st.lists(st.sampled_from((0, 0, 1, 3)), min_size=s,
+                       max_size=s).map(lambda w: w if any(w) else [1] + w[1:])
+    rows = {}
+    for c in product(range(s), repeat=order):
+        w = draw(weights)
+        rows[c] = tuple(Fraction(x, sum(w)) for x in w)
+    return s, order, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rational_chains())
+@example((2, 1, {(0,): (Fraction(1), Fraction(0)),
+                 (1,): (Fraction(0), Fraction(1))}))  # two closed classes
+@example((2, 1, {(0,): (Fraction(1, 2), Fraction(1, 2)),
+                 (1,): (Fraction(0), Fraction(1))}))  # '0' is transient
+def test_exact_stationary_law_matches_the_gauss_jordan_oracle(case):
+    s, order, rows = case
+    contexts = list(product(range(s), repeat=order))
+    index = {c: i for i, c in enumerate(contexts)}
+    T = [[Fraction(0)] * len(contexts) for _ in contexts]
+    for c, row in rows.items():
+        for a, p in enumerate(row):
+            T[index[c]][index[(c + (a,))[1:]]] += p
+    try:
+        want = stationary_from_transitions(T)
+    except ValueError as e:
+        event("refused")
+        with pytest.raises(ValueError, match=str(e)):
+            MarkovProcess(Alphabet("abc"[:s]), order, rows)
+        return
+    event("transient contexts" if 0 in want else "every context recurrent")
+    assert MarkovProcess(Alphabet("abc"[:s]), order, rows).stationary == want
