@@ -23,10 +23,12 @@ Conventions
     a + Σ_p c_p·log₂(p) over odd primes p (:class:`ExactBits`) whenever
     every probability factors over small primes; log₂ of distinct
     primes are linearly independent over ℚ, so structural equality of
-    the representation is equality of the value.  The work is per
-    distinct weight, not per entry: each distinct w is reduced by
-    gcd(w, D), factored once, and its multiplicity weights its prime
-    coefficients, which are summed as integers.  Distributions whose
+    the representation is equality of the value.  It is held as
+    integers over one denominator, reduced by their common gcd.  The
+    work is per distinct weight, not per entry: each distinct w is
+    reduced by gcd(w, D), and its multiplicity weights its prime
+    coefficients, which are summed as integers over D; each integer is
+    factored once per process (a bounded cache).  Distributions whose
     rationals do not factor cheaply fall back to float entropies of
     the correctly rounded w / D, and their mutual information to a sum
     of nonnegative terms.
@@ -67,6 +69,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from numbers import Rational
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -195,11 +198,13 @@ def _primes_below(bound: int) -> tuple:
     return tuple(np.flatnonzero(sieve).tolist())
 
 
-def _factor_smooth(n: int) -> dict:
+@lru_cache(maxsize=1 << 14)
+def _factor_smooth(n: int) -> Mapping[int, int]:
     """Factor n ≥ 1 by trial division by the primes below
     SMOOTH_FACTOR_BOUND; raise if a cofactor above that bound survives
     (the value is then not smooth enough for symbolic entropy and the
-    caller falls back to float)."""
+    caller falls back to float).  Cached per process, as a read-only
+    mapping that every caller shares; a refusal is not cached."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
@@ -213,7 +218,7 @@ def _factor_smooth(n: int) -> dict:
         if n >= SMOOTH_FACTOR_BOUND ** 2:
             raise _NotSmooth(n)
         out[n] = out.get(n, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
 class _NotSmooth(Exception):
@@ -223,37 +228,64 @@ class _NotSmooth(Exception):
 class ExactBits:
     """Exact value in bits: ``rational + Σ coeff·log₂(prime)``.
 
-    ``logs`` maps odd primes to rational coefficients (the prime 2 is
-    folded into the rational part since log₂2 = 1).  Zero coefficients
-    are dropped, so ``==`` is value equality.  Supports +, −, scaling
-    by rationals, division by rationals, and float conversion; + and −
-    with a float give a float, as with a Fraction.  Immutable and
+    Held as integers over one positive denominator: a numerator and one
+    nonzero coefficient per odd prime (log₂2 = 1 is rational), reduced
+    by their gcd, so ``==`` is value equality; ``rational`` and ``logs``
+    read them as Fractions.  Supports +, −, scaling by rationals,
+    division by rationals, and float conversion; with a float it gives
+    a float, and compares by value, as a Fraction does.  Immutable and
     hashable.
     """
 
-    __slots__ = ("rational", "logs")
+    __slots__ = ("_num", "_coeffs", "_den")
 
     def __init__(self, rational, logs: Mapping[int, Fraction] | tuple = ()):
-        object.__setattr__(self, "rational", Fraction(rational))
-        items = logs if isinstance(logs, tuple) else tuple(dict(logs).items())
-        clean = tuple(
-            sorted((int(p), Fraction(c)) for p, c in items if c != 0)
-        )
-        for p, _ in clean:
+        r = Fraction(rational)
+        coeffs = {int(p): Fraction(c) for p, c in dict(logs).items() if c}
+        for p in coeffs:
             if p < 3 or p % 2 == 0:
                 raise ValueError("log coefficients must be on odd primes")
-        object.__setattr__(self, "logs", clean)
+        den = math.lcm(*(c.denominator for c in (r, *coeffs.values())))
+        self._set(r.numerator * (den // r.denominator),
+                  {p: c.numerator * (den // c.denominator)
+                   for p, c in coeffs.items()}, den)
+
+    def _set(self, num: int, coeffs: dict, den: int) -> "ExactBits":
+        """Store num + Σ c·log₂p over den > 0, zeros dropped, reduced."""
+        terms = sorted((p, c) for p, c in coeffs.items() if c)
+        g = math.gcd(num, den, *(c for _, c in terms))
+        if g > 1:
+            num, den = num // g, den // g
+            terms = [(p, c // g) for p, c in terms]
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_coeffs", tuple(terms))
+        object.__setattr__(self, "_den", den)
+        return self
+
+    @classmethod
+    def _of(cls, num: int, coeffs: dict, den: int) -> "ExactBits":
+        return cls.__new__(cls)._set(num, coeffs, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactBits is immutable")
 
+    @property
+    def rational(self) -> Fraction:
+        return Fraction(self._num, self._den)
+
+    @property
+    def logs(self) -> tuple:
+        return tuple((p, Fraction(c, self._den)) for p, c in self._coeffs)
+
     # arithmetic ──────────────────────────────────────────────────────
 
     def _combine(self, other: "ExactBits", sign: int) -> "ExactBits":
-        coeffs = dict(self.logs)
-        for p, c in other.logs:
-            coeffs[p] = coeffs.get(p, Fraction(0)) + sign * c
-        return ExactBits(self.rational + sign * other.rational, coeffs)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        coeffs = {p: a * c for p, c in self._coeffs}
+        for p, c in other._coeffs:
+            coeffs[p] = coeffs.get(p, 0) + b * c
+        return ExactBits._of(a * self._num + b * other._num, coeffs, den)
 
     def __add__(self, other):
         if isinstance(other, float):
@@ -282,38 +314,44 @@ class ExactBits:
         return other._combine(self, -1)
 
     def __neg__(self) -> "ExactBits":
-        return ExactBits(-self.rational, {p: -c for p, c in self.logs})
+        return ExactBits._of(-self._num, {p: -c for p, c in self._coeffs},
+                             self._den)
 
     def __mul__(self, factor):
+        if isinstance(factor, float):
+            return float(self) * factor
         if not isinstance(factor, Rational):
             return NotImplemented
-        factor = Fraction(factor)
-        return ExactBits(
-            self.rational * factor, {p: c * factor for p, c in self.logs}
-        )
+        a, b = Fraction(factor).as_integer_ratio()
+        coeffs = {p: a * c for p, c in self._coeffs}
+        return ExactBits._of(a * self._num, coeffs, b * self._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, factor):
+        if isinstance(factor, float):
+            return float(self) / factor
         if not isinstance(factor, Rational):
             return NotImplemented
         return self * (Fraction(1) / Fraction(factor))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactBits):
-            return self.rational == other.rational and self.logs == other.logs
-        if isinstance(other, Rational):
-            return not self.logs and self.rational == Fraction(other)
+            return (self._num == other._num and self._den == other._den
+                    and self._coeffs == other._coeffs)
+        if isinstance(other, (Rational, float)):
+            return not self._coeffs and self.rational == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.logs:
+        if not self._coeffs:
             return hash(self.rational)
         return hash((self.rational, self.logs))
 
     def __float__(self) -> float:
-        return float(self.rational) + sum(
-            float(c) * math.log2(p) for p, c in self.logs
+        # int / int is correctly rounded, as float(Fraction) is
+        return self._num / self._den + sum(
+            c / self._den * math.log2(p) for p, c in self._coeffs
         )
 
     # views ───────────────────────────────────────────────────────────
@@ -322,7 +360,7 @@ class ExactBits:
         return f"ExactBits({self!s})"
 
     def __str__(self) -> str:
-        parts = [] if (self.rational == 0 and self.logs) else [str(self.rational)]
+        parts = [str(self.rational)] if self._num or not self._coeffs else []
         for p, c in self.logs:
             if c == 1:
                 parts.append(f"log2({p})")
@@ -335,7 +373,7 @@ def _as_exact(x) -> "ExactBits":
     if isinstance(x, ExactBits):
         return x
     if isinstance(x, Rational):
-        return ExactBits(Fraction(x))
+        return ExactBits(x)
     return NotImplemented
 
 
@@ -355,11 +393,10 @@ def log2_of(q) -> ExactBits:
         raise ValueError(
             f"rational too rough for symbolic log2 (cofactor {exc})"
         ) from None
-    rational = Fraction(num.pop(2, 0) - den.pop(2, 0))
-    coeffs: dict[int, Fraction] = {p: Fraction(e) for p, e in num.items()}
+    coeffs = dict(num)
     for p, e in den.items():
-        coeffs[p] = coeffs.get(p, Fraction(0)) - e
-    return ExactBits(rational, coeffs)
+        coeffs[p] = coeffs.get(p, 0) - e
+    return ExactBits._of(coeffs.pop(2, 0), coeffs, 1)
 
 
 Scalar = Union[ExactBits, Fraction, float]
@@ -624,10 +661,11 @@ def _entropy_of_weights(counts: Mapping, denominator) -> Scalar:
     ExactBits, or raise ``_NotSmooth`` when some p does not factor over
     small primes; float weights (D None) are probabilities.
 
-    Each distinct w is reduced to p = n/d by gcd(w, D) and factored
-    once; its k entries add k·w·(e_q(d) − e_q(n)) / D to the
-    coefficient of log₂ q for every prime q of n or d.  The sums stay
-    integers until that one division.
+    Each distinct w is reduced to p = n/d by gcd(w, D), and n and d
+    are factored (once per process, by the cache of ``_factor_smooth``);
+    its k entries add k·w·(e_q(d) − e_q(n)) / D to the coefficient of
+    log₂ q for every prime q of n or d.  The integer sums over D are
+    the ExactBits as it is stored.
     """
     if denominator is None:
         size = len(counts)
@@ -635,21 +673,16 @@ def _entropy_of_weights(counts: Mapping, denominator) -> Scalar:
                              np.fromiter(counts.values(), np.float64, size))
     D = denominator
     sums: dict = {}
-    den_factors: dict = {}
     for w, k in counts.items():
         if not w:
             continue
         g = math.gcd(w, D)
-        d = D // g
         kw = k * w
         for q, e in _factor_smooth(w // g).items():
             sums[q] = sums.get(q, 0) - e * kw
-        if d not in den_factors:
-            den_factors[d] = _factor_smooth(d)
-        for q, e in den_factors[d].items():
+        for q, e in _factor_smooth(D // g).items():
             sums[q] = sums.get(q, 0) + e * kw
-    coeffs = {q: Fraction(s, D) for q, s in sums.items()}
-    return ExactBits(coeffs.pop(2, 0), coeffs)
+    return ExactBits._of(sums.pop(2, 0), sums, D)
 
 
 def _entropy_of_table(weights, denominator) -> Scalar:
@@ -720,15 +753,17 @@ def mutual_information(j: JointBlockDistribution) -> Scalar:
     Nonnegative (exactly on the exact backend, within ~1e-12 in float)
     and symmetric under swapping the two blocks.  Where an exact
     table's entropies fall back to float, whose difference cancels, it
-    is ``_mi_of_deviations``.
+    is ``_mi_of_deviations``: H(joint) is taken first, and the
+    marginals are factored only when it is exact.
     """
     left, right = j.left_marginal(), j.right_marginal()
-    h_left, h_right, h_joint = map(shannon_entropy, (left, right, j))
-    if j.exact and any(isinstance(h, float)
-                       for h in (h_left, h_right, h_joint)):
-        return _mi_of_deviations(j.weights, left.weights, right.weights,
-                                 j.denominator)
-    return h_left + h_right - h_joint
+    h_joint = shannon_entropy(j)
+    if not (j.exact and isinstance(h_joint, float)):
+        mi = shannon_entropy(left) + shannon_entropy(right) - h_joint
+        if not (j.exact and isinstance(mi, float)):
+            return mi
+    return _mi_of_deviations(j.weights, left.weights, right.weights,
+                             j.denominator)
 
 
 def _phi(x: float) -> float:

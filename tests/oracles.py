@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import product
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
     _BLOCK,
+    _factor_smooth,
     _passes_63_bits,
     _ranks,
     entropy_of_probs,
@@ -47,6 +49,141 @@ class WindowOracle:
 
     def block_distribution(self, L: int):
         return self._model.block_distribution(L)
+
+
+# ── exact bits with one Fraction per coefficient ─────────────────────
+
+
+class FractionExactBits:
+    """``infocore.ExactBits`` as it was held before its integer storage:
+    ``rational + Σ coeff·log₂(prime)`` with a Fraction rational part and
+    sorted (odd prime, nonzero Fraction) pairs.  Its ``repr`` reads
+    ``ExactBits(...)``, so the two render alike."""
+
+    __slots__ = ("rational", "logs")
+
+    def __init__(self, rational, logs=()):
+        object.__setattr__(self, "rational", Fraction(rational))
+        items = logs if isinstance(logs, tuple) else tuple(dict(logs).items())
+        clean = tuple(
+            sorted((int(p), Fraction(c)) for p, c in items if c != 0)
+        )
+        for p, _ in clean:
+            if p < 3 or p % 2 == 0:
+                raise ValueError("log coefficients must be on odd primes")
+        object.__setattr__(self, "logs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactBits is immutable")
+
+    def _combine(self, other, sign: int):
+        coeffs = dict(self.logs)
+        for p, c in other.logs:
+            coeffs[p] = coeffs.get(p, Fraction(0)) + sign * c
+        return FractionExactBits(self.rational + sign * other.rational, coeffs)
+
+    @staticmethod
+    def _as_exact(x):
+        if isinstance(x, FractionExactBits):
+            return x
+        if isinstance(x, Rational):
+            return FractionExactBits(Fraction(x))
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, float):
+            return float(self) + other
+        other = self._as_exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._combine(other, +1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, float):
+            return float(self) - other
+        other = self._as_exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        if isinstance(other, float):
+            return other - float(self)
+        other = self._as_exact(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other._combine(self, -1)
+
+    def __neg__(self):
+        return FractionExactBits(-self.rational, {p: -c for p, c in self.logs})
+
+    def __mul__(self, factor):
+        if not isinstance(factor, Rational):
+            return NotImplemented
+        factor = Fraction(factor)
+        return FractionExactBits(
+            self.rational * factor, {p: c * factor for p, c in self.logs}
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, factor):
+        if not isinstance(factor, Rational):
+            return NotImplemented
+        return self * (Fraction(1) / Fraction(factor))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FractionExactBits):
+            return self.rational == other.rational and self.logs == other.logs
+        if isinstance(other, Rational):
+            return not self.logs and self.rational == Fraction(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if not self.logs:
+            return hash(self.rational)
+        return hash((self.rational, self.logs))
+
+    def __float__(self) -> float:
+        return float(self.rational) + sum(
+            float(c) * math.log2(p) for p, c in self.logs
+        )
+
+    def __repr__(self) -> str:
+        return f"ExactBits({self!s})"
+
+    def __str__(self) -> str:
+        parts = [] if (self.rational == 0 and self.logs) else [str(self.rational)]
+        for p, c in self.logs:
+            if c == 1:
+                parts.append(f"log2({p})")
+            else:
+                parts.append(f"{c}*log2({p})")
+        return " + ".join(parts) if parts else "0"
+
+
+def fraction_log2_of(q) -> FractionExactBits:
+    """log₂ of a positive smooth rational as a :class:`FractionExactBits`."""
+    q = Fraction(q)
+    num = dict(_factor_smooth(q.numerator))
+    den = dict(_factor_smooth(q.denominator))
+    rational = Fraction(num.pop(2, 0) - den.pop(2, 0))
+    coeffs = {p: Fraction(e) for p, e in num.items()}
+    for p, e in den.items():
+        coeffs[p] = coeffs.get(p, Fraction(0)) - e
+    return FractionExactBits(rational, coeffs)
+
+
+def fraction_entropy(probs) -> FractionExactBits:
+    """−Σ p·log₂ p of smooth rationals, one :class:`FractionExactBits`
+    term per nonzero p."""
+    total = FractionExactBits(0)
+    for p in map(Fraction, probs):
+        if p:
+            total = total - p * fraction_log2_of(p)
+    return total
 
 
 # ── closed forms of a Markov chain read from its block tables ─────────

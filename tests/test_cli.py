@@ -1223,6 +1223,11 @@ def test_module_entry_point(module):
 
 DATA = Path(__file__).parent / "data"
 
+#: table1's markov-r2 row
+MARKOV_R2 = ('{"kind": "markov", "rows": {"00": ["4/5", "1/5"], '
+             '"01": ["3/10", "7/10"], "10": ["3/5", "2/5"], '
+             '"11": ["1/4", "3/4"]}}')
+
 
 def _same_except_ising_floats(got: str, want: str) -> None:
     """JSON equal byte for byte, except that the floats of the Ising
@@ -1268,6 +1273,10 @@ def _same_except_ising_floats(got: str, want: str) -> None:
       "--p", "3", "--format", "json"), "substitution_tm_l5_shortcut_p3.json"),
     (("ising", "--J", "1", "--h", "0.3", "--Tmin", "0.1", "--Tmax", "24",
       "--points", "25", "--format", "json"), "ising_J1_h0.3.json"),
+    # exact strings over log2 of 3, 5, 7, 13 and 19: unit and negative
+    # coefficients, and a zero rational part at L = 4
+    (("entropy", "--model", MARKOV_R2, "--Lmax", "13", "--format", "csv"),
+     "entropy_markov_r2_L13.csv"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

@@ -33,6 +33,8 @@ from persistinfo.infocore import (
     shannon_entropy,
 )
 
+from oracles import FractionExactBits
+
 BITS = Alphabet("01")
 
 F = Fraction
@@ -78,7 +80,10 @@ def test_exactbits_with_a_float_gives_that_float():
     for got, want in ((x + 0.25, float(x) + 0.25),
                       (0.25 + x, 0.25 + float(x)),
                       (x - 0.25, float(x) - 0.25),
-                      (0.25 - x, 0.25 - float(x))):
+                      (0.25 - x, 0.25 - float(x)),
+                      (x * 0.5, float(x) * 0.5),
+                      (0.5 * x, 0.5 * float(x)),
+                      (x / 0.5, float(x) / 0.5)):
         assert type(got) is float
         assert got.hex() == want.hex()
     # exact operands stay exact
@@ -93,6 +98,51 @@ def test_exactbits_float_and_log3_pair():
     assert ExactBits(F(0), {5: F(1)}).logs == ((5, F(1)),)
     w = ExactBits(F(7, 2))
     assert (w.rational, w.logs) == (F(7, 2), ())
+
+
+def test_exactbits_without_logs_equals_a_float_of_its_value():
+    # as Fraction(1, 2) == 0.5; the hashes already agree
+    assert F(1, 2) == 0.5
+    assert ExactBits(F(1, 2)) == 0.5 and 0.5 == ExactBits(F(1, 2))
+    assert hash(ExactBits(F(1, 2))) == hash(0.5)
+    assert ExactBits(F(1, 3)) != 1 / 3
+    # a log term is irrational: no float equals it
+    assert log2_of(3) != float(log2_of(3))
+
+
+PRIMES = (3, 5, 7, 11, 13)
+RATIONALS = st.builds(F, st.integers(-40, 40), st.integers(1, 36))
+EXACT_ARGS = st.tuples(RATIONALS, st.dictionaries(st.sampled_from(PRIMES),
+                                                  RATIONALS, max_size=4))
+
+
+def assert_matches_oracle(got, want):
+    assert type(got) is ExactBits
+    assert (got.rational, got.logs) == (want.rational, want.logs)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert hash(got) == hash(want)
+    assert float(got).hex() == float(want).hex()
+
+
+@given(EXACT_ARGS, EXACT_ARGS,
+       st.one_of(st.integers(-6, 6), RATIONALS))
+@settings(max_examples=300, deadline=None)
+def test_exactbits_matches_fraction_oracle(a, b, k):
+    # integers over one denominator against one Fraction per coefficient
+    x, y = ExactBits(*a), ExactBits(*b)
+    ox, oy = FractionExactBits(*a), FractionExactBits(*b)
+    pairs = [(x, ox), (y, oy), (x + y, ox + oy), (x - y, ox - oy),
+             (y - x, oy - ox), (-x, -ox), (x + k, ox + k), (k + x, k + ox),
+             (x - k, ox - k), (k - x, k - ox), (x * k, ox * k),
+             (k * x, k * ox), (x - x, ox - ox)]
+    if k:
+        pairs.append((x / k, ox / k))
+    for got, want in pairs:
+        assert_matches_oracle(got, want)
+        assert (got == k) == (want == k)
+    for got, want in pairs:
+        for other, other_want in pairs:
+            assert (got == other) == (want == other_want)
 
 
 # ── shannon_entropy ───────────────────────────────────────────────────────────
@@ -236,6 +286,30 @@ def _factor_or_refusal(factor, n):
         return factor(n)
     except _NotSmooth as exc:
         return ("not smooth", exc.args)
+
+
+def test_factor_cache_returns_one_read_only_factorization():
+    q = F(45, 28)
+    assert log2_of(q) == log2_of(q)
+    f = _factor_smooth(360)
+    assert f is _factor_smooth(360)
+    assert f == {2: 3, 3: 2, 5: 1}
+    with pytest.raises(TypeError):
+        f[7] = 1
+    assert _factor_smooth(360) == {2: 3, 3: 2, 5: 1}
+
+
+def test_rough_integers_are_refused_on_every_call():
+    # lru_cache does not cache an exception: a rough integer is divided
+    # again, and refused again, on each call
+    n = 3 * 100000007
+    before = _factor_smooth.cache_info()
+    for _ in range(2):
+        with pytest.raises(_NotSmooth):
+            _factor_smooth(n)
+    after = _factor_smooth.cache_info()
+    assert after.misses == before.misses + 2
+    assert after.hits == before.hits
 
 
 def test_factor_smooth_matches_trial_division_oracle():

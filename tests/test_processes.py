@@ -19,12 +19,14 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from persistinfo import processes, substitution
+from persistinfo import infocore, processes, substitution
 from persistinfo.emachine import NonUnifilarError, reconstruct
 from persistinfo.infocore import (
     Alphabet,
     ExactBits,
     _code_dtype,
+    _entropy_of_table,
+    _mi_of_deviations,
     empirical_block_distribution,
     log2_of,
     marginalize_gap,
@@ -63,6 +65,7 @@ from persistinfo.substitution import (
 from oracles import (
     block_table_closed_forms,
     block_table_reversed,
+    fraction_entropy,
     two_point_ising_closed_forms,
 )
 
@@ -698,6 +701,43 @@ def test_integer_laws_match_fraction_oracles(m, L, g):
     states, c_p = fraction_states_oracle(m, R, R + 1)
     assert machine.states == states
     assert_same_scalar(machine.complexity, c_p)
+
+
+def test_gap_mi_reads_the_marginals_only_for_an_exact_joint(monkeypatch):
+    seen = []
+
+    def spy(d):
+        seen.append(d)
+        return shannon_entropy(d)
+    monkeypatch.setattr(infocore, "shannon_entropy", spy)
+    m = goldenmean()
+    # rough joint: one entropy, then the sum of nonnegative terms that
+    # the route of three entropies gave
+    mi = m.gap_mutual_information(2, 64)
+    assert len(seen) == 1
+    j = seen[0]
+    left, right = j.left_marginal(), j.right_marginal()
+    hs = [_entropy_of_table(t.weights.values(), t.denominator)
+          for t in (left, right, j)]
+    assert isinstance(hs[2], float)
+    want = _mi_of_deviations(j.weights, left.weights, right.weights,
+                             j.denominator)
+    assert type(mi) is float and mi.hex() == want.hex()
+    # smooth joint: all three entropies, exact
+    seen.clear()
+    mi = m.gap_mutual_information(2, 4)
+    assert len(seen) == 3
+    joint = joint_gap_triple_loop_oracle(m, 2, 4)
+    lefts, rights = Counter(), Counter()
+    for (a, b), p in joint.items():
+        lefts[a] += p
+        rights[b] += p
+    want = (fraction_entropy(lefts.values())
+            + fraction_entropy(rights.values())
+            - fraction_entropy(joint.values()))
+    assert isinstance(mi, ExactBits)
+    assert (mi.rational, mi.logs) == (want.rational, want.logs)
+    assert str(mi) == str(want)
 
 
 @settings(max_examples=60, deadline=None)
