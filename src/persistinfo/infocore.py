@@ -30,8 +30,9 @@ Conventions
     coefficients, which are summed as integers over D; each integer is
     factored once per process (a bounded cache).  Distributions whose
     rationals do not factor cheaply fall back to float entropies of
-    the correctly rounded w / D, and their mutual information to a sum
-    of nonnegative terms.
+    the correctly rounded w / D; a mutual information, read from one
+    2-D array of joint weights (``_mi_of_joint``), is decided on its
+    joint and is then a sum of nonnegative terms, which does not cancel.
   * One rule joins the two: an exact value (ExactBits, Fraction)
     combined with a float gives a float, so sums and differences of
     entropies need no branch on the backend.  Checks of an identity go
@@ -198,19 +199,36 @@ def _primes_below(bound: int) -> tuple:
     return tuple(np.flatnonzero(sieve).tolist())
 
 
+@lru_cache(maxsize=None)
+def _late_primes_product(bound: int) -> int:
+    """The product of the primes below ``bound`` past the first 64."""
+    return math.prod(_primes_below(bound)[64:])
+
+
 @lru_cache(maxsize=1 << 14)
 def _factor_smooth(n: int) -> Mapping[int, int]:
     """Factor n ≥ 1 by trial division by the primes below
     SMOOTH_FACTOR_BOUND; raise if a cofactor above that bound survives
     (the value is then not smooth enough for symbolic entropy and the
-    caller falls back to float).  Cached per process, as a read-only
-    mapping that every caller shares; a refusal is not cached."""
+    caller falls back to float).  Where n is still at least the bound's
+    square at the 65th prime, gcds strip the later primes from it first,
+    so a rough n is refused without a division per prime.  Cached per
+    process, as a read-only mapping that every caller shares; a refusal
+    is not cached."""
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
-    for p in _primes_below(SMOOTH_FACTOR_BOUND):
+    primes = _primes_below(SMOOTH_FACTOR_BOUND)
+    for p in primes:
         if p * p > n:
             break
+        if p == primes[64] and n >= SMOOTH_FACTOR_BOUND ** 2:
+            c, g = n, math.gcd(n, _late_primes_product(SMOOTH_FACTOR_BOUND))
+            while g > 1:
+                c //= g
+                g = math.gcd(c, g)
+            if c >= SMOOTH_FACTOR_BOUND ** 2:
+                raise _NotSmooth(c)
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
@@ -748,52 +766,66 @@ def entropy_of_probs(probs) -> Scalar:
 
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
-    """I(left; right) = H(left) + H(right) − H(joint), in bits.
-
-    Nonnegative (exactly on the exact backend, within ~1e-12 in float)
-    and symmetric under swapping the two blocks.  Where an exact
-    table's entropies fall back to float, whose difference cancels, it
-    is ``_mi_of_deviations``: H(joint) is taken first, and the
-    marginals are factored only when it is exact.
-    """
-    left, right = j.left_marginal(), j.right_marginal()
-    h_joint = shannon_entropy(j)
-    if not (j.exact and isinstance(h_joint, float)):
-        mi = shannon_entropy(left) + shannon_entropy(right) - h_joint
-        if not (j.exact and isinstance(mi, float)):
-            return mi
-    return _mi_of_deviations(j.weights, left.weights, right.weights,
-                             j.denominator)
+    """I(left; right) in bits of a joint table, laid out as one 2-D array
+    (rows and columns in word order) for ``_mi_of_joint``.  Nonnegative
+    (exactly on the exact backend, within ~1e-12 in float) and symmetric
+    under swapping the blocks."""
+    rows, cols = ({w: i for i, w in enumerate(sorted(set(words)))}
+                  for words in zip(*j.weights))
+    J = np.zeros((len(rows), len(cols)), dtype=object if j.exact else float)
+    for (a, b), w in j.weights.items():
+        J[rows[a], cols[b]] = w
+    return _mi_of_joint(J, j.denominator)
 
 
-def _phi(x: float) -> float:
-    """(1 + x)·ln(1 + x) − x >= 0 for x >= −1; a series where |x| < 1/8,
-    where the two terms cancel."""
-    if abs(x) >= 0.125:
-        return (1 + x) * math.log1p(x) - x
-    # Σ_{n>=2} (−x)^n / (n(n − 1)), alternating and shrinking
-    total, term, n = 0.0, x * x, 2
-    while abs(term) > 1e-17 * total:
-        total += term / (n * (n - 1))
-        term *= -x
-        n += 1
-    return total
-
-
-def _mi_of_deviations(joint: dict, left: dict, right: dict, D: int) -> float:
-    """I = Σ p(a)p(b)·φ(x_ab) / ln 2 over the pairs of the marginals'
-    supports, x_ab = p(ab) / (p(a)p(b)) − 1 exact until rounded once:
-    a sum of nonnegative terms.  The pairs the joint never takes have
-    φ(−1) = 1 and add 1 − Σ p(a)p(b) over those it takes."""
+def _mi_of_joint(J: np.ndarray, D) -> Scalar:
+    """I(row; column) in bits of a 2-D array of joint weights, Python ints
+    over D (object dtype) or floats (D None), with its row and column
+    sums as marginals.  Sums and entropies run in the order of a table
+    keyed row by row, so a float I is that table's H(row) + H(column) −
+    H(joint).  An exact joint is factored first, and
+    ``_entropy_of_weights`` raises at a weight that is not smooth: a
+    rough joint takes no float entropy.  Where the joint or a marginal
+    is rough, I = Σ p(a)p(b)·φ(x_ab) / ln 2, a sum of nonnegative terms
+    over the support, x_ab = p(ab) / (p(a)p(b)) − 1 rounded once from
+    integers, plus 1 − Σ p(a)p(b) for the pairs never taken (φ(−1) = 1)."""
+    left = np.add.accumulate(J, axis=1)[:, -1]
+    right = np.add.accumulate(J, axis=0)[-1]
+    if D is None:
+        right = right[np.argsort((J != 0).argmax(axis=0), kind="stable")]
+        return (_entropy_of_p(left[left != 0])
+                + _entropy_of_p(right[right != 0]) - _entropy_of_p(J[J != 0]))
+    try:
+        h = _entropy_of_weights(Counter(J.ravel().tolist()), D)
+        return (_entropy_of_weights(Counter(left.tolist()), D)
+                + _entropy_of_weights(Counter(right.tolist()), D) - h)
+    except _NotSmooth:
+        pass
+    rows, cols = np.nonzero(J)
+    w = J[rows, cols]
     D2 = D * D
-    terms, taken = [], 0
-    for (a, b), w in joint.items():
-        if w:
-            ab = left[a] * right[b]
-            taken += ab
-            terms.append(ab / D2 * _phi((w * D - ab) / ab))
-    terms.append((D2 - taken) / D2)
-    return math.fsum(terms) / math.log(2)
+    ab = left[rows] * right[cols]
+    x = ((w * D - ab) / ab).astype(np.float64)
+    terms = (ab / D2).astype(np.float64) * _phi(x)
+    return math.fsum([*terms.tolist(), (D2 - ab.sum()) / D2]) / math.log(2)
+
+
+def _phi(x: np.ndarray) -> np.ndarray:
+    """(1 + x)·ln(1 + x) − x >= 0 for each x >= −1: ``math.log1p`` where
+    |x| >= 1/8, and below, where the two terms cancel, the series
+    Σ_{n>=2} (−x)^n / (n(n − 1)) until a term is at most 1e-17 of the
+    sum.  Every entry takes the terms the largest |x| needs (its sum is
+    past x²/2.1, so |x|^(n−2) <= e^−40 ends it); a term past an entry's
+    last is below half its ulp, so it leaves the entry as it was."""
+    big = np.abs(x) >= 0.125
+    y = np.where(big, 0.0, x)
+    top = float(np.abs(y).max(initial=0.0))
+    total, term, step = np.zeros_like(y), y * y, -y
+    for n in range(2, 2 + (math.ceil(40 / -math.log(top)) if top else 0)):
+        total += term / (n * (n - 1))
+        term *= step
+    total[big] = [(1 + v) * math.log1p(v) - v for v in x[big].tolist()]
+    return total
 
 
 def marginalize_gap(window: BlockDistribution, left_length: int,

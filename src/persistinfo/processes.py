@@ -66,6 +66,7 @@ from .infocore import (
     _entropy_of_p,
     _entropy_of_table,
     _entropy_of_weights,
+    _mi_of_joint,
     _ranks,
     _rational_weights,
     entropy_of_probs,
@@ -381,10 +382,11 @@ class MarkovProcess:
     and every L.
 
     The measures read :meth:`block_entropies` and
-    :meth:`gap_mutual_information`, which build no word table; their
-    oracles, which do, are ``block_distribution`` and
-    ``joint_gap_distribution``.  Both routes enumerate the law and read
-    no closed form, so they stay a check on the closed forms.
+    :meth:`gap_mutual_information`, which build no word table (a gap
+    cell is one 2-D array of weights); their oracles, which do, are
+    ``block_distribution`` and ``joint_gap_distribution``.  Both routes
+    enumerate the law and read no closed form, so they stay a check on
+    the closed forms.
     ``block_distribution`` and ``order`` are also all that ``emachine``
     reads of a chain; its tables are valid by construction (every row
     d·P sums to d), so they are not checked again.
@@ -392,7 +394,7 @@ class MarkovProcess:
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
                  "contexts", "_cindex", "_edges", "_moves", "_T", "_d", "_pi",
-                 "_q", "_powers")
+                 "_q", "_powers", "_reversed")
 
     def __init__(self, alphabet: Alphabet, order: int,
                  kernel: Mapping[Word, Sequence],
@@ -430,6 +432,7 @@ class MarkovProcess:
         object.__setattr__(self, "_cindex",
                            {c: i for i, c in enumerate(contexts)})
         object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_reversed", None)
 
         # the nonzero entries of each row as ((symbol,), weight): d·P
         # for rational rows, P itself (d = 1) for float rows
@@ -645,29 +648,33 @@ class MarkovProcess:
         reaches B only through its last min(L, R) symbols, the tail
         c[max(R − L, 0):] of its edge context c, weighted q·π(c); B is
         the first L symbols of a word entered at each context that
-        (d·T)^(g+R) bridges c to.  That is s^R·s^max(L, R) cells, capped
-        as such, where ``joint_gap_distribution`` has s^(2L) pairs; an
-        order-0 cell would have one left key, so it is 0 with no bridge."""
+        (d·T)^(g+R) bridges c to.  The s^R·s^max(L, R) cells (capped as
+        such; ``joint_gap_distribution`` has s^(2L) pairs) are one 2-D
+        array for ``_mi_of_joint``: q·π ⊙ (d·T)^(g+R), for L > R a column
+        per right word, its entering context's column times its other
+        symbols' weight, for L < R summed over the first R − L symbols of
+        c and the last R − L of the entering context, as a table adds
+        them.  An order-0 cell would have one left key: 0, with no bridge.
+        """
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        R = self.order
-        _check_cap(len(self.alphabet), R + max(L, R))
+        R, s, m = self.order, len(self.alphabet), len(self.contexts)
+        _check_cap(s, R + max(L, R))
         if R == 0:
             return ExactBits(0) if self.exact else 0.0
-        bridges = self._gap_matrix(g + R).tolist()
-        right = [(self._cindex[w[:R]], w[:L], q) for w, q in self._extend(
-            dict.fromkeys(self.contexts, 1), max(L - R, 0)).items()]
-        cells: dict = {}
-        for c, p in self._context_weights().items():
-            a = c[max(R - L, 0):]
-            row = [p * x for x in bridges[self._cindex[c]]]
-            for cj, b, q in right:
-                if row[cj]:
-                    key = (a, b)
-                    cells[key] = cells.get(key, 0) + row[cj] * q
-        return mutual_information(JointBlockDistribution._trusted(
-            self.alphabet, min(L, R), g, L, cells,
-            self._denominator(g + max(L, R))))
+        B = self._gap_matrix(g + R)
+        J = np.array(self._pi, dtype=B.dtype)[:, None] * B
+        if L < R:
+            P, A = s ** (R - L), s ** L
+            J = J.reshape(P, A, A, P).transpose(1, 2, 0, 3).reshape(A, A, -1)
+            J = np.add.accumulate(J, axis=2)[:, :, -1]
+        elif L > R:
+            # d·P(a | c): row c of d·T is 0 off the s contexts c moves to
+            q = rows = self._T.reshape(m, -1, s).sum(axis=1)
+            for _ in range(L - R - 1):
+                q = q.reshape(-1, m, 1) * rows
+            J = np.repeat(J, s ** (L - R), axis=1) * q.ravel()
+        return _mi_of_joint(J, self._denominator(g + max(L, R)))
 
     def closed_forms(self) -> ClosedForms:
         """h = Σ_c π(c)·H(P(·|c)), E = H(π) − R·h and C± (the entropies
@@ -850,13 +857,16 @@ class MarkovProcess:
         """Time reversal: an order-R chain whose kernel is the Bayes
         inversion P(a | d) = π(c)·P(b | c) / π(reversed(d)), where the
         forward word a·reversed(d) is the context c followed by b; read
-        from the rows and π, not from a block table.
+        from the rows and π, not from a block table; built once and kept
+        (the reversed chain keeps no link back).
 
         Contexts never visited forward get a uniform placeholder row;
         the reversed stationary law puts no mass there, and it is
         passed through explicitly because the placeholder rows would
         otherwise make the stationary solve ambiguous.
         """
+        if self._reversed is not None:
+            return self._reversed
         R, s = self.order, len(self.alphabet)
         pi = dict(zip(self.contexts, self.stationary))
         uniform = tuple(
@@ -867,8 +877,10 @@ class MarkovProcess:
             kernel[d] = uniform if pi[fwd] == 0 else tuple(
                 pi[w[:R]] * self.kernel[w[:R]][w[R]] / pi[fwd]
                 for w in [(a,) + fwd for a in range(s)])
-        return MarkovProcess(self.alphabet, R, kernel,
+        back = MarkovProcess(self.alphabet, R, kernel,
                              stationary=[pi[d[::-1]] for d in self.contexts])
+        object.__setattr__(self, "_reversed", back)
+        return back
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "

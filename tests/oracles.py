@@ -10,6 +10,7 @@ import numpy as np
 
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
+    JointBlockDistribution,
     _BLOCK,
     _factor_smooth,
     _passes_63_bits,
@@ -184,6 +185,76 @@ def fraction_entropy(probs) -> FractionExactBits:
         if p:
             total = total - p * fraction_log2_of(p)
     return total
+
+
+# ── gap cells as dict tables, and their MI term by term ──────────────
+
+
+def gap_cells_oracle(m, L: int, g: int) -> JointBlockDistribution:
+    """The cells of ``MarkovProcess.gap_mutual_information`` as a table
+    keyed by (left, right) words, built one multiply-add per edge
+    context × right word: the left key is the tail c[max(R − L, 0):]
+    of the edge context c, weighted q·π(c), and the right key the first
+    L symbols of each word entered at a context that (d·T)^(g+R)
+    bridges c to.  Keys and sums in scan order, c by c."""
+    R = m.order
+    bridges = m._gap_matrix(g + R).tolist()
+    right = [(m._cindex[w[:R]], w[:L], q) for w, q in m._extend(
+        dict.fromkeys(m.contexts, 1), max(L - R, 0)).items()]
+    cells: dict = {}
+    for c, p in m._context_weights().items():
+        a = c[max(R - L, 0):]
+        row = [p * x for x in bridges[m._cindex[c]]]
+        for cj, b, q in right:
+            if row[cj]:
+                key = (a, b)
+                cells[key] = cells.get(key, 0) + row[cj] * q
+    return JointBlockDistribution._trusted(
+        m.alphabet, min(L, R), g, L, cells, m._denominator(g + max(L, R)))
+
+
+def scalar_phi(x: float) -> float:
+    """(1 + x)·ln(1 + x) − x >= 0 for x >= −1; a series where |x| < 1/8,
+    where the two terms cancel."""
+    if abs(x) >= 0.125:
+        return (1 + x) * math.log1p(x) - x
+    # Σ_{n>=2} (−x)^n / (n(n − 1)), alternating and shrinking
+    total, term, n = 0.0, x * x, 2
+    while abs(term) > 1e-17 * total:
+        total += term / (n * (n - 1))
+        term *= -x
+        n += 1
+    return total
+
+
+def mi_of_deviations(joint: dict, left: dict, right: dict, D: int) -> float:
+    """I = Σ p(a)p(b)·φ(x_ab) / ln 2 over the pairs of the marginals'
+    supports, x_ab = p(ab) / (p(a)p(b)) − 1 exact until rounded once,
+    one pair at a time.  The pairs the joint never takes have
+    φ(−1) = 1 and add 1 − Σ p(a)p(b) over those it takes."""
+    D2 = D * D
+    terms, taken = [], 0
+    for (a, b), w in joint.items():
+        if w:
+            ab = left[a] * right[b]
+            taken += ab
+            terms.append(ab / D2 * scalar_phi((w * D - ab) / ab))
+    terms.append((D2 - taken) / D2)
+    return math.fsum(terms) / math.log(2)
+
+
+def table_mi_oracle(j: JointBlockDistribution):
+    """I(left; right) of a joint table through its marginal tables: H of
+    the joint first, then H(left) + H(right) − H(joint) where all three
+    are exact or the table is float, else ``mi_of_deviations``."""
+    left, right = j.left_marginal(), j.right_marginal()
+    h_joint = shannon_entropy(j)
+    if not (j.exact and isinstance(h_joint, float)):
+        mi = shannon_entropy(left) + shannon_entropy(right) - h_joint
+        if not (j.exact and isinstance(mi, float)):
+            return mi
+    return mi_of_deviations(j.weights, left.weights, right.weights,
+                            j.denominator)
 
 
 # ── closed forms of a Markov chain read from its block tables ─────────

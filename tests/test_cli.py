@@ -1277,6 +1277,15 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     # coefficients, and a zero rational part at L = 4
     (("entropy", "--model", MARKOV_R2, "--Lmax", "13", "--format", "csv"),
      "entropy_markov_r2_L13.csv"),
+    # exact and rough cells of one chain; it records the rounding of
+    # exact values near 0, and the float file below the cancellation of
+    # H(A) + H(B) − H(AB) (ROADMAP, golden outputs that record defects)
+    (("pmi", "--model", TERNARY_SPEC, "--L-grid", "2,4,6,8", "--g-grid",
+      "8,16,32,64", "--format", "json"), "pmi_ternary.json"),
+    # float cells, L < R among them
+    (("pmi", "--model", TERNARY_SPEC, "--backend", "float", "--L-grid",
+      "1,2,4", "--g-grid", "1,8,16", "--format", "json"),
+     "pmi_ternary_float.json"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

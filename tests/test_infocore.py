@@ -7,6 +7,7 @@ them, not the other way around.
 """
 
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -286,6 +287,27 @@ def _factor_or_refusal(factor, n):
         return factor(n)
     except _NotSmooth as exc:
         return ("not smooth", exc.args)
+
+
+def test_large_cofactors_are_stripped_by_gcds_like_trial_division():
+    # n still at least 10^8 at the 65th prime (313) takes the gcd route:
+    # factors on both sides of 313, repeated, with and without a rough
+    # or a prime cofactor; a refusal names the same cofactor
+    rng = random.Random(7)
+    primes = [p for p in range(2, 10_000)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    cases = [313 ** 2 * 10007, 317 * 100000007, 311 ** 3 * 100000007,
+             307 * 313 * 9967 * 9973, 2 ** 40 * 313 * 10009 ** 2,
+             313 * 317 * 10007 * 10009]
+    for _ in range(200):
+        n = math.prod(rng.choice(primes) ** rng.randint(1, 3)
+                      for _ in range(rng.randint(1, 5)))
+        cases.append(n * rng.choice((1, 10007, 100000007, 10007 * 10009)))
+    for n in cases:
+        assert _factor_or_refusal(_factor_smooth, n) \
+            == _factor_or_refusal(trial_division_oracle, n), n
+    with pytest.raises(ValueError, match=r"cofactor 100000007\)"):
+        log2_of(317 * 100000007)
 
 
 def test_factor_cache_returns_one_read_only_factorization():

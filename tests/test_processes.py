@@ -26,7 +26,6 @@ from persistinfo.infocore import (
     ExactBits,
     _code_dtype,
     _entropy_of_table,
-    _mi_of_deviations,
     empirical_block_distribution,
     log2_of,
     marginalize_gap,
@@ -66,6 +65,10 @@ from oracles import (
     block_table_closed_forms,
     block_table_reversed,
     fraction_entropy,
+    gap_cells_oracle,
+    mi_of_deviations,
+    scalar_phi,
+    table_mi_oracle,
     two_point_ising_closed_forms,
 )
 
@@ -704,29 +707,37 @@ def test_integer_laws_match_fraction_oracles(m, L, g):
 
 
 def test_gap_mi_reads_the_marginals_only_for_an_exact_joint(monkeypatch):
-    seen = []
+    floats, factored = [], []
+    entropy_of_p = infocore._entropy_of_p
+    entropy_of_weights = infocore._entropy_of_weights
 
-    def spy(d):
-        seen.append(d)
-        return shannon_entropy(d)
-    monkeypatch.setattr(infocore, "shannon_entropy", spy)
+    def float_spy(*args):
+        floats.append(args)
+        return entropy_of_p(*args)
+
+    def exact_spy(counts, D):
+        factored.append(counts)
+        return entropy_of_weights(counts, D)
+    monkeypatch.setattr(infocore, "_entropy_of_p", float_spy)
+    monkeypatch.setattr(infocore, "_entropy_of_weights", exact_spy)
     m = goldenmean()
-    # rough joint: one entropy, then the sum of nonnegative terms that
-    # the route of three entropies gave
+    # rough joint: no float entropy and no marginal factored, only the
+    # sum of nonnegative terms that the route of three entropies gave
     mi = m.gap_mutual_information(2, 64)
-    assert len(seen) == 1
-    j = seen[0]
+    assert floats == [] and len(factored) == 1
+    j = gap_cells_oracle(m, 2, 64)
     left, right = j.left_marginal(), j.right_marginal()
     hs = [_entropy_of_table(t.weights.values(), t.denominator)
           for t in (left, right, j)]
     assert isinstance(hs[2], float)
-    want = _mi_of_deviations(j.weights, left.weights, right.weights,
-                             j.denominator)
+    want = mi_of_deviations(j.weights, left.weights, right.weights,
+                            j.denominator)
     assert type(mi) is float and mi.hex() == want.hex()
-    # smooth joint: all three entropies, exact
-    seen.clear()
+    # smooth joint: the joint and both marginals factored, exact
+    floats.clear()
+    factored.clear()
     mi = m.gap_mutual_information(2, 4)
-    assert len(seen) == 3
+    assert floats == [] and len(factored) == 3
     joint = joint_gap_triple_loop_oracle(m, 2, 4)
     lefts, rights = Counter(), Counter()
     for (a, b), p in joint.items():
@@ -738,6 +749,99 @@ def test_gap_mi_reads_the_marginals_only_for_an_exact_joint(monkeypatch):
     assert isinstance(mi, ExactBits)
     assert (mi.rational, mi.logs) == (want.rational, want.logs)
     assert str(mi) == str(want)
+
+
+@st.composite
+def small_weight_chains(draw):
+    """Rational chains of order <= 2 over 2 or 3 letters, each row drawn
+    as weights from {0, 1, 2, 3, 5, 7, 9} and normalized."""
+    s = draw(st.integers(2, 3))
+    order = draw(st.integers(0, 2))
+    weights = st.lists(st.sampled_from((0, 1, 2, 3, 5, 7, 9)),
+                       min_size=s, max_size=s).filter(any)
+    kernel = {}
+    for c in product(range(s), repeat=order):
+        w = draw(weights)
+        kernel[c] = tuple(F(x, sum(w)) for x in w)
+    try:
+        return MarkovProcess(Alphabet("abc"[:s]), order, kernel)
+    except ValueError:  # no unique stationary law
+        return draw(st.nothing())
+
+
+def float_twin(m: MarkovProcess) -> MarkovProcess:
+    return MarkovProcess(m.alphabet, m.order, {
+        c: tuple(map(float, row)) for c, row in m.kernel.items()})
+
+
+def _rows(text: str, alphabet: str = "abc") -> MarkovProcess:
+    return MarkovProcess.from_rows(
+        {c: tuple(map(F, row.split())) for c, row in
+         (part.split(":") for part in text.split(";"))},
+        alphabet=Alphabet(alphabet))
+
+
+# a rough cell whose sum moves by an ulp if φ takes np.log1p where
+# |x| >= 1/8: the oracle gives 0.15995874866432067 at L = 2, g = 1
+LOG1P_CHAIN = _rows("aa:1/5 1/2 3/10;ab:1/4 3/8 3/8;ac:0 1/2 1/2;"
+                    "ba:7/8 1/8 0;bb:1/7 9/14 3/14;bc:9/13 3/13 1/13;"
+                    "ca:5/7 2/7 0;cb:1/6 3/4 1/12;cc:1/2 1/9 7/18")
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=small_weight_chains(), L=st.integers(1, 4),
+       g=st.sampled_from((0, 1, 7, 30)))
+@example(m=LOG1P_CHAIN, L=2, g=1)
+def test_gap_cell_arrays_match_the_dict_table_oracle(m, L, g):
+    # each chain and its float copy; the table route reads the oracle's
+    # own table through the same kernel
+    worst = 0.0
+    for chain in (m, float_twin(m)):
+        cells = gap_cells_oracle(chain, L, g)
+        want = table_mi_oracle(cells)
+        for got in (chain.gap_mutual_information(L, g),
+                    mutual_information(cells)):
+            if not isinstance(want, float):
+                event("exact cell")
+                assert_same_scalar(got, want)
+            elif chain.exact or L >= chain.order:
+                event("rough cell" if chain.exact else "float cell")
+                assert type(got) is float and got.hex() == want.hex()
+            else:
+                # the oracle keys a cell where it first meets it, which a
+                # zero cell can move off the array's order: the difference
+                # H(A) + H(B) − H(AB) may then move by a few ulp of the
+                # entropies, at most 2L·log2(s) bits
+                assert type(got) is float
+                worst = max(worst, abs(got - want))
+    assert worst <= 4 * math.ulp(2 * L * math.log2(len(m.alphabet)))
+    if L < m.order:
+        event(f"float cell at L < R {'moved' if worst else 'the same'}")
+
+
+def test_phi_matches_the_scalar_series_and_log1p():
+    # every magnitude the series meets, from subnormal squares up to the
+    # 1/8 switch, and the log1p side past it, in one array and alone
+    mags = np.concatenate([np.logspace(-320, -0.91, 4000),
+                           np.nextafter(0.125, (0, 1)), [0.0, 1e-160]])
+    x = np.concatenate([mags, -mags, np.linspace(-1 + 1e-9, 40, 2001),
+                        [0.125, -0.125, np.nextafter(0.125, 0)]])
+    want = [scalar_phi(v).hex() for v in x.tolist()]
+    assert [v.hex() for v in infocore._phi(x).tolist()] == want
+    for part in (x[:7], x[4000:4003], x[-5:]):
+        assert [v.hex() for v in infocore._phi(part).tolist()] \
+            == [scalar_phi(v).hex() for v in part.tolist()]
+
+
+def test_reversal_is_built_once():
+    for make in (goldenmean, table1_r2, ternary_r2):
+        fresh = closed_forms(make())
+        m = make()
+        back = m.reversed()
+        assert m.reversed() is back and reversed_model(m) is back
+        # no link back from the reversed chain to the forward one
+        assert back._reversed is None
+        assert closed_forms(m) == fresh
 
 
 @settings(max_examples=60, deadline=None)
