@@ -50,9 +50,9 @@ Conventions
     place: base-s digits, ranked among their distinct values, which
     keeps their order, before they would pass 63 bits
     (:func:`window_codes`).  The codes are counted block by block over
-    their range when it is no larger than their number
-    (``_code_counts``), with ``np.unique`` otherwise
-    (``_distinct_counts``).
+    their range when it is no larger than their number (``_code_counts``:
+    a bincount per block up to 4096 codes, ``np.add.at`` past that),
+    with ``np.unique`` otherwise (``_distinct_counts``).
     Plug-in entropies are summed by NumPy straight from the counts
     (``_entropy_of_counts``), so ``measures.EmpiricalSource`` estimates
     H(L) and the gap MIs without building a word table.  The tables
@@ -105,13 +105,15 @@ FLOAT_SUM_TOL = 1e-12
 DECODE_CHUNK = 1 << 14
 
 #: symbols a long sequence is sampled and written in at a time (each
-#: sampled block read k steps per lookup of the k-step table), bytes a
-#: comma-separated line of mixed label widths is read in (one of
-#: uniform widths is read in one strided pass), windows coded and
-#: counted in at a time, and codes gathered through a lookup table in
-#: at a time, so that the intp copy ``take`` makes of a narrow index is
-#: one block long (``processes.MarkovProcess.sample``, the writer and
-#: the block route of the comma loader of ``cli``, :func:`window_codes`,
+#: sampled block read k steps per lookup of the k-step table, its step
+#: maps composed until they coalesce), bytes a comma-separated line of
+#: mixed label widths is read in (one of uniform widths is read in one
+#: strided pass), windows coded and counted in at a time (one bincount
+#: per block over at most ``_BLOCK >> 4`` codes, ``np.add.at`` past
+#: that), and codes gathered through a lookup table in at a time, so
+#: that the intp copy ``take`` makes of a narrow index is one block
+#: long (``processes.MarkovProcess.sample``, the writer and the block
+#: route of the comma loader of ``cli``, :func:`window_codes`,
 #: :func:`_ranks`); outputs do not depend on it
 _BLOCK = 1 << 16
 
@@ -1068,10 +1070,12 @@ def _code_counts(codes: np.ndarray, size: int, pair=None) -> np.ndarray:
     codes counted are the pair codes codes[i]·span + codes[i + shift],
     for i below codes.size − shift (:func:`_pair_codes`).
 
-    Counted ``_BLOCK`` codes at a time with ``np.add.at``, which takes
-    the narrow codes as its index as they are, with no intp copy of
-    them, as ``np.bincount`` makes, and no array of the whole range
-    per block.
+    Counted ``_BLOCK`` codes at a time: by one ``np.bincount`` per
+    block over at most ``_BLOCK >> 4`` (4096) codes, by ``np.add.at``
+    past that, where a bincount's intp copy and whole-range array per
+    block cost more.  Per 10^6 codes (numpy 2.4, 2-vCPU VM), bincount
+    against add.at: 2.3 vs 3.2 ms at 4096 bins, 2.1 vs 3.5 at ~50
+    bins, 3.9 vs 3.8 at 59049 and 15.6 vs 7.3 at 531441.
     """
     span, shift = pair or (0, 0)
     m = codes.size - shift
@@ -1080,7 +1084,10 @@ def _code_counts(codes: np.ndarray, size: int, pair=None) -> np.ndarray:
         hi = min(lo + _BLOCK, m)
         block = _pair_codes(codes, span, shift, lo, hi) if pair \
             else codes[lo:hi]
-        np.add.at(counts, block, 1)
+        if size <= _BLOCK >> 4:
+            counts += np.bincount(block, minlength=size)
+        else:
+            np.add.at(counts, block, 1)
     return counts
 
 

@@ -321,18 +321,21 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
 
     Adjacent steps are composed pairwise into one map per pair, level
     after level; each level keeps each distinct map once, so its table
-    stays small (a mixing chain's maps become constant).  Composing
-    stops at one step, or before a level whose table would outgrow its
-    steps (a chain with many contexts); the steps left are walked one
-    by one.  The state before every pair then gives the state inside
-    it, from the top level back down, each level read from its
-    flattened table with one ``take``.  ``rows`` is ``maps.tolist()``,
-    walked when nothing is composed; the sampler builds it once and
-    calls this once per block, so every level is at most a block long.
+    stays small.  Composing stops at one step, at a level whose maps
+    are all constant (they coalesce, as a mixing chain's soon do), or
+    before a level whose table would outgrow its steps (many contexts).
+    The top steps are then read in one gather when their maps are
+    constant (the state before step i is the constant of step i − 1),
+    and walked one by one otherwise.  The state before every pair gives
+    the state inside it, from the top level back down, each level read
+    from its flattened table with one ``take``.  ``rows`` is
+    ``maps.tolist()``, walked when nothing is composed; the sampler
+    builds it once and calls this once per block, so every level is at
+    most a block long.
     """
     n = steps.size
     levels = []
-    while steps.size > 1:
+    while steps.size > 1 and not (maps == maps[:, :1]).all():
         k, m = maps.shape
         if steps.size % 2:
             # a pad step: its map acts only after the last step
@@ -345,13 +348,16 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
         # many pairs compose to the same map: keep each map once
         maps, same = _distinct_rows(maps[second[:, None], maps[first]], m)
         steps = same[ids]
-    table = maps.tolist() if levels else rows
-    top = []
-    state = start
-    for step in steps.tolist():
-        top.append(state)
-        state = table[step][state]
-    states = np.array(top, dtype=np.int64)
+    if (maps == maps[:, :1]).all():
+        states = np.concatenate(([start], maps[steps[:-1], 0]))
+    else:
+        table = maps.tolist() if levels else rows
+        top = []
+        state = start
+        for step in steps.tolist():
+            top.append(state)
+            state = table[step][state]
+        states = np.array(top, dtype=np.int64)
     for steps, maps in reversed(levels):
         states = states[:steps.size // 2]
         inner = np.empty(steps.size, dtype=np.int64)
@@ -755,7 +761,8 @@ class MarkovProcess:
         the largest with nb^k·m ≤ ``_STEP_TABLE`` (m contexts), at
         most 16; a chain with many contexts gets k = 1, the one-step
         table itself.  Equal k-step maps are kept once, and
-        ``_walk_maps`` composes the chunks' maps instead of stepping
+        ``_walk_maps`` composes the chunks' maps until they coalesce
+        into constant maps, read in one gather, rather than stepping
         through them one by one.
 
         The uniforms are drawn and walked ``_BLOCK`` at a time, each

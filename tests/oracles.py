@@ -414,3 +414,17 @@ def int64_grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
             codes[lo:hi] = block
         codes, size = codes[:tail.size], size * factor
     return codes, size, ranked
+
+
+# ── the sampler's walk, one step at a time ───────────────────────────
+
+
+def walk_maps_oracle(steps, maps, start: int) -> np.ndarray:
+    """``processes._walk_maps`` as one Python loop: x_0 = start and
+    x_{t+1} = maps[steps[t]][x_t], with no map composed."""
+    rows = np.asarray(maps).tolist()
+    states, state = [], start
+    for step in np.asarray(steps).tolist():
+        states.append(state)
+        state = rows[step][state]
+    return np.array(states, dtype=np.int64)

@@ -17,12 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from persistinfo import infocore
 from persistinfo.infocore import (
     Alphabet,
     BlockDistribution,
     ExactBits,
     SMOOTH_FACTOR_BOUND,
     JointBlockDistribution,
+    _BLOCK,
+    _code_counts,
     _coerce_sequence,
     _factor_smooth,
     _NotSmooth,
@@ -664,3 +667,93 @@ def test_marginals_are_consistent(window, gap):
     for w, p in window.probs.items():
         direct[w[:left]] = direct.get(w[:left], F(0)) + p
     assert lm.probs == direct
+
+
+# ── counting codes: bincount up to 4096 codes, np.add.at past it ─────────────
+
+
+_COUNT_LENGTHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)
+
+
+def _pair_case(rng, span, dtype, n, shift=5):
+    """n codes in range(span) held as dtype, and their pair codes
+    codes[i]·span + codes[i + shift] in intp."""
+    codes = rng.integers(0, span, n).astype(dtype)
+    return codes, codes[:n - shift].astype(np.intp) * span + codes[shift:]
+
+
+@pytest.mark.parametrize("size", [1, 50, 4095, 4096, 4097, 59049])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_code_counts_match_bincount_on_both_sides_of_the_range_rule(size,
+                                                                   dtype):
+    rng = np.random.default_rng(size)
+    held = int(np.iinfo(dtype).max) + 1
+    # pair codes range over span²: the least span with span² >= size,
+    # so 4095 and 4096 count by bincount, 4097 (4225) by np.add.at
+    span = math.isqrt(size - 1) + 1
+    for n in _COUNT_LENGTHS:
+        codes = rng.integers(0, min(size, held), n).astype(dtype)
+        got = _code_counts(codes, size)
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, np.bincount(codes.astype(np.intp), minlength=size)), n
+        codes, want = _pair_case(rng, min(span, held), dtype, n)
+        got = _code_counts(codes, span * span, (span, 5))
+        assert got.dtype == np.int64
+        assert np.array_equal(
+            got, np.bincount(want, minlength=span * span)), n
+
+
+class _RecordedAdd:
+    """``np.add`` with each ``at`` call recorded."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def at(self, *args):
+        self.calls.append("add.at")
+        np.add.at(*args)
+
+
+class _CountingNumpy:
+    """NumPy as ``infocore`` reads it, with each ``np.add.at`` and
+    ``np.bincount`` call recorded."""
+
+    def __init__(self):
+        self.calls = []
+        self.add = _RecordedAdd(self.calls)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def bincount(self, *args, **kwargs):
+        self.calls.append("bincount")
+        return np.bincount(*args, **kwargs)
+
+
+@pytest.mark.parametrize("size, pair, route", [
+    (50, False, "bincount"), (4096, False, "bincount"),
+    (4097, False, "add.at"), (59049, False, "add.at"),
+    (4096, True, "bincount"), (4225, True, "add.at")])
+def test_code_counts_take_bincount_up_to_4096_codes(monkeypatch, size, pair,
+                                                    route):
+    rng = np.random.default_rng(size)
+    n = 3 * _BLOCK + 7
+    if pair:
+        span = math.isqrt(size)
+        codes, want = _pair_case(rng, span, np.uint16, n)
+        args = (codes, size, (span, 5))
+    else:
+        codes = rng.integers(0, size, n).astype(np.uint16)
+        want = codes.astype(np.intp)
+        args = (codes, size)
+    spy = _CountingNumpy()
+    monkeypatch.setattr(infocore, "np", spy)
+    got = _code_counts(*args)
+    monkeypatch.undo()
+    # one call per block of _BLOCK codes, every one by the same kernel
+    assert spy.calls == [route] * 4
+    assert np.array_equal(got, np.bincount(want, minlength=size))

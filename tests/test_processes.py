@@ -70,6 +70,7 @@ from oracles import (
     scalar_phi,
     table_mi_oracle,
     two_point_ising_closed_forms,
+    walk_maps_oracle,
 )
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
@@ -1264,6 +1265,94 @@ def test_markov_sample_at_seed_1_matches_pinned_hashes(tmp_path):
                      "--seed", "1", "--out", str(dest)]) == 0
         digest = hashlib.sha256(dest.read_bytes()).hexdigest()
         assert digest == pins[dest.name], name
+
+
+NEAR_CYCLE = {"a": (0.0, 1.0, 0.0), "b": (0.0, 0.0, 1.0),
+              "c": (0.999, 0.0, 0.001)}
+
+
+def near_cycle_chain():
+    # a -> b -> c -> a, and c -> c once in a thousand steps: most
+    # composed maps are the cycle, so a level's maps stay non-constant
+    return MarkovProcess.from_rows(NEAR_CYCLE, alphabet=Alphabet("abc"))
+
+
+def test_near_cycle_sample_at_seed_101_matches_pinned_hash(tmp_path):
+    # sha256 of 10^6 symbols of a chain whose maps do not coalesce,
+    # written before the walk stopped composing at constant maps; the
+    # benchmark's chains, whose maps do coalesce, are pinned above and
+    # in test_cli
+    import hashlib
+    import json
+
+    from persistinfo.cli import main
+    spec = json.dumps({"kind": "markov", "alphabet": ["a", "b", "c"],
+                       "rows": {"a": [0, 1, 0], "b": [0, 0, 1],
+                                "c": [0.999, 0, 0.001]}})
+    pin, name = (Path(__file__).parent / "data"
+                 / "sample_nearcycle_1000000_101.sha256").read_text().split()
+    dest = tmp_path / name
+    assert main(["sample", "--model", spec, "--n", "1000000",
+                 "--seed", "101", "--out", str(dest)]) == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == pin
+
+
+@pytest.mark.parametrize("build", [near_cycle_chain,
+                                   SAMPLER_CHAINS["order0"]],
+                         ids=["near-cycle", "iid"])
+def test_sample_over_three_blocks_matches_bisect_oracle_on_both_walks(build):
+    # maps that never all become constant, and one context (m = 1),
+    # whose maps are constant from the first level
+    model = build()
+    n = 3 * processes._BLOCK + 5
+    got = model.sample(n, np.random.default_rng(n))
+    want = bisect_sample_oracle(model, n, np.random.default_rng(n))
+    assert np.array_equal(got, want)
+
+
+def _walk_case(rows, n, seed, start):
+    """(maps, n steps drawn through them by a seeded generator, start)."""
+    maps = np.array(rows, dtype=np.int64)
+    steps = np.random.default_rng(seed).integers(0, len(rows), n)
+    return maps, steps, start
+
+
+@st.composite
+def walk_cases(draw):
+    """A table of 1–30 maps over 1–12 contexts, each map constant, a
+    permutation or random; 1–5000 steps through it; a start."""
+    k, m = draw(st.integers(1, 30)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("constant", "permutation", "random")))
+        if kind == "constant":
+            rows.append([draw(st.integers(0, m - 1))] * m)
+        elif kind == "permutation":
+            rows.append(draw(st.permutations(range(m))))
+        else:
+            rows.append(draw(st.lists(st.integers(0, m - 1), min_size=m,
+                                      max_size=m)))
+    return _walk_case(rows, draw(st.integers(1, 5000)),
+                      draw(st.integers(0, 2 ** 32 - 1)),
+                      draw(st.integers(0, m - 1)))
+
+
+# x -> max(x − 1, 0) and x -> max(x − 2, 0) over 9 contexts: every
+# composition of 8 steps is constant, some of 4 steps are not
+_SHIFTS = [[max(x - d, 0) for x in range(9)] for d in (1, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walk_cases())
+@example(case=_walk_case([[2, 2, 2], [0, 0, 0], [1, 1, 1]], 4097, 1, 1))
+@example(case=_walk_case([[0]] * 5, 5000, 2, 0))
+@example(case=_walk_case([[1, 2, 0], [0, 2, 1], [2, 1, 0]], 4999, 3, 2))
+@example(case=_walk_case(_SHIFTS, 4999, 4, 8))
+def test_walk_maps_matches_the_step_by_step_oracle(case):
+    maps, steps, start = case
+    got = processes._walk_maps(steps, maps, maps.tolist(), start)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, walk_maps_oracle(steps, maps, start))
 
 
 def test_markov_sample_memory_stays_in_blocks():
