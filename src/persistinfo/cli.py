@@ -85,16 +85,24 @@ def _table_row(cells, widths) -> str:
     return head + cells[-1].ljust(widths[-1])
 
 
-def _parse_grid(text: Optional[str], minimum: int) -> Optional[Tuple[int, ...]]:
-    """A comma list of integers >= minimum, strictly ascending."""
+def _parse_grid(text: Optional[str], minimum: int,
+                flag: str) -> Optional[Tuple[int, ...]]:
+    """A comma list of integers >= minimum, strictly ascending, given
+    to ``flag``; an entry that is not an integer is refused by name."""
     if text is None:
         return None
-    values = tuple(int(part) for part in text.split(","))
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise ValueError(f"{flag} entry {part!r} is not an integer: "
+                             f"{text}") from None
     if any(v < minimum for v in values):
         raise ValueError(f"grid entries must be >= {minimum}: {text}")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"grids must be strictly ascending: {text}")
-    return values
+    return tuple(values)
 
 
 # ── model and sequence loading ────────────────────────────────────────────────
@@ -135,12 +143,18 @@ def _typed(doc: dict, where: str, v, types) -> None:
 def _field(doc: dict, key: str, types=(), default=KeyError, entries=()):
     """doc[key] (``default``, if given, when absent), refused with the
     kind and the key when missing, and by ``_typed`` when it is not of
-    ``types`` or an entry not of ``entries``.  Numbers: ``_number``."""
+    ``types`` or an entry not of ``entries``, and, when it is required
+    and of labels, an object or an array, when it is empty.  Numbers:
+    ``_number``."""
     if key not in doc and default is KeyError:
         raise ValueError(f"{doc.get('kind')} model needs a {key!r} field")
     value = doc.get(key, default)
     if key in doc:
         _typed(doc, repr(key), value, types)
+        if (default is KeyError and types in (_LABELS, _OBJECT, _ARRAY)
+                and not value):
+            raise ValueError(f"{doc.get('kind')} model field {key!r} "
+                             "must not be empty")
     if entries and isinstance(value, dict):
         for k, v in value.items():
             _typed(doc, f"{key!r} entry {k!r}", v, entries)
@@ -437,8 +451,8 @@ def cmd_entropy(cfg: argparse.Namespace) -> int:
 
 
 def cmd_pmi(cfg: argparse.Namespace) -> int:
-    L_grid = _parse_grid(cfg.L_grid, minimum=1) or (1, 2, 3)
-    g_grid = _parse_grid(cfg.g_grid, minimum=0) or (16, 24, 32)
+    L_grid = _parse_grid(cfg.L_grid, 1, "--L-grid") or (1, 2, 3)
+    g_grid = _parse_grid(cfg.g_grid, 0, "--g-grid") or (16, 24, 32)
     # the verdict's tolerances, given only to override its defaults
     tuning = {k: getattr(cfg, k) for k in ("eps_g", "eps_L", "delta")
               if getattr(cfg, k) is not None}

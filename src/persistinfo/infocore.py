@@ -32,7 +32,7 @@ Conventions
     rationals do not factor cheaply fall back to float entropies of
     the correctly rounded w / D; a mutual information, read from one
     2-D array of joint weights (``_mi_of_joint``), is decided on its
-    joint and is then a sum of nonnegative terms, which does not cancel.
+    joint: a rough or float one is a sum of nonnegative terms.
   * One rule joins the two: an exact value (ExactBits, Fraction)
     combined with a float gives a float, so sums and differences of
     entropies need no branch on the backend.  Checks of an identity go
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, abc
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -768,10 +769,8 @@ def entropy_of_probs(probs) -> Scalar:
 
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
-    """I(left; right) in bits of a joint table, laid out as one 2-D array
-    (rows and columns in word order) for ``_mi_of_joint``.  Nonnegative
-    (exactly on the exact backend, within ~1e-12 in float) and symmetric
-    under swapping the blocks."""
+    """I(left; right) in bits, nonnegative and symmetric, of a joint table
+    laid out as one 2-D array (rows and columns in word order)."""
     rows, cols = ({w: i for i, w in enumerate(sorted(set(words)))}
                   for words in zip(*j.weights))
     J = np.zeros((len(rows), len(cols)), dtype=object if j.exact else float)
@@ -782,43 +781,42 @@ def mutual_information(j: JointBlockDistribution) -> Scalar:
 
 def _mi_of_joint(J: np.ndarray, D) -> Scalar:
     """I(row; column) in bits of a 2-D array of joint weights, Python ints
-    over D (object dtype) or floats (D None), with its row and column
-    sums as marginals.  Sums and entropies run in the order of a table
-    keyed row by row, so a float I is that table's H(row) + H(column) −
-    H(joint).  An exact joint is factored first, and
-    ``_entropy_of_weights`` raises at a weight that is not smooth: a
-    rough joint takes no float entropy.  Where the joint or a marginal
-    is rough, I = Σ p(a)p(b)·φ(x_ab) / ln 2, a sum of nonnegative terms
-    over the support, x_ab = p(ab) / (p(a)p(b)) − 1 rounded once from
-    integers, plus 1 − Σ p(a)p(b) for the pairs never taken (φ(−1) = 1)."""
+    over D (object dtype) or floats (D None), its row and column sums,
+    added in order, as marginals.  A smooth exact joint gives ExactBits
+    H + H − H (``_entropy_of_weights`` raises at a rough weight); any
+    other I = Σ p(a)p(b)·φ(x_ab) / ln 2 over the support, x_ab = p(ab) /
+    (p(a)p(b)) − 1 rounded once, plus p(a)p(b) for each pair never taken
+    (φ(−1) = 1): 1 − Σ p(a)p(b) over the support from integers, pair by
+    pair from floats, where that difference could cancel below 0."""
     left = np.add.accumulate(J, axis=1)[:, -1]
     right = np.add.accumulate(J, axis=0)[-1]
-    if D is None:
-        right = right[np.argsort((J != 0).argmax(axis=0), kind="stable")]
-        return (_entropy_of_p(left[left != 0])
-                + _entropy_of_p(right[right != 0]) - _entropy_of_p(J[J != 0]))
-    try:
-        h = _entropy_of_weights(Counter(J.ravel().tolist()), D)
-        return (_entropy_of_weights(Counter(left.tolist()), D)
-                + _entropy_of_weights(Counter(right.tolist()), D) - h)
-    except _NotSmooth:
-        pass
+    if D is not None:
+        with suppress(_NotSmooth):
+            h = _entropy_of_weights(Counter(J.ravel().tolist()), D)
+            return (_entropy_of_weights(Counter(left.tolist()), D)
+                    + _entropy_of_weights(Counter(right.tolist()), D) - h)
     rows, cols = np.nonzero(J)
-    w = J[rows, cols]
-    D2 = D * D
-    ab = left[rows] * right[cols]
+    w, ab = J[rows, cols], left[rows] * right[cols]
+    if D is None:
+        D, unseen = 1, np.outer(left, right)[J == 0].tolist()
+        if not ab.all():  # p(a)p(b) underflows: add w·ln(w / p(a)p(b)) − w
+            v, a, b = w[ab == 0], left[rows[ab == 0]], right[cols[ab == 0]]
+            unseen += (v * (np.log(v / a) - np.log(b) - 1)).tolist()
+            w, ab = w[ab != 0], ab[ab != 0]
+    else:
+        unseen = [(D * D - ab.sum()) / (D * D)]
     x = ((w * D - ab) / ab).astype(np.float64)
-    terms = (ab / D2).astype(np.float64) * _phi(x)
-    return math.fsum([*terms.tolist(), (D2 - ab.sum()) / D2]) / math.log(2)
+    terms = (ab / (D * D)).astype(np.float64) * _phi(x)
+    return math.fsum([*terms.tolist(), *unseen]) / math.log(2)
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    """(1 + x)·ln(1 + x) − x >= 0 for each x >= −1: ``math.log1p`` where
-    |x| >= 1/8, and below, where the two terms cancel, the series
-    Σ_{n>=2} (−x)^n / (n(n − 1)) until a term is at most 1e-17 of the
-    sum.  Every entry takes the terms the largest |x| needs (its sum is
-    past x²/2.1, so |x|^(n−2) <= e^−40 ends it); a term past an entry's
-    last is below half its ulp, so it leaves the entry as it was."""
+    """φ(x) = (1 + x)·ln(1 + x) − x >= 0 for each x >= −1, φ(−1) = 1:
+    ``math.log1p`` where |x| >= 1/8, and below, where the two terms
+    cancel, the series Σ_{n>=2} (−x)^n / (n(n − 1)) until a term is at
+    most 1e-17 of the sum.  Every entry takes the terms the largest |x|
+    needs (its sum is past x²/2.1, so |x|^(n−2) <= e^−40 ends it); a
+    term past an entry's last is below half its ulp: it leaves it as is."""
     big = np.abs(x) >= 0.125
     y = np.where(big, 0.0, x)
     top = float(np.abs(y).max(initial=0.0))
@@ -826,7 +824,8 @@ def _phi(x: np.ndarray) -> np.ndarray:
     for n in range(2, 2 + (math.ceil(40 / -math.log(top)) if top else 0)):
         total += term / (n * (n - 1))
         term *= step
-    total[big] = [(1 + v) * math.log1p(v) - v for v in x[big].tolist()]
+    total[big] = [(1 + v) * math.log1p(v) - v if v > -1 else 1.0
+                  for v in x[big].tolist()]
     return total
 
 

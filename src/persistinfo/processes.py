@@ -412,12 +412,15 @@ class MarkovProcess:
         rows = {}
         for c in contexts:
             if c not in kernel:
-                raise ValueError(f"kernel is missing context {c}")
+                raise ValueError(
+                    f"kernel is missing context {alphabet.decode(c)!r}")
             row = tuple(_as_weight(x) for x in kernel[c])
             if len(row) != s:
-                raise ValueError(f"row for context {c} has wrong length")
+                raise ValueError(f"row for context {alphabet.decode(c)!r} "
+                                 "has wrong length")
             if any(x < 0 for x in row):
-                raise ValueError(f"row for context {c} has negative entries")
+                raise ValueError(f"row for context {alphabet.decode(c)!r} "
+                                 "has negative entries")
             rows[c] = row
         if len(kernel) != len(contexts):
             raise ValueError("kernel has rows for unknown contexts")
@@ -428,7 +431,8 @@ class MarkovProcess:
         for c, row in rows.items():
             total = sum(row)
             if not _agrees(total, 1, 1e-9):
-                raise ValueError(f"row for context {c} sums to {total}, not 1")
+                raise ValueError(f"row for context {alphabet.decode(c)!r} "
+                                 f"sums to {total}, not 1")
 
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "order", order)

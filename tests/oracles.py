@@ -214,8 +214,10 @@ def gap_cells_oracle(m, L: int, g: int) -> JointBlockDistribution:
 
 
 def scalar_phi(x: float) -> float:
-    """(1 + x)·ln(1 + x) − x >= 0 for x >= −1; a series where |x| < 1/8,
-    where the two terms cancel."""
+    """(1 + x)·ln(1 + x) − x >= 0 for x >= −1, with φ(−1) = 1; a series
+    where |x| < 1/8, where the two terms cancel."""
+    if x == -1:
+        return 1.0
     if abs(x) >= 0.125:
         return (1 + x) * math.log1p(x) - x
     # Σ_{n>=2} (−x)^n / (n(n − 1)), alternating and shrinking
@@ -227,34 +229,48 @@ def scalar_phi(x: float) -> float:
     return total
 
 
-def mi_of_deviations(joint: dict, left: dict, right: dict, D: int) -> float:
+def mi_of_deviations(joint: dict, left: dict, right: dict, D=None) -> float:
     """I = Σ p(a)p(b)·φ(x_ab) / ln 2 over the pairs of the marginals'
     supports, x_ab = p(ab) / (p(a)p(b)) − 1 exact until rounded once,
-    one pair at a time.  The pairs the joint never takes have
-    φ(−1) = 1 and add 1 − Σ p(a)p(b) over those it takes."""
-    D2 = D * D
+    one pair at a time, of integer weights over D or of float weights
+    (D None).  The pairs the joint never takes have φ(−1) = 1: for
+    integers they add 1 − Σ p(a)p(b) over those it takes, and for
+    floats each adds its own p(a)p(b)."""
+    scale = 1 if D is None else D
+    D2 = scale * scale
     terms, taken = [], 0
     for (a, b), w in joint.items():
         if w:
             ab = left[a] * right[b]
             taken += ab
-            terms.append(ab / D2 * scalar_phi((w * D - ab) / ab))
-    terms.append((D2 - taken) / D2)
+            if ab:
+                terms.append(ab / D2 * scalar_phi((w * scale - ab) / ab))
+            else:  # a float p(a)p(b) that underflows: w·ln(w/p(a)p(b)) − w
+                terms.append(w * (math.log(w / left[a]) - math.log(right[b])
+                                  - 1))  # to an ulp of np.log's
+    if D is None:
+        terms += [left[a] * right[b] for a in left for b in right
+                  if not joint.get((a, b))]
+    else:
+        terms.append((D2 - taken) / D2)
     return math.fsum(terms) / math.log(2)
 
 
 def table_mi_oracle(j: JointBlockDistribution):
-    """I(left; right) of a joint table through its marginal tables: H of
-    the joint first, then H(left) + H(right) − H(joint) where all three
-    are exact or the table is float, else ``mi_of_deviations``."""
-    left, right = j.left_marginal(), j.right_marginal()
-    h_joint = shannon_entropy(j)
-    if not (j.exact and isinstance(h_joint, float)):
-        mi = shannon_entropy(left) + shannon_entropy(right) - h_joint
-        if not (j.exact and isinstance(mi, float)):
-            return mi
-    return mi_of_deviations(j.weights, left.weights, right.weights,
-                            j.denominator)
+    """I(left; right) of a joint table through its marginals, each
+    summed in sorted key order: H(left) + H(right) − H(joint) where all
+    three are exact, else ``mi_of_deviations``."""
+    left: dict = {}
+    right: dict = {}
+    for (a, b), w in sorted(j.weights.items()):
+        left[a] = left.get(a, 0) + w
+        right[b] = right.get(b, 0) + w
+    if j.exact:
+        hs = [shannon_entropy(t)
+              for t in (j.left_marginal(), j.right_marginal(), j)]
+        if not any(isinstance(h, float) for h in hs):
+            return hs[0] + hs[1] - hs[2]
+    return mi_of_deviations(j.weights, left, right, j.denominator)
 
 
 # ── closed forms of a Markov chain read from its block tables ─────────

@@ -250,6 +250,27 @@ def test_entropy_unknown_kind(capsys):
     ({"kind": "logistic", "r": 3.5},
      "the logistic map has no exact law; write a sample with"
      " 'persistinfo sample' and read it with --seq"),
+    # an empty required field, named rather than read as an empty alphabet
+    ({"kind": "periodic", "cycle": ""},
+     "periodic model field 'cycle' must not be empty"),
+    ({"kind": "iid", "probs": []}, "iid model field 'probs' must not be empty"),
+    ({"kind": "iid", "alphabet": ["a"], "probs": []},
+     "iid model field 'probs' must not be empty"),
+    ({"kind": "substitution", "rules": {}, "start": "0"},
+     "substitution model field 'rules' must not be empty"),
+    ({"kind": "markov", "rows": {}},
+     "markov model field 'rows' must not be empty"),
+    # chain contexts named by their labels
+    ({"kind": "markov", "rows": {"0": ["1/2", "1/2"], "1": ["1/2", "1/3"]}},
+     "row for context '1' sums to 5/6, not 1"),
+    ({"kind": "markov", "alphabet": "abc",
+      "rows": {a + b: ["1/3"] * 3 for a in "abc" for b in "abc"
+               if a + b != "aa"}},
+     "kernel is missing context 'aa'"),
+    ({"kind": "markov", "alphabet": "ab", "rows": {"a": [1], "b": [1]}},
+     "row for context 'a' has wrong length"),
+    ({"kind": "markov", "rows": {"0": ["3/2", "-1/2"], "1": ["1/2", "1/2"]}},
+     "row for context '0' has negative entries"),
 ])
 def test_model_document_errors_name_the_cause(capsys, tmp_path, doc, message):
     # inline, and from a file
@@ -407,6 +428,12 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
      "unknown rules 'fibo'; use tm, fib, or an inline JSON object"),
     (("ising", "--points", "2"), "need at least 3 temperature points"),
     (("sample", "--model", "tm", "--n", "0"), "need n >= 1"),
+    (("pmi", "--model", "tm", "--L-grid", "1,,2", "--g-grid", "1,2,3"),
+     "--L-grid entry '' is not an integer: 1,,2"),
+    (("pmi", "--model", "tm", "--L-grid", "1,2,3", "--g-grid", "a"),
+     "--g-grid entry 'a' is not an integer: a"),
+    (("pmi", "--model", "tm", "--L-grid", "1.5", "--g-grid", "1,2,3"),
+     "--L-grid entry '1.5' is not an integer: 1.5"),
 ])
 def test_command_refusals_name_the_cause(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -1278,8 +1305,8 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     (("entropy", "--model", MARKOV_R2, "--Lmax", "13", "--format", "csv"),
      "entropy_markov_r2_L13.csv"),
     # exact and rough cells of one chain; it records the rounding of
-    # exact values near 0, and the float file below the cancellation of
-    # H(A) + H(B) − H(AB) (ROADMAP, golden outputs that record defects)
+    # exact values near 0 (ROADMAP, golden outputs that record defects),
+    # and the float file below the same cells as sums of nonnegative terms
     (("pmi", "--model", TERNARY_SPEC, "--L-grid", "2,4,6,8", "--g-grid",
       "8,16,32,64", "--format", "json"), "pmi_ternary.json"),
     # float cells, L < R among them

@@ -66,6 +66,7 @@ from oracles import (
     block_table_reversed,
     fraction_entropy,
     gap_cells_oracle,
+    geometric_decay_rate,
     mi_of_deviations,
     scalar_phi,
     table_mi_oracle,
@@ -581,7 +582,27 @@ def test_float_gap_mi_is_within_float_noise_of_exact(make):
 def test_float_chain_keeps_mass_at_long_gaps(rows, g):
     j = joint_gap_distribution(MarkovProcess.from_rows(rows), 1, g)
     assert abs(math.fsum(j.probs.values()) - 1) <= 1e-12
-    assert abs(mutual_information(j)) <= 1e-15
+    mi = mutual_information(j)
+    assert 0 <= mi <= 1e-15
+
+
+@pytest.mark.parametrize("make, g, want, rel", [
+    # T^17's off-diagonal, ~3e-21 against cells of 1/4: x_ab rounds to −1
+    (lambda: IsingChainProcess(J=1.0, h=0.0, beta=25.0).as_markov(),
+     16, 1.0, 1e-12),
+    # the cell (0, 0), 3.3e-21 against p(0)p(0) = 1/9, rounds to −1 too
+    (lambda: MarkovProcess.from_rows({"0": (1e-20, 1.0), "1": (0.5, 0.5)}),
+     0, 0.2516291673878, 1e-12),
+    # p(0)p(0), near 3e-400, underflows to 0 under a cell of 5e-201; the
+    # value is the 80-digit Decimal I of the float cells, which a float
+    # cell this far below 1e-20 meets to about 1e-3 only
+    (lambda: MarkovProcess.from_rows({"0": (0.5, 0.5), "1": (1e-200, 1.0)}),
+     0, 3.303153657377e-198, 1e-2),
+], ids=["ising-beta-25", "x-rounds-to-minus-1", "product-underflows"])
+def test_float_cells_at_the_ends_of_the_float_range(make, g, want, rel):
+    mi = make().gap_mutual_information(1, g)
+    assert math.isfinite(mi) and mi >= 0
+    assert mi == pytest.approx(want, rel=rel)
 
 
 # ── integer weights against the Fraction oracles ────────────────────
@@ -752,6 +773,25 @@ def test_gap_mi_reads_the_marginals_only_for_an_exact_joint(monkeypatch):
     assert str(mi) == str(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=rational_chains(), L=st.integers(1, 3), g=st.integers(0, 48))
+def test_float_gap_cells_are_nonnegative_and_near_decimal(m, L, g):
+    got = float_twin(m).gap_mutual_information(L, g)
+    assert got >= 0
+    want = decimal_mi_oracle(gap_cells_oracle(m, L, g))
+    if want > Decimal("1e-12"):
+        assert_near_decimal(got, want, rel=1e-9)
+    event("checked to 1e-9" if want > Decimal("1e-12") else "sign only")
+
+
+def test_golden_mean_float_cells_decay_at_lambda2_squared():
+    # λ2 = −1/2; a cancelling H(A) + H(B) − H(AB) read 0.2541 here
+    m = float_twin(goldenmean())
+    rate = geometric_decay_rate(
+        [(g, m.gap_mutual_information(2, g)) for g in range(8, 33, 4)])
+    assert rate == pytest.approx(0.25, abs=1e-5)
+
+
 @st.composite
 def small_weight_chains(draw):
     """Rational chains of order <= 2 over 2 or 3 letters, each row drawn
@@ -795,40 +835,40 @@ LOG1P_CHAIN = _rows("aa:1/5 1/2 3/10;ab:1/4 3/8 3/8;ac:0 1/2 1/2;"
 @example(m=LOG1P_CHAIN, L=2, g=1)
 def test_gap_cell_arrays_match_the_dict_table_oracle(m, L, g):
     # each chain and its float copy; the table route reads the oracle's
-    # own table through the same kernel
-    worst = 0.0
+    # own table through the same kernel, and float and rough cells are
+    # the oracle's sum of deviations over marginals added in word order
     for chain in (m, float_twin(m)):
         cells = gap_cells_oracle(chain, L, g)
         want = table_mi_oracle(cells)
-        for got in (chain.gap_mutual_information(L, g),
-                    mutual_information(cells)):
+        gots = [mutual_information(cells)]
+        if chain.order or chain.exact:
+            gots.append(chain.gap_mutual_information(L, g))
+        else:
+            # no bridge: the blocks are independent, which the float
+            # products of an order-0 table only nearly are: each word is
+            # L rounded products, so x_ab is a few L ulp and I ~ x²/2
+            assert chain.gap_mutual_information(L, g) == 0.0
+            assert 0 <= gots[0] <= (4 * L * 2**-52) ** 2
+        for got in gots:
             if not isinstance(want, float):
                 event("exact cell")
                 assert_same_scalar(got, want)
-            elif chain.exact or L >= chain.order:
+            else:
                 event("rough cell" if chain.exact else "float cell")
                 assert type(got) is float and got.hex() == want.hex()
-            else:
-                # the oracle keys a cell where it first meets it, which a
-                # zero cell can move off the array's order: the difference
-                # H(A) + H(B) − H(AB) may then move by a few ulp of the
-                # entropies, at most 2L·log2(s) bits
-                assert type(got) is float
-                worst = max(worst, abs(got - want))
-    assert worst <= 4 * math.ulp(2 * L * math.log2(len(m.alphabet)))
-    if L < m.order:
-        event(f"float cell at L < R {'moved' if worst else 'the same'}")
 
 
 def test_phi_matches_the_scalar_series_and_log1p():
     # every magnitude the series meets, from subnormal squares up to the
-    # 1/8 switch, and the log1p side past it, in one array and alone
+    # 1/8 switch, and the log1p side past it down to φ(−1) = 1, in one
+    # array and alone
     mags = np.concatenate([np.logspace(-320, -0.91, 4000),
                            np.nextafter(0.125, (0, 1)), [0.0, 1e-160]])
     x = np.concatenate([mags, -mags, np.linspace(-1 + 1e-9, 40, 2001),
-                        [0.125, -0.125, np.nextafter(0.125, 0)]])
+                        [0.125, -0.125, np.nextafter(0.125, 0), -1.0]])
     want = [scalar_phi(v).hex() for v in x.tolist()]
     assert [v.hex() for v in infocore._phi(x).tolist()] == want
+    assert want[-1] == (1.0).hex()
     for part in (x[:7], x[4000:4003], x[-5:]):
         assert [v.hex() for v in infocore._phi(part).tolist()] \
             == [scalar_phi(v).hex() for v in part.tolist()]
