@@ -200,11 +200,20 @@ def _build_model(doc: dict, exact: bool):
         labels = _field(doc, "alphabet", _LABELS, None)
         alphabet = None if labels is None else Alphabet(labels)
     if kind == "markov":
-        return MarkovProcess.from_rows(_number(doc, "rows", exact, _OBJECT),
-                                       alphabet=alphabet)
+        rows = _number(doc, "rows", exact, _OBJECT)
+        if alphabet is None and not any(rows.values()):
+            # the rows' length would be the size of the alphabet
+            raise ValueError(f"markov model field 'rows' entry "
+                             f"{next(iter(rows))!r} has length 0, but an "
+                             "alphabet has size at least 1")
+        return MarkovProcess.from_rows(rows, alphabet=alphabet)
     if kind == "iid":
-        return IidProcess.from_probs(_number(doc, "probs", exact, _ARRAY),
-                                     alphabet=alphabet)
+        probs = _number(doc, "probs", exact, _ARRAY)
+        if alphabet is not None and len(probs) != len(alphabet):
+            raise ValueError(f"iid model field 'probs' has length "
+                             f"{len(probs)}, but the alphabet has size "
+                             f"{len(alphabet)}")
+        return IidProcess.from_probs(probs, alphabet=alphabet)
     if kind == "ising":
         J, h, beta = (_number(doc, k, exact) for k in ("J", "h", "beta"))
         if exact:
@@ -464,6 +473,9 @@ def cmd_pmi(cfg: argparse.Namespace) -> int:
                          f"no {flags}")
     grid = gap_mi_grid(_source(cfg), L_grid, g_grid)
     if cfg.format == "csv":
+        # the rows leave refused cells out: name them apart
+        for (L, g), reason in sorted(grid.missing.items()):
+            print(f"note: ({L}, {g}) missing: {reason}", file=sys.stderr)
         _emit(grid.to_csv(), cfg.out)
         return 0
     report = pmi_verdict(grid, **tuning)

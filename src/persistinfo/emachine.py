@@ -254,11 +254,12 @@ def _laws(model, R: int, F: int) -> tuple:
             table[w[k:]] = p
     sym: dict = {}
     d = None
+    s = len(blocks.alphabet)
     for w, p in blocks.weights.items():
         if p != 0:
             if w[:R] != d:
                 d = w[:R]
-                row = sym.setdefault(d, [0] * len(blocks.alphabet))
+                row = sym.setdefault(d, [0] * s)
             row[w[R]] += p
     hist = {d: sum(row) for d, row in sym.items()}
     return blocks, hist, k, futures, sym

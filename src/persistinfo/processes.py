@@ -237,7 +237,8 @@ def _stationary(T: np.ndarray, d) -> tuple:
     """Stationary law of the context matrix T, rows summing to d (d·T
     of Python ints on a rational chain, float T with d = 1 on a float
     one), refused unless the zero pattern of T has one closed class:
-    the law on that class, 0 off it.
+    the law on that class, 0 off it.  Every chain takes its π from here
+    but the Ising chain, whose π is in closed form.
 
     A walk steps from a state k to one that k reaches and that does
     not reach k, which reaches fewer states, until none is left: k is
@@ -282,6 +283,38 @@ def _stationary(T: np.ndarray, d) -> tuple:
     for i, x in zip(closed, v):
         pi[i] = x
     return tuple(pi)
+
+
+def _causal_state_masses(rows: Mapping[Word, Sequence],
+                         masses: Sequence) -> list:
+    """Stationary masses of the causal states of a chain given by its
+    rows, one per context (``masses`` aligned with them).
+
+    A context's future law is fixed by its row and the contexts it
+    moves to, so contexts with equal future laws are found by partition
+    refinement: start from equal rows, then split classes by the
+    classes of the successors on each symbol of nonzero probability,
+    until no class splits.  Contexts of mass 0 may be left out where no
+    edge of nonzero probability reaches them, as in the reversed rows,
+    whose every edge carries its target's mass as a factor.
+    """
+    def numbered(signature):
+        ids: dict = {}
+        return {c: ids.setdefault(signature[c], len(ids)) for c in rows}
+
+    cls = numbered(rows)
+    while True:
+        finer = numbered({
+            c: (cls[c],) + tuple(cls[(c + (a,))[1:]] if pa != 0 else -1
+                                 for a, pa in enumerate(row))
+            for c, row in rows.items()})
+        if max(finer.values()) == max(cls.values()):
+            break
+        cls = finer
+    total: dict = {}
+    for c, p in zip(rows, masses):
+        total[cls[c]] = total.get(cls[c], 0) + p
+    return list(total.values())
 
 
 def _entropy_nats(probs) -> float:
@@ -371,11 +404,9 @@ class MarkovProcess:
     """Order-R Markov chain given by one probability row per length-R
     context; order 0 degenerates to an i.i.d. source.
 
-    The stationary law is solved on the closed class of the context
-    chain (``_stationary``, exactly for rational rows); builders that
-    already know it may pass ``stationary`` aligned with the
-    lexicographic context order, which is then verified rather than
-    re-solved.
+    The stationary law is solved on the one closed class of the
+    context chain (``_stationary``, exactly for rational rows); a chain
+    whose zero pattern has more than one closed class is refused.
 
     A rational chain is kept as integers: with d the common denominator
     of its rows and q that of its stationary law, the rows d·P, the
@@ -400,11 +431,10 @@ class MarkovProcess:
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
                  "contexts", "_cindex", "_edges", "_moves", "_T", "_d", "_pi",
-                 "_q", "_powers", "_reversed")
+                 "_q", "_powers")
 
     def __init__(self, alphabet: Alphabet, order: int,
-                 kernel: Mapping[Word, Sequence],
-                 stationary: Optional[Sequence] = None):
+                 kernel: Mapping[Word, Sequence]):
         s = len(alphabet)
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -442,7 +472,6 @@ class MarkovProcess:
         object.__setattr__(self, "_cindex",
                            {c: i for i, c in enumerate(contexts)})
         object.__setattr__(self, "_powers", {})
-        object.__setattr__(self, "_reversed", None)
 
         # the nonzero entries of each row as ((symbol,), weight): d·P
         # for rational rows, P itself (d = 1) for float rows
@@ -469,26 +498,7 @@ class MarkovProcess:
                 T[ci, cj] += w
         object.__setattr__(self, "_T", T)
 
-        if stationary is not None:
-            pi = tuple(_as_weight(x) for x in stationary)
-            if len(pi) != m:
-                raise ValueError("stationary vector has wrong length")
-            if exact and not all(isinstance(x, Fraction) for x in pi):
-                raise ValueError("stationary vector of a chain with rational "
-                                 "rows must be rational, not float")
-            # the block tables are built from π unchecked: it must be a law
-            if not _agrees(sum(pi), 1, 1e-9):
-                raise ValueError(f"supplied stationary vector sums to "
-                                 f"{sum(pi)}, not 1")
-            # flow = pi·(d·T) over the moves, to be compared with d·pi
-            flow = [0] * m
-            for ci, row in enumerate(moves):
-                for cj, w in row:
-                    flow[cj] += pi[ci] * w
-            if not all(_agrees(flow[j], d * pi[j], 1e-9) for j in range(m)):
-                raise ValueError("supplied stationary vector is not stationary")
-        else:
-            pi = _stationary(T, d)
+        pi = self._solve_stationary(T, d)
         object.__setattr__(self, "stationary", pi)
         if exact:
             weights, q = _rational_weights(pi)
@@ -500,6 +510,10 @@ class MarkovProcess:
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkovProcess is immutable")
+
+    def _solve_stationary(self, T: np.ndarray, d) -> tuple:
+        """π of the context matrix; the Ising chain's is in closed form."""
+        return _stationary(T, d)
 
     @classmethod
     def from_rows(cls, rows: Mapping[str, Sequence],
@@ -688,9 +702,11 @@ class MarkovProcess:
 
     def closed_forms(self) -> ClosedForms:
         """h = Σ_c π(c)·H(P(·|c)), E = H(π) − R·h and C± (the entropies
-        of the causal-state masses of the chain and of its reversal),
-        read from the rows and π, never from a block table."""
-        R = self.order
+        of the causal-state masses of the rows and of the reversed rows
+        P(a | d) = π(c)·P(b | c) / π(reversed(d)), where the forward word
+        a·reversed(d) is the context c followed by b), read from the rows
+        and π, never from a block table or a second chain."""
+        R, s = self.order, len(self.alphabet)
         rows = [(p, self.kernel[c])
                 for c, p in zip(self.contexts, self.stationary) if p]
         if self.exact:
@@ -702,9 +718,16 @@ class MarkovProcess:
             h = sum(p * _entropy_nats(row) for p, row in rows) / math.log(2)
         HR = bits(self.stationary)
         E = HR - R * h
-        C_plus = bits(self._causal_state_masses())
-        back = self.reversed()  # the Ising chain is its own reversal
-        C_minus = C_plus if back is self else bits(back._causal_state_masses())
+        C_plus = bits(_causal_state_masses(self.kernel, self.stationary))
+        if self.reversed() is self:  # the Ising chain
+            C_minus = C_plus
+        else:
+            pi = dict(zip(self.contexts, self.stationary))
+            rev = {d: pi[d[::-1]] for d in self.contexts if pi[d[::-1]]}
+            back = {d: tuple(pi[w[:R]] * self.kernel[w[:R]][w[R]] / p
+                             for w in ((a,) + d[::-1] for a in range(s)))
+                    for d, p in rev.items()}
+            C_minus = bits(_causal_state_masses(back, list(rev.values())))
         if float(C_plus) == 0.0:
             eff = Fraction(0)
         else:
@@ -719,34 +742,6 @@ class MarkovProcess:
                            complexity_plus=C_plus, complexity_minus=C_minus,
                            pmi=log2_of(d) if d > 1 else Fraction(0),
                            efficiency=eff)
-
-    def _causal_state_masses(self) -> list:
-        """Stationary masses of the causal states.
-
-        A context's future law is fixed by its kernel row and the
-        contexts it moves to, so contexts with equal future laws are
-        found by partition refinement: start from equal rows, then split
-        classes by the classes of the successors on each symbol of
-        nonzero probability, until no class splits.
-        """
-        def numbered(signature):
-            ids: dict = {}
-            return {c: ids.setdefault(signature[c], len(ids))
-                    for c in self.contexts}
-
-        cls = numbered(self.kernel)
-        while True:
-            finer = numbered({
-                c: (cls[c],) + tuple(cls[(c + (a,))[1:]] if pa != 0 else -1
-                                     for a, pa in enumerate(row))
-                for c, row in self.kernel.items()})
-            if max(finer.values()) == max(cls.values()):
-                break
-            cls = finer
-        masses: dict = {}
-        for c, p in zip(self.contexts, self.stationary):
-            masses[cls[c]] = masses.get(cls[c], 0) + p
-        return list(masses.values())
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n symbols by inverse CDF, one uniform u per symbol: the symbol
@@ -864,39 +859,33 @@ class MarkovProcess:
                 context = rows[b][context]
         return out
 
-    def reversed(self) -> "MarkovProcess":
-        """Time reversal: an order-R chain whose kernel is the Bayes
-        inversion P(a | d) = π(c)·P(b | c) / π(reversed(d)), where the
-        forward word a·reversed(d) is the context c followed by b; read
-        from the rows and π, not from a block table; built once and kept
-        (the reversed chain keeps no link back).
-
-        Contexts never visited forward get a uniform placeholder row;
-        the reversed stationary law puts no mass there, and it is
-        passed through explicitly because the placeholder rows would
-        otherwise make the stationary solve ambiguous.
-        """
-        if self._reversed is not None:
-            return self._reversed
-        R, s = self.order, len(self.alphabet)
-        pi = dict(zip(self.contexts, self.stationary))
-        uniform = tuple(
-            Fraction(1, s) if self.exact else 1.0 / s for _ in range(s))
-        kernel: dict = {}
-        for d in self.contexts:
-            fwd = d[::-1]
-            kernel[d] = uniform if pi[fwd] == 0 else tuple(
-                pi[w[:R]] * self.kernel[w[:R]][w[R]] / pi[fwd]
-                for w in [(a,) + fwd for a in range(s)])
-        back = MarkovProcess(self.alphabet, R, kernel,
-                             stationary=[pi[d[::-1]] for d in self.contexts])
-        object.__setattr__(self, "_reversed", back)
-        return back
+    def reversed(self) -> "ReversedChain":
+        return ReversedChain(self)
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "
                 f"alphabet={''.join(self.alphabet.symbols)!r}, "
                 f"{'exact' if self.exact else 'float'})")
+
+
+@dataclass(frozen=True)
+class ReversedChain:
+    """The time reversal of an order-R Markov chain, read off the chain:
+    an order-R chain whose length-L table is the chain's with every word
+    read backwards, over the same integer weights and denominator.  It
+    holds what ``emachine`` reads of a model; block entropies and gap
+    cells do not change under reversal, so they are read from the chain.
+    """
+
+    chain: MarkovProcess
+    alphabet = property(lambda self: self.chain.alphabet)
+    order = property(lambda self: self.chain.order)
+
+    def block_distribution(self, L: int) -> BlockDistribution:
+        fwd = self.chain.block_distribution(L)
+        return BlockDistribution._trusted(
+            self.alphabet, L, {w[::-1]: p for w, p in fwd.weights.items()},
+            fwd.denominator)
 
 
 # ── i.i.d. ──────────────────────────────────────────────────────────
@@ -981,12 +970,17 @@ class IsingChainProcess(MarkovProcess):
     def __init__(self, J: float, h: float, beta: float):
         if not (beta > 0 and all(map(math.isfinite, (J, h, beta)))):
             raise ValueError("J, h and beta must be finite, beta positive")
-        rows, pi = _ising_chain(J, h, beta)
-        super().__init__(Alphabet(("-1", "+1")), 1,
-                         {(0,): rows[0], (1,): rows[1]}, stationary=pi)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "beta", beta)
+        rows, _ = _ising_chain(J, h, beta)
+        super().__init__(Alphabet(("-1", "+1")), 1,
+                         {(0,): rows[0], (1,): rows[1]})
+
+    def _solve_stationary(self, T: np.ndarray, d) -> tuple:
+        # detailed balance, in closed form: the rows can round to the
+        # identity, whose solve has no unique law
+        return _ising_chain(self.J, self.h, self.beta)[1]
 
     def as_markov(self) -> MarkovProcess:
         """The induced order-1 chain: the process itself."""
@@ -1145,5 +1139,7 @@ def sample(model, n: int, seed: int = 0) -> np.ndarray:
 
 
 def reversed_model(model):
-    """The time-reversed process as a model of the same family."""
+    """The time-reversed process: a ``ReversedChain`` view of a Markov
+    chain, the chain itself for the Ising chain (it satisfies detailed
+    balance), and the reversed cycle of a periodic process."""
     return model.reversed()

@@ -18,7 +18,12 @@ from persistinfo.infocore import (
     entropy_of_probs,
     shannon_entropy,
 )
-from persistinfo.processes import ClosedForms, MarkovProcess, _ising_chain
+from persistinfo.processes import (
+    ClosedForms,
+    MarkovProcess,
+    _causal_state_masses,
+    _ising_chain,
+)
 from persistinfo.substitution import _levels
 
 
@@ -276,10 +281,27 @@ def table_mi_oracle(j: JointBlockDistribution):
 # ── closed forms of a Markov chain read from its block tables ─────────
 
 
+class ChainWithLaw(MarkovProcess):
+    """A chain whose stationary law is given, not solved: the route of
+    the Ising chain's closed-form law (``_solve_stationary``), which no
+    public keyword reaches.  The law is taken as it is, unchecked."""
+
+    __slots__ = ("_law",)
+
+    def __init__(self, alphabet, order, kernel, law):
+        object.__setattr__(self, "_law", tuple(law))
+        super().__init__(alphabet, order, kernel)
+
+    def _solve_stationary(self, T, d):
+        return self._law
+
+
 def block_table_reversed(m):
-    """Time reversal of an order-R chain from its block tables: the
-    kernel P(a | d) = P(a·reversed(d)) / P(reversed(d)), with a uniform
-    placeholder row where P(reversed(d)) = 0."""
+    """Time reversal of an order-R chain from its block tables, as a
+    second chain: the kernel P(a | d) = P(a·reversed(d)) / P(reversed(d)),
+    with a uniform placeholder row where P(reversed(d)) = 0, and the
+    law P(reversed(d)) given, since those rows would make the solve
+    ambiguous."""
     R, s = m.order, len(m.alphabet)
     if R == 0:
         return m
@@ -293,7 +315,7 @@ def block_table_reversed(m):
         pi_rev.append(pd)
         kernel[d] = uniform if pd == 0 else tuple(
             blocks_R1.prob((a,) + fwd) / pd for a in range(s))
-    return MarkovProcess(m.alphabet, R, kernel, stationary=pi_rev)
+    return ChainWithLaw(m.alphabet, R, kernel, pi_rev)
 
 
 def block_table_closed_forms(m) -> dict:
@@ -303,10 +325,12 @@ def block_table_closed_forms(m) -> dict:
     R = m.order
     HR = shannon_entropy(m.block_distribution(R)) if R else Fraction(0)
     h = shannon_entropy(m.block_distribution(R + 1)) - HR
+    back = block_table_reversed(m)
     return {"entropy_rate": h, "excess_entropy": HR - h * R,
-            "complexity_plus": entropy_of_probs(m._causal_state_masses()),
+            "complexity_plus": entropy_of_probs(
+                _causal_state_masses(m.kernel, m.stationary)),
             "complexity_minus": entropy_of_probs(
-                block_table_reversed(m)._causal_state_masses())}
+                _causal_state_masses(back.kernel, back.stationary))}
 
 
 # ── closed forms of the Ising chain from two-point entropies ──────────

@@ -434,6 +434,14 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
      "--g-grid entry 'a' is not an integer: a"),
     (("pmi", "--model", "tm", "--L-grid", "1.5", "--g-grid", "1,2,3"),
      "--L-grid entry '1.5' is not an integer: 1.5"),
+    # a row or a law whose length does not fit the alphabet
+    (("entropy", "--model", '{"kind":"markov","rows":{"0":[]}}',
+      "--Lmax", "3"),
+     "markov model field 'rows' entry '0' has length 0, but an alphabet "
+     "has size at least 1"),
+    (("entropy", "--model",
+      '{"kind":"iid","alphabet":["a","b"],"probs":[1]}', "--Lmax", "3"),
+     "iid model field 'probs' has length 1, but the alphabet has size 2"),
 ])
 def test_command_refusals_name_the_cause(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -482,6 +490,22 @@ def test_pmi_csv_grid(capsys):
         lines = out.strip().splitlines()
         assert lines[0] == "L,g,E_bits"
         assert len(lines) == n_lines
+
+
+def test_pmi_csv_names_refused_cells_on_stderr(capsys):
+    # the rows are the grid's own; the cells past the window cap are
+    # named on standard error, one line each
+    argv = ("pmi", "--model", "fib", "--L-grid", "2,3,4",
+            "--g-grid", "1024,2048,4088")
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()] == [
+        ["L", "g"], *([str(L), str(g)] for L in (2, 3, 4)
+                      for g in (1024, 2048))]
+    assert err.splitlines() == [
+        f"note: ({L}, 4088) missing: window of length {2 * L + 4088} may "
+        f"have up to 17711 factors, {letters} letters in all; cap is 2**26"
+        for L, letters in ((2, 72473412), (3, 72508834), (4, 72544256))]
 
 
 @pytest.mark.parametrize("flags", [

@@ -62,6 +62,7 @@ from persistinfo.substitution import (
 )
 
 from oracles import (
+    ChainWithLaw,
     block_table_closed_forms,
     block_table_reversed,
     fraction_entropy,
@@ -258,36 +259,24 @@ def test_goldenmean_stationary_and_blocks():
     assert d2.probs == {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)}
 
 
-def test_rational_chain_rejects_float_stationary_vector():
-    # floats would become weights over 2^54 and fail later, in
-    # block_distribution, with a probability-sum message
-    rows = {(0,): (F(1, 2), F(1, 2)), (1,): (F(1), F(0))}
-    with pytest.raises(ValueError, match="stationary"):
-        MarkovProcess(Alphabet("01"), 1, rows, stationary=[2 / 3, 1 / 3])
-    m = MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(2, 3), F(1, 3)])
-    assert block_distribution(m, 1).probs == {(0,): F(2, 3), (1,): F(1, 3)}
-    with pytest.raises(ValueError, match="not stationary"):
-        MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(1, 2), F(1, 2)])
-    # stationary, but not a law: its tables would sum to 2
-    with pytest.raises(ValueError, match="sums to 2, not 1"):
-        MarkovProcess(Alphabet("01"), 1, rows, stationary=[F(4, 3), F(2, 3)])
-
-
-def test_order2_chain_rejects_wrong_stationary_vector():
-    m = table1_r2()
-    kernel = {c: m.kernel[c] for c in m.contexts}
-    assert MarkovProcess(m.alphabet, 2, kernel,
-                         stationary=m.stationary).stationary == m.stationary
-    # each context's mass moved to its neighbour: still a law, not stationary
-    shifted = m.stationary[1:] + m.stationary[:1]
-    with pytest.raises(ValueError, match="supplied stationary vector is not "
-                                         "stationary"):
-        MarkovProcess(m.alphabet, 2, kernel, stationary=shifted)
-    floats = MarkovProcess(m.alphabet, 2, {c: tuple(float(x) for x in row)
-                                           for c, row in kernel.items()})
-    with pytest.raises(ValueError, match="not stationary"):
-        MarkovProcess(m.alphabet, 2, floats.kernel,
-                      stationary=[float(x) for x in shifted])
+@pytest.mark.parametrize("rows", [
+    # a fair coin on {0, 1} beside a (1/5, 4/5) coin on {2, 3}: every
+    # gap cell is 1 bit
+    {"0": (F(1, 2), F(1, 2), 0, 0), "1": (F(1, 2), F(1, 2), 0, 0),
+     "2": (0, 0, F(1, 5), F(4, 5)), "3": (0, 0, F(1, 5), F(4, 5))},
+    # the period-2 cycle on {0, 1} beside a fair coin on {2, 3}: every
+    # gap cell is 3/2 bits
+    {"0": (0, 1, 0, 0), "1": (1, 0, 0, 0),
+     "2": (0, 0, F(1, 2), F(1, 2)), "3": (0, 0, F(1, 2), F(1, 2))},
+])
+def test_a_chain_of_two_closed_classes_is_refused(rows):
+    # a π spread over both classes once gave these chains a closed-form
+    # PMI of 0 and 1 bit, against the cells' 1 and 3/2
+    for row_type in (F, float):
+        with pytest.raises(ValueError,
+                           match="stationary distribution is not unique"):
+            MarkovProcess.from_rows({c: tuple(map(row_type, row))
+                                     for c, row in rows.items()})
 
 
 @pytest.mark.parametrize("rows, period", [
@@ -874,15 +863,31 @@ def test_phi_matches_the_scalar_series_and_log1p():
             == [scalar_phi(v).hex() for v in part.tolist()]
 
 
-def test_reversal_is_built_once():
-    for make in (goldenmean, table1_r2, ternary_r2):
-        fresh = closed_forms(make())
-        m = make()
-        back = m.reversed()
-        assert m.reversed() is back and reversed_model(m) is back
-        # no link back from the reversed chain to the forward one
-        assert back._reversed is None
-        assert closed_forms(m) == fresh
+def test_reversal_and_closed_forms_build_no_chain(monkeypatch):
+    chains = [goldenmean(), table1_r2(), ternary_r2(), lopsided_chain(),
+              IidProcess.from_probs((F(3, 10), F(7, 10))),
+              IsingChainProcess(J=1.0, h=0.3, beta=0.7)]
+    want = [closed_forms(m) for m in chains]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(MarkovProcess, "__init__", refuse)
+    for m, cf in zip(chains, want):
+        back = reversed_model(m)
+        assert back is m if isinstance(m, IsingChainProcess) \
+            else back.chain is m
+        assert closed_forms(m) == cf
+
+
+def assert_same_table(got, want, exact):
+    # the oracle chain keeps its own denominators
+    if exact:
+        assert got.probs == want.probs
+    else:
+        assert got.probs.keys() == want.probs.keys()
+        assert all(abs(p - want.probs[w]) <= 1e-12
+                   for w, p in got.probs.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -898,8 +903,35 @@ def test_closed_forms_and_reversal_match_block_table_oracle(m):
             assert abs(float(got) - want) <= 1e-12, name
         else:
             assert got == want, name
-    rev, want = reversed_model(m), block_table_reversed(m)
-    assert rev.kernel == want.kernel and rev.stationary == want.stationary
+    # the view mirrors the forward tables; the oracle is a second chain,
+    # Bayes-inverted from them, whose own tables are built from its rows
+    R = max(m.order, 1)
+    for chain in (m, float_twin(m)):
+        rev, want = reversed_model(chain), block_table_reversed(chain)
+        for L in range(1, m.order + 3):
+            assert_same_table(block_distribution(rev, L),
+                              block_distribution(want, L), chain.exact)
+        try:
+            got = reconstruct(rev, R, R + 1)
+        except NonUnifilarError:
+            event("reverse machine non-unifilar")
+            with pytest.raises(NonUnifilarError):
+                reconstruct(want, R, R + 1)
+            continue
+        oracle = reconstruct(want, R, R + 1)
+        assert got.states == oracle.states
+        assert got.transitions.keys() == oracle.transitions.keys()
+        if chain.exact:
+            assert got.state_probs == oracle.state_probs
+            assert got.transitions == oracle.transitions
+        else:
+            assert got.state_probs == pytest.approx(oracle.state_probs,
+                                                    abs=1e-12)
+            for key, (j, p) in oracle.transitions.items():
+                assert got.transitions[key] == (j, pytest.approx(p, abs=1e-12))
+            assert closed_forms(chain).complexity_minus == pytest.approx(
+                block_table_closed_forms(chain)["complexity_minus"],
+                abs=1e-12)
 
 
 # ── class and edge-context routes against the table oracles ─────────
@@ -1681,13 +1713,13 @@ def test_closed_forms_and_reversal_build_no_block_table(monkeypatch):
 def test_a_chain_that_is_its_own_reversal_is_partitioned_once(
         monkeypatch, chain, calls):
     seen = []
-    partition = MarkovProcess._causal_state_masses
+    partition = processes._causal_state_masses
 
-    def count(self):
-        seen.append(self)
-        return partition(self)
+    def count(rows, masses):
+        seen.append(rows)
+        return partition(rows, masses)
 
-    monkeypatch.setattr(MarkovProcess, "_causal_state_masses", count)
+    monkeypatch.setattr(processes, "_causal_state_masses", count)
     cf = closed_forms(chain)
     assert len(seen) == calls
     if calls == 1:
@@ -1706,18 +1738,22 @@ def test_reversed_goldenmean_is_itself():
     # stationary two-state chains are reversible
     m = goldenmean()
     r = reversed_model(m)
-    assert r.kernel == m.kernel
-    assert r.stationary == m.stationary
+    for L in range(1, 6):
+        assert block_distribution(r, L).probs == block_distribution(m, L).probs
+    assert reconstruct(r, 1, 2).transitions == reconstruct(m, 1, 2).transitions
 
 
 def test_reversed_markov_blocks_are_mirrored():
-    m = markov_r2_uniform()
-    r = reversed_model(m)
-    for L in range(1, 5):
-        fwd = block_distribution(m, L)
-        rev = block_distribution(r, L)
-        for w, p in fwd.probs.items():
-            assert rev.prob(tuple(reversed(w))) == p
+    # a float chain's weights bit for bit, an exact one's over the
+    # forward denominator
+    for m in (markov_r2_uniform(), ternary_r2(), float_twin(ternary_r2()),
+              lopsided_chain()):
+        r = reversed_model(m)
+        for L in range(1, 5):
+            fwd, rev = block_distribution(m, L), block_distribution(r, L)
+            assert rev.denominator == fwd.denominator
+            assert rev.weights == {w[::-1]: p
+                                   for w, p in fwd.weights.items()}
 
 
 def test_reversed_periodic_reverses_cycle():
@@ -1828,6 +1864,25 @@ def test_ising_kernel_is_finite_at_low_temperature(h, beta):
     assert abs(math.fsum(d.probs.values()) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("J", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("h", [0.0, 0.3])
+def test_ising_law_is_stationary_over_the_temperature_range(J, h):
+    # the closed-form law is not checked when the chain is built: it
+    # must hold from beta = 0.01 up to where b = V(-,+) underflows
+    betas = 0
+    for beta in np.geomspace(0.01, 1e4, 200).tolist():
+        logs = (beta * (J - h), -beta * J, beta * (J + h))
+        if math.exp(logs[1] - max(logs)) == 0:
+            break
+        m = IsingChainProcess(J=J, h=h, beta=beta)
+        pi = m.stationary
+        for j in (0, 1):
+            flow = math.fsum(pi[i] * m.kernel[(i,)][j] for i in (0, 1))
+            assert abs(flow - pi[j]) <= 1e-12, beta
+        betas += 1
+    assert betas >= 150
+
+
 def test_ising_chain_is_built_once():
     m = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
     assert m.as_markov() is m.as_markov()
@@ -1837,8 +1892,8 @@ def test_ising_process_is_its_own_chain():
     m = IsingChainProcess(J=1.0, h=0.3, beta=0.7)
     assert isinstance(m, MarkovProcess) and m.as_markov() is m
     rows, pi = processes._ising_chain(1.0, 0.3, 0.7)
-    chain = MarkovProcess(Alphabet(("-1", "+1")), 1,
-                          {(0,): rows[0], (1,): rows[1]}, stationary=pi)
+    chain = ChainWithLaw(Alphabet(("-1", "+1")), 1,
+                         {(0,): rows[0], (1,): rows[1]}, pi)
     assert m.alphabet.symbols == chain.alphabet.symbols
     for L in range(1, 7):
         assert block_distribution(m, L).probs == \
