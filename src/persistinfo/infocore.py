@@ -747,12 +747,12 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
 
 
 def shannon_entropy(d) -> Scalar:
-    """Shannon entropy in bits of a block or joint distribution.
+    """Shannon entropy in bits of a block or joint table: the tests'
+    oracle of the models' ``block_entropies``, which build no table.
 
     Exact tables yield :class:`ExactBits` whenever every probability
     factors over small primes; otherwise a float computed from the
-    exact rationals.  Float tables always yield floats.
-    """
+    exact rationals.  Float tables always yield floats."""
     return _entropy_of_table(d.weights.values(), d.denominator)
 
 
@@ -769,14 +769,20 @@ def entropy_of_probs(probs) -> Scalar:
 
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
-    """I(left; right) in bits, nonnegative and symmetric, of a joint table
-    laid out as one 2-D array (rows and columns in word order)."""
+    """I(left; right) in bits of a joint table: the tests' oracle of the
+    models' ``gap_mutual_information``, which build no table."""
+    return _mi_of_pairs(j.weights, j.weights.values(), j.denominator)
+
+
+def _mi_of_pairs(pairs, weights, D) -> Scalar:
+    """I(left; right) in bits of weights over D (floats, D None) of (left,
+    right) word pairs, as one 2-D array with its words in order."""
     rows, cols = ({w: i for i, w in enumerate(sorted(set(words)))}
-                  for words in zip(*j.weights))
-    J = np.zeros((len(rows), len(cols)), dtype=object if j.exact else float)
-    for (a, b), w in j.weights.items():
+                  for words in zip(*pairs))
+    J = np.zeros((len(rows), len(cols)), dtype=float if D is None else object)
+    for (a, b), w in zip(pairs, weights):
         J[rows[a], cols[b]] = w
-    return _mi_of_joint(J, j.denominator)
+    return _mi_of_joint(J, D)
 
 
 def _mi_of_joint(J: np.ndarray, D) -> Scalar:

@@ -2,12 +2,12 @@
 
 Every exact model answers the two questions of the measures,
 ``block_entropies(Ls)`` and ``gap_mutual_information(L, g)`` (two
-length-L blocks g unseen symbols apart): a Markov chain from its rows
-and stationary law, with no word table; a periodic cycle from its own
-``block_distribution`` and ``joint_gap_distribution`` (``_TableLaws``),
-and a substitution fixed point the first from its window weights, the
-second from its own joint tables.  Models add closed forms
-where their class has them and a seeded sampler; the logistic map is
+length-L blocks g unseen symbols apart), with no word table: a Markov
+chain from its rows and stationary law, a periodic cycle and a
+substitution fixed point from the weights of their windows
+(``_WindowLaws``), a gap cell as one 2-D weight array.  Models add
+closed forms where their class has them, a time reversal
+(``ReversedProcess``) and a seeded sampler; the logistic map is
 sample-only.  Module-level functions call the method of their name.
 
 Rational model parameters give exact distributions end to end: each
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -67,12 +68,11 @@ from .infocore import (
     _entropy_of_table,
     _entropy_of_weights,
     _mi_of_joint,
+    _mi_of_pairs,
     _ranks,
     _rational_weights,
     entropy_of_probs,
     log2_of,
-    mutual_information,
-    shannon_entropy,
 )
 from .substitution import (
     Substitution,
@@ -131,21 +131,68 @@ class ClosedForms:
     efficiency: object
 
 
-# ── periodic ────────────────────────────────────────────────────────
-
-
-class _TableLaws:
-    """H(L) and I(L, g) read from the model's own word tables."""
+class _WindowLaws:
+    """H(L), tables, gap cells and reversal of a model that lists its
+    windows: ``_window_law(spans)`` reads them through ``spans``, in lex
+    order, with integer weights over D (floats when D is None)."""
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
-        return [shannon_entropy(self.block_distribution(L)) for L in Ls]
+        if any(L < 1 for L in Ls):
+            raise ValueError("block length must be >= 1")
+        return [_entropy_of_table(*self._window_law(((0, L),))[1:])
+                for L in Ls]
+
+    def block_distribution(self, L: int) -> BlockDistribution:
+        if L < 1:
+            raise ValueError("block length must be >= 1")
+        rows, weights, D = self._window_law(((0, L),))
+        return BlockDistribution._trusted(
+            self.alphabet, L, dict(zip(map(tuple, rows), weights)), D)
+
+    def _gap_law(self, L: int, g: int) -> tuple:
+        if L < 1 or g < 0:
+            raise ValueError("need L >= 1 and g >= 0")
+        rows, weights, D = self._window_law(((0, L), (L + g, 2 * L + g)))
+        return [(tuple(r[:L]), tuple(r[L:])) for r in rows], weights, D
+
+    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
+        """The gap windows as a table: the tests' oracle of the cells."""
+        pairs, weights, D = self._gap_law(L, g)
+        return JointBlockDistribution._trusted(
+            self.alphabet, L, g, L, dict(zip(pairs, weights)), D)
 
     def gap_mutual_information(self, L: int, g: int) -> Scalar:
-        return mutual_information(self.joint_gap_distribution(L, g))
+        """I(A; B) of two length-L blocks g apart: the gap windows' blocks,
+        ranked, index one 2-D weight array, as a Markov cell's do."""
+        return _mi_of_pairs(*self._gap_law(L, g))
+
+    def reversed(self) -> "ReversedProcess":
+        return ReversedProcess(self)
 
 
 @dataclass(frozen=True)
-class PeriodicProcess(_TableLaws):
+class ReversedProcess:
+    """The time reversal of a process, read off it: its length-L table is
+    the process's with each word read backwards, over the same weights
+    and D.  It holds what ``emachine`` reads of a model (``order`` where
+    the process has one); H(L) and I(L, g) do not change under reversal."""
+
+    process: object
+    alphabet = property(lambda self: self.process.alphabet)
+    order = property(lambda self: self.process.order)
+
+    def block_distribution(self, L: int) -> BlockDistribution:
+        fwd = self.process.block_distribution(L)
+        return BlockDistribution._trusted(
+            self.alphabet, L, {w[::-1]: p for w, p in fwd.weights.items()},
+            fwd.denominator)
+
+
+# ── periodic ────────────────────────────────────────────────────────
+
+
+@dataclass(frozen=True)
+class PeriodicProcess(_WindowLaws):
     """Uniformly random phase on a fixed cycle whose rotations are all
     distinct (so the stated period is the true one)."""
 
@@ -178,29 +225,15 @@ class PeriodicProcess(_TableLaws):
     def period(self) -> int:
         return len(self.cycle)
 
-    def _window(self, phase: int, n: int) -> Word:
-        p = self.period
-        return tuple(self.cycle[(phase + i) % p] for i in range(n))
-
-    def block_distribution(self, L: int) -> BlockDistribution:
-        if L < 1:
-            raise ValueError("block length must be >= 1")
-        # one unit of weight per phase, over the period
-        counts: dict = {}
-        for t in range(self.period):
-            word = self._window(t, L)
-            counts[word] = counts.get(word, 0) + 1
-        return BlockDistribution(self.alphabet, L, counts, self.period)
-
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        if L < 1 or g < 0:
-            raise ValueError("need L >= 1 and g >= 0")
-        counts: dict = {}
-        for t in range(self.period):
-            key = (self._window(t, L), self._window(t + L + g, L))
-            counts[key] = counts.get(key, 0) + 1
-        return JointBlockDistribution(self.alphabet, L, g, L, counts,
-                                      self.period)
+    def _window_law(self, spans) -> tuple:
+        """One window per phase, of weight 1 over the period; its offsets
+        are reduced modulo p as Python ints, so a gap may pass int64."""
+        p, c = self.period, self.cycle
+        offsets = [i % p for start, stop in spans for i in range(start, stop)]
+        counts = Counter(tuple(c[(t + i) % p] for i in offsets)
+                         for t in range(p))
+        rows = sorted(counts)
+        return rows, [counts[r] for r in rows], p
 
     def closed_forms(self) -> ClosedForms:
         # p equally likely phases, each its own length-p block
@@ -217,9 +250,6 @@ class PeriodicProcess(_TableLaws):
         rotated = np.array(self.cycle[phase:] + self.cycle[:phase],
                            dtype=_code_dtype(len(self.alphabet)))
         return np.tile(rotated, -(-n // self.period))[:n]
-
-    def reversed(self) -> "PeriodicProcess":
-        return PeriodicProcess(self.alphabet, self.cycle[::-1])
 
 
 # ── order-R Markov ──────────────────────────────────────────────────
@@ -598,14 +628,18 @@ class MarkovProcess:
         continue by their edge context alone, so one layer of classes
         (edge context, weight) → number of words grows from the context
         weights at length R; each H(L) reads the weights' counts, in
-        float where an exact H(L) is not smooth.  L < R reads the block
-        table; a layer is refused before it could outgrow WINDOW_STATE_CAP
-        classes."""
+        float where an exact H(L) is not smooth.  L < R sums the context
+        weights to their last L symbols, as a table adds them; a layer is
+        refused before it could outgrow WINDOW_STATE_CAP classes."""
         if min(Ls) < 1:
             raise ValueError("block length must be >= 1")
         R, s = self.order, len(self.alphabet)
-        H = {L: shannon_entropy(self.block_distribution(L))
-             for L in Ls if L < R}
+        H = {}
+        for L in {L for L in Ls if L < R}:
+            sums: dict = {}
+            for c, w in self._context_weights().items():
+                sums[c[R - L:]] = sums.get(c[R - L:], 0) + w
+            H[L] = _entropy_of_table(sums.values(), self._denominator(0))
         layer = {(ci, w): 1 for ci, w in enumerate(self._pi) if w}
         for L in range(R, max(Ls) + 1):
             if L > R:
@@ -859,33 +893,13 @@ class MarkovProcess:
                 context = rows[b][context]
         return out
 
-    def reversed(self) -> "ReversedChain":
-        return ReversedChain(self)
+    def reversed(self) -> ReversedProcess:
+        return ReversedProcess(self)
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "
                 f"alphabet={''.join(self.alphabet.symbols)!r}, "
                 f"{'exact' if self.exact else 'float'})")
-
-
-@dataclass(frozen=True)
-class ReversedChain:
-    """The time reversal of an order-R Markov chain, read off the chain:
-    an order-R chain whose length-L table is the chain's with every word
-    read backwards, over the same integer weights and denominator.  It
-    holds what ``emachine`` reads of a model; block entropies and gap
-    cells do not change under reversal, so they are read from the chain.
-    """
-
-    chain: MarkovProcess
-    alphabet = property(lambda self: self.chain.alphabet)
-    order = property(lambda self: self.chain.order)
-
-    def block_distribution(self, L: int) -> BlockDistribution:
-        fwd = self.chain.block_distribution(L)
-        return BlockDistribution._trusted(
-            self.alphabet, L, {w[::-1]: p for w, p in fwd.weights.items()},
-            fwd.denominator)
 
 
 # ── i.i.d. ──────────────────────────────────────────────────────────
@@ -1043,7 +1057,7 @@ _PARITY_RULES = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
-class SubstitutionProcess(_TableLaws):
+class SubstitutionProcess(_WindowLaws):
     """Uniquely ergodic process of a primitive substitution fixed
     point; block laws are the exact factor frequencies.  Windows are
     capped on the letters of the pair-image windows they are read from
@@ -1055,34 +1069,18 @@ class SubstitutionProcess(_TableLaws):
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
 
-    def block_entropies(self, Ls: Sequence[int]) -> list:
-        """H(L) of the window weights of ``_window_law``, no word built."""
-        if any(L < 1 for L in Ls):
-            raise ValueError("block length must be >= 1")
+    def _window_law(self, spans) -> tuple:
+        """``substitution._window_law`` at the least power it accepts."""
         subst = self.substitution
-        return [_entropy_of_table(*_window_law(
-            subst, shortcut_power(subst, L), ((0, L),))[2:]) for L in Ls]
+        rows, _, weights, D = _window_law(
+            subst, shortcut_power(subst, spans[-1][1]), spans)
+        return rows.tolist(), weights, D
 
-    def block_distribution(self, L: int) -> BlockDistribution:
-        if L < 1:
-            raise ValueError("block length must be >= 1")
-        subst = self.substitution
-        rows, _, weights, D = _window_law(subst, shortcut_power(subst, L),
-                                          ((0, L),))
-        keys = map(tuple, rows.tolist())
-        return BlockDistribution._trusted(
-            self.alphabet, L, dict(zip(keys, weights)), D)
-
-    def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        if L < 1 or g < 0:
-            raise ValueError("need L >= 1 and g >= 0")
-        n = 2 * L + g
-        subst = self.substitution
-        rows, _, weights, D = _window_law(subst, shortcut_power(subst, n),
-                                          ((0, L), (L + g, n)))
-        keys = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
-        return JointBlockDistribution._trusted(
-            self.alphabet, L, g, L, dict(zip(keys, weights)), D)
+    # the shared table methods, bound here by name as well, since
+    # per-class method wrappers (perfbench/tracer.py) look them up in
+    # this class
+    block_distribution = _WindowLaws.block_distribution
+    joint_gap_distribution = _WindowLaws.joint_gap_distribution
 
     def closed_forms(self) -> ClosedForms:
         """Only the parity (Thue-Morse) fixed point has tabulated
@@ -1102,10 +1100,6 @@ class SubstitutionProcess(_TableLaws):
         """The fixed-point prefix itself (deterministic); its sliding
         statistics converge to the block law by unique ergodicity."""
         return fixed_point_array(self.substitution, n)
-
-    def reversed(self):
-        raise ClosedFormUnavailable(
-            "time reversal of a one-sided fixed point is not provided")
 
 
 # ── dispatch ────────────────────────────────────────────────────────
@@ -1139,7 +1133,6 @@ def sample(model, n: int, seed: int = 0) -> np.ndarray:
 
 
 def reversed_model(model):
-    """The time-reversed process: a ``ReversedChain`` view of a Markov
-    chain, the chain itself for the Ising chain (it satisfies detailed
-    balance), and the reversed cycle of a periodic process."""
+    """The time-reversed process: a ``ReversedProcess`` view of the model,
+    or the Ising chain itself (it satisfies detailed balance)."""
     return model.reversed()

@@ -10,6 +10,7 @@ import numpy as np
 
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
+    BlockDistribution,
     JointBlockDistribution,
     _BLOCK,
     _factor_smooth,
@@ -21,6 +22,7 @@ from persistinfo.infocore import (
 from persistinfo.processes import (
     ClosedForms,
     MarkovProcess,
+    PeriodicProcess,
     _causal_state_masses,
     _ising_chain,
 )
@@ -276,6 +278,40 @@ def table_mi_oracle(j: JointBlockDistribution):
         if not any(isinstance(h, float) for h in hs):
             return hs[0] + hs[1] - hs[2]
     return mi_of_deviations(j.weights, left, right, j.denominator)
+
+
+# ── periodic cycles read phase by phase ───────────────────────────────
+
+
+def _phase_window(m: PeriodicProcess, phase: int, n: int) -> tuple:
+    p = m.period
+    return tuple(m.cycle[(phase + i) % p] for i in range(n))
+
+
+def phase_block_table(m: PeriodicProcess, L: int) -> BlockDistribution:
+    """The length-L table of a cycle, one unit of weight per phase over
+    the period."""
+    counts: dict = {}
+    for t in range(m.period):
+        word = _phase_window(m, t, L)
+        counts[word] = counts.get(word, 0) + 1
+    return BlockDistribution(m.alphabet, L, counts, m.period)
+
+
+def phase_pair_table(m: PeriodicProcess, L: int,
+                     g: int) -> JointBlockDistribution:
+    """The joint table of two length-L blocks g apart on a cycle: each
+    phase fixes one (left, right) pair, of weight 1 over the period."""
+    counts: dict = {}
+    for t in range(m.period):
+        key = (_phase_window(m, t, L), _phase_window(m, t + L + g, L))
+        counts[key] = counts.get(key, 0) + 1
+    return JointBlockDistribution(m.alphabet, L, g, L, counts, m.period)
+
+
+def reversed_cycle(m: PeriodicProcess) -> PeriodicProcess:
+    """The time reversal of a cycle, built as the cycle read backwards."""
+    return PeriodicProcess(m.alphabet, m.cycle[::-1])
 
 
 # ── closed forms of a Markov chain read from its block tables ─────────

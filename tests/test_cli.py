@@ -1337,6 +1337,19 @@ def _same_except_ising_floats(got: str, want: str) -> None:
     (("pmi", "--model", TERNARY_SPEC, "--backend", "float", "--L-grid",
       "1,2,4", "--g-grid", "1,8,16", "--format", "json"),
      "pmi_ternary_float.json"),
+    # cells of the window route: substitution fixed points and a cycle,
+    # exact (tm, the cycle) and float (fib), written before that route
+    (("pmi", "--model", "tm", "--L-grid", "1,2,3,4,5", "--g-grid",
+      "2,4,8,16", "--format", "json"), "pmi_tm.json"),
+    (("pmi", "--model", '{"kind":"periodic","cycle":"00111"}', "--L-grid",
+      "5,6,7", "--g-grid", "1000000,2000000,4000000", "--format", "json"),
+     "pmi_periodic_00111.json"),
+    (("pmi", "--model", "fib", "--L-grid", "1,2,3,5", "--g-grid",
+      "2,4,8,64", "--format", "json"), "pmi_fib.json"),
+    (("entropy", "--model", "fib", "--Lmax", "24", "--format", "csv"),
+     "entropy_fib_L24.csv"),
+    (("entropy", "--model", '{"kind":"periodic","cycle":"00111"}',
+      "--Lmax", "8", "--format", "csv"), "entropy_periodic_00111_L8.csv"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

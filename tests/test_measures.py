@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persistinfo import infocore, measures, processes
+from persistinfo import infocore, measures
 from persistinfo.infocore import (
     _BLOCK,
     Alphabet,
@@ -712,10 +712,9 @@ def test_empirical_measures_build_no_tables(monkeypatch):
 
     monkeypatch.setattr(infocore, "decode_window_codes", no_tables)
     monkeypatch.setattr(measures, "empirical_block_distribution", no_tables)
-    # the table entropies are bound where the models read them
-    for module in (infocore, processes):
-        for name in ("shannon_entropy", "mutual_information"):
-            monkeypatch.setattr(module, name, no_tables)
+    # the table entropies, which no module of the package imports
+    for name in ("shannon_entropy", "mutual_information"):
+        monkeypatch.setattr(infocore, name, no_tables)
     seq = sample(goldenmean(), 20_000, seed=3)
     src = EmpiricalSource(seq)
     curve = entropy_curve(src, 10)

@@ -16,14 +16,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from persistinfo import infocore, processes, substitution
-from persistinfo.emachine import NonUnifilarError, reconstruct
+from persistinfo.emachine import (
+    NonUnifilarError,
+    complexity_decomposition,
+    reconstruct,
+)
 from persistinfo.infocore import (
     Alphabet,
+    BlockDistribution,
     ExactBits,
+    JointBlockDistribution,
     _code_dtype,
     _entropy_of_table,
     empirical_block_distribution,
@@ -32,7 +38,7 @@ from persistinfo.infocore import (
     mutual_information,
     shannon_entropy,
 )
-from persistinfo.measures import gap_mi_grid, pmi_verdict
+from persistinfo.measures import entropy_curve, gap_mi_grid, pmi_verdict
 from persistinfo.processes import (
     WINDOW_STATE_CAP,
     ClosedFormUnavailable,
@@ -69,6 +75,9 @@ from oracles import (
     gap_cells_oracle,
     geometric_decay_rate,
     mi_of_deviations,
+    phase_block_table,
+    phase_pair_table,
+    reversed_cycle,
     scalar_phi,
     table_mi_oracle,
     two_point_ising_closed_forms,
@@ -166,6 +175,54 @@ def test_periodic_long_gap_reads_only_the_two_blocks():
     assert peak < 1 << 20
     # the gap is a multiple of the period
     assert j.probs == joint_gap_distribution(m, 5, 0).probs
+
+
+@st.composite
+def cycles(draw):
+    """A cycle of period at most 12 over at most 3 letters whose
+    rotations are distinct."""
+    s = draw(st.integers(1, 3))
+    word = draw(st.lists(st.integers(0, s - 1), min_size=1,
+                         max_size=12 if s > 1 else 1))
+    assume(len({tuple(word[t:] + word[:t]) for t in range(len(word))})
+           == len(word))
+    return PeriodicProcess(Alphabet("abc"[:s]), word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=cycles(), L=st.integers(1, 4), g=st.integers(0, 30))
+def test_periodic_laws_match_the_phase_oracle(m, L, g):
+    pairs, blocks = phase_pair_table(m, L, g), phase_block_table(m, L)
+    assert_same_scalar(m.gap_mutual_information(L, g),
+                       mutual_information(pairs))
+    assert_same_scalar(m.block_entropies([L])[0], shannon_entropy(blocks))
+    assert joint_gap_distribution(m, L, g).probs == pairs.probs
+    assert block_distribution(m, L).probs == blocks.probs
+
+
+@pytest.mark.parametrize("cycle", ["0", "00111", "0010111", "abcacb"])
+def test_periodic_cells_past_int64_equal_those_at_the_gap_mod_p(cycle):
+    m = PeriodicProcess.from_string(cycle)
+    for g in (10 ** 30, 2 * 10 ** 30 + 1):
+        for L in (1, 3, 5):
+            assert_same_scalar(m.gap_mutual_information(L, g),
+                               m.gap_mutual_information(L, g % m.period))
+
+
+def machine_or_refusal(model, R: int):
+    try:
+        machine = reconstruct(model, R, R)
+    except NonUnifilarError as e:
+        return str(e)
+    return machine.states, machine.state_probs, machine.transitions
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=cycles(), R=st.integers(1, 6))
+@example(m=PeriodicProcess.from_string("0010111"), R=6)
+def test_reversed_cycle_machines_match_the_reversed_cycle(m, R):
+    assert machine_or_refusal(reversed_model(m), R) \
+        == machine_or_refusal(reversed_cycle(m), R)
 
 
 def test_periodic_sample_is_cyclic_window():
@@ -876,7 +933,7 @@ def test_reversal_and_closed_forms_build_no_chain(monkeypatch):
     for m, cf in zip(chains, want):
         back = reversed_model(m)
         assert back is m if isinstance(m, IsingChainProcess) \
-            else back.chain is m
+            else back.process is m
         assert closed_forms(m) == cf
 
 
@@ -991,6 +1048,19 @@ def test_float_chain_routes_are_within_1e_12_of_the_oracles(make):
         assert abs(m.gap_mutual_information(L, g) - want) <= 1e-12
 
 
+def test_float_entropies_below_the_order_add_as_the_table_does():
+    # "aa" has no mass, so the table of length 1 lists "a" last; summed
+    # in lex order instead, this H(1) would move by one ulp
+    m = MarkovProcess.from_rows(
+        {"aa": (0, .5, .5), "ab": (.4, .4, .2), "ac": (.3, .3, .4),
+         "ba": (0, .4, .6), "bb": (.2, .3, .5), "bc": (.4, .3, .3),
+         "ca": (0, .7, .3), "cb": (.5, .4, .1), "cc": (.2, .5, .3)},
+        Alphabet("abc"))
+    table = block_distribution(m, 1)
+    assert list(table.weights) == [(1,), (2,), (0,)]
+    assert_same_scalar(m.block_entropies([1])[0], shannon_entropy(table))
+
+
 def test_ternary_gap_cells_do_not_depend_on_the_block_length():
     # an order-2 chain: past L = 2 a longer left block adds nothing
     m = ternary_r2()
@@ -1032,31 +1102,57 @@ def test_gap_cell_cap_counts_the_edge_context_and_the_right_block():
         == mutual_information(joint_gap_distribution(m, 1, 3))
 
 
+def random_cycles(seed: int, count: int) -> list:
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        s = int(rng.integers(2, 4))
+        try:
+            found.append(PeriodicProcess(Alphabet("abc"[:s]), rng.integers(
+                s, size=int(rng.integers(2, 13))).tolist()))
+        except ValueError:  # a smaller period
+            pass
+    return found
+
+
 def test_chain_gap_cells_build_no_oracle_table(monkeypatch):
-    # every order and every L < R or L >= R on the one bridge route
-    chains = [(IidProcess.from_probs((F(1, 2), F(1, 2))), (1, 2, 3)),
+    # every exact model, on both measures: a chain on its bridge route
+    # for every order and every L < R or L >= R, a cycle and a
+    # substitution on their windows
+    models = [(IidProcess.from_probs((F(1, 2), F(1, 2))), (1, 2, 3)),
               (IidProcess.from_probs((0.2, 0.3, 0.5)), (1, 2, 3)),
               (goldenmean(), (1, 2, 3)),
               (table1_r2(), (1, 2, 3, 4)),
               (ternary_r2(), (1, 2, 3)),
-              (IsingChainProcess(J=1.0, h=0.3, beta=0.7), (1, 2, 3))]
+              (IsingChainProcess(J=1.0, h=0.3, beta=0.7), (1, 2, 3)),
+              (PeriodicProcess.from_string("00111"), (1, 2, 3, 6)),
+              *((m, (1, 2, 4)) for m in random_cycles(5, 4)),
+              (SubstitutionProcess(thue_morse()), (1, 2, 3, 5)),
+              (SubstitutionProcess(fibonacci()), (1, 2, 3, 5))]
     gs = (0, 1, 5, 40)
-    want = [{(L, g): mutual_information(joint_gap_distribution(m, L, g))
-             for L in Ls for g in gs} for m, Ls in chains]
+    oracle = [{(L, g): mutual_information(joint_gap_distribution(m, L, g))
+               for L in Ls for g in gs} for m, Ls in models]
+    want = [(entropy_curve(m, max(Ls)).H, gap_mi_grid(m, Ls, gs).values)
+            for m, Ls in models]
 
-    def refuse(*args):
-        raise AssertionError("an oracle table was built")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word table was built")
 
-    for cls in (MarkovProcess, IidProcess):
-        monkeypatch.setattr(cls, "joint_gap_distribution", refuse)
-    monkeypatch.setattr(MarkovProcess, "block_distribution", refuse)
-    for (m, Ls), cells in zip(chains, want):
-        for (L, g), w in cells.items():
-            got = m.gap_mutual_information(L, g)
+    for cls in (BlockDistribution, JointBlockDistribution):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "_trusted", refuse)
+    for (m, Ls), cells, (H, values) in zip(models, oracle, want):
+        for got, w in zip(entropy_curve(m, max(Ls)).H, H):
+            assert_same_scalar(got, w)
+        grid = gap_mi_grid(m, Ls, gs).values
+        assert grid.keys() == values.keys() == cells.keys()
+        for key, w in cells.items():
+            got = grid[key]
+            assert_same_scalar(got, values[key])
             if isinstance(got, float) or isinstance(w, float):
-                assert abs(got - float(w)) <= 1e-12, (m, L, g)
+                assert abs(got - float(w)) <= 1e-12, (m, key)
             else:
-                assert got == w, (m, L, g)
+                assert got == w, (m, key)
 
 
 def test_float_iid_gap_cells_are_exactly_zero():
@@ -1701,7 +1797,7 @@ def test_closed_forms_and_reversal_build_no_block_table(monkeypatch):
     assert closed_forms(ising) == two_point_ising_closed_forms(1.0, 0.3, 0.7)
     reversed_model(ising)
     assert closed_forms(cycle).excess_entropy == log2_of(5)
-    assert reversed_model(cycle).cycle == (1, 1, 1, 0, 0)
+    assert reversed_model(cycle).process is cycle
 
 
 @pytest.mark.parametrize("chain, calls", [
@@ -2163,6 +2259,27 @@ def test_substitution_window_cap(monkeypatch):
     with pytest.raises(WindowCapError):
         block_distribution(SubstitutionProcess(fibonacci()), 3790)
     assert WINDOW_STATE_CAP == 1 << 26
+
+
+def test_fibonacci_gap_cell_refusal_names_the_window():
+    with pytest.raises(WindowCapError) as refusal:
+        SubstitutionProcess(fibonacci()).gap_mutual_information(4, 4088)
+    assert str(refusal.value) == (
+        "window of length 4096 may have up to 17711 factors, 72544256"
+        " letters in all; cap is 2**26")
+
+
+@pytest.mark.parametrize("subst", [thue_morse, fibonacci], ids=["tm", "fib"])
+def test_substitution_reverse_machines_decompose(subst):
+    # the reversal of the stationary shift is its block law read backwards
+    m = SubstitutionProcess(subst())
+    Es = []
+    for R in (3, 4, 5):
+        fwd = reconstruct(m, R, R + 2)
+        rev = reconstruct(reversed_model(m), R, R + 2)
+        Es.append(complexity_decomposition(fwd, rev, m)[0])
+    if subst is thue_morse:
+        assert Es == [LOG2_3 - F(1, 3), LOG2_3 + F(1, 2), LOG2_3 + F(5, 6)]
 
 
 def test_substitution_closed_forms_parity_row():
