@@ -254,11 +254,12 @@ def _load_model(spec: str, backend: str):
 def _load_sequence(path: str) -> EmpiricalSource:
     """The one line of a UTF-8 sequence file as a source.
 
-    The file is read once, as bytes, and its surrounding whitespace is
-    skipped by offsets (``_line_bounds``), so the line is held once.
-    A comma line is parsed from those bytes (``_comma_codes``), and a
-    line of ASCII characters is coded one byte per symbol; only a line
-    with a non-ASCII character is decoded, to a string.
+    The file is read once, as bytes, and its surrounding whitespace and
+    a leading byte-order mark are skipped by offsets (``_line_bounds``),
+    so the line is held once.  A comma line is parsed from those bytes
+    (``_comma_codes``), and a line of ASCII characters is coded one
+    byte per symbol (``_char_codes``); only a line with a non-ASCII
+    character is decoded, to a string.
     """
     raw = Path(path).read_bytes()
     lo, hi = _line_bounds(raw)
@@ -271,7 +272,7 @@ def _load_sequence(path: str) -> EmpiricalSource:
         return EmpiricalSource(codes, Alphabet(labels))
     points = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
     if points.max() < 0x80:
-        return EmpiricalSource(*_char_codes(points, None))
+        return EmpiricalSource(*_char_codes(raw, None, lo, hi))
     text = str(memoryview(raw)[lo:hi], "utf-8")
     del points, raw  # the line is held once, as the string
     return EmpiricalSource(text)
@@ -280,8 +281,10 @@ def _load_sequence(path: str) -> EmpiricalSource:
 def _line_bounds(raw: bytes) -> Tuple[int, int]:
     """Offsets of the first character of raw's UTF-8 text that is not
     whitespace and past the last one, whitespace as ``str.strip`` reads
-    it; only the characters at the two ends are decoded."""
-    lo, hi = 0, len(raw)
+    it, after a byte-order mark at offset 0, which is skipped as the
+    ``utf-8-sig`` codec drops it; only the characters at the two ends
+    are decoded."""
+    lo, hi = (3 if raw.startswith(b"\xef\xbb\xbf") else 0), len(raw)
     while lo < hi:
         lead = raw[lo]
         width = 1 + (lead >= 0xC0) + (lead >= 0xE0) + (lead >= 0xF0)
@@ -824,41 +827,27 @@ def _add_common(sp: argparse.ArgumentParser, backend: bool = False,
                         "with --model")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="persistinfo",
-        description="Complexity measures of stationary symbolic processes")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("entropy", help="block entropy curve")
+def _entropy_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", help="registry name, JSON file, or inline "
                     "JSON")
     sp.add_argument("--seq", help="one-line symbol sequence file")
     sp.add_argument("--Lmax", dest="L_max", type=int, default=8)
     _add_common(sp, backend=True)
-    sp.set_defaults(func=cmd_entropy)
 
-    sp = sub.add_parser("pmi", help="gap mutual-information grid and "
-                        "double-limit verdict")
+
+def _pmi_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model")
     sp.add_argument("--seq")
-    sp.add_argument("--L-grid", dest="L_grid",
-                    help="comma list, e.g. 1,2,3")
+    sp.add_argument("--L-grid", dest="L_grid", help="comma list, e.g. 1,2,3")
     sp.add_argument("--g-grid", dest="g_grid",
                     help="comma list, e.g. 16,24,32")
     sp.add_argument("--eps-g", dest="eps_g", type=float)
     sp.add_argument("--eps-L", dest="eps_L", type=float)
     sp.add_argument("--delta", type=float)
     _add_common(sp, backend=True)
-    sp.set_defaults(func=cmd_pmi)
 
-    sp = sub.add_parser("table1", help="closed forms vs recomputed "
-                        "pipeline for the built-in model family")
-    _add_common(sp, formats=("table", "json"))
-    sp.set_defaults(func=cmd_table1)
 
-    sp = sub.add_parser("substitution", help="factor frequencies of a "
-                        "substitution fixed point")
+def _substitution_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rules", required=True,
                     help="tm, fib, or inline JSON rules")
     sp.add_argument("--start", help="start symbol for inline rules")
@@ -868,32 +857,77 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="substitution power for the "
                     "shortcut matrix")
     _add_common(sp)
-    sp.set_defaults(func=cmd_substitution)
 
-    sp = sub.add_parser("ising", help="temperature sweep of the "
-                        "nearest-neighbour chain")
+
+def _ising_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--J", type=float, default=1.0)
     sp.add_argument("--h", type=float, default=0.0)
     sp.add_argument("--Tmin", type=float, default=0.1)
     sp.add_argument("--Tmax", type=float, default=10.0)
     sp.add_argument("--points", type=int, default=40)
     _add_common(sp, formats=("csv", "json"))
-    sp.set_defaults(func=cmd_ising)
 
-    sp = sub.add_parser("sample", help="emit one sequence line from a "
-                        "model")
+
+def _sample_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--model", required=True)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write here instead of standard output")
-    sp.set_defaults(func=cmd_sample)
+
+
+#: each command's help line, the builder of its arguments, and its function
+_COMMANDS = {
+    "entropy": ("block entropy curve", _entropy_args, cmd_entropy),
+    "pmi": ("gap mutual-information grid and double-limit verdict",
+            _pmi_args, cmd_pmi),
+    "table1": ("closed forms vs recomputed pipeline for the built-in model "
+               "family", lambda sp: _add_common(sp, formats=("table", "json")),
+               cmd_table1),
+    "substitution": ("factor frequencies of a substitution fixed point",
+                     _substitution_args, cmd_substitution),
+    "ising": ("temperature sweep of the nearest-neighbour chain",
+              _ising_args, cmd_ising),
+    "sample": ("emit one sequence line from a model", _sample_args,
+               cmd_sample),
+}
+
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser.  Each command's subparser carries its help
+    line; only ``command``'s has its arguments and ``-h`` too."""
+    parser = argparse.ArgumentParser(
+        prog="persistinfo",
+        description="Complexity measures of stationary symbolic processes")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text, add_help=name == command)
+        if name == command:
+            add(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run ``persistinfo`` on argv (``sys.argv[1:]`` if None), building
+    only the invoked command's parser: a command named first parses its
+    own arguments, anything else goes to a top-level parser whose
+    subparsers carry only their help lines.  What a command leaves
+    unparsed is refused by the top-level parser, so every help, usage
+    and error text is that of one tree of all the commands' parsers."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"persistinfo {name}")
+        _COMMANDS[name][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            _parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        # no argument, -h or an unknown name exit here; a command found
+        # after an unknown option is parsed again, with its arguments
+        name = _parser().parse_known_args(argv)[0].command
+        args = _parser(name).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[name][2](args)
     except (ValueError, ArithmeticError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

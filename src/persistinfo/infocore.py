@@ -45,7 +45,8 @@ Conventions
     single word.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array of the narrowest unsigned type, one byte per symbol
-    up to 256 symbols, without a Python call per symbol, and every
+    up to 256 symbols, without a Python call per symbol (an ASCII line
+    by one ``bytes.translate`` through a 256-byte table), and every
     length-L window is packed into one integer code by doubling in
     place: base-s digits, ranked among their distinct values, which
     keeps their order, before they would pass 63 bits
@@ -109,13 +110,15 @@ DECODE_CHUNK = 1 << 14
 #: sampled block read k steps per lookup of the k-step table, its step
 #: maps composed until they coalesce), bytes a comma-separated line of
 #: mixed label widths is read in (one of uniform widths is read in one
-#: strided pass), windows coded and counted in at a time (one bincount
-#: per block over at most ``_BLOCK >> 4`` codes, ``np.add.at`` past
-#: that), and codes gathered through a lookup table in at a time, so
-#: that the intp copy ``take`` makes of a narrow index is one block
-#: long (``processes.MarkovProcess.sample``, the writer and the block
-#: route of the comma loader of ``cli``, :func:`window_codes`,
-#: :func:`_ranks`); outputs do not depend on it
+#: strided pass), bytes of an ASCII line searched for new symbols in
+#: at a time (each block sampled ``_BLOCK >> 4`` bytes at a time),
+#: windows coded and counted in at a time (one bincount per block over
+#: at most ``_BLOCK >> 4`` codes, ``np.add.at`` past that), and codes
+#: gathered through a lookup table in at a time, so that the intp copy
+#: ``take`` makes of a narrow index is one block long
+#: (``processes.MarkovProcess.sample``, the writer and the block route
+#: of the comma loader of ``cli``, :func:`_char_codes`,
+#: :func:`window_codes`, :func:`_ranks`); outputs do not depend on it
 _BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters
@@ -880,11 +883,10 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
     """
     if isinstance(seq, str):
         if seq.isascii():
-            points = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
-        else:
-            points = np.frombuffer(seq.encode("utf-32-le", "surrogatepass"),
-                                   dtype=np.uint32)
-        return _char_codes(points, alphabet)
+            return _char_codes(seq.encode("ascii"), alphabet)
+        return _char_codes(np.frombuffer(
+            seq.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
+            alphabet)
     arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError("sequence must be one-dimensional, not a "
@@ -910,25 +912,72 @@ def _coerce_sequence(seq, alphabet: Alphabet | None):
     return arr.astype(_code_dtype(len(alphabet)), copy=False), alphabet
 
 
-def _char_codes(points: np.ndarray, alphabet: Alphabet | None):
-    """(index array, alphabet) of a line of characters given as their
-    code points, one per character (the string branch of
-    :func:`_coerce_sequence`)."""
-    # the distinct code points, ascending; sorted only when a high code
-    # point would make a lookup table outgrow the line
-    uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
-    chars = list(map(chr, uniq.tolist()))
+def _char_codes(line, alphabet: Alphabet | None, lo: int = 0,
+                hi: int | None = None):
+    """(index array, alphabet) of the characters line[lo:hi], one per
+    symbol, given as ASCII bytes or as an array of their code points
+    (the string branch of :func:`_coerce_sequence`, and the sequence
+    files of ``cli``, read in place between the offsets of their line).
+
+    Bytes are coded by one ``bytes.translate`` of the whole of line
+    through a 256-byte table of their codes, whose slice [lo:hi] is
+    returned as a view (unless a given alphabet has more than 256
+    symbols), so no other copy of the line is made.  Their distinct
+    bytes are found ``_BLOCK`` bytes at a time by deletion passes
+    (``bytes.translate`` with bytes to delete): the bytes found so far
+    are deleted from the block, then, until nothing is left, every byte
+    of a sample of about ``_BLOCK >> 4`` bytes spread evenly across
+    what is left.  A block of a line sorted by symbol thus takes one
+    sampled pass for its runs longer than the sample's stride, not one
+    per symbol, and a pass holds at most two blocks.  Code points are
+    ranked (:func:`_ranks`).
+    """
+    by_bytes = isinstance(line, bytes) and (alphabet is None
+                                            or len(alphabet) <= 256)
+    if by_bytes:
+        hi = len(line) if hi is None else hi
+        found = set()
+        for start in range(lo, hi, _BLOCK):
+            rest = line[start:min(start + _BLOCK, hi)]
+            rest = rest.translate(None, bytes(found))
+            while rest:
+                sample = rest[::len(rest) // (_BLOCK >> 4) + 1]
+                found.update(sample)
+                rest = rest.translate(None, sample)
+        uniq = sorted(found)
+    else:
+        if isinstance(line, bytes):
+            line = np.frombuffer(line, dtype=np.uint8)
+        line = line[lo:hi]
+        # the distinct code points, ascending; sorted only when a high
+        # code point would make a lookup table outgrow the line
+        uniq, codes = _ranks(line, int(line.max(initial=0)) + 1)
+        uniq = uniq.tolist()
+    chars = list(map(chr, uniq))
+    values = None
     if alphabet is None:
-        return codes, Alphabet(chars)
-    index = {c: i for i, c in enumerate(alphabet.symbols)}
-    known = np.array([c in index for c in chars], dtype=bool)
-    if not known.all():
-        t = int(np.argmin(known[codes]))
-        raise ValueError(f"symbol {chr(points[t])!r} at position {t} is not "
-                         f"in the alphabet {alphabet.symbols}")
-    table = np.array([index[c] for c in chars],
-                     dtype=_code_dtype(len(alphabet)))
-    return table[codes], alphabet
+        alphabet = Alphabet(chars)
+    else:
+        index = {c: i for i, c in enumerate(alphabet.symbols)}
+        bad = [u for u, c in zip(uniq, chars) if c not in index]
+        if bad:
+            if by_bytes:
+                t, u = min((line.find(u, lo, hi) - lo, u) for u in bad)
+            else:
+                t = int(np.isin(line, bad).argmax())
+                u = int(line[t])
+            raise ValueError(f"symbol {chr(u)!r} at position {t} is not "
+                             f"in the alphabet {alphabet.symbols}")
+        values = [index[c] for c in chars]
+    if by_bytes:
+        table = bytearray(256)
+        for u, v in zip(uniq, values or range(len(uniq))):
+            table[u] = v
+        codes = np.frombuffer(line.translate(table), dtype=np.uint8)
+        return codes[lo:hi], alphabet
+    if values is not None:
+        codes = np.array(values, dtype=_code_dtype(len(alphabet)))[codes]
+    return codes, alphabet
 
 
 def _passes_63_bits(size: int, factor: int) -> bool:

@@ -1,6 +1,8 @@
 """Reference computations that only the tests read."""
 
+import argparse
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
@@ -10,9 +12,11 @@ import numpy as np
 
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
+    Alphabet,
     BlockDistribution,
     JointBlockDistribution,
     _BLOCK,
+    _code_dtype,
     _factor_smooth,
     _passes_63_bits,
     _ranks,
@@ -504,3 +508,50 @@ def walk_maps_oracle(steps, maps, start: int) -> np.ndarray:
         states.append(state)
         state = rows[step][state]
     return np.array(states, dtype=np.int64)
+
+
+# ── characters ranked through a lookup table ─────────────────────────
+
+
+def rank_table_char_codes(points: np.ndarray, alphabet):
+    """``infocore._char_codes`` of an array of code points, ASCII ones
+    too: the code points ranked by ``_ranks`` (a bincount and a lookup
+    table taken one block at a time, or a sort past the line's length),
+    then mapped through a table to a given alphabet's indices."""
+    uniq, codes = _ranks(points, int(points.max(initial=0)) + 1)
+    chars = list(map(chr, uniq.tolist()))
+    if alphabet is None:
+        return codes, Alphabet(chars)
+    index = {c: i for i, c in enumerate(alphabet.symbols)}
+    known = np.array([c in index for c in chars], dtype=bool)
+    if not known.all():
+        t = int(np.argmin(known[codes]))
+        raise ValueError(f"symbol {chr(points[t])!r} at position {t} is not "
+                         f"in the alphabet {alphabet.symbols}")
+    table = np.array([index[c] for c in chars],
+                     dtype=_code_dtype(len(alphabet)))
+    return table[codes], alphabet
+
+
+# ── the command line parsed by one tree of every command's parser ─────
+
+
+def full_tree_main(argv) -> int:
+    """``cli.main`` with every command's parser built under one
+    top-level parser, from the same command table, and argv parsed by
+    that tree."""
+    from persistinfo import cli
+    parser = argparse.ArgumentParser(
+        prog="persistinfo",
+        description="Complexity measures of stationary symbolic processes")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add, func) in cli._COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        add(sp)
+        sp.set_defaults(func=func)
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

@@ -23,6 +23,8 @@ from persistinfo.cli import main
 from persistinfo.processes import IidProcess, MarkovProcess
 from persistinfo.substitution import fibonacci, thue_morse
 
+from oracles import full_tree_main, rank_table_char_codes
+
 LOG2_3 = math.log2(3)
 
 
@@ -361,8 +363,43 @@ def test_ising_without_coupling_has_no_statistical_complexity(capsys):
 
 
 def test_unknown_command_is_usage_error(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["entropy", "--Lmax", "x"],
+    ["sample"],
+    ["substitution", "--l", "3"],
+    ["entropy", "--model", "coin", "--format", "xml"],
+    ["table1", "--format", "csv"],
+    ["pmi", "--model", "coin", "--backend", "rational"],
+    ["entropy", "--bogus"],
+    ["pmi", "--Lmax", "3"],
+    ["sample", "--model", "coin", "--n", "5", "extra"],
+    ["entropy", "--mod", "coin", "--Lmax", "2"],
+    ["-h"],
+    [],
+    ["frobnicate"],
+    ["--", "entropy"],
+    ["--bogus", "sample"],
+    ["--bogus", "entropy", "-h"],
+    ["--bogus", "entropy", "--model", "coin", "--Lmax", "2"],
+], ids=lambda argv: " ".join(argv) or "no argument")
+def test_dispatch_matches_the_full_parser_tree(capsys, argv):
+    def outcome(entry):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        cap = capsys.readouterr()
+        return code, cap.out, cap.err
+    got = outcome(main)
+    assert got == outcome(full_tree_main)
+    assert got[0] in (0, 2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1199,6 +1236,37 @@ def test_comma_loader_memory_stays_in_blocks(tmp_path):
     assert peak < 20 << 20
 
 
+@pytest.mark.parametrize("shape", ["binary", "shuffled", "sorted",
+                                   "period 5"])
+def test_ascii_loader_holds_the_line_and_the_codes(tmp_path, shape):
+    import tracemalloc
+
+    import numpy as np
+
+    from persistinfo.cli import _load_sequence
+    n = 10 ** 6
+    # no space, which the loader would strip off the ends
+    symbols = np.frombuffer("".join(NO_COMMA[1:]).encode(), dtype=np.uint8)
+    ranks = np.random.default_rng(0).integers(
+        2 if shape == "binary" else symbols.size, size=n)
+    if shape == "sorted":
+        ranks.sort()
+    elif shape == "period 5":
+        ranks = np.arange(n) % 5
+    p = tmp_path / "seq.txt"
+    p.write_bytes(b"\xef\xbb\xbf" + symbols[ranks].tobytes() + b"\n")
+    tracemalloc.start()
+    try:
+        src = _load_sequence(str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert src.n == n and src.arr.dtype == np.uint8
+    # the file's bytes, the 1 MB of codes and two 64 KB blocks of
+    # scratch: no other copy of the line, and no index array
+    assert peak < 2 * n + (1 << 18)
+
+
 @pytest.mark.parametrize("line", [
     "0110", "naïve", "a,bb,a", "é,-1,é", "\u3000x y\u3000", "↑,\xa0,↑"])
 @pytest.mark.parametrize("pad", [
@@ -1219,6 +1287,112 @@ def test_sequence_file_is_stripped_as_python_strips_text(tmp_path, line,
         assert src.alphabet.symbols == want.alphabet.symbols
         assert src.arr.tolist() == want.arr.tolist()
         assert src.arr.dtype == want.arr.dtype
+
+
+@pytest.mark.parametrize("body", [
+    "\ufeffabab\n", "\ufeff \tab\r\n", "\ufeff\ufeffab", " \ufeffab",
+    "ab\ufeffab", "\ufeffa,bb,a\n", "\ufeffnaïve\n"])
+def test_sequence_file_skips_a_leading_byte_order_mark(tmp_path, body):
+    # as the utf-8-sig codec drops it: at offset 0 only
+    from persistinfo.cli import _load_sequence
+    from persistinfo.measures import EmpiricalSource
+    p = tmp_path / "seq.txt"
+    p.write_bytes(body.encode())
+    src = _load_sequence(str(p))
+    text = body.encode().decode("utf-8-sig").strip()
+    labels = text.split(",") if "," in text else list(text)
+    assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
+    if "," not in text:
+        want = EmpiricalSource(text)
+        assert src.alphabet.symbols == want.alphabet.symbols
+        assert src.arr.tolist() == want.arr.tolist()
+
+
+def test_entropy_of_a_sequence_file_ignores_its_byte_order_mark(tmp_path,
+                                                              capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"abab\n")
+    marked.write_bytes(b"\xef\xbb\xbfabab\n")
+    outs = [run(capsys, "entropy", "--seq", str(p), "--Lmax", "1",
+                "--format", "csv") for p in (plain, marked)]
+    assert outs[0] == outs[1]
+    assert outs[0][1].splitlines()[1] == "1,,1,,1"  # H(1) = 1 bit
+
+
+#: the 95 printable ASCII characters but the comma, which would make a
+#: sequence file a comma line, and with DEL
+NO_COMMA = [chr(c) for c in range(0x20, 0x80) if c != ord(",")]
+
+
+@st.composite
+def ascii_lines(draw):
+    """A line of k of NO_COMMA's symbols, of a length across the
+    4096-byte sample and the 65536-byte block of ``_char_codes``: drawn
+    at random, sorted by symbol, or with its last symbol met only in
+    its last byte."""
+    import numpy as np
+    k = draw(st.integers(1, len(NO_COMMA)))
+    symbols = np.frombuffer("".join(draw(st.permutations(NO_COMMA))[:k])
+                            .encode(), dtype=np.uint8)
+    n = draw(st.one_of(st.integers(1, 300),
+                       st.sampled_from([4095, 4096, 4097, 8191, 8192, 8193,
+                                        65535, 65536, 65537, 200003]),
+                       st.integers(4000, 20000)))
+    shape = draw(st.sampled_from(["random", "sorted", "last"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = rng.integers(k - (shape == "last" and k > 1), size=n)
+    if shape == "sorted":
+        ranks.sort()
+    elif shape == "last":
+        ranks[-1] = k - 1
+    return symbols[ranks].tobytes().decode()
+
+
+def _codes_or_error(f, *args):
+    try:
+        codes, alphabet = f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return codes.dtype, codes.tolist(), alphabet.symbols
+
+
+@given(ascii_lines(), st.sampled_from(["none", "sorted", "shuffled",
+                                       "missing"]), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_ascii_lines_code_as_the_rank_table_does(tmp_path_factory, line,
+                                                 given_alphabet, rnd):
+    import numpy as np
+
+    from persistinfo.cli import _load_sequence
+    from persistinfo.infocore import Alphabet
+    from persistinfo.measures import EmpiricalSource
+    alphabet = None
+    if given_alphabet != "none":
+        labels = sorted(set(line) | set(rnd.sample(NO_COMMA, 3)))
+        if given_alphabet == "shuffled":
+            rnd.shuffle(labels)
+        elif given_alphabet == "missing":  # the first one is named
+            for c in rnd.sample(sorted(set(line)), min(2, len(set(line)))):
+                labels.remove(c)
+        alphabet = Alphabet(labels)
+
+    def points(text):
+        return np.frombuffer(text.encode(), dtype=np.uint8)
+
+    def arrays(src):
+        return src.arr, src.alphabet
+
+    want = _codes_or_error(rank_table_char_codes, points(line), alphabet)
+    got = _codes_or_error(lambda: arrays(EmpiricalSource(line, alphabet)))
+    assert got == want
+    assert isinstance(want, str) or want[0] == np.uint8
+    # a sequence file is stripped of the whitespace around its line
+    p = tmp_path_factory.mktemp("seq") / "seq.txt"
+    p.write_bytes(b" " + line.encode() + b"\n")
+    if line.strip():
+        got = _codes_or_error(lambda: arrays(_load_sequence(str(p))))
+        assert got == _codes_or_error(rank_table_char_codes,
+                                      points(line.strip()), None)
 
 
 @pytest.mark.parametrize("body, message", [
