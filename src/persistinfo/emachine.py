@@ -24,7 +24,6 @@ tables read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -37,7 +36,7 @@ from .infocore import (
     _entropy_of_table,
     _exact_str,
 )
-from .processes import reversed_model
+from .processes import _Frozen, reversed_model
 
 __all__ = [
     "EpsilonMachine",
@@ -66,26 +65,29 @@ def _tv(p: dict, q: dict) -> float:
 # ── machine container ─────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True, eq=False)
-class EpsilonMachine:
+class EpsilonMachine(_Frozen):
     """Finite unifilar presentation recovered from history partitions.
 
     ``states[i]`` is the sorted tuple of length-``history_length``
     histories merged into state ``i``; ``transitions[(i, a)]`` is the
     unique ``(j, P(a | state i))`` edge, with zero-probability edges
     absent.  ``complexity`` is the Shannon entropy of ``state_probs``.
+    Machines compare by identity.
     """
 
-    alphabet: Alphabet
-    history_length: int
-    future_length: int
-    tol: float
-    exact: bool
-    states: Tuple[Tuple[Word, ...], ...] = field(repr=False)
-    state_probs: Tuple
-    transitions: Dict = field(repr=False)
-    complexity: Scalar
-    history_index: Dict = field(repr=False)
+    __slots__ = ("alphabet", "history_length", "future_length", "tol",
+                 "exact", "states", "state_probs", "transitions",
+                 "complexity", "history_index")
+
+    def __init__(self, alphabet: Alphabet, history_length: int,
+                 future_length: int, tol: float, exact: bool,
+                 states: Tuple[Tuple[Word, ...], ...], state_probs: Tuple,
+                 transitions: Dict, complexity: Scalar, history_index: Dict):
+        # the arguments in the order of __slots__
+        for name, value in zip(self.__slots__, (
+                alphabet, history_length, future_length, tol, exact, states,
+                state_probs, transitions, complexity, history_index)):
+            object.__setattr__(self, name, value)
 
     def block_distribution(self, L: int) -> BlockDistribution:
         """Law of length-L output blocks started from the stationary

@@ -125,13 +125,18 @@ _BLOCK = 1 << 16
 # of substitution windows) above this are refused rather than attempted.
 WINDOW_STATE_CAP = 1 << 26
 
+# An exact gap power (d·T)^n of m contexts whose m² entries, each at most
+# d^n, could hold more bits than this (m²·n·⌈log2 d⌉) is refused rather
+# than attempted: the largest cell it accepts takes about a second.
+GAP_POWER_BIT_CAP = 1 << 22
+
 
 class WindowCapError(ValueError):
-    """A window needs more enumerated states than the cap it names."""
+    """A window needs more enumerated states, or an exact gap power more
+    bits, than the cap it names."""
 
-    def __init__(self, detail: str):
-        super().__init__(
-            f"{detail}; cap is 2**{WINDOW_STATE_CAP.bit_length() - 1}")
+    def __init__(self, detail: str, cap: int = WINDOW_STATE_CAP):
+        super().__init__(f"{detail}; cap is 2**{cap.bit_length() - 1}")
 
 
 # ── Alphabet ──────────────────────────────────────────────────────────────────

@@ -17,8 +17,8 @@ material rate; anything else is "inconclusive".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -306,8 +306,7 @@ def _all_exact(values) -> bool:
 # ── entropy curves ──────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class EntropyCurve:
+class EntropyCurve(NamedTuple):
     """Block entropies H(1..L_max) with increments and the two
     entropy-rate estimators.
 
@@ -376,8 +375,7 @@ def excess_entropy_finite(source, L: int) -> Scalar:
 # ── gap-MI grid ─────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class GapMIGrid:
+class GapMIGrid(NamedTuple):
     """Mutual information between two length-L blocks with g symbols
     hidden between them, over a grid of (L, g).
 
@@ -453,15 +451,13 @@ def gap_mi_grid(source, L_grid: Sequence[int],
 # ── PMI verdict ─────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class PmiVerdict:
+class PmiVerdict(NamedTuple):
     kind: str  # "converged" | "diverging" | "inconclusive"
     value: Optional[float] = None
     uncertainty: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class PmiReport:
+class PmiReport(NamedTuple):
     grid: GapMIGrid
     verdict: PmiVerdict
     tail_values: dict
@@ -482,6 +478,15 @@ def _check_verdict_grid(L_grid: Sequence[int], g_grid: Sequence[int]) -> None:
     """Refuse grids too small for a verdict, before anything is counted."""
     if len(set(L_grid)) < 3 or len(set(g_grid)) < 3:
         raise ValueError("need at least 3 distinct L and 3 distinct g values")
+
+
+def _slope(xs: Sequence[int], ys: Sequence[float]) -> float:
+    """Least-squares slope Σ(x − x̄)(y − ȳ) / Σ(x − x̄)², taken exactly
+    over the Fractions of the floats and rounded once: n·(x − x̄) are
+    integers, and a flat tail gives 0.0."""
+    c = [len(xs) * x - sum(xs) for x in xs]
+    num = sum(ci * Fraction(y) for ci, y in zip(c, ys))
+    return float(num / sum(ci * x for ci, x in zip(c, xs)))
 
 
 def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
@@ -536,7 +541,7 @@ def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
     top = usable[len(usable) // 2:]
     slope = None
     if len(top) >= 2:
-        slope = float(np.polyfit(top, [tail_values[L] for L in top], 1)[0])
+        slope = _slope(top, [tail_values[L] for L in top])
     top_monotone = all(
         tail_values[b] >= tail_values[a] - eps_g for a, b in zip(top, top[1:]))
 
@@ -567,8 +572,7 @@ def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
 # ── efficiency and tail diagnostics ─────────────────────────────────
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(NamedTuple):
     """Prediction efficiency e+ = E / C+ with the convention e+ = 0
     when the complexity vanishes.  An estimate with E > C+ beyond
     1e-9 is reported with consistent=False, never clamped."""

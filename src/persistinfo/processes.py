@@ -26,7 +26,8 @@ eigendata is irrational) give float distributions.  Enumeration-based
 paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov chains
 bridge the gap with a matrix power instead of enumerating it, so the
 cap there applies only to the two visible blocks (s^R·s^max(L, R)
-states for a gap cell read from the left block's edge context).  A
+states for a gap cell read from the left block's edge context), and an
+exact power is held to GAP_POWER_BIT_CAP bits instead.  A
 substitution fixed point has far fewer factors than words: its laws
 read the length-n windows of the pair images ζ^p(α)ζ^p(β), and the
 window count (factor_count_bound(n) at the shortest power p) times n,
@@ -41,16 +42,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from numbers import Rational
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._ratlinalg import rational_nullspace
 from .infocore import (
+    GAP_POWER_BIT_CAP,
     WINDOW_STATE_CAP,
     Alphabet,
     BlockDistribution,
@@ -112,8 +113,7 @@ def _check_cap(s: int, window_length: int) -> None:
             f" {s}**{window_length} states")
 
 
-@dataclass(frozen=True)
-class ClosedForms:
+class ClosedForms(NamedTuple):
     """Closed-form complexity quantities of a model class.
 
     entropy_rate, excess_entropy, complexity_plus/minus and pmi are in
@@ -131,10 +131,22 @@ class ClosedForms:
     efficiency: object
 
 
-class _WindowLaws:
+class _Frozen:
+    """Slotted fields, set once in ``__init__``: assigning one afterwards
+    raises, as on a frozen record."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class _WindowLaws(_Frozen):
     """H(L), tables, gap cells and reversal of a model that lists its
     windows: ``_window_law(spans)`` reads them through ``spans``, in lex
     order, with integer weights over D (floats when D is None)."""
+
+    __slots__ = ()
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
         if any(L < 1 for L in Ls):
@@ -170,14 +182,17 @@ class _WindowLaws:
         return ReversedProcess(self)
 
 
-@dataclass(frozen=True)
-class ReversedProcess:
+class ReversedProcess(_Frozen):
     """The time reversal of a process, read off it: its length-L table is
     the process's with each word read backwards, over the same weights
     and D.  It holds what ``emachine`` reads of a model (``order`` where
     the process has one); H(L) and I(L, g) do not change under reversal."""
 
-    process: object
+    __slots__ = ("process",)
+
+    def __init__(self, process):
+        object.__setattr__(self, "process", process)
+
     alphabet = property(lambda self: self.process.alphabet)
     order = property(lambda self: self.process.order)
 
@@ -191,25 +206,25 @@ class ReversedProcess:
 # ── periodic ────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
 class PeriodicProcess(_WindowLaws):
     """Uniformly random phase on a fixed cycle whose rotations are all
     distinct (so the stated period is the true one)."""
 
-    alphabet: Alphabet
-    cycle: Word
+    __slots__ = ("alphabet", "cycle")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        p = len(self.cycle)
+    def __init__(self, alphabet: Alphabet, cycle: Word):
+        cycle = tuple(cycle)
+        p = len(cycle)
         if p < 1:
             raise ValueError("cycle must be nonempty")
-        s = len(self.alphabet)
-        if any(not (0 <= a < s) for a in self.cycle):
+        s = len(alphabet)
+        if any(not (0 <= a < s) for a in cycle):
             raise ValueError("cycle uses a symbol outside the alphabet")
-        rotations = {self.cycle[t:] + self.cycle[:t] for t in range(p)}
+        rotations = {cycle[t:] + cycle[:t] for t in range(p)}
         if len(rotations) != p:
             raise ValueError(f"cycle of length {p} has a smaller period")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "cycle", cycle)
 
     @classmethod
     def from_string(cls, cycle: str | Sequence,
@@ -575,9 +590,20 @@ class MarkovProcess:
         once.
 
         A float T is summed in float (ten 0.1s give 0.9999999999999999),
-        so its powers lose mass as g grows; the row sums put it back."""
+        so its powers lose mass as g grows; the row sums put it back.  An
+        exact power is refused before it is taken when its entries could
+        pass GAP_POWER_BIT_CAP bits."""
         Tg = self._powers.get(g)
         if Tg is None:
+            # m² entries, each at most d^g ≤ 2^(g·⌈log2 d⌉); d = 1 on a
+            # float chain
+            m = len(self.contexts)
+            bits = m * m * g * (self._d - 1).bit_length()
+            if bits > GAP_POWER_BIT_CAP:
+                raise WindowCapError(
+                    f"exact gap power (d·T)^{g} over {m} contexts needs up"
+                    f" to {bits} bits (use --backend float)",
+                    GAP_POWER_BIT_CAP)
             Tg = np.linalg.matrix_power(self._T, g)
             if not self.exact:
                 # not in place: the first power is _T itself
@@ -1003,7 +1029,7 @@ class IsingChainProcess(MarkovProcess):
     def closed_forms(self) -> ClosedForms:
         # V > 0, so the chain is aperiodic even where its float rows
         # round to a permutation
-        return replace(super().closed_forms(), pmi=Fraction(0))
+        return super().closed_forms()._replace(pmi=Fraction(0))
 
     def reversed(self) -> "IsingChainProcess":
         # V is symmetric, so the chain satisfies detailed balance
@@ -1013,8 +1039,7 @@ class IsingChainProcess(MarkovProcess):
 # ── symbolized logistic map ─────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class LogisticSymbolizer:
+class LogisticSymbolizer(_Frozen):
     """Threshold observation of x -> r x (1 - x): symbol 0 when
     x <= 1/2, else 1, after a deterministic burn-in.
 
@@ -1022,17 +1047,18 @@ class LogisticSymbolizer:
     Sample-only: it has no exact law.
     """
 
-    r: float
-    x0: float
-    burnin: int = 1000
+    __slots__ = ("r", "x0", "burnin")
 
-    def __post_init__(self):
-        if not (0 <= self.r <= 4):
+    def __init__(self, r: float, x0: float, burnin: int = 1000):
+        if not (0 <= r <= 4):
             raise ValueError("r must lie in [0, 4]")
-        if not (0 <= self.x0 <= 1):
+        if not (0 <= x0 <= 1):
             raise ValueError("x0 must lie in [0, 1]")
-        if self.burnin < 0:
+        if burnin < 0:
             raise ValueError("burn-in must be >= 0")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "burnin", burnin)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -1056,14 +1082,16 @@ class LogisticSymbolizer:
 _PARITY_RULES = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
 class SubstitutionProcess(_WindowLaws):
     """Uniquely ergodic process of a primitive substitution fixed
     point; block laws are the exact factor frequencies.  Windows are
     capped on the letters of the pair-image windows they are read from
     (substitution._pair_window_counts), not on alphabet size ** length."""
 
-    substitution: Substitution
+    __slots__ = ("substitution",)
+
+    def __init__(self, substitution: Substitution):
+        object.__setattr__(self, "substitution", substitution)
 
     @property
     def alphabet(self) -> Alphabet:

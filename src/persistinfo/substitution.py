@@ -40,10 +40,9 @@ them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -279,8 +278,7 @@ def _irreducible_period(B: np.ndarray) -> int:
     return period
 
 
-@dataclass(frozen=True)
-class PerronFrobeniusData:
+class PerronFrobeniusData(NamedTuple):
     """Perron root and normalized (sum 1) right eigenvector of an
     irreducible nonnegative integer matrix, plus primitivity data.
 
@@ -380,8 +378,7 @@ def induced_substitution(subst: Substitution, l: int) -> Substitution:
     return Substitution(Alphabet(labels), rules, start)
 
 
-@dataclass(frozen=True)
-class FactorTable:
+class FactorTable(NamedTuple):
     """Frequencies of the length-l factors of a fixed point."""
 
     factors: tuple
@@ -434,8 +431,7 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
 # ── shortcut from pair frequencies to length-l frequencies ──────────
 
 
-@dataclass(frozen=True)
-class ShortcutData:
+class ShortcutData(NamedTuple):
     """Count matrix taking pair frequencies to length-l factor
     frequencies after one normalization.
 

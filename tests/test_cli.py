@@ -6,6 +6,7 @@ the command layer was written.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import persistinfo
-from persistinfo import cli
+from persistinfo import cli, emachine, measures, processes, substitution
 from persistinfo.cli import main
+from persistinfo.infocore import Alphabet
 from persistinfo.processes import IidProcess, MarkovProcess
 from persistinfo.substitution import fibonacci, thue_morse
 
@@ -1211,6 +1213,85 @@ def test_deterministic_samples_build_no_generator(tmp_path, model):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pmi_notes_exact_gaps_past_the_bit_cap(capsys):
+    argv = ("pmi", "--model", "goldenmean", "--L-grid", "1,2,3",
+            "--g-grid", "4,8,1048576", "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    for L in (1, 2, 3):
+        assert (f"note: ({L}, 1048576) missing: exact gap power (d·T)^1048577"
+                " over 2 contexts needs up to 4194308 bits (use --backend"
+                " float); cap is 2**22\n") in err
+    assert ",1048576," not in out and out.count(",8,") == 3
+    code, out, err = run(capsys, *argv, "--backend", "float")
+    assert code == 0 and err == ""
+    assert out.count(",1048576,") == 3
+
+
+def test_import_generates_no_code():
+    # a frozen dataclass writes its methods as source and execs each one
+    # at import; the package defines NamedTuples and slotted classes
+    src = str(Path(persistinfo.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "import persistinfo.cli\n"
+        "bad = {'dataclasses', 'numpy.random'} & set(sys.modules)\n"
+        "assert not bad, bad\n"
+        "bad = [(m.__name__, k) for m in list(sys.modules.values())\n"
+        "       if m and m.__name__.startswith('persistinfo')\n"
+        "       for k, c in vars(m).items()\n"
+        "       if hasattr(c, '__dataclass_fields__')]\n"
+        "assert not bad, bad\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+RECORD_FIELDS = {
+    measures.EntropyCurve: "L_max H dH h_hat h_ratio E_hat exact",
+    measures.GapMIGrid: "L_grid g_grid values missing exact empirical",
+    measures.PmiVerdict: "kind value uncertainty",
+    measures.PmiReport: "grid verdict tail_values diagnostics",
+    measures.EfficiencyReport:
+        "excess_entropy complexity_plus e_plus consistent",
+    processes.ClosedForms: "entropy_rate excess_entropy complexity_plus"
+                           " complexity_minus pmi efficiency",
+    processes.ReversedProcess: "process",
+    processes.PeriodicProcess: "alphabet cycle",
+    processes.LogisticSymbolizer: "r x0 burnin",
+    processes.SubstitutionProcess: "substitution",
+    substitution.PerronFrobeniusData:
+        "theta eigenvector primitive period exact",
+    substitution.FactorTable: "factors freq exact",
+    substitution.ShortcutData:
+        "matrix factors_l factors_2 v2 v_l power exact",
+    emachine.EpsilonMachine:
+        "alphabet history_length future_length tol exact states"
+        " state_probs transitions complexity history_index",
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORD_FIELDS), ids=lambda c: c.__name__)
+def test_records_keep_their_fields_in_order_by_keyword(cls):
+    names = RECORD_FIELDS[cls].split()
+    assert list(inspect.signature(cls).parameters) == names
+    # the two classes that check their fields get valid ones
+    values = {"alphabet": Alphabet("01"), "cycle": (0, 0, 1), "r": 3.9,
+              "x0": 0.4, "burnin": 7}
+    kwargs = {k: values.get(k, object()) for k in names}
+    made = cls(**kwargs)
+    assert [getattr(made, k) for k in names] == list(kwargs.values())
+
+
+def test_record_defaults():
+    v = measures.PmiVerdict("converged")
+    assert (v.kind, v.value, v.uncertainty) == ("converged", None, None)
+    assert processes.LogisticSymbolizer(r=3.9, x0=0.4).burnin == 1000
 
 
 def test_comma_loader_memory_stays_in_blocks(tmp_path):

@@ -985,6 +985,32 @@ def test_verdict_json_roundtrip_fields():
     assert len(d["grid"]["cells"]) == 9
 
 
+def grid_of_tails(tails):
+    """A float grid whose value at every gap is tails[L − 1]."""
+    Ls, gs = tuple(range(1, len(tails) + 1)), (1, 2, 4)
+    values = {(L, g): v for L, v in zip(Ls, tails) for g in gs}
+    return GapMIGrid(L_grid=Ls, g_grid=gs, values=values, missing={},
+                     exact=False, empirical=False)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=9))
+def test_verdict_slope_is_the_exact_least_squares_slope(tails):
+    top = list(range(len(tails) // 2 + 1, len(tails) + 1))
+    ys = [F(tails[L - 1]) for L in top]
+    x_bar, y_bar = F(sum(top), len(top)), sum(ys) / len(top)
+    want = (sum((x - x_bar) * (y - y_bar) for x, y in zip(top, ys))
+            / sum((x - x_bar) ** 2 for x in top))
+    got = pmi_verdict(grid_of_tails(tails)).diagnostics["slope_top_half"]
+    assert got == float(want)
+
+
+@pytest.mark.parametrize("v", [0.0, 1e-300, math.log2(3), 0.1, -7.25])
+def test_verdict_slope_of_a_flat_tail_is_zero(v):
+    for tails in ([1.0, v, v, v, v], [v] * 4):
+        got = pmi_verdict(grid_of_tails(tails)).diagnostics["slope_top_half"]
+        assert got == 0.0 and math.copysign(1, got) == 1
+
+
 # ── efficiency and decay diagnostics ────────────────────────────────
 
 

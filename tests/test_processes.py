@@ -26,6 +26,7 @@ from persistinfo.emachine import (
     reconstruct,
 )
 from persistinfo.infocore import (
+    GAP_POWER_BIT_CAP,
     Alphabet,
     BlockDistribution,
     ExactBits,
@@ -1189,6 +1190,34 @@ def test_golden_mean_block_entropy_past_the_word_cap(L):
     assert m.block_entropies([L]) == [cf.excess_entropy + L * cf.entropy_rate]
 
 
+def test_exact_gap_powers_are_capped_in_bits():
+    # (d·T)^(g+1) of the golden mean: 2 × 2 entries of at most g + 1
+    # bits, so the last exact gap inside the cap is 2^20 − 1
+    assert GAP_POWER_BIT_CAP == 1 << 22
+    m, g = goldenmean(), (1 << 20) - 1
+    with pytest.raises(WindowCapError, match=(
+            r"^exact gap power \(d·T\)\^1048577 over 2 contexts needs up to"
+            r" 4194308 bits \(use --backend float\); cap is 2\*\*22$")):
+        m.gap_mutual_information(1, g + 1)
+    # the value, about φ^(−2g), rounds to 0 from the exact weights
+    assert m.gap_mutual_information(1, g) == 0.0
+    assert m._powers[g + 1].dtype == object
+    with pytest.raises(WindowCapError, match="needs up to"):
+        joint_gap_distribution(m, 1, 10 ** 20)
+
+
+def test_exact_gap_cell_inside_the_bit_cap_stays_exact(monkeypatch):
+    # a cap of 40 bits: the golden mean's cell at g = 9 takes (d·T)^10,
+    # 4·10 bits, just inside, and the cell at g = 10 takes 44
+    monkeypatch.setattr(processes, "GAP_POWER_BIT_CAP", 40)
+    got = goldenmean().gap_mutual_information(1, 9)
+    assert isinstance(got, ExactBits)
+    want = mutual_information(joint_gap_distribution(goldenmean(), 1, 9))
+    assert got == want
+    with pytest.raises(WindowCapError, match="needs up to 44 bits"):
+        goldenmean().gap_mutual_information(1, 10)
+
+
 def test_block_entropy_classes_are_capped(monkeypatch):
     monkeypatch.setattr(processes, "WINDOW_STATE_CAP", 64)
     # golden-mean classes grow by one per length: 33 of them at length
@@ -2075,6 +2104,23 @@ def test_ising_joint_symmetric_at_zero_field():
 
 
 # ── logistic map symbolization ──────────────────────────────────────
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PeriodicProcess(Alphabet("01"), ()), "cycle must be nonempty"),
+    (lambda: PeriodicProcess(Alphabet("01"), (0, 2)),
+     "cycle uses a symbol outside the alphabet"),
+    (lambda: PeriodicProcess(Alphabet("01"), (0, 1, 0, 1)),
+     "cycle of length 4 has a smaller period"),
+    (lambda: LogisticSymbolizer(r=4.5, x0=0.4), r"r must lie in \[0, 4\]"),
+    (lambda: LogisticSymbolizer(r=3.9, x0=-0.1),
+     r"x0 must lie in \[0, 1\]"),
+    (lambda: LogisticSymbolizer(r=3.9, x0=0.4, burnin=-1),
+     "burn-in must be >= 0"),
+])
+def test_model_fields_are_checked_at_construction(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_logistic_322_band_symbolizes_constant():
