@@ -40,9 +40,9 @@ Conventions
     applies a tolerance only when a float is involved.
   * Every float entropy, of a float table, of that fallback or of
     empirical counts, goes through one NumPy kernel (``_entropy_of_p``):
-    −Σ p·log₂ p summed pairwise in table order (each term times its
-    multiplicity where a table is given as weight counts), 0.0 for a
-    single word.
+    −Σ p·log₂ p, each term written over its p, summed pairwise in table
+    order (each term times its multiplicity where a table is given as
+    weight counts), 0.0 for a single word.
   * Empirical statistics are integer counts: a sequence is parsed into
     an index array of the narrowest unsigned type, one byte per symbol
     up to 256 symbols, without a Python call per symbol (an ASCII line
@@ -53,8 +53,11 @@ Conventions
     (:func:`window_codes`).  The codes are counted block by block over
     their range when it is no larger than their number (``_code_counts``:
     a bincount per block up to 4096 codes, ``np.add.at`` past that),
-    with ``np.unique`` otherwise (``_distinct_counts``).
-    Plug-in entropies are summed by NumPy straight from the counts
+    and otherwise by the runs of a sorted copy in their own type, read
+    block by block (``_distinct_counts``).  Counts are uint32 below
+    2^32 symbols and int64 past that (``_count_dtype``).
+    Plug-in entropies are summed by NumPy straight from the counts, in
+    one float array of their nonzero entries
     (``_entropy_of_counts``), so ``measures.EmpiricalSource`` estimates
     H(L) and the gap MIs without building a word table.  The tables
     (:func:`empirical_block_distribution`, joint gap tables) remain
@@ -113,12 +116,14 @@ DECODE_CHUNK = 1 << 14
 #: strided pass), bytes of an ASCII line searched for new symbols in
 #: at a time (each block sampled ``_BLOCK >> 4`` bytes at a time),
 #: windows coded and counted in at a time (one bincount per block over
-#: at most ``_BLOCK >> 4`` codes, ``np.add.at`` past that), and codes
-#: gathered through a lookup table in at a time, so that the intp copy
-#: ``take`` makes of a narrow index is one block long
+#: at most ``_BLOCK >> 4`` codes, ``np.add.at`` past that), sorted codes
+#: searched for runs, counts turned into p and p·log₂ p written in at a
+#: time, and codes gathered through a lookup table in at a time, so that
+#: the intp copy ``take`` makes of a narrow index is one block long
 #: (``processes.MarkovProcess.sample``, the writer and the block route
 #: of the comma loader of ``cli``, :func:`_char_codes`,
-#: :func:`window_codes`, :func:`_ranks`); outputs do not depend on it
+#: :func:`window_codes`, :func:`_sorted_runs`, :func:`_entropy_of_counts`,
+#: :func:`_entropy_of_p`, :func:`_ranks`); outputs do not depend on it
 _BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters
@@ -127,7 +132,11 @@ WINDOW_STATE_CAP = 1 << 26
 
 # An exact gap power (d·T)^n of m contexts whose m² entries, each at most
 # d^n, could hold more bits than this (m²·n·⌈log2 d⌉) is refused rather
-# than attempted: the largest cell it accepts takes about a second.
+# than attempted, and so is a gap cell whose own array could hold more
+# than eight times this (``processes.MarkovProcess.gap_mutual_information``):
+# the power squares its entries, the cell multiplies each a fixed number
+# of times.  The largest cells accepted on the golden-mean and ternary
+# chains take about a second.
 GAP_POWER_BIT_CAP = 1 << 22
 
 
@@ -730,19 +739,22 @@ def _entropy_of_table(weights, denominator) -> Scalar:
 def _entropy_of_p(p: np.ndarray, k: np.ndarray | None = None) -> float:
     """−Σ k·p·log₂ p over the positive entries of a float array, each
     with multiplicity k (1 if not given), in bits, summed pairwise by
-    NumPy: the one float entropy kernel."""
+    NumPy: the one float entropy kernel.  The terms overwrite p, a
+    ``_BLOCK`` at a time, so they take no second array; one ``np.sum``
+    adds them all, so the float does not depend on the block."""
     if p.size == 1 and k is None:  # one word, whatever its rounded mass
         return 0.0
     positive = p > 0.0
     if not positive.all():
         p = p[positive]
         k = None if k is None else k[positive]
-    terms = np.log2(p)
-    terms *= p  # in place: one array of terms, not two
+    for lo in range(0, p.size, _BLOCK):
+        block = p[lo:lo + _BLOCK]
+        block *= np.log2(block)
     if k is not None:
-        terms *= k
+        p *= k
     # 0.0 − x, not −x: a single word gives 0.0, never −0.0
-    return float(0.0 - terms.sum())
+    return float(0.0 - p.sum())
 
 
 def _entropy_float(probs) -> float:
@@ -750,8 +762,18 @@ def _entropy_float(probs) -> float:
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
-    """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N."""
-    return _entropy_of_p(counts[counts > 0] / counts.sum())
+    """Plug-in entropy in bits, −Σ p·log₂ p over p = counts / N, from one
+    float array of the nonzero counts' length: p is written into it a
+    block of counts at a time, and its terms over it
+    (``_entropy_of_p``)."""
+    p, at = np.empty(np.count_nonzero(counts)), 0
+    for lo in range(0, counts.size, _BLOCK):
+        block = counts[lo:lo + _BLOCK]
+        block = block[block > 0]
+        p[at:at + block.size] = block
+        at += block.size
+    p /= counts.sum()
+    return _entropy_of_p(p)
 
 
 def shannon_entropy(d) -> Scalar:
@@ -1123,41 +1145,57 @@ def _pair_codes(codes: np.ndarray, span: int, shift: int, lo: int,
     return pairs
 
 
-def _code_counts(codes: np.ndarray, size: int, pair=None) -> np.ndarray:
-    """Counts of codes drawn from range(size), as an int64 array of
-    that length.  With ``pair = (span, shift)`` and size span², the
-    codes counted are the pair codes codes[i]·span + codes[i + shift],
-    for i below codes.size − shift (:func:`_pair_codes`).
+def _count_dtype(n: int) -> np.dtype:
+    """The type of the window counts of a sequence of n symbols: uint32
+    below 2^32 symbols, int64 past that.  It is read from the sequence,
+    not from one length's windows: marginal sums add the edge windows
+    as L falls, but no count or total of any length passes n."""
+    return np.dtype(np.uint32 if n < 1 << 32 else np.int64)
+
+
+def _code_counts(codes: np.ndarray, size: int, pair=None,
+                 dtype=None) -> np.ndarray:
+    """Counts of codes drawn from range(size), as an array of that
+    length in ``dtype``, by default ``_count_dtype(codes.size)``.  With
+    ``pair = (span, shift)`` and size span², the codes counted are the
+    pair codes codes[i]·span + codes[i + shift], for i below
+    codes.size − shift (:func:`_pair_codes`).
 
     Counted ``_BLOCK`` codes at a time: by one ``np.bincount`` per
-    block over at most ``_BLOCK >> 4`` (4096) codes, by ``np.add.at``
-    past that, where a bincount's intp copy and whole-range array per
-    block cost more.  Per 10^6 codes (numpy 2.4, 2-vCPU VM), bincount
-    against add.at: 2.3 vs 3.2 ms at 4096 bins, 2.1 vs 3.5 at ~50
-    bins, 3.9 vs 3.8 at 59049 and 15.6 vs 7.3 at 531441.
+    block over at most ``_BLOCK >> 4`` (4096) codes, added in with
+    ``casting="unsafe"`` (its int64 counts fit), by ``np.add.at`` past
+    that, where a bincount's intp copy and whole-range array per block
+    cost more.  ``np.add.at`` adds a one of the counts' own type: with
+    the Python int 1 it leaves NumPy's fast path for a uint32 array
+    (7.5 against 0.36 ms per 64 K codes over 531441 bins).  Per 10^6
+    codes (numpy 2.4, 2-vCPU VM), bincount against add.at: 2.3 vs 3.2
+    ms at 4096 bins, 2.1 vs 3.5 at ~50 bins, 3.9 vs 3.8 at 59049 and
+    15.6 vs 7.3 at 531441.
     """
     span, shift = pair or (0, 0)
     m = codes.size - shift
-    counts = np.zeros(size, dtype=np.int64)
+    counts = np.zeros(size, dtype=dtype or _count_dtype(codes.size))
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         block = _pair_codes(codes, span, shift, lo, hi) if pair \
             else codes[lo:hi]
         if size <= _BLOCK >> 4:
-            counts += np.bincount(block, minlength=size)
+            counts += np.bincount(block, minlength=size).astype(counts.dtype)
         else:
-            np.add.at(counts, block, 1)
+            np.add.at(counts, block, counts.dtype.type(1))
     return counts
 
 
 def _distinct_counts(codes: np.ndarray, size: int, weights=None):
     """Distinct values of codes drawn from range(size), ascending, and
-    their counts as an int64 array; with positive ``weights``, the sum
-    of each value's weights as a float64 array instead.
+    their counts in ``_count_dtype(codes.size)``; with positive
+    ``weights``, the sum of each value's weights as a float64 array
+    instead.
 
     Counted over the whole range (``_code_counts``, or a bincount of
     the weights) when it is no larger than the code array, so that
-    buffer never outgrows the input; a sort otherwise.
+    buffer never outgrows the input; otherwise by the runs of a sorted
+    copy (:func:`_sorted_runs`), or, with weights, by ``np.unique``.
     """
     if size <= codes.size:
         counts = (_code_counts(codes, size) if weights is None
@@ -1165,9 +1203,38 @@ def _distinct_counts(codes: np.ndarray, size: int, weights=None):
         uniq = np.flatnonzero(counts)
         return uniq, counts[uniq]
     if weights is None:
-        return np.unique(codes, return_counts=True)
+        return _sorted_runs(codes)
     uniq, inverse = np.unique(codes, return_inverse=True)
     return uniq, np.bincount(inverse.ravel(), weights)
+
+
+def _sorted_runs(codes: np.ndarray):
+    """Distinct values of codes, ascending, in the codes' type, and the
+    length of each one's run in a sorted copy, in
+    ``_count_dtype(codes.size)``: what ``np.unique(codes,
+    return_counts=True)`` gives, without its int64 index and ``diff``
+    arrays of one entry per distinct value.
+
+    The copy is sorted in the codes' own (narrowest) type, and its runs
+    are found ``_BLOCK`` codes at a time, twice: once to count them,
+    once to write each run's value and the length of the run before.
+    """
+    ordered = np.sort(codes)
+    n = ordered.size
+
+    def starts(lo):  # of the runs in [lo, lo + _BLOCK)
+        block = ordered[lo - 1:lo + _BLOCK]
+        return np.flatnonzero(block[1:] != block[:-1]) + lo
+    k = 1 + sum(starts(lo).size for lo in range(1, n, _BLOCK))
+    uniq, runs = np.empty(k, ordered.dtype), np.empty(k, _count_dtype(n))
+    uniq[0], at, last = ordered[0], 1, 0
+    for lo in range(1, n, _BLOCK):
+        new = starts(lo)
+        uniq[at:at + new.size] = ordered[new]
+        runs[at - 1:at - 1 + new.size] = np.diff(new, prepend=last)
+        at, last = at + new.size, new[-1] if new.size else last
+    runs[k - 1] = n - last
+    return uniq, runs
 
 
 def _ranks(codes: np.ndarray, size: int):

@@ -31,6 +31,7 @@ from .infocore import (
     _code_counts,
     _code_dtype,
     _coerce_sequence,
+    _count_dtype,
     _distinct_counts,
     _doubling_steps,
     _entropy_of_counts,
@@ -149,7 +150,8 @@ class EmpiricalSource:
         H = {}
         if dense:
             top = dense[-1]
-            counts = _code_counts(window_codes(self.arr, top, s)[0], s ** top)
+            counts = _code_counts(window_codes(self.arr, top, s)[0], s ** top,
+                                  dtype=_count_dtype(n))
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
                     H[L] = _entropy_of_counts(counts)
@@ -198,7 +200,8 @@ class EmpiricalSource:
                 packed, keys = top, window_codes(self.arr, top, s, 2 * top)
             codes, span, _ = keys
             m = n - 2 * top - g + 1
-            Q = _code_counts(codes, span * span, (span, top + g))
+            Q = _code_counts(codes, span * span, (span, top + g),
+                             dtype=_count_dtype(n))
             Q = Q.reshape(span, span)
             for L in range(top, dense[0] - 1, -1):
                 if L in dense:
@@ -209,7 +212,7 @@ class EmpiricalSource:
                         missing[(L, g)] = str(e)
                 if L > dense[0]:
                     span //= s
-                    Q = _sum_last_digit(Q.reshape(s, -1).sum(0), s)
+                    Q = _sum_last_digit(Q.reshape(s, -1).sum(0, Q.dtype), s)
                     Q = Q.reshape(span, span)
                     m += 2
                     for i in (0, m - 1):
@@ -280,7 +283,8 @@ def _sum_last_digit(counts: np.ndarray, s: int) -> np.ndarray:
 
 def _pair_mi(Q: np.ndarray) -> float:
     """H(rows) + H(columns) − H(pairs) of a dense matrix of pair counts."""
-    return (_entropy_of_counts(Q.sum(1)) + _entropy_of_counts(Q.sum(0))
+    return (_entropy_of_counts(Q.sum(1, Q.dtype))
+            + _entropy_of_counts(Q.sum(0, Q.dtype))
             - _entropy_of_counts(Q.ravel()))
 
 

@@ -27,7 +27,8 @@ paths refuse window sizes beyond WINDOW_STATE_CAP states; Markov chains
 bridge the gap with a matrix power instead of enumerating it, so the
 cap there applies only to the two visible blocks (s^R·s^max(L, R)
 states for a gap cell read from the left block's edge context), and an
-exact power is held to GAP_POWER_BIT_CAP bits instead.  A
+exact power is held to GAP_POWER_BIT_CAP bits instead, the cell's own
+array of those states to eight times that.  A
 substitution fixed point has far fewer factors than words: its laws
 read the length-n windows of the pair images ζ^p(α)ζ^p(β), and the
 window count (factor_count_bound(n) at the shortest power p) times n,
@@ -733,12 +734,14 @@ class MarkovProcess:
         c[max(R − L, 0):] of its edge context c, weighted q·π(c); B is
         the first L symbols of a word entered at each context that
         (d·T)^(g+R) bridges c to.  The s^R·s^max(L, R) cells (capped as
-        such; ``joint_gap_distribution`` has s^(2L) pairs) are one 2-D
-        array for ``_mi_of_joint``: q·π ⊙ (d·T)^(g+R), for L > R a column
-        per right word, its entering context's column times its other
-        symbols' weight, for L < R summed over the first R − L symbols of
-        c and the last R − L of the entering context, as a table adds
-        them.  An order-0 cell would have one left key: 0, with no bridge.
+        such, and, before the bridge is taken, in bits at eight times
+        GAP_POWER_BIT_CAP; ``joint_gap_distribution`` has s^(2L) pairs)
+        are one 2-D array for ``_mi_of_joint``: q·π ⊙ (d·T)^(g+R), for
+        L > R a column per right word, its entering context's column
+        times its other symbols' weight, for L < R summed over the first
+        R − L symbols of c and the last R − L of the entering context, as
+        a table adds them.  An order-0 cell would have one left key: 0,
+        with no bridge.
         """
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
@@ -746,6 +749,14 @@ class MarkovProcess:
         _check_cap(s, R + max(L, R))
         if R == 0:
             return ExactBits(0) if self.exact else 0.0
+        # J's entries, each at most d^(g + max(L, R)); d = 1 on a float
+        # chain
+        entries, cap = m * s ** max(L, R), GAP_POWER_BIT_CAP << 3
+        bits = entries * (g + max(L, R)) * (self._d - 1).bit_length()
+        if bits > cap:
+            raise WindowCapError(
+                f"exact gap cell ({L}, {g}) of {entries} entries needs up to"
+                f" {bits} bits (use --backend float)", cap)
         B = self._gap_matrix(g + R)
         J = np.array(self._pi, dtype=B.dtype)[:, None] * B
         if L < R:

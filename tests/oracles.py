@@ -496,6 +496,21 @@ def int64_grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
     return codes, size, ranked
 
 
+# ── plug-in entropy of counts in two float arrays ───────────────────
+
+
+def two_array_entropy_of_counts(counts: np.ndarray) -> float:
+    """``infocore._entropy_of_counts`` as it was written with int64
+    counts: p = counts[counts > 0] / counts.sum(), then an array of
+    log₂ p times p, summed by one ``np.sum``."""
+    p = counts[counts > 0] / counts.sum()
+    if p.size == 1:
+        return 0.0
+    terms = np.log2(p)
+    terms *= p
+    return float(0.0 - terms.sum())
+
+
 # ── the sampler's walk, one step at a time ───────────────────────────
 
 

@@ -922,6 +922,60 @@ def test_estimates_on_10_6_symbol_samples_match_golden_files(tmp_path, capsys,
         assert out == (DATA / golden).read_text(), golden
 
 
+@pytest.fixture(scope="module")
+def ternary_sample(tmp_path_factory):
+    """The 10^6-symbol ternary sample at seed 101, pinned by its hash
+    in ``sample_1000000_101.sha256``."""
+    seq = tmp_path_factory.mktemp("seq") / "sample_ternary_1000000_101.txt"
+    assert main(["sample", "--model", TERNARY_SPEC, "--n", "1000000",
+                 "--seed", "101", "--out", str(seq)]) == 0
+    return seq
+
+
+# lengths past the dense top (3^13 words outnumber the windows) and
+# cells of 3^14 pair codes or more: counted by sorting
+SPARSE_COMMANDS = {
+    "entropy": ("entropy", "--Lmax", "16"),
+    "pmi": ("pmi", "--L-grid", "1,3,7,9,10", "--g-grid", "0,1,5,33"),
+}
+
+
+@pytest.mark.parametrize("command, golden", [
+    ("entropy", "entropy_seq_ternary_1000000_101_L16.json"),
+    ("pmi", "pmi_seq_ternary_1000000_101_sparse.json")])
+def test_sparse_estimates_on_the_ternary_sample_match_golden_files(
+        capsys, ternary_sample, command, golden):
+    # written before the sparse counts were read off sorted runs
+    name, *args = SPARSE_COMMANDS[command]
+    code, out, err = run(capsys, name, "--seq", str(ternary_sample), *args,
+                         "--format", "json")
+    assert code == 0, err
+    assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, bound", [
+    # 1 MB of symbols, 2.1 MB of uint32 counts of the 3^12 words, and
+    # the float array of p·log2 p: 7.4 MB; int64 counts with a second
+    # float array took 10.6 MB
+    (("entropy", "--Lmax", "12"), 8_500_000),
+    # the uint32 codes of a sparse length, their sorted copy, and the
+    # run values and uint32 lengths: 18.2 MB; np.unique took 28.8 MB
+    (SPARSE_COMMANDS["entropy"], 20_000_000),
+    # the same for the pair codes of its L >= 7 cells: 21.7 MB; 33.0 MB
+    (SPARSE_COMMANDS["pmi"], 24_000_000)])
+def test_window_counts_hold_flat_memory(capsys, ternary_sample, argv, bound):
+    import tracemalloc
+    name, *args = argv
+    tracemalloc.start()
+    try:
+        code = main([name, "--seq", str(ternary_sample), *args])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < bound
+
+
 def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
     from persistinfo.cli import _load_model, _load_sequence
     from persistinfo.processes import sample

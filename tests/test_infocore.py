@@ -27,6 +27,9 @@ from persistinfo.infocore import (
     _BLOCK,
     _code_counts,
     _coerce_sequence,
+    _count_dtype,
+    _distinct_counts,
+    _entropy_of_counts,
     _factor_smooth,
     _NotSmooth,
     empirical_block_distribution,
@@ -37,7 +40,7 @@ from persistinfo.infocore import (
     shannon_entropy,
 )
 
-from oracles import FractionExactBits
+from oracles import FractionExactBits, two_array_entropy_of_counts
 
 BITS = Alphabet("01")
 
@@ -694,12 +697,12 @@ def test_code_counts_match_bincount_on_both_sides_of_the_range_rule(size,
     for n in _COUNT_LENGTHS:
         codes = rng.integers(0, min(size, held), n).astype(dtype)
         got = _code_counts(codes, size)
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert np.array_equal(
             got, np.bincount(codes.astype(np.intp), minlength=size)), n
         codes, want = _pair_case(rng, min(span, held), dtype, n)
         got = _code_counts(codes, span * span, (span, 5))
-        assert got.dtype == np.int64
+        assert got.dtype == np.uint32
         assert np.array_equal(
             got, np.bincount(want, minlength=span * span)), n
 
@@ -757,3 +760,65 @@ def test_code_counts_take_bincount_up_to_4096_codes(monkeypatch, size, pair,
     # one call per block of _BLOCK codes, every one by the same kernel
     assert spy.calls == [route] * 4
     assert np.array_equal(got, np.bincount(want, minlength=size))
+
+
+# ── sparse counts: the runs of a sorted copy ─────────────────────────────────
+
+
+def _sparse_cases(dtype):
+    """Code arrays held as dtype: few values in long runs that cross
+    every block edge, one value, every value distinct, and runs that
+    change exactly at, just before and just after a block edge."""
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    n = 3 * _BLOCK + 7
+    top = min(int(np.iinfo(dtype).max), 1 << 40)
+    edges = np.zeros(n, dtype=dtype)
+    for i, at in enumerate((_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK)):
+        edges[at:] = i + 1
+    distinct = min(n, top + 1)
+    return [
+        rng.integers(0, 7, n).astype(dtype),
+        rng.integers(0, top, n, endpoint=True).astype(dtype),
+        np.full(n, top, dtype=dtype),
+        rng.permutation(distinct).astype(dtype) * (top // max(distinct - 1, 1)),
+        edges[::-1].copy(),
+        rng.integers(0, 7, 1).astype(dtype),
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_sparse_distinct_counts_match_unique(dtype):
+    for codes in _sparse_cases(dtype):
+        # a range past the code count takes the sorted route
+        uniq, counts = _distinct_counts(codes, codes.size + 1)
+        want_uniq, want_counts = np.unique(codes, return_counts=True)
+        assert uniq.dtype == codes.dtype and counts.dtype == np.uint32
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               3 * _BLOCK + 7])
+def test_entropy_of_counts_is_the_two_array_form_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [rng.integers(0, 50, n), rng.integers(0, 2, n) * 10 ** 6,
+             np.eye(1, n, n // 2, dtype=np.int64).ravel() * 7]
+    for counts in cases:
+        want = two_array_entropy_of_counts(counts)
+        for held in (counts, counts.astype(np.uint32),
+                     counts.astype(np.float64)):
+            got = _entropy_of_counts(held)
+            assert type(got) is float and got.hex() == want.hex()
+    assert _entropy_of_counts(cases[2]) == 0.0
+
+
+def test_count_type_is_uint32_below_2_to_the_32_symbols():
+    assert _count_dtype(1) == np.uint32
+    assert _count_dtype((1 << 32) - 1) == np.uint32
+    assert _count_dtype(1 << 32) == np.int64
+    codes = np.array([3, 1, 3, 0], dtype=np.uint8)
+    for size in (4, 5000):  # by bincount, by np.add.at
+        for n, dtype in (((1 << 32) - 1, np.uint32), (1 << 32, np.int64)):
+            got = _code_counts(codes, size, dtype=_count_dtype(n))
+            assert got.dtype == dtype
+            assert got[:4].tolist() == [1, 1, 0, 2] and not got[4:].any()

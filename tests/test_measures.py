@@ -640,6 +640,35 @@ def test_dense_lengths_count_the_sequence_once(monkeypatch):
         src, grid.L_grid, grid.g_grid)
 
 
+def test_counts_take_their_type_from_the_sequence_length(monkeypatch):
+    # every count of the marginal routes is uint32, read off the
+    # sequence's n symbols once per call, and no marginal sum widens
+    # to uint64
+    n = 20_000
+    src = EmpiricalSource(sample(lopsided_chain(), n, seed=5))
+    lengths, held = [], []
+    count_dtype, entropy_of_counts = measures._count_dtype, \
+        measures._entropy_of_counts
+
+    def spy_dtype(m):
+        lengths.append(m)
+        return count_dtype(m)
+
+    def spy_entropy(counts):
+        held.append(counts.dtype)
+        return entropy_of_counts(counts)
+    monkeypatch.setattr(measures, "_count_dtype", spy_dtype)
+    monkeypatch.setattr(measures, "_entropy_of_counts", spy_entropy)
+    H = src.block_entropies([1, 2, 3, 4, 5, 6, 7, 8])
+    values, missing = src.gap_mutual_informations((1, 2, 3), (0, 4))
+    assert lengths == [n, n, n]
+    assert held == [np.dtype(np.uint32)] * (8 + 3 * len(values))
+    monkeypatch.undo()
+    assert H == [src.block_entropy(L) for L in range(1, 9)]
+    assert not missing and values == {
+        (L, g): src.gap_mutual_information(L, g) for L, g in values}
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_distinct_counts_switch_agrees(extra):
     rng = np.random.default_rng(7)
@@ -648,7 +677,7 @@ def test_distinct_counts_switch_agrees(extra):
     want_uniq, want_counts = np.unique(codes, return_counts=True)
     assert uniq.tolist() == want_uniq.tolist()
     assert counts.tolist() == want_counts.tolist()
-    assert counts.dtype == np.int64
+    assert counts.dtype == np.uint32
     uniq, ranks = _ranks(codes, codes.size + extra)
     assert uniq.tolist() == want_uniq.tolist()
     assert ranks.dtype == np.uint16

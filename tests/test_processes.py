@@ -1218,6 +1218,38 @@ def test_exact_gap_cell_inside_the_bit_cap_stays_exact(monkeypatch):
         goldenmean().gap_mutual_information(1, 10)
 
 
+def test_exact_gap_cells_are_capped_by_their_own_array():
+    # the ternary chain's (4, 12943) bridge, 81 entries of 12945·4 bits,
+    # is inside the power's cap, but the cell's 9·3^4 entries of
+    # 12947·4 bits are not: refused before the power is taken
+    m = ternary_r2()
+    with pytest.raises(WindowCapError, match=(
+            r"^exact gap cell \(4, 12943\) of 729 entries needs up to"
+            r" 37753452 bits \(use --backend float\); cap is 2\*\*25$")):
+        m.gap_mutual_information(4, 12943)
+    assert not m._powers
+    floats = MarkovProcess.from_rows(
+        {a + b: (1 / 2, 1 / 3, 1 / 6) if a + b == "aa" else (1 / 4, 1 / 4, 1 / 2)
+         for a in "abc" for b in "abc"}, alphabet=Alphabet("abc"))
+    assert isinstance(floats.gap_mutual_information(4, 12943), float)
+
+
+def test_exact_gap_cell_just_inside_its_array_cap_stays_exact(monkeypatch):
+    # a cap of 2**11 bits: the ternary chain's (4, 1) cell holds 729
+    # entries of 5·4 bits, 14580 of the 2**14 its array may hold, and
+    # (4, 2) would hold 17496; both bridges are inside 2**11
+    monkeypatch.setattr(processes, "GAP_POWER_BIT_CAP", 1 << 11)
+    got = ternary_r2().gap_mutual_information(4, 1)
+    assert isinstance(got, ExactBits)
+    assert got == mutual_information(joint_gap_distribution(ternary_r2(), 4, 1))
+    m = ternary_r2()
+    with pytest.raises(WindowCapError, match=(
+            r"^exact gap cell \(4, 2\) of 729 entries needs up to 17496 bits"
+            r" \(use --backend float\); cap is 2\*\*14$")):
+        m.gap_mutual_information(4, 2)
+    assert not m._powers
+
+
 def test_block_entropy_classes_are_capped(monkeypatch):
     monkeypatch.setattr(processes, "WINDOW_STATE_CAP", 64)
     # golden-mean classes grow by one per length: 33 of them at length
