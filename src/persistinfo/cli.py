@@ -54,7 +54,6 @@ from .substitution import (
     Substitution,
     factor_frequencies,
     shortcut_matrix,
-    thue_morse_block_entropy_increment,
 )
 
 __all__ = [
@@ -551,18 +550,12 @@ def _computed_small_memory(model, order: int) -> dict:
     }
 
 
-def _tm_rate_limit():
-    """The exact increments on consecutive plateaus halve; their limit
-    is 0.  Returns None when the halving pattern breaks."""
-    vals = [float(thue_morse_block_entropy_increment(2 ** k + 2))
-            for k in range(2, 9)]
-    for a, b in zip(vals, vals[1:]):
-        if abs(b / a - 0.5) > 1e-12:
-            return None
-    return 0.0
-
-
 def _computed_thue_morse(model: SubstitutionProcess) -> dict:
+    # the model's increments H(2^k + 2) - H(2^k + 1), k = 2, 3, 4, each
+    # exactly half the one before: the staircase falls to h_P = 0
+    H = model.block_entropies([5, 6, 9, 10, 17, 18])
+    steps = [b - a for a, b in zip(H[::2], H[1::2])]
+    halving = all(a == b + b for a, b in zip(steps, steps[1:]))
     surrogates = [float(excess_entropy_finite(model, L))
                   for L in range(2, 10)]
     increments = [b - a for a, b in zip(surrogates, surrogates[1:])]
@@ -571,7 +564,7 @@ def _computed_thue_morse(model: SubstitutionProcess) -> dict:
     counts = [len(reconstruct(model, R, 5).states) for R in (3, 4, 5)]
     C = "diverging" if counts[0] < counts[1] < counts[2] else float(counts[-1])
     return {
-        "h_P": _tm_rate_limit(),
+        "h_P": 0.0 if halving else None,
         "E": E,
         "C_P": C,
         "PMI": _pmi_cell(model, (3, 5, 7, 9), (2, 4, 8)),

@@ -29,12 +29,10 @@ from typing import Dict, Optional, Tuple
 
 from .infocore import (
     Alphabet,
-    BlockDistribution,
     Scalar,
     Word,
     _agrees,
     _entropy_of_table,
-    _exact_str,
 )
 from .processes import _Frozen, reversed_model
 
@@ -76,62 +74,18 @@ class EpsilonMachine(_Frozen):
     """
 
     __slots__ = ("alphabet", "history_length", "future_length", "tol",
-                 "exact", "states", "state_probs", "transitions",
-                 "complexity", "history_index")
+                 "states", "state_probs", "transitions", "complexity",
+                 "history_index")
 
     def __init__(self, alphabet: Alphabet, history_length: int,
-                 future_length: int, tol: float, exact: bool,
+                 future_length: int, tol: float,
                  states: Tuple[Tuple[Word, ...], ...], state_probs: Tuple,
                  transitions: Dict, complexity: Scalar, history_index: Dict):
         # the arguments in the order of __slots__
         for name, value in zip(self.__slots__, (
-                alphabet, history_length, future_length, tol, exact, states,
+                alphabet, history_length, future_length, tol, states,
                 state_probs, transitions, complexity, history_index)):
             object.__setattr__(self, name, value)
-
-    def block_distribution(self, L: int) -> BlockDistribution:
-        """Law of length-L output blocks started from the stationary
-        state mixture.  Matches the source process for L up to
-        ``future_length``."""
-        if L < 1:
-            raise ValueError("block length must be >= 1")
-        layer = {(i, ()): p
-                 for i, p in enumerate(self.state_probs) if p != 0}
-        for _ in range(L):
-            new: dict = {}
-            for (i, w), p in layer.items():
-                for a in range(len(self.alphabet)):
-                    edge = self.transitions.get((i, a))
-                    if edge is None:
-                        continue
-                    j, q = edge
-                    key = (j, w + (a,))
-                    new[key] = new.get(key, 0) + p * q
-            layer = new
-        probs: dict = {}
-        for (_j, w), p in layer.items():
-            probs[w] = probs.get(w, 0) + p
-        return BlockDistribution(self.alphabet, L, probs)
-
-    def to_json_dict(self) -> dict:
-        dec = self.alphabet.decode
-        return {
-            "alphabet": list(self.alphabet.symbols),
-            "history_length": self.history_length,
-            "future_length": self.future_length,
-            "tol": self.tol,
-            "exact": self.exact,
-            "states": [[dec(h) for h in hs] for hs in self.states],
-            "state_probs": [float(p) for p in self.state_probs],
-            "state_probs_exact": [_exact_str(p) for p in self.state_probs],
-            "complexity": float(self.complexity),
-            "complexity_exact": _exact_str(self.complexity),
-            "transitions": [
-                {"from": i, "symbol": self.alphabet.symbols[a],
-                 "to": j, "p": float(p), "p_exact": _exact_str(p)}
-                for (i, a), (j, p) in sorted(self.transitions.items())
-            ],
-        }
 
 
 # ── reconstruction ────────────────────────────────────────────────────────────
@@ -225,7 +179,6 @@ def reconstruct(model, history_length: int, future_length: int,
         history_length=R,
         future_length=F,
         tol=float(tol),
-        exact=exact,
         states=states,
         state_probs=state_probs,
         transitions=transitions,

@@ -13,12 +13,11 @@ Conventions
     skipped, absent words mean probability zero.
   * Two probability backends coexist.  An exact table holds integer
     weights over one denominator D, so a word's probability is w / D;
-    it never rounds, and ``prob()`` returns that value as a
+    it never rounds, and ``probs`` reads that value as a
     :class:`fractions.Fraction`.  Models build the weights directly;
     a table given as Fractions is converted once, with D the lcm of
-    their denominators.  Marginals and restrictions add integers over
-    the same D.  Float distributions carry doubles and track no error
-    bounds.
+    their denominators.  Marginals add integers over the same D.  Float
+    distributions carry doubles and track no error bounds.
   * Exact entropies are represented symbolically as
     a + Σ_p c_p·log₂(p) over odd primes p (:class:`ExactBits`) whenever
     every probability factors over small primes; log₂ of distinct
@@ -165,9 +164,11 @@ class Alphabet:
         self.symbols = tuple(str(s) for s in symbols)
         if len(self.symbols) == 0:
             raise ValueError("alphabet must contain at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("alphabet labels must be distinct")
         self._index = {s: i for i, s in enumerate(self.symbols)}
+        for i, s in enumerate(self.symbols):
+            if self._index[s] != i:
+                raise ValueError(
+                    f"alphabet labels must be distinct: {s!r} repeats")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -180,9 +181,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols)!r})"
-
-    def index(self, label: str) -> int:
-        return self._index[label]
 
     def encode(self, text: Union[str, Iterable[str]]) -> Word:
         """Map a label sequence to a word of indices.
@@ -558,19 +556,6 @@ class _Table:
             return self.weights
         return _FractionView(self.weights, self.denominator)
 
-    def _prob(self, key):
-        if self.denominator is None:
-            return self.weights.get(key, 0.0)
-        return Fraction(self.weights.get(key, 0), self.denominator)
-
-    def _summed(self, key) -> dict:
-        """Weights added up per ``key(k)``, in first-seen order."""
-        out: dict = {}
-        for k, w in self.weights.items():
-            k = key(k)
-            out[k] = out.get(k, 0) + w
-        return out
-
 
 class BlockDistribution(_Table):
     """Probability table over fixed-length words.
@@ -613,17 +598,6 @@ class BlockDistribution(_Table):
         d._set_weights(weights, denominator)
         return d
 
-    def prob(self, word: Word):
-        return self._prob(tuple(word))
-
-    def restrict(self, start: int, stop: int) -> "BlockDistribution":
-        """Marginal distribution of word[start:stop]."""
-        if not (0 <= start <= stop <= self.block_length):
-            raise ValueError("bad restriction bounds")
-        return BlockDistribution._trusted(
-            self.alphabet, stop - start,
-            self._summed(lambda w: w[start:stop]), self.denominator)
-
     def __repr__(self) -> str:
         return (
             f"BlockDistribution(L={self.block_length}, "
@@ -635,8 +609,7 @@ class JointBlockDistribution(_Table):
     """Joint law of two blocks separated by ``gap`` unseen symbols.
 
     Keys are (left word, right word) pairs, stored as in
-    :class:`BlockDistribution`.  Both marginals are valid
-    :class:`BlockDistribution` objects over the same denominator.
+    :class:`BlockDistribution`.
     """
 
     __slots__ = ("alphabet", "left_length", "gap", "right_length", "weights",
@@ -668,20 +641,6 @@ class JointBlockDistribution(_Table):
         j.right_length = right_length
         j._set_weights(weights, denominator)
         return j
-
-    def prob(self, pair) -> Scalar:
-        lw, rw = pair
-        return self._prob((tuple(lw), tuple(rw)))
-
-    def left_marginal(self) -> BlockDistribution:
-        return BlockDistribution._trusted(
-            self.alphabet, self.left_length,
-            self._summed(lambda k: k[0]), self.denominator)
-
-    def right_marginal(self) -> BlockDistribution:
-        return BlockDistribution._trusted(
-            self.alphabet, self.right_length,
-            self._summed(lambda k: k[1]), self.denominator)
 
     def __repr__(self) -> str:
         return (
@@ -881,9 +840,12 @@ def marginalize_gap(window: BlockDistribution, left_length: int,
             f"window of length {window.block_length} cannot split into "
             f"left={left_length}, gap={gap}, right={right_length}"
         )
+    pairs: dict = {}
+    for w, x in window.weights.items():
+        key = (w[:left_length], w[left_length + gap:])
+        pairs[key] = pairs.get(key, 0) + x
     return JointBlockDistribution._trusted(
-        window.alphabet, left_length, gap, right_length,
-        window._summed(lambda w: (w[:left_length], w[left_length + gap:])),
+        window.alphabet, left_length, gap, right_length, pairs,
         window.denominator)
 
 
@@ -1267,14 +1229,13 @@ def _distinct_rows(rows: np.ndarray, s: int):
     return uniq.view(dtype).reshape(uniq.size, -1), inverse
 
 
-def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
-                                 exact: bool = False) -> BlockDistribution:
+def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None
+                                 ) -> BlockDistribution:
     """Plug-in estimator: sliding-window counts over all n−L+1 positions.
 
     ``seq`` may be a plain string (one character per symbol; alphabet
     inferred from the distinct characters when not given), an integer
-    sequence, or an integer ndarray.  ``exact=True`` keeps the counts
-    as exact rationals count/total.
+    sequence, or an integer ndarray.
     """
     if L < 1:
         raise ValueError("block length must be >= 1")
@@ -1283,9 +1244,6 @@ def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None,
     uniq, counts = _distinct_counts(codes, size)
     words = decode(uniq)
     total = int(counts.sum())
-    if exact:
-        return BlockDistribution(alphabet, L,
-                                 dict(zip(words, counts.tolist())), total)
     # int64 / int64 rounds exactly as int / int below 2**53
     probs = dict(zip(words, (counts / total).tolist()))
     return BlockDistribution(alphabet, L, probs)

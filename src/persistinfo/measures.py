@@ -94,10 +94,10 @@ class EmpiricalSource:
     order, as counting each length on its own, so the same floats.
     :meth:`block_entropies` grows the codes of each longer length in
     place from those of the length before.  Other cells are counted
-    one at a time by :meth:`gap_mutual_information`, which, with
-    :meth:`block_entropy`, also serves the tests as the oracle of the
-    marginal route.  Past 63 bits the codes are ranks, which keep
-    their order (:func:`window_codes`); no length builds a word table.
+    one at a time by :meth:`gap_mutual_information`, which also serves
+    the tests as the oracle of the marginal route.  Past 63 bits the
+    codes are ranks, which keep their order (:func:`window_codes`); no
+    length builds a word table.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
     those tables, decoding only the distinct codes into words.  Cells
@@ -173,12 +173,6 @@ class EmpiricalSource:
                 k = L
                 H[L] = _entropy_of_counts(_distinct_counts(codes, size)[1])
         return [H[L] for L in Ls]
-
-    def block_entropy(self, L: int) -> float:
-        """Plug-in H(L) in bits from the counts of the length-L codes."""
-        self._check_block(L)
-        codes, size, _ = window_codes(self.arr, L, len(self.alphabet))
-        return _entropy_of_counts(_distinct_counts(codes, size)[1])
 
     def gap_mutual_informations(self, Ls: Sequence[int],
                                 gs: Sequence[int]) -> tuple:

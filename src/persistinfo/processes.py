@@ -12,8 +12,8 @@ sample-only.  Module-level functions call the method of their name.
 
 Rational model parameters give exact distributions end to end: each
 table holds integer weights over one denominator D, built from
-integers without a Fraction per word, and ``prob()`` returns w / D as
-a Fraction.  The i.i.d. source (order 0) and the Ising chain (order
+integers without a Fraction per word, and ``probs`` reads w / D as a
+Fraction.  The i.i.d. source (order 0) and the Ising chain (order
 1) are Markov chains: ``MarkovProcess`` subclasses with no law or
 sampler of their own.  A rational Markov chain keeps its rows,
 stationary law and context matrix scaled to integers, so a length-L
@@ -31,11 +31,11 @@ exact power is held to GAP_POWER_BIT_CAP bits instead, the cell's own
 array of those states to eight times that.  A
 substitution fixed point has far fewer factors than words: its laws
 read the length-n windows of the pair images ζ^p(α)ζ^p(β), and the
-window count (factor_count_bound(n) at the shortest power p) times n,
-found from the image lengths before any image is built, is held to
-the same cap; a gap law reads only the two blocks of each window,
-building no length-n word.  WINDOW_STATE_CAP and WindowCapError live
-in ``infocore`` and are re-exported here.
+window count Σ_αβ |ζ^p(α)| times n, found from the image lengths
+before any image is built, is held to the same cap; a gap law reads
+only the two blocks of each window, building no length-n word.
+WINDOW_STATE_CAP and WindowCapError live in ``infocore`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -100,8 +100,21 @@ __all__ = [
     "closed_forms",
     "sample",
     "reversed_model",
-    "ising_entropy_rate",
 ]
+
+
+def _one_length(what: str, named: Mapping, detail: str) -> int:
+    """The length that every value of ``named`` shares; a refusal names
+    the first key of each of two lengths."""
+    first: dict = {}
+    for key, value in named.items():
+        first.setdefault(len(value), key)
+    if len(first) == 1:
+        return next(iter(first))
+    two = [detail.format(k, n) for n, k in first.items()][:2]
+    raise ValueError(f"{what} must share one length"
+                     + (": " + ", ".join(two) if two else ""))
+
 
 class ClosedFormUnavailable(ValueError):
     """The model class has no exact expression for the request."""
@@ -228,13 +241,11 @@ class PeriodicProcess(_WindowLaws):
         object.__setattr__(self, "cycle", cycle)
 
     @classmethod
-    def from_string(cls, cycle: str | Sequence,
-                    alphabet: Optional[Alphabet] = None) -> "PeriodicProcess":
+    def from_string(cls, cycle: str | Sequence) -> "PeriodicProcess":
         """A cycle of characters, or of labels, each read as ``Alphabet``
         reads its labels: by ``str``."""
         labels = [str(a) for a in cycle]
-        if alphabet is None:
-            alphabet = Alphabet(sorted(set(labels)))
+        alphabet = Alphabet(sorted(set(labels)))
         return cls(alphabet, alphabet.encode(labels))
 
     @property
@@ -565,15 +576,11 @@ class MarkovProcess:
     def from_rows(cls, rows: Mapping[str, Sequence],
                   alphabet: Optional[Alphabet] = None) -> "MarkovProcess":
         """Rows keyed by context strings, e.g. {"0": (.9, .1), "1": (.2, .8)}."""
-        orders = {len(k) for k in rows}
-        if len(orders) != 1:
-            raise ValueError("context strings must share one length")
-        order = orders.pop()
-        widths = {len(v) for v in rows.values()}
-        if len(widths) != 1:
-            raise ValueError("rows must share one length")
+        order = _one_length("context strings", {k: k for k in rows},
+                            "{!r} has length {}")
+        width = _one_length("rows", rows, "row {!r} has {} entries")
         if alphabet is None:
-            alphabet = Alphabet(str(i) for i in range(widths.pop()))
+            alphabet = Alphabet(str(i) for i in range(width))
         kernel = {alphabet.encode(k): v for k, v in rows.items()}
         return cls(alphabet, order, kernel)
 
@@ -631,8 +638,15 @@ class MarkovProcess:
             layer = new
         return layer
 
-    def _context_weights(self) -> dict:
-        return {c: p for c, p in zip(self.contexts, self._pi) if p != 0}
+    def _context_sums(self, L: int) -> dict:
+        """The context weights summed to their last L <= R symbols,
+        zeros left out, keys in first-seen order."""
+        cut = self.order - L
+        sums: dict = {}
+        for c, w in zip(self.contexts, self._pi):
+            if w:
+                sums[c[cut:]] = sums.get(c[cut:], 0) + w
+        return sums
 
     # public surface ---------------------------------------------------------
 
@@ -641,14 +655,11 @@ class MarkovProcess:
             raise ValueError("block length must be >= 1")
         _check_cap(len(self.alphabet), L)
         R = self.order
-        if R and L <= R:
-            ctx = BlockDistribution(self.alphabet, R, self._context_weights(),
-                                    self._denominator(0))
-            return ctx.restrict(R - L, R)
         # every row d·P sums to d: the words' weights sum to q·d^(L−R)
-        words = self._extend(self._context_weights(), L - R)
+        words = (self._context_sums(L) if L <= R
+                 else self._extend(self._context_sums(R), L - R))
         return BlockDistribution._trusted(self.alphabet, L, words,
-                                          self._denominator(L - R))
+                                          self._denominator(max(L - R, 0)))
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
         """H(L) in bits for each length of Ls.  Words of length L >= R
@@ -663,10 +674,8 @@ class MarkovProcess:
         R, s = self.order, len(self.alphabet)
         H = {}
         for L in {L for L in Ls if L < R}:
-            sums: dict = {}
-            for c, w in self._context_weights().items():
-                sums[c[R - L:]] = sums.get(c[R - L:], 0) + w
-            H[L] = _entropy_of_table(sums.values(), self._denominator(0))
+            H[L] = _entropy_of_table(self._context_sums(L).values(),
+                                     self._denominator(0))
         layer = {(ci, w): 1 for ci, w in enumerate(self._pi) if w}
         for L in range(R, max(Ls) + 1):
             if L > R:
@@ -964,13 +973,6 @@ class IidProcess(MarkovProcess):
 
 
 # ── one-dimensional Ising chain ─────────────────────────────────────
-
-
-def ising_entropy_rate(J: float, h: float, beta: float) -> float:
-    """Entropy rate (bits per spin) of the nearest-neighbour Ising
-    chain: the closed form Σ_s π_s H(P(· | s)) of ``IsingChainProcess``,
-    which takes no difference of large numbers and never overflows."""
-    return IsingChainProcess(J, h, beta).closed_forms().entropy_rate
 
 
 def _ising_chain(J: float, h: float, beta: float):

@@ -32,9 +32,8 @@ check of the letter composition matrix (_letter_perron, a forward and
 a backward breadth-first walk over its nonzero entries), the pair
 frequencies with their integer weights (_pair_perron, the one Perron
 system solved), the pair factors, the factor sets, and the shortcut
-powers with their image lengths.  The images ζ^p(a) are rebuilt for
-each count; building them costs less than the window pass that reads
-them.
+powers.  The images ζ^p(a) are rebuilt for each count; building them
+costs less than the window pass that reads them.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,7 +75,6 @@ __all__ = [
     "factor_frequencies",
     "shortcut_matrix",
     "shortcut_power",
-    "factor_count_bound",
     "thue_morse_block_entropy_increment",
     "forbidden_words_check",
     "thue_morse",
@@ -110,9 +108,10 @@ class Substitution:
         rules = tuple(tuple(r) for r in rules)
         if len(rules) != s:
             raise ValueError("need exactly one rule per letter")
-        for r in rules:
+        for a, r in enumerate(rules):
             if not r:
-                raise ValueError("empty image word")
+                raise ValueError(
+                    f"empty image word for letter {alphabet.symbols[a]!r}")
             if any(not (0 <= a < s) for a in r):
                 raise ValueError("image uses a letter outside the alphabet")
         if not (0 <= start < s):
@@ -147,12 +146,11 @@ class Substitution:
                     " do not grow: they stay one letter long")
 
     @classmethod
-    def from_strings(cls, rules: Mapping[str, str], start: str,
-                     alphabet: Optional[Alphabet] = None) -> "Substitution":
+    def from_strings(cls, rules: Mapping[str, str],
+                     start: str) -> "Substitution":
         """Build from single-character symbols, e.g. {"0": "01", "1": "10"};
         ``start`` is one of them."""
-        if alphabet is None:
-            alphabet = Alphabet(sorted(rules))
+        alphabet = Alphabet(sorted(rules))
         table = [alphabet.encode(rules[sym]) for sym in alphabet.symbols]
         letter = alphabet.encode(start) if isinstance(start, str) else ()
         if len(letter) != 1:
@@ -383,7 +381,6 @@ class FactorTable(NamedTuple):
 
     factors: tuple
     freq: dict
-    exact: bool
 
 
 @lru_cache(maxsize=None)
@@ -424,8 +421,7 @@ def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
     substitution; each call returns a table of its own.
     """
     sc = shortcut_matrix(subst, l, shortcut_power(subst, l))
-    return FactorTable(sc.factors_l, dict(zip(sc.factors_l, sc.v_l)),
-                       sc.exact)
+    return FactorTable(sc.factors_l, dict(zip(sc.factors_l, sc.v_l)))
 
 
 # ── shortcut from pair frequencies to length-l frequencies ──────────
@@ -446,26 +442,19 @@ class ShortcutData(NamedTuple):
     v2: tuple
     v_l: tuple
     power: int
-    exact: bool
 
 
 @lru_cache(maxsize=None)
-def _shortcut_lengths(subst: Substitution, l: int) -> tuple:
-    """shortcut_power(subst, l) and |ζ^p(a)| for every letter a at that
-    power p, the column sums of M^p, as a tuple of Python ints.  The
-    shortest image doubles at least once every s powers, as Substitution
-    checks at construction."""
+def shortcut_power(subst: Substitution, l: int) -> int:
+    """Smallest power p >= 1 with min_a |ζ^p(a)| >= l - 1, the least p
+    that shortcut_matrix accepts for length l.  The image lengths are
+    the column sums of M^p, as Python ints; the shortest doubles at
+    least once every s powers, as Substitution checks at construction."""
     M = composition_matrix(subst).astype(object)
     p, lengths = 1, M.sum(axis=0)
     while min(lengths) < l - 1:
         p, lengths = p + 1, lengths @ M
-    return p, tuple(lengths.tolist())
-
-
-def shortcut_power(subst: Substitution, l: int) -> int:
-    """Smallest power p >= 1 with min_a |ζ^p(a)| >= l - 1, the least p
-    that shortcut_matrix accepts for length l."""
-    return _shortcut_lengths(subst, l)[0]
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -546,20 +535,6 @@ def _window_law(subst: Substitution, power: int, spans) -> tuple:
     return rows, counts, [x / total for x in raw], None
 
 
-def factor_count_bound(subst: Substitution, n: int) -> int:
-    """Upper bound on the number of length-n factors of a primitive
-    substitution's fixed point, found before enumerating any of them.
-
-    With p = shortcut_power(subst, n), every length-n factor starts
-    inside some ζ^p(α) and ends inside the next image ζ^p(β), where αβ
-    is a factor; so there are at most Σ_{αβ} |ζ^p(α)| of them.
-    """
-    if n < 1:
-        raise ValueError("factor length must be positive")
-    _, lengths = _shortcut_lengths(subst, n)
-    return sum(lengths[alpha] for alpha, _ in _pair_factors(subst))
-
-
 def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
     """ShortcutData at any l >= 1: at l = 1 the count tallies the
     letters of each ζ^p(α), which gives the letter table at every p."""
@@ -574,7 +549,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
     return ShortcutData(
         matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
         factors_2=pairs, v2=pf.eigenvector,
-        v_l=v_l, power=power, exact=pf.exact)
+        v_l=v_l, power=power)
 
 
 # ── parity-sequence entropy increments ──────────────────────────────

@@ -17,11 +17,14 @@ from persistinfo.infocore import (
     JointBlockDistribution,
     _BLOCK,
     _code_dtype,
+    _distinct_counts,
+    _entropy_of_counts,
     _factor_smooth,
     _passes_63_bits,
     _ranks,
     entropy_of_probs,
     shannon_entropy,
+    window_codes,
 )
 from persistinfo.processes import (
     ClosedForms,
@@ -30,7 +33,12 @@ from persistinfo.processes import (
     _causal_state_masses,
     _ising_chain,
 )
-from persistinfo.substitution import _levels
+from persistinfo.substitution import (
+    _levels,
+    _pair_factors,
+    composition_matrix,
+    shortcut_power,
+)
 
 
 def geometric_decay_rate(points: Sequence) -> float:
@@ -61,6 +69,75 @@ class WindowOracle:
 
     def block_distribution(self, L: int):
         return self._model.block_distribution(L)
+
+
+# ── tables read off other tables ─────────────────────────────────────
+
+
+def _marginal(j: JointBlockDistribution, side: int,
+              length: int) -> BlockDistribution:
+    weights: dict = {}
+    for key, w in j.weights.items():
+        weights[key[side]] = weights.get(key[side], 0) + w
+    return BlockDistribution._trusted(j.alphabet, length, weights,
+                                      j.denominator)
+
+
+def left_marginal(j: JointBlockDistribution) -> BlockDistribution:
+    """The law of a joint table's left block, its weights added in
+    first-seen order over the same denominator."""
+    return _marginal(j, 0, j.left_length)
+
+
+def right_marginal(j: JointBlockDistribution) -> BlockDistribution:
+    """The law of a joint table's right block, as ``left_marginal``."""
+    return _marginal(j, 1, j.right_length)
+
+
+def machine_block_distribution(machine, L: int) -> BlockDistribution:
+    """Law of a causal-state machine's length-L output blocks, started
+    from the stationary state mixture: the source's for L up to the
+    machine's ``future_length``."""
+    if L < 1:
+        raise ValueError("block length must be >= 1")
+    layer = {(i, ()): p for i, p in enumerate(machine.state_probs) if p != 0}
+    for _ in range(L):
+        new: dict = {}
+        for (i, w), p in layer.items():
+            for a in range(len(machine.alphabet)):
+                edge = machine.transitions.get((i, a))
+                if edge is not None:
+                    j, q = edge
+                    new[(j, w + (a,))] = new.get((j, w + (a,)), 0) + p * q
+        layer = new
+    probs: dict = {}
+    for (_j, w), p in layer.items():
+        probs[w] = probs.get(w, 0) + p
+    return BlockDistribution(machine.alphabet, L, probs)
+
+
+def empirical_block_entropy(src, L: int) -> float:
+    """Plug-in H(L) in bits of a sequence source, from the counts of its
+    length-L codes alone: the oracle of ``EmpiricalSource.block_entropies``,
+    which reads shorter lengths off the counts of a longer one."""
+    src._check_block(L)
+    codes, size, _ = window_codes(src.arr, L, len(src.alphabet))
+    return _entropy_of_counts(_distinct_counts(codes, size)[1])
+
+
+def factor_count_bound(subst, n: int) -> int:
+    """Upper bound on the number of length-n factors of a primitive
+    substitution's fixed point, found before enumerating any of them.
+
+    With p = shortcut_power(subst, n), every length-n factor starts
+    inside some ζ^p(α) and ends inside the next image ζ^p(β), where αβ
+    is a factor; so there are at most Σ_{αβ} |ζ^p(α)| of them.
+    """
+    if n < 1:
+        raise ValueError("factor length must be positive")
+    M = composition_matrix(subst).astype(object)
+    lengths = np.linalg.matrix_power(M, shortcut_power(subst, n)).sum(axis=0)
+    return sum(int(lengths[alpha]) for alpha, _ in _pair_factors(subst))
 
 
 # ── exact bits with one Fraction per coefficient ─────────────────────
@@ -213,7 +290,7 @@ def gap_cells_oracle(m, L: int, g: int) -> JointBlockDistribution:
     right = [(m._cindex[w[:R]], w[:L], q) for w, q in m._extend(
         dict.fromkeys(m.contexts, 1), max(L - R, 0)).items()]
     cells: dict = {}
-    for c, p in m._context_weights().items():
+    for c, p in m._context_sums(R).items():
         a = c[max(R - L, 0):]
         row = [p * x for x in bridges[m._cindex[c]]]
         for cj, b, q in right:
@@ -278,7 +355,7 @@ def table_mi_oracle(j: JointBlockDistribution):
         right[b] = right.get(b, 0) + w
     if j.exact:
         hs = [shannon_entropy(t)
-              for t in (j.left_marginal(), j.right_marginal(), j)]
+              for t in (left_marginal(j), right_marginal(j), j)]
         if not any(isinstance(h, float) for h in hs):
             return hs[0] + hs[1] - hs[2]
     return mi_of_deviations(j.weights, left, right, j.denominator)
@@ -351,10 +428,10 @@ def block_table_reversed(m):
     kernel, pi_rev = {}, []
     for d in product(range(s), repeat=R):
         fwd = tuple(reversed(d))
-        pd = blocks_R.prob(fwd)
+        pd = blocks_R.probs.get(fwd, 0)
         pi_rev.append(pd)
         kernel[d] = uniform if pd == 0 else tuple(
-            blocks_R1.prob((a,) + fwd) / pd for a in range(s))
+            blocks_R1.probs.get((a,) + fwd, 0) / pd for a in range(s))
     return ChainWithLaw(m.alphabet, R, kernel, pi_rev)
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import persistinfo
 from persistinfo import cli, emachine, measures, processes, substitution
 from persistinfo.cli import main
-from persistinfo.infocore import Alphabet
+from persistinfo.infocore import Alphabet, ExactBits
 from persistinfo.processes import IidProcess, MarkovProcess
 from persistinfo.substitution import fibonacci, thue_morse
 
@@ -110,7 +110,7 @@ def test_comma_sequence_file_labels_and_codes(tmp_path):
     p.write_text(",".join(labels) + "\n")
     src = _load_sequence(str(p))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
-    assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
+    assert src.arr.tolist() == list(src.alphabet.encode(labels))
 
 
 @pytest.mark.parametrize("text, position", [
@@ -481,6 +481,26 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
     (("entropy", "--model",
       '{"kind":"iid","alphabet":["a","b"],"probs":[1]}', "--Lmax", "3"),
      "iid model field 'probs' has length 1, but the alphabet has size 2"),
+    # a model that its own fields contradict names the field at fault
+    (("entropy", "--model",
+      '{"kind":"markov","alphabet":["a","a"],"rows":{"a":[1,0]}}',
+      "--Lmax", "2"), "alphabet labels must be distinct: 'a' repeats"),
+    (("entropy", "--model",
+      '{"kind":"iid","alphabet":["a","b","a"],"probs":[0.2,0.3,0.5]}',
+      "--Lmax", "2"), "alphabet labels must be distinct: 'a' repeats"),
+    (("entropy", "--model",
+      '{"kind":"markov","rows":{"0":[0.5,0.5],"10":[0.5,0.5]}}',
+      "--Lmax", "2"),
+     "context strings must share one length: '0' has length 1, '10' has"
+     " length 2"),
+    (("entropy", "--model",
+      '{"kind":"markov","rows":{"0":[0.5,0.5],"1":[0.2,0.3,0.5]}}',
+      "--Lmax", "2"),
+     "rows must share one length: row '0' has 2 entries, row '1' has 3"
+     " entries"),
+    (("entropy", "--model",
+      '{"kind":"substitution","rules":{"0":"01","1":""},"start":"0"}',
+      "--Lmax", "2"), "empty image word for letter '1'"),
 ])
 def test_command_refusals_name_the_cause(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")
@@ -629,6 +649,29 @@ def test_table1_json_cells(capsys):
     # table rows required by the closed-form sweep
     for label in ("period-2", "period-5", "markov-r2", "iid-biased"):
         assert label in rows
+
+
+def test_table1_reads_the_thue_morse_rate_off_the_model(capsys, monkeypatch):
+    # h_P = 0 is read off the model's increments H(2^k + 2) - H(2^k + 1),
+    # k = 2, 3, 4, each half the one before; one that stops halving
+    # leaves the cell unknown, a violation
+    whole = processes.SubstitutionProcess.block_entropies
+
+    def skewed(self, Ls):
+        return [H + ExactBits(F(1, 1000)) if L == 18 else H
+                for L, H in zip(Ls, whole(self, Ls))]
+
+    monkeypatch.setattr(processes.SubstitutionProcess, "block_entropies",
+                        skewed)
+    code, out, _ = run(capsys, "table1", "--format", "json")
+    assert code == 1
+    blob = json.loads(out)
+    tm = {r["model"]: r["cells"] for r in blob["rows"]}["thue-morse"]
+    assert tm["h_P"] == {"closed": 0.0, "computed": "?", "diff": "MISMATCH"}
+    assert blob["violations"] == 1
+    code, out, _ = run(capsys, "table1")
+    assert code == 1
+    assert out.endswith("violations: 1\n")
 
 
 # ── substitution ─────────────────────────────────────────────────────────────
@@ -822,6 +865,25 @@ def test_ising_names_a_high_temperature_excess_entropy(capsys):
     assert len(out.splitlines()) == 4
     assert err == ("error: E(100) = 0.999999937554 exceeds 1e-3 at high"
                    " temperature\n")
+
+
+def test_ising_names_an_excess_entropy_that_is_not_unimodal(capsys,
+                                                             monkeypatch):
+    # no (J, h) tried gives E(T) two peaks, so the closed form is patched
+    exact = cli.closed_forms
+
+    def two_peaks(model):
+        T = 1 / model.beta
+        E = 2e-4 if T < 1.5 else 1e-4 if T < 2 else 3e-4 if T < 50 else 0.0
+        return exact(model)._replace(excess_entropy=E)
+
+    monkeypatch.setattr(cli, "closed_forms", two_peaks)
+    code, out, err = run(capsys, "ising", "--Tmin", "1", "--Tmax", "3",
+                         "--points", "3")
+    assert code == 1
+    assert [line.split(",")[2] for line in out.splitlines()] == [
+        "E", "0.0002", "0.0001", "0.0003"]
+    assert err == "error: E(T) is not unimodal\n"
 
 
 def test_ising_rejects_nonpositive_temperature(capsys):
@@ -1065,7 +1127,7 @@ def test_comma_sequence_file_orders_labels_as_python(tmp_path):
     p.write_text(",".join(labels) + "\n")
     src = _load_sequence(str(p))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
-    assert src.arr.tolist() == [src.alphabet.index(x) for x in labels]
+    assert src.arr.tolist() == list(src.alphabet.encode(labels))
 
 
 @pytest.mark.parametrize("text, block, position", [
@@ -1321,11 +1383,10 @@ RECORD_FIELDS = {
     processes.SubstitutionProcess: "substitution",
     substitution.PerronFrobeniusData:
         "theta eigenvector primitive period exact",
-    substitution.FactorTable: "factors freq exact",
-    substitution.ShortcutData:
-        "matrix factors_l factors_2 v2 v_l power exact",
+    substitution.FactorTable: "factors freq",
+    substitution.ShortcutData: "matrix factors_l factors_2 v2 v_l power",
     emachine.EpsilonMachine:
-        "alphabet history_length future_length tol exact states"
+        "alphabet history_length future_length tol states"
         " state_probs transitions complexity history_index",
 }
 

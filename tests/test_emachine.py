@@ -6,16 +6,15 @@ conditional future laws, then entropies over the joint state law)
 before the module was written.
 """
 
-import json
-import math
 import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from oracles import WindowOracle
+from oracles import WindowOracle, machine_block_distribution
 
+from persistinfo import emachine
 from persistinfo.emachine import (
     EpsilonMachine,
     NonUnifilarError,
@@ -23,7 +22,12 @@ from persistinfo.emachine import (
     machine_excess_entropy,
     reconstruct,
 )
-from persistinfo.infocore import Alphabet, ExactBits, WindowCapError
+from persistinfo.infocore import (
+    Alphabet,
+    BlockDistribution,
+    ExactBits,
+    WindowCapError,
+)
 from persistinfo.processes import (
     IidProcess,
     IsingChainProcess,
@@ -81,7 +85,7 @@ def test_iid_machine_blocks_match_model():
     coin = IidProcess.from_probs([F(1, 2), F(1, 2)])
     m = reconstruct(coin, 2, 2)
     for L in (1, 2):
-        assert m.block_distribution(L).probs == \
+        assert machine_block_distribution(m, L).probs == \
             coin.block_distribution(L).probs
 
 
@@ -209,7 +213,7 @@ def test_goldenmean_machine_blocks_match_model():
     gm = goldenmean()
     m = reconstruct(gm, 1, 2)
     for L in (1, 2):
-        assert m.block_distribution(L).probs == \
+        assert machine_block_distribution(m, L).probs == \
             gm.block_distribution(L).probs
 
 
@@ -312,7 +316,7 @@ def test_ising_machine_matches_closed_forms():
     chain = IsingChainProcess(J=1.0, h=0.5, beta=0.7)
     m = reconstruct(chain, 1, 2)
     assert len(m.states) == 2
-    assert not m.exact
+    assert isinstance(m.complexity, float)
     cf = closed_forms(chain)
     assert float(m.complexity) == pytest.approx(
         float(cf.complexity_plus), abs=1e-9)
@@ -324,13 +328,13 @@ def test_ising_machine_blocks_match_model():
     chain = IsingChainProcess(J=1.0, h=0.5, beta=0.7)
     m = reconstruct(chain, 1, 2)
     mod = chain.block_distribution(2)
-    mach = m.block_distribution(2)
+    mach = machine_block_distribution(m, 2)
     assert set(mach.probs) == set(mod.probs)
     for w, p in mod.probs.items():
         assert mach.probs[w] == pytest.approx(p, abs=1e-12)
 
 
-# ── machine internals and serialization ──────────────────────────────────────
+# ── machine internals ────────────────────────────────────────────────────────
 
 
 def test_state_probs_are_stationary():
@@ -339,19 +343,6 @@ def test_state_probs_are_stationary():
     for (i, _a), (j, p) in m.transitions.items():
         flow[j] += m.state_probs[i] * p
     assert tuple(flow) == m.state_probs
-
-
-def test_json_round_trip():
-    m = reconstruct(goldenmean(), 1, 2)
-    d = m.to_json_dict()
-    blob = json.loads(json.dumps(d))
-    assert blob["history_length"] == 1
-    assert blob["future_length"] == 2
-    assert len(blob["states"]) == 2
-    assert blob["states"][0] == ["0"]
-    assert blob["state_probs_exact"] == ["2/3", "1/3"]
-    assert blob["complexity"] == pytest.approx(math.log2(3) - 2 / 3)
-    assert len(blob["transitions"]) == 3
 
 
 def test_reconstruct_argument_validation():
@@ -365,6 +356,40 @@ def test_reconstruct_argument_validation():
     # refused before the 2**28-word window is built
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         reconstruct(gm, 14, 14, tol=-1e-3)
+
+
+class _OneTable:
+    """A binary process of no known order that hands out one given
+    table at its one length, whether or not a process has it."""
+
+    alphabet = Alphabet("01")
+
+    def __init__(self, weights):
+        self._weights = weights
+
+    def block_distribution(self, L: int):
+        return BlockDistribution(self.alphabet, L, self._weights,
+                                 sum(self._weights.values()))
+
+
+def test_reconstruct_refuses_a_table_that_no_process_has():
+    # history 0 is followed by 1, but no pair starts with 1
+    with pytest.raises(ArithmeticError) as e:
+        reconstruct(_OneTable({(0, 1): 1}), 1, 1)
+    assert str(e.value) == ("successor history has zero probability; "
+                            "window law is inconsistent")
+    # P(0) = 1/2 in the first symbol, but 1/4 in the second
+    with pytest.raises(ArithmeticError) as e:
+        reconstruct(_OneTable({(0, 0): 1, (0, 1): 1, (1, 1): 2}), 1, 1)
+    assert str(e.value) == "state law is not stationary"
+
+
+def test_validate_refuses_edges_whose_mass_is_not_one():
+    # reconstruct divides each edge by its state's mass, so no table
+    # reaches this check; the edges are given here
+    with pytest.raises(ArithmeticError) as e:
+        emachine._validate((((0,),),), (F(1),), {(0, 0): (0, F(1, 2))})
+    assert str(e.value) == "state 0 outgoing mass 1/2"
 
 
 def test_machine_is_immutable():
@@ -407,7 +432,8 @@ def machine_or_refusal(model, R, F_len):
 def assert_same_machine(got, want, exact=True):
     assert got.states == want.states
     assert got.history_index == want.history_index
-    assert got.exact == want.exact and got.tol == want.tol
+    assert type(got.complexity) is type(want.complexity)
+    assert got.tol == want.tol
     assert got.transitions.keys() == want.transitions.keys()
     if exact:
         assert got.state_probs == want.state_probs
@@ -552,7 +578,8 @@ def test_float_chain_rows_off_by_1e10_give_tables_and_machines():
     m = MarkovProcess.from_rows({"0": (0.3, 0.7000000001), "1": (0.5, 0.5)})
     assert len(m.block_distribution(5).weights) == 32
     machine = reconstruct(m, 1, 3)
-    assert len(machine.states) == 2 and not machine.exact
+    assert len(machine.states) == 2
+    assert isinstance(machine.complexity, float)
 
 
 def test_machine_future_tables_keep_the_window_cap():

@@ -56,7 +56,11 @@ from persistinfo.processes import (
 )
 from persistinfo.substitution import fibonacci, thue_morse
 
-from oracles import geometric_decay_rate, int64_grow_codes
+from oracles import (
+    empirical_block_entropy,
+    geometric_decay_rate,
+    int64_grow_codes,
+)
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 
@@ -387,7 +391,7 @@ def test_count_path_matches_table_oracles(case):
 
     blocks = _naive_counts(tuple(seq[i:i + L].tolist())
                            for i in range(seq.size - L + 1))
-    h = src.block_entropy(L)
+    h = empirical_block_entropy(src, L)
     assert type(h) is float
     assert abs(h - _fsum_entropy(list(blocks.values()))) <= 1e-12
     assert abs(h - shannon_entropy(src.block_distribution(L))) <= 1e-9
@@ -549,7 +553,8 @@ def test_ranks_of_narrow_codes_make_no_whole_array_index():
 
 def entropy_curve_oracle(src, L_max):
     """H(1..L_max) of an observed sequence, one pass per length."""
-    return tuple(src.block_entropy(L) for L in range(1, L_max + 1))
+    return tuple(empirical_block_entropy(src, L)
+                 for L in range(1, L_max + 1))
 
 
 def gap_mi_grid_oracle(src, Ls, gs):
@@ -664,7 +669,7 @@ def test_counts_take_their_type_from_the_sequence_length(monkeypatch):
     assert lengths == [n, n, n]
     assert held == [np.dtype(np.uint32)] * (8 + 3 * len(values))
     monkeypatch.undo()
-    assert H == [src.block_entropy(L) for L in range(1, 9)]
+    assert H == [empirical_block_entropy(src, L) for L in range(1, 9)]
     assert not missing and values == {
         (L, g): src.gap_mutual_information(L, g) for L, g in values}
 
@@ -702,7 +707,7 @@ def test_gap_mi_of_long_blocks_matches_table(seq, L):
 
 def test_gap_mi_buffers_stay_within_the_windows():
     src = EmpiricalSource("ab" * 2000)
-    src.block_entropy(22)  # pack the window codes outside the trace
+    empirical_block_entropy(src, 22)  # pack the window codes outside the trace
     tracemalloc.start()
     try:
         mi = src.gap_mutual_information(22, 1)
@@ -718,7 +723,8 @@ def test_count_path_falls_back_past_63_bits():
     seq = "abc" * 300 + "cab" * 300
     src = EmpiricalSource(seq)
     # ternary codes of length 40 do not fit; pair codes of 2 x 20 neither
-    assert src.block_entropy(40) == shannon_entropy(src.block_distribution(40))
+    assert (src.block_entropies([40])
+            == [shannon_entropy(src.block_distribution(40))])
     L, g = 20, 3
     m = len(seq) - 2 * L - g + 1
     left = [seq[i:i + L] for i in range(m)]
@@ -731,7 +737,7 @@ def test_count_path_falls_back_past_63_bits():
 
 def test_constant_sequence_has_positive_zero_entropy():
     src = EmpiricalSource("a" * 50)
-    for h in (src.block_entropy(3), src.gap_mutual_information(2, 1)):
+    for h in (*src.block_entropies([3]), src.gap_mutual_information(2, 1)):
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
@@ -785,7 +791,7 @@ def test_rank_codes_match_digit_codes(case):
     s, L, g, seq = case
     src = EmpiricalSource(seq, Alphabet(str(a) for a in range(s)))
     estimates = (
-        lambda: src.block_entropy(L),
+        lambda: empirical_block_entropy(src, L),
         lambda: src.gap_mutual_information(L, g),
         lambda: list(src.block_distribution(L).probs.items()),
         lambda: list(src.joint_gap_distribution(L, g).probs.items()),
@@ -861,7 +867,7 @@ def test_narrow_sequences_count_as_their_int64_copies(case):
     assert size == wide_size and np.array_equal(codes, wide_codes)
     Ls = list(range(1, L + 1))
     assert src.block_entropies(Ls) == wide.block_entropies(Ls)
-    assert src.block_entropy(L) == wide.block_entropy(L)
+    assert empirical_block_entropy(src, L) == empirical_block_entropy(wide, L)
     grid = (sorted({1, L // 2 + 1, L}), sorted({0, g, g + 1}))
     assert (src.gap_mutual_informations(*grid)
             == wide.gap_mutual_informations(*grid))
@@ -887,7 +893,7 @@ def test_longer_lengths_grow_from_the_length_before(monkeypatch):
     got = src.block_entropies(Ls)
     assert coded == [3]
     monkeypatch.undo()
-    assert got == [src.block_entropy(L) for L in Ls]
+    assert got == [empirical_block_entropy(src, L) for L in Ls]
 
 
 def _ternary_chain_sample():
@@ -931,8 +937,8 @@ def test_block_entropy_of_a_long_uniform_sequence_is_correctly_summed():
     codes = sum(arr[i:i + m] * 3 ** (L - 1 - i) for i in range(L))
     counts = np.bincount(codes)
     want = _fsum_entropy(counts[counts > 0].tolist())
-    assert abs(EmpiricalSource(arr, Alphabet("abc")).block_entropy(L) - want) \
-        <= 1e-13
+    [h] = EmpiricalSource(arr, Alphabet("abc")).block_entropies([L])
+    assert abs(h - want) <= 1e-13
 
 
 def test_grid_csv_layout():

@@ -52,7 +52,6 @@ from persistinfo.processes import (
     WindowCapError,
     block_distribution,
     closed_forms,
-    ising_entropy_rate,
     joint_gap_distribution,
     reversed_model,
     sample,
@@ -75,10 +74,12 @@ from oracles import (
     fraction_entropy,
     gap_cells_oracle,
     geometric_decay_rate,
+    left_marginal,
     mi_of_deviations,
     phase_block_table,
     phase_pair_table,
     reversed_cycle,
+    right_marginal,
     scalar_phi,
     table_mi_oracle,
     two_point_ising_closed_forms,
@@ -137,8 +138,8 @@ def test_periodic_joint_marginals_match_blocks():
     for L, g in [(1, 0), (2, 3), (3, 7)]:
         j = joint_gap_distribution(m, L, g)
         b = block_distribution(m, L)
-        assert j.left_marginal().probs == b.probs
-        assert j.right_marginal().probs == b.probs
+        assert left_marginal(j).probs == b.probs
+        assert right_marginal(j).probs == b.probs
 
 
 def test_periodic_rejects_nonminimal_cycle():
@@ -253,9 +254,9 @@ def test_iid_joint_factorizes_and_mi_is_zero():
     m = IidProcess.from_probs((F(3, 10), F(7, 10)))
     for L, g in [(1, 0), (2, 1), (3, 5)]:
         j = joint_gap_distribution(m, L, g)
-        left, right = j.left_marginal(), j.right_marginal()
+        left, right = left_marginal(j), right_marginal(j)
         for (a, b), p in j.probs.items():
-            assert p == left.prob(a) * right.prob(b)
+            assert p == left.probs[a] * right.probs[b]
         assert mutual_information(j) == 0  # exact, not approximate
 
 
@@ -388,8 +389,12 @@ def test_markov_consistency_of_block_lengths():
         for L in range(1, 5):
             longer = block_distribution(m, L + 1)
             shorter = block_distribution(m, L)
-            assert longer.restrict(0, L).probs == shorter.probs
-            assert longer.restrict(1, L + 1).probs == shorter.probs
+            for start in (0, 1):
+                sums: dict = {}
+                for w, p in longer.probs.items():
+                    key = w[start:start + L]
+                    sums[key] = sums.get(key, 0) + p
+                assert sums == shorter.probs
 
 
 def test_markov_joint_matches_transition_power():
@@ -401,7 +406,7 @@ def test_markov_joint_matches_transition_power():
         Tg = np.linalg.matrix_power(T, g + 1)
         for i in range(2):
             for k in range(2):
-                assert j.prob(((i,), (k,))) == pytest.approx(
+                assert j.probs[((i,), (k,))] == pytest.approx(
                     pi[i] * Tg[i, k], abs=1e-12)
 
 
@@ -795,7 +800,7 @@ def test_gap_mi_reads_the_marginals_only_for_an_exact_joint(monkeypatch):
     mi = m.gap_mutual_information(2, 64)
     assert floats == [] and len(factored) == 1
     j = gap_cells_oracle(m, 2, 64)
-    left, right = j.left_marginal(), j.right_marginal()
+    left, right = left_marginal(j), right_marginal(j)
     hs = [_entropy_of_table(t.weights.values(), t.denominator)
           for t in (left, right, j)]
     assert isinstance(hs[2], float)
@@ -1300,7 +1305,7 @@ def test_markov_sample_empirical_tv():
     seq = sample(m, 100_000, seed=11)
     emp = empirical_block_distribution(seq, 4, m.alphabet)
     exact = block_distribution(m, 4)
-    tv = sum(abs(float(emp.prob(w)) - float(exact.prob(w)))
+    tv = sum(abs(emp.probs.get(w, 0) - float(exact.probs.get(w, 0)))
              for w in set(emp.probs) | set(exact.probs)) / 2
     assert tv <= 5 * math.sqrt(2 ** 4 / 100_000)
 
@@ -1800,6 +1805,16 @@ def test_markov_sample_matches_reference_at_cut_points(monkeypatch):
         == [2, 2]
 
 
+def test_markov_refuses_a_negative_order_and_unknown_contexts():
+    half = (F(1, 2), F(1, 2))
+    with pytest.raises(ValueError) as e:
+        MarkovProcess(Alphabet("01"), -1, {})
+    assert str(e.value) == "order must be >= 0"
+    with pytest.raises(ValueError) as e:
+        MarkovProcess(Alphabet("01"), 0, {(): half, (0,): half})
+    assert str(e.value) == "kernel has rows for unknown contexts"
+
+
 def test_markov_rejects_bad_rows():
     with pytest.raises(ValueError):
         MarkovProcess.from_rows({"0": (F(1, 2), F(1, 3)), "1": (F(1), F(0))})
@@ -1887,7 +1902,7 @@ def test_markov_order_zero_is_iid():
     m = MarkovProcess.from_rows({"": (F(1, 4), F(3, 4))})
     assert m.order == 0
     d = block_distribution(m, 2)
-    assert d.prob((0, 1)) == F(3, 16)
+    assert d.probs[(0, 1)] == F(3, 16)
     assert mutual_information(joint_gap_distribution(m, 1, 0)) == 0
 
 
@@ -1919,10 +1934,15 @@ def test_reversed_periodic_reverses_cycle():
     fwd = block_distribution(m, 3)
     rev = block_distribution(r, 3)
     for w, p in fwd.probs.items():
-        assert rev.prob(tuple(reversed(w))) == p
+        assert rev.probs[tuple(reversed(w))] == p
 
 
 # ── Ising chain ─────────────────────────────────────────────────────
+
+
+def ising_entropy_rate(J: float, h: float, beta: float):
+    """The chain's entropy rate in bits per spin, from its closed forms."""
+    return IsingChainProcess(J, h, beta).closed_forms().entropy_rate
 
 
 def test_ising_entropy_rate_limits():
@@ -1956,7 +1976,7 @@ def test_ising_high_temperature_blocks():
     m = IsingChainProcess(J=1.0, h=0.0, beta=1e-9)
     d = block_distribution(m, 1)
     assert not d.exact
-    assert d.prob((0,)) == pytest.approx(0.5, abs=1e-8)
+    assert d.probs[(0,)] == pytest.approx(0.5, abs=1e-8)
     cf = closed_forms(m)
     assert float(cf.excess_entropy) <= 1e-6
     assert cf.pmi == 0
@@ -2130,7 +2150,8 @@ def test_ising_refuses_a_coupling_that_is_not_finite(J, h):
 def test_ising_joint_symmetric_at_zero_field():
     m = IsingChainProcess(J=1.0, h=0.0, beta=0.8)
     j = joint_gap_distribution(m, 1, 0)
-    assert j.prob(((0,), (1,))) == pytest.approx(j.prob(((1,), (0,))), abs=1e-14)
+    assert j.probs[((0,), (1,))] == pytest.approx(j.probs[((1,), (0,))],
+                                                 abs=1e-14)
     r = reversed_model(m)
     assert isinstance(r, IsingChainProcess) and r.beta == m.beta
 
@@ -2192,8 +2213,8 @@ def test_substitution_blocks_are_factor_frequencies():
 def test_substitution_joint_marginals():
     m = SubstitutionProcess(thue_morse())
     j = joint_gap_distribution(m, 2, 1)
-    assert j.left_marginal().probs == block_distribution(m, 2).probs
-    assert j.right_marginal().probs == block_distribution(m, 2).probs
+    assert left_marginal(j).probs == block_distribution(m, 2).probs
+    assert right_marginal(j).probs == block_distribution(m, 2).probs
 
 
 def _summed_window_law(window_probs, L, g):
@@ -2244,7 +2265,7 @@ def test_substitution_gap_laws_match_induced_perron_oracle():
 
 def _clear_substitution_memos():
     for memo in (substitution._letter_perron, substitution._pair_perron,
-                 substitution._shortcut_lengths, substitution._pair_factors,
+                 substitution.shortcut_power, substitution._pair_factors,
                  substitution.factors_of_length):
         memo.cache_clear()
 
@@ -2293,7 +2314,7 @@ def test_fibonacci_pair_table_is_iterated_once(monkeypatch):
     assert solved
     solved.clear()
     second = factor_frequencies(fibonacci(), 2)
-    assert not first.exact
+    assert all(isinstance(p, float) for p in first.freq.values())
     assert first == second
     assert solved == []
 
@@ -2316,8 +2337,8 @@ def test_long_thue_morse_gap_cell_builds_no_long_words():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-    assert j.left_marginal().probs == block_distribution(m, 4).probs
-    assert j.right_marginal().probs == block_distribution(m, 4).probs
+    assert left_marginal(j).probs == block_distribution(m, 4).probs
+    assert right_marginal(j).probs == block_distribution(m, 4).probs
 
 
 def test_substitution_window_cap(monkeypatch):
@@ -2394,8 +2415,8 @@ def test_joint_marginals_equal_blocks_exactly(make):
     m = make()
     j = joint_gap_distribution(m, 2, 2)
     b = block_distribution(m, 2)
-    assert j.left_marginal().probs == b.probs
-    assert j.right_marginal().probs == b.probs
+    assert left_marginal(j).probs == b.probs
+    assert right_marginal(j).probs == b.probs
 
 
 @pytest.mark.parametrize("make", [
@@ -2420,7 +2441,7 @@ def test_random_binary_chain_joint_invariants(a, b, g):
     })
     j = joint_gap_distribution(m, 1, g)
     assert sum(j.probs.values()) == 1
-    assert j.left_marginal().probs == block_distribution(m, 1).probs
+    assert left_marginal(j).probs == block_distribution(m, 1).probs
     assert float(mutual_information(j)) >= -1e-12
 
 
