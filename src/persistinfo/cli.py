@@ -552,12 +552,14 @@ def _computed_small_memory(model, order: int) -> dict:
 
 def _computed_thue_morse(model: SubstitutionProcess) -> dict:
     # the model's increments H(2^k + 2) - H(2^k + 1), k = 2, 3, 4, each
-    # exactly half the one before: the staircase falls to h_P = 0
-    H = model.block_entropies([5, 6, 9, 10, 17, 18])
-    steps = [b - a for a, b in zip(H[::2], H[1::2])]
+    # exactly half the one before: the staircase falls to h_P = 0; and
+    # the surrogates 2H(L) - H(2L), L = 2..9, of E.  Each H(L) is
+    # enumerated once, over the 14 distinct lengths those read.
+    Ls = [*range(2, 11), 12, 14, 16, 17, 18]
+    H = dict(zip(Ls, model.block_entropies(Ls)))
+    steps = [H[2 ** k + 2] - H[2 ** k + 1] for k in (2, 3, 4)]
     halving = all(a == b + b for a, b in zip(steps, steps[1:]))
-    surrogates = [float(excess_entropy_finite(model, L))
-                  for L in range(2, 10)]
+    surrogates = [float(H[L] * 2 - H[2 * L]) for L in range(2, 10)]
     increments = [b - a for a, b in zip(surrogates, surrogates[1:])]
     E = "diverging" if all(inc >= 0.05 for inc in increments[-4:]) \
         else surrogates[-1]

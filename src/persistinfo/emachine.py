@@ -173,7 +173,13 @@ def reconstruct(model, history_length: int, future_length: int,
                             for w in state_weights)
     else:
         state_probs = tuple(state_weights)
-    _validate(states, state_probs, transitions)
+    # the state law must be stationary under the edges; each state's
+    # edges sum to 1 by construction, divided by the state's mass above
+    flow = [0] * len(states)
+    for (i, _a), (j, p) in transitions.items():
+        flow[j] += state_probs[i] * p
+    if not all(_agrees(f, q, IDENTITY_TOL) for f, q in zip(flow, state_probs)):
+        raise ArithmeticError("state law is not stationary")
     return EpsilonMachine(
         alphabet=alphabet,
         history_length=R,
@@ -226,21 +232,6 @@ def _future_law_key(table: dict) -> tuple:
     weight vectors are the same law)."""
     g = math.gcd(*table.values())
     return tuple(sorted((f, p // g) for f, p in table.items()))
-
-
-def _validate(states, state_probs, transitions) -> None:
-    """Row sums must be 1 and the state law stationary under the edges."""
-    flow = [0] * len(states)
-    for i in range(len(states)):
-        row_sum = sum(p for (k, _a), (_j, p) in transitions.items()
-                      if k == i)
-        if not _agrees(row_sum, 1, IDENTITY_TOL):
-            raise ArithmeticError(f"state {i} outgoing mass {row_sum}")
-    for (i, _a), (j, p) in transitions.items():
-        flow[j] = flow[j] + state_probs[i] * p
-    for j in range(len(states)):
-        if not _agrees(flow[j], state_probs[j], IDENTITY_TOL):
-            raise ArithmeticError("state law is not stationary")
 
 
 # ── excess entropy from forward and reverse machines ─────────────────────────

@@ -464,16 +464,6 @@ def _is_exact_probs(values) -> bool:
                for v in values)
 
 
-def _validate_float_probs(values) -> None:
-    if min(values, default=0.0) < -FLOAT_SUM_TOL:
-        raise ValueError("negative probability")
-    # correctly rounded: a naive sum of 10^5+ entries drifts past the
-    # tolerance on its own
-    total = math.fsum(values)
-    if abs(total - 1.0) > FLOAT_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
-
-
 def _rational_weights(values) -> tuple:
     """Rationals as integer weights over the lcm D of their
     denominators: (list of weights, D)."""
@@ -488,7 +478,9 @@ def _table_weights(probs: Mapping, denominator):
     With a denominator, ``probs`` holds nonnegative integer weights that
     sum to it.  Without one, an all-rational table is converted once to
     integer weights over the lcm of its denominators, and anything else
-    is a float table, whose denominator is None.
+    is a float table, whose denominator is None: its entries may fall
+    FLOAT_SUM_TOL below 0 and their sum as far from 1, and a NaN entry,
+    which no comparison catches, is refused by name.
     """
     weights = dict(probs)
     values = weights.values()
@@ -496,13 +488,21 @@ def _table_weights(probs: Mapping, denominator):
         ints, denominator = _rational_weights(values)
         weights = dict(zip(weights, ints))
         values = weights.values()
-    if denominator is None:
-        _validate_float_probs(values)
-        return weights, None
-    if not set(map(type, values)) <= {int}:
+    if denominator is not None and not set(map(type, values)) <= {int}:
         raise ValueError("exact weights must be integers")
-    if min(values, default=0) < 0:
+    tol = FLOAT_SUM_TOL if denominator is None else 0
+    if min(values, default=0) < -tol:
         raise ValueError("negative probability")
+    if denominator is None:
+        # correctly rounded: a naive sum of 10^5+ entries drifts past the
+        # tolerance on its own
+        total = math.fsum(values)
+        if math.isnan(total):
+            word = next(w for w, p in weights.items() if math.isnan(p))
+            raise ValueError(f"probability of word {word} is NaN")
+        if abs(total - 1.0) > FLOAT_SUM_TOL:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        return weights, None
     total = sum(values)
     if total != denominator:
         raise ValueError(f"probabilities sum to {Fraction(total, denominator)}"
@@ -759,19 +759,15 @@ def entropy_of_probs(probs) -> Scalar:
 
 def mutual_information(j: JointBlockDistribution) -> Scalar:
     """I(left; right) in bits of a joint table: the tests' oracle of the
-    models' ``gap_mutual_information``, which build no table."""
-    return _mi_of_pairs(j.weights, j.weights.values(), j.denominator)
-
-
-def _mi_of_pairs(pairs, weights, D) -> Scalar:
-    """I(left; right) in bits of weights over D (floats, D None) of (left,
-    right) word pairs, as one 2-D array with its words in order."""
+    models' ``gap_mutual_information``, which build no table: its
+    weights as one 2-D array with the left and right words in order."""
     rows, cols = ({w: i for i, w in enumerate(sorted(set(words)))}
-                  for words in zip(*pairs))
-    J = np.zeros((len(rows), len(cols)), dtype=float if D is None else object)
-    for (a, b), w in zip(pairs, weights):
+                  for words in zip(*j.weights))
+    J = np.zeros((len(rows), len(cols)),
+                 dtype=float if j.denominator is None else object)
+    for (a, b), w in j.weights.items():
         J[rows[a], cols[b]] = w
-    return _mi_of_joint(J, D)
+    return _mi_of_joint(J, j.denominator)
 
 
 def _mi_of_joint(J: np.ndarray, D) -> Scalar:

@@ -70,7 +70,6 @@ from .infocore import (
     _entropy_of_table,
     _entropy_of_weights,
     _mi_of_joint,
-    _mi_of_pairs,
     _ranks,
     _rational_weights,
     entropy_of_probs,
@@ -157,8 +156,9 @@ class _Frozen:
 
 class _WindowLaws(_Frozen):
     """H(L), tables, gap cells and reversal of a model that lists its
-    windows: ``_window_law(spans)`` reads them through ``spans``, in lex
-    order, with integer weights over D (floats when D is None)."""
+    windows: ``_window_law(spans)`` reads them through ``spans``, as the
+    rows of a 2-D array of letters in lex order, with integer weights
+    over D (floats when D is None)."""
 
     __slots__ = ()
 
@@ -172,25 +172,35 @@ class _WindowLaws(_Frozen):
         if L < 1:
             raise ValueError("block length must be >= 1")
         rows, weights, D = self._window_law(((0, L),))
+        words = map(tuple, rows.tolist())
         return BlockDistribution._trusted(
-            self.alphabet, L, dict(zip(map(tuple, rows), weights)), D)
+            self.alphabet, L, dict(zip(words, weights)), D)
 
     def _gap_law(self, L: int, g: int) -> tuple:
         if L < 1 or g < 0:
             raise ValueError("need L >= 1 and g >= 0")
-        rows, weights, D = self._window_law(((0, L), (L + g, 2 * L + g)))
-        return [(tuple(r[:L]), tuple(r[L:])) for r in rows], weights, D
+        return self._window_law(((0, L), (L + g, 2 * L + g)))
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         """The gap windows as a table: the tests' oracle of the cells."""
-        pairs, weights, D = self._gap_law(L, g)
+        rows, weights, D = self._gap_law(L, g)
+        pairs = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
         return JointBlockDistribution._trusted(
             self.alphabet, L, g, L, dict(zip(pairs, weights)), D)
 
     def gap_mutual_information(self, L: int, g: int) -> Scalar:
-        """I(A; B) of two length-L blocks g apart: the gap windows' blocks,
-        ranked, index one 2-D weight array, as a Markov cell's do."""
-        return _mi_of_pairs(*self._gap_law(L, g))
+        """I(A; B) of two length-L blocks g apart, as a Markov cell's: the
+        gap windows' weights fill one 2-D array for ``_mi_of_joint`` at
+        the ranks of their left and right blocks (``_distinct_rows`` of
+        the rows' two halves), with no word built."""
+        rows, weights, D = self._gap_law(L, g)
+        s = len(self.alphabet)
+        _, a = _distinct_rows(rows[:, :L], s)
+        _, b = _distinct_rows(rows[:, L:], s)
+        J = np.zeros((a.max() + 1, b.max() + 1),
+                     dtype=float if D is None else object)
+        J[a, b] = weights
+        return _mi_of_joint(J, D)
 
     def reversed(self) -> "ReversedProcess":
         return ReversedProcess(self)
@@ -260,7 +270,7 @@ class PeriodicProcess(_WindowLaws):
         counts = Counter(tuple(c[(t + i) % p] for i in offsets)
                          for t in range(p))
         rows = sorted(counts)
-        return rows, [counts[r] for r in rows], p
+        return np.array(rows), [counts[r] for r in rows], p
 
     def closed_forms(self) -> ClosedForms:
         # p equally likely phases, each its own length-p block
@@ -1113,9 +1123,8 @@ class SubstitutionProcess(_WindowLaws):
     def _window_law(self, spans) -> tuple:
         """``substitution._window_law`` at the least power it accepts."""
         subst = self.substitution
-        rows, _, weights, D = _window_law(
-            subst, shortcut_power(subst, spans[-1][1]), spans)
-        return rows.tolist(), weights, D
+        power = shortcut_power(subst, spans[-1][1])
+        return _window_law(subst, power, spans)[:3]
 
     # the shared table methods, bound here by name as well, since
     # per-class method wrappers (perfbench/tracer.py) look them up in

@@ -10,8 +10,8 @@ where the arithmetic allows it:
   * factor sets, factor frequencies and gap laws, all from one count:
     the windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), over the
     pairs αβ of the fixed point (_pair_window_counts),
-  * the closed-form block-entropy increments of the parity (Thue-Morse)
-    fixed point.
+  * the check of a sequence against the minimal forbidden words of
+    the parity (Thue-Morse) fixed point.
 
 Factor frequencies of every length l >= 1 map the pair frequencies
 (the Perron eigenvector of the pair count matrix at p = 1, which is
@@ -31,9 +31,10 @@ process (Substitution is immutable and hashable): the primitivity
 check of the letter composition matrix (_letter_perron, a forward and
 a backward breadth-first walk over its nonzero entries), the pair
 frequencies with their integer weights (_pair_perron, the one Perron
-system solved), the pair factors, the factor sets, and the shortcut
-powers.  The images ζ^p(a) are rebuilt for each count; building them
-costs less than the window pass that reads them.
+system solved), the pair factors, the factor sets, the shortcut
+powers, and at each power the pair images ζ^p(α)ζ^p(β) with the
+window starts in them (_pair_images), so a count is one gather of
+its columns from them.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._ratlinalg import rational_nullspace
 from .infocore import (
     WINDOW_STATE_CAP,
     Alphabet,
-    ExactBits,
     WindowCapError,
     Word,
     _BLOCK,
@@ -75,7 +74,6 @@ __all__ = [
     "factor_frequencies",
     "shortcut_matrix",
     "shortcut_power",
-    "thue_morse_block_entropy_increment",
     "forbidden_words_check",
     "thue_morse",
     "fibonacci",
@@ -398,15 +396,17 @@ def _pair_perron(subst: Substitution) -> tuple:
     their count matrix at p = 1 (the composition matrix of the
     substitution induced on pairs), and the pair weights that
     _window_law multiplies counts by: the frequencies as integers over
-    one denominator when exact, else the floats themselves.  The one
-    Perron system of a substitution, solved after the letter check."""
+    one denominator when exact, else the floats themselves, in one
+    object array.  The one Perron system of a substitution, solved after
+    the letter check."""
     _letter_perron(subst)
     # the rows are the pairs themselves, in the column order
     rows, C = _pair_window_counts(subst, 1, ((0, 2),))
     pf = primitivity(C)
-    weights = (_rational_weights(pf.eigenvector)[0] if pf.exact
-               else pf.eigenvector)
-    return tuple(map(tuple, rows.tolist())), pf, tuple(weights)
+    v2 = np.array(_rational_weights(pf.eigenvector)[0] if pf.exact
+                  else pf.eigenvector, object)
+    v2.setflags(write=False)
+    return tuple(map(tuple, rows.tolist())), pf, v2
 
 
 def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
@@ -473,6 +473,44 @@ def _pair_factors(subst: Substitution) -> frozenset:
     return frozenset(found)
 
 
+@lru_cache(maxsize=None)
+def _image_sizes(subst: Substitution, power: int, limit: int) -> tuple:
+    """The shortest |ζ^p(a)| and Σ_αβ |ζ^p(α)| over the pairs αβ of the
+    fixed point, from the image lengths as integers, at p = power or at
+    the first power where every image is longer than ``limit``.  The
+    caller's limit, max(WINDOW_STATE_CAP, width), is one value for every
+    width within the cap, so each power is worked out once."""
+    lengths = [1] * len(subst.alphabet)
+    for _ in range(power):
+        lengths = [sum(lengths[b] for b in rule) for rule in subst.rules]
+        if min(lengths) > limit:
+            break  # refused by the caller, and at every higher power
+    return min(lengths), sum(lengths[a] for a, _ in _pair_factors(subst))
+
+
+@lru_cache(maxsize=None)
+def _pair_images(subst: Substitution, power: int) -> tuple:
+    """The images ζ^p(α)ζ^p(β) of the pairs αβ of the fixed point, in
+    lex order, as one flat array of letters; the index in it of each
+    window start, a letter of some ζ^p(α); and the pair of each start.
+    Built once per substitution and power, and only for a power whose
+    windows _pair_window_counts has let past the cap, so an entry holds
+    no more than WINDOW_STATE_CAP / width window starts."""
+    s = len(subst.alphabet)
+    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
+    for _ in range(power):
+        images = [np.concatenate([images[b] for b in rule])
+                  for rule in subst.rules]
+    pieces = [images[a] for pair in sorted(_pair_factors(subst)) for a in pair]
+    # the piece of each letter: ζ^p(α) of pair j is piece 2j
+    piece = np.repeat(np.arange(len(pieces)), [len(x) for x in pieces])
+    starts = np.flatnonzero(piece % 2 == 0)
+    arrays = np.concatenate(pieces), starts, piece[starts] // 2
+    for a in arrays:
+        a.setflags(write=False)  # every later call of the power reads them
+    return arrays
+
+
 def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     """The windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), for the
     pairs αβ of the fixed point in lex order, each read through
@@ -486,53 +524,42 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     windows (width times Σ_αβ |ζ^p(α)|), are refused before any image
     is built.  Image lengths never shrink with p, so once every image
     outgrows both the cap and the width the refusal is certain, and
-    the message quotes the count at that power."""
+    the message quotes the count at that power.  The image lengths and
+    the pair images of a power are built once (_image_sizes,
+    _pair_images), and every row of a call is taken from the images in
+    one gather of the spans' columns."""
     s, width = len(subst.alphabet), max(stop for _, stop in spans)
-    pairs = sorted(_pair_factors(subst))
-    lengths = [1] * s
-    for _ in range(power):
-        lengths = [sum(lengths[b] for b in rule) for rule in subst.rules]
-        if min(lengths) > max(WINDOW_STATE_CAP, width):
-            break  # refused below, and at every higher power
-    if min(lengths) < width - 1:
+    n = len(_pair_factors(subst))
+    shortest, bound = _image_sizes(subst, power, max(WINDOW_STATE_CAP, width))
+    if shortest < width - 1:
         raise ValueError(f"power {power} is too small: need every ζ^p"
                          f" image at least {width - 1} letters long")
-    bound = sum(lengths[alpha] for alpha, _ in pairs)
     if width * bound > WINDOW_STATE_CAP:
         raise WindowCapError(
             f"window of length {width} may have up to {bound}"
             f" factors, {width * bound} letters in all")
-    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
-    for _ in range(power):
-        images = [np.concatenate([images[b] for b in rule])
-                  for rule in subst.rules]
-    rows = []
-    for alpha, beta in pairs:
-        w = sliding_window_view(np.concatenate((images[alpha], images[beta])),
-                                width)[:len(images[alpha])]
-        rows.append(np.concatenate([w[:, a:b] for a, b in spans], axis=1))
-    distinct, inverse = _distinct_rows(np.concatenate(rows), s)
-    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
-    counts = np.bincount(inverse * len(pairs) + owner,
-                         minlength=len(distinct) * len(pairs))
-    counts = counts.reshape(len(distinct), len(pairs))
+    flat, starts, owner = _pair_images(subst, power)
+    cols = [i for a, b in spans for i in range(a, b)]
+    distinct, inverse = _distinct_rows(flat[starts[:, None] + cols], s)
+    counts = np.bincount(inverse * n + owner, minlength=len(distinct) * n)
+    counts = counts.reshape(len(distinct), n)
     counts.setflags(write=False)
     return distinct, counts
 
 
 def _window_law(subst: Substitution, power: int, spans) -> tuple:
     """The windows of _pair_window_counts(subst, power, spans) with
-    their law under the pair table: the distinct rows, the count
-    matrix, the row weights Σ_j counts[i, j]·v2[j], and D.  The weights
-    are integers summing to D when the pair table is exact, else
-    probabilities with D = None."""
+    their law under the pair table: the distinct rows, as the 2-D array
+    of letters that count gives, the row weights Σ_j counts[i, j]·v2[j],
+    D, and the count matrix.  The weights are integers summing to D when
+    the pair table is exact, else probabilities with D = None."""
     rows, counts = _pair_window_counts(subst, power, spans)
     _, pf, v2 = _pair_perron(subst)
-    raw = (counts.astype(object) @ np.array(v2, dtype=object)).tolist()
+    raw = (counts.astype(object) @ v2).tolist()
     total = sum(raw)
     if pf.exact:
-        return rows, counts, raw, total
-    return rows, counts, [x / total for x in raw], None
+        return rows, raw, total, counts
+    return rows, [x / total for x in raw], None, counts
 
 
 def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
@@ -542,7 +569,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         raise ValueError("factor length must be positive")
     if power < 1:
         raise ValueError("power must be positive")
-    rows, C, weights, D = _window_law(subst, power, ((0, l),))
+    rows, weights, D, C = _window_law(subst, power, ((0, l),))
     pairs, pf, _ = _pair_perron(subst)
     v_l = tuple(weights) if D is None else tuple(
         Fraction(w, D) for w in weights)
@@ -550,34 +577,6 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
         matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
         factors_2=pairs, v2=pf.eigenvector,
         v_l=v_l, power=power)
-
-
-# ── parity-sequence entropy increments ──────────────────────────────
-
-
-def thue_morse_block_entropy_increment(n: int) -> ExactBits:
-    """Exact increment H(n) - H(n-1) of the parity fixed point's block
-    entropy, n >= 2, in bits.
-
-    Each length-(n-1) factor extends uniquely to the right except the
-    right-special ones, which split their frequency evenly between two
-    extensions; every right-special factor of length m in
-    [2^k + 1, 2^(k+1)] has frequency 1/(3 * 2^k).  Counting the
-    right-special factors per dyadic block gives a staircase that
-    halves at m = 2^k + 1 and drops a further factor 2/3 at
-    m = 3 * 2^(k-1) + 1.
-    """
-    if n < 2:
-        raise ValueError("increment defined for n >= 2")
-    if n == 2:
-        # H(2) - H(1) = log2(3) - 2/3
-        return ExactBits(Fraction(-2, 3), {3: Fraction(1)})
-    m = n - 1
-    if m == 2:
-        return ExactBits(Fraction(2, 3))
-    k = (m - 1).bit_length() - 1
-    num = 4 if m <= 3 * 2 ** (k - 1) else 2
-    return ExactBits(Fraction(num, 3 * 2 ** k))
 
 
 _PARITY_FORBIDDEN = ("000", "111", "01010", "10101")

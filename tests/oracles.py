@@ -9,11 +9,13 @@ from numbers import Rational
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
     Alphabet,
     BlockDistribution,
+    ExactBits,
     JointBlockDistribution,
     _BLOCK,
     _code_dtype,
@@ -39,6 +41,61 @@ from persistinfo.substitution import (
     composition_matrix,
     shortcut_power,
 )
+
+
+def thue_morse_block_entropy_increment(n: int) -> ExactBits:
+    """Exact increment H(n) - H(n-1) of the parity fixed point's block
+    entropy, n >= 2, in bits: the closed form that the enumerated
+    H(L) of the Thue-Morse process are checked against.
+
+    Each length-(n-1) factor extends uniquely to the right except the
+    right-special ones, which split their frequency evenly between two
+    extensions; every right-special factor of length m in
+    [2^k + 1, 2^(k+1)] has frequency 1/(3 * 2^k).  Counting the
+    right-special factors per dyadic block gives a staircase that
+    halves at m = 2^k + 1 and drops a further factor 2/3 at
+    m = 3 * 2^(k-1) + 1.
+    """
+    if n < 2:
+        raise ValueError("increment defined for n >= 2")
+    if n == 2:
+        # H(2) - H(1) = log2(3) - 2/3
+        return ExactBits(Fraction(-2, 3), {3: Fraction(1)})
+    m = n - 1
+    if m == 2:
+        return ExactBits(Fraction(2, 3))
+    k = (m - 1).bit_length() - 1
+    num = 4 if m <= 3 * 2 ** (k - 1) else 2
+    return ExactBits(Fraction(num, 3 * 2 ** k))
+
+
+def pair_window_counts(subst, power: int, spans) -> tuple:
+    """The windows of ζ^p(α)ζ^p(β) that start inside ζ^p(α), for the
+    pairs αβ of the fixed point in lex order, read through ``spans``:
+    the distinct rows in lex order, and the matrix counting each row
+    (down) per pair (across).  Built pair by pair, from a sliding window
+    view of each pair image, with the images rebuilt on every call and
+    the rows ranked by ``np.unique``: the oracle of
+    ``substitution._pair_window_counts``, which gathers every row of a
+    call at once from the pair images built once per power."""
+    s = len(subst.alphabet)
+    width = max(stop for _, stop in spans)
+    pairs = sorted(_pair_factors(subst))
+    images = [np.array([a], np.min_scalar_type(s - 1)) for a in range(s)]
+    for _ in range(power):
+        images = [np.concatenate([images[b] for b in rule])
+                  for rule in subst.rules]
+    rows = []
+    for alpha, beta in pairs:
+        w = sliding_window_view(np.concatenate((images[alpha], images[beta])),
+                                width)[:len(images[alpha])]
+        rows.append(np.concatenate([w[:, a:b] for a, b in spans], axis=1))
+    distinct, inverse = np.unique(np.concatenate(rows), axis=0,
+                                  return_inverse=True)
+    owner = np.repeat(np.arange(len(pairs)), [len(r) for r in rows])
+    counts = np.zeros((len(distinct), len(pairs)), dtype=np.int64)
+    np.add.at(counts, (inverse.ravel(), owner), 1)
+    return distinct, counts
 
 
 def geometric_decay_rate(points: Sequence) -> float:

@@ -47,10 +47,9 @@ from persistinfo.substitution import (
     induced_substitution,
     shortcut_matrix,
     thue_morse,
-    thue_morse_block_entropy_increment,
 )
 
-from oracles import geometric_decay_rate
+from oracles import geometric_decay_rate, thue_morse_block_entropy_increment
 
 
 def goldenmean() -> MarkovProcess:

@@ -14,7 +14,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from oracles import WindowOracle, machine_block_distribution
 
-from persistinfo import emachine
 from persistinfo.emachine import (
     EpsilonMachine,
     NonUnifilarError,
@@ -33,9 +32,11 @@ from persistinfo.processes import (
     IsingChainProcess,
     MarkovProcess,
     PeriodicProcess,
+    SubstitutionProcess,
     closed_forms,
     reversed_model,
 )
+from persistinfo.substitution import thue_morse
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})
 
@@ -384,12 +385,17 @@ def test_reconstruct_refuses_a_table_that_no_process_has():
     assert str(e.value) == "state law is not stationary"
 
 
-def test_validate_refuses_edges_whose_mass_is_not_one():
-    # reconstruct divides each edge by its state's mass, so no table
-    # reaches this check; the edges are given here
-    with pytest.raises(ArithmeticError) as e:
-        emachine._validate((((0,),),), (F(1),), {(0, 0): (0, F(1, 2))})
-    assert str(e.value) == "state 0 outgoing mass 1/2"
+def test_reconstructed_machine_rows_sum_to_one():
+    # reconstruct divides each edge by its state's mass, so each state's
+    # outgoing edges sum to exactly 1 with no check of its own
+    for model, R, F_len in ((SubstitutionProcess(thue_morse()), 4, 5),
+                            (goldenmean(), 1, 2), (ternary_r2(), 4, 4)):
+        m = reconstruct(model, R, F_len)
+        sums = [0] * len(m.states)
+        for (i, _a), (_j, p) in m.transitions.items():
+            sums[i] += p
+        assert sums == [1] * len(m.states)
+        assert all(isinstance(x, F) for x in sums)
 
 
 def test_machine_is_immutable():

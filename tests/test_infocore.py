@@ -484,6 +484,10 @@ def test_distribution_rejects_negative():
 @pytest.mark.parametrize("probs, denominator, message", [
     ({(0,): 1.5, (1,): -0.5}, None, "negative probability"),
     ({(0,): 1.5, (1,): 0.5}, 2, "exact weights must be integers"),
+    # NaN fails every comparison, so neither the sign nor the sum check
+    # sees it
+    ({(0,): float("nan"), (1,): 0.5}, None, "probability of word (0,) is NaN"),
+    ({(0,): 1.0, (1,): float("nan")}, None, "probability of word (1,) is NaN"),
 ])
 def test_distribution_refusals_name_the_cause(probs, denominator, message):
     with pytest.raises(ValueError) as e:

@@ -2266,7 +2266,7 @@ def test_substitution_gap_laws_match_induced_perron_oracle():
 def _clear_substitution_memos():
     for memo in (substitution._letter_perron, substitution._pair_perron,
                  substitution.shortcut_power, substitution._pair_factors,
-                 substitution.factors_of_length):
+                 substitution.factors_of_length, substitution._pair_images):
         memo.cache_clear()
 
 
@@ -2294,6 +2294,23 @@ def test_substitution_perron_systems_are_solved_once(monkeypatch):
     # one pair system (4 x 4), whatever the grid; the letter check
     # solves nothing, and a solve per cell made 40 for the larger grid
     assert per_grid[0] == per_grid[1] == [4]
+
+
+def test_substitution_pair_images_are_built_once_per_power():
+    tm = SubstitutionProcess(thue_morse())
+    L_grid, g_grid = (1, 2, 3, 4, 5), (2, 4, 8, 16)
+    # the pair system reads power 1; the 20 cells, of widths 2L + g from
+    # 4 to 26, read the least power with 2**p >= 2L + g - 1: 2 to 5
+    power = substitution.shortcut_power
+    powers = {1} | {power(tm.substitution, 2 * L + g)
+                    for L in L_grid for g in g_grid}
+    assert powers == {1, 2, 3, 4, 5}
+    _clear_substitution_memos()
+    for _ in range(2):
+        grid = gap_mi_grid(tm, L_grid, g_grid)
+        assert not grid.missing
+        built = substitution._pair_images.cache_info()
+        assert built.misses == built.currsize == len(powers)
 
 
 def test_factor_tables_solve_one_perron_system(monkeypatch):

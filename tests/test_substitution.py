@@ -21,6 +21,7 @@ from persistinfo.infocore import (
     ExactBits,
     shannon_entropy,
 )
+from persistinfo import substitution
 from persistinfo.processes import WindowCapError
 from persistinfo.substitution import (
     ReducibleMatrixError,
@@ -36,10 +37,13 @@ from persistinfo.substitution import (
     shortcut_matrix,
     shortcut_power,
     thue_morse,
-    thue_morse_block_entropy_increment,
 )
 
-from oracles import factor_count_bound
+from oracles import (
+    factor_count_bound,
+    pair_window_counts,
+    thue_morse_block_entropy_increment,
+)
 
 F = Fraction
 
@@ -496,6 +500,65 @@ def test_factor_tables_refuse_windows_past_the_cap():
     # images of 2**40 letters are refused before any is built
     with pytest.raises(WindowCapError):
         shortcut_matrix(tm, 5, 40)
+
+
+def test_refused_windows_build_and_keep_no_images():
+    tm = thue_morse()
+    substitution._pair_images.cache_clear()
+    for power, spans in ((40, ((0, 5),)), (12, ((0, 4097),)),
+                         (12, ((0, 2), (4094, 4097))), (2, ((0, 9),))):
+        with pytest.raises(ValueError):
+            substitution._pair_window_counts(tm, power, spans)
+    assert substitution._pair_images.cache_info().currsize == 0
+
+
+# ── the pair-window gather against the per-pair oracle ──────────────────────
+
+
+def ternary_substitution() -> Substitution:
+    """A primitive substitution on three letters of unequal image
+    lengths, whose Perron root is irrational."""
+    return Substitution.from_strings({"a": "abc", "b": "ac", "c": "b"}, "a")
+
+
+def _assert_same_windows(subst, power, spans):
+    rows, counts = substitution._pair_window_counts(subst, power, spans)
+    want_rows, want_counts = pair_window_counts(subst, power, spans)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(counts, want_counts)
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+
+
+def _accepted_spans(subst, power):
+    """Block spans of each width that the power accepts, up to 12 wide,
+    and gap spans ((0, L), (L + g, 2L + g)) of those widths."""
+    s = len(subst.alphabet)
+    width = min(len(_image(subst, a, power)) for a in range(s)) + 1
+    blocks = [((0, n),) for n in range(1, min(width, 12) + 1)]
+    gaps = [((0, L), (L + g, 2 * L + g)) for L in (1, 2, 3)
+            for g in (0, 1, 3, 7, 20) if 2 * L + g <= width]
+    return blocks + gaps
+
+
+@pytest.mark.parametrize("make", [thue_morse, fibonacci,
+                                  ternary_substitution])
+@pytest.mark.parametrize("power", range(1, 7))
+def test_pair_window_gather_matches_per_pair_oracle(make, power):
+    subst = make()
+    for spans in _accepted_spans(subst, power):
+        _assert_same_windows(subst, power, spans)
+
+
+@pytest.mark.parametrize("make", [thue_morse, fibonacci,
+                                  ternary_substitution])
+def test_pair_window_gather_matches_oracle_at_minimal_powers(make):
+    subst = make()
+    for width in range(1, 34):
+        power = shortcut_power(subst, width)
+        _assert_same_windows(subst, power, ((0, width),))
+        for L in range(1, width // 2 + 1):
+            _assert_same_windows(subst, power,
+                                 ((0, L), (width - L, width)))
 
 
 # ── complexity function and entropy increments ────────────────────────────────
