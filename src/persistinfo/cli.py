@@ -774,6 +774,8 @@ def cmd_ising(cfg: argparse.Namespace) -> int:
 def cmd_sample(cfg: argparse.Namespace) -> int:
     if cfg.n < 1:
         raise ValueError("need n >= 1")
+    if cfg.seed < 0:
+        raise ValueError(f"--seed must be >= 0, not {cfg.seed}")
     # sampling is a float operation whatever the analysis backend
     model = _load_model(cfg.model, "float")
     for x in model.alphabet.symbols:  # as the loader splits and strips

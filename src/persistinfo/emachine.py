@@ -31,10 +31,11 @@ from .infocore import (
     Alphabet,
     Scalar,
     Word,
+    _Frozen,
     _agrees,
     _entropy_of_table,
 )
-from .processes import _Frozen, reversed_model
+from .processes import reversed_model
 
 __all__ = [
     "EpsilonMachine",

@@ -60,9 +60,9 @@ Conventions
     (``_entropy_of_counts``), so ``measures.EmpiricalSource`` estimates
     H(L) and the gap MIs without building a word table.  The tables
     (:func:`empirical_block_distribution`, joint gap tables) remain
-    for callers that need the words; only their distinct codes are
-    decoded: digit codes as one digit array per chunk of codes, ranked
-    codes by reading each off a window where it occurs.
+    for callers that need the words: each distinct code's word is read
+    off the first window where it occurs (:func:`_code_words`), digit
+    codes and ranked codes alike.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ __all__ = [
     "mutual_information",
     "marginalize_gap",
     "empirical_block_distribution",
-    "decode_window_codes",
 ]
 
 Word = tuple  # tuple[int, ...]; alias documents intent
@@ -105,9 +104,6 @@ SMOOTH_FACTOR_BOUND = 10_000
 #: float distributions must sum to 1 within this
 FLOAT_SUM_TOL = 1e-12
 
-#: window codes decoded per digit array; bounds its memory
-DECODE_CHUNK = 1 << 14
-
 #: symbols a long sequence is sampled and written in at a time (each
 #: sampled block read k steps per lookup of the k-step table, its step
 #: maps composed until they coalesce), bytes a comma-separated line of
@@ -117,12 +113,15 @@ DECODE_CHUNK = 1 << 14
 #: windows coded and counted in at a time (one bincount per block over
 #: at most ``_BLOCK >> 4`` codes, ``np.add.at`` past that), sorted codes
 #: searched for runs, counts turned into p and p·log₂ p written in at a
-#: time, and codes gathered through a lookup table in at a time, so that
-#: the intp copy ``take`` makes of a narrow index is one block long
+#: time, codes gathered through a lookup table in at a time, so that
+#: the intp copy ``take`` makes of a narrow index is one block long, and
+#: letters turned into word tuples in at a time, so that the nested
+#: lists ``tolist`` makes are one block long
 #: (``processes.MarkovProcess.sample``, the writer and the block route
 #: of the comma loader of ``cli``, :func:`_char_codes`,
 #: :func:`window_codes`, :func:`_sorted_runs`, :func:`_entropy_of_counts`,
-#: :func:`_entropy_of_p`, :func:`_ranks`); outputs do not depend on it
+#: :func:`_entropy_of_p`, :func:`_ranks`, :func:`_words`); outputs do not
+#: depend on it
 _BLOCK = 1 << 16
 
 # Enumerated window states (alphabet size ** window length, or letters
@@ -261,7 +260,17 @@ class _NotSmooth(Exception):
     pass
 
 
-class ExactBits:
+class _Frozen:
+    """Slotted fields, set once in ``__init__``: assigning one afterwards
+    raises, as on a frozen record."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class ExactBits(_Frozen):
     """Exact value in bits: ``rational + Σ coeff·log₂(prime)``.
 
     Held as integers over one positive denominator: a numerator and one
@@ -301,9 +310,6 @@ class ExactBits:
     @classmethod
     def _of(cls, num: int, coeffs: dict, den: int) -> "ExactBits":
         return cls.__new__(cls)._set(num, coeffs, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactBits is immutable")
 
     @property
     def rational(self) -> Fraction:
@@ -459,11 +465,6 @@ def _exact_str(x) -> str:
 # ── Distributions ─────────────────────────────────────────────────────────────
 
 
-def _is_exact_probs(values) -> bool:
-    return all(isinstance(v, Rational) and not isinstance(v, float)
-               for v in values)
-
-
 def _rational_weights(values) -> tuple:
     """Rationals as integer weights over the lcm D of their
     denominators: (list of weights, D)."""
@@ -484,7 +485,9 @@ def _table_weights(probs: Mapping, denominator):
     """
     weights = dict(probs)
     values = weights.values()
-    if denominator is None and _is_exact_probs(values):
+    if denominator is None and all(
+            isinstance(v, Rational) and not isinstance(v, float)
+            for v in values):
         ints, denominator = _rational_weights(values)
         weights = dict(zip(weights, ints))
         values = weights.values()
@@ -692,7 +695,7 @@ def _entropy_of_table(weights, denominator) -> Scalar:
         except _NotSmooth:
             # int / int is correctly rounded, as float(Fraction(w, D)) is
             weights = [w / denominator for w in weights]
-    return _entropy_float(weights)
+    return _entropy_of_p(np.fromiter(weights, dtype=np.float64))
 
 
 def _entropy_of_p(p: np.ndarray, k: np.ndarray | None = None) -> float:
@@ -714,10 +717,6 @@ def _entropy_of_p(p: np.ndarray, k: np.ndarray | None = None) -> float:
         p *= k
     # 0.0 − x, not −x: a single word gives 0.0, never −0.0
     return float(0.0 - p.sum())
-
-
-def _entropy_float(probs) -> float:
-    return _entropy_of_p(np.fromiter(probs, dtype=np.float64))
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
@@ -753,7 +752,7 @@ def entropy_of_probs(probs) -> Scalar:
     """
     values = list(probs)
     if any(isinstance(p, float) for p in values):
-        return _entropy_float(float(p) for p in values)
+        return _entropy_of_p(np.fromiter(values, dtype=np.float64))
     return _entropy_of_table(*_rational_weights(values))
 
 
@@ -993,14 +992,13 @@ def _grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
     own start, which no earlier block has overwritten.  Before a step
     whose range would pass 63 bits, the codes are replaced by their
     ranks among their distinct values (:func:`_ranks`).  Returns
-    (codes, size, whether ranked).
+    (codes, size).
     """
-    ranked = False
     for step in steps:
         if _passes_63_bits(size, s if step == "append" else size):
             uniq, ranks = _ranks(codes, size)
             codes[:] = ranks
-            size, ranked = uniq.size, True
+            size = uniq.size
         if step == "pair":
             continue
         k = arr.size - codes.size + 1  # the length of the windows coded
@@ -1011,12 +1009,13 @@ def _grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
             np.add(block, tail[lo:hi], out=block, casting="unsafe")
             codes[lo:hi] = block
         codes, size = codes[:tail.size], size * factor
-    return codes, size, ranked
+    return codes, size
 
 
 def window_codes(arr: np.ndarray, L: int, s: int, width: int | None = None):
-    """Codes of the length-L windows of arr that sort as their words:
-    (codes, their range, a decoder from distinct codes to words).
+    """Codes of the length-L windows of arr that sort as their words,
+    and their range: (codes, size).  A table reads the word of a code
+    off a window where it occurs (:func:`_code_words`).
 
     The codes are held in the narrowest unsigned type of the s**L
     words (``_code_dtype``), int64 past 32 bits, and built by doubling
@@ -1034,22 +1033,29 @@ def window_codes(arr: np.ndarray, L: int, s: int, width: int | None = None):
     if arr.size < L:
         raise ValueError(
             f"sequence of length {arr.size} has no length-{L} windows")
-    codes, size, ranked = _grow_codes(
+    return _grow_codes(
         arr, s, arr.astype(_code_dtype(s ** L)), s,
         _doubling_steps(L) + ["pair"] * ((width or L) > L))
-    if not ranked:
-        return codes, size, lambda uniq: decode_window_codes(uniq, L, s)
 
-    def decode(uniq):
-        # each distinct code read off a window where it occurs
-        distinct, first = np.unique(codes, return_index=True)
-        starts = first[np.searchsorted(distinct, uniq)]
-        windows, words = sliding_window_view(arr, L), []
-        for start in range(0, starts.size, DECODE_CHUNK):
-            rows = windows[starts[start:start + DECODE_CHUNK]]
-            words.extend(map(tuple, rows.tolist()))
-        return words
-    return codes, size, decode
+
+def _code_words(arr: np.ndarray, L: int, codes: np.ndarray,
+                wanted: np.ndarray) -> tuple:
+    """The words of the ``wanted`` codes among the length-L window codes
+    of arr (:func:`window_codes`), each read off the first window where
+    it occurs (:func:`_words`): the same for digit and ranked codes."""
+    distinct, first = np.unique(codes, return_index=True)
+    starts = first[np.searchsorted(distinct, wanted)]
+    return _words(sliding_window_view(arr, L)[starts])
+
+
+def _words(rows: np.ndarray) -> tuple:
+    """The rows of a 2-D array of letters as word tuples, converted
+    about ``_BLOCK`` letters at a time, so that the nested lists
+    ``tolist`` makes stay one block long."""
+    step = max(1, _BLOCK // rows.shape[1])
+    return tuple(chain.from_iterable(
+        map(tuple, rows[lo:lo + step].tolist())
+        for lo in range(0, len(rows), step)))
 
 
 def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
@@ -1077,18 +1083,6 @@ def _concat_pieces(codes: np.ndarray, pieces: Sequence[np.ndarray]):
     index = np.repeat(shift, lens)
     index += np.arange(index.size)
     return flat[index]
-
-
-def decode_window_codes(codes, L: int, s: int) -> list:
-    """Words of base-s window codes (inverse of :func:`window_codes`),
-    decoded as one (chunk, L) digit array per chunk of codes."""
-    codes = np.asarray(codes, dtype=np.int64)
-    powers = s ** np.arange(L - 1, -1, -1, dtype=np.int64)
-    words: list = []
-    for start in range(0, codes.size, DECODE_CHUNK):
-        chunk = codes[start:start + DECODE_CHUNK, None]
-        words.extend(map(tuple, (chunk // powers % s).tolist()))
-    return words
 
 
 def _pair_codes(codes: np.ndarray, span: int, shift: int, lo: int,
@@ -1236,9 +1230,9 @@ def empirical_block_distribution(seq, L: int, alphabet: Alphabet | None = None
     if L < 1:
         raise ValueError("block length must be >= 1")
     arr, alphabet = _coerce_sequence(seq, alphabet)
-    codes, size, decode = window_codes(arr, L, len(alphabet))
+    codes, size = window_codes(arr, L, len(alphabet))
     uniq, counts = _distinct_counts(codes, size)
-    words = decode(uniq)
+    words = _code_words(arr, L, codes, uniq)
     total = int(counts.sum())
     # int64 / int64 rounds exactly as int / int below 2**53
     probs = dict(zip(words, (counts / total).tolist()))

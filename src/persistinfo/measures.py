@@ -30,6 +30,7 @@ from .infocore import (
     WindowCapError,
     _code_counts,
     _code_dtype,
+    _code_words,
     _coerce_sequence,
     _count_dtype,
     _distinct_counts,
@@ -100,10 +101,10 @@ class EmpiricalSource:
     length builds a word table.
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
-    those tables, decoding only the distinct codes into words.  Cells
-    whose distinct pair count exceeds one tenth of the available
-    windows are refused as undersampled on every path, before anything
-    is decoded.
+    those tables, reading each distinct code's word off a window where
+    it occurs (``infocore._code_words``).  Cells whose distinct pair
+    count exceeds one tenth of the available windows are refused as
+    undersampled on every path, before any word is built.
     """
 
     __slots__ = ("arr", "alphabet", "n")
@@ -169,7 +170,7 @@ class EmpiricalSource:
                 if len(steps) > len(_doubling_steps(L)):
                     held[:] = self.arr
                     codes, size, steps = held, s, _doubling_steps(L)
-                codes, size, _ = _grow_codes(self.arr, s, codes, size, steps)
+                codes, size = _grow_codes(self.arr, s, codes, size, steps)
                 k = L
                 H[L] = _entropy_of_counts(_distinct_counts(codes, size)[1])
         return [H[L] for L in Ls]
@@ -192,7 +193,7 @@ class EmpiricalSource:
             top = dense[-1]
             if packed != top:
                 packed, keys = top, window_codes(self.arr, top, s, 2 * top)
-            codes, span, _ = keys
+            codes, span = keys
             m = n - 2 * top - g + 1
             Q = _code_counts(codes, span * span, (span, top + g),
                              dtype=_count_dtype(n))
@@ -231,8 +232,9 @@ class EmpiricalSource:
         """Plug-in I(left; right) in bits of two length-L blocks g
         symbols apart, from the counts of the pair codes of this one
         cell; refuses undersampled cells.  ``keys`` are the length-L
-        window codes of :func:`window_codes` when the caller has them."""
-        uniq, pair_counts, span, _ = self._pair_code_counts(L, g, keys)
+        window codes and their range, as :func:`window_codes` gives them,
+        when the caller has them."""
+        uniq, pair_counts, (_, span) = self._pair_code_counts(L, g, keys)
         # marginal counts are integer sums of the pair counts, exact in
         # float64, over the (at most m / 10) distinct pairs
         h_left = _entropy_of_counts(
@@ -246,23 +248,25 @@ class EmpiricalSource:
         return empirical_block_distribution(self.arr, L, self.alphabet)
 
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
-        uniq, counts, span, decode = self._pair_code_counts(L, g)
-        pairs = zip(decode(uniq // span), decode(uniq % span))
+        uniq, counts, (codes, span) = self._pair_code_counts(L, g)
+        pairs = zip(*(_code_words(self.arr, L, codes, half)
+                      for half in (uniq // span, uniq % span)))
         # int64 / int64 rounds exactly as int / int below 2**53
         probs = dict(zip(pairs, (counts / counts.sum()).tolist()))
         return JointBlockDistribution(self.alphabet, L, g, L, probs)
 
     def _pair_code_counts(self, L: int, g: int, keys=None):
         """Distinct pair codes ``left * K + right`` of the gap-g windows,
-        ascending, their int64 counts, the range K of the length-L codes
-        and their decoder; refuses cells with no window or too few."""
+        ascending, their counts, and the length-L window codes with their
+        range K, ``keys`` when given (:func:`window_codes`); refuses
+        cells with no window or too few."""
         m = self._gap_windows(L, g)
-        codes, span, decode = keys or window_codes(
-            self.arr, L, len(self.alphabet), 2 * L)
+        keys = keys or window_codes(self.arr, L, len(self.alphabet), 2 * L)
+        codes, span = keys
         pairs = _pair_codes(codes, span, L + g, 0, m)
         uniq, counts = _distinct_counts(pairs, span * span)
         _refuse_undersampled(uniq.size, m)
-        return uniq, counts, span, decode
+        return uniq, counts, keys
 
 
 def _sum_last_digit(counts: np.ndarray, s: int) -> np.ndarray:

@@ -62,6 +62,7 @@ from .infocore import (
     WindowCapError,
     Word,
     _BLOCK,
+    _Frozen,
     _NotSmooth,
     _agrees,
     _code_dtype,
@@ -72,6 +73,7 @@ from .infocore import (
     _mi_of_joint,
     _ranks,
     _rational_weights,
+    _words,
     entropy_of_probs,
     log2_of,
 )
@@ -144,16 +146,6 @@ class ClosedForms(NamedTuple):
     efficiency: object
 
 
-class _Frozen:
-    """Slotted fields, set once in ``__init__``: assigning one afterwards
-    raises, as on a frozen record."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-
 class _WindowLaws(_Frozen):
     """H(L), tables, gap cells and reversal of a model that lists its
     windows: ``_window_law(spans)`` reads them through ``spans``, as the
@@ -172,9 +164,8 @@ class _WindowLaws(_Frozen):
         if L < 1:
             raise ValueError("block length must be >= 1")
         rows, weights, D = self._window_law(((0, L),))
-        words = map(tuple, rows.tolist())
         return BlockDistribution._trusted(
-            self.alphabet, L, dict(zip(words, weights)), D)
+            self.alphabet, L, dict(zip(_words(rows), weights)), D)
 
     def _gap_law(self, L: int, g: int) -> tuple:
         if L < 1 or g < 0:
@@ -184,20 +175,23 @@ class _WindowLaws(_Frozen):
     def joint_gap_distribution(self, L: int, g: int) -> JointBlockDistribution:
         """The gap windows as a table: the tests' oracle of the cells."""
         rows, weights, D = self._gap_law(L, g)
-        pairs = [(tuple(r[:L]), tuple(r[L:])) for r in rows.tolist()]
+        pairs = zip(_words(rows[:, :L]), _words(rows[:, L:]))
         return JointBlockDistribution._trusted(
             self.alphabet, L, g, L, dict(zip(pairs, weights)), D)
 
     def gap_mutual_information(self, L: int, g: int) -> Scalar:
         """I(A; B) of two length-L blocks g apart, as a Markov cell's: the
         gap windows' weights fill one 2-D array for ``_mi_of_joint`` at
-        the ranks of their left and right blocks (``_distinct_rows`` of
-        the rows' two halves), with no word built."""
+        the ranks of their left and right blocks, with no word built.
+        The rows are in lex order, so their left halves are sorted and
+        ranked by the starts of their runs; the right halves are ranked
+        by ``_distinct_rows``."""
         rows, weights, D = self._gap_law(L, g)
-        s = len(self.alphabet)
-        _, a = _distinct_rows(rows[:, :L], s)
-        _, b = _distinct_rows(rows[:, L:], s)
-        J = np.zeros((a.max() + 1, b.max() + 1),
+        left = rows[:, :L]
+        a = np.cumsum((left[1:] != left[:-1]).any(axis=1))
+        a = np.concatenate(([0], a))
+        _, b = _distinct_rows(rows[:, L:], len(self.alphabet))
+        J = np.zeros((a[-1] + 1, b.max() + 1),
                      dtype=float if D is None else object)
         J[a, b] = weights
         return _mi_of_joint(J, D)
@@ -467,7 +461,7 @@ def _walk_maps(steps: np.ndarray, maps: np.ndarray, rows: list,
     return states[:n]
 
 
-class MarkovProcess:
+class MarkovProcess(_Frozen):
     """Order-R Markov chain given by one probability row per length-R
     context; order 0 degenerates to an i.i.d. source.
 
@@ -574,9 +568,6 @@ class MarkovProcess:
             q = None
             object.__setattr__(self, "_pi", pi)
         object.__setattr__(self, "_q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MarkovProcess is immutable")
 
     def _solve_stationary(self, T: np.ndarray, d) -> tuple:
         """π of the context matrix; the Ising chain's is in closed form."""
@@ -848,8 +839,9 @@ class MarkovProcess:
         in a k-step table built once per call: for each code and
         context, the k symbols written and the context reached.  k is
         the largest with nb^k·m ≤ ``_STEP_TABLE`` (m contexts), at
-        most 16; a chain with many contexts gets k = 1, the one-step
-        table itself.  Equal k-step maps are kept once, and
+        most 16; a chain with many contexts gets k = 1, built the same
+        way: the one-step table, whose maps are the distinct one-step
+        maps.  Equal k-step maps are kept once, and
         ``_walk_maps`` composes the chunks' maps until they coalesce
         into constant maps, read in one gather, rather than stepping
         through them one by one.
@@ -907,23 +899,19 @@ class MarkovProcess:
         maps = (np.arange(m) * s + symbols) % m
         rows = maps.tolist()
         k = _chunk_steps(nb, m)
-        if k == 1:
-            ids, step_maps, step_rows = None, maps, rows
-            written = symbols.reshape(-1, 1).astype(dtype)
-        else:
-            # digit j of code q (most significant first) is the bin of
-            # step j of its chunk
-            q = np.arange(nb ** k)[:, None]
-            state = np.tile(np.arange(m), (q.size, 1))
-            written = np.empty((q.size, m, k), dtype=dtype)
-            for j in range(k):
-                b = q // nb ** (k - 1 - j) % nb
-                written[:, :, j] = symbols[b, state]
-                state = maps[b, state]
-            written = written.reshape(-1, k)
-            step_maps, ids = _distinct_rows(state, m)
-            step_maps = step_maps.astype(np.int64)
-            step_rows = step_maps.tolist()
+        # digit j of code q (most significant first) is the bin of step
+        # j of its chunk
+        q = np.arange(nb ** k)[:, None]
+        state = np.tile(np.arange(m), (q.size, 1))
+        written = np.empty((q.size, m, k), dtype=dtype)
+        for j in range(k):
+            b = q // nb ** (k - 1 - j) % nb
+            written[:, :, j] = symbols[b, state]
+            state = maps[b, state]
+        written = written.reshape(-1, k)
+        step_maps, ids = _distinct_rows(state, m)
+        step_maps = step_maps.astype(np.int64)
+        step_rows = step_maps.tolist()
         bin_type = _code_dtype(nb)
         context = start
         for lo in range(0, n, _BLOCK):
@@ -939,8 +927,7 @@ class MarkovProcess:
             for j in range(1, k):
                 codes *= nb
                 codes += chunks[:, j]
-            states = _walk_maps(codes if ids is None else ids[codes],
-                                step_maps, step_rows, context)
+            states = _walk_maps(ids[codes], step_maps, step_rows, context)
             codes *= m
             codes += states
             out[lo:lo + u.size] = written.take(codes, axis=0).ravel()[:u.size]

@@ -33,8 +33,8 @@ a backward breadth-first walk over its nonzero entries), the pair
 frequencies with their integer weights (_pair_perron, the one Perron
 system solved), the pair factors, the factor sets, the shortcut
 powers, and at each power the pair images ζ^p(α)ζ^p(β) with the
-window starts in them (_pair_images), so a count is one gather of
-its columns from them.
+window starts in them (_pair_images), so a count gathers its columns
+from them into one array of letters.
 """
 
 from __future__ import annotations
@@ -53,10 +53,12 @@ from .infocore import (
     WindowCapError,
     Word,
     _BLOCK,
+    _Frozen,
     _code_dtype,
     _concat_pieces,
     _distinct_rows,
     _rational_weights,
+    _words,
 )
 
 __all__ = [
@@ -87,7 +89,7 @@ class ReducibleMatrixError(ValueError):
 # ── substitution rules ──────────────────────────────────────────────
 
 
-class Substitution:
+class Substitution(_Frozen):
     """Letter-to-word map with a designated fixed-point seed.
 
     rules[a] is the image word of letter a (a tuple of letter indices).
@@ -118,9 +120,6 @@ class Substitution:
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "start", start)
         self._check_admissible()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Substitution is immutable")
 
     def _check_admissible(self) -> None:
         if self.rules[self.start][0] != self.start:
@@ -351,7 +350,7 @@ def factors_of_length(subst: Substitution, l: int) -> tuple:
     if l < 1:
         raise ValueError("factor length must be positive")
     rows, _ = _pair_window_counts(subst, shortcut_power(subst, l), ((0, l),))
-    return tuple(map(tuple, rows.tolist()))
+    return _words(rows)
 
 
 def induced_substitution(subst: Substitution, l: int) -> Substitution:
@@ -406,7 +405,7 @@ def _pair_perron(subst: Substitution) -> tuple:
     v2 = np.array(_rational_weights(pf.eigenvector)[0] if pf.exact
                   else pf.eigenvector, object)
     v2.setflags(write=False)
-    return tuple(map(tuple, rows.tolist())), pf, v2
+    return _words(rows), pf, v2
 
 
 def factor_frequencies(subst: Substitution, l: int) -> FactorTable:
@@ -526,8 +525,10 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
     outgrows both the cap and the width the refusal is certain, and
     the message quotes the count at that power.  The image lengths and
     the pair images of a power are built once (_image_sizes,
-    _pair_images), and every row of a call is taken from the images in
-    one gather of the spans' columns."""
+    _pair_images), and the rows of a call are gathered from the images
+    into one array of letters, a chunk of window starts at a time, so
+    the index of a gather stays near ``_BLOCK`` letters whatever the
+    width."""
     s, width = len(subst.alphabet), max(stop for _, stop in spans)
     n = len(_pair_factors(subst))
     shortest, bound = _image_sizes(subst, power, max(WINDOW_STATE_CAP, width))
@@ -539,8 +540,12 @@ def _pair_window_counts(subst: Substitution, power: int, spans) -> tuple:
             f"window of length {width} may have up to {bound}"
             f" factors, {width * bound} letters in all")
     flat, starts, owner = _pair_images(subst, power)
-    cols = [i for a, b in spans for i in range(a, b)]
-    distinct, inverse = _distinct_rows(flat[starts[:, None] + cols], s)
+    cols = np.array([i for a, b in spans for i in range(a, b)])
+    letters = np.empty((starts.size, cols.size), flat.dtype)
+    step = max(1, _BLOCK // cols.size)
+    for lo in range(0, starts.size, step):
+        letters[lo:lo + step] = flat[starts[lo:lo + step, None] + cols]
+    distinct, inverse = _distinct_rows(letters, s)
     counts = np.bincount(inverse * n + owner, minlength=len(distinct) * n)
     counts = counts.reshape(len(distinct), n)
     counts.setflags(write=False)
@@ -574,7 +579,7 @@ def shortcut_matrix(subst: Substitution, l: int, power: int) -> ShortcutData:
     v_l = tuple(weights) if D is None else tuple(
         Fraction(w, D) for w in weights)
     return ShortcutData(
-        matrix=C, factors_l=tuple(map(tuple, rows.tolist())),
+        matrix=C, factors_l=_words(rows),
         factors_2=pairs, v2=pf.eigenvector,
         v_l=v_l, power=power)
 

@@ -178,7 +178,7 @@ def empirical_block_entropy(src, L: int) -> float:
     length-L codes alone: the oracle of ``EmpiricalSource.block_entropies``,
     which reads shorter lengths off the counts of a longer one."""
     src._check_block(L)
-    codes, size, _ = window_codes(src.arr, L, len(src.alphabet))
+    codes, size = window_codes(src.arr, L, len(src.alphabet))
     return _entropy_of_counts(_distinct_counts(codes, size)[1])
 
 

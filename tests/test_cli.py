@@ -501,6 +501,11 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
     (("entropy", "--model",
       '{"kind":"substitution","rules":{"0":"01","1":""},"start":"0"}',
       "--Lmax", "2"), "empty image word for letter '1'"),
+    # a negative seed, which NumPy would refuse and tm would ignore
+    (("sample", "--model", "tm", "--n", "5", "--seed", "-1"),
+     "--seed must be >= 0, not -1"),
+    (("sample", "--model", "goldenmean", "--n", "5", "--seed", "-1"),
+     "--seed must be >= 0, not -1"),
 ])
 def test_command_refusals_name_the_cause(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error: {message}\n")

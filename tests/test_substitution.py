@@ -9,6 +9,7 @@ increments from the exact frequency tables.
 
 import decimal
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -510,6 +511,23 @@ def test_refused_windows_build_and_keep_no_images():
         with pytest.raises(ValueError):
             substitution._pair_window_counts(tm, power, spans)
     assert substitution._pair_images.cache_info().currsize == 0
+
+
+def test_wide_factor_table_peaks_near_what_it_keeps():
+    # width 1024: the windows are gathered a chunk of starts at a time,
+    # with no int64 index of every letter, and turned into words a
+    # block of letters at a time, with no list of every row
+    for memo in vars(substitution).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+    tracemalloc.start()
+    try:
+        table = factor_frequencies(thue_morse(), 1024)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.freq) == len(table.factors) == 3070
+    assert peak < 1.3 * kept
 
 
 # ── the pair-window gather against the per-pair oracle ──────────────────────
