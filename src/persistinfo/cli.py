@@ -27,7 +27,6 @@ from .infocore import (
     _BLOCK,
     _char_codes,
     _concat_pieces,
-    _distinct_rows,
     _exact_str,
     _fmt,
     _ranks,
@@ -258,7 +257,8 @@ def _load_sequence(path: str) -> EmpiricalSource:
     so the line is held once.  A comma line is parsed from those bytes
     (``_comma_codes``), and a line of ASCII characters is coded one
     byte per symbol (``_char_codes``); only a line with a non-ASCII
-    character is decoded, to a string.
+    character is decoded, to a string.  A line that is not UTF-8 is
+    refused, naming the file offset of its first bad byte.
     """
     raw = Path(path).read_bytes()
     lo, hi = _line_bounds(raw)
@@ -266,13 +266,21 @@ def _load_sequence(path: str) -> EmpiricalSource:
         raise ValueError(f"sequence file is empty: {path}")
     if raw.find(b"\n", lo, hi) >= 0 or raw.find(b"\r", lo, hi) >= 0:
         raise ValueError("sequence files hold one line of symbols")
-    if raw.find(b",", lo, hi) >= 0:
-        codes, labels = _comma_codes(raw, lo, hi, path)
-        return EmpiricalSource(codes, Alphabet(labels))
-    points = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
-    if points.max() < 0x80:
-        return EmpiricalSource(*_char_codes(raw, None, lo, hi))
-    text = str(memoryview(raw)[lo:hi], "utf-8")
+    try:
+        if raw.find(b",", lo, hi) >= 0:
+            codes, labels = _comma_codes(raw, lo, hi, path)
+            return EmpiricalSource(codes, Alphabet(labels))
+        points = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
+        if points.max() < 0x80:
+            return EmpiricalSource(*_char_codes(raw, None, lo, hi))
+        text = str(memoryview(raw)[lo:hi], "utf-8")
+    except UnicodeDecodeError:
+        try:  # the line fails too, at the first bad byte's offset
+            raw[lo:hi].decode()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"sequence file {path} is not UTF-8: byte "
+                             f"0x{raw[lo + err.start]:02x} at offset "
+                             f"{lo + err.start}") from None
     del points, raw  # the line is held once, as the string
     return EmpiricalSource(text)
 
@@ -310,8 +318,8 @@ def _comma_codes(raw: bytes, lo: int, end: int, path: str):
     and the stride-(w + 1) column from w holds only commas), each
     label is one uint16 key built from the w strided columns, and the
     keys are ranked (``_ranks``) in one pass: big-endian UTF-8 bytes
-    sort in Python's string order.  Any other line goes through
-    ``_comma_block_codes``, which gives the same codes and labels.
+    sort in Python's string order.  Any other line takes the plain
+    route, ``_comma_block_codes``, which gives the same codes and labels.
     """
     line = np.frombuffer(raw, dtype=np.uint8, count=end - lo, offset=lo)
     w = raw.find(b",", lo, end) - lo
@@ -332,85 +340,40 @@ def _comma_block_codes(raw: bytes, lo: int, end: int, path: str):
     """``_comma_codes`` of a line of labels of any widths.
 
     The line is read in blocks of about ``_BLOCK`` bytes, each ending
-    just before a comma; a comma is never part of a multi-byte UTF-8
-    character, so no label is split.  In a block, the tokens of each
-    byte length are keyed by gathering their bytes: as base-256
-    integers when they fit in 63 bits, looked up in the sorted keys of
-    that length seen so far, to which only the keys not seen before are
-    added; as rows sorted bytewise otherwise.  A label seen for the
-    first time takes the next id, and the ids are renumbered once at
-    the end, in Python's string order.  The codes are held in the
-    narrowest unsigned type of the labels' number, widened as new
-    labels come.
+    just before a comma (never part of a multi-byte UTF-8 character).
+    Each block is split at its commas; a label seen first takes the
+    next id in one dict keyed by its bytes, and the codes, of the
+    narrowest unsigned type of the labels' number, widen as labels
+    come.  The ids are renumbered once at the end, in Python's string
+    order, the order of UTF-8 bytes.
     """
-    size = _BLOCK
-    data = np.frombuffer(raw, dtype=np.uint8)
     codes = np.empty(raw.count(b",", lo, end) + 1, dtype=np.uint8)
     ids: dict = {}
-    seen: dict = {}  # byte length -> (sorted keys, their ids)
     done = 0
-    while True:
-        hi = raw.find(b",", lo + size, end)
+    while lo <= end:
+        hi = raw.find(b",", lo + _BLOCK, end)
         if hi < 0:
             hi = end
-        block = data[lo:hi]
-        ends = np.flatnonzero(block == ord(","))
-        starts = np.zeros(ends.size + 1, dtype=np.int64)
-        np.add(ends, 1, out=starts[1:])
-        lengths = np.append(ends, block.size) - starts
-        if not lengths.all():
-            raise ValueError(f"empty symbol at position "
-                             f"{done + int(np.argmin(lengths))} of the "
-                             f"comma-separated sequence in {path}")
-        counts = np.bincount(lengths)
-        for width in np.flatnonzero(counts).tolist():
-            where = (slice(None) if counts[width] == starts.size
-                     else np.flatnonzero(lengths == width))
-            first = starts[where]
-            if width * 8 < 63:
-                keys = np.zeros(first.size, dtype=np.int64)
-                for j in range(width):
-                    keys <<= 8
-                    keys |= block[first + j]
-                known, known_ids = seen.get(width, (keys[:0], keys[:0]))
-                pos = np.searchsorted(known, keys)
-                hit = pos < known.size
-                hit[hit] = known[pos[hit]] == keys[hit]
-                if not hit.all():
-                    # the distinct new keys, by a sort: a bare
-                    # np.unique imports numpy.ma
-                    new = np.sort(keys[~hit])
-                    new = new[np.diff(new, prepend=-1) > 0]
-                    new_ids = [ids.setdefault(k.to_bytes(width, "big")
-                                              .decode(), len(ids))
-                               for k in new.tolist()]
-                    at = np.searchsorted(known, new)
-                    known = np.insert(known, at, new)
-                    known_ids = np.insert(known_ids, at, new_ids)
-                    seen[width] = known, known_ids
-                    pos = np.searchsorted(known, keys)
-                found = known_ids[pos]
-            else:
-                rows = block[first[:, None] + np.arange(width)]
-                distinct, local = _distinct_rows(rows, 256)
-                found = np.array([ids.setdefault(row.tobytes().decode(),
-                                                 len(ids))
-                                  for row in distinct])[local]
-            if len(ids) - 1 > np.iinfo(codes.dtype).max:
-                codes = codes.astype(np.min_scalar_type(len(ids) - 1))
-            codes[done:done + starts.size][where] = found
-        done += starts.size
-        if hi == end:
-            break
+        tokens = raw[lo:hi].split(b",")
+        for label in dict.fromkeys(tokens):
+            if not label:
+                raise ValueError(f"empty symbol at position "
+                                 f"{done + tokens.index(label)} of the "
+                                 f"comma-separated sequence in {path}")
+            ids.setdefault(label, len(ids))
+        if len(ids) - 1 > np.iinfo(codes.dtype).max:
+            codes = codes.astype(np.min_scalar_type(len(ids) - 1))
+        codes[done:done + len(tokens)] = np.fromiter(
+            map(ids.__getitem__, tokens), codes.dtype, len(tokens))
+        done += len(tokens)
         lo = hi + 1
     labels = sorted(ids)
     rank = np.empty(len(ids), dtype=np.int64)
     rank[[ids[label] for label in labels]] = np.arange(len(labels))
     if (rank != np.arange(rank.size)).any():
-        for lo in range(0, codes.size, size):
-            chunk = codes[lo:lo + size]
-            chunk[:] = rank[chunk]
-    return codes, labels
+        for lo in range(0, codes.size, _BLOCK):
+            codes[lo:lo + _BLOCK] = rank[codes[lo:lo + _BLOCK]]
+    return codes, [label.decode() for label in labels]
 
 
 def _source(cfg: argparse.Namespace):

@@ -201,10 +201,12 @@ def _laws(model, R: int, F: int) -> tuple:
     k whose last k history symbols key a future table (the order of a
     chain of order at most R, else R); and those future tables, the
     length-(k+F) table grouped by its first k symbols.  When k = R the
-    length-(R+F) table serves for both."""
+    length-(R+F) table serves for both, and when k + F = R + 1 it is
+    the length-(R+1) table: either way it is built once."""
     k = min(getattr(model, "order", R), R)
     win = model.block_distribution(k + F)
-    blocks = win if k == R else model.block_distribution(R + 1)
+    blocks = (win if k == R or k + F == R + 1
+              else model.block_distribution(R + 1))
     # words of one prefix mostly come in a run: look its row up once
     futures: dict = {}
     c = None

@@ -1296,6 +1296,73 @@ def test_uniform_looking_comma_line_names_its_empty_symbol(tmp_path, text,
                                f"comma-separated sequence in {p}")
 
 
+# one to three UTF-8 bytes a letter; no comma and no whitespace
+_WIDE_LABEL = st.text(st.sampled_from("ab19+-_xéαβ中"), min_size=1,
+                      max_size=12).filter(lambda s: len(s.encode()) <= 12)
+
+
+@st.composite
+def mixed_comma_lines(draw):
+    labels = draw(st.lists(_WIDE_LABEL, min_size=1, max_size=300,
+                           unique=True))
+    tokens = draw(st.lists(st.sampled_from(labels), min_size=2,
+                           max_size=600))
+    return ",".join(tokens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=mixed_comma_lines(), block=st.sampled_from((1, 3, 64, 1 << 16)))
+def test_comma_lines_of_any_widths_load_as_split_text(tmp_path_factory, line,
+                                                      block):
+    import numpy as np
+
+    from persistinfo.cli import _load_sequence
+    tokens = line.split(",")
+    labels = sorted(set(tokens))
+    p = tmp_path_factory.mktemp("seq") / "seq.txt"
+    p.write_text(line + "\n", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BLOCK", block)
+        src = _load_sequence(str(p))
+    assert src.alphabet.symbols == tuple(labels)
+    assert src.arr.dtype == np.min_scalar_type(len(labels) - 1)
+    assert src.arr.tolist() == [labels.index(t) for t in tokens]
+
+
+@pytest.mark.parametrize("body, offset", [
+    pytest.param(b"ab,c\xff,ab,d", 4, id="mixed-widths"),
+    pytest.param(b"+1,\xff1,+1", 3, id="strided"),
+    pytest.param(b"ab\xffc", 2, id="characters"),
+    pytest.param(b"\xef\xbb\xbf  ab\xffc", 7, id="characters-after-bom"),
+])
+def test_sequence_file_not_utf8_names_the_file_offset(tmp_path, capsys, body,
+                                                      offset):
+    p = tmp_path / "seq.txt"
+    p.write_bytes(body + b"\n")
+    assert body[offset] == 0xFF
+    code, out, err = run(capsys, "entropy", "--seq", str(p), "--Lmax", "2")
+    assert (code, out) == (1, "")
+    assert err == (f"error: sequence file {p} is not UTF-8: byte 0xff at "
+                   f"offset {offset}\n")
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(("entropy", "--Lmax", "3"), "entropy_seq_labels300_L3.json",
+                 id="entropy"),
+    pytest.param(("pmi", "--L-grid", "1,2,3", "--g-grid", "0,1,2"),
+                 "pmi_seq_labels300.json", id="pmi"),
+])
+def test_three_hundred_labels_match_golden_files(tmp_path, capsys, argv,
+                                                 name):
+    # 10^4 labels of two to four bytes, as the CI round trip writes them
+    p = tmp_path / "labels300.txt"
+    p.write_text(",".join(f"s{i * 7 % 300}" for i in range(10 ** 4)) + "\n")
+    code, out, err = run(capsys, argv[0], "--seq", str(p), *argv[1:],
+                         "--format", "json")
+    assert code == 0, err
+    assert out == (DATA / name).read_text()
+
+
 def test_sample_and_comma_entropy_import_no_masked_arrays(tmp_path):
     # a bare np.unique checks for masked arrays, importing numpy.ma
     src = str(Path(persistinfo.__file__).resolve().parent.parent)

@@ -594,3 +594,20 @@ def test_machine_future_tables_keep_the_window_cap():
             "window of length 27 over 2 symbols needs 2**27 states; "
             "cap is 2**26")):
         reconstruct(goldenmean(), 1, 26)
+
+
+@pytest.mark.parametrize("model, R, F_, lengths", [
+    pytest.param(goldenmean(), 8, 8, [9], id="goldenmean-8-8"),
+    pytest.param(IidProcess.from_probs([F(1, 2), F(1, 2)]), 1, 2, [2],
+                 id="coin-1-2"),
+    # k = order 1 < R and k + F > R + 1: both tables are needed
+    pytest.param(goldenmean(), 3, 1, [2, 4], id="goldenmean-3-1"),
+])
+def test_reconstruct_builds_each_table_once(monkeypatch, model, R, F_,
+                                            lengths):
+    asked = []
+    build = MarkovProcess.block_distribution
+    monkeypatch.setattr(MarkovProcess, "block_distribution",
+                        lambda self, L: asked.append(L) or build(self, L))
+    reconstruct(model, R, F_)
+    assert asked == lengths
