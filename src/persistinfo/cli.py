@@ -630,8 +630,9 @@ def cmd_substitution(cfg: argparse.Namespace) -> int:
         raise ValueError("--p is read only with --show-shortcut")
     sub = _load_substitution(cfg)
     table = factor_frequencies(sub, cfg.l)
-    dec = sub.alphabet.decode
-    items = [(dec(w), table.freq[w]) for w in table.factors]
+    names = [sub.alphabet.decode(w) for w in table.factors]
+    items = list(zip(names, table.freq.values()))  # freq is in factor order
+    shortcut = _shortcut_dict(sub, cfg) if cfg.show_shortcut else None
     if cfg.format == "csv":
         lines = ["factor,freq_exact,freq_float"]
         lines += [f"{name},{_exact_str(p)},{_fmt(float(p))}"
@@ -642,34 +643,17 @@ def cmd_substitution(cfg: argparse.Namespace) -> int:
                "factors": [{"factor": name, "freq": float(p),
                             "freq_exact": _exact_str(p)}
                            for name, p in items]}
-        if cfg.show_shortcut:
-            doc["shortcut"] = _shortcut_dict(sub, cfg)
+        if shortcut:
+            doc["shortcut"] = shortcut
         text = json.dumps(doc, indent=2) + "\n"
     else:
         lines = [f"factors of length {cfg.l} ({len(items)} total):"]
         lines += [f"  {name}  {_render(p)}" for name, p in items]
-        if cfg.show_shortcut:
-            lines += _shortcut_lines(sub, cfg)
+        if shortcut:
+            lines += _shortcut_lines(shortcut, names, cfg.l)
         text = "\n".join(lines) + "\n"
     _emit(text, cfg.out)
     return 0
-
-
-def _shortcut_lines(sub: Substitution, cfg: argparse.Namespace) -> list:
-    data = shortcut_matrix(sub, cfg.l, cfg.p)
-    dec = sub.alphabet.decode
-    lines = [f"shortcut count matrix (length-{cfg.l} factors x pairs, "
-             f"power {data.power}):"]
-    pair_names = [dec(w) for w in data.factors_2]
-    lines.append("  " + " " * (cfg.l + 2) + "  ".join(pair_names))
-    for i, w in enumerate(data.factors_l):
-        row = "  ".join(f"{int(v):>2}" for v in data.matrix[i])
-        lines.append(f"  {dec(w)}  {row}")
-    lines.append("pair frequencies: " + "  ".join(
-        f"{name}={p}" for name, p in zip(pair_names, data.v2)))
-    lines.append("shortcut frequencies: " + "  ".join(
-        f"{dec(w)}={p}" for w, p in zip(data.factors_l, data.v_l)))
-    return lines
 
 
 def _shortcut_dict(sub: Substitution, cfg: argparse.Namespace) -> dict:
@@ -682,6 +666,22 @@ def _shortcut_dict(sub: Substitution, cfg: argparse.Namespace) -> dict:
         "matrix": [[int(v) for v in row] for row in data.matrix],
         "freqs": [str(p) for p in data.v_l],
     }
+
+
+def _shortcut_lines(doc: dict, names: list, l: int) -> list:
+    """The text form of ``_shortcut_dict``'s document: its count matrix
+    with a row per length-l factor (``names``, the factors' order) and
+    a column per pair, then the pair and factor frequencies."""
+    lines = [f"shortcut count matrix (length-{l} factors x pairs, "
+             f"power {doc['power']}):",
+             "  " + " " * (l + 2) + "  ".join(doc["pairs"])]
+    lines += [f"  {name}  " + "  ".join(f"{v:>2}" for v in row)
+              for name, row in zip(names, doc["matrix"])]
+    lines.append("pair frequencies: " + "  ".join(
+        f"{name}={p}" for name, p in zip(doc["pairs"], doc["pair_freqs"])))
+    lines.append("shortcut frequencies: " + "  ".join(
+        f"{name}={p}" for name, p in zip(names, doc["freqs"])))
+    return lines
 
 
 # ── ising sweep ───────────────────────────────────────────────────────────────

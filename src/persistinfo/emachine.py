@@ -200,31 +200,24 @@ def _laws(model, R: int, F: int) -> tuple:
     that table and over its denominator; the
     k whose last k history symbols key a future table (the order of a
     chain of order at most R, else R); and those future tables, the
-    length-(k+F) table grouped by its first k symbols.  When k = R the
+    length-(k+F) table grouped by its first k symbols.  Both groupings
+    take one ``setdefault`` per word, in any table order (a reversed
+    table has no runs of one prefix).  When k = R the
     length-(R+F) table serves for both, and when k + F = R + 1 it is
     the length-(R+1) table: either way it is built once."""
     k = min(getattr(model, "order", R), R)
     win = model.block_distribution(k + F)
     blocks = (win if k == R or k + F == R + 1
               else model.block_distribution(R + 1))
-    # words of one prefix mostly come in a run: look its row up once
     futures: dict = {}
-    c = None
     for w, p in win.weights.items():
         if p != 0:
-            if w[:k] != c:
-                c = w[:k]
-                table = futures.setdefault(c, {})
-            table[w[k:]] = p
+            futures.setdefault(w[:k], {})[w[k:]] = p
     sym: dict = {}
-    d = None
     s = len(blocks.alphabet)
     for w, p in blocks.weights.items():
         if p != 0:
-            if w[:R] != d:
-                d = w[:R]
-                row = sym.setdefault(d, [0] * s)
-            row[w[R]] += p
+            sym.setdefault(w[:R], [0] * s)[w[R]] += p
     hist = {d: sum(row) for d, row in sym.items()}
     return blocks, hist, k, futures, sym
 

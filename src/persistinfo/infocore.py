@@ -278,8 +278,9 @@ class ExactBits(_Frozen):
     by their gcd, so ``==`` is value equality; ``rational`` and ``logs``
     read them as Fractions.  Supports +, −, scaling by rationals,
     division by rationals, and float conversion; with a float it gives
-    a float, and compares by value, as a Fraction does.  Immutable and
-    hashable.
+    a float, and compares by value, as a Fraction does.  Subtraction is
+    addition of the negation, so x − y rounds as x + (−y) does, and
+    −0.0 − ExactBits(0) is +0.0.  Immutable and hashable.
     """
 
     __slots__ = ("_num", "_coeffs", "_den")
@@ -321,39 +322,26 @@ class ExactBits(_Frozen):
 
     # arithmetic ──────────────────────────────────────────────────────
 
-    def _combine(self, other: "ExactBits", sign: int) -> "ExactBits":
-        den = math.lcm(self._den, other._den)
-        a, b = den // self._den, sign * (den // other._den)
-        coeffs = {p: a * c for p, c in self._coeffs}
-        for p, c in other._coeffs:
-            coeffs[p] = coeffs.get(p, 0) + b * c
-        return ExactBits._of(a * self._num + b * other._num, coeffs, den)
-
     def __add__(self, other):
         if isinstance(other, float):
             return float(self) + other
         other = _as_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._combine(other, +1)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        coeffs = {p: a * c for p, c in self._coeffs}
+        for p, c in other._coeffs:
+            coeffs[p] = coeffs.get(p, 0) + b * c
+        return ExactBits._of(a * self._num + b * other._num, coeffs, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, float):
-            return float(self) - other
-        other = _as_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._combine(other, -1)
+        return self + -other
 
     def __rsub__(self, other):
-        if isinstance(other, float):
-            return other - float(self)
-        other = _as_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._combine(self, -1)
+        return -self + other
 
     def __neg__(self) -> "ExactBits":
         return ExactBits._of(-self._num, {p: -c for p, c in self._coeffs},

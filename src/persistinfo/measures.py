@@ -394,13 +394,6 @@ class GapMIGrid(NamedTuple):
     exact: bool
     empirical: bool
 
-    def value(self, L: int, g: int) -> Scalar:
-        try:
-            return self.values[(L, g)]
-        except KeyError:
-            reason = self.missing.get((L, g), "not on the grid")
-            raise KeyError(f"no value at (L={L}, g={g}): {reason}") from None
-
     def to_csv(self) -> str:
         lines = ["L,g,E_bits"]
         for L in self.L_grid:
@@ -516,25 +509,18 @@ def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
     g_last = gs[-1]
     g_half = min(gs[:-1], key=lambda g: abs(g - g_last / 2))
 
-    tail_values: dict = {}
-    tail_ok: dict = {}
-    tail_gaps: dict = {}
+    tail_values = dict.fromkeys(grid.L_grid)
+    tail_gaps = dict.fromkeys(grid.L_grid)
+    tail_ok = dict.fromkeys(grid.L_grid, False)
     for L in grid.L_grid:
         avail = [g for g in gs if (L, g) in grid.values]
-        if not avail:
-            tail_values[L] = None
-            tail_ok[L] = False
-            tail_gaps[L] = None
-            continue
-        tail_values[L] = float(grid.values[(L, avail[-1])])
+        if avail:
+            tail_values[L] = float(grid.values[(L, avail[-1])])
         if g_last in avail and g_half in avail:
             gap = abs(float(grid.values[(L, g_last)])
                       - float(grid.values[(L, g_half)]))
             tail_gaps[L] = gap
             tail_ok[L] = gap <= eps_g
-        else:
-            tail_gaps[L] = None
-            tail_ok[L] = False
 
     usable = [L for L in grid.L_grid if tail_values[L] is not None]
     vs = [tail_values[L] for L in usable]

@@ -96,8 +96,6 @@ __all__ = [
     "IsingChainProcess",
     "LogisticSymbolizer",
     "SubstitutionProcess",
-    "block_distribution",
-    "joint_gap_distribution",
     "closed_forms",
     "sample",
     "reversed_model",
@@ -390,10 +388,6 @@ def _entropy_nats(probs) -> float:
     return -math.fsum([*(p * math.log(p) for p in rest if p > 0),
                        (1 - r) * math.log1p(-r)])
 
-
-#: edges up to which the sampler bins its uniforms by one comparison per
-#: edge; ``searchsorted`` bins them past it
-_COMPARED_EDGES = 16
 
 #: entries (chunk codes × contexts) of the sampler's k-step table
 _STEP_TABLE = 1 << 12
@@ -832,8 +826,9 @@ class MarkovProcess(_Frozen):
         The start context is drawn from the stationary law.  The walk
         itself is vectorized: u's bin among the union of all rows' cut
         points (the number of those edges at or below u, by one
-        comparison per edge, or ``searchsorted`` past
-        ``_COMPARED_EDGES`` edges) fixes the symbol for every context,
+        comparison per edge while a bin fits in one byte, up to 255
+        edges, and by ``searchsorted`` past that, where the comparisons
+        cost more) fixes the symbol for every context,
         so each step is a map from context to next context.  Runs of k
         bins are read as one base-nb chunk code (nb bins), looked up
         in a k-step table built once per call: for each code and
@@ -917,7 +912,7 @@ class MarkovProcess(_Frozen):
         for lo in range(0, n, _BLOCK):
             u = rng.random(min(_BLOCK, n - lo))
             bins = np.zeros(-(-u.size // k) * k, dtype=bin_type)
-            if edges.size > _COMPARED_EDGES:
+            if bin_type.itemsize > 1:
                 bins[:u.size] = np.searchsorted(edges, u, side="right")
             else:
                 for e in edges.tolist():
@@ -1070,9 +1065,7 @@ class LogisticSymbolizer(_Frozen):
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "burnin", burnin)
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet("01")
+    alphabet = Alphabet("01")
 
     def sample(self, n: int, rng=None) -> np.ndarray:
         x = self.x0
@@ -1140,16 +1133,6 @@ class SubstitutionProcess(_WindowLaws):
 
 
 # ── dispatch ────────────────────────────────────────────────────────
-
-
-def block_distribution(model, L: int) -> BlockDistribution:
-    """Exact stationary law of length-L blocks."""
-    return model.block_distribution(L)
-
-
-def joint_gap_distribution(model, L: int, g: int) -> JointBlockDistribution:
-    """Exact joint law of two length-L blocks separated by g symbols."""
-    return model.joint_gap_distribution(L, g)
 
 
 def closed_forms(model) -> ClosedForms:

@@ -446,13 +446,12 @@ class ShortcutData(NamedTuple):
 @lru_cache(maxsize=None)
 def shortcut_power(subst: Substitution, l: int) -> int:
     """Smallest power p >= 1 with min_a |ζ^p(a)| >= l - 1, the least p
-    that shortcut_matrix accepts for length l.  The image lengths are
-    the column sums of M^p, as Python ints; the shortest doubles at
-    least once every s powers, as Substitution checks at construction."""
-    M = composition_matrix(subst).astype(object)
-    p, lengths = 1, M.sum(axis=0)
-    while min(lengths) < l - 1:
-        p, lengths = p + 1, lengths @ M
+    that shortcut_matrix accepts for length l, from ``_image_sizes`` at
+    p = 1, 2, ...; the shortest image doubles at least once every s
+    powers, as Substitution checks at construction."""
+    p = 1
+    while _image_sizes(subst, p, max(WINDOW_STATE_CAP, l))[0] < l - 1:
+        p += 1
     return p
 
 
@@ -476,7 +475,7 @@ def _pair_factors(subst: Substitution) -> frozenset:
 def _image_sizes(subst: Substitution, power: int, limit: int) -> tuple:
     """The shortest |ζ^p(a)| and Σ_αβ |ζ^p(α)| over the pairs αβ of the
     fixed point, from the image lengths as integers, at p = power or at
-    the first power where every image is longer than ``limit``.  The
+    the first power where every image is longer than ``limit``.  Each
     caller's limit, max(WINDOW_STATE_CAP, width), is one value for every
     width within the cap, so each power is worked out once."""
     lengths = [1] * len(subst.alphabet)

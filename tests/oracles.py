@@ -98,6 +98,18 @@ def pair_window_counts(subst, power: int, spans) -> tuple:
     return distinct, counts
 
 
+def shortcut_power_by_matrix(subst, l: int) -> int:
+    """``substitution.shortcut_power`` from powers of the composition
+    matrix M as an object array of Python ints: the image lengths
+    |ζ^p(a)| are the column sums of M^p, and p is the least p >= 1
+    whose shortest image has at least l - 1 letters."""
+    M = composition_matrix(subst).astype(object)
+    p, lengths = 1, M.sum(axis=0)
+    while min(lengths) < l - 1:
+        p, lengths = p + 1, lengths @ M
+    return p
+
+
 def geometric_decay_rate(points: Sequence) -> float:
     """Least-squares geometric rate of a positive decaying series:
     fits log v against g and returns exp(slope).  For an order-1 chain
@@ -126,6 +138,17 @@ class WindowOracle:
 
     def block_distribution(self, L: int):
         return self._model.block_distribution(L)
+
+
+def block_distribution(model, L: int) -> BlockDistribution:
+    """Exact stationary law of length-L blocks: the model's method."""
+    return model.block_distribution(L)
+
+
+def joint_gap_distribution(model, L: int, g: int) -> JointBlockDistribution:
+    """Exact joint law of two length-L blocks separated by g symbols:
+    the model's method."""
+    return model.joint_gap_distribution(L, g)
 
 
 # ── tables read off other tables ─────────────────────────────────────

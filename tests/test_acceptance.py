@@ -241,7 +241,7 @@ def test_criterion_05_pmi_verdicts():
         assert v.kind == "converged"
         assert abs(v.value) <= 1e-6
         decay_grid = gap_mi_grid(chain, (2,), (2, 4, 6, 8))
-        points = [(g, float(decay_grid.value(2, g))) for g in (2, 4, 6, 8)]
+        points = [(g, float(decay_grid.values[(2, g)])) for g in (2, 4, 6, 8)]
         rate = geometric_decay_rate(points)
         assert abs(rate - lam2 ** 2) <= 0.10 * lam2 ** 2
 

@@ -1792,6 +1792,33 @@ def _same_except_ising_floats(got: str, want: str) -> None:
      "entropy_fib_L24.csv"),
     (("entropy", "--model", '{"kind":"periodic","cycle":"00111"}',
       "--Lmax", "8", "--format", "csv"), "entropy_periodic_00111_L8.csv"),
+    # the text forms of table1 and of the shortcut document
+    pytest.param(("table1",), "table1.txt", id="table1-text"),
+    pytest.param(("substitution", "--rules", "tm", "--l", "5",
+                  "--show-shortcut", "--p", "3"),
+                 "substitution_tm_l5_shortcut_p3.txt",
+                 id="substitution-shortcut-text"),
+    # symbols that are not ASCII: the line is decoded and coded by
+    # code point; the L = 3 row is refused, so its tail is null
+    pytest.param(("entropy", "--seq",
+                  str(DATA / "sample_ternary_4097_101_greek.txt"),
+                  "--Lmax", "6", "--format", "json"),
+                 "entropy_seq_greek_L6.json", id="entropy-seq-greek"),
+    pytest.param(("pmi", "--seq",
+                  str(DATA / "sample_ternary_4097_101_greek.txt"),
+                  "--L-grid", "1,2,3", "--g-grid", "0,4,8", "--format",
+                  "json"), "pmi_seq_greek.json", id="pmi-seq-greek"),
+    # samplers of a cycle and of the logistic map, and a chain's bisect
+    # route (3 bins x 2 contexts > 5 symbols)
+    pytest.param(("sample", "--model", '{"kind":"periodic","cycle":"00111"}',
+                  "--n", "23", "--seed", "4"),
+                 "sample_periodic_00111_23_4.txt", id="sample-periodic"),
+    pytest.param(("sample", "--model", '{"kind":"logistic","r":3.7}',
+                  "--n", "64"), "sample_logistic_3.7_64.txt",
+                 id="sample-logistic"),
+    pytest.param(("sample", "--model", "goldenmean", "--n", "5", "--seed",
+                  "3"), "sample_goldenmean_5_3.txt",
+                 id="sample-goldenmean-bisect"),
 ])
 def test_outputs_match_golden_files(capsys, argv, name):
     code, out, err = run(capsys, *argv)

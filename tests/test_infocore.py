@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from persistinfo import infocore
 from persistinfo.infocore import (
@@ -156,6 +156,31 @@ def test_exactbits_matches_fraction_oracle(a, b, k):
     for got, want in pairs:
         for other, other_want in pairs:
             assert (got == other) == (want == other_want)
+
+
+@given(EXACT_ARGS, st.one_of(st.integers(-6, 6), RATIONALS, EXACT_ARGS),
+       st.floats())
+@example((F(0), {}), 0, -0.0)
+@example((F(1, 3), {3: F(-1, 2)}), (F(0), {3: F(1)}), 0.0)
+@settings(max_examples=300, deadline=None)
+def test_exactbits_subtraction_adds_the_negation(a, k, b):
+    x, ox = ExactBits(*a), FractionExactBits(*a)
+    y, oy = ((ExactBits(*k), FractionExactBits(*k)) if isinstance(k, tuple)
+             else (k, k))
+    assert_matches_oracle(x - y, ox - oy)
+    assert_matches_oracle(y - x, oy - ox)
+    # a float result rounds as float(x) - b and b - float(x) do; only
+    # -0.0 - x with float(x) == 0 reads +0.0, as -0.0 + 0.0 does
+    assert repr(x - b) == repr(float(x) - b)
+    if b == 0 and float(x) == 0:
+        assert repr(b - x) == "0.0"
+    else:
+        assert repr(b - x) == repr(b - float(x))
+    for bad in ("1", None, [1], 1j):
+        with pytest.raises(TypeError):
+            x - bad
+        with pytest.raises(TypeError):
+            bad - x
 
 
 # ── shannon_entropy ───────────────────────────────────────────────────────────

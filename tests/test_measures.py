@@ -209,7 +209,7 @@ def test_grid_iid_all_zero():
 def test_grid_markov_decays_in_gap():
     g = gap_mi_grid(lopsided_chain(), [1, 2], [0, 4, 8, 12])
     for L in (1, 2):
-        col = [float(g.value(L, gg)) for gg in (0, 4, 8, 12)]
+        col = [float(g.values[(L, gg)]) for gg in (0, 4, 8, 12)]
         assert all(b < a for a, b in zip(col, col[1:]))
 
 
@@ -217,15 +217,15 @@ def test_grid_nondecreasing_in_L_at_fixed_gap():
     for model in [goldenmean(), SubstitutionProcess(thue_morse())]:
         g = gap_mi_grid(model, [2, 3, 4], [0, 2, 4])
         for gg in (0, 2, 4):
-            col = [float(g.value(L, gg)) for L in (2, 3, 4)]
+            col = [float(g.values[(L, gg)]) for L in (2, 3, 4)]
             assert all(b >= a - 1e-12 for a, b in zip(col, col[1:]))
 
 
 def test_grid_parity_frozen_anchors():
     g = gap_mi_grid(SubstitutionProcess(thue_morse()), [3, 5, 7, 9], [2, 4, 8])
-    assert float(g.value(3, 2)) == pytest.approx(0.918296, abs=1e-6)
-    assert float(g.value(7, 4)) == pytest.approx(2.918296, abs=1e-6)
-    assert float(g.value(9, 8)) == pytest.approx(3.043296, abs=1e-6)
+    assert float(g.values[(3, 2)]) == pytest.approx(0.918296, abs=1e-6)
+    assert float(g.values[(7, 4)]) == pytest.approx(2.918296, abs=1e-6)
+    assert float(g.values[(9, 8)]) == pytest.approx(3.043296, abs=1e-6)
 
 
 def test_grid_marks_capped_cells_missing():
@@ -995,7 +995,7 @@ def test_verdict_requires_three_by_three():
 def test_verdict_converged_value_bounded_by_tail_column():
     g = gap_mi_grid(PeriodicProcess.from_string("011"), [2, 3, 4], [2, 4, 8])
     report = pmi_verdict(g)
-    tail_min = min(float(g.value(L, 8)) for L in (2, 3, 4))
+    tail_min = min(float(g.values[(L, 8)]) for L in (2, 3, 4))
     assert report.verdict.value <= tail_min + report.verdict.uncertainty + 1e-12
 
 
@@ -1076,5 +1076,5 @@ def test_geometric_decay_rate_exact_series():
 def test_geometric_decay_rate_on_markov_grid():
     m = lopsided_chain()
     g = gap_mi_grid(m, [1, 2, 3], [4, 6, 8, 10, 12])
-    pts = [(gg, float(g.value(1, gg))) for gg in (4, 6, 8, 10, 12)]
+    pts = [(gg, float(g.values[(1, gg)])) for gg in (4, 6, 8, 10, 12)]
     assert geometric_decay_rate(pts) == pytest.approx(0.49, rel=0.10)

@@ -50,9 +50,7 @@ from persistinfo.processes import (
     PeriodicProcess,
     SubstitutionProcess,
     WindowCapError,
-    block_distribution,
     closed_forms,
-    joint_gap_distribution,
     reversed_model,
     sample,
 )
@@ -69,11 +67,13 @@ from persistinfo.substitution import (
 
 from oracles import (
     ChainWithLaw,
+    block_distribution,
     block_table_closed_forms,
     block_table_reversed,
     fraction_entropy,
     gap_cells_oracle,
     geometric_decay_rate,
+    joint_gap_distribution,
     left_marginal,
     mi_of_deviations,
     phase_block_table,
@@ -1741,6 +1741,35 @@ def test_chain_steps_each_symbol_only_below_its_table_size(monkeypatch):
         want = bisect_sample_oracle(model, n, np.random.default_rng(n))
         assert np.array_equal(got, want), n
         assert bool(calls) == walked, n
+
+
+def _binary_order8_chain(cuts):
+    """A binary order-8 float chain whose 256 rows have ``cuts``
+    distinct cut points, k/257 for k = 1..cuts, the last repeated."""
+    kernel = {}
+    for i, c in enumerate(product(range(2), repeat=8)):
+        p = min(i + 1, cuts) / 257
+        kernel[c] = (p, 1 - p)
+    return MarkovProcess(Alphabet("01"), 8, kernel)
+
+
+@pytest.mark.parametrize("cuts", [
+    pytest.param(255, id="255-cuts-compared"),
+    pytest.param(256, id="256-cuts-searchsorted"),
+])
+def test_chain_bins_on_each_side_of_one_byte_match_bisect_oracle(
+        cuts, monkeypatch):
+    # up to 255 edges a bin fits in a uint8 and is counted by one
+    # comparison per edge; past that, by searchsorted
+    model = _binary_order8_chain(cuts)
+    assert _bins(model) == cuts + 1
+    assert _code_dtype(_bins(model)).itemsize == (1 if cuts == 255 else 2)
+    calls = _walks_counted(monkeypatch)
+    n = _one_step_entries(model) + 3  # past it, the walk uses the table
+    got = model.sample(n, np.random.default_rng(cuts))
+    want = bisect_sample_oracle(model, n, np.random.default_rng(cuts))
+    assert calls
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("subst", [thue_morse, fibonacci],

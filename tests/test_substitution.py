@@ -43,6 +43,7 @@ from persistinfo.substitution import (
 from oracles import (
     factor_count_bound,
     pair_window_counts,
+    shortcut_power_by_matrix,
     thue_morse_block_entropy_increment,
 )
 
@@ -577,6 +578,19 @@ def test_pair_window_gather_matches_oracle_at_minimal_powers(make):
         for L in range(1, width // 2 + 1):
             _assert_same_windows(subst, power,
                                  ((0, L), (width - L, width)))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(thue_morse, id="tm"),
+    pytest.param(fibonacci, id="fib"),
+    pytest.param(ternary_substitution, id="abc"),
+])
+def test_shortcut_power_matches_composition_matrix_powers(make):
+    # the image lengths summed over the rules, against the column sums
+    # of M^p held as Python ints
+    subst = make()
+    for l in range(1, 4098):
+        assert shortcut_power(subst, l) == shortcut_power_by_matrix(subst, l)
 
 
 # ── complexity function and entropy increments ────────────────────────────────
