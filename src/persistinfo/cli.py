@@ -97,9 +97,9 @@ def _parse_grid(text: Optional[str], minimum: int,
             raise ValueError(f"{flag} entry {part!r} is not an integer: "
                              f"{text}") from None
     if any(v < minimum for v in values):
-        raise ValueError(f"grid entries must be >= {minimum}: {text}")
+        raise ValueError(f"{flag} entries must be >= {minimum}: {text}")
     if any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError(f"grids must be strictly ascending: {text}")
+        raise ValueError(f"{flag} must be strictly ascending: {text}")
     return tuple(values)
 
 
@@ -432,6 +432,7 @@ def cmd_pmi(cfg: argparse.Namespace) -> int:
               if getattr(cfg, k) is not None}
     if cfg.format != "csv":
         measures._check_verdict_grid(L_grid, g_grid)
+        measures._check_tolerances(**tuning)
     elif tuning:
         flags = ", ".join("--" + k.replace("_", "-") for k in tuning)
         raise ValueError(f"--format csv prints no PMI verdict, so it takes "

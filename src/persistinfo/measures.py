@@ -475,6 +475,14 @@ def _check_verdict_grid(L_grid: Sequence[int], g_grid: Sequence[int]) -> None:
         raise ValueError("need at least 3 distinct L and 3 distinct g values")
 
 
+def _check_tolerances(**tolerances: Optional[float]) -> None:
+    """Refuse a given verdict tolerance that is NaN, infinite or negative."""
+    for name, value in tolerances.items():
+        if value is not None and not 0 <= value < float("inf"):
+            raise ValueError(f"{name} must be a finite number >= 0, "
+                             f"not {value}")
+
+
 def _slope(xs: Sequence[int], ys: Sequence[float]) -> float:
     """Least-squares slope Σ(x − x̄)(y − ȳ) / Σ(x − x̄)², taken exactly
     over the Fractions of the floats and rounded once: n·(x − x̄) are
@@ -501,6 +509,7 @@ def pmi_verdict(grid: GapMIGrid, eps_g: Optional[float] = None,
     estimated from a sequence.
     """
     _check_verdict_grid(grid.L_grid, grid.g_grid)
+    _check_tolerances(eps_g=eps_g, eps_L=eps_L, delta=delta)
     noise = 1e-3 if grid.empirical else 1e-6
     eps_g = noise if eps_g is None else eps_g
     eps_L = noise if eps_L is None else eps_L

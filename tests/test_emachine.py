@@ -8,7 +8,9 @@ before the module was written.
 
 import re
 from fractions import Fraction as F
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -524,6 +526,22 @@ def test_r2_machines_at_horizon_10_match_closed_forms():
     assert rev.complexity == cf.complexity_minus
     E, _h_fr, _h_rf = complexity_decomposition(fwd, rev, chain)
     assert E == cf.excess_entropy
+
+
+def test_random_order_6_chain_reverse_machine_matches_closed_forms():
+    # 64 contexts of seeded weights 1-9; E is taken as a float
+    rng = np.random.default_rng(1)
+    rows = {}
+    for c in product(range(2), repeat=6):
+        w = rng.integers(1, 10, 2).tolist()
+        rows[c] = tuple(F(x, sum(w)) for x in w)
+    chain = MarkovProcess(Alphabet("01"), 6, rows)
+    fwd = reconstruct(chain, 6, 8)
+    rev = reconstruct(reversed_model(chain), 6, 8)
+    cf = closed_forms(chain)
+    assert rev.complexity == cf.complexity_minus
+    E = complexity_decomposition(fwd, rev, chain)[0]
+    assert abs(E - cf.excess_entropy) <= 1e-12
 
 
 def test_state_joint_refuses_a_context_split_across_states():

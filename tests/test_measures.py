@@ -992,6 +992,21 @@ def test_verdict_requires_three_by_three():
         pmi_verdict(g)
 
 
+@pytest.mark.parametrize("name, value", [
+    pytest.param("eps_g", math.nan, id="eps_g-nan"),
+    pytest.param("eps_L", -1e-9, id="eps_L-negative"),
+    pytest.param("delta", math.inf, id="delta-inf"),
+])
+def test_verdict_refuses_a_tolerance_that_is_not_finite_and_nonnegative(
+        name, value):
+    g = gap_mi_grid(PeriodicProcess.from_string("00111"), [5, 6, 7],
+                    [10, 20, 40])
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"
+                                         f" >= 0, not {value}$"):
+        pmi_verdict(g, **{name: value})
+    assert pmi_verdict(g, **{name: 0}).verdict.kind == "converged"
+
+
 def test_verdict_converged_value_bounded_by_tail_column():
     g = gap_mi_grid(PeriodicProcess.from_string("011"), [2, 3, 4], [2, 4, 8])
     report = pmi_verdict(g)
