@@ -237,16 +237,24 @@ def _build_model(doc: dict, exact: bool):
 def _load_model(spec: str, backend: str):
     doc = _REGISTRY.get(spec)
     if doc is None:
+        source = "inline model document"
         if not spec.lstrip().startswith(("{", "[")):
             path = Path(spec)
             if not path.exists():
                 raise ValueError(f"model file not found: {spec}")
-            spec = path.read_text()
-        doc = json.loads(spec)
+            source, spec = f"model file {spec}", path.read_text()
+        doc = _json(spec, source)
     if not isinstance(doc, dict):
         raise ValueError("a model document is a JSON object, not "
                          f"{_JSON_TYPES[type(doc)]}")
     return _build_model(doc, backend == "exact")
+
+
+def _json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{source} is not JSON: {err}") from None
 
 
 def _load_sequence(path: str) -> EmpiricalSource:
@@ -406,6 +414,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_entropy(cfg: argparse.Namespace) -> int:
+    if cfg.L_max < 1:
+        raise ValueError(f"--Lmax must be >= 1, not {cfg.L_max}")
     curve = entropy_curve(_source(cfg), cfg.L_max)
     if cfg.format == "csv":
         text = curve.to_csv()
@@ -430,13 +440,13 @@ def cmd_pmi(cfg: argparse.Namespace) -> int:
     # the verdict's tolerances, given only to override its defaults
     tuning = {k: getattr(cfg, k) for k in ("eps_g", "eps_L", "delta")
               if getattr(cfg, k) is not None}
+    flags = {"--" + k.replace("_", "-"): v for k, v in tuning.items()}
     if cfg.format != "csv":
         measures._check_verdict_grid(L_grid, g_grid)
-        measures._check_tolerances(**tuning)
+        measures._check_tolerances(**flags)
     elif tuning:
-        flags = ", ".join("--" + k.replace("_", "-") for k in tuning)
         raise ValueError(f"--format csv prints no PMI verdict, so it takes "
-                         f"no {flags}")
+                         f"no {', '.join(flags)}")
     grid = gap_mi_grid(_source(cfg), L_grid, g_grid)
     if cfg.format == "csv":
         # the rows leave refused cells out: name them apart
@@ -609,7 +619,8 @@ def _load_substitution(cfg: argparse.Namespace) -> Substitution:
     if cfg.rules.lstrip().startswith("{"):
         if not cfg.start:
             raise ValueError("inline rules need --start")
-        doc = {"kind": "substitution", "rules": json.loads(cfg.rules),
+        doc = {"kind": "substitution",
+               "rules": _json(cfg.rules, "inline rules document"),
                "start": cfg.start}
     elif cfg.start is not None:
         raise ValueError("--start is read only with inline JSON rules")
@@ -622,18 +633,13 @@ def _load_substitution(cfg: argparse.Namespace) -> Substitution:
 
 
 def cmd_substitution(cfg: argparse.Namespace) -> int:
-    if cfg.show_shortcut and cfg.p is None:
-        raise ValueError("--p (the substitution power) is required "
-                         "with --show-shortcut")
-    if cfg.show_shortcut and cfg.format == "csv":
-        raise ValueError("--show-shortcut needs --format table or json")
-    if cfg.p is not None and not cfg.show_shortcut:
-        raise ValueError("--p is read only with --show-shortcut")
+    if cfg.p is not None and cfg.format == "csv":
+        raise ValueError("--p needs --format table or json")
     sub = _load_substitution(cfg)
     table = factor_frequencies(sub, cfg.l)
     names = [sub.alphabet.decode(w) for w in table.factors]
     items = list(zip(names, table.freq.values()))  # freq is in factor order
-    shortcut = _shortcut_dict(sub, cfg) if cfg.show_shortcut else None
+    shortcut = None if cfg.p is None else _shortcut_dict(sub, cfg)
     if cfg.format == "csv":
         lines = ["factor,freq_exact,freq_float"]
         lines += [f"{name},{_exact_str(p)},{_fmt(float(p))}"
@@ -689,8 +695,14 @@ def _shortcut_lines(doc: dict, names: list, l: int) -> list:
 
 
 def cmd_ising(cfg: argparse.Namespace) -> int:
+    for flag in ("J", "h", "Tmin", "Tmax"):
+        value = getattr(cfg, flag)
+        if not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, not {value}")
     if cfg.Tmin <= 0 or cfg.Tmax <= cfg.Tmin:
         raise ValueError("need 0 < Tmin < Tmax")
+    if not math.isfinite(1.0 / cfg.Tmin):
+        raise ValueError(f"--Tmin {cfg.Tmin} is too small: 1/Tmin overflows")
     if cfg.points < 3:
         raise ValueError("need at least 3 temperature points")
     temps = np.geomspace(cfg.Tmin, cfg.Tmax, cfg.points)
@@ -813,10 +825,8 @@ def _substitution_args(sp: argparse.ArgumentParser) -> None:
                     help="tm, fib, or inline JSON rules")
     sp.add_argument("--start", help="start symbol for inline rules")
     sp.add_argument("--l", type=int, default=2, help="factor length")
-    sp.add_argument("--show-shortcut", action="store_true",
-                    dest="show_shortcut")
-    sp.add_argument("--p", type=int, help="substitution power for the "
-                    "shortcut matrix")
+    sp.add_argument("--p", type=int, help="also print the shortcut matrix "
+                    "at this substitution power")
     _add_common(sp)
 
 

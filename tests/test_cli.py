@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -176,28 +177,6 @@ def test_entropy_float_backend(capsys):
     blob = json.loads(out)
     assert blob["exact"] is False
     assert blob["h_hat_bits"] == pytest.approx(2 / 3, abs=1e-9)
-
-
-def test_entropy_missing_model_file(capsys):
-    code, _, err = run(capsys, "entropy", "--model", "no/such/file.json",
-                       "--Lmax", "3")
-    assert code == 1
-    assert "error" in err
-
-
-def test_entropy_rejects_exact_ising(capsys):
-    code, _, err = run(capsys, "entropy", "--model",
-                       '{"kind": "ising", "J": 1, "h": 0, "beta": 0.5}',
-                       "--Lmax", "3", "--backend", "exact")
-    assert code == 1
-    assert "float" in err
-
-
-def test_entropy_unknown_kind(capsys):
-    code, _, err = run(capsys, "entropy", "--model",
-                       '{"kind": "weather"}', "--Lmax", "3")
-    assert code == 1
-    assert "error" in err
 
 
 @pytest.mark.parametrize("doc, message", numbered("doc", [
@@ -368,9 +347,9 @@ def test_chain_with_two_closed_classes_is_refused(capsys, backend):
 
 
 def test_ising_without_coupling_has_no_statistical_complexity(capsys):
-    code, out, _ = run(capsys, "ising", "--J", "0", "--h", "0.3", "--Tmin",
-                       "1", "--Tmax", "2", "--points", "3")
-    assert code == 0
+    code, out, err = run(capsys, "ising", "--J", "0", "--h", "0.3", "--Tmin",
+                         "1", "--Tmax", "2", "--points", "3")
+    assert (code, err) == (0, "")
     assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["0"] * 3
 
 
@@ -525,17 +504,75 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
     # before the grid is counted
     (("pmi", "--model", CYCLE_00111, "--L-grid", "5,6,7", "--g-grid",
       "10,20,40", "--eps-g", "nan"),
-     "eps_g must be a finite number >= 0, not nan", 20),
+     "--eps-g must be a finite number >= 0, not nan", 20),
     (("pmi", "--model", CYCLE_00111, "--L-grid", "5,6,7", "--g-grid",
       "10,20,40", "--eps-L", "-1"),
-     "eps_L must be a finite number >= 0, not -1.0", 21),
+     "--eps-L must be a finite number >= 0, not -1.0", 21),
     (("pmi", "--model", "tm", "--L-grid", "3,5,7,9", "--g-grid", "2,4,8",
-      "--delta", "nan"), "delta must be a finite number >= 0, not nan", 22),
+      "--delta", "nan"), "--delta must be a finite number >= 0, not nan", 22),
     (("pmi", "--seq", "x", "--L-grid", "1,2,3", "--g-grid", "0,1,2",
-      "--eps-g", "inf"), "eps_g must be a finite number >= 0, not inf", 23),
+      "--eps-g", "inf"), "--eps-g must be a finite number >= 0, not inf", 23),
+    (("entropy", "--model", "coin", "--Lmax", "0"),
+     "--Lmax must be >= 1, not 0", 24),
+    # a sweep value that is not finite, refused before NumPy warns
+    (("ising", "--Tmin", "nan"), "--Tmin must be finite, not nan", 25),
+    (("ising", "--Tmax", "nan"), "--Tmax must be finite, not nan", 26),
+    (("ising", "--J", "inf"), "--J must be finite, not inf", 27),
+    (("ising", "--h", "nan"), "--h must be finite, not nan", 28),
+    (("ising", "--Tmax", "inf"), "--Tmax must be finite, not inf", 29),
+    (("ising", "--Tmin", "1e-320", "--Tmax", "1e-310"),
+     "--Tmin 1e-320 is too small: 1/Tmin overflows", 30),
+    # JSON that does not parse, named by where it was read
+    (("entropy", "--model", "{bad", "--Lmax", "3"),
+     "inline model document is not JSON: Expecting property name enclosed"
+     " in double quotes: line 1 column 2 (char 1)", 31),
+    (("substitution", "--rules", "{bad", "--start", "0"),
+     "inline rules document is not JSON: Expecting property name enclosed"
+     " in double quotes: line 1 column 2 (char 1)", 32),
+    (("substitution", "--rules", "tm", "--l", "5", "--p", "3", "--format",
+      "csv"), "--p needs --format table or json", 33),
+    (("entropy", "--model", '{"kind":"ising","J":NaN,"h":0,"beta":1}',
+      "--backend", "float", "--Lmax", "3"),
+     "ising model field 'J' must be finite, not nan", 34),
+    (("pmi", "--model", "coin", "--L-grid", "0,1,2", "--g-grid", "0,2,4"),
+     "--L-grid entries must be >= 1: 0,1,2", 35),
+    (("pmi", "--model", "coin", "--L-grid", "3,2,1", "--g-grid", "0,2,4"),
+     "--L-grid must be strictly ascending: 3,2,1", 36),
+    (("entropy", "--model", "no/such/file.json", "--Lmax", "3"),
+     "model file not found: no/such/file.json", 37),
+    (("entropy", "--model", '{"kind": "weather"}', "--Lmax", "3"),
+     "unknown model kind 'weather'", 38),
+    (("entropy", "--model", '{"kind": "ising", "J": 1, "h": 0, "beta": 0.5}',
+      "--Lmax", "3", "--backend", "exact"),
+     "the Ising chain has no rational structure; use --backend float", 39),
+    (("substitution", "--rules", '{"0":"01","1":"10"}', "--start", "10",
+      "--l", "2"), "start '10' is not one letter", 40),
+    (("substitution", "--rules", '{"0":1,"1":"10"}', "--start", "0", "--l",
+      "2"), "substitution model field 'rules' entry '0' must be a string or"
+     " an array, not a number", 41),
+    (("substitution", "--rules", "tm", "--l", "0"),
+     "factor length must be positive", 42),
+    (("substitution", "--rules", "tm", "--l", "-3"),
+     "factor length must be positive", 43),
+    (("substitution", "--rules", "tm", "--l", "5", "--p", "1"),
+     "power 1 is too small: need every ζ^p image at least 4 letters long",
+     44),
+    (("ising", "--J", "1", "--h", "0", "--Tmin", "0", "--Tmax", "10",
+      "--points", "5"), "need 0 < Tmin < Tmax", 45),
 ]))
 def test_command_refusals_name_the_cause(capsys, argv, message):
-    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a refusal prints no warning
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_model_file_that_is_not_json_names_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "iid", "probs": [1],}')
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(path.read_text())
+    assert run(capsys, "entropy", "--model", str(path), "--Lmax", "3") == (
+        1, "", f"error: model file {path} is not JSON: {exc.value}\n")
 
 
 # ── pmi ───────────────────────────────────────────────────────────────────────
@@ -583,6 +620,37 @@ def test_pmi_csv_grid(capsys):
         assert len(lines) == n_lines
 
 
+def gap_cells(capsys, model, *argv):
+    code, out, err = run(capsys, "pmi", "--model", model, *argv,
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    return [line.split(",")[2] for line in out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("model, L_grid, g_grid", [
+    (TERNARY_SPEC, "1,2,4,8", "1,8,16,32,64"),
+    ('{"kind":"markov","rows":{"0":[0.3,0.7],"1":[0.6,0.4]}}', "1",
+     "1000,100000,1000000"),
+], ids=["ternary", "markov"])
+def test_pmi_csv_float_cells_are_nonnegative(capsys, model, L_grid, g_grid):
+    # each float cell is a sum of nonnegative terms
+    cells = gap_cells(capsys, model, "--backend", "float", "--L-grid", L_grid,
+                      "--g-grid", g_grid)
+    assert len(cells) == len(L_grid.split(",")) * len(g_grid.split(","))
+    assert all(float(v) >= 0 for v in cells)
+
+
+@pytest.mark.parametrize("model, backend, g_grid", [
+    ('{"kind":"iid","probs":[0.2,0.3,0.5]}', ("--backend", "float"),
+     "0,4,1000"),
+    ('{"kind":"iid","probs":["1/2","1/3","1/6"]}', (), "1000,100000,1000000"),
+], ids=["float", "exact"])
+def test_pmi_csv_iid_cells_are_zero(capsys, model, backend, g_grid):
+    # no information crosses a gap of an i.i.d. law, on either backend
+    assert gap_cells(capsys, model, *backend, "--L-grid", "1,2,3",
+                     "--g-grid", g_grid) == ["0"] * 9
+
+
 def test_pmi_csv_names_refused_cells_on_stderr(capsys):
     # the rows are the grid's own; the cells past the window cap are
     # named on standard error, one line each
@@ -613,22 +681,15 @@ def test_pmi_csv_rejects_verdict_flags(capsys, flags):
 
 
 def test_pmi_table_separates_long_gaps(capsys):
-    code, out, _ = run(capsys, "pmi", "--model",
-                       '{"kind":"periodic","cycle":"00111"}',
-                       "--L-grid", "5,6,7",
-                       "--g-grid", "1000000,2000000,4000000")
-    assert code == 0
+    code, out, err = run(capsys, "pmi", "--model",
+                         '{"kind":"periodic","cycle":"00111"}',
+                         "--L-grid", "5,6,7",
+                         "--g-grid", "1000000,2000000,4000000")
+    assert (code, err) == (0, "")
     lines = out.splitlines()
     assert lines[0] == "L    g    E_bits"
     # the gap outgrows its column; the value follows after a space
     assert "6    4000000 2.32192809489" in lines
-
-
-def test_pmi_rejects_descending_grid(capsys):
-    code, _, err = run(capsys, "pmi", "--model", "coin",
-                       "--L-grid", "3,2,1", "--g-grid", "0,2,4")
-    assert code == 1
-    assert "ascending" in err
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -641,12 +702,6 @@ def test_pmi_refuses_a_small_grid_before_loading(capsys, monkeypatch, fmt):
                          "--g-grid", "8,16,32,64", "--format", fmt)
     assert (code, out) == (1, "")
     assert err == "error: need at least 3 distinct L and 3 distinct g values\n"
-
-
-def test_pmi_rejects_nonpositive_L(capsys):
-    code, _, err = run(capsys, "pmi", "--model", "coin",
-                       "--L-grid", "0,1,2", "--g-grid", "0,2,4")
-    assert code == 1
 
 
 # ── table1 ────────────────────────────────────────────────────────────────────
@@ -711,7 +766,7 @@ def test_table1_reads_the_thue_morse_rate_off_the_model(capsys, monkeypatch):
 
 def test_substitution_worked_example(capsys):
     code, out, _ = run(capsys, "substitution", "--rules", "tm",
-                       "--l", "5", "--show-shortcut", "--p", "3")
+                       "--l", "5", "--p", "3")
     assert code == 0
     assert out.count("1/12") >= 12
     assert "00110" in out
@@ -755,25 +810,6 @@ def test_substitution_fib_frequencies_sum_to_one(capsys):
             float(p), abs=2e-3)
 
 
-def test_substitution_shortcut_requires_power(capsys):
-    code, _, err = run(capsys, "substitution", "--rules", "tm",
-                       "--l", "5", "--show-shortcut")
-    assert code == 1
-    assert "--p" in err
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (("--show-shortcut", "--p", "3", "--format", "csv"), "--show-shortcut"),
-    (("--p", "3"), "--p"),
-])
-def test_substitution_shortcut_flags_are_not_ignored(capsys, argv, flag):
-    code, out, err = run(capsys, "substitution", "--rules", "tm",
-                         "--l", "5", *argv)
-    assert code == 1
-    assert out == ""
-    assert flag in err
-
-
 @pytest.mark.parametrize("rules", ["tm", "fib"])
 def test_substitution_start_needs_inline_rules(capsys, rules):
     code, out, err = run(capsys, "substitution", "--rules", rules,
@@ -782,37 +818,9 @@ def test_substitution_start_needs_inline_rules(capsys, rules):
     assert "--start" in err
 
 
-def test_substitution_start_is_one_letter(capsys):
-    code, out, err = run(capsys, "substitution", "--rules",
-                         '{"0":"01","1":"10"}', "--start", "10", "--l", "2")
-    assert (code, out) == (1, "")
-    assert err == "error: start '10' is not one letter\n"
-
-
-def test_inline_rules_of_the_wrong_json_type_name_the_entry(capsys):
-    code, out, err = run(capsys, "substitution", "--rules",
-                         '{"0":1,"1":"10"}', "--start", "0", "--l", "2")
-    assert (code, out) == (1, "")
-    assert err == ("error: substitution model field 'rules' entry '0' must"
-                   " be a string or an array, not a number\n")
-
-
-@pytest.mark.parametrize("l", ["0", "-3"])
-def test_substitution_nonpositive_length_names_the_cause(capsys, l):
-    code, _, err = run(capsys, "substitution", "--rules", "tm", "--l", l)
-    assert code == 1
-    assert "factor length must be positive" in err
-
-
-def test_substitution_power_too_small(capsys):
-    code, _, err = run(capsys, "substitution", "--rules", "tm",
-                       "--l", "5", "--show-shortcut", "--p", "1")
-    assert code == 1
-
-
 @pytest.mark.parametrize("argv", [
     ("--l", "4097"),
-    ("--l", "5", "--show-shortcut", "--p", "40"),
+    ("--l", "5", "--p", "40"),
 ])
 def test_substitution_refuses_windows_past_the_cap(capsys, argv):
     code, out, err = run(capsys, "substitution", "--rules", "tm", *argv)
@@ -916,12 +924,6 @@ def test_ising_names_an_excess_entropy_that_is_not_unimodal(capsys,
     assert [line.split(",")[2] for line in out.splitlines()] == [
         "E", "0.0002", "0.0001", "0.0003"]
     assert err == "error: E(T) is not unimodal\n"
-
-
-def test_ising_rejects_nonpositive_temperature(capsys):
-    code, _, err = run(capsys, "ising", "--J", "1", "--h", "0",
-                       "--Tmin", "0", "--Tmax", "10", "--points", "5")
-    assert code == 1
 
 
 # ── sample and plumbing ───────────────────────────────────────────────────────
@@ -1663,5 +1665,5 @@ def test_module_entry_point(module):
         [sys.executable, "-m", module, "substitution",
          "--rules", "tm", "--l", "5"],
         capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("factors of length 5 (12 total):")

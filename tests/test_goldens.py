@@ -1,20 +1,22 @@
 """Every golden output, in one table.
 
 ``GOLDENS`` maps the name of each output file to the command line that
-writes it on stdout.  The name is that of its golden: a file under
-``tests/data/``, compared byte for byte, or a file that a line of one
-of the ``tests/data/*.sha256`` pins names, compared by its sha256.  An
-argument that names another entry's output, or ``labels300.txt``,
-reads that file, made once per session; an input under ``tests/data/``
-is named by its path.  To add a golden, add one entry.
+writes it on stdout, exits 0 and writes nothing on stderr.  The name
+is that of its golden: a file under ``tests/data/``, compared byte for
+byte, or a file that a line of one of the ``tests/data/*.sha256`` pins
+names, compared by its sha256.  An argument that names another
+entry's output, or ``labels300.txt``, reads that file, made once per
+session; an input under ``tests/data/`` is named by its path.  To add
+a golden, add one entry.
 
-Tier-1 runs this module against the checkout.  CI runs it a second
-time from outside the checkout, against the installed package.
+Tier-1 runs this module with the rest of ``tests/``, which CI runs
+from outside the checkout, against the installed package.
 """
 
 import hashlib
+import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -88,6 +90,23 @@ GOLDENS = {
                             "--format", "csv"),
     "entropy_periodic_00111_L8.csv": ("entropy", "--model", CYCLE_00111,
                                       "--Lmax", "8", "--format", "csv"),
+    # the table forms of two grids above
+    "pmi_ternary.txt": ("pmi", "--model", TERNARY_SPEC, "--L-grid", "2,4,6,8",
+                        "--g-grid", "8,16,32,64"),
+    "pmi_fib.txt": ("pmi", "--model", "fib", "--L-grid", "1,2,3,5",
+                    "--g-grid", "2,4,8,64"),
+    # long gaps and long curves of exact models; the 10007 chain's
+    # weights are not smooth
+    "pmi_tm_g1024_4088.txt": ("pmi", "--model", "tm", "--L-grid", "2,3,4",
+                              "--g-grid", "1024,2048,4088"),
+    "entropy_goldenmean_L26.txt": ("entropy", "--model", "goldenmean",
+                                   "--Lmax", "26"),
+    "entropy_goldenmean_L40.txt": ("entropy", "--model", "goldenmean",
+                                   "--Lmax", "40"),
+    "entropy_tm_L256.txt": ("entropy", "--model", "tm", "--Lmax", "256"),
+    "entropy_markov_10007_L27.txt": (
+        "entropy", "--model", '{"kind":"markov","rows":{"0":["1/10007",'
+        '"10006/10007"],"1":["1/2","1/2"]}}', "--Lmax", "27"),
     # factor tables; fib's read through the pair-window count, within
     # an ulp of the closed forms
     "substitution_fib_l2.json": ("substitution", "--rules", "fib", "--l",
@@ -100,11 +119,12 @@ GOLDENS = {
                                    "1024", "--format", "json"),
     # composition matrix and Perron data of the shortcut
     "substitution_tm_l5_shortcut_p3.json": ("substitution", "--rules", "tm",
-                                            "--l", "5", "--show-shortcut",
-                                            "--p", "3", "--format", "json"),
+                                            "--l", "5", "--p", "3",
+                                            "--format", "json"),
     "substitution_tm_l5_shortcut_p3.txt": ("substitution", "--rules", "tm",
-                                           "--l", "5", "--show-shortcut",
-                                           "--p", "3"),
+                                           "--l", "5", "--p", "3"),
+    "substitution_tm_l1_shortcut_p2.txt": ("substitution", "--rules", "tm",
+                                           "--l", "1", "--p", "2"),
     # samples written by an earlier, per-symbol version of the writer
     # and the samplers
     **{f"sample_{name}_4097_101.txt": ("sample", "--model", spec, "--n",
@@ -157,6 +177,30 @@ GOLDENS = {
     "pmi_seq_tm_L31_33.json": ("pmi", "--seq", TM_4097, "--L-grid",
                                "31,32,33", "--g-grid", "0,4,8", "--format",
                                "json"),
+    # samples of 10^5 and 10^6 symbols and their tables, with binary
+    # window codes past 63 bits (tm, L = 66) and pair codes (L = 32)
+    "sample_ising_100000_101.txt": ("sample", "--model", ISING_SPEC, "--n",
+                                    "100000", "--seed", "101"),
+    "entropy_seq_ising_100000_101_L6.txt": (
+        "entropy", "--seq", "sample_ising_100000_101.txt", "--Lmax", "6"),
+    "pmi_seq_ising_100000_101.txt": (
+        "pmi", "--seq", "sample_ising_100000_101.txt", "--L-grid", "1,2,3",
+        "--g-grid", "0,4,8"),
+    "sample_tm_100000.txt": ("sample", "--model", "tm", "--n", "100000"),
+    **{f"entropy_seq_tm_100000_L{L}.txt": (
+        "entropy", "--seq", "sample_tm_100000.txt", "--Lmax", str(L))
+       for L in (6, 66)},
+    "pmi_seq_tm_100000.txt": ("pmi", "--seq", "sample_tm_100000.txt",
+                              "--L-grid", "1,2,3", "--g-grid", "0,4,8"),
+    "pmi_seq_tm_100000_L1_2.csv": ("pmi", "--seq", "sample_tm_100000.txt",
+                                   "--L-grid", "1,2", "--g-grid", "0,4",
+                                   "--format", "csv"),
+    "pmi_seq_tm_100000_L32_34.txt": ("pmi", "--seq", "sample_tm_100000.txt",
+                                     "--L-grid", "32,33,34", "--g-grid",
+                                     "0,4,8"),
+    "sample_fib_1000000.txt": ("sample", "--model", "fib", "--n", "1000000"),
+    "entropy_seq_fib_1000000_L12.txt": (
+        "entropy", "--seq", "sample_fib_1000000.txt", "--Lmax", "12"),
     # 300 labels, coded past one byte
     "entropy_seq_labels300_L3.json": ("entropy", "--seq", LABELS300,
                                       "--Lmax", "3", "--format", "json"),
@@ -193,9 +237,10 @@ def output(tmp_path_factory):
         else:
             argv = [str(make(a)) if a in GOLDENS or a == LABELS300 else a
                     for a in GOLDENS[name]]
-            with open(path, "w", encoding="utf-8") as f, redirect_stdout(f):
+            with (open(path, "w", encoding="utf-8") as f, redirect_stdout(f),
+                  redirect_stderr(io.StringIO()) as err):
                 code = main(argv)
-            assert code == 0, name
+            assert (code, err.getvalue()) == (0, ""), name
         made[name] = path
         return path
 
