@@ -22,15 +22,7 @@ import numpy as np
 
 from . import measures
 from .emachine import reconstruct
-from .infocore import (
-    Alphabet,
-    _BLOCK,
-    _char_codes,
-    _concat_pieces,
-    _exact_str,
-    _fmt,
-    _ranks,
-)
+from .infocore import _exact_str, _fmt
 from .measures import (
     EmpiricalSource,
     efficiency,
@@ -49,6 +41,7 @@ from .processes import (
     closed_forms,
     sample,
 )
+from .sequence import Alphabet, read_sequence, write_sequence
 from .substitution import (
     Substitution,
     factor_frequencies,
@@ -257,133 +250,6 @@ def _json(text: str, source: str):
         raise ValueError(f"{source} is not JSON: {err}") from None
 
 
-def _load_sequence(path: str) -> EmpiricalSource:
-    """The one line of a UTF-8 sequence file as a source.
-
-    The file is read once, as bytes, and its surrounding whitespace and
-    a leading byte-order mark are skipped by offsets (``_line_bounds``),
-    so the line is held once.  A comma line is parsed from those bytes
-    (``_comma_codes``), and a line of ASCII characters is coded one
-    byte per symbol (``_char_codes``); only a line with a non-ASCII
-    character is decoded, to a string.  A line that is not UTF-8 is
-    refused, naming the file offset of its first bad byte.
-    """
-    raw = Path(path).read_bytes()
-    lo, hi = _line_bounds(raw)
-    if lo == hi:
-        raise ValueError(f"sequence file is empty: {path}")
-    if raw.find(b"\n", lo, hi) >= 0 or raw.find(b"\r", lo, hi) >= 0:
-        raise ValueError("sequence files hold one line of symbols")
-    try:
-        if raw.find(b",", lo, hi) >= 0:
-            codes, labels = _comma_codes(raw, lo, hi, path)
-            return EmpiricalSource(codes, Alphabet(labels))
-        points = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
-        if points.max() < 0x80:
-            return EmpiricalSource(*_char_codes(raw, None, lo, hi))
-        text = str(memoryview(raw)[lo:hi], "utf-8")
-    except UnicodeDecodeError:
-        try:  # the line fails too, at the first bad byte's offset
-            raw[lo:hi].decode()
-        except UnicodeDecodeError as err:
-            raise ValueError(f"sequence file {path} is not UTF-8: byte "
-                             f"0x{raw[lo + err.start]:02x} at offset "
-                             f"{lo + err.start}") from None
-    del points, raw  # the line is held once, as the string
-    return EmpiricalSource(text)
-
-
-def _line_bounds(raw: bytes) -> Tuple[int, int]:
-    """Offsets of the first character of raw's UTF-8 text that is not
-    whitespace and past the last one, whitespace as ``str.strip`` reads
-    it, after a byte-order mark at offset 0, which is skipped as the
-    ``utf-8-sig`` codec drops it; only the characters at the two ends
-    are decoded."""
-    lo, hi = (3 if raw.startswith(b"\xef\xbb\xbf") else 0), len(raw)
-    while lo < hi:
-        lead = raw[lo]
-        width = 1 + (lead >= 0xC0) + (lead >= 0xE0) + (lead >= 0xF0)
-        if not raw[lo:lo + width].decode(errors="replace").isspace():
-            break
-        lo += width
-    while lo < hi:
-        # back over at most three continuation bytes to a lead byte
-        start = hi - 1
-        while start > max(lo, hi - 4) and raw[start] & 0xC0 == 0x80:
-            start -= 1
-        if not raw[start:hi].decode(errors="replace").isspace():
-            break
-        hi = start
-    return lo, hi
-
-
-def _comma_codes(raw: bytes, lo: int, end: int, path: str):
-    """Codes and sorted labels of a comma-separated line, given as the
-    UTF-8 bytes raw[lo:end].
-
-    When every label has the width w ≤ 2 bytes of the first (its
-    commas sit at w, 2w + 1, ...: their count fixes the line length,
-    and the stride-(w + 1) column from w holds only commas), each
-    label is one uint16 key built from the w strided columns, and the
-    keys are ranked (``_ranks``) in one pass: big-endian UTF-8 bytes
-    sort in Python's string order.  Any other line takes the plain
-    route, ``_comma_block_codes``, which gives the same codes and labels.
-    """
-    line = np.frombuffer(raw, dtype=np.uint8, count=end - lo, offset=lo)
-    w = raw.find(b",", lo, end) - lo
-    commas = raw.count(b",", lo, end)
-    if (0 < w <= 2 and (commas + 1) * (w + 1) - 1 == line.size
-            and (line[w::w + 1] == ord(",")).all()):
-        keys = line[0::w + 1].astype(np.uint16)
-        if w == 2:
-            keys <<= 8
-            keys |= line[1::3]
-        uniq, codes = _ranks(keys, 1 << 8 * w)
-        return codes, [key.to_bytes(w, "big").decode()
-                       for key in uniq.tolist()]
-    return _comma_block_codes(raw, lo, end, path)
-
-
-def _comma_block_codes(raw: bytes, lo: int, end: int, path: str):
-    """``_comma_codes`` of a line of labels of any widths.
-
-    The line is read in blocks of about ``_BLOCK`` bytes, each ending
-    just before a comma (never part of a multi-byte UTF-8 character).
-    Each block is split at its commas; a label seen first takes the
-    next id in one dict keyed by its bytes, and the codes, of the
-    narrowest unsigned type of the labels' number, widen as labels
-    come.  The ids are renumbered once at the end, in Python's string
-    order, the order of UTF-8 bytes.
-    """
-    codes = np.empty(raw.count(b",", lo, end) + 1, dtype=np.uint8)
-    ids: dict = {}
-    done = 0
-    while lo <= end:
-        hi = raw.find(b",", lo + _BLOCK, end)
-        if hi < 0:
-            hi = end
-        tokens = raw[lo:hi].split(b",")
-        for label in dict.fromkeys(tokens):
-            if not label:
-                raise ValueError(f"empty symbol at position "
-                                 f"{done + tokens.index(label)} of the "
-                                 f"comma-separated sequence in {path}")
-            ids.setdefault(label, len(ids))
-        if len(ids) - 1 > np.iinfo(codes.dtype).max:
-            codes = codes.astype(np.min_scalar_type(len(ids) - 1))
-        codes[done:done + len(tokens)] = np.fromiter(
-            map(ids.__getitem__, tokens), codes.dtype, len(tokens))
-        done += len(tokens)
-        lo = hi + 1
-    labels = sorted(ids)
-    rank = np.empty(len(ids), dtype=np.int64)
-    rank[[ids[label] for label in labels]] = np.arange(len(labels))
-    if (rank != np.arange(rank.size)).any():
-        for lo in range(0, codes.size, _BLOCK):
-            codes[lo:lo + _BLOCK] = rank[codes[lo:lo + _BLOCK]]
-    return codes, [label.decode() for label in labels]
-
-
 def _source(cfg: argparse.Namespace):
     if (cfg.model is None) == (cfg.seq is None):
         raise ValueError("give exactly one of --model or --seq")
@@ -391,7 +257,7 @@ def _source(cfg: argparse.Namespace):
         if cfg.backend is not None:
             raise ValueError("--backend applies to --model only; a --seq "
                              "sequence is counted as it is")
-        return _load_sequence(cfg.seq)
+        return EmpiricalSource(*read_sequence(cfg.seq))
     model = _load_model(cfg.model, cfg.backend or "exact")
     if isinstance(model, LogisticSymbolizer):
         raise ValueError("the logistic map has no exact law; write a sample "
@@ -633,6 +499,8 @@ def _load_substitution(cfg: argparse.Namespace) -> Substitution:
 
 
 def cmd_substitution(cfg: argparse.Namespace) -> int:
+    if cfg.l < 1:
+        raise ValueError(f"--l must be >= 1, not {cfg.l}")
     if cfg.p is not None and cfg.format == "csv":
         raise ValueError("--p needs --format table or json")
     sub = _load_substitution(cfg)
@@ -703,9 +571,12 @@ def cmd_ising(cfg: argparse.Namespace) -> int:
         raise ValueError("need 0 < Tmin < Tmax")
     if not math.isfinite(1.0 / cfg.Tmin):
         raise ValueError(f"--Tmin {cfg.Tmin} is too small: 1/Tmin overflows")
+    if not math.isfinite(1.0 / cfg.Tmin * (abs(cfg.J) + abs(cfg.h))):
+        raise ValueError(f"--J {cfg.J}, --h {cfg.h} and --Tmin {cfg.Tmin}:"
+                         " the energy (|J| + |h|)/Tmin overflows")
     if cfg.points < 3:
         raise ValueError("need at least 3 temperature points")
-    temps = np.geomspace(cfg.Tmin, cfg.Tmax, cfg.points)
+    temps = np.geomspace(cfg.Tmin, cfg.Tmax, cfg.points).tolist()
     rows = []
     for T in temps:
         cf = closed_forms(IsingChainProcess(J=cfg.J, h=cfg.h, beta=1.0 / T))
@@ -754,34 +625,8 @@ def cmd_sample(cfg: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be >= 0, not {cfg.seed}")
     # sampling is a float operation whatever the analysis backend
     model = _load_model(cfg.model, "float")
-    for x in model.alphabet.symbols:  # as the loader splits and strips
-        if {",", "\n", "\r"} & set(x) or x != x.strip():
-            raise ValueError(
-                f"label {x!r} cannot be written to a sequence file: labels"
-                " hold no comma or line break and no surrounding whitespace")
-    symbols = model.alphabet.symbols
-    sep = "" if all(len(x) == 1 for x in symbols) else ","
-    if sep and cfg.n == 1:
-        raise ValueError(
-            "--n 1 over multi-character labels writes one label with no"
-            " comma, which a sequence file reads back one character per"
-            " symbol; use --n 2 or more")
-    arr = sample(model, cfg.n, seed=cfg.seed)
-    pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
-              for x in symbols]
-    size = _BLOCK
-    f = open(cfg.out, "w") if cfg.out else sys.stdout
-    try:
-        # the sampler's blocks of symbols, the last one ending in a
-        # newline instead of a separator
-        for lo in range(0, arr.size, size):
-            text = _concat_pieces(arr[lo:lo + size], pieces).tobytes().decode()
-            if lo + size >= arr.size:
-                text = text.removesuffix(sep) + "\n"
-            f.write(text)
-    finally:
-        if f is not sys.stdout:
-            f.close()
+    write_sequence(cfg.out, model.alphabet, cfg.n,
+                   lambda: sample(model, cfg.n, seed=cfg.seed))
     return 0
 
 

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .infocore import (
-    Alphabet,
     Scalar,
     Word,
     _Frozen,
@@ -36,6 +35,7 @@ from .infocore import (
     _entropy_of_table,
 )
 from .processes import reversed_model
+from .sequence import Alphabet
 
 __all__ = [
     "EpsilonMachine",

@@ -23,11 +23,17 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .infocore import (
-    Alphabet,
     BlockDistribution,
     JointBlockDistribution,
     Scalar,
     WindowCapError,
+    _entropy_of_counts,
+    _exact_str,
+    _fmt,
+    empirical_block_distribution,
+)
+from .sequence import (
+    Alphabet,
     _code_counts,
     _code_dtype,
     _code_words,
@@ -35,12 +41,8 @@ from .infocore import (
     _count_dtype,
     _distinct_counts,
     _doubling_steps,
-    _entropy_of_counts,
-    _exact_str,
-    _fmt,
     _grow_codes,
     _pair_codes,
-    empirical_block_distribution,
     window_codes,
 )
 
@@ -102,7 +104,7 @@ class EmpiricalSource:
 
     :meth:`block_distribution` and :meth:`joint_gap_distribution` build
     those tables, reading each distinct code's word off a window where
-    it occurs (``infocore._code_words``).  Cells whose distinct pair
+    it occurs (``sequence._code_words``).  Cells whose distinct pair
     count exceeds one tenth of the available windows are refused as
     undersampled on every path, before any word is built.
     """

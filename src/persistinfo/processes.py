@@ -54,28 +54,30 @@ from ._ratlinalg import rational_nullspace
 from .infocore import (
     GAP_POWER_BIT_CAP,
     WINDOW_STATE_CAP,
-    Alphabet,
     BlockDistribution,
     ExactBits,
     JointBlockDistribution,
     Scalar,
     WindowCapError,
     Word,
-    _BLOCK,
     _Frozen,
     _NotSmooth,
     _agrees,
-    _code_dtype,
-    _distinct_rows,
     _entropy_of_p,
     _entropy_of_table,
     _entropy_of_weights,
     _mi_of_joint,
-    _ranks,
     _rational_weights,
-    _words,
     entropy_of_probs,
     log2_of,
+)
+from .sequence import (
+    Alphabet,
+    _BLOCK,
+    _code_dtype,
+    _distinct_rows,
+    _ranks,
+    _words,
 )
 from .substitution import (
     Substitution,
@@ -1015,6 +1017,8 @@ class IsingChainProcess(MarkovProcess):
     def __init__(self, J: float, h: float, beta: float):
         if not (beta > 0 and all(map(math.isfinite, (J, h, beta)))):
             raise ValueError("J, h and beta must be finite, beta positive")
+        if not math.isfinite(float(beta) * (abs(float(J)) + abs(float(h)))):
+            raise ValueError(f"beta·(|J|+|h|) overflows: {J=}, {h=}, {beta=}")
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "beta", beta)

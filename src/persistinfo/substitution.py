@@ -49,15 +49,17 @@ import numpy as np
 from ._ratlinalg import rational_nullspace
 from .infocore import (
     WINDOW_STATE_CAP,
-    Alphabet,
     WindowCapError,
     Word,
-    _BLOCK,
     _Frozen,
+    _rational_weights,
+)
+from .sequence import (
+    Alphabet,
+    _BLOCK,
     _code_dtype,
     _concat_pieces,
     _distinct_rows,
-    _rational_weights,
     _words,
 )
 

@@ -13,20 +13,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from persistinfo._ratlinalg import rational_nullspace
 from persistinfo.infocore import (
-    Alphabet,
     BlockDistribution,
     ExactBits,
     JointBlockDistribution,
-    _BLOCK,
-    _code_dtype,
-    _distinct_counts,
     _entropy_of_counts,
     _factor_smooth,
-    _passes_63_bits,
-    _ranks,
     entropy_of_probs,
     shannon_entropy,
-    window_codes,
 )
 from persistinfo.processes import (
     ClosedForms,
@@ -34,6 +27,15 @@ from persistinfo.processes import (
     PeriodicProcess,
     _causal_state_masses,
     _ising_chain,
+)
+from persistinfo.sequence import (
+    Alphabet,
+    _BLOCK,
+    _code_dtype,
+    _distinct_counts,
+    _passes_63_bits,
+    _ranks,
+    window_codes,
 )
 from persistinfo.substitution import (
     _levels,
@@ -631,7 +633,7 @@ def eig_float_stationary(T: np.ndarray) -> np.ndarray:
 
 def int64_grow_codes(arr: np.ndarray, s: int, codes: np.ndarray, size: int,
                      steps) -> tuple:
-    """``infocore._grow_codes`` with every block widened to int64,
+    """``sequence._grow_codes`` with every block widened to int64,
     multiplied, added to and narrowed back into the codes."""
     ranked = False
     for step in steps:
@@ -686,7 +688,7 @@ def walk_maps_oracle(steps, maps, start: int) -> np.ndarray:
 
 
 def rank_table_char_codes(points: np.ndarray, alphabet):
-    """``infocore._char_codes`` of an array of code points, ASCII ones
+    """``sequence._char_codes`` of an array of code points, ASCII ones
     too: the code points ranked by ``_ranks`` (a bincount and a lookup
     table taken one block at a time, or a sort past the line's length),
     then mapped through a table to a given alphabet's indices."""

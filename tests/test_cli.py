@@ -20,9 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import persistinfo
-from persistinfo import cli, emachine, measures, processes, substitution
+from persistinfo import (
+    cli,
+    emachine,
+    measures,
+    processes,
+    sequence,
+    substitution,
+)
 from persistinfo.cli import main
-from persistinfo.infocore import Alphabet, ExactBits
+from persistinfo.infocore import ExactBits
+from persistinfo.sequence import Alphabet
 from persistinfo.processes import IidProcess, MarkovProcess
 from persistinfo.substitution import fibonacci, thue_morse
 
@@ -112,13 +120,13 @@ def test_entropy_sequence_file_comma_alphabet(tmp_path, capsys):
 
 
 def test_comma_sequence_file_labels_and_codes(tmp_path):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     # 8 or more bytes do not fit one 63-bit code: sorted as byte rows
     labels = ["héllo", "-1", "↑", "+1", "-1", "↑", "héllo", "-1",
               "state_b_9", "state_a_9", "état_long", "state_b_9"]
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
-    src = _load_sequence(str(p))
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
     assert src.arr.tolist() == list(src.alphabet.encode(labels))
 
@@ -551,14 +559,24 @@ def test_format_is_rejected_where_it_would_be_ignored(capsys, argv):
       "2"), "substitution model field 'rules' entry '0' must be a string or"
      " an array, not a number", 41),
     (("substitution", "--rules", "tm", "--l", "0"),
-     "factor length must be positive", 42),
+     "--l must be >= 1, not 0", 42),
     (("substitution", "--rules", "tm", "--l", "-3"),
-     "factor length must be positive", 43),
+     "--l must be >= 1, not -3", 43),
     (("substitution", "--rules", "tm", "--l", "5", "--p", "1"),
      "power 1 is too small: need every ζ^p image at least 4 letters long",
      44),
     (("ising", "--J", "1", "--h", "0", "--Tmin", "0", "--Tmax", "10",
       "--points", "5"), "need 0 < Tmin < Tmax", 45),
+    # energies that overflow, refused by name before NumPy warns
+    (("ising", "--h", "1e308", "--points", "3"),
+     "--J 1.0, --h 1e+308 and --Tmin 0.1: the energy (|J| + |h|)/Tmin"
+     " overflows", 46),
+    (("ising", "--J", "1e300", "--Tmin", "1e-10", "--points", "3"),
+     "--J 1e+300, --h 0.0 and --Tmin 1e-10: the energy (|J| + |h|)/Tmin"
+     " overflows", 47),
+    (("entropy", "--model", '{"kind":"ising","J":1,"h":1e308,"beta":2}',
+      "--backend", "float", "--Lmax", "2"),
+     "beta·(|J|+|h|) overflows: J=1.0, h=1e+308, beta=2.0", 48),
 ]))
 def test_command_refusals_name_the_cause(capsys, argv, message):
     with warnings.catch_warnings():
@@ -896,6 +914,17 @@ def test_ising_sweep_down_to_a_thousandth(capsys, args):
                for r in rows for x in r)
 
 
+def test_ising_sweep_near_the_smallest_normal_temperature(capsys):
+    # 1/T is finite, and the energy differences that overflow in Python
+    # floats give exp(-inf) = 0 with no NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "ising", "--Tmin", "1e-308", "--Tmax", "1e-300",
+                   "--points", "3") == (
+            0, "T,h_P,E,C_P,PMI\n1e-308,0,1,1,0\n1e-304,0,1,1,0\n"
+            "1e-300,0,1,1,0\n", "")
+
+
 def test_ising_names_a_high_temperature_excess_entropy(capsys):
     # a strong coupling keeps E near 1 bit even at the T = 100 probe:
     # the rows are printed, and the run fails naming the probe
@@ -969,9 +998,9 @@ def test_sample_roundtrip_through_entropy(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["ternary", "goldenmean", "ising", "tm"])
 def test_sample_file_reads_back_in_written_order(name):
     # the committed samples, whose bytes test_goldens compares
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     path = DATA / f"sample_{name}_4097_101.txt"
-    src = _load_sequence(str(path))
+    src = measures.EmpiricalSource(*read_sequence(str(path)))
     text = path.read_text().strip()
     labels = text.split(",") if "," in text else list(text)
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
@@ -1019,7 +1048,8 @@ def test_window_counts_hold_flat_memory(capsys, ternary_sample, argv, bound):
 
 
 def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
-    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.cli import _load_model
+    from persistinfo.sequence import read_sequence
     from persistinfo.processes import sample
     # widths 1 to 10 bytes, "é" two bytes wide, listed out of order
     symbols = ["2", "10", "1", "é", "longlabel9"]
@@ -1033,18 +1063,19 @@ def test_sample_roundtrip_variable_width_labels(tmp_path, capsys):
                sample(_load_model(json.dumps(doc), "float"), 3000,
                       seed=5).tolist()]
     assert dest.read_text() == ",".join(written) + "\n"
-    src = _load_sequence(str(dest))
+    src = measures.EmpiricalSource(*read_sequence(str(dest)))
     # Python's string order: "1" < "10" < "2"
     assert src.alphabet.symbols == ("1", "10", "2", "longlabel9", "é")
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
 
 
 @pytest.mark.parametrize("label", [",", "a,b", "a\nb", "a\rb", " a", "a\t",
-                                   " "])
+                                   " ", "", "\ufeffa"])
 def test_sample_refuses_labels_a_sequence_file_cannot_hold(tmp_path, capsys,
                                                            label):
-    # a comma splits the line, a line break ends it, and its ends are
-    # stripped on load
+    # a comma splits the line, a line break ends it, its ends are
+    # stripped on load, an empty label is refused there, and a leading
+    # byte-order mark is skipped
     doc = {"kind": "iid", "alphabet": [label, "b"], "probs": ["1/2", "1/2"]}
     dest = tmp_path / "seq.txt"
     code, out, err = run(capsys, "sample", "--model", json.dumps(doc),
@@ -1060,7 +1091,8 @@ def test_sample_refuses_labels_a_sequence_file_cannot_hold(tmp_path, capsys,
                 "probs": ["1/300"] * 300}),
 ])
 def test_sample_still_writes_signed_and_wide_alphabets(tmp_path, capsys, doc):
-    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.cli import _load_model
+    from persistinfo.sequence import read_sequence
     from persistinfo.processes import sample
     dest = tmp_path / "seq.txt"
     code, _, err = run(capsys, "sample", "--model", doc, "--n", "5000",
@@ -1069,7 +1101,7 @@ def test_sample_still_writes_signed_and_wide_alphabets(tmp_path, capsys, doc):
     model = _load_model(doc, "float")
     written = [model.alphabet.symbols[c]
                for c in sample(model, 5000, seed=2).tolist()]
-    src = _load_sequence(str(dest))
+    src = measures.EmpiricalSource(*read_sequence(str(dest)))
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
 
 
@@ -1080,7 +1112,8 @@ def test_sample_still_writes_signed_and_wide_alphabets(tmp_path, capsys, doc):
 ])
 def test_sample_of_multi_character_labels_needs_two_symbols(tmp_path, capsys,
                                                             doc):
-    from persistinfo.cli import _load_model, _load_sequence
+    from persistinfo.cli import _load_model
+    from persistinfo.sequence import read_sequence
     from persistinfo.processes import sample
     # one label has no comma to join, so "ab" or "-1" would read back
     # as two symbols
@@ -1096,16 +1129,16 @@ def test_sample_of_multi_character_labels_needs_two_symbols(tmp_path, capsys,
     model = _load_model(doc, "float")
     written = [model.alphabet.symbols[c]
                for c in sample(model, 2, seed=3).tolist()]
-    src = _load_sequence(str(dest))
+    src = measures.EmpiricalSource(*read_sequence(str(dest)))
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == written
 
 
 def test_comma_sequence_file_orders_labels_as_python(tmp_path):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     labels = ["2", "10", "1", "1\x00", "10", "abcdefgh", "abcdefg", "2"]
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
-    src = _load_sequence(str(p))
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
     assert src.arr.tolist() == list(src.alphabet.encode(labels))
 
@@ -1118,26 +1151,24 @@ def test_comma_sequence_file_orders_labels_as_python(tmp_path):
 ])
 def test_comma_blocks_name_the_global_empty_position(tmp_path, monkeypatch,
                                                      text, block, position):
-    from persistinfo import cli
-    from persistinfo.cli import _load_sequence
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    from persistinfo.sequence import read_sequence
+    monkeypatch.setattr(sequence, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(text + "\n")
     with pytest.raises(ValueError, match=f"empty symbol at position "
                                          f"{position} "):
-        _load_sequence(str(p))
+        read_sequence(str(p))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 11])
 def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
-    from persistinfo import cli
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     labels = ["é", "10", "longlabel9", "2", "é", "1", "10", "longlabel9",
               "é", "2", "longlabel8", "1", "é", "10", "2"] * 3
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(sequence, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
-    src = _load_sequence(str(p))
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == (
         "1", "10", "2", "longlabel8", "longlabel9", "é")
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
@@ -1147,8 +1178,7 @@ def test_comma_blocks_read_labels_across_cuts(tmp_path, monkeypatch, block):
 def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
     import numpy as np
 
-    from persistinfo import cli
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     # 300 labels of one to four bytes, the first 200 before any other,
     # so that later blocks add keys to those seen and widen the codes
     rng = np.random.default_rng(8)
@@ -1156,24 +1186,23 @@ def test_comma_codes_widen_past_256_labels(tmp_path, monkeypatch, block):
     order = np.concatenate([rng.permutation(200),
                             rng.integers(0, 300, 2000)])
     labels = [names[i] for i in order.tolist()]
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(sequence, "_BLOCK", block)
     p = tmp_path / "seq.txt"
     p.write_text(",".join(labels) + "\n")
-    src = _load_sequence(str(p))
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == tuple(sorted(set(labels)))
     assert src.arr.dtype == np.uint16
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
     p.write_text(",".join(labels[:200]) + "\n")
-    assert _load_sequence(str(p)).arr.dtype == np.uint8
+    assert read_sequence(str(p))[0].dtype == np.uint8
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_sample_blocks_write_the_same_bytes(tmp_path, capsys, monkeypatch,
                                             block):
-    from persistinfo import cli, processes
     # the sampler's blocks and the writer's
     monkeypatch.setattr(processes, "_BLOCK", block)
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(sequence, "_BLOCK", block)
     for name, spec in (("ising", ISING_SPEC), ("tm", "tm")):
         want = (DATA / f"sample_{name}_4097_101.txt").read_bytes()
         dest = tmp_path / f"{name}.txt"
@@ -1213,10 +1242,10 @@ def _refuse_block_route(*args):
 def test_strided_comma_route_matches_the_block_oracle(raw, block):
     import numpy as np
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_BLOCK", block)
-        want = cli._comma_block_codes(raw, 0, len(raw), "seq.txt")
-        patch.setattr(cli, "_comma_block_codes", _refuse_block_route)
-        got = cli._comma_codes(raw, 0, len(raw), "seq.txt")
+        patch.setattr(sequence, "_BLOCK", block)
+        want = sequence._comma_block_codes(raw, 0, len(raw), "seq.txt")
+        patch.setattr(sequence, "_comma_block_codes", _refuse_block_route)
+        got = sequence._comma_codes(raw, 0, len(raw), "seq.txt")
     assert got[1] == want[1]
     assert got[0].dtype == want[0].dtype
     assert np.array_equal(got[0], want[0])
@@ -1224,11 +1253,11 @@ def test_strided_comma_route_matches_the_block_oracle(raw, block):
 
 def test_comma_line_with_surrounding_whitespace_takes_the_strided_route(
         tmp_path, monkeypatch):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_text(" \t+1,-1,-1,+1,é \n\n")
-    monkeypatch.setattr(cli, "_comma_block_codes", _refuse_block_route)
-    src = _load_sequence(str(p))
+    monkeypatch.setattr(sequence, "_comma_block_codes", _refuse_block_route)
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == ("+1", "-1", "é")
     assert src.arr.tolist() == [0, 1, 1, 0, 2]
 
@@ -1241,14 +1270,14 @@ def test_comma_line_with_surrounding_whitespace_takes_the_strided_route(
     ("ab,cde,f", ("ab", "cde", "f"), [0, 1, 2])])
 def test_comma_line_of_mixed_widths_takes_the_block_route(
         tmp_path, monkeypatch, text, symbols, codes):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_text(text + "\n")
     calls = []
-    block_route = cli._comma_block_codes
-    monkeypatch.setattr(cli, "_comma_block_codes",
+    block_route = sequence._comma_block_codes
+    monkeypatch.setattr(sequence, "_comma_block_codes",
                         lambda *a: calls.append(a) or block_route(*a))
-    src = _load_sequence(str(p))
+    src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert len(calls) == 1
     assert src.alphabet.symbols == symbols
     assert src.arr.tolist() == codes
@@ -1261,11 +1290,11 @@ def test_comma_line_of_mixed_widths_takes_the_block_route(
     ("a,bc,,d", 2), ("ab,cdef,,gh", 2)])
 def test_uniform_looking_comma_line_names_its_empty_symbol(tmp_path, text,
                                                            position):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_text(text + "\n")
     with pytest.raises(ValueError) as info:
-        _load_sequence(str(p))
+        read_sequence(str(p))
     assert str(info.value) == (f"empty symbol at position {position} of the "
                                f"comma-separated sequence in {p}")
 
@@ -1290,14 +1319,14 @@ def test_comma_lines_of_any_widths_load_as_split_text(tmp_path_factory, line,
                                                       block):
     import numpy as np
 
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     tokens = line.split(",")
     labels = sorted(set(tokens))
     p = tmp_path_factory.mktemp("seq") / "seq.txt"
     p.write_text(line + "\n", encoding="utf-8")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_BLOCK", block)
-        src = _load_sequence(str(p))
+        patch.setattr(sequence, "_BLOCK", block)
+        src = measures.EmpiricalSource(*read_sequence(str(p)))
     assert src.alphabet.symbols == tuple(labels)
     assert src.arr.dtype == np.min_scalar_type(len(labels) - 1)
     assert src.arr.tolist() == [labels.index(t) for t in tokens]
@@ -1443,7 +1472,7 @@ def test_comma_loader_memory_stays_in_blocks(tmp_path):
 
     import numpy as np
 
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     n = 10 ** 6
     signs = np.array([b"+1,", b"-1,"])[np.random.default_rng(0).integers(
         2, size=n)]
@@ -1452,7 +1481,7 @@ def test_comma_loader_memory_stays_in_blocks(tmp_path):
     del signs
     tracemalloc.start()
     try:
-        src = _load_sequence(str(p))
+        src = measures.EmpiricalSource(*read_sequence(str(p)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1468,7 +1497,7 @@ def test_ascii_loader_holds_the_line_and_the_codes(tmp_path, shape):
 
     import numpy as np
 
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     n = 10 ** 6
     # no space, which the loader would strip off the ends
     symbols = np.frombuffer("".join(NO_COMMA[1:]).encode(), dtype=np.uint8)
@@ -1482,7 +1511,7 @@ def test_ascii_loader_holds_the_line_and_the_codes(tmp_path, shape):
     p.write_bytes(b"\xef\xbb\xbf" + symbols[ranks].tobytes() + b"\n")
     tracemalloc.start()
     try:
-        src = _load_sequence(str(p))
+        src = measures.EmpiricalSource(*read_sequence(str(p)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1499,11 +1528,11 @@ def test_ascii_loader_holds_the_line_and_the_codes(tmp_path, shape):
     ("\xa0\u2003", "\u3000\x85\n")])
 def test_sequence_file_is_stripped_as_python_strips_text(tmp_path, line,
                                                          pad):
-    from persistinfo.cli import _load_sequence
     from persistinfo.measures import EmpiricalSource
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_bytes((pad[0] + line + pad[1]).encode())
-    src = _load_sequence(str(p))
+    src = EmpiricalSource(*read_sequence(str(p)))
     text = (pad[0] + line + pad[1]).strip()
     want = (EmpiricalSource(text) if "," not in text else None)
     labels = text.split(",") if "," in text else list(text)
@@ -1519,11 +1548,11 @@ def test_sequence_file_is_stripped_as_python_strips_text(tmp_path, line,
     "ab\ufeffab", "\ufeffa,bb,a\n", "\ufeffnaïve\n"])
 def test_sequence_file_skips_a_leading_byte_order_mark(tmp_path, body):
     # as the utf-8-sig codec drops it: at offset 0 only
-    from persistinfo.cli import _load_sequence
     from persistinfo.measures import EmpiricalSource
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_bytes(body.encode())
-    src = _load_sequence(str(p))
+    src = EmpiricalSource(*read_sequence(str(p)))
     text = body.encode().decode("utf-8-sig").strip()
     labels = text.split(",") if "," in text else list(text)
     assert [src.alphabet.symbols[c] for c in src.arr.tolist()] == labels
@@ -1588,9 +1617,8 @@ def test_ascii_lines_code_as_the_rank_table_does(tmp_path_factory, line,
                                                  given_alphabet, rnd):
     import numpy as np
 
-    from persistinfo.cli import _load_sequence
-    from persistinfo.infocore import Alphabet
     from persistinfo.measures import EmpiricalSource
+    from persistinfo.sequence import Alphabet, read_sequence
     alphabet = None
     if given_alphabet != "none":
         labels = sorted(set(line) | set(rnd.sample(NO_COMMA, 3)))
@@ -1615,7 +1643,7 @@ def test_ascii_lines_code_as_the_rank_table_does(tmp_path_factory, line,
     p = tmp_path_factory.mktemp("seq") / "seq.txt"
     p.write_bytes(b" " + line.encode() + b"\n")
     if line.strip():
-        got = _codes_or_error(lambda: arrays(_load_sequence(str(p))))
+        got = _codes_or_error(lambda: read_sequence(str(p)))
         assert got == _codes_or_error(rank_table_char_codes,
                                       points(line.strip()), None)
 
@@ -1626,11 +1654,11 @@ def test_ascii_lines_code_as_the_rank_table_does(tmp_path_factory, line,
     (b"a,b\nb,a\n", "one line of symbols"),
 ])
 def test_sequence_file_refuses_empty_and_multiline(tmp_path, body, message):
-    from persistinfo.cli import _load_sequence
+    from persistinfo.sequence import read_sequence
     p = tmp_path / "seq.txt"
     p.write_bytes(body)
     with pytest.raises(ValueError, match=message):
-        _load_sequence(str(p))
+        read_sequence(str(p))
 
 
 def test_output_file(tmp_path, capsys):

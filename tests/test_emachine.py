@@ -24,7 +24,6 @@ from persistinfo.emachine import (
     reconstruct,
 )
 from persistinfo.infocore import (
-    Alphabet,
     BlockDistribution,
     ExactBits,
     WindowCapError,
@@ -38,6 +37,7 @@ from persistinfo.processes import (
     closed_forms,
     reversed_model,
 )
+from persistinfo.sequence import Alphabet
 from persistinfo.substitution import thue_morse
 
 LOG2_3 = ExactBits(F(0), {3: F(1)})

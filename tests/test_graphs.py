@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from persistinfo.infocore import Alphabet, log2_of
+from persistinfo.infocore import log2_of
+from persistinfo.sequence import Alphabet
 from persistinfo.processes import MarkovProcess, _stationary
 from persistinfo.substitution import (
     ReducibleMatrixError,

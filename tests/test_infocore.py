@@ -17,18 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from persistinfo import infocore
+from persistinfo import sequence
 from persistinfo.infocore import (
-    Alphabet,
     BlockDistribution,
     ExactBits,
     SMOOTH_FACTOR_BOUND,
     JointBlockDistribution,
-    _BLOCK,
-    _code_counts,
-    _coerce_sequence,
-    _count_dtype,
-    _distinct_counts,
     _entropy_of_counts,
     _factor_smooth,
     _NotSmooth,
@@ -38,6 +32,14 @@ from persistinfo.infocore import (
     marginalize_gap,
     mutual_information,
     shannon_entropy,
+)
+from persistinfo.sequence import (
+    Alphabet,
+    _BLOCK,
+    _code_counts,
+    _coerce_sequence,
+    _count_dtype,
+    _distinct_counts,
 )
 
 from oracles import (
@@ -764,7 +766,7 @@ class _RecordedAdd:
 
 
 class _CountingNumpy:
-    """NumPy as ``infocore`` reads it, with each ``np.add.at`` and
+    """NumPy as ``sequence`` reads it, with each ``np.add.at`` and
     ``np.bincount`` call recorded."""
 
     def __init__(self):
@@ -796,7 +798,7 @@ def test_code_counts_take_bincount_up_to_4096_codes(monkeypatch, size, pair,
         want = codes.astype(np.intp)
         args = (codes, size)
     spy = _CountingNumpy()
-    monkeypatch.setattr(infocore, "np", spy)
+    monkeypatch.setattr(sequence, "np", spy)
     got = _code_counts(*args)
     monkeypatch.undo()
     # one call per block of _BLOCK codes, every one by the same kernel

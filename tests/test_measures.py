@@ -14,23 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from persistinfo import infocore, measures
+from persistinfo import infocore, measures, sequence
 from persistinfo.infocore import (
-    _BLOCK,
-    Alphabet,
     ExactBits,
-    _code_counts,
-    _code_dtype,
-    _concat_pieces,
-    _distinct_counts,
-    _doubling_steps,
-    _grow_codes,
-    _pair_codes,
-    _ranks,
+    WindowCapError,
     empirical_block_distribution,
     mutual_information,
     shannon_entropy,
-    window_codes,
 )
 from persistinfo.measures import (
     EfficiencyReport,
@@ -51,8 +41,20 @@ from persistinfo.processes import (
     MarkovProcess,
     PeriodicProcess,
     SubstitutionProcess,
-    WindowCapError,
     sample,
+)
+from persistinfo.sequence import (
+    _BLOCK,
+    Alphabet,
+    _code_counts,
+    _code_dtype,
+    _concat_pieces,
+    _distinct_counts,
+    _doubling_steps,
+    _grow_codes,
+    _pair_codes,
+    _ranks,
+    window_codes,
 )
 from persistinfo.substitution import fibonacci, thue_morse
 
@@ -309,7 +311,7 @@ def test_undersampled_cell_is_refused_before_decoding(monkeypatch):
     def no_decoding(*args):
         raise AssertionError("decoded the pairs of a refused cell")
 
-    monkeypatch.setattr(infocore, "_words", no_decoding)
+    monkeypatch.setattr(sequence, "_words", no_decoding)
     with pytest.raises(UndersampledError) as err:
         EmpiricalSource(seq).joint_gap_distribution(L, g)
     assert str(err.value) == (
@@ -620,8 +622,8 @@ def _count_long_counts(monkeypatch, n):
         return counted
 
     monkeypatch.setattr(np, "bincount", counting(np.bincount))
-    code_counts = counting(infocore._code_counts)
-    for module in (infocore, measures):
+    code_counts = counting(sequence._code_counts)
+    for module in (sequence, measures):
         monkeypatch.setattr(module, "_code_counts", code_counts)
     return calls
 
@@ -745,7 +747,7 @@ def test_empirical_measures_build_no_tables(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("built a word table")
 
-    monkeypatch.setattr(infocore, "_words", no_tables)
+    monkeypatch.setattr(sequence, "_words", no_tables)
     monkeypatch.setattr(measures, "empirical_block_distribution", no_tables)
     # the table entropies, which no module of the package imports
     for name in ("shannon_entropy", "mutual_information"):
@@ -774,7 +776,7 @@ def _with_rank_codes(estimate):
     """estimate() with the window codes ranked before every step of
     the doubling, as past 63 bits."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(infocore, "_passes_63_bits", lambda size, factor: True)
+        mp.setattr(sequence, "_passes_63_bits", lambda size, factor: True)
         return _refusal_or_value(estimate)
 
 
@@ -815,9 +817,9 @@ def test_rank_codes_sort_the_windows_once_per_length(monkeypatch):
             return True
         return False
 
-    sort_rows, passes = infocore._distinct_rows, infocore._passes_63_bits
-    monkeypatch.setattr(infocore, "_distinct_rows", counted_rows)
-    monkeypatch.setattr(infocore, "_passes_63_bits", counted_reranks)
+    sort_rows, passes = sequence._distinct_rows, sequence._passes_63_bits
+    monkeypatch.setattr(sequence, "_distinct_rows", counted_rows)
+    monkeypatch.setattr(sequence, "_passes_63_bits", counted_reranks)
     grid = gap_mi_grid(src, (32, 40), (0, 8, 16))
     # no row sort; one integer sort per L, of its pair-width codes
     assert row_sorts == []

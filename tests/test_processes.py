@@ -7,6 +7,7 @@ the implementation must reproduce them.
 
 import math
 import tracemalloc
+import warnings
 from bisect import bisect_right
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -26,11 +27,11 @@ from persistinfo.emachine import (
 )
 from persistinfo.infocore import (
     GAP_POWER_BIT_CAP,
-    Alphabet,
+    WINDOW_STATE_CAP,
     BlockDistribution,
     ExactBits,
     JointBlockDistribution,
-    _code_dtype,
+    WindowCapError,
     _entropy_of_table,
     empirical_block_distribution,
     log2_of,
@@ -40,7 +41,6 @@ from persistinfo.infocore import (
 )
 from persistinfo.measures import entropy_curve, gap_mi_grid, pmi_verdict
 from persistinfo.processes import (
-    WINDOW_STATE_CAP,
     ClosedFormUnavailable,
     IidProcess,
     IsingChainProcess,
@@ -48,11 +48,11 @@ from persistinfo.processes import (
     MarkovProcess,
     PeriodicProcess,
     SubstitutionProcess,
-    WindowCapError,
     closed_forms,
     reversed_model,
     sample,
 )
+from persistinfo.sequence import Alphabet, _code_dtype
 from persistinfo.substitution import (
     Substitution,
     composition_matrix,
@@ -2136,6 +2136,18 @@ def test_ising_chain_without_coupling_is_iid(h, beta):
 def test_ising_refuses_a_coupling_that_is_not_finite(J, h):
     with pytest.raises(ValueError, match="finite"):
         IsingChainProcess(J=J, h=h, beta=1.0)
+
+
+@pytest.mark.parametrize("J,h,beta", [
+    (1.0, 1e308, 2.0), (1e308, -1e308, 1.0), (1e200, 0.0, 1e200),
+    (np.float64(1e200), np.float64(0.3), np.float64(1e200))])
+def test_ising_refuses_energies_that_overflow(J, h, beta):
+    # by name, and before a NumPy scalar could warn of the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^beta·\(\|J\|\+\|h\|\) "
+                           r"overflows: J=.*, h=.*, beta="):
+            IsingChainProcess(J=J, h=h, beta=beta)
 
 
 def test_ising_joint_symmetric_at_zero_field():

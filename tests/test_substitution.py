@@ -17,13 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from persistinfo.infocore import (
-    Alphabet,
     BlockDistribution,
     ExactBits,
+    WindowCapError,
     shannon_entropy,
 )
 from persistinfo import substitution
-from persistinfo.processes import WindowCapError
+from persistinfo.sequence import Alphabet
 from persistinfo.substitution import (
     ReducibleMatrixError,
     Substitution,
