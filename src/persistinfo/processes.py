@@ -204,21 +204,29 @@ class ReversedProcess(_Frozen):
     """The time reversal of a process, read off it: its length-L table is
     the process's with each word read backwards, over the same weights
     and D.  It holds what ``emachine`` reads of a model (``order`` where
-    the process has one); H(L) and I(L, g) do not change under reversal."""
+    the process has one); H(L) and I(L, g) do not change under reversal.
+    Every call reads the process's table, so that a trace of the
+    process's tables counts every read; the reversed one is built on
+    the first call for L and kept, keyed by L, with the view: every
+    caller shares it, so a returned table must not be modified."""
 
-    __slots__ = ("process",)
+    __slots__ = ("process", "_tables")
 
     def __init__(self, process):
         object.__setattr__(self, "process", process)
+        object.__setattr__(self, "_tables", {})
 
     alphabet = property(lambda self: self.process.alphabet)
     order = property(lambda self: self.process.order)
 
     def block_distribution(self, L: int) -> BlockDistribution:
         fwd = self.process.block_distribution(L)
-        return BlockDistribution._trusted(
-            self.alphabet, L, {w[::-1]: p for w, p in fwd.weights.items()},
-            fwd.denominator)
+        table = self._tables.get(L)
+        if table is None:
+            table = self._tables[L] = BlockDistribution._trusted(
+                self.alphabet, L,
+                {w[::-1]: p for w, p in fwd.weights.items()}, fwd.denominator)
+        return table
 
 
 # ── periodic ────────────────────────────────────────────────────────
@@ -482,13 +490,15 @@ class MarkovProcess(_Frozen):
     enumerate the law and read no closed form, so they stay a check on
     the closed forms.
     ``block_distribution`` and ``order`` are also all that ``emachine``
-    reads of a chain; its tables are valid by construction (every row
-    d·P sums to d), so they are not checked again.
+    reads of a chain (of its reversal, through the one view that
+    ``reversed`` returns); its tables are valid by construction (every
+    row d·P sums to d), so they are not checked again.  Each table is
+    enumerated once and kept, keyed by L, until the chain is freed.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
                  "contexts", "_cindex", "_edges", "_moves", "_T", "_d", "_pi",
-                 "_q", "_powers")
+                 "_q", "_powers", "_tables", "_reversed")
 
     def __init__(self, alphabet: Alphabet, order: int,
                  kernel: Mapping[Word, Sequence]):
@@ -529,6 +539,8 @@ class MarkovProcess(_Frozen):
         object.__setattr__(self, "_cindex",
                            {c: i for i, c in enumerate(contexts)})
         object.__setattr__(self, "_powers", {})
+        object.__setattr__(self, "_tables", {})
+        object.__setattr__(self, "_reversed", None)
 
         # the nonzero entries of each row as ((symbol,), weight): d·P
         # for rational rows, P itself (d = 1) for float rows
@@ -648,15 +660,20 @@ class MarkovProcess(_Frozen):
     # public surface ---------------------------------------------------------
 
     def block_distribution(self, L: int) -> BlockDistribution:
-        if L < 1:
-            raise ValueError("block length must be >= 1")
-        _check_cap(len(self.alphabet), L)
-        R = self.order
-        # every row d·P sums to d: the words' weights sum to q·d^(L−R)
-        words = (self._context_sums(L) if L <= R
-                 else self._extend(self._context_sums(R), L - R))
-        return BlockDistribution._trusted(self.alphabet, L, words,
-                                          self._denominator(max(L - R, 0)))
+        """The length-L table, enumerated on the first call for L and
+        kept: every caller shares it, so it must not be modified."""
+        table = self._tables.get(L)
+        if table is None:
+            if L < 1:
+                raise ValueError("block length must be >= 1")
+            _check_cap(len(self.alphabet), L)
+            R = self.order
+            # every row d·P sums to d: the words' weights sum to q·d^(L−R)
+            words = (self._context_sums(L) if L <= R
+                     else self._extend(self._context_sums(R), L - R))
+            table = self._tables[L] = BlockDistribution._trusted(
+                self.alphabet, L, words, self._denominator(max(L - R, 0)))
+        return table
 
     def block_entropies(self, Ls: Sequence[int]) -> list:
         """H(L) in bits for each length of Ls.  Words of length L >= R
@@ -934,7 +951,10 @@ class MarkovProcess(_Frozen):
         return out
 
     def reversed(self) -> ReversedProcess:
-        return ReversedProcess(self)
+        """The chain's one reversal view, built on the first call."""
+        if self._reversed is None:
+            object.__setattr__(self, "_reversed", ReversedProcess(self))
+        return self._reversed
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "
@@ -1157,6 +1177,8 @@ def sample(model, n: int, seed: int = 0) -> np.ndarray:
 
 
 def reversed_model(model):
-    """The time-reversed process: a ``ReversedProcess`` view of the model,
-    or the Ising chain itself (it satisfies detailed balance)."""
+    """The time-reversed process: a ``ReversedProcess`` view of the model
+    (on a Markov chain its one view, which keeps the reversed tables it
+    builds; on a periodic or substitution model a new view per call), or
+    the Ising chain itself (it satisfies detailed balance)."""
     return model.reversed()

@@ -600,7 +600,11 @@ def _comma_block_codes(raw: bytes, lo: int, end: int, path: str):
 
 def write_sequence(out: str | None, alphabet: Alphabet, n: int, draw):
     """Write the n codes ``draw()`` returns as a sequence file at ``out``
-    (stdout if None), first refusing labels it could not read back."""
+    (stdout if None).  Labels it could not read back are refused first,
+    and ``out`` is opened before the draw, so a path that cannot be
+    written is refused before any code is drawn.  If the draw or a write
+    raises, the file opened is closed and, if it is a regular file,
+    removed."""
     symbols = alphabet.symbols
     for x in symbols:  # as the reader splits, strips and skips a BOM
         if ({",", "\n", "\r"} & set(x) or x != x.strip()
@@ -615,12 +619,12 @@ def write_sequence(out: str | None, alphabet: Alphabet, n: int, draw):
             "--n 1 over multi-character labels writes one label with no"
             " comma, which a sequence file reads back one character per"
             " symbol; use --n 2 or more")
-    arr = draw()
     pieces = [np.frombuffer((x + sep).encode(), dtype=np.uint8)
               for x in symbols]
     size = _BLOCK
     f = open(out, "w", encoding="utf-8") if out else sys.stdout
     try:
+        arr = draw()
         # the codes a block at a time, the last block ending in a
         # newline instead of a separator
         for lo in range(0, arr.size, size):
@@ -628,6 +632,12 @@ def write_sequence(out: str | None, alphabet: Alphabet, n: int, draw):
             if lo + size >= arr.size:
                 text = text.removesuffix(sep) + "\n"
             f.write(text)
+    except BaseException:
+        # a device such as /dev/null is left in place
+        if f is not sys.stdout and Path(out).is_file():
+            f.close()
+            Path(out).unlink()
+        raise
     finally:
         if f is not sys.stdout:
             f.close()

@@ -181,11 +181,14 @@ def test_goldenmean_decomposition():
     assert h_rf == F(2, 3)  # chain is reversible
 
 
+def _fields(machine) -> dict:
+    return {k: getattr(machine, k) for k in EpsilonMachine.__slots__}
+
+
 def with_complexity(machine, complexity):
     """The machine with its complexity replaced, built again from its
     fields by keyword."""
-    fields = {k: getattr(machine, k) for k in EpsilonMachine.__slots__}
-    return EpsilonMachine(**{**fields, "complexity": complexity})
+    return EpsilonMachine(**{**_fields(machine), "complexity": complexity})
 
 
 def test_exact_decomposition_is_checked_by_equality():
@@ -310,6 +313,40 @@ def test_closed_form_complexities_match_reconstruction(make):
                                               3).complexity
     assert cf.efficiency == pytest.approx(
         float(cf.excess_entropy) / float(cf.complexity_plus), rel=1e-12)
+
+
+# table1's markov-r2 row
+R2_ROWS = {"00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
+           "10": (F(3, 5), F(2, 5)), "11": (F(1, 4), F(3, 4))}
+
+
+@pytest.mark.parametrize("make, R", [
+    (goldenmean, 8),
+    (lambda: MarkovProcess.from_rows(R2_ROWS), 6),
+    (ternary_r2, 4),
+    (lambda: MarkovProcess.from_rows(
+        {c: tuple(map(float, row)) for c, row in R2_ROWS.items()}), 6),
+], ids=["golden", "r2", "ternary", "r2-float"])
+def test_calls_on_one_chain_answer_as_on_fresh_chains(make, R):
+    # forward machine, E, reverse machine and C_P split on one chain,
+    # which keeps its tables and its one reversal view across the calls,
+    # against each call made on chains of its own
+    chain = make()
+    forward = reconstruct(chain, R, R)
+    E = machine_excess_entropy(forward, chain)
+    reverse = reconstruct(reversed_model(chain), R, R)
+    split = complexity_decomposition(forward, reverse, chain)
+    assert _fields(forward) == _fields(reconstruct(make(), R, R))
+    fresh_E = machine_excess_entropy(reconstruct(make(), R, R), make())
+    assert (type(E), E) == (type(fresh_E), fresh_E)
+    assert _fields(reverse) == _fields(reconstruct(reversed_model(make()),
+                                                   R, R))
+    fresh_split = complexity_decomposition(
+        reconstruct(make(), R, R), reconstruct(reversed_model(make()), R, R),
+        make())
+    assert ([type(x) for x in split], split) == (
+        [type(x) for x in fresh_split], fresh_split)
+    assert isinstance(E, float) != chain.exact
 
 
 # ── float backend: Ising chain ────────────────────────────────────────────────

@@ -73,6 +73,23 @@ def test_names_are_imported_from_the_module_that_defines_them(path):
     assert wrong == []
 
 
+def test_only_processes_reads_the_table_memo():
+    # a chain's kept tables and its reversal view are reached through
+    # block_distribution and reversed() alone; this file names them, so
+    # it is not read
+    memo = {"_tables", "_reversed"}
+    readers = set()
+    for path in FILES:
+        if path == Path(__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in memo:
+                readers.add(f"{path.parent.name}/{path.name}")
+    assert readers == {"persistinfo/processes.py"}
+
+
 def test_cli_imports_only_public_names_of_sequence():
     names = [name for module, name in _package_imports(PACKAGE / "cli.py")
              if module == "sequence"]

@@ -1006,6 +1006,25 @@ def test_closed_forms_and_reversal_match_block_table_oracle(m):
                 abs=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    markov_r2_uniform,
+    lambda: IidProcess.from_probs([F(1, 3), F(2, 3)]),
+    lambda: IsingChainProcess(J=1.0, h=0.3, beta=0.7),
+], ids=["rational", "iid", "ising"])
+def test_tables_and_reversal_are_built_once_per_chain(make):
+    chain = make()
+    rev = chain.reversed()
+    assert chain.reversed() is rev and reversed_model(chain) is rev
+    for L in (1, 2, 3):
+        table, back = chain.block_distribution(L), rev.block_distribution(L)
+        assert chain.block_distribution(L) is table
+        assert rev.block_distribution(L) is back
+        # the kept table is the one a fresh chain enumerates
+        fresh = make().block_distribution(L)
+        assert (table.weights, table.denominator) == (fresh.weights,
+                                                      fresh.denominator)
+
+
 # ── class and edge-context routes against the table oracles ─────────
 
 

@@ -1,6 +1,7 @@
 """The sequence file: what ``write_sequence`` writes, ``read_sequence``
 reads back as the same labels in the same order."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -117,6 +118,45 @@ def test_write_sequence_refuses_labels_before_drawing(tmp_path, labels):
     with pytest.raises(ValueError, match="cannot be written"):
         write_sequence(str(path), Alphabet(labels), 10, draw)
     assert not path.exists()
+
+
+def test_write_sequence_refuses_an_unwritable_path_before_drawing(tmp_path):
+    def draw():
+        raise AssertionError("drew the codes for a path it cannot write")
+
+    path = tmp_path / "missing" / "seq.txt"
+    with pytest.raises(FileNotFoundError):
+        write_sequence(str(path), Alphabet("ab"), 10, draw)
+    assert not path.parent.exists()
+
+
+def _full_disk_open(*args, **kwargs):
+    """``open``, with a file whose writes fail as on a full disk."""
+    f = open(*args, **kwargs)
+
+    def write(text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    f.write = write
+    return f
+
+
+@pytest.mark.parametrize("fails", ["draw", "write"])
+def test_write_sequence_removes_its_file_when_the_draw_or_a_write_raises(
+        tmp_path, monkeypatch, fails):
+    path = tmp_path / "seq.txt"
+    path.write_text("an older file\n")
+
+    def draw():
+        if fails == "draw":
+            raise KeyboardInterrupt
+        return np.array([0, 1, 0], dtype=np.uint8)
+
+    if fails == "write":
+        monkeypatch.setattr(sequence, "open", _full_disk_open, raising=False)
+    with pytest.raises(KeyboardInterrupt if fails == "draw" else OSError):
+        write_sequence(str(path), Alphabet("ab"), 3, draw)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sequence_file_is_utf_8_in_an_ascii_locale(tmp_path):
