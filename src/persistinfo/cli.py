@@ -62,6 +62,10 @@ __all__ = [
 #: pipeline within this
 TABLE1_TOL = 1e-6
 
+#: ``ising`` fails when E at its high-temperature probe exceeds this
+ISING_PROBE_TOL = 1e-3
+
+
 def _render(x) -> str:
     """Exact value plus float rendering side by side when available."""
     if isinstance(x, float):
@@ -592,7 +596,7 @@ def cmd_ising(cfg: argparse.Namespace) -> int:
     violations = []
     if not (rising and falling):
         violations.append("E(T) is not unimodal")
-    if float(probe.excess_entropy) > 1e-3:
+    if float(probe.excess_entropy) > ISING_PROBE_TOL:
         violations.append(
             f"E({_fmt(probe_T)}) = {_fmt(float(probe.excess_entropy))} "
             "exceeds 1e-3 at high temperature")

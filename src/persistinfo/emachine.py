@@ -49,6 +49,10 @@ __all__ = [
 #: within this where a float is involved, and exactly otherwise
 IDENTITY_TOL = 1e-9
 
+#: ``reconstruct``'s default merge radius on floats: two histories whose
+#: future laws lie within this total variation are one state
+MERGE_TOL = 1e-12
+
 
 class NonUnifilarError(ValueError):
     """Histories grouped into one state emit a symbol into different
@@ -98,7 +102,7 @@ def reconstruct(model, history_length: int, future_length: int,
 
     ``tol`` is the total-variation radius within which two future
     conditionals count as equal; defaults to 0 on the exact backend and
-    1e-12 on floats.  Raises :class:`NonUnifilarError` when the
+    MERGE_TOL on floats.  Raises :class:`NonUnifilarError` when the
     partition admits no deterministic successor map, which signals that
     ``history_length`` or ``future_length`` is too small.
     """
@@ -110,7 +114,7 @@ def reconstruct(model, history_length: int, future_length: int,
     blocks, hist, k, futures, sym = _laws(model, R, F)
     exact = blocks.exact
     if tol is None:
-        tol = 0.0 if exact else 1e-12
+        tol = 0.0 if exact else MERGE_TOL
     alphabet = blocks.alphabet
 
     # a history's future law is that of its last k symbols

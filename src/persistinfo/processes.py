@@ -203,30 +203,29 @@ class _WindowLaws(_Frozen):
 class ReversedProcess(_Frozen):
     """The time reversal of a process, read off it: its length-L table is
     the process's with each word read backwards, over the same weights
-    and D.  It holds what ``emachine`` reads of a model (``order`` where
-    the process has one); H(L) and I(L, g) do not change under reversal.
-    Every call reads the process's table, so that a trace of the
-    process's tables counts every read; the reversed one is built on
-    the first call for L and kept, keyed by L, with the view: every
-    caller shares it, so a returned table must not be modified."""
+    and D (so H(L) and I(L, g) do not change), and it holds what
+    ``emachine`` reads of a model (``order`` where the process has one).
+    Every call reads the process's table, so that a trace counts every
+    read.  The view keeps nothing: a Markov chain keeps each reversed
+    table, and callers share it, so a returned table must not be
+    modified."""
 
-    __slots__ = ("process", "_tables")
+    __slots__ = ("process",)
 
     def __init__(self, process):
         object.__setattr__(self, "process", process)
-        object.__setattr__(self, "_tables", {})
 
     alphabet = property(lambda self: self.process.alphabet)
     order = property(lambda self: self.process.order)
 
     def block_distribution(self, L: int) -> BlockDistribution:
         fwd = self.process.block_distribution(L)
-        table = self._tables.get(L)
-        if table is None:
-            table = self._tables[L] = BlockDistribution._trusted(
+        kept = getattr(self.process, "_reversed", {})
+        if L not in kept:
+            kept[L] = BlockDistribution._trusted(
                 self.alphabet, L,
                 {w[::-1]: p for w, p in fwd.weights.items()}, fwd.denominator)
-        return table
+        return kept[L]
 
 
 # ── periodic ────────────────────────────────────────────────────────
@@ -292,6 +291,9 @@ class PeriodicProcess(_WindowLaws):
 
 
 # ── order-R Markov ──────────────────────────────────────────────────
+
+#: a float row of a Markov kernel must sum to 1 within this
+ROW_SUM_TOL = 1e-9
 
 
 def _as_weight(x):
@@ -490,10 +492,10 @@ class MarkovProcess(_Frozen):
     enumerate the law and read no closed form, so they stay a check on
     the closed forms.
     ``block_distribution`` and ``order`` are also all that ``emachine``
-    reads of a chain (of its reversal, through the one view that
-    ``reversed`` returns); its tables are valid by construction (every
-    row d·P sums to d), so they are not checked again.  Each table is
-    enumerated once and kept, keyed by L, until the chain is freed.
+    reads of a chain, and of its reversal through a ``reversed`` view;
+    the tables are valid by construction (every row d·P sums to d), so
+    they are not checked again.  Each table, forward or reversed, is
+    built once and kept, keyed by L, until the chain is freed.
     """
 
     __slots__ = ("alphabet", "order", "kernel", "exact", "stationary",
@@ -527,7 +529,7 @@ class MarkovProcess(_Frozen):
             rows = {c: tuple(float(x) for x in row) for c, row in rows.items()}
         for c, row in rows.items():
             total = sum(row)
-            if not _agrees(total, 1, 1e-9):
+            if not _agrees(total, 1, ROW_SUM_TOL):
                 raise ValueError(f"row for context {alphabet.decode(c)!r} "
                                  f"sums to {total}, not 1")
 
@@ -540,7 +542,7 @@ class MarkovProcess(_Frozen):
                            {c: i for i, c in enumerate(contexts)})
         object.__setattr__(self, "_powers", {})
         object.__setattr__(self, "_tables", {})
-        object.__setattr__(self, "_reversed", None)
+        object.__setattr__(self, "_reversed", {})
 
         # the nonzero entries of each row as ((symbol,), weight): d·P
         # for rational rows, P itself (d = 1) for float rows
@@ -951,10 +953,8 @@ class MarkovProcess(_Frozen):
         return out
 
     def reversed(self) -> ReversedProcess:
-        """The chain's one reversal view, built on the first call."""
-        if self._reversed is None:
-            object.__setattr__(self, "_reversed", ReversedProcess(self))
-        return self._reversed
+        """A new reversal view, whose tables the chain keeps."""
+        return ReversedProcess(self)
 
     def __repr__(self):
         return (f"MarkovProcess(order={self.order}, "
@@ -1177,8 +1177,7 @@ def sample(model, n: int, seed: int = 0) -> np.ndarray:
 
 
 def reversed_model(model):
-    """The time-reversed process: a ``ReversedProcess`` view of the model
-    (on a Markov chain its one view, which keeps the reversed tables it
-    builds; on a periodic or substitution model a new view per call), or
-    the Ising chain itself (it satisfies detailed balance)."""
+    """The time-reversed process: a new ``ReversedProcess`` view of the
+    model (a Markov chain keeps the reversed tables that its views
+    build), or the Ising chain itself (it satisfies detailed balance)."""
     return model.reversed()

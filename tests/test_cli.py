@@ -28,7 +28,7 @@ from persistinfo import (
     sequence,
     substitution,
 )
-from persistinfo.cli import main
+from persistinfo.cli import ISING_PROBE_TOL, main
 from persistinfo.infocore import ExactBits
 from persistinfo.sequence import Alphabet
 from persistinfo.processes import IidProcess, MarkovProcess
@@ -934,6 +934,18 @@ def test_ising_names_a_high_temperature_excess_entropy(capsys):
     assert len(out.splitlines()) == 4
     assert err == ("error: E(100) = 0.999999937554 exceeds 1e-3 at high"
                    " temperature\n")
+
+
+def test_ising_probe_fails_just_above_ising_probe_tol(capsys):
+    # at the T = 100 probe E is 1.8e-3 for J = 5, which fails, and
+    # 6.5e-4 for J = 3, which passes
+    assert 6.5e-4 < ISING_PROBE_TOL < 1.8e-3
+    code, out, err = run(capsys, "ising", "--J", "5", "--points", "5")
+    assert (code, len(out.splitlines())) == (1, 6)
+    assert err == ("error: E(100) = 0.00180111709213 exceeds 1e-3 at high"
+                   " temperature\n")
+    code, out, err = run(capsys, "ising", "--J", "3", "--points", "5")
+    assert (code, len(out.splitlines()), err) == (0, 6, "")
 
 
 def test_ising_names_an_excess_entropy_that_is_not_unimodal(capsys,

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from oracles import WindowOracle, machine_block_distribution
 
 from persistinfo.emachine import (
+    IDENTITY_TOL,
+    MERGE_TOL,
     EpsilonMachine,
     NonUnifilarError,
     complexity_decomposition,
@@ -215,6 +217,36 @@ def test_float_decomposition_is_checked_within_tolerance():
     assert E + h_fr == pytest.approx(fwd.complexity, abs=1e-12)
 
 
+def test_float_decomposition_refuses_a_miss_just_outside_identity_tol():
+    # a C_P split that misses by 1e-6 is refused in either reading
+    # direction, and one that misses by 1e-12 passes
+    assert 1e-12 < IDENTITY_TOL < 1e-6
+    gm = MarkovProcess.from_rows({"0": (0.5, 0.5), "1": (1.0, 0.0)})
+    fwd = reconstruct(gm, 1, 2)
+    rev = reconstruct(reversed_model(gm), 1, 2)
+    for miss, refused in ((1e-6, True), (1e-12, False)):
+        for pair, name in (
+                ((with_complexity(fwd, fwd.complexity + miss), rev),
+                 "forward"),
+                ((fwd, with_complexity(rev, rev.complexity + miss)),
+                 "reverse")):
+            if refused:
+                with pytest.raises(ArithmeticError, match=name):
+                    complexity_decomposition(*pair, gm)
+            else:
+                complexity_decomposition(*pair, gm)
+
+
+def test_float_histories_merge_only_within_merge_tol():
+    # two contexts whose rows lie 1e-9 apart in total variation stay two
+    # states under the default radius; 1e-14 apart, they are one
+    assert 1e-14 < MERGE_TOL < 1e-9
+    for gap, states in ((1e-9, 2), (1e-14, 1)):
+        chain = MarkovProcess.from_rows(
+            {"0": (0.5, 0.5), "1": (0.5 + gap, 0.5 - gap)})
+        assert len(reconstruct(chain, 1, 1).states) == states
+
+
 def test_goldenmean_machine_blocks_match_model():
     gm = goldenmean()
     m = reconstruct(gm, 1, 2)
@@ -329,7 +361,7 @@ R2_ROWS = {"00": (F(4, 5), F(1, 5)), "01": (F(3, 10), F(7, 10)),
 ], ids=["golden", "r2", "ternary", "r2-float"])
 def test_calls_on_one_chain_answer_as_on_fresh_chains(make, R):
     # forward machine, E, reverse machine and C_P split on one chain,
-    # which keeps its tables and its one reversal view across the calls,
+    # which keeps its forward and reversed tables across the calls,
     # against each call made on chains of its own
     chain = make()
     forward = reconstruct(chain, R, R)

@@ -3,10 +3,12 @@
 ``sequence`` is the bottom layer: it imports no other module of the
 package.  Every name imported from a module of the package is imported
 from the module that defines it, so a moved name has one home, and
-``cli`` reads only the public names of ``sequence``.
+``cli`` reads only the public names of ``sequence``.  Every module
+stays below the token count past which compiling it peaks higher.
 """
 
 import ast
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,11 @@ MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
            for p in sorted(PACKAGE.glob("*.py"))}
 FILES = [*sorted(PACKAGE.glob("*.py")),
          *sorted(Path(__file__).parent.glob("*.py"))]
+
+#: compiling a module of more tokens (comments and blank lines left out)
+#: peaked about 450 KiB higher on CPython 3.11, a cost every cold command
+#: pays
+COMPILE_STEP_TOKENS = 8192
 
 
 def _defined(tree: ast.Module) -> set:
@@ -74,9 +81,9 @@ def test_names_are_imported_from_the_module_that_defines_them(path):
 
 
 def test_only_processes_reads_the_table_memo():
-    # a chain's kept tables and its reversal view are reached through
-    # block_distribution and reversed() alone; this file names them, so
-    # it is not read
+    # a chain's kept forward and reversed tables are reached through
+    # block_distribution, on the chain or on a reversed() view, alone;
+    # this file names them, so it is not read
     memo = {"_tables", "_reversed"}
     readers = set()
     for path in FILES:
@@ -94,3 +101,14 @@ def test_cli_imports_only_public_names_of_sequence():
     names = [name for module, name in _package_imports(PACKAGE / "cli.py")
              if module == "sequence"]
     assert names and [n for n in names if n.startswith("_")] == []
+
+
+def test_every_module_stays_below_the_compile_step():
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open(encoding="utf-8") as f:
+            counts[path.name] = sum(
+                t.type not in (tokenize.COMMENT, tokenize.NL)
+                for t in tokenize.generate_tokens(f.readline))
+    assert {name: n for name, n in counts.items()
+            if n >= COMPILE_STEP_TOKENS} == {}

@@ -5,6 +5,7 @@ matrix algebra, logistic cycle roots) before the module was written;
 the implementation must reproduce them.
 """
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -41,12 +42,14 @@ from persistinfo.infocore import (
 )
 from persistinfo.measures import entropy_curve, gap_mi_grid, pmi_verdict
 from persistinfo.processes import (
+    ROW_SUM_TOL,
     ClosedFormUnavailable,
     IidProcess,
     IsingChainProcess,
     LogisticSymbolizer,
     MarkovProcess,
     PeriodicProcess,
+    ReversedProcess,
     SubstitutionProcess,
     closed_forms,
     reversed_model,
@@ -1013,16 +1016,84 @@ def test_closed_forms_and_reversal_match_block_table_oracle(m):
 ], ids=["rational", "iid", "ising"])
 def test_tables_and_reversal_are_built_once_per_chain(make):
     chain = make()
-    rev = chain.reversed()
-    assert chain.reversed() is rev and reversed_model(chain) is rev
+    views = (chain.reversed(), chain.reversed(), reversed_model(chain))
+    # the Ising chain is its own reversal; another chain hands out views
+    assert all((view is chain) == isinstance(chain, IsingChainProcess)
+               for view in views)
     for L in (1, 2, 3):
-        table, back = chain.block_distribution(L), rev.block_distribution(L)
+        table = chain.block_distribution(L)
         assert chain.block_distribution(L) is table
-        assert rev.block_distribution(L) is back
+        # every view of the chain hands out the one reversed table
+        back = views[0].block_distribution(L)
+        assert all(view.block_distribution(L) is back for view in views)
         # the kept table is the one a fresh chain enumerates
         fresh = make().block_distribution(L)
         assert (table.weights, table.denominator) == (fresh.weights,
                                                       fresh.denominator)
+
+
+def test_float_rows_must_sum_to_one_within_row_sum_tol():
+    # a float row summing to 1 + 1e-6 is refused, one summing to
+    # 1 + 1e-12 is taken as it is
+    assert 1e-12 < ROW_SUM_TOL < 1e-6
+    with pytest.raises(ValueError, match="row for context '0' sums to"):
+        MarkovProcess.from_rows({"0": (0.5, 0.5 + 1e-6), "1": (1.0, 0.0)})
+    m = MarkovProcess.from_rows({"0": (0.5, 0.5 + 1e-12), "1": (1.0, 0.0)})
+    assert m.kernel[(0,)] == (0.5, 0.5 + 1e-12)
+
+
+def test_a_chain_refers_to_no_reversal_view():
+    assert ReversedProcess.__slots__ == ("process",)
+    chain = ternary_r2()
+    views = chain.reversed(), reversed_model(chain)
+    assert views[0] is not views[1]
+    for view in views:
+        assert view.process is chain
+        view.block_distribution(3)
+    slots = [name for cls in type(chain).__mro__
+             for name in getattr(cls, "__slots__", ())]
+    for name in slots:
+        value = getattr(chain, name)
+        held = value.values() if isinstance(value, dict) else ()
+        assert not any(isinstance(x, ReversedProcess)
+                       for x in (value, *held)), name
+
+
+def test_del_frees_a_chain_with_its_reversed_tables():
+    # no chain refers to a view, so reference counting alone frees a
+    # chain and every table it keeps; a first chain fills the
+    # interpreter's free lists, which stay traced once it is freed
+    gc.disable()
+    tracemalloc.start()
+    try:
+        ternary_r2().reversed().block_distribution(10)
+        start = tracemalloc.get_traced_memory()[0]
+        chain = ternary_r2()
+        chain.reversed().block_distribution(10)
+        assert tracemalloc.get_traced_memory()[0] - start > 10 * 2 ** 20
+        del chain
+        assert tracemalloc.get_traced_memory()[0] - start < 2 ** 20
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize("model", [
+    PeriodicProcess.from_string("00111"),
+    SubstitutionProcess(fibonacci()),
+    SubstitutionProcess(thue_morse()),
+], ids=["periodic", "fib", "tm"])
+def test_a_window_model_view_mirrors_its_tables_and_keeps_none(model):
+    views = model.reversed(), reversed_model(model)
+    assert views[0] is not views[1]
+    for L in (1, 2, 3, 5):
+        fwd = model.block_distribution(L)
+        first, second = (view.block_distribution(L) for view in views)
+        assert first is not second
+        for back in (first, second):
+            assert back.denominator == fwd.denominator
+            assert back.weights == {w[::-1]: p
+                                    for w, p in fwd.weights.items()}
 
 
 # ── class and edge-context routes against the table oracles ─────────
